@@ -14,6 +14,7 @@ from enum import Enum
 
 from .errors import DegenerateBranchError, ImpossiblePostselectionError
 from .states import (
+    MIN_OUTCOME_PROBABILITY,
     AtomFieldKet,
     AtomLevel,
     FieldsKet,
@@ -25,11 +26,6 @@ from .states import (
 _E = AtomLevel.EXCITED
 _G = AtomLevel.GROUND
 _ANGLE_ATOL = 1e-12
-
-#: Postselection is refused when the branch normalization falls below this;
-#: conditional states are undefined at exact zeros and numerically unreliable
-#: just above them.
-MIN_BRANCH_NORM = 1e-10
 
 
 class CavityOrder(Enum):
@@ -207,42 +203,16 @@ def control_probability(j: int, p: SystemParams) -> float:
 def ico_postselected_state(j: int, p: SystemParams, omega_t: float = 0.0) -> PureState:
     """Atom-field state conditioned on control outcome j (balanced preparation).
 
-    Closed-form fast path.  The physically irrelevant global phase
-    exp(-i*omega_t*(n+m+1/2)) is dropped; the relative phase exp(i*omega_t)
-    between the two excitation sectors is kept, with omega_t equal to the
-    mode frequency times the measurement time.  general_postselect returns
-    the same state with the global phase still attached.
+    This is general_postselect with the physically irrelevant global phase
+    exp(-i*omega_t*(n+m+1/2)) removed: the excitation sector n+m+1 carries no
+    phase, and the sector n+m (reachable only for an atom not prepared purely
+    excited) keeps the relative factor exp(i*omega_t), with omega_t equal to
+    the mode frequency times the measurement time.
     """
-    _check_outcome(j)
     _check_balanced_control(p, "ico_postselected_state")
-    nj_sq = control_probability(j, p)
-    if math.sqrt(max(nj_sq, 0.0)) <= MIN_BRANCH_NORM:
-        raise ImpossiblePostselectionError(
-            f"control outcome {j} has vanishing probability ({nj_sq:.3e})"
-        )
-    c1, c2, c3, c4, c5, c6, c7, c8 = coeffs_c(p, p.T).as_tuple()
-    s1, s2, s3, s4, s5, s6, s7, s8 = coeffs_s(p, p.T).as_tuple()
-    sign = 1.0 if j == 0 else -1.0
-    eit = cmath.exp(1j * omega_t)
-    scale = 1.0 / (2.0 * math.sqrt(nj_sq))
-    # One excitation sector carries no interior phase, the other (reachable
-    # only for an atom not prepared purely excited) the factor exp(i*omega_t).
-    terms = (
-        (c1 + sign * s1, _E, 0, 0),
-        (c6, _E, +1, -1),
-        (sign * s6, _E, -1, +1),
-        (eit * (c2 + sign * s5), _E, -1, 0),
-        (eit * (c5 + sign * s2), _E, 0, -1),
-        (eit * (c7 + sign * s7), _G, 0, 0),
-        (eit * c4, _G, -1, +1),
-        (eit * sign * s4, _G, +1, -1),
-        (c3 + sign * s8, _G, 0, +1),
-        (c8 + sign * s3, _G, +1, 0),
-    )
-    amps: dict[AtomFieldKet, complex] = {}
-    for amp, atom, dn, dm in terms:
-        _place(amps, amp * scale, atom, p.n + dn, p.m + dm)
-    return PureState(amps)
+    state, _ = general_postselect(j, p, omega_t)
+    unwind = cmath.exp(1j * omega_t * (p.n + p.m + 0.5))
+    return PureState({ket: amp * unwind for ket, amp in state.items()})
 
 
 def general_postselect(
@@ -254,7 +224,9 @@ def general_postselect(
     sin(theta), recombines them on the control, projects onto |j>, and
     applies the full per-ket phase exp(-i*omega_t*(excitations - 1/2)).
     Returns the normalized conditional atom-field state and the outcome
-    probability.  Unlike the fast path, no global phase is discarded.
+    probability.  This is the only place that postselects on the control;
+    an outcome with probability below MIN_OUTCOME_PROBABILITY raises
+    ImpossiblePostselectionError, which carries the refused probability.
     """
     _check_outcome(j)
     first = state_after_both(CavityOrder.C0_THEN_C1, p, p.T)
@@ -264,10 +236,8 @@ def general_postselect(
     w1 = (-1.0 if j else 1.0) * cmath.exp(1j * p.varphi) * math.sin(p.theta) * inv_sqrt2
     residual = scale_and_add(w0, first, w1, second)
     prob = residual.squared_norm()
-    if prob < 1e-12:
-        raise ImpossiblePostselectionError(
-            f"control outcome {j} has probability {prob:.3e}"
-        )
+    if prob < MIN_OUTCOME_PROBABILITY:
+        raise ImpossiblePostselectionError(f"control outcome {j}", prob)
     scale = 1.0 / math.sqrt(prob)
     amps = {
         ket: amp * scale * cmath.exp(-1j * omega_t * (ket.excitations - 0.5))

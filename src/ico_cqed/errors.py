@@ -6,7 +6,14 @@ class FlavorMismatchError(ValueError):
 
 
 class ImpossiblePostselectionError(ValueError):
-    """Conditioning was requested on an outcome of (numerically) zero probability."""
+    """Conditioning was requested on an outcome of (numerically) zero probability.
+
+    ``probability`` holds the Born probability that was refused.
+    """
+
+    def __init__(self, outcome: str, probability: float):
+        super().__init__(f"{outcome} has probability {probability:.3e}")
+        self.probability = probability
 
 
 class TruncationOverflowError(RuntimeError):

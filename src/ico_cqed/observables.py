@@ -10,7 +10,16 @@ import numpy as np
 
 from .engine import coeffs_c, coeffs_s, control_probability
 from .errors import FlavorMismatchError, ImpossiblePostselectionError
-from .states import AtomFieldKet, AtomLevel, FieldsKet, FullKet, Ket, PureState, SystemParams
+from .states import (
+    MIN_OUTCOME_PROBABILITY,
+    AtomFieldKet,
+    AtomLevel,
+    FieldsKet,
+    FullKet,
+    Ket,
+    PureState,
+    SystemParams,
+)
 
 _E = AtomLevel.EXCITED
 _G = AtomLevel.GROUND
@@ -67,10 +76,8 @@ def condition_on_atom(s: PureState, a: AtomLevel) -> tuple[PureState, float]:
         raise FlavorMismatchError("condition_on_atom requires an atom-field state")
     picked = {FieldsKet(k.n, k.m): amp for k, amp in s.items() if k.atom is a}
     prob = math.fsum(v.real * v.real + v.imag * v.imag for v in picked.values())
-    if prob < 1e-12:
-        raise ImpossiblePostselectionError(
-            f"atom level {a.label} has probability {prob:.3e}"
-        )
+    if prob < MIN_OUTCOME_PROBABILITY:
+        raise ImpossiblePostselectionError(f"atom level {a.label}", prob)
     scale = 1.0 / math.sqrt(prob)
     return PureState({k: v * scale for k, v in picked.items()}), prob
 
@@ -105,49 +112,12 @@ def linear_entropy(rho: FieldDensityMatrix) -> float:
     return 1.0 - purity
 
 
-@dataclass(frozen=True)
-class EntropyReport:
-    """Linear entropy of the first mode together with its dimension cap."""
-
-    value: float
-    bound: float
-    conditioned_on: AtomLevel
-    scenario: str
-
-
-def entropy_report(
-    fields: PureState, conditioned_on: AtomLevel, scenario: str
-) -> EntropyReport:
-    """Package the first-mode linear entropy with the support-dimension bound
-    1 - 1/min(d0, d1)."""
-    if scenario not in ("series", "ico"):
-        raise ValueError(f"scenario must be 'series' or 'ico', got {scenario!r}")
-    rho = reduced_cavity0(fields)
-    d0 = len({k.n for k in fields.kets()})
-    d1 = len({k.m for k in fields.kets()})
-    bound = 1.0 - 1.0 / min(d0, d1)
-    value = linear_entropy(rho)
-    if not -1e-12 <= value <= bound + 1e-12:
-        raise AssertionError(f"entropy {value} escapes [0, {bound}]")
-    return EntropyReport(value, bound, conditioned_on, scenario)
-
-
 def sigma_z_expectation(s: PureState) -> float:
     """Atomic inversion P(excited) - P(ground) read directly off a state."""
     if s.flavor not in (AtomFieldKet, FullKet, None):
         raise FlavorMismatchError("sigma_z_expectation needs kets with an atom level")
     return math.fsum(
         (1.0 if ket.atom is _E else -1.0) * (amp.real * amp.real + amp.imag * amp.imag)
-        for ket, amp in s.items()
-    )
-
-
-def excitation_expectation(s: PureState) -> float:
-    """Mean excitation number (atom excitation plus total photons)."""
-    if s.flavor is FieldsKet:
-        raise FlavorMismatchError("excitation_expectation needs kets with an atom level")
-    return math.fsum(
-        (amp.real * amp.real + amp.imag * amp.imag) * ket.excitations
         for ket, amp in s.items()
     )
 
@@ -175,10 +145,8 @@ def sigma_z_ico(p: SystemParams) -> float:
     if p.xi != 0.0:
         raise ValueError("sigma_z_ico requires xi = 0 (atom initially excited)")
     n0_sq = control_probability(0, p)
-    if math.sqrt(max(n0_sq, 0.0)) <= 1e-10:
-        raise ImpossiblePostselectionError(
-            f"control outcome 0 has vanishing probability ({n0_sq:.3e})"
-        )
+    if n0_sq < MIN_OUTCOME_PROBABILITY:
+        raise ImpossiblePostselectionError("control outcome 0", n0_sq)
     c1, _, c3, _, _, c6, _, c8 = coeffs_c(p, p.T).as_tuple()
     s1, _, s3, _, _, s6, _, s8 = coeffs_s(p, p.T).as_tuple()
 

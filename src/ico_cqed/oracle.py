@@ -20,6 +20,7 @@ from .errors import (
     TruncationOverflowError,
 )
 from .states import (
+    MIN_OUTCOME_PROBABILITY,
     PRUNE_EPSILON,
     AtomFieldKet,
     AtomLevel,
@@ -203,10 +204,8 @@ def measure_control(s: PureState, j: int) -> tuple[PureState, float]:
         raise FlavorMismatchError("measure_control requires a full-flavor state")
     picked = {ket.rest: amp for ket, amp in s.items() if ket.control == j}
     prob = math.fsum(a.real * a.real + a.imag * a.imag for a in picked.values())
-    if prob < 1e-12:
-        raise ImpossiblePostselectionError(
-            f"control outcome {j} has probability {prob:.3e}"
-        )
+    if prob < MIN_OUTCOME_PROBABILITY:
+        raise ImpossiblePostselectionError(f"control outcome {j}", prob)
     scale = 1.0 / math.sqrt(prob)
     return PureState({k: a * scale for k, a in picked.items()}), prob
 

@@ -12,7 +12,6 @@ and the like) never clutter the support.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -23,6 +22,11 @@ from .errors import FlavorMismatchError
 #: Amplitudes below this magnitude are dropped from states.  The value sits
 #: at machine-epsilon scale, far below every assertion tolerance used here.
 PRUNE_EPSILON = 1e-15
+
+#: Conditioning on an outcome whose Born probability falls below this is
+#: refused with ImpossiblePostselectionError: the conditional state is 0/0 at
+#: an exact zero and renormalized rounding noise just above it.
+MIN_OUTCOME_PROBABILITY = 1e-12
 
 
 class AtomLevel(IntEnum):
@@ -222,10 +226,6 @@ def inner_product(a: PureState, b: PureState) -> complex:
     return sum((a._amps[k].conjugate() * b._amps[k] for k in common), 0j)
 
 
-def norm(a: PureState) -> float:
-    return a.norm()
-
-
 def scale_and_add(alpha: complex, a: PureState, beta: complex, b: PureState) -> PureState:
     """Amplitude-wise alpha*a + beta*b; the result is pruned as usual."""
     _check_same_flavor(a, b, "scale_and_add")
@@ -235,52 +235,23 @@ def scale_and_add(alpha: complex, a: PureState, beta: complex, b: PureState) -> 
     return PureState(out)
 
 
-def state_to_json(state: PureState) -> str:
-    """Serialize a state; floats carry 17 significant digits so that parsing
-    recovers every amplitude bit for bit."""
-    entries = []
-    for ket, amp in state.items():
-        if isinstance(ket, FullKet):
-            control: str = str(ket.control)
-            atom = f'"{ket.atom.label}"'
-            n, m = ket.n, ket.m
-        elif isinstance(ket, AtomFieldKet):
-            control = "null"
-            atom = f'"{ket.atom.label}"'
-            n, m = ket.n, ket.m
-        else:
-            control = "null"
-            atom = "null"
-            n, m = ket.n, ket.m
-        entries.append(
-            '{"control":%s,"atom":%s,"n":%d,"m":%d,"re":%.17g,"im":%.17g}'
-            % (control, atom, n, m, amp.real, amp.imag)
-        )
-    return '{"kets":[%s]}' % ",".join(entries)
-
-
-def state_from_json(text: str) -> PureState:
-    data = json.loads(text)
-    amps: dict[Ket, complex] = {}
-    for entry in data["kets"]:
-        n, m = entry["n"], entry["m"]
-        atom = entry.get("atom")
-        control = entry.get("control")
-        if atom is None:
-            ket: Ket = FieldsKet(n, m)
-        elif control is None:
-            ket = AtomFieldKet(AtomLevel.from_label(atom), n, m)
-        else:
-            ket = FullKet(control, AtomFieldKet(AtomLevel.from_label(atom), n, m))
-        amps[ket] = complex(entry["re"], entry["im"])
-    return PureState(amps)
-
-
 def _check_angle(value: float, name: str, upper: float, inclusive: bool) -> None:
     ok = 0.0 <= value <= upper if inclusive else 0.0 <= value < upper
     if not ok:
         bracket = "]" if inclusive else ")"
         raise ValueError(f"{name} must lie in [0, {upper:.6g}{bracket}, got {value}")
+
+
+def check_preparation(p) -> None:
+    """Range checks shared by SystemParams and SweepConfig: the control angles
+    theta and varphi, the atom angles xi and chi, and the photon numbers n and
+    m.  The ValueError message starts with the offending field name."""
+    _check_angle(p.theta, "theta", math.pi / 2, inclusive=True)
+    _check_angle(p.varphi, "varphi", 2 * math.pi, inclusive=False)
+    _check_angle(p.xi, "xi", math.pi / 2, inclusive=True)
+    _check_angle(p.chi, "chi", 2 * math.pi, inclusive=False)
+    _check_occupation(p.n, "n")
+    _check_occupation(p.m, "m")
 
 
 @dataclass(frozen=True)
@@ -314,12 +285,7 @@ class SystemParams:
             raise ValueError(f"T must be >= 0, got {self.T}")
         if not self.omega > 0:
             raise ValueError(f"omega must be > 0, got {self.omega}")
-        _check_angle(self.theta, "theta", math.pi / 2, inclusive=True)
-        _check_angle(self.varphi, "varphi", 2 * math.pi, inclusive=False)
-        _check_angle(self.xi, "xi", math.pi / 2, inclusive=True)
-        _check_angle(self.chi, "chi", 2 * math.pi, inclusive=False)
-        _check_occupation(self.n, "n")
-        _check_occupation(self.m, "m")
+        check_preparation(self)
         if self.T0 < 0:
             raise ValueError(f"T0 must be >= 0, got {self.T0}")
         if self.T1 is None:

@@ -24,7 +24,7 @@ from .observables import (
     reduced_cavity0,
     sigma_z_expectation,
 )
-from .states import AtomFieldKet, AtomLevel, PureState, SystemParams
+from .states import AtomFieldKet, AtomLevel, PureState, SystemParams, check_preparation
 
 _E = AtomLevel.EXCITED
 _G = AtomLevel.GROUND
@@ -140,18 +140,10 @@ class SweepConfig:
             isinstance(q, ControlProbabilityColumn) for q in self.quantities
         ):
             raise ConfigError("quantities: control_prob is defined only for ico scenarios")
-        for name, value in (("n", self.n), ("m", self.m)):
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise ConfigError(f"{name}: must be a non-negative integer, got {value!r}")
-        for name, value, upper, inclusive in (
-            ("xi", self.xi, math.pi / 2, True),
-            ("theta", self.theta, math.pi / 2, True),
-            ("chi", self.chi, 2 * math.pi, False),
-            ("varphi", self.varphi, 2 * math.pi, False),
-        ):
-            ok = 0.0 <= value <= upper if inclusive else 0.0 <= value < upper
-            if not ok:
-                raise ConfigError(f"{name}: out of range, got {value}")
+        try:
+            check_preparation(self)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.gT_step <= 0:
             raise ConfigError(f"gT_step: must be > 0, got {self.gT_step}")
         if self.gT_start < 0:
@@ -246,8 +238,8 @@ def _scenario_state(cfg: SweepConfig, p: SystemParams) -> tuple[PureState | None
     """Evaluate the scenario at one grid point.
 
     Returns (state, control outcome probability).  The state is None when the
-    scenario's outcome cannot be postselected; the probability is still exact
-    (it is one minus the complementary outcome's probability).
+    scenario's outcome cannot be postselected; the probability is then the
+    refused one, below MIN_OUTCOME_PROBABILITY.
     """
     if cfg.scenario == "series_C0C1":
         return state_after_both(CavityOrder.C0_THEN_C1, p, p.T), None
@@ -255,11 +247,9 @@ def _scenario_state(cfg: SweepConfig, p: SystemParams) -> tuple[PureState | None
         return state_after_both(CavityOrder.C1_THEN_C0, p, p.T), None
     j = 0 if cfg.scenario == "ico_j0" else 1
     try:
-        state, prob = general_postselect(j, p, cfg.omega_t)
-        return state, prob
-    except ImpossiblePostselectionError:
-        _, other = general_postselect(1 - j, p, cfg.omega_t)
-        return None, 1.0 - other
+        return general_postselect(j, p, cfg.omega_t)
+    except ImpossiblePostselectionError as exc:
+        return None, exc.probability
 
 
 def _evaluate_quantity(q: Quantity, state: PureState | None, control_prob: float | None):

@@ -5,23 +5,29 @@ from dataclasses import replace
 import pytest
 
 from ico_cqed import (
+    MIN_OUTCOME_PROBABILITY,
     AtomFieldKet,
     CavityOrder,
     DegenerateBranchError,
     FieldsKet,
     ImpossiblePostselectionError,
     PureState,
+    SystemParams,
+    TruncationWindow,
     bell_resonance_gT,
     bell_state,
     coeffs_c,
     coeffs_s,
     condition_on_atom,
     control_probability,
+    evolve,
     gamma,
     general_postselect,
+    hadamard_control,
     ico_postselected_state,
     initial_atom_field_state,
     inner_product,
+    measure_control,
     overlap_orders,
     state_after_both,
 )
@@ -38,6 +44,39 @@ def random_engine_params(rng, balanced_control=False, **overrides):
     )
     kwargs.update(overrides)
     return balanced(**kwargs) if balanced_control else params(**kwargs)
+
+
+def ten_term_postselected_state(j, p, omega_t):
+    """The paper's closed form for the control-j conditional state under the
+    balanced preparation, with the global phase exp(-i*omega_t*(n+m+1/2))
+    dropped: ten terms built from the two orders' coefficient sets."""
+    c1, c2, c3, c4, c5, c6, c7, c8 = coeffs_c(p, p.T).as_tuple()
+    s1, s2, s3, s4, s5, s6, s7, s8 = coeffs_s(p, p.T).as_tuple()
+    sign = 1.0 if j == 0 else -1.0
+    eit = cmath.exp(1j * omega_t)
+    scale = 1.0 / (2.0 * math.sqrt(control_probability(j, p)))
+    # The excitation sector n+m+1 carries no interior phase, the sector n+m
+    # (reachable only for an atom not prepared purely excited) exp(i*omega_t).
+    terms = (
+        (c1 + sign * s1, E, 0, 0),
+        (c6, E, +1, -1),
+        (sign * s6, E, -1, +1),
+        (eit * (c2 + sign * s5), E, -1, 0),
+        (eit * (c5 + sign * s2), E, 0, -1),
+        (eit * (c7 + sign * s7), G, 0, 0),
+        (eit * c4, G, -1, +1),
+        (eit * sign * s4, G, +1, -1),
+        (c3 + sign * s8, G, 0, +1),
+        (c8 + sign * s3, G, +1, 0),
+    )
+    amps = {}
+    for amp, atom, dn, dm in terms:
+        n, m = p.n + dn, p.m + dm
+        if n < 0 or m < 0:
+            assert abs(amp) < 1e-30  # each such term carries a zero sin factor
+            continue
+        amps[AtomFieldKet(atom, n, m)] = amp * scale
+    return PureState(amps)
 
 
 # ---------------------------------------------------------------- gamma
@@ -265,8 +304,9 @@ def test_postselected_requires_balanced_preparation():
         ico_postselected_state(0, params(1.0, theta=0.0), 0.0)
 
 
-def test_general_postselect_reduces_to_fast_path(rng):
-    # identical up to the documented dropped global phase; compare away from
+def test_postselection_matches_ten_term_form(rng):
+    # ico_postselected_state equals the paper's form, general_postselect the
+    # same form with the dropped global phase reattached; compare away from
     # near-degenerate outcomes where conditional amplitudes lose precision
     for _ in range(25):
         p = random_engine_params(rng, balanced_control=True)
@@ -275,12 +315,28 @@ def test_general_postselect_reduces_to_fast_path(rng):
             prob = control_probability(j, p)
             if prob < 1e-3:
                 continue
-            fast = ico_postselected_state(j, p, omega_t)
+            reference = ten_term_postselected_state(j, p, omega_t)
+            assert max_amp_diff(ico_postselected_state(j, p, omega_t), reference) < 1e-12
             general, general_prob = general_postselect(j, p, omega_t)
             assert abs(general_prob - prob) < 1e-12
             glob = cmath.exp(-1j * omega_t * (p.n + p.m + 0.5))
-            rotated = PureState({k: glob * a for k, a in fast.items()})
+            rotated = PureState({k: glob * a for k, a in reference.items()})
             assert max_amp_diff(rotated, general) < 1e-12
+
+
+def test_rounding_noise_outcome_is_refused_on_every_route():
+    # P(1) is rounding noise here (about 1e-16): every route must refuse it
+    # instead of renormalizing the noise into a state
+    p = SystemParams(g=1.0, T=3e-5, theta=math.pi / 4)
+    mixed = hadamard_control(evolve(p, p.T1 + p.T, TruncationWindow.for_params(p)))
+    for route in (
+        lambda: ico_postselected_state(1, p),
+        lambda: general_postselect(1, p),
+        lambda: measure_control(mixed, 1),
+    ):
+        with pytest.raises(ImpossiblePostselectionError) as err:
+            route()
+        assert err.value.probability < MIN_OUTCOME_PROBABILITY
 
 
 def test_general_postselect_definite_order():

@@ -16,8 +16,6 @@ from ico_cqed import (
     coeffs_s,
     condition_on_atom,
     control_probability,
-    entropy_report,
-    excitation_expectation,
     gamma,
     ico_postselected_state,
     ket_probability,
@@ -225,17 +223,19 @@ def test_linear_entropy_values():
 
 
 def test_entropy_report_bounds():
-    st = ico_postselected_state(0, balanced(1.3, n=1, m=1), 0.0)
-    fields, _ = condition_on_atom(st, E)
-    report = entropy_report(fields, E, "ico")
-    assert report.bound == pytest.approx(2 / 3)
-    assert 0.0 <= report.value <= report.bound + 1e-12
-    series = series_state(1.3, n=1, m=1)
-    fields_e, _ = condition_on_atom(series, E)
-    report = entropy_report(fields_e, E, "series")
-    assert report.bound == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        entropy_report(fields_e, E, "other")
+    # the first-mode entropy stays under the support-dimension cap
+    # 1 - 1/min(d0, d1)
+    cases = (
+        (ico_postselected_state(0, balanced(1.3, n=1, m=1), 0.0), 2 / 3),
+        (series_state(1.3, n=1, m=1), 0.5),
+    )
+    for st, cap in cases:
+        fields, _ = condition_on_atom(st, E)
+        d0 = len({k.n for k in fields.kets()})
+        d1 = len({k.m for k in fields.kets()})
+        bound = 1.0 - 1.0 / min(d0, d1)
+        assert bound == pytest.approx(cap)
+        assert 0.0 <= linear_entropy(reduced_cavity0(fields)) <= bound + 1e-12
 
 
 # ---------------------------------------------------------------- entropy properties
@@ -366,12 +366,8 @@ def test_sigma_z_ico_requires_excited_atom_and_balance():
         sigma_z_ico(params(1.0, theta=0.1))
 
 
-def test_excitation_expectation_values():
-    assert excitation_expectation(PureState({AtomFieldKet(E, 0, 0): 1.0})) == 1.0
-    assert excitation_expectation(PureState({AtomFieldKet(G, 2, 3): 1.0})) == 5.0
-
-
 def test_excitation_expectation_conserved(rng):
     for gt in rng.uniform(0, 10, 10):
         st = series_state(float(gt), n=1, m=1)
-        assert abs(excitation_expectation(st) - 3.0) < 1e-12
+        mean = math.fsum(abs(a) ** 2 * k.excitations for k, a in st.items())
+        assert abs(mean - 3.0) < 1e-12

@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -13,11 +12,8 @@ from ico_cqed import (
     PureState,
     SystemParams,
     inner_product,
-    norm,
     scale_and_add,
     state_after_both,
-    state_from_json,
-    state_to_json,
 )
 from helpers import E, G, max_amp_diff, params
 
@@ -107,10 +103,10 @@ def test_inner_product_flavor_mismatch():
 
 
 def test_norm_basics():
-    assert norm(PureState()) == 0.0
-    assert norm(PureState.from_ket(FieldsKet(0, 0))) == 1.0
+    assert PureState().norm() == 0.0
+    assert PureState.from_ket(FieldsKet(0, 0)).norm() == 1.0
     bell = PureState({FieldsKet(0, 1): 1 / math.sqrt(2), FieldsKet(1, 0): 1 / math.sqrt(2)})
-    assert abs(norm(bell) - 1.0) < 1e-15
+    assert abs(bell.norm() - 1.0) < 1e-15
 
 
 def test_scale_and_add_identity_and_cancellation():
@@ -145,33 +141,6 @@ def test_linearity_distributes_over_inner_product(rng):
         lhs = inner_product(c, scale_and_add(alpha, a, beta, b))
         rhs = alpha * inner_product(c, a) + beta * inner_product(c, b)
         assert abs(lhs - rhs) < 1e-12
-
-
-def test_serialization_round_trip_bit_for_bit(rng):
-    for flavor in ("full", "atom_field", "fields"):
-        amps = {}
-        for n, m in rng.integers(0, 4, (6, 2)):
-            amp = complex(*rng.normal(size=2))
-            if flavor == "full":
-                amps[FullKet(int(rng.integers(0, 2)), AtomFieldKet(E, int(n), int(m)))] = amp
-            elif flavor == "atom_field":
-                amps[AtomFieldKet(G, int(n), int(m))] = amp
-            else:
-                amps[FieldsKet(int(n), int(m))] = amp
-        state = PureState(amps)
-        again = state_from_json(state_to_json(state))
-        assert again == state  # exact amplitude equality
-
-
-def test_serialization_schema():
-    state = PureState({FullKet(1, AtomFieldKet(G, 2, 3)): 0.5 - 0.25j})
-    data = json.loads(state_to_json(state))
-    assert data == {
-        "kets": [{"control": 1, "atom": "g", "n": 2, "m": 3, "re": 0.5, "im": -0.25}]
-    }
-    fields = PureState({FieldsKet(1, 0): 1.0})
-    entry = json.loads(state_to_json(fields))["kets"][0]
-    assert entry["control"] is None and entry["atom"] is None
 
 
 def test_system_params_validation():

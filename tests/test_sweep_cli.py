@@ -126,7 +126,7 @@ def test_sweep_empty_cells_for_impossible_outcome():
     )
     (row,) = run_sweep(cfg).rows
     assert row[1] is None and row[2] is None and row[3] is None
-    assert abs(row[4]) < 1e-12  # outcome probability stays well-defined
+    assert row[4] == 0.0  # the refused probability, not 1 - P(other outcome)
     csv_row = run_sweep(cfg).to_csv().splitlines()[1]
     assert csv_row.startswith("0.0,,,,")
     assert csv_row.split(",")[4] == repr(row[4])
