@@ -109,6 +109,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.draws < 1:
         print("ico-cqed: draws: must be >= 1", file=sys.stderr)
         return 1
+    if args.seed < 0:
+        print("ico-cqed: seed: must be >= 0", file=sys.stderr)
+        return 1
     report = run_verification(args.seed, args.draws)
     for line in report.lines():
         print(line)
@@ -124,10 +127,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "figure":
             return _cmd_figure(args)
         return _cmd_verify(args)
-    except ConfigError as exc:
-        print(f"ico-cqed: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # ConfigError and the library's other input errors are ValueErrors.
         print(f"ico-cqed: {exc}", file=sys.stderr)
         return 1
 

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
+import numpy as np
+
 from .errors import DegenerateBranchError, ImpossiblePostselectionError
 from .states import (
     MIN_OUTCOME_PROBABILITY,
@@ -20,6 +22,8 @@ from .states import (
     FieldsKet,
     PureState,
     SystemParams,
+    normalize_columns,
+    prune_amplitudes,
     scale_and_add,
 )
 
@@ -90,6 +94,33 @@ def _check_tau(p: SystemParams, tau: float) -> None:
         raise ValueError(f"tau must lie in [0, T] = [0, {p.T}], got {tau}")
 
 
+def _slot_amplitudes(
+    lib, g: float, n: int, m: int, t_first, t_second, xi: float, chi: float
+) -> tuple:
+    """The eight slot amplitudes of one order: time t_first in the first
+    cavity (n photons), then t_second in the second (m photons).  ``lib``
+    supplies cos and sin: ``math`` for scalar times, ``numpy`` for arrays of
+    times, so coeffs_c and grid_amplitudes share these formulas."""
+    x_n, x_n1 = gamma(n, g) * t_first, gamma(n - 1, g) * t_first
+    x_m, x_m1 = gamma(m, g) * t_second, gamma(m - 1, g) * t_second
+    cos_n, sin_n = lib.cos(x_n), lib.sin(x_n)
+    cos_n1, sin_n1 = lib.cos(x_n1), lib.sin(x_n1)
+    cos_m, sin_m = lib.cos(x_m), lib.sin(x_m)
+    cos_m1, sin_m1 = lib.cos(x_m1), lib.sin(x_m1)
+    ce = math.cos(xi)
+    se = cmath.exp(1j * chi) * math.sin(xi)
+    return (
+        ce * cos_n * cos_m,
+        -1j * se * sin_n1 * cos_m,
+        -1j * ce * cos_n * sin_m,
+        -se * sin_n1 * sin_m,
+        -1j * se * cos_n1 * sin_m1,
+        -ce * sin_n * sin_m1,
+        se * cos_n1 * cos_m1,
+        -1j * ce * sin_n * cos_m1,
+    )
+
+
 def coeffs_c(p: SystemParams, tau: float) -> CoeffSet:
     """Amplitudes after time T in the first cavity (n photons) followed by
     time tau in the second cavity (m photons).
@@ -99,26 +130,7 @@ def coeffs_c(p: SystemParams, tau: float) -> CoeffSet:
     zero rate, so it vanishes as well.
     """
     _check_tau(p, tau)
-    cos_n = math.cos(gamma(p.n, p.g) * p.T)
-    sin_n = math.sin(gamma(p.n, p.g) * p.T)
-    cos_n1 = math.cos(gamma(p.n - 1, p.g) * p.T)
-    sin_n1 = math.sin(gamma(p.n - 1, p.g) * p.T)
-    cos_m = math.cos(gamma(p.m, p.g) * tau)
-    sin_m = math.sin(gamma(p.m, p.g) * tau)
-    cos_m1 = math.cos(gamma(p.m - 1, p.g) * tau)
-    sin_m1 = math.sin(gamma(p.m - 1, p.g) * tau)
-    ce = math.cos(p.xi)
-    se = cmath.exp(1j * p.chi) * math.sin(p.xi)
-    return CoeffSet(
-        c1=ce * cos_n * cos_m,
-        c2=-1j * se * sin_n1 * cos_m,
-        c3=-1j * ce * cos_n * sin_m,
-        c4=-se * sin_n1 * sin_m,
-        c5=-1j * se * cos_n1 * sin_m1,
-        c6=-ce * sin_n * sin_m1,
-        c7=se * cos_n1 * cos_m1,
-        c8=-1j * ce * sin_n * cos_m1,
-    )
+    return CoeffSet(*_slot_amplitudes(math, p.g, p.n, p.m, p.T, tau, p.xi, p.chi))
 
 
 def coeffs_s(p: SystemParams, tau: float) -> CoeffSet:
@@ -215,6 +227,15 @@ def ico_postselected_state(j: int, p: SystemParams, omega_t: float = 0.0) -> Pur
     return PureState({ket: amp * unwind for ket, amp in state.items()})
 
 
+def _control_weights(j: int, theta: float, varphi: float) -> tuple[float, complex]:
+    """Weights of the C0-first and C1-first branches in the control-j
+    component once the control is recombined (Hadamard) for measurement."""
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    w0 = math.cos(theta) * inv_sqrt2
+    w1 = (-1.0 if j else 1.0) * cmath.exp(1j * varphi) * math.sin(theta) * inv_sqrt2
+    return w0, w1
+
+
 def general_postselect(
     j: int, p: SystemParams, omega_t: float = 0.0
 ) -> tuple[PureState, float]:
@@ -231,9 +252,7 @@ def general_postselect(
     _check_outcome(j)
     first = state_after_both(CavityOrder.C0_THEN_C1, p, p.T)
     second = state_after_both(CavityOrder.C1_THEN_C0, p, p.T)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    w0 = math.cos(p.theta) * inv_sqrt2
-    w1 = (-1.0 if j else 1.0) * cmath.exp(1j * p.varphi) * math.sin(p.theta) * inv_sqrt2
+    w0, w1 = _control_weights(j, p.theta, p.varphi)
     residual = scale_and_add(w0, first, w1, second)
     prob = residual.squared_norm()
     if prob < MIN_OUTCOME_PROBABILITY:
@@ -244,6 +263,58 @@ def general_postselect(
         for ket, amp in residual.items()
     }
     return PureState(amps), prob
+
+
+def grid_amplitudes(
+    cfg, gT: np.ndarray
+) -> tuple[tuple[AtomFieldKet, ...], np.ndarray, np.ndarray | None]:
+    """A sweep scenario's atom-field state at every g*T of ``gT`` (g = 1,
+    tau = T), in one array pass.
+
+    ``cfg`` is a validated SweepConfig; its scenario, n, m and preparation
+    angles are read.  Returns the sorted basis of the at most ten reachable
+    kets, a (K, N) array of amplitudes on it, and for the ico scenarios the
+    control outcome probability at each grid point (None for the series
+    scenarios).  Where that probability is below MIN_OUTCOME_PROBABILITY
+    the outcome is refused and the amplitude column is zero; elsewhere it is
+    normalized.  Amplitudes below PRUNE_EPSILON are zeroed at each stage
+    where state_after_both and general_postselect build a PureState: the
+    order branches, the recombined state and the normalized state.  The
+    measurement phase exp(-i*omega_t*(N - 1/2)) is left out: it acts as a
+    phase on each subsystem and so changes no probability or entropy.
+    """
+    n, m = cfg.n, cfg.m
+    reachable = {
+        (atom, n + dn, m + dm)
+        for layout in (_LAYOUT_FIRST_C0, _LAYOUT_FIRST_C1)
+        for _, atom, dn, dm in layout
+        if n + dn >= 0 and m + dm >= 0
+    }
+    basis = tuple(sorted(AtomFieldKet(*key) for key in reachable))
+    row = {(k.atom, k.n, k.m): i for i, k in enumerate(basis)}
+
+    def branch(first: int, second: int, layout: tuple) -> np.ndarray:
+        # first and second: photon numbers of the cavity crossed first and
+        # of the one crossed second, as coeffs_c and coeffs_s pass them.
+        slots = _slot_amplitudes(np, 1.0, first, second, gT, gT, cfg.xi, cfg.chi)
+        amps = np.zeros((len(basis), gT.size), dtype=complex)
+        for slot, atom, dn, dm in layout:
+            i = row.get((atom, n + dn, m + dm))
+            if i is not None:  # negative-occupation slots vanish identically
+                amps[i] = slots[slot]
+        return prune_amplitudes(amps)
+
+    if cfg.scenario == "series_C0C1":
+        return basis, branch(n, m, _LAYOUT_FIRST_C0), None
+    if cfg.scenario == "series_C1C0":
+        return basis, branch(m, n, _LAYOUT_FIRST_C1), None
+    j = 0 if cfg.scenario == "ico_j0" else 1
+    w0, w1 = _control_weights(j, cfg.theta, cfg.varphi)
+    residual = prune_amplitudes(
+        w0 * branch(n, m, _LAYOUT_FIRST_C0) + w1 * branch(m, n, _LAYOUT_FIRST_C1)
+    )
+    amps, prob = normalize_columns(residual)
+    return basis, amps, prob
 
 
 def bell_resonance_gT(n: int, resonance: int) -> float:

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Mapping, Union
 
+import numpy as np
+
 from .errors import FlavorMismatchError
 
 #: Amplitudes below this magnitude are dropped from states.  The value sits
@@ -27,6 +29,26 @@ PRUNE_EPSILON = 1e-15
 #: refused with ImpossiblePostselectionError: the conditional state is 0/0 at
 #: an exact zero and renormalized rounding noise just above it.
 MIN_OUTCOME_PROBABILITY = 1e-12
+
+
+def prune_amplitudes(amps: np.ndarray) -> np.ndarray:
+    """Array form of the PureState pruning rule: zero, in place, every
+    amplitude below PRUNE_EPSILON in magnitude, and return the array."""
+    amps[np.abs(amps) < PRUNE_EPSILON] = 0.0
+    return amps
+
+
+def normalize_columns(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of conditioning on an outcome, one column per grid point.
+
+    Returns the columns scaled to unit norm and pruned, and each column's
+    Born probability.  A column whose probability is below
+    MIN_OUTCOME_PROBABILITY is refused and comes back as zeros.
+    """
+    prob = np.sum(amps.real**2 + amps.imag**2, axis=0)
+    possible = prob >= MIN_OUTCOME_PROBABILITY
+    scale = np.divide(1.0, np.sqrt(prob), out=np.zeros_like(prob), where=possible)
+    return prune_amplitudes(amps * scale), prob
 
 
 class AtomLevel(IntEnum):
@@ -279,17 +301,20 @@ class SystemParams:
     T1: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.g > 0:
-            raise ValueError(f"g must be > 0, got {self.g}")
-        if self.T < 0:
-            raise ValueError(f"T must be >= 0, got {self.T}")
-        if not self.omega > 0:
-            raise ValueError(f"omega must be > 0, got {self.omega}")
+        # Chained comparisons also reject NaN, which fails every comparison.
+        if not 0 < self.g < math.inf:
+            raise ValueError(f"g must be finite and > 0, got {self.g}")
+        if not 0 <= self.T < math.inf:
+            raise ValueError(f"T must be finite and >= 0, got {self.T}")
+        if not 0 < self.omega < math.inf:
+            raise ValueError(f"omega must be finite and > 0, got {self.omega}")
         check_preparation(self)
-        if self.T0 < 0:
-            raise ValueError(f"T0 must be >= 0, got {self.T0}")
+        if not 0 <= self.T0 < math.inf:
+            raise ValueError(f"T0 must be finite and >= 0, got {self.T0}")
         if self.T1 is None:
             object.__setattr__(self, "T1", self.T0 + self.T)
+        elif not math.isfinite(self.T1):
+            raise ValueError(f"T1 must be finite, got {self.T1}")
         if self.T1 < self.T0 + self.T:
             raise ValueError(
                 f"schedule must satisfy T0 + T <= T1, got T0={self.T0}, T={self.T}, T1={self.T1}"

@@ -14,22 +14,27 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from ._version import __version__
-from .engine import CavityOrder, general_postselect, state_after_both
-from .errors import ConfigError, ImpossiblePostselectionError
-from .observables import (
-    condition_on_atom,
-    ket_probability,
-    linear_entropy,
-    reduced_cavity0,
-    sigma_z_expectation,
+from .engine import grid_amplitudes
+from .errors import ConfigError
+from .states import (
+    MIN_OUTCOME_PROBABILITY,
+    AtomFieldKet,
+    AtomLevel,
+    check_preparation,
+    normalize_columns,
 )
-from .states import AtomFieldKet, AtomLevel, PureState, SystemParams, check_preparation
 
 _E = AtomLevel.EXCITED
 _G = AtomLevel.GROUND
 
 SCENARIOS = ("series_C0C1", "series_C1C0", "ico_j0", "ico_j1")
+
+#: Largest grid a sweep may ask for.  The default grid has 1,001 points; a
+#: million keeps one sweep's table and CSV to a few hundred MB.
+MAX_GRID_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -144,6 +149,10 @@ class SweepConfig:
             check_preparation(self)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        for name in ("gT_start", "gT_stop", "gT_step", "omega_t"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name}: must be finite, got {value}")
         if self.gT_step <= 0:
             raise ConfigError(f"gT_step: must be > 0, got {self.gT_step}")
         if self.gT_start < 0:
@@ -151,6 +160,11 @@ class SweepConfig:
         if self.gT_start > self.gT_stop:
             raise ConfigError(
                 f"gT_start: must be <= gT_stop, got {self.gT_start} > {self.gT_stop}"
+            )
+        if _whole_steps(self) >= MAX_GRID_POINTS:
+            raise ConfigError(
+                f"gT_step: {self.gT_step} over [{self.gT_start}, {self.gT_stop}] "
+                f"gives more than MAX_GRID_POINTS = {MAX_GRID_POINTS} grid points"
             )
 
     def to_dict(self) -> dict:
@@ -213,10 +227,18 @@ def config_from_dict(data: object) -> SweepConfig:
     return SweepConfig(scenario=data["scenario"], quantities=quantities, **kwargs)
 
 
+def _whole_steps(cfg: SweepConfig) -> float:
+    """Whole steps from gT_start to gT_stop, plus a relative slack so that a
+    stop point landing on the grid up to rounding counts.  Kept a float so
+    that a huge count compares instead of overflowing; the grid has
+    int(_whole_steps(cfg)) + 1 points."""
+    return (cfg.gT_stop - cfg.gT_start) / cfg.gT_step + 1e-9
+
+
 def grid_points(cfg: SweepConfig) -> list[float]:
     """Uniform grid start, start+step, ...; the stop point is included when it
     lands on the grid to within a relative slack."""
-    count = int(math.floor((cfg.gT_stop - cfg.gT_start) / cfg.gT_step + 1e-9)) + 1
+    count = int(_whole_steps(cfg)) + 1
     return [cfg.gT_start + i * cfg.gT_step for i in range(count)]
 
 
@@ -234,59 +256,67 @@ class Table:
         return "\n".join(lines) + "\n"
 
 
-def _scenario_state(cfg: SweepConfig, p: SystemParams) -> tuple[PureState | None, float | None]:
-    """Evaluate the scenario at one grid point.
+def _branch_entropy(
+    basis: tuple[AtomFieldKet, ...], amps: np.ndarray, atom: AtomLevel
+) -> tuple[np.ndarray, np.ndarray]:
+    """First-mode linear entropy of the field left after finding the atom in
+    ``atom``, at every grid point, and the mask of points where that outcome
+    can be conditioned on.
 
-    Returns (state, control outcome probability).  The state is None when the
-    scenario's outcome cannot be postselected; the probability is then the
-    refused one, below MIN_OUTCOME_PROBABILITY.
+    The branch spans at most three levels of each mode, so the reduced state
+    is a 3 x 3 matrix per point and its purity is sum_ij |sum_m a_im a*_jm|^2.
     """
-    if cfg.scenario == "series_C0C1":
-        return state_after_both(CavityOrder.C0_THEN_C1, p, p.T), None
-    if cfg.scenario == "series_C1C0":
-        return state_after_both(CavityOrder.C1_THEN_C0, p, p.T), None
-    j = 0 if cfg.scenario == "ico_j0" else 1
-    try:
-        return general_postselect(j, p, cfg.omega_t)
-    except ImpossiblePostselectionError as exc:
-        return None, exc.probability
+    rows = [i for i, k in enumerate(basis) if k.atom is atom]
+    picked, prob = normalize_columns(amps[rows])
+    ns = sorted({basis[i].n for i in rows})
+    ms = sorted({basis[i].m for i in rows})
+    psi = np.zeros((len(ns), len(ms), amps.shape[1]), dtype=complex)
+    for r, i in enumerate(rows):
+        psi[ns.index(basis[i].n), ms.index(basis[i].m)] = picked[r]
+    rho = np.sum(psi[:, None] * psi.conj()[None, :], axis=2)
+    purity = np.sum(np.abs(rho) ** 2, axis=(0, 1))
+    return 1.0 - purity, prob >= MIN_OUTCOME_PROBABILITY
 
 
-def _evaluate_quantity(q: Quantity, state: PureState | None, control_prob: float | None):
-    if isinstance(q, ControlProbabilityColumn):
-        return control_prob
-    if state is None:
-        return None
-    if isinstance(q, KetProbability):
-        return ket_probability(state, AtomFieldKet(q.atom, q.n, q.m))
-    if isinstance(q, AtomicInversion):
-        return sigma_z_expectation(state)
-    try:
-        fields, _ = condition_on_atom(state, q.atom_branch)
-    except ImpossiblePostselectionError:
-        return None
-    return linear_entropy(reduced_cavity0(fields))
+def _cells(values: np.ndarray, possible: np.ndarray | None) -> list:
+    """Plain Python floats, with None where the conditioning outcome is
+    impossible."""
+    if possible is None or possible.all():
+        return values.tolist()
+    return [v if ok else None for v, ok in zip(values.tolist(), possible.tolist())]
 
 
 def run_sweep(cfg: SweepConfig) -> Table:
     """One row per grid point, one column per configured quantity; the output
-    is deterministic for a fixed config."""
-    columns = ("gT",) + tuple(q.column_id for q in cfg.quantities)
-    rows = []
-    for gt in grid_points(cfg):
-        p = SystemParams(
-            g=1.0,
-            T=gt,
-            theta=cfg.theta,
-            varphi=cfg.varphi,
-            xi=cfg.xi,
-            chi=cfg.chi,
-            n=cfg.n,
-            m=cfg.m,
-        )
-        state, control_prob = _scenario_state(cfg, p)
-        rows.append((gt,) + tuple(_evaluate_quantity(q, state, control_prob) for q in cfg.quantities))
-    return Table(columns, tuple(rows))
+    is deterministic for a fixed config.
+
+    All grid points are evaluated together by engine.grid_amplitudes; the
+    scalar PureState path (general_postselect and the observables) computes
+    the same cells one point at a time and is the reference for this one.
+    """
+    grid = grid_points(cfg)
+    basis, amps, control_prob = grid_amplitudes(cfg, np.array(grid))
+    probs = amps.real**2 + amps.imag**2
+    state_possible = None if control_prob is None else control_prob >= MIN_OUTCOME_PROBABILITY
+    row = {ket: i for i, ket in enumerate(basis)}
+    columns = [grid]
+    for q in cfg.quantities:
+        if isinstance(q, ControlProbabilityColumn):
+            columns.append(control_prob.tolist())
+            continue
+        possible = state_possible
+        if isinstance(q, KetProbability):
+            i = row.get(AtomFieldKet(q.atom, q.n, q.m))
+            values = np.zeros(len(grid)) if i is None else probs[i]
+        elif isinstance(q, AtomicInversion):
+            sign = np.array([1.0 if k.atom is _E else -1.0 for k in basis])
+            values = np.sum(sign[:, None] * probs, axis=0)
+        else:
+            # A refused control outcome left a zero column, so its atom
+            # branches are refused as well.
+            values, possible = _branch_entropy(basis, amps, q.atom_branch)
+        columns.append(_cells(values, possible))
+    return Table(("gT",) + tuple(q.column_id for q in cfg.quantities), tuple(zip(*columns)))
 
 
 @dataclass(frozen=True)

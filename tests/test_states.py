@@ -161,6 +161,13 @@ def test_system_params_validation():
     assert p.gT == 6.0
 
 
+@pytest.mark.parametrize("field", ["g", "T", "omega", "T0", "T1"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_system_params_rejects_non_finite_fields(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+        SystemParams(**{"g": 1.0, "T": 1.0, field: value})
+
+
 def test_states_are_value_objects():
     psi = PureState({AtomFieldKet(E, 0, 0): 1.0})
     same = PureState({AtomFieldKet(E, 0, 0): 1.0})

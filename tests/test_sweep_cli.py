@@ -20,7 +20,7 @@ from ico_cqed import (
     sweep_meta,
 )
 from ico_cqed.cli import main
-from ico_cqed.sweep import meta_json
+from ico_cqed.sweep import MAX_GRID_POINTS, meta_json
 from helpers import E, G
 
 
@@ -91,6 +91,62 @@ def test_config_errors_name_the_field(mutation, field):
     with pytest.raises(ConfigError) as err:
         config_from_dict(data)
     assert field in str(err.value)
+
+
+NON_FINITE = [
+    ("gT_start", math.nan),
+    ("gT_start", math.inf),
+    ("gT_stop", math.nan),
+    ("gT_stop", math.inf),
+    ("gT_step", math.nan),
+    ("gT_step", math.inf),
+    ("omega_t", math.nan),
+    ("omega_t", -math.inf),
+]
+
+
+@pytest.mark.parametrize("field,value", NON_FINITE)
+def test_config_rejects_non_finite_floats(field, value):
+    data = {
+        "scenario": "ico_j0",
+        "quantities": [{"kind": "sigma_z"}],
+        field: value,
+    }
+    with pytest.raises(ConfigError, match=rf"^{field}: must be finite"):
+        config_from_dict(data)
+
+
+@pytest.mark.parametrize("field,value", NON_FINITE)
+def test_cli_sweep_rejects_non_finite_floats(tmp_path, capsys, field, value):
+    path = tmp_path / "cfg.json"
+    # json writes NaN and Infinity, and reads them back as floats.
+    data = {"scenario": "ico_j0", "quantities": [{"kind": "sigma_z"}], field: value}
+    path.write_text(json.dumps(data))
+    assert main(["sweep", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert captured.err.startswith(f"ico-cqed: {field}: must be finite")
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        {"gT_start": 0.0, "gT_stop": 1.0, "gT_step": 1e-7},
+        {"gT_start": 0.0, "gT_stop": 1e12, "gT_step": 0.01},
+        {"gT_start": 0.0, "gT_stop": float(MAX_GRID_POINTS), "gT_step": 1.0},
+    ],
+)
+def test_oversized_grid_is_refused(grid):
+    data = {"scenario": "series_C0C1", "quantities": [{"kind": "sigma_z"}], **grid}
+    with pytest.raises(ConfigError, match=r"^gT_step: .*MAX_GRID_POINTS"):
+        config_from_dict(data)
+
+
+def test_grid_of_max_size_is_accepted():
+    # grid_points would give exactly MAX_GRID_POINTS points; the size check
+    # uses the same count.
+    SweepConfig("series_C0C1", (pk("e", 0, 0),), gT_stop=MAX_GRID_POINTS - 1.0, gT_step=1.0)
 
 
 def test_control_prob_rejected_for_series():
@@ -254,6 +310,27 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep"])  # missing required --config
     assert exc.value.code == 1
+
+
+def test_cli_verify_rejects_negative_seed(capsys):
+    assert main(["verify", "--seed", "-1", "--draws", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err == "ico-cqed: seed: must be >= 0\n"
+
+
+def test_cli_maps_library_value_error_to_one_line(tmp_path, capsys):
+    # A ket_prob column with a negative photon number passes the config
+    # parser and is refused by the ket constructor.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "scenario": "series_C0C1",
+        "quantities": [{"kind": "ket_prob", "atom": "e", "n": -1, "m": 0}],
+        "gT_stop": 0.1,
+        "gT_step": 0.1,
+    }))
+    assert main(["sweep", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "ico-cqed: n must be >= 0, got -1\n"
 
 
 def test_cli_verify_smoke(capsys):

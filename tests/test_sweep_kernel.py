@@ -1,0 +1,182 @@
+"""The array sweep against the scalar PureState path, cell by cell.
+
+``run_sweep`` evaluates a whole g*T grid at once.  The reference below
+rebuilds every row one grid point at a time from ``state_after_both`` /
+``general_postselect`` and the scalar observables, the way sweeps were
+computed before they were vectorised.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from ico_cqed import (
+    FIGURE_PRESETS,
+    AtomFieldKet,
+    AtomicInversion,
+    BranchEntropy,
+    CavityOrder,
+    ControlProbabilityColumn,
+    ImpossiblePostselectionError,
+    KetProbability,
+    SweepConfig,
+    SystemParams,
+    condition_on_atom,
+    general_postselect,
+    grid_points,
+    ket_probability,
+    linear_entropy,
+    reduced_cavity0,
+    run_sweep,
+    sigma_z_expectation,
+    state_after_both,
+)
+from ico_cqed.sweep import SCENARIOS
+from helpers import E, G
+
+TOL = 1e-12
+
+
+def reference_cell(q, state, control_prob):
+    if isinstance(q, ControlProbabilityColumn):
+        return control_prob
+    if state is None:
+        return None
+    if isinstance(q, KetProbability):
+        return ket_probability(state, AtomFieldKet(q.atom, q.n, q.m))
+    if isinstance(q, AtomicInversion):
+        return sigma_z_expectation(state)
+    try:
+        fields, _ = condition_on_atom(state, q.atom_branch)
+    except ImpossiblePostselectionError:
+        return None
+    return linear_entropy(reduced_cavity0(fields))
+
+
+def reference_rows(cfg):
+    """One scalar PureState pipeline per grid point."""
+    rows = []
+    for gt in grid_points(cfg):
+        p = SystemParams(
+            g=1.0, T=gt, theta=cfg.theta, varphi=cfg.varphi,
+            xi=cfg.xi, chi=cfg.chi, n=cfg.n, m=cfg.m,
+        )
+        control_prob = None
+        if cfg.scenario == "series_C0C1":
+            state = state_after_both(CavityOrder.C0_THEN_C1, p, p.T)
+        elif cfg.scenario == "series_C1C0":
+            state = state_after_both(CavityOrder.C1_THEN_C0, p, p.T)
+        else:
+            j = 0 if cfg.scenario == "ico_j0" else 1
+            try:
+                state, control_prob = general_postselect(j, p, cfg.omega_t)
+            except ImpossiblePostselectionError as exc:
+                state, control_prob = None, exc.probability
+        rows.append((gt,) + tuple(reference_cell(q, state, control_prob) for q in cfg.quantities))
+    return rows
+
+
+def assert_matches_reference(cfg):
+    table = run_sweep(cfg)
+    ref = reference_rows(cfg)
+    assert len(table.rows) == len(ref)
+    for i, (row, ref_row) in enumerate(zip(table.rows, ref)):
+        assert row[0] == ref_row[0]
+        for q, v, r in zip(cfg.quantities, row[1:], ref_row[1:]):
+            where = f"row {i} {q.column_id}: {v!r} vs {r!r}"
+            assert (v is None) == (r is None), where
+            if v is not None:
+                assert abs(v - r) <= TOL, where
+            if isinstance(q, KetProbability):
+                # Both paths prune the same amplitudes, so exact zeros agree.
+                assert (v == 0.0) == (r == 0.0), where
+    return table
+
+
+@pytest.mark.parametrize("figure_id", sorted(FIGURE_PRESETS))
+def test_preset_sweeps_match_scalar_path(figure_id):
+    for cfg in FIGURE_PRESETS[figure_id].sweeps:
+        assert_matches_reference(cfg)
+
+
+# Kets reachable from (n, m), plus one that never is.
+_KET_OFFSETS = (
+    (E, 0, 0), (E, -1, 0), (E, 1, -1), (G, 0, 1), (G, 1, 0), (G, 0, 0), (G, 1, -1), (E, 2, 0),
+)
+
+
+def general_config(index):
+    """Seeded custom sweep: scenario cycles through all four, angles and
+    the measurement phase are random, n and m lie in 0..8.  Index 3 is the
+    balanced ico_j1 sweep whose control-1 outcome is refused at gT = 0."""
+    rng = np.random.default_rng([2509, index])
+    scenario = SCENARIOS[index % 4]
+    n, m = (int(v) for v in rng.integers(0, 9, size=2))
+    offsets = [_KET_OFFSETS[i] for i in rng.choice(len(_KET_OFFSETS), 3, replace=False)]
+    quantities = [
+        KetProbability(atom, n + dn, m + dm)
+        for atom, dn, dm in offsets
+        if n + dn >= 0 and m + dm >= 0
+    ]
+    quantities += [AtomicInversion(), BranchEntropy(E), BranchEntropy(G)]
+    if scenario.startswith("ico"):
+        quantities.insert(0, ControlProbabilityColumn())
+    angles = {
+        "theta": float(rng.uniform(0.0, math.pi / 2)),
+        "varphi": float(rng.uniform(0.0, 2 * math.pi)),
+        "xi": float(rng.uniform(0.0, math.pi / 2)),
+        "chi": float(rng.uniform(0.0, 2 * math.pi)),
+    }
+    if index == 3:
+        angles.update(theta=math.pi / 4, varphi=0.0)
+    return SweepConfig(
+        scenario,
+        tuple(quantities),
+        n=n,
+        m=m,
+        omega_t=float(rng.uniform(0.0, 2 * math.pi)),
+        gT_start=0.0,
+        gT_stop=10.0,
+        gT_step=0.05,
+        **angles,
+    )
+
+
+@pytest.mark.parametrize("index", range(24))
+def test_general_sweeps_match_scalar_path(index):
+    cfg = general_config(index)
+    table = assert_matches_reference(cfg)
+    if index == 3:
+        assert cfg.scenario == "ico_j1"
+        assert table.rows[0][2:] == (None,) * (len(cfg.quantities) - 1)
+
+
+@pytest.mark.parametrize(
+    "scenario,prep",
+    [
+        ("ico_j0", {"theta": 0.0}),
+        ("ico_j1", {"theta": math.pi / 2, "varphi": 1.0}),
+        ("ico_j1", {"theta": math.pi / 4, "xi": math.pi / 2, "n": 3, "m": 3}),
+        ("series_C1C0", {"xi": math.pi / 2, "chi": 2.0, "n": 0, "m": 2}),
+    ],
+)
+def test_edge_preparations_match_scalar_path(scenario, prep):
+    quantities = (KetProbability(G, 0, 0), AtomicInversion(), BranchEntropy(E), BranchEntropy(G))
+    if scenario.startswith("ico"):
+        quantities = (ControlProbabilityColumn(),) + quantities
+    cfg = SweepConfig(scenario, quantities, gT_stop=7.0, gT_step=0.07, **prep)
+    assert_matches_reference(cfg)
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_cells_are_plain_floats_or_none(scenario):
+    # numpy scalars would print as 'np.float64(...)' in the CSV.
+    quantities = (KetProbability(E, 1, 1), KetProbability(G, 5, 5), AtomicInversion(),
+                  BranchEntropy(E), BranchEntropy(G))
+    if scenario.startswith("ico"):
+        quantities = (ControlProbabilityColumn(),) + quantities
+    table = run_sweep(SweepConfig(scenario, quantities, n=1, m=1, gT_stop=3.0, gT_step=0.5))
+    cells = [v for row in table.rows for v in row]
+    assert None in cells
+    assert all(v is None or type(v) is float for v in cells)
