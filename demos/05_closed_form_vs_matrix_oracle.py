@@ -1,8 +1,8 @@
 """Two unrelated computations of the same state must agree.
 
-The closed forms multiply trigonometric factors; the oracle multiplies
-truncated-Fock-space matrices through the piecewise transit schedule and
-measures the control.  This script runs the seeded randomized comparison and
+The closed forms multiply trigonometric factors; the oracle rotates a
+truncated-Fock-space state vector through the transit schedule and measures
+the control.  This script runs the seeded randomized comparison and
 then walks one draw end to end, printing both amplitude sets side by side.
 """
 

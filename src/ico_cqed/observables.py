@@ -107,9 +107,10 @@ def reduced_cavity0(fields: PureState) -> FieldDensityMatrix:
 
 def linear_entropy(rho: FieldDensityMatrix) -> float:
     """1 - Tr(rho^2): zero for pure states, 1 - 1/d for the maximally mixed
-    state on d levels."""
+    state on d levels.  Clamped at 0, where rounding can push a pure state's
+    purity an ulp above 1."""
     purity = float(np.sum(np.abs(rho.elements) ** 2))
-    return 1.0 - purity
+    return max(1.0 - purity, 0.0)
 
 
 def sigma_z_expectation(s: PureState) -> float:

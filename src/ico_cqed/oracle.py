@@ -92,6 +92,24 @@ def jc_generator(cavity: int, g: float, w: TruncationWindow) -> np.ndarray:
     return h
 
 
+def _rotate(x: np.ndarray, cavity: int, t: float, g: float, w: TruncationWindow) -> np.ndarray:
+    """exp(-i t H_int) of one cavity applied to the leading axis of ``x``, as
+    the doublet rotations described in jc_propagator."""
+    k, spectator = np.divmod(np.arange(w.n_max * w.levels), w.levels)
+    if cavity == 0:
+        i_e, i_g = w.index(_E, k, spectator), w.index(_G, k + 1, spectator)
+    else:
+        i_e, i_g = w.index(_E, spectator, k), w.index(_G, spectator, k + 1)
+    angles = [g * math.sqrt(j + 1) * t for j in range(w.n_max)]
+    shape = (-1,) + (1,) * (x.ndim - 1)
+    diag = np.repeat([math.cos(a) for a in angles], w.levels).reshape(shape)
+    off = -1j * np.repeat([math.sin(a) for a in angles], w.levels).reshape(shape)
+    out = x.copy()
+    out[i_e] = diag * x[i_e] + off * x[i_g]
+    out[i_g] = off * x[i_e] + diag * x[i_g]
+    return out
+
+
 def jc_propagator(cavity: int, t: float, g: float, w: TruncationWindow) -> np.ndarray:
     """Unitary exp(-i t H_int) assembled from the resonant doublet rotations.
 
@@ -103,38 +121,7 @@ def jc_propagator(cavity: int, t: float, g: float, w: TruncationWindow) -> np.nd
     _check_cavity(cavity)
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    u = np.eye(w.atom_field_dim, dtype=complex)
-    for k in range(w.n_max):
-        angle = g * math.sqrt(k + 1) * t
-        diag = math.cos(angle)
-        off = -1j * math.sin(angle)
-        for spectator in range(w.levels):
-            if cavity == 0:
-                i_e, i_g = w.index(_E, k, spectator), w.index(_G, k + 1, spectator)
-            else:
-                i_e, i_g = w.index(_E, spectator, k), w.index(_G, spectator, k + 1)
-            u[i_e, i_e] = diag
-            u[i_e, i_g] = off
-            u[i_g, i_e] = off
-            u[i_g, i_g] = diag
-    return u
-
-
-def _branch_unitaries(p: SystemParams, t: float, w: TruncationWindow) -> tuple[np.ndarray, np.ndarray]:
-    """Piecewise interaction-picture propagators for the two control branches:
-    identity before entry, active rotation inside a cavity, frozen in between."""
-    if t < p.T0:
-        u = np.eye(w.atom_field_dim, dtype=complex)
-        return u, u.copy()
-    if t <= p.T0 + p.T:
-        dt = t - p.T0
-        return jc_propagator(0, dt, p.g, w), jc_propagator(1, dt, p.g, w)
-    u0 = jc_propagator(0, p.T, p.g, w)
-    u1 = jc_propagator(1, p.T, p.g, w)
-    if t < p.T1:
-        return u0, u1
-    dt = min(t - p.T1, p.T)
-    return jc_propagator(1, dt, p.g, w) @ u0, jc_propagator(0, dt, p.g, w) @ u1
+    return _rotate(np.eye(w.atom_field_dim, dtype=complex), cavity, t, g, w)
 
 
 def _guard_population(state: PureState, w: TruncationWindow) -> float:
@@ -162,11 +149,15 @@ def evolve(p: SystemParams, t: float, w: TruncationWindow) -> PureState:
     psi0 = np.zeros(w.atom_field_dim, dtype=complex)
     psi0[w.index(_E, p.n, p.m)] = math.cos(p.xi)
     psi0[w.index(_G, p.n, p.m)] = cmath.exp(1j * p.chi) * math.sin(p.xi)
-    u_branch0, u_branch1 = _branch_unitaries(p, t, w)
-    vec0 = math.cos(p.theta) * (u_branch0 @ psi0)
-    vec1 = cmath.exp(1j * p.varphi) * math.sin(p.theta) * (u_branch1 @ psi0)
+    # T1 >= T0 + T, so the second transit starts after the first has ended;
+    # before, between and after the transits a rotation by 0 is the identity.
+    first = min(max(t - p.T0, 0.0), p.T)
+    second = min(max(t - p.T1, 0.0), p.T)
+    weights = (math.cos(p.theta), cmath.exp(1j * p.varphi) * math.sin(p.theta))
     amps: dict[FullKet, complex] = {}
-    for control, vec in ((0, vec0), (1, vec1)):
+    for control, weight in enumerate(weights):
+        vec = _rotate(psi0, control, first, p.g, w)
+        vec = weight * _rotate(vec, 1 - control, second, p.g, w)
         for i in np.flatnonzero(np.abs(vec) >= PRUNE_EPSILON):
             atom, n, m = w.decode(int(i))
             amps[FullKet(control, AtomFieldKet(atom, n, m))] = complex(vec[i])

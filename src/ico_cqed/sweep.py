@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -23,6 +23,7 @@ from .states import (
     MIN_OUTCOME_PROBABILITY,
     AtomFieldKet,
     AtomLevel,
+    _check_occupation,
     check_preparation,
     normalize_columns,
 )
@@ -44,6 +45,10 @@ class KetProbability:
     atom: AtomLevel
     n: int
     m: int
+
+    def __post_init__(self) -> None:
+        _check_occupation(self.n, "n")
+        _check_occupation(self.m, "m")
 
     @property
     def column_id(self) -> str:
@@ -102,7 +107,7 @@ def _quantity_from_dict(obj: object, index: int) -> Quantity:
     if kind == "ket_prob":
         try:
             atom = AtomLevel.from_label(obj["atom"])
-            return KetProbability(atom, int(obj["n"]), int(obj["m"]))
+            return KetProbability(atom, obj["n"], obj["m"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{where}: ket_prob needs atom ('e'|'g'), n, m ({exc})")
     if kind == "entropy":
@@ -168,37 +173,13 @@ class SweepConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "quantities": [q.to_dict() for q in self.quantities],
-            "n": self.n,
-            "m": self.m,
-            "xi": self.xi,
-            "chi": self.chi,
-            "theta": self.theta,
-            "varphi": self.varphi,
-            "gT_start": self.gT_start,
-            "gT_stop": self.gT_stop,
-            "gT_step": self.gT_step,
-            "omega_t": self.omega_t,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["quantities"] = [q.to_dict() for q in self.quantities]
+        return out
 
 
-_CONFIG_FIELDS = {
-    "scenario",
-    "quantities",
-    "n",
-    "m",
-    "xi",
-    "chi",
-    "theta",
-    "varphi",
-    "gT_start",
-    "gT_stop",
-    "gT_step",
-    "omega_t",
-}
-_FLOAT_FIELDS = ("xi", "chi", "theta", "varphi", "gT_start", "gT_stop", "gT_step", "omega_t")
+_CONFIG_FIELDS = {f.name for f in fields(SweepConfig)}
+_FLOAT_FIELDS = tuple(f.name for f in fields(SweepConfig) if isinstance(f.default, float))
 
 
 def config_from_dict(data: object) -> SweepConfig:
@@ -275,7 +256,7 @@ def _branch_entropy(
         psi[ns.index(basis[i].n), ms.index(basis[i].m)] = picked[r]
     rho = np.sum(psi[:, None] * psi.conj()[None, :], axis=2)
     purity = np.sum(np.abs(rho) ** 2, axis=(0, 1))
-    return 1.0 - purity, prob >= MIN_OUTCOME_PROBABILITY
+    return np.maximum(1.0 - purity, 0.0), prob >= MIN_OUTCOME_PROBABILITY
 
 
 def _cells(values: np.ndarray, possible: np.ndarray | None) -> list:

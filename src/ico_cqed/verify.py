@@ -3,7 +3,7 @@ propagator path.
 
 Both routes compute the same physical object, the conditional atom-field
 state after recombining and measuring the control, through unrelated code:
-one multiplies trigonometric closed forms, the other multiplies matrices.
+one multiplies trigonometric closed forms, the other rotates state vectors.
 Agreement across random parameter draws is the package's strongest internal
 consistency evidence.
 """

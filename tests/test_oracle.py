@@ -15,6 +15,7 @@ from ico_cqed import (
     SystemParams,
     TruncationWindow,
     evolve,
+    general_postselect,
     hadamard_control,
     initial_atom_field_state,
     jc_generator,
@@ -189,6 +190,83 @@ def test_evolve_depends_only_on_durations(rng):
         shifted = replace(base, T0=t0, T1=t0 + base.T + float(rng.uniform(0, 3)))
         st = evolve(shifted, shifted.T1 + shifted.T, TruncationWindow.for_params(shifted))
         assert max_amp_diff(st, st_ref) < 1e-10
+
+
+def dense_schedule(p, t, w):
+    """Per-branch unitaries as products of dense propagators, phase by phase:
+    identity before entry, the first cavity's propagator inside the first
+    transit, frozen in the gap, then the second cavity's propagator times
+    the first's."""
+    if t < p.T0:
+        u = np.eye(w.atom_field_dim, dtype=complex)
+        return u, u
+    if t <= p.T0 + p.T:
+        dt = t - p.T0
+        return jc_propagator(0, dt, p.g, w), jc_propagator(1, dt, p.g, w)
+    u0, u1 = jc_propagator(0, p.T, p.g, w), jc_propagator(1, p.T, p.g, w)
+    if t < p.T1:
+        return u0, u1
+    dt = min(t - p.T1, p.T)
+    return jc_propagator(1, dt, p.g, w) @ u0, jc_propagator(0, dt, p.g, w) @ u1
+
+
+def dense_reference_vector(p, t, w):
+    psi0 = np.zeros(w.atom_field_dim, dtype=complex)
+    psi0[w.index(E, p.n, p.m)] = math.cos(p.xi)
+    psi0[w.index(G, p.n, p.m)] = np.exp(1j * p.chi) * math.sin(p.xi)
+    u0, u1 = dense_schedule(p, t, w)
+    return np.concatenate(
+        [math.cos(p.theta) * (u0 @ psi0), np.exp(1j * p.varphi) * math.sin(p.theta) * (u1 @ psi0)]
+    )
+
+
+def test_evolve_matches_dense_schedule_in_every_phase(rng):
+    for _ in range(6):
+        base = random_params(rng)
+        p = replace(base, T1=base.T0 + base.T + float(rng.uniform(0.5, 2.0)))
+        w = TruncationWindow.for_params(p)
+        phases = [(0.0, p.T0), (p.T0, p.T0 + p.T), (p.T0 + p.T, p.T1), (p.T1, p.T1 + p.T),
+                  (p.T1 + p.T, p.T1 + p.T + 2.0)]
+        times = [float(rng.uniform(lo, hi)) for lo, hi in phases]
+        times += [p.T0, p.T0 + p.T, p.T1, p.T1 + p.T]
+        for t in times:
+            vec = full_state_vector(w, evolve(p, t, w))
+            dev = np.max(np.abs(vec - dense_reference_vector(p, t, w)))
+            assert dev < 1e-12, f"t = {t!r}: {dev:.3e}"
+
+
+def test_engine_matches_oracle_on_wide_envelope():
+    # n, m up to 50 and gT up to 1e3: windows up to dimension 5,618, where
+    # one dense unitary would take about 0.5 GB.
+    rng = np.random.default_rng(4)
+    for _ in range(60):
+        g = float(rng.uniform(0.5, 2.0))
+        transit = float(rng.uniform(0.0, 1e3)) / g
+        entry = float(rng.uniform(0.0, 2.0))
+        p = SystemParams(
+            g=g,
+            T=transit,
+            omega=float(rng.uniform(0.2, 3.0)),
+            theta=float(rng.uniform(0.0, math.pi / 2)),
+            varphi=float(rng.uniform(0.0, 2 * math.pi)),
+            xi=float(rng.uniform(0.0, math.pi / 2)),
+            chi=float(rng.uniform(0.0, 2 * math.pi)),
+            n=int(rng.integers(0, 51)),
+            m=int(rng.integers(0, 51)),
+            T0=entry,
+            T1=entry + transit + float(rng.uniform(0.0, 2.0)),
+        )
+        t = p.T1 + p.T + float(rng.uniform(0.0, 2.0))
+        mixed = hadamard_control(evolve(p, t, TruncationWindow.for_params(p)))
+        probs = []
+        for j in (0, 1):
+            analytic, prob_analytic = general_postselect(j, p, p.omega * t)
+            numeric, prob_numeric = measure_control(mixed, j)
+            numeric = schrodinger_phase(numeric, p.omega, t)
+            assert abs(prob_analytic - prob_numeric) < 1e-9
+            assert max_amp_diff(analytic, numeric) < 1e-9
+            probs.append(prob_numeric)
+        assert abs(sum(probs) - 1.0) < 1e-9
 
 
 def test_evolve_window_validation():

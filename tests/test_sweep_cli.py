@@ -129,6 +129,32 @@ def test_cli_sweep_rejects_non_finite_floats(tmp_path, capsys, field, value):
     assert captured.err.startswith(f"ico-cqed: {field}: must be finite")
 
 
+BAD_OCCUPATIONS = [-1, 1.7, True, "2"]
+
+
+@pytest.mark.parametrize("value", BAD_OCCUPATIONS, ids=repr)
+@pytest.mark.parametrize("field", ["n", "m"])
+def test_config_rejects_bad_ket_prob_occupation(field, value):
+    column = {"kind": "ket_prob", "atom": "e", "n": 0, "m": 0, field: value}
+    with pytest.raises(ConfigError, match=rf"^quantities\[0\]: .*\({field} must be"):
+        config_from_dict({"scenario": "series_C0C1", "quantities": [column]})
+    with pytest.raises(ValueError):
+        KetProbability(E, **{"n": 0, "m": 0, field: value})
+
+
+@pytest.mark.parametrize("value", BAD_OCCUPATIONS, ids=repr)
+def test_cli_sweep_rejects_bad_ket_prob_occupation(tmp_path, capsys, value):
+    path = tmp_path / "cfg.json"
+    column = {"kind": "ket_prob", "atom": "g", "n": value, "m": 0}
+    path.write_text(json.dumps({"scenario": "series_C0C1", "quantities": [column]}))
+    assert main(["sweep", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert captured.err.startswith("ico-cqed: quantities[0]: ")
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize(
     "grid",
     [
@@ -319,8 +345,8 @@ def test_cli_verify_rejects_negative_seed(capsys):
 
 
 def test_cli_maps_library_value_error_to_one_line(tmp_path, capsys):
-    # A ket_prob column with a negative photon number passes the config
-    # parser and is refused by the ket constructor.
+    # A ket_prob column with a negative photon number is refused by the
+    # column's own check, inside the config parser.
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({
         "scenario": "series_C0C1",
@@ -330,7 +356,10 @@ def test_cli_maps_library_value_error_to_one_line(tmp_path, capsys):
     }))
     assert main(["sweep", "--config", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err == "ico-cqed: n must be >= 0, got -1\n"
+    assert err == (
+        "ico-cqed: quantities[0]: ket_prob needs atom ('e'|'g'), n, m "
+        "(n must be >= 0, got -1)\n"
+    )
 
 
 def test_cli_verify_smoke(capsys):

@@ -180,3 +180,25 @@ def test_cells_are_plain_floats_or_none(scenario):
     cells = [v for row in table.rows for v in row]
     assert None in cells
     assert all(v is None or type(v) is float for v in cells)
+
+
+def test_entropy_cells_are_never_negative():
+    # At gT = 0 both branches are pure, and rounding puts their purity an
+    # ulp above 1 on the array path and on the scalar one.
+    cfg = SweepConfig(
+        "ico_j1",
+        (BranchEntropy(E), BranchEntropy(G)),
+        n=8,
+        m=1,
+        theta=0.495759013096559,
+        varphi=3.806751394051166,
+        xi=1.5088417069616182,
+        chi=3.007030236600728,
+        omega_t=3.8388260514082466,
+        gT_stop=1.0,
+        gT_step=0.1,
+    )
+    for rows in (run_sweep(cfg).rows, reference_rows(cfg)):
+        cells = [v for row in rows for v in row[1:]]
+        assert None not in cells
+        assert min(cells) >= 0.0
