@@ -17,14 +17,15 @@ import numpy as np
 from .errors import DegenerateBranchError, ImpossiblePostselectionError
 from .states import (
     MIN_OUTCOME_PROBABILITY,
+    PRUNE_EPSILON,
     AtomFieldKet,
     AtomLevel,
     FieldsKet,
     PureState,
     SystemParams,
+    check_outcome,
     normalize_columns,
     prune_amplitudes,
-    scale_and_add,
 )
 
 _E = AtomLevel.EXCITED
@@ -37,13 +38,6 @@ class CavityOrder(Enum):
 
     C0_THEN_C1 = "C0_then_C1"
     C1_THEN_C0 = "C1_then_C0"
-
-
-# Control outcomes are plain validated int bits; a dedicated enum buys
-# nothing for a two-valued measurement record.
-def _check_outcome(j: int) -> None:
-    if j not in (0, 1) or isinstance(j, bool):
-        raise ValueError(f"control outcome must be 0 or 1, got {j!r}")
 
 
 def _check_balanced_control(p: SystemParams, what: str) -> None:
@@ -162,32 +156,39 @@ _LAYOUT_FIRST_C1 = (
 )
 
 
-def _place(amps: dict, amp: complex, atom: AtomLevel, n: int, m: int) -> None:
-    """Store one term, dropping negative-occupation kets after checking that
-    their amplitude vanishes (it always does: each carries a zero sin factor)."""
-    if n < 0 or m < 0:
-        if abs(amp) > 1e-30:
-            raise AssertionError(
-                f"negative-occupation ket ({atom.label},{n},{m}) with amplitude {amp}"
-            )
-        return
-    amps[AtomFieldKet(atom, n, m)] = amp
+def _order_branch(order: CavityOrder, p: SystemParams, tau: float) -> dict:
+    """One order's atom-field amplitudes, keyed by (atom, n, m), after time T
+    in the first cavity and tau in the second; amplitudes below
+    PRUNE_EPSILON are dropped as PureState drops them.  Negative-occupation
+    kets are dropped after checking that their amplitude vanishes (it always
+    does: each carries a zero sin factor)."""
+    if order is CavityOrder.C0_THEN_C1:
+        first, second, layout = p.n, p.m, _LAYOUT_FIRST_C0
+    elif order is CavityOrder.C1_THEN_C0:
+        first, second, layout = p.m, p.n, _LAYOUT_FIRST_C1
+    else:
+        raise TypeError(f"order must be a CavityOrder, got {order!r}")
+    _check_tau(p, tau)
+    values = _slot_amplitudes(math, p.g, first, second, p.T, tau, p.xi, p.chi)
+    amps: dict[tuple, complex] = {}
+    for slot, atom, dn, dm in layout:
+        amp, n, m = complex(values[slot]), p.n + dn, p.m + dm
+        if n < 0 or m < 0:
+            if abs(amp) > 1e-30:
+                raise AssertionError(
+                    f"negative-occupation ket ({atom.label},{n},{m}) with amplitude {amp}"
+                )
+        elif abs(amp) >= PRUNE_EPSILON:
+            amps[atom, n, m] = amp
+    return amps
 
 
 def state_after_both(order: CavityOrder, p: SystemParams, tau: float) -> PureState:
     """Atom-field state once the atom has spent time T in its first cavity
     and time tau inside its second, for the given traversal order."""
-    if order is CavityOrder.C0_THEN_C1:
-        coeffs, layout = coeffs_c(p, tau), _LAYOUT_FIRST_C0
-    elif order is CavityOrder.C1_THEN_C0:
-        coeffs, layout = coeffs_s(p, tau), _LAYOUT_FIRST_C1
-    else:
-        raise TypeError(f"order must be a CavityOrder, got {order!r}")
-    values = coeffs.as_tuple()
-    amps: dict[AtomFieldKet, complex] = {}
-    for slot, atom, dn, dm in layout:
-        _place(amps, values[slot], atom, p.n + dn, p.m + dm)
-    return PureState(amps)
+    return PureState(
+        {AtomFieldKet(*key): amp for key, amp in _order_branch(order, p, tau).items()}
+    )
 
 
 def overlap_orders(p: SystemParams) -> complex:
@@ -206,7 +207,7 @@ def control_probability(j: int, p: SystemParams) -> float:
     The two outcomes sum to exactly 1 by construction.  Arbitrary control
     angles are served by general_postselect.
     """
-    _check_outcome(j)
+    check_outcome(j)
     _check_balanced_control(p, "control_probability")
     p0 = 0.5 * (1.0 + overlap_orders(p).real)
     return p0 if j == 0 else 1.0 - p0
@@ -249,19 +250,23 @@ def general_postselect(
     an outcome with probability below MIN_OUTCOME_PROBABILITY raises
     ImpossiblePostselectionError, which carries the refused probability.
     """
-    _check_outcome(j)
-    first = state_after_both(CavityOrder.C0_THEN_C1, p, p.T)
-    second = state_after_both(CavityOrder.C1_THEN_C0, p, p.T)
+    check_outcome(j)
     w0, w1 = _control_weights(j, p.theta, p.varphi)
-    residual = scale_and_add(w0, first, w1, second)
-    prob = residual.squared_norm()
+    residual = {
+        key: w0 * amp
+        for key, amp in _order_branch(CavityOrder.C0_THEN_C1, p, p.T).items()
+    }
+    for key, amp in _order_branch(CavityOrder.C1_THEN_C0, p, p.T).items():
+        residual[key] = residual.get(key, 0j) + w1 * amp
+    residual = {key: amp for key, amp in residual.items() if abs(amp) >= PRUNE_EPSILON}
+    prob = math.fsum(a.real * a.real + a.imag * a.imag for a in residual.values())
     if prob < MIN_OUTCOME_PROBABILITY:
         raise ImpossiblePostselectionError(f"control outcome {j}", prob)
     scale = 1.0 / math.sqrt(prob)
-    amps = {
-        ket: amp * scale * cmath.exp(-1j * omega_t * (ket.excitations - 0.5))
-        for ket, amp in residual.items()
-    }
+    amps = {}
+    for (atom, n, m), amp in residual.items():
+        phase = cmath.exp(-1j * omega_t * (atom.excitation + n + m - 0.5))
+        amps[AtomFieldKet(atom, n, m)] = amp * scale * phase
     return PureState(amps), prob
 
 
@@ -278,8 +283,8 @@ def grid_amplitudes(
     scenarios).  Where that probability is below MIN_OUTCOME_PROBABILITY
     the outcome is refused and the amplitude column is zero; elsewhere it is
     normalized.  Amplitudes below PRUNE_EPSILON are zeroed at each stage
-    where state_after_both and general_postselect build a PureState: the
-    order branches, the recombined state and the normalized state.  The
+    where general_postselect prunes: the order branches, the recombined
+    state and the normalized state.  The
     measurement phase exp(-i*omega_t*(N - 1/2)) is left out: it acts as a
     phase on each subsystem and so changes no probability or entropy.
     """

@@ -9,6 +9,7 @@ propagator must agree to rounding error or one of them is wrong.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,13 +22,14 @@ from .errors import (
 )
 from .states import (
     MIN_OUTCOME_PROBABILITY,
-    PRUNE_EPSILON,
     AtomFieldKet,
     AtomLevel,
     FieldsKet,
     FullKet,
     PureState,
     SystemParams,
+    check_outcome,
+    prune_amplitudes,
 )
 
 _E = AtomLevel.EXCITED
@@ -75,6 +77,12 @@ def _check_cavity(cavity: int) -> None:
         raise ValueError(f"cavity must be 0 or 1, got {cavity!r}")
 
 
+def _check_time(t: float) -> None:
+    # The chained comparison also rejects NaN, which fails every comparison.
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t}")
+
+
 def jc_generator(cavity: int, g: float, w: TruncationWindow) -> np.ndarray:
     """Interaction matrix g(a_j^dag sigma_- + sigma_+ a_j) on the ordered
     atom x mode0 x mode1 basis (hbar = 1)."""
@@ -92,18 +100,28 @@ def jc_generator(cavity: int, g: float, w: TruncationWindow) -> np.ndarray:
     return h
 
 
+@functools.lru_cache(maxsize=64)
+def _doublets(cavity: int, w: TruncationWindow) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of |e,k> and |g,k+1> in the active mode for every doublet,
+    k-major with the spectator mode's occupation inner; read-only."""
+    k, spectator = np.divmod(np.arange(w.n_max * w.levels), w.levels)
+    if cavity == 0:
+        pairs = w.index(_E, k, spectator), w.index(_G, k + 1, spectator)
+    else:
+        pairs = w.index(_E, spectator, k), w.index(_G, spectator, k + 1)
+    for indices in pairs:
+        indices.flags.writeable = False
+    return pairs
+
+
 def _rotate(x: np.ndarray, cavity: int, t: float, g: float, w: TruncationWindow) -> np.ndarray:
     """exp(-i t H_int) of one cavity applied to the leading axis of ``x``, as
     the doublet rotations described in jc_propagator."""
-    k, spectator = np.divmod(np.arange(w.n_max * w.levels), w.levels)
-    if cavity == 0:
-        i_e, i_g = w.index(_E, k, spectator), w.index(_G, k + 1, spectator)
-    else:
-        i_e, i_g = w.index(_E, spectator, k), w.index(_G, spectator, k + 1)
+    i_e, i_g = _doublets(cavity, w)
     angles = [g * math.sqrt(j + 1) * t for j in range(w.n_max)]
     shape = (-1,) + (1,) * (x.ndim - 1)
-    diag = np.repeat([math.cos(a) for a in angles], w.levels).reshape(shape)
-    off = -1j * np.repeat([math.sin(a) for a in angles], w.levels).reshape(shape)
+    diag = np.array([math.cos(a) for a in angles]).repeat(w.levels).reshape(shape)
+    off = -1j * np.array([math.sin(a) for a in angles]).repeat(w.levels).reshape(shape)
     out = x.copy()
     out[i_e] = diag * x[i_e] + off * x[i_g]
     out[i_g] = off * x[i_e] + diag * x[i_g]
@@ -119,28 +137,22 @@ def jc_propagator(cavity: int, t: float, g: float, w: TruncationWindow) -> np.nd
     jc_generator, keeping the two derivations independent.
     """
     _check_cavity(cavity)
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    _check_time(t)
     return _rotate(np.eye(w.atom_field_dim, dtype=complex), cavity, t, g, w)
 
 
-def _guard_population(state: PureState, w: TruncationWindow) -> float:
-    return math.fsum(
-        amp.real * amp.real + amp.imag * amp.imag
-        for ket, amp in state.items()
-        if ket.n >= w.n_max or ket.m >= w.n_max
-    )
+def _guard_population(branches: np.ndarray, w: TruncationWindow) -> float:
+    """Probability on the guard Fock row n_max of either mode."""
+    amps = branches.reshape(-1, w.levels, w.levels)
+    guard = np.concatenate((amps[:, w.n_max, :], amps[:, : w.n_max, w.n_max]), axis=None)
+    return math.fsum((guard.real**2 + guard.imag**2).tolist())
 
 
-def evolve(p: SystemParams, t: float, w: TruncationWindow) -> PureState:
-    """Full interaction-picture state (control x atom x fields) at time t.
-
-    The control-0 branch meets cavity 0 first, the control-1 branch cavity 1
-    first.  Raises TruncationOverflowError if probability shows up in the
-    guard Fock rows, which an adequate window makes impossible.
-    """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+def _evolve_branches(p: SystemParams, t: float, w: TruncationWindow) -> np.ndarray:
+    """The two control branches of evolve's state as a (2, atom_field_dim)
+    array on the window's basis, weights included and amplitudes below
+    PRUNE_EPSILON zeroed; same checks and errors as evolve."""
+    _check_time(t)
     if w.n_max < max(p.n, p.m) + 2:
         raise ValueError(
             f"window too small: need n_max >= max(n, m) + 2 = {max(p.n, p.m) + 2}, "
@@ -154,18 +166,30 @@ def evolve(p: SystemParams, t: float, w: TruncationWindow) -> PureState:
     first = min(max(t - p.T0, 0.0), p.T)
     second = min(max(t - p.T1, 0.0), p.T)
     weights = (math.cos(p.theta), cmath.exp(1j * p.varphi) * math.sin(p.theta))
-    amps: dict[FullKet, complex] = {}
+    branches = np.empty((2, w.atom_field_dim), dtype=complex)
     for control, weight in enumerate(weights):
         vec = _rotate(psi0, control, first, p.g, w)
-        vec = weight * _rotate(vec, 1 - control, second, p.g, w)
-        for i in np.flatnonzero(np.abs(vec) >= PRUNE_EPSILON):
-            atom, n, m = w.decode(int(i))
-            amps[FullKet(control, AtomFieldKet(atom, n, m))] = complex(vec[i])
-    state = PureState(amps)
-    leak = _guard_population(state, w)
+        branches[control] = weight * _rotate(vec, 1 - control, second, p.g, w)
+    prune_amplitudes(branches)
+    leak = _guard_population(branches, w)
     if leak >= 1e-12:
         raise TruncationOverflowError(f"guard-row population {leak:.3e}")
-    return state
+    return branches
+
+
+def evolve(p: SystemParams, t: float, w: TruncationWindow) -> PureState:
+    """Full interaction-picture state (control x atom x fields) at time t.
+
+    The control-0 branch meets cavity 0 first, the control-1 branch cavity 1
+    first.  Raises TruncationOverflowError if probability shows up in the
+    guard Fock rows, which an adequate window makes impossible.
+    """
+    branches = _evolve_branches(p, t, w)
+    amps: dict[FullKet, complex] = {}
+    for control, i in zip(*np.nonzero(branches)):
+        atom, n, m = w.decode(int(i))
+        amps[FullKet(int(control), AtomFieldKet(atom, n, m))] = complex(branches[control, i])
+    return PureState(amps)
 
 
 def hadamard_control(s: PureState) -> PureState:
@@ -189,8 +213,7 @@ def measure_control(s: PureState, j: int) -> tuple[PureState, float]:
     Returns the conditional atom-field state and the Born probability of the
     outcome, assuming the input is normalized.
     """
-    if j not in (0, 1):
-        raise ValueError(f"j must be 0 or 1, got {j!r}")
+    check_outcome(j)
     if s.flavor is not FullKet and s.flavor is not None:
         raise FlavorMismatchError("measure_control requires a full-flavor state")
     picked = {ket.rest: amp for ket, amp in s.items() if ket.control == j}

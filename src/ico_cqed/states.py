@@ -75,6 +75,12 @@ class AtomLevel(IntEnum):
         raise ValueError(f"unknown atom level {label!r}, expected 'e' or 'g'")
 
 
+def check_outcome(j: int) -> None:
+    """A control outcome is the int 0 or 1; bools and floats are refused."""
+    if isinstance(j, bool) or not isinstance(j, int) or j not in (0, 1):
+        raise ValueError(f"control outcome must be 0 or 1, got {j!r}")
+
+
 def _check_occupation(value: int, name: str) -> None:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer, got {value!r}")

@@ -10,6 +10,7 @@ consistency evidence.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,21 +18,20 @@ import numpy as np
 
 from .engine import general_postselect
 from .errors import ImpossiblePostselectionError
-from .oracle import (
-    TruncationWindow,
-    evolve,
-    hadamard_control,
-    measure_control,
-    schrodinger_phase,
-)
-from .states import SystemParams
+from .oracle import TruncationWindow, _evolve_branches
+from .states import MIN_OUTCOME_PROBABILITY, PureState, SystemParams, prune_amplitudes
 
 DEFAULT_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """Outcome of one verification run."""
+    """Outcome of one verification run.
+
+    The worst_* fields describe the draw with the largest amplitude
+    deviation: its index in the run, the control outcome, the measurement
+    time and the parameters, enough to replay it without the seed.
+    """
 
     seed: int
     draws: int
@@ -40,6 +40,10 @@ class VerifyReport:
     max_probability_deviation: float
     max_probability_sum_deviation: float
     skipped_outcomes: int
+    worst_draw: int
+    worst_outcome: int
+    worst_time: float
+    worst_params: SystemParams
 
     @property
     def passed(self) -> bool:
@@ -50,7 +54,7 @@ class VerifyReport:
 
     def lines(self) -> list[str]:
         status = "PASS" if self.passed else "FAIL"
-        return [
+        lines = [
             f"draws: {self.draws} (seed {self.seed})",
             f"max amplitude deviation:   {self.max_amplitude_deviation:.3e}",
             f"max probability deviation: {self.max_probability_deviation:.3e}",
@@ -58,6 +62,13 @@ class VerifyReport:
             f"skipped near-zero outcomes: {self.skipped_outcomes}",
             f"{status} at tolerance {self.tolerance:.1e}",
         ]
+        if not self.passed:
+            lines += [
+                f"worst draw: {self.worst_draw} (control outcome {self.worst_outcome}, "
+                f"t = {self.worst_time!r})",
+                f"worst draw params: {self.worst_params!r}",
+            ]
+        return lines
 
 
 def random_params(rng: np.random.Generator) -> SystemParams:
@@ -82,40 +93,118 @@ def random_params(rng: np.random.Generator) -> SystemParams:
     )
 
 
+def _recombined(p: SystemParams, t: float, w: TruncationWindow) -> np.ndarray:
+    """oracle.hadamard_control(oracle.evolve(p, t, w)) on the window's basis:
+    row j holds the control-j component, pruned as a PureState would be."""
+    half = _evolve_branches(p, t, w) * (1.0 / math.sqrt(2.0))
+    return prune_amplitudes(np.stack((half[0] + half[1], half[0] - half[1])))
+
+
+@functools.lru_cache(maxsize=16)
+def _excitations(w: TruncationWindow) -> np.ndarray:
+    """Atom excitation plus photon number of every basis index; read-only."""
+    atom, n, m = np.indices((2, w.levels, w.levels)).reshape(3, -1)
+    excitations = 1 - atom + n + m
+    excitations.flags.writeable = False
+    return excitations
+
+
+def _conditional(
+    recombined: np.ndarray, j: int, p: SystemParams, t: float, w: TruncationWindow
+) -> tuple[np.ndarray, float]:
+    """oracle.measure_control followed by oracle.schrodinger_phase on the
+    window's basis: the normalized, phased control-j component and its
+    probability.  Refuses an outcome below MIN_OUTCOME_PROBABILITY as
+    measure_control does."""
+    row = recombined[j]
+    prob = math.fsum((row.real**2 + row.imag**2).tolist())
+    if prob < MIN_OUTCOME_PROBABILITY:
+        raise ImpossiblePostselectionError(f"control outcome {j}", prob)
+    phase = np.exp(-1j * p.omega * t * (_excitations(w) - 0.5))
+    state = prune_amplitudes(row * (1.0 / math.sqrt(prob)))
+    # The product written out rounds as Python's complex product does;
+    # numpy's complex multiply may fuse the multiply-adds.
+    phased = np.empty_like(state)
+    phased.real = state.real * phase.real - state.imag * phase.imag
+    phased.imag = state.real * phase.imag + state.imag * phase.real
+    return prune_amplitudes(phased), prob
+
+
+def _amplitude_deviation(
+    analytic: PureState, numeric: np.ndarray, w: TruncationWindow
+) -> float:
+    """Largest |analytic - numeric| over the union of both supports; an
+    analytic ket outside the window counts with its full magnitude.  hypot
+    rounds as abs() of a Python complex does; numpy's complex abs may not."""
+    diff = numeric.copy()
+    outside = 0.0
+    for ket, amp in analytic.items():
+        if ket.n > w.n_max or ket.m > w.n_max:
+            outside = max(outside, abs(amp))
+        else:
+            diff[w.index(ket.atom, ket.n, ket.m)] -= amp
+    return max(outside, float(np.hypot(diff.real, diff.imag).max()))
+
+
+def _compare_draw(p: SystemParams, t: float) -> list[tuple[int, float, float, float]]:
+    """(outcome, closed-form probability, matrix probability, amplitude
+    deviation) for each control outcome the closed forms do not refuse."""
+    window = TruncationWindow.for_params(p)
+    recombined = _recombined(p, t, window)
+    rows = []
+    for j in (0, 1):
+        try:
+            analytic, prob_analytic = general_postselect(j, p, p.omega * t)
+        except ImpossiblePostselectionError:
+            continue
+        numeric, prob_numeric = _conditional(recombined, j, p, t, window)
+        deviation = _amplitude_deviation(analytic, numeric, window)
+        rows.append((j, prob_analytic, prob_numeric, deviation))
+    return rows
+
+
+def _check_inputs(seed: int, draws: int, tolerance: float) -> None:
+    for name, value, least in (("seed", seed, 0), ("draws", draws, 1)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name}: must be an integer, got {value!r}")
+        if value < least:
+            raise ValueError(f"{name}: must be >= {least}")
+    # The chained comparison also rejects NaN, which fails every comparison.
+    if not 0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance: must be finite and >= 0, got {tolerance!r}")
+
+
 def run_verification(
     seed: int, draws: int, tolerance: float = DEFAULT_TOLERANCE
 ) -> VerifyReport:
     """Compare conditional states and outcome probabilities between the two
-    independent computation paths over seeded random draws."""
-    if draws < 1:
-        raise ValueError(f"draws must be >= 1, got {draws}")
+    independent computation paths over seeded random draws.
+
+    The matrix side is evolve, hadamard_control, measure_control and
+    schrodinger_phase carried out on the window's vectors instead of on
+    PureStates, with the same pruning and the same refusal of impossible
+    outcomes.  seed must be an int >= 0, draws an int >= 1 and tolerance
+    finite and >= 0; otherwise a ValueError names the field."""
+    _check_inputs(seed, draws, tolerance)
     rng = np.random.default_rng(seed)
     max_amp = 0.0
     max_prob = 0.0
     max_sum = 0.0
     skipped = 0
-    for _ in range(draws):
+    worst = None
+    for draw in range(draws):
         p = random_params(rng)
         t_meas = p.T1 + p.T + float(rng.uniform(0.0, 2.0))
-        window = TruncationWindow.for_params(p)
-        mixed = hadamard_control(evolve(p, t_meas, window))
-        outcome_probs = []
-        for j in (0, 1):
-            try:
-                analytic, prob_analytic = general_postselect(j, p, p.omega * t_meas)
-            except ImpossiblePostselectionError:
-                skipped += 1
-                continue
-            outcome_probs.append(prob_analytic)
-            numeric, prob_numeric = measure_control(mixed, j)
-            numeric = schrodinger_phase(numeric, p.omega, t_meas)
+        rows = _compare_draw(p, t_meas)
+        skipped += 2 - len(rows)
+        for j, prob_analytic, prob_numeric, deviation in rows:
             max_prob = max(max_prob, abs(prob_analytic - prob_numeric))
-            for ket in set(analytic.kets()) | set(numeric.kets()):
-                max_amp = max(
-                    max_amp, abs(analytic.amplitude(ket) - numeric.amplitude(ket))
-                )
-        if len(outcome_probs) == 2:
-            max_sum = max(max_sum, abs(outcome_probs[0] + outcome_probs[1] - 1.0))
+            if worst is None or deviation > max_amp:
+                max_amp, worst = deviation, (draw, j, t_meas, p)
+        if len(rows) == 2:
+            max_sum = max(max_sum, abs(rows[0][1] + rows[1][1] - 1.0))
+    # Every draw compares at least one outcome: P(0) + P(1) = 1.
+    worst_draw, worst_outcome, worst_time, worst_params = worst
     return VerifyReport(
         seed=seed,
         draws=draws,
@@ -124,4 +213,8 @@ def run_verification(
         max_probability_deviation=max_prob,
         max_probability_sum_deviation=max_sum,
         skipped_outcomes=skipped,
+        worst_draw=worst_draw,
+        worst_outcome=worst_outcome,
+        worst_time=worst_time,
+        worst_params=worst_params,
     )

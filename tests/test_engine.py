@@ -3,6 +3,8 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ico_cqed import (
     MIN_OUTCOME_PROBABILITY,
@@ -29,6 +31,7 @@ from ico_cqed import (
     inner_product,
     measure_control,
     overlap_orders,
+    scale_and_add,
     state_after_both,
 )
 from helpers import E, G, balanced, max_amp_diff, params
@@ -77,6 +80,36 @@ def ten_term_postselected_state(j, p, omega_t):
             continue
         amps[AtomFieldKet(atom, n, m)] = amp * scale
     return PureState(amps)
+
+
+def four_state_postselect(j, p, omega_t):
+    """general_postselect composed from four PureStates, as it was before it
+    summed the order branches in one dict: both state_after_both branches,
+    scale_and_add with the recombination weights, then normalise and phase
+    ket by ket."""
+    first = state_after_both(CavityOrder.C0_THEN_C1, p, p.T)
+    second = state_after_both(CavityOrder.C1_THEN_C0, p, p.T)
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    w0 = math.cos(p.theta) * inv_sqrt2
+    w1 = (-1.0 if j else 1.0) * cmath.exp(1j * p.varphi) * math.sin(p.theta) * inv_sqrt2
+    residual = scale_and_add(w0, first, w1, second)
+    prob = residual.squared_norm()
+    if prob < MIN_OUTCOME_PROBABILITY:
+        raise ImpossiblePostselectionError(f"control outcome {j}", prob)
+    scale = 1.0 / math.sqrt(prob)
+    amps = {
+        ket: amp * scale * cmath.exp(-1j * omega_t * (ket.excitations - 0.5))
+        for ket, amp in residual.items()
+    }
+    return PureState(amps), prob
+
+
+def postselect_outcome(route, j, p, omega_t):
+    """(state or None when refused, probability) of one postselection route."""
+    try:
+        return route(j, p, omega_t)
+    except ImpossiblePostselectionError as err:
+        return None, err.probability
 
 
 # ---------------------------------------------------------------- gamma
@@ -364,6 +397,85 @@ def test_general_postselect_probabilities_sum_to_one(rng):
                 continue
             total += prob
         assert abs(total - 1.0) < 1e-12
+
+
+def test_general_postselect_equals_four_state_composition(rng):
+    cases = []
+    for _ in range(300):
+        p = random_engine_params(rng, theta=float(rng.uniform(0.0, math.pi / 2)),
+                                 varphi=float(rng.uniform(0.0, 2 * math.pi)))
+        cases.append((p, float(rng.uniform(0.0, 20.0))))
+    # at g*T*sqrt(n+1) = k*pi/2 some slots are cos(k*pi/2), below the prune
+    # scale but not 0: branch pruning then decides the last bits
+    for n in range(4):
+        for k in (1, 2, 3):
+            gt = k * math.pi / (2.0 * math.sqrt(n + 1))
+            p = random_engine_params(rng, gt=gt, n=n, theta=float(rng.uniform(0.0, math.pi / 2)),
+                                     varphi=float(rng.uniform(0.0, 2 * math.pi)))
+            cases += [(p, 0.0), (replace(p, n=p.m, m=p.n), 0.0), (replace(p, xi=math.pi / 2), 0.0)]
+    # control outcome 1 refused: both orders leave the same state at gT = 0
+    # and at the vacuum revival gT = pi, rounding noise at gT = 3e-5; then
+    # the two definite orders
+    cases += [(balanced(0.0, n=2, m=1), 0.3), (balanced(math.pi), 0.7), (balanced(3e-5), 1.1),
+              (params(1.7, theta=0.0, n=1, m=3), 2.0), (params(0.0, theta=math.pi / 2), 0.0)]
+    refused = 0
+    for p, omega_t in cases:
+        for j in (0, 1):
+            reference = postselect_outcome(four_state_postselect, j, p, omega_t)
+            assert postselect_outcome(general_postselect, j, p, omega_t) == reference
+            refused += reference[0] is None
+    assert refused >= 3
+
+
+_angles = dict(
+    theta=st.floats(0.0, math.pi / 2),
+    varphi=st.floats(0.0, 2 * math.pi, exclude_max=True),
+    xi=st.floats(0.0, math.pi / 2),
+    chi=st.floats(0.0, 2 * math.pi, exclude_max=True),
+)
+postselect_params = st.builds(
+    lambda gT, g, **kw: SystemParams(g=g, T=gT / g, **kw),
+    gT=st.floats(0.0, 10.0),
+    g=st.floats(0.5, 2.0),
+    n=st.integers(0, 6),
+    m=st.integers(0, 6),
+    **_angles,
+)
+property_settings = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@property_settings
+@given(p=postselect_params, omega_t=st.floats(0.0, 20.0))
+def test_postselect_properties(p, omega_t):
+    # normalised states, P(0) + P(1) = 1, support only in the sectors n+m
+    # (atom starting ground) and n+m+1 (atom starting excited)
+    outcomes = [postselect_outcome(general_postselect, j, p, omega_t) for j in (0, 1)]
+    assert abs(outcomes[0][1] + outcomes[1][1] - 1.0) <= 1e-12
+    for state, prob in outcomes:
+        if state is None:
+            assert prob < MIN_OUTCOME_PROBABILITY
+            continue
+        assert state.is_normalized(1e-12)
+        assert {k.excitations for k in state.kets()} <= {p.n + p.m, p.n + p.m + 1}
+
+
+@property_settings
+@given(p=postselect_params, omega_t=st.floats(0.0, 20.0))
+def test_postselect_order_swap_symmetry(p, omega_t):
+    # exchanging the fills n <-> m together with the order amplitudes
+    # (theta -> pi/2 - theta, varphi -> -varphi) mirrors the conditional state
+    # up to the global factor +-exp(i varphi)
+    swapped = replace(p, n=p.m, m=p.n, theta=math.pi / 2 - p.theta,
+                      varphi=(2 * math.pi - p.varphi) % (2 * math.pi))
+    for j in (0, 1):
+        state, prob = postselect_outcome(general_postselect, j, p, omega_t)
+        mirror, prob_mirror = postselect_outcome(general_postselect, j, swapped, omega_t)
+        assert abs(prob - prob_mirror) <= 1e-12
+        if min(prob, prob_mirror) < 1e-6:
+            continue  # conditional amplitudes of a near-impossible outcome carry noise
+        factor = (-1.0 if j else 1.0) * cmath.exp(1j * p.varphi)
+        mirrored = PureState({AtomFieldKet(k.atom, k.m, k.n): factor * a for k, a in mirror.items()})
+        assert max_amp_diff(state, mirrored) <= 1e-12
 
 
 # ---------------------------------------------------------------- entangled field pairs

@@ -13,6 +13,7 @@ from ico_cqed import (
     ImpossiblePostselectionError,
     PureState,
     SystemParams,
+    TruncationOverflowError,
     TruncationWindow,
     evolve,
     general_postselect,
@@ -24,7 +25,8 @@ from ico_cqed import (
     schrodinger_phase,
     state_after_both,
 )
-from ico_cqed.oracle import _guard_population
+from ico_cqed import oracle
+from ico_cqed.oracle import _evolve_branches, _guard_population
 from ico_cqed.verify import random_params
 from helpers import E, G, excitation_distribution, max_amp_diff
 
@@ -269,6 +271,16 @@ def test_engine_matches_oracle_on_wide_envelope():
         assert abs(sum(probs) - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_time_is_refused(t):
+    p = SystemParams(g=1.0, T=1.0, n=1, m=0)
+    w = TruncationWindow.for_params(p)
+    with pytest.raises(ValueError, match="^t must be finite"):
+        evolve(p, t, w)
+    with pytest.raises(ValueError, match="^t must be finite"):
+        jc_propagator(0, t, 1.0, w)
+
+
 def test_evolve_window_validation():
     p = SystemParams(g=1.0, T=1.0, n=3, m=1)
     with pytest.raises(ValueError):
@@ -277,18 +289,38 @@ def test_evolve_window_validation():
 
 def test_guard_population_trips_overflow_check():
     w = TruncationWindow(3)
-    leaked = PureState({FullKet(0, AtomFieldKet(E, 3, 0)): 1.0})
-    assert _guard_population(leaked, w) == 1.0
-    clean = PureState({FullKet(0, AtomFieldKet(E, 1, 0)): 1.0})
+    for control, ket in ((0, (E, 3, 0)), (1, (G, 0, 3)), (1, (E, 3, 3))):
+        leaked = np.zeros((2, w.atom_field_dim), dtype=complex)
+        leaked[control, w.index(*ket)] = 0.6j
+        leaked[1 - control, w.index(E, 1, 0)] = 0.8
+        assert _guard_population(leaked, w) == pytest.approx(0.36, abs=1e-15)
+    clean = np.zeros((2, w.atom_field_dim), dtype=complex)
+    clean[0, w.index(E, 2, 2)] = 1.0
     assert _guard_population(clean, w) == 0.0
+
+
+def test_evolve_refuses_guard_row_leak(monkeypatch):
+    # a rotation that moved weight onto the guard row must trip evolve
+    p = SystemParams(g=1.0, T=1.0, n=1, m=0)
+    w = TruncationWindow.for_params(p)
+
+    def leaky(x, cavity, t, g, w):
+        out = x.copy()
+        out[w.index(E, w.n_max, 0)] += x[w.index(E, 1, 0)]
+        out[w.index(E, 1, 0)] = 0.0
+        return out
+
+    monkeypatch.setattr(oracle, "_rotate", leaky)
+    with pytest.raises(TruncationOverflowError):
+        evolve(p, p.T1 + p.T, w)
 
 
 def test_evolve_guard_rows_stay_empty(rng):
     for _ in range(5):
         p = random_params(rng)
         w = TruncationWindow.for_params(p)
-        st = evolve(p, p.T1 + 0.5 * p.T, w)
-        assert _guard_population(st, w) < 1e-12
+        branches = _evolve_branches(p, p.T1 + 0.5 * p.T, w)
+        assert _guard_population(branches, w) < 1e-12
 
 
 # ---------------------------------------------------------------- recombination and measurement
@@ -322,6 +354,18 @@ def test_measure_control_product_state():
     assert conditional.kets() == [psi]
     with pytest.raises(ImpossiblePostselectionError):
         measure_control(st, 1)
+
+
+@pytest.mark.parametrize("j", [True, False, 1.0, 0.0, 2, -1, "1"])
+def test_measure_control_rejects_non_int_outcome(j):
+    st = PureState({FullKet(1, AtomFieldKet(G, 2, 1)): 1.0})
+    message = f"control outcome must be 0 or 1, got {j!r}"
+    with pytest.raises(ValueError) as oracle_err:
+        measure_control(st, j)
+    assert str(oracle_err.value) == message
+    with pytest.raises(ValueError) as engine_err:
+        general_postselect(j, SystemParams(g=1.0, T=1.0))
+    assert str(engine_err.value) == message
 
 
 def test_measure_after_recombination_splits_evenly():
