@@ -10,37 +10,42 @@ start with photons.
 
 import math
 
-import numpy as np
-
-from ico_cqed import AtomFieldKet, AtomLevel, CavityOrder, SystemParams, ket_probability, state_after_both
+from ico_cqed import (
+    AtomLevel,
+    CavityOrder,
+    KetProbability,
+    SweepConfig,
+    SystemParams,
+    run_sweep,
+    state_after_both,
+)
 
 E, G = AtomLevel.EXCITED, AtomLevel.GROUND
 
 
-def channel_maxima(n, m, gts):
+def channel_maxima(n, m, step, stop):
     channels = {
-        "revival        P(e,%d,%d)" % (n, m): AtomFieldKet(E, n, m),
-        "emit in C1     P(g,%d,%d)" % (n, m + 1): AtomFieldKet(G, n, m + 1),
-        "emit in C0     P(g,%d,%d)" % (n + 1, m): AtomFieldKet(G, n + 1, m),
+        "revival        P(e,%d,%d)" % (n, m): KetProbability(E, n, m),
+        "emit in C1     P(g,%d,%d)" % (n, m + 1): KetProbability(G, n, m + 1),
+        "emit in C0     P(g,%d,%d)" % (n + 1, m): KetProbability(G, n + 1, m),
     }
     if m > 0:
-        channels["interchange    P(e,%d,%d)" % (n + 1, m - 1)] = AtomFieldKet(E, n + 1, m - 1)
-    best = {label: (0.0, 0.0) for label in channels}
-    for gt in gts:
-        p = SystemParams(g=1.0, T=float(gt), n=n, m=m)
-        st = state_after_both(CavityOrder.C0_THEN_C1, p, p.T)
-        for label, ket in channels.items():
-            value = ket_probability(st, ket)
-            if value > best[label][0]:
-                best[label] = (value, float(gt))
+        channels["interchange    P(e,%d,%d)" % (n + 1, m - 1)] = KetProbability(E, n + 1, m - 1)
+    cfg = SweepConfig(
+        "series_C0C1", tuple(channels.values()), n=n, m=m, gT_stop=stop, gT_step=step
+    )
+    gts, *columns = zip(*run_sweep(cfg).rows)
+    best = {}
+    for label, values in zip(channels, columns):
+        i = max(range(len(values)), key=values.__getitem__)  # first maximum
+        best[label] = (values[i], gts[i])
     return best
 
 
 def main():
-    gts = np.arange(0.0, 30.0, 0.002)
     for n, m in ((0, 0), (5, 5), (4, 5)):
         print(f"initial fill n={n}, m={m}")
-        for label, (value, at) in channel_maxima(n, m, gts).items():
+        for label, (value, at) in channel_maxima(n, m, step=0.002, stop=29.998).items():
             print(f"  max {label} = {value:.4f}  at gT = {at:.3f}")
         print()
     print("landmarks for empty cavities:")

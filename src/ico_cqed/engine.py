@@ -17,7 +17,6 @@ import numpy as np
 from .errors import DegenerateBranchError, ImpossiblePostselectionError
 from .states import (
     MIN_OUTCOME_PROBABILITY,
-    PRUNE_EPSILON,
     AtomFieldKet,
     AtomLevel,
     FieldsKet,
@@ -88,21 +87,18 @@ def _check_tau(p: SystemParams, tau: float) -> None:
         raise ValueError(f"tau must lie in [0, T] = [0, {p.T}], got {tau}")
 
 
-def _slot_amplitudes(
-    lib, g: float, n: int, m: int, t_first, t_second, xi: float, chi: float
-) -> tuple:
+def _slot_amplitudes(lib, g, n: int, m: int, t_first, t_second, ce, se) -> tuple:
     """The eight slot amplitudes of one order: time t_first in the first
-    cavity (n photons), then t_second in the second (m photons).  ``lib``
-    supplies cos and sin: ``math`` for scalar times, ``numpy`` for arrays of
-    times, so coeffs_c and grid_amplitudes share these formulas."""
+    cavity (n photons), then t_second in the second (m photons), for an atom
+    prepared as ce|e> + se|g>.  ``lib`` supplies cos and sin: ``math`` for
+    scalars, ``numpy`` for arrays, so coeffs_c and grid_amplitudes share
+    these formulas."""
     x_n, x_n1 = gamma(n, g) * t_first, gamma(n - 1, g) * t_first
     x_m, x_m1 = gamma(m, g) * t_second, gamma(m - 1, g) * t_second
     cos_n, sin_n = lib.cos(x_n), lib.sin(x_n)
     cos_n1, sin_n1 = lib.cos(x_n1), lib.sin(x_n1)
     cos_m, sin_m = lib.cos(x_m), lib.sin(x_m)
     cos_m1, sin_m1 = lib.cos(x_m1), lib.sin(x_m1)
-    ce = math.cos(xi)
-    se = cmath.exp(1j * chi) * math.sin(xi)
     return (
         ce * cos_n * cos_m,
         -1j * se * sin_n1 * cos_m,
@@ -124,7 +120,8 @@ def coeffs_c(p: SystemParams, tau: float) -> CoeffSet:
     zero rate, so it vanishes as well.
     """
     _check_tau(p, tau)
-    return CoeffSet(*_slot_amplitudes(math, p.g, p.n, p.m, p.T, tau, p.xi, p.chi))
+    ce, se = math.cos(p.xi), cmath.exp(1j * p.chi) * math.sin(p.xi)
+    return CoeffSet(*_slot_amplitudes(math, p.g, p.n, p.m, p.T, tau, ce, se))
 
 
 def coeffs_s(p: SystemParams, tau: float) -> CoeffSet:
@@ -156,39 +153,24 @@ _LAYOUT_FIRST_C1 = (
 )
 
 
-def _order_branch(order: CavityOrder, p: SystemParams, tau: float) -> dict:
-    """One order's atom-field amplitudes, keyed by (atom, n, m), after time T
-    in the first cavity and tau in the second; amplitudes below
-    PRUNE_EPSILON are dropped as PureState drops them.  Negative-occupation
-    kets are dropped after checking that their amplitude vanishes (it always
-    does: each carries a zero sin factor)."""
-    if order is CavityOrder.C0_THEN_C1:
-        first, second, layout = p.n, p.m, _LAYOUT_FIRST_C0
-    elif order is CavityOrder.C1_THEN_C0:
-        first, second, layout = p.m, p.n, _LAYOUT_FIRST_C1
-    else:
-        raise TypeError(f"order must be a CavityOrder, got {order!r}")
-    _check_tau(p, tau)
-    values = _slot_amplitudes(math, p.g, first, second, p.T, tau, p.xi, p.chi)
-    amps: dict[tuple, complex] = {}
-    for slot, atom, dn, dm in layout:
-        amp, n, m = complex(values[slot]), p.n + dn, p.m + dm
-        if n < 0 or m < 0:
-            if abs(amp) > 1e-30:
-                raise AssertionError(
-                    f"negative-occupation ket ({atom.label},{n},{m}) with amplitude {amp}"
-                )
-        elif abs(amp) >= PRUNE_EPSILON:
-            amps[atom, n, m] = amp
-    return amps
+_SERIES = {CavityOrder.C0_THEN_C1: "series_C0C1", CavityOrder.C1_THEN_C0: "series_C1C0"}
+
+
+def _one_point(scenario: str, p: SystemParams, tau: float) -> tuple:
+    """grid_amplitudes at the single point p, with time tau in the second cavity."""
+    return grid_amplitudes(scenario, p.n, p.m, g=p.g, t_first=p.T, t_second=tau,
+                           xi=p.xi, chi=p.chi, theta=p.theta, varphi=p.varphi)
 
 
 def state_after_both(order: CavityOrder, p: SystemParams, tau: float) -> PureState:
     """Atom-field state once the atom has spent time T in its first cavity
-    and time tau inside its second, for the given traversal order."""
-    return PureState(
-        {AtomFieldKet(*key): amp for key, amp in _order_branch(order, p, tau).items()}
-    )
+    and time tau inside its second, for the given traversal order: one
+    point of grid_amplitudes."""
+    if order not in _SERIES:
+        raise TypeError(f"order must be a CavityOrder, got {order!r}")
+    _check_tau(p, tau)
+    basis, amps, _ = _one_point(_SERIES[order], p, tau)
+    return PureState(dict(zip(basis, amps[:, 0].tolist())))
 
 
 def overlap_orders(p: SystemParams) -> complex:
@@ -228,15 +210,6 @@ def ico_postselected_state(j: int, p: SystemParams, omega_t: float = 0.0) -> Pur
     return PureState({ket: amp * unwind for ket, amp in state.items()})
 
 
-def _control_weights(j: int, theta: float, varphi: float) -> tuple[float, complex]:
-    """Weights of the C0-first and C1-first branches in the control-j
-    component once the control is recombined (Hadamard) for measurement."""
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    w0 = math.cos(theta) * inv_sqrt2
-    w1 = (-1.0 if j else 1.0) * cmath.exp(1j * varphi) * math.sin(theta) * inv_sqrt2
-    return w0, w1
-
-
 def general_postselect(
     j: int, p: SystemParams, omega_t: float = 0.0
 ) -> tuple[PureState, float]:
@@ -246,49 +219,44 @@ def general_postselect(
     sin(theta), recombines them on the control, projects onto |j>, and
     applies the full per-ket phase exp(-i*omega_t*(excitations - 1/2)).
     Returns the normalized conditional atom-field state and the outcome
-    probability.  This is the only place that postselects on the control;
-    an outcome with probability below MIN_OUTCOME_PROBABILITY raises
+    probability: one point of grid_amplitudes and measurement_phase.  An
+    outcome with probability below MIN_OUTCOME_PROBABILITY raises
     ImpossiblePostselectionError, which carries the refused probability.
     """
     check_outcome(j)
-    w0, w1 = _control_weights(j, p.theta, p.varphi)
-    residual = {
-        key: w0 * amp
-        for key, amp in _order_branch(CavityOrder.C0_THEN_C1, p, p.T).items()
-    }
-    for key, amp in _order_branch(CavityOrder.C1_THEN_C0, p, p.T).items():
-        residual[key] = residual.get(key, 0j) + w1 * amp
-    residual = {key: amp for key, amp in residual.items() if abs(amp) >= PRUNE_EPSILON}
-    prob = math.fsum(a.real * a.real + a.imag * a.imag for a in residual.values())
-    if prob < MIN_OUTCOME_PROBABILITY:
-        raise ImpossiblePostselectionError(f"control outcome {j}", prob)
-    scale = 1.0 / math.sqrt(prob)
-    amps = {}
-    for (atom, n, m), amp in residual.items():
-        phase = cmath.exp(-1j * omega_t * (atom.excitation + n + m - 0.5))
-        amps[AtomFieldKet(atom, n, m)] = amp * scale * phase
-    return PureState(amps), prob
+    basis, amps, prob = _one_point(("ico_j0", "ico_j1")[j], p, p.T)
+    if prob[0] < MIN_OUTCOME_PROBABILITY:
+        raise ImpossiblePostselectionError(f"control outcome {j}", float(prob[0]))
+    phased = measurement_phase(basis, amps, omega_t)
+    return PureState(dict(zip(basis, phased[:, 0].tolist()))), float(prob[0])
 
 
 def grid_amplitudes(
-    cfg, gT: np.ndarray
+    scenario: str, n: int, m: int, *, g, t_first, t_second, xi, chi, theta, varphi
 ) -> tuple[tuple[AtomFieldKet, ...], np.ndarray, np.ndarray | None]:
-    """A sweep scenario's atom-field state at every g*T of ``gT`` (g = 1,
-    tau = T), in one array pass.
+    """A scenario's atom-field state at N points in one array pass; the
+    closed forms behind every state, sweep and verify draw.
 
-    ``cfg`` is a validated SweepConfig; its scenario, n, m and preparation
-    angles are read.  Returns the sorted basis of the at most ten reachable
-    kets, a (K, N) array of amplitudes on it, and for the ico scenarios the
-    control outcome probability at each grid point (None for the series
-    scenarios).  Where that probability is below MIN_OUTCOME_PROBABILITY
-    the outcome is refused and the amplitude column is zero; elsewhere it is
-    normalized.  Amplitudes below PRUNE_EPSILON are zeroed at each stage
-    where general_postselect prunes: the order branches, the recombined
-    state and the normalized state.  The
-    measurement phase exp(-i*omega_t*(N - 1/2)) is left out: it acts as a
-    phase on each subsystem and so changes no probability or entropy.
+    ``scenario`` is series_C0C1 or series_C1C0 (definite orders) or ico_j0
+    or ico_j1 (superposed order, control outcome j); n and m are the initial
+    photon numbers.  The coupling g, the times t_first and t_second spent in
+    the first and the second cavity crossed and the angles xi, chi, theta,
+    varphi are arrays of length N, or scalars, which are broadcast.
+
+    Returns the sorted basis of the at most ten reachable kets, a (K, N)
+    array of amplitudes on it and, for the ico scenarios, the control
+    outcome probability per point (None for the series).  A column whose
+    probability is below MIN_OUTCOME_PROBABILITY is refused and zero; the
+    others are normalized.  Amplitudes below PRUNE_EPSILON are zeroed in the
+    order branches, the recombined state and the normalized state.  A column
+    does not depend on the other points of the call.  measurement_phase
+    applies the measurement phase, which is left out here.
     """
-    n, m = cfg.n, cfg.m
+    # Scalars stay of length 1, so a fixed angle costs one evaluation.
+    g, t_first, t_second, xi, chi, theta, varphi = np.atleast_1d(
+        g, t_first, t_second, xi, chi, theta, varphi
+    )
+    size = np.broadcast(g, t_first, t_second, xi, chi, theta, varphi).size
     reachable = {
         (atom, n + dn, m + dm)
         for layout in (_LAYOUT_FIRST_C0, _LAYOUT_FIRST_C1)
@@ -297,29 +265,45 @@ def grid_amplitudes(
     }
     basis = tuple(sorted(AtomFieldKet(*key) for key in reachable))
     row = {(k.atom, k.n, k.m): i for i, k in enumerate(basis)}
+    ce, se = np.cos(xi), np.exp(1j * chi) * np.sin(xi)
 
     def branch(first: int, second: int, layout: tuple) -> np.ndarray:
         # first and second: photon numbers of the cavity crossed first and
         # of the one crossed second, as coeffs_c and coeffs_s pass them.
-        slots = _slot_amplitudes(np, 1.0, first, second, gT, gT, cfg.xi, cfg.chi)
-        amps = np.zeros((len(basis), gT.size), dtype=complex)
+        slots = _slot_amplitudes(np, g, first, second, t_first, t_second, ce, se)
+        amps = np.zeros((len(basis), size), dtype=complex)
         for slot, atom, dn, dm in layout:
             i = row.get((atom, n + dn, m + dm))
-            if i is not None:  # negative-occupation slots vanish identically
+            if i is not None:
                 amps[i] = slots[slot]
+            elif slots[slot].any():  # it has a zero-rate sin factor, so is 0
+                raise AssertionError(f"negative-occupation ket ({atom.label},{n + dn},{m + dm})")
         return prune_amplitudes(amps)
 
-    if cfg.scenario == "series_C0C1":
+    if scenario == "series_C0C1":
         return basis, branch(n, m, _LAYOUT_FIRST_C0), None
-    if cfg.scenario == "series_C1C0":
+    if scenario == "series_C1C0":
         return basis, branch(m, n, _LAYOUT_FIRST_C1), None
-    j = 0 if cfg.scenario == "ico_j0" else 1
-    w0, w1 = _control_weights(j, cfg.theta, cfg.varphi)
+    # Weights of the C0-first and C1-first branches in the control-j
+    # component once the control is recombined (Hadamard) for measurement.
+    sign = {"ico_j0": 1.0, "ico_j1": -1.0}[scenario]
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    w0 = np.cos(theta) * inv_sqrt2
+    w1 = sign * np.exp(1j * varphi) * np.sin(theta) * inv_sqrt2
     residual = prune_amplitudes(
         w0 * branch(n, m, _LAYOUT_FIRST_C0) + w1 * branch(m, n, _LAYOUT_FIRST_C1)
     )
     amps, prob = normalize_columns(residual)
     return basis, amps, prob
+
+
+def measurement_phase(basis: tuple[AtomFieldKet, ...], amps: np.ndarray, omega_t) -> np.ndarray:
+    """grid_amplitudes' columns times exp(-i*omega_t*(excitations - 1/2))
+    ket by ket, pruned again; omega_t (mode frequency times measurement
+    time) is a scalar or one value per column."""
+    excitations = np.array([k.excitations for k in basis], dtype=float)
+    phase = np.exp(-1j * np.asarray(omega_t, dtype=float) * (excitations[:, None] - 0.5))
+    return prune_amplitudes(amps * phase)
 
 
 def bell_resonance_gT(n: int, resonance: int) -> float:

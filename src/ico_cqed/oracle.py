@@ -64,12 +64,22 @@ class TruncationWindow:
         return 2 * self.levels * self.levels
 
     def index(self, atom: AtomLevel, n: int, m: int) -> int:
-        return (int(atom) * self.levels + n) * self.levels + m
+        """Position of |atom, n, m> on the window's basis; an occupation
+        outside 0..n_max is refused, since it would alias another ket."""
+        for name, value in (("n", n), ("m", m)):
+            if not 0 <= value <= self.n_max:
+                raise ValueError(f"{name} must lie in 0..{self.n_max}, got {value}")
+        return _flat_index(self, atom, n, m)
 
     def decode(self, i: int) -> tuple[AtomLevel, int, int]:
         m = i % self.levels
         i //= self.levels
         return AtomLevel(i // self.levels), i % self.levels, m
+
+
+def _flat_index(w: TruncationWindow, atom: AtomLevel, n, m):
+    """TruncationWindow.index without the range check; n and m may be arrays."""
+    return (int(atom) * w.levels + n) * w.levels + m
 
 
 def _check_cavity(cavity: int) -> None:
@@ -106,9 +116,9 @@ def _doublets(cavity: int, w: TruncationWindow) -> tuple[np.ndarray, np.ndarray]
     k-major with the spectator mode's occupation inner; read-only."""
     k, spectator = np.divmod(np.arange(w.n_max * w.levels), w.levels)
     if cavity == 0:
-        pairs = w.index(_E, k, spectator), w.index(_G, k + 1, spectator)
+        pairs = _flat_index(w, _E, k, spectator), _flat_index(w, _G, k + 1, spectator)
     else:
-        pairs = w.index(_E, spectator, k), w.index(_G, spectator, k + 1)
+        pairs = _flat_index(w, _E, spectator, k), _flat_index(w, _G, spectator, k + 1)
     for indices in pairs:
         indices.flags.writeable = False
     return pairs

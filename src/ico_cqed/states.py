@@ -11,7 +11,7 @@ and the like) never clutter the support.
 
 from __future__ import annotations
 
-import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -38,6 +38,12 @@ def prune_amplitudes(amps: np.ndarray) -> np.ndarray:
     return amps
 
 
+def column_sums(x: np.ndarray) -> np.ndarray:
+    """Sum over every axis but the last, slice after slice, so that a column's
+    sum does not depend on the other columns (np.sum adds a lone one pairwise)."""
+    return functools.reduce(np.add, x.reshape(-1, x.shape[-1]))
+
+
 def normalize_columns(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Array form of conditioning on an outcome, one column per grid point.
 
@@ -45,7 +51,7 @@ def normalize_columns(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Born probability.  A column whose probability is below
     MIN_OUTCOME_PROBABILITY is refused and comes back as zeros.
     """
-    prob = np.sum(amps.real**2 + amps.imag**2, axis=0)
+    prob = column_sums(amps.real**2 + amps.imag**2)
     possible = prob >= MIN_OUTCOME_PROBABILITY
     scale = np.divide(1.0, np.sqrt(prob), out=np.zeros_like(prob), where=possible)
     return prune_amplitudes(amps * scale), prob
@@ -239,30 +245,6 @@ class PureState:
         return PureState({k: a / nrm for k, a in self._amps.items()})
 
 
-def _check_same_flavor(a: PureState, b: PureState, what: str) -> None:
-    if a.flavor is not None and b.flavor is not None and a.flavor is not b.flavor:
-        raise FlavorMismatchError(
-            f"{what} requires matching ket flavors, got "
-            f"{a.flavor.__name__} and {b.flavor.__name__}"
-        )
-
-
-def inner_product(a: PureState, b: PureState) -> complex:
-    """Hermitian inner product: sum over shared kets of conj(a_k) * b_k."""
-    _check_same_flavor(a, b, "inner_product")
-    common = a._amps.keys() & b._amps.keys()
-    return sum((a._amps[k].conjugate() * b._amps[k] for k in common), 0j)
-
-
-def scale_and_add(alpha: complex, a: PureState, beta: complex, b: PureState) -> PureState:
-    """Amplitude-wise alpha*a + beta*b; the result is pruned as usual."""
-    _check_same_flavor(a, b, "scale_and_add")
-    out: dict[Ket, complex] = {k: alpha * amp for k, amp in a._amps.items()}
-    for k, amp in b._amps.items():
-        out[k] = out.get(k, 0j) + beta * amp
-    return PureState(out)
-
-
 def _check_angle(value: float, name: str, upper: float, inclusive: bool) -> None:
     ok = 0.0 <= value <= upper if inclusive else 0.0 <= value < upper
     if not ok:
@@ -329,13 +311,3 @@ class SystemParams:
     @property
     def gT(self) -> float:
         return self.g * self.T
-
-
-def initial_atom_field_state(p: SystemParams) -> PureState:
-    """Atom-field part of the initial state: cos(xi)|e,n,m> + e^{i chi} sin(xi)|g,n,m>."""
-    return PureState(
-        {
-            AtomFieldKet.excited(p.n, p.m): math.cos(p.xi),
-            AtomFieldKet.ground(p.n, p.m): cmath.exp(1j * p.chi) * math.sin(p.xi),
-        }
-    )

@@ -25,6 +25,7 @@ from .states import (
     AtomLevel,
     _check_occupation,
     check_preparation,
+    column_sums,
     normalize_columns,
 )
 
@@ -255,7 +256,7 @@ def _branch_entropy(
     for r, i in enumerate(rows):
         psi[ns.index(basis[i].n), ms.index(basis[i].m)] = picked[r]
     rho = np.sum(psi[:, None] * psi.conj()[None, :], axis=2)
-    purity = np.sum(np.abs(rho) ** 2, axis=(0, 1))
+    purity = column_sums(np.abs(rho) ** 2)
     return np.maximum(1.0 - purity, 0.0), prob >= MIN_OUTCOME_PROBABILITY
 
 
@@ -271,12 +272,16 @@ def run_sweep(cfg: SweepConfig) -> Table:
     """One row per grid point, one column per configured quantity; the output
     is deterministic for a fixed config.
 
-    All grid points are evaluated together by engine.grid_amplitudes; the
-    scalar PureState path (general_postselect and the observables) computes
-    the same cells one point at a time and is the reference for this one.
+    All grid points are evaluated together by engine.grid_amplitudes, at
+    g = 1 and tau = T.  No column depends on the measurement phase, so it
+    is not applied.
     """
     grid = grid_points(cfg)
-    basis, amps, control_prob = grid_amplitudes(cfg, np.array(grid))
+    gT = np.array(grid)
+    basis, amps, control_prob = grid_amplitudes(
+        cfg.scenario, cfg.n, cfg.m, g=1.0, t_first=gT, t_second=gT,
+        xi=cfg.xi, chi=cfg.chi, theta=cfg.theta, varphi=cfg.varphi,
+    )
     probs = amps.real**2 + amps.imag**2
     state_possible = None if control_prob is None else control_prob >= MIN_OUTCOME_PROBABILITY
     row = {ket: i for i, ket in enumerate(basis)}
@@ -291,7 +296,7 @@ def run_sweep(cfg: SweepConfig) -> Table:
             values = np.zeros(len(grid)) if i is None else probs[i]
         elif isinstance(q, AtomicInversion):
             sign = np.array([1.0 if k.atom is _E else -1.0 for k in basis])
-            values = np.sum(sign[:, None] * probs, axis=0)
+            values = column_sums(sign[:, None] * probs)
         else:
             # A refused control outcome left a zero column, so its atom
             # branches are refused as well.

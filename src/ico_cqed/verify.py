@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import general_postselect
+from .engine import grid_amplitudes, measurement_phase
 from .errors import ImpossiblePostselectionError
 from .oracle import TruncationWindow, _evolve_branches
-from .states import MIN_OUTCOME_PROBABILITY, PureState, SystemParams, prune_amplitudes
+from .states import MIN_OUTCOME_PROBABILITY, SystemParams, prune_amplitudes
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -130,15 +130,42 @@ def _conditional(
     return prune_amplitudes(phased), prob
 
 
+def _closed_forms(draws: list[tuple[SystemParams, float]]) -> list[list[tuple]]:
+    """Per (params, measurement time) draw and control outcome j: the basis,
+    the phased conditional amplitudes and the outcome probability, as
+    general_postselect computes them, from one grid_amplitudes call per
+    (n, m) group and outcome.  A draw evaluated alone gets the same bits."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (p, _) in enumerate(draws):
+        groups.setdefault((p.n, p.m), []).append(i)
+    out: list[list[tuple]] = [[] for _ in draws]
+    for (n, m), members in groups.items():
+        params = [draws[i][0] for i in members]
+        transit = np.array([p.T for p in params])
+        per_point = {
+            name: np.array([getattr(p, name) for p in params])
+            for name in ("g", "xi", "chi", "theta", "varphi")
+        }
+        omega_t = np.array([draws[i][0].omega * draws[i][1] for i in members])
+        for scenario in ("ico_j0", "ico_j1"):
+            basis, amps, prob = grid_amplitudes(
+                scenario, n, m, t_first=transit, t_second=transit, **per_point
+            )
+            phased = measurement_phase(basis, amps, omega_t)
+            for col, i in enumerate(members):
+                out[i].append((basis, phased[:, col], float(prob[col])))
+    return out
+
+
 def _amplitude_deviation(
-    analytic: PureState, numeric: np.ndarray, w: TruncationWindow
+    basis: tuple, analytic: np.ndarray, numeric: np.ndarray, w: TruncationWindow
 ) -> float:
     """Largest |analytic - numeric| over the union of both supports; an
     analytic ket outside the window counts with its full magnitude.  hypot
     rounds as abs() of a Python complex does; numpy's complex abs may not."""
     diff = numeric.copy()
     outside = 0.0
-    for ket, amp in analytic.items():
+    for ket, amp in zip(basis, analytic.tolist()):
         if ket.n > w.n_max or ket.m > w.n_max:
             outside = max(outside, abs(amp))
         else:
@@ -146,19 +173,18 @@ def _amplitude_deviation(
     return max(outside, float(np.hypot(diff.real, diff.imag).max()))
 
 
-def _compare_draw(p: SystemParams, t: float) -> list[tuple[int, float, float, float]]:
+def _compare_draw(p: SystemParams, t: float, closed: list) -> list[tuple]:
     """(outcome, closed-form probability, matrix probability, amplitude
-    deviation) for each control outcome the closed forms do not refuse."""
+    deviation) for each control outcome the closed forms do not refuse;
+    ``closed`` is the draw's entry of _closed_forms."""
     window = TruncationWindow.for_params(p)
     recombined = _recombined(p, t, window)
     rows = []
-    for j in (0, 1):
-        try:
-            analytic, prob_analytic = general_postselect(j, p, p.omega * t)
-        except ImpossiblePostselectionError:
+    for j, (basis, analytic, prob_analytic) in enumerate(closed):
+        if prob_analytic < MIN_OUTCOME_PROBABILITY:
             continue
         numeric, prob_numeric = _conditional(recombined, j, p, t, window)
-        deviation = _amplitude_deviation(analytic, numeric, window)
+        deviation = _amplitude_deviation(basis, analytic, numeric, window)
         rows.append((j, prob_analytic, prob_numeric, deviation))
     return rows
 
@@ -180,22 +206,27 @@ def run_verification(
     """Compare conditional states and outcome probabilities between the two
     independent computation paths over seeded random draws.
 
-    The matrix side is evolve, hadamard_control, measure_control and
-    schrodinger_phase carried out on the window's vectors instead of on
-    PureStates, with the same pruning and the same refusal of impossible
-    outcomes.  seed must be an int >= 0, draws an int >= 1 and tolerance
-    finite and >= 0; otherwise a ValueError names the field."""
+    The closed-form side is engine.grid_amplitudes, the kernel behind every
+    sweep and figure, called once per (n, m) group of draws and control
+    outcome.  The matrix side is evolve, hadamard_control, measure_control
+    and schrodinger_phase carried out per draw on the window's vectors
+    instead of on PureStates, with the same pruning and the same refusal of
+    impossible outcomes.  seed must be an int >= 0, draws an int >= 1 and
+    tolerance finite and >= 0; otherwise a ValueError names the field."""
     _check_inputs(seed, draws, tolerance)
     rng = np.random.default_rng(seed)
+    drawn = []
+    for _ in range(draws):
+        p = random_params(rng)
+        drawn.append((p, p.T1 + p.T + float(rng.uniform(0.0, 2.0))))
+    closed = _closed_forms(drawn)
     max_amp = 0.0
     max_prob = 0.0
     max_sum = 0.0
     skipped = 0
     worst = None
-    for draw in range(draws):
-        p = random_params(rng)
-        t_meas = p.T1 + p.T + float(rng.uniform(0.0, 2.0))
-        rows = _compare_draw(p, t_meas)
+    for draw, (p, t_meas) in enumerate(drawn):
+        rows = _compare_draw(p, t_meas, closed[draw])
         skipped += 2 - len(rows)
         for j, prob_analytic, prob_numeric, deviation in rows:
             max_prob = max(max_prob, abs(prob_analytic - prob_numeric))

@@ -10,19 +10,22 @@ import numpy as np
 
 from ico_cqed import (
     AtomFieldKet,
+    AtomicInversion,
+    BranchEntropy,
     CavityOrder,
+    ControlProbabilityColumn,
     ImpossiblePostselectionError,
+    KetProbability,
+    SweepConfig,
     TruncationWindow,
     condition_on_atom,
-    control_probability,
     evolve,
-    general_postselect,
     ico_postselected_state,
     ket_probability,
     linear_entropy,
     reduced_cavity0,
+    run_sweep,
     run_verification,
-    sigma_z_expectation,
     sigma_z_ico,
     sigma_z_series,
     state_after_both,
@@ -37,11 +40,13 @@ def series(gt, **kw):
     return state_after_both(CavityOrder.C0_THEN_C1, p, p.T)
 
 
-def sweep_max(prob_of, gts, **kw):
-    best = 0.0
-    for gt in gts:
-        best = max(best, prob_of(series(float(gt), **kw)))
-    return best
+def scan(scenario, quantities, n=0, m=0, start=0.0, stop=10.0, step=0.01):
+    """run_sweep over g*T = start, start + step, ..., stop (g = 1, balanced
+    control): the gT column and one column per quantity, None where the
+    conditioning outcome is impossible."""
+    cfg = SweepConfig(scenario, tuple(quantities), n=n, m=m,
+                      gT_start=start, gT_stop=stop, gT_step=step)
+    return list(zip(*run_sweep(cfg).rows))
 
 
 def test_criterion_01_series_revival():
@@ -57,32 +62,30 @@ def test_criterion_02_series_deterministic_emission():
 
 
 def test_criterion_03_second_cavity_emission_cap():
-    gts = np.arange(0, 10.0005, 0.001)
     for nm in (0, 5):
-        target = AtomFieldKet(G, nm, nm + 1)
-        best = sweep_max(lambda st: ket_probability(st, target), gts, n=nm, m=nm)
+        _, probs = scan("series_C0C1", [KetProbability(G, nm, nm + 1)], n=nm, m=nm, step=0.001)
+        best = max(probs)
         assert 0.24 <= best <= 0.26
         print(f"[PASS] criterion 3: n=m={nm} max P(g,{nm},{nm + 1}) = {best:.6f} in [0.24, 0.26]")
 
 
 def test_criterion_04_photon_interchange():
-    gts = np.arange(0, 30.0005, 0.001)
-    target = AtomFieldKet(E, 6, 4)
-    best = sweep_max(lambda st: ket_probability(st, target), gts, n=5, m=5)
+    _, probs = scan("series_C0C1", [KetProbability(E, 6, 4)], n=5, m=5, stop=30.0, step=0.001)
+    best = max(probs)
     assert best >= 0.95
     # with empty cavities the interchange ket does not exist: the excited
-    # slice never leaves the initial ket
-    for gt in np.arange(0, 30.1, 0.1):
-        st = series(float(gt))
-        excited_kets = [k for k in st.kets() if k.atom is E]
-        assert excited_kets in ([], [AtomFieldKet(E, 0, 0)])
+    # slice never leaves the initial ket, which therefore holds all the
+    # excited probability (1 + sigma_z) / 2
+    _, initial, inversion = scan(
+        "series_C0C1", [KetProbability(E, 0, 0), AtomicInversion()], stop=30.0, step=0.1
+    )
+    assert all(abs(p - 0.5 * (1.0 + z)) <= 1e-12 for p, z in zip(initial, inversion))
     print(f"[PASS] criterion 4: n=m=5 max P(e,6,4) = {best:.6f} >= 0.95; identically 0 for n=m=0")
 
 
 def test_criterion_05_unequal_fill_emission():
-    gts = np.arange(0, 30.0005, 0.001)
-    target = AtomFieldKet(G, 4, 6)
-    best = sweep_max(lambda st: ket_probability(st, target), gts, n=4, m=5)
+    _, probs = scan("series_C0C1", [KetProbability(G, 4, 6)], n=4, m=5, stop=30.0, step=0.001)
+    best = max(probs)
     assert best >= 0.95
     print(f"[PASS] criterion 5: n=4, m=5 max P(g,4,6) = {best:.6f} >= 0.95")
 
@@ -106,36 +109,24 @@ def test_criterion_06_ico_bell_generation():
 def test_criterion_07_constant_ground_branch_entropy():
     worst = 0.0
     for nm in (0, 1, 2, 5):
-        for gt in np.arange(0.01, 10.0005, 0.01):
-            p = balanced(float(gt), n=nm, m=nm)
-            st = ico_postselected_state(0, p, 0.0)
-            try:
-                fields, prob = condition_on_atom(st, G)
-            except ImpossiblePostselectionError:
+        _, entropy, inversion = scan(
+            "ico_j0", [BranchEntropy(G), AtomicInversion()], n=nm, m=nm, start=0.01
+        )
+        for s_l, z in zip(entropy, inversion):
+            # skip an impossible or nearly impossible ground branch, of
+            # probability (1 - sigma_z) / 2
+            if s_l is None or 0.5 * (1.0 - z) <= 1e-6:
                 continue
-            if prob <= 1e-6:
-                continue
-            worst = max(worst, abs(linear_entropy(reduced_cavity0(fields)) - 0.5))
+            worst = max(worst, abs(s_l - 0.5))
     assert worst <= 1e-9
     print(f"[PASS] criterion 7: worst |S_L(ground) - 1/2| over n=m in {{0,1,2,5}} is {worst:.2e}")
 
 
 def test_criterion_08_excited_branch_entropy_advantage():
-    best_ico = 0.0
-    worst_series = 0.0
-    for gt in np.arange(0, 20.0005, 0.001):
-        p = balanced(float(gt), n=1, m=1)
-        try:
-            st, _ = general_postselect(0, p, 0.0)
-            fields, _ = condition_on_atom(st, E)
-            best_ico = max(best_ico, linear_entropy(reduced_cavity0(fields)))
-        except ImpossiblePostselectionError:
-            pass
-        try:
-            fields, _ = condition_on_atom(series(float(gt), n=1, m=1), E)
-            worst_series = max(worst_series, linear_entropy(reduced_cavity0(fields)))
-        except ImpossiblePostselectionError:
-            pass
+    _, ico = scan("ico_j0", [BranchEntropy(E)], n=1, m=1, stop=20.0, step=0.001)
+    _, ser = scan("series_C0C1", [BranchEntropy(E)], n=1, m=1, stop=20.0, step=0.001)
+    best_ico = max((v for v in ico if v is not None), default=0.0)
+    worst_series = max((v for v in ser if v is not None), default=0.0)
     assert best_ico >= 0.65
     assert worst_series <= 0.5 + 1e-12
     print(
@@ -145,20 +136,10 @@ def test_criterion_08_excited_branch_entropy_advantage():
 
 
 def test_criterion_09_series_zero_entanglement_vs_ico():
-    worst_series = 0.0
-    best_ico = 0.0
-    for gt in np.arange(0.0, 10.0005, 0.01):
-        try:
-            fields, _ = condition_on_atom(series(float(gt), n=3, m=0), E)
-            worst_series = max(worst_series, abs(linear_entropy(reduced_cavity0(fields))))
-        except ImpossiblePostselectionError:
-            pass
-        try:
-            st, _ = general_postselect(0, balanced(float(gt), n=3, m=0), 0.0)
-            fields, _ = condition_on_atom(st, E)
-            best_ico = max(best_ico, linear_entropy(reduced_cavity0(fields)))
-        except ImpossiblePostselectionError:
-            pass
+    _, ser = scan("series_C0C1", [BranchEntropy(E)], n=3, m=0)
+    _, ico = scan("ico_j0", [BranchEntropy(E)], n=3, m=0)
+    worst_series = max((abs(v) for v in ser if v is not None), default=0.0)
+    best_ico = max((v for v in ico if v is not None), default=0.0)
     assert worst_series <= 1e-12
     assert best_ico > 0.4
     print(
@@ -168,18 +149,20 @@ def test_criterion_09_series_zero_entanglement_vs_ico():
 
 
 def test_criterion_10_rabi_formulas_match_states():
-    grid = np.linspace(0.0, 10.0, 1000)
+    # the grid of np.linspace(0, 10, 1000)
+    step = 10.0 / 999
     worst_series = 0.0
     worst_ico = 0.0
     for n, m in ((0, 0), (1, 1), (0, 1)):
-        for gt in grid:
-            p = params(float(gt), n=n, m=m)
-            direct = sigma_z_expectation(state_after_both(CavityOrder.C0_THEN_C1, p, p.T))
-            worst_series = max(worst_series, abs(sigma_z_series(p) - direct))
-            pb = balanced(float(gt), n=n, m=m)
-            if control_probability(0, pb) > 1e-10:
-                direct = sigma_z_expectation(ico_postselected_state(0, pb, 0.0))
-                worst_ico = max(worst_ico, abs(sigma_z_ico(pb) - direct))
+        gts, inversion = scan("series_C0C1", [AtomicInversion()], n=n, m=m, step=step)
+        for gt, direct in zip(gts, inversion):
+            worst_series = max(worst_series, abs(sigma_z_series(params(gt, n=n, m=m)) - direct))
+        gts, control, inversion = scan(
+            "ico_j0", [ControlProbabilityColumn(), AtomicInversion()], n=n, m=m, step=step
+        )
+        for gt, prob, direct in zip(gts, control, inversion):
+            if prob > 1e-10:
+                worst_ico = max(worst_ico, abs(sigma_z_ico(balanced(gt, n=n, m=m)) - direct))
     assert worst_series <= 1e-12
     assert worst_ico <= 1e-12
     spot_series = sigma_z_series(params(math.pi / 2))

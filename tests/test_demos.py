@@ -1,8 +1,7 @@
 """Guards for the demo scripts.  Every name a demo imports from the package
 must exist, so removing a public name cannot silently break a demo.  The
 fast demos also run end to end in a subprocess; demo 05 drives the matrix
-oracle's evolve against the closed forms.  Demos 01 and 03 take a few
-seconds each and are only import-checked."""
+oracle's evolve against the closed forms."""
 
 import ast
 import importlib
@@ -16,7 +15,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 FAST_DEMOS = (
+    "01_series_photon_statistics.py",
     "02_bell_pair_from_superposed_order.py",
+    "03_entropy_series_vs_superposed.py",
     "04_inversion_plateaus.py",
     "05_closed_form_vs_matrix_oracle.py",
 )

@@ -27,14 +27,22 @@ from ico_cqed import (
     general_postselect,
     hadamard_control,
     ico_postselected_state,
-    initial_atom_field_state,
-    inner_product,
     measure_control,
     overlap_orders,
-    scale_and_add,
     state_after_both,
 )
-from helpers import E, G, balanced, max_amp_diff, params
+from helpers import (
+    E,
+    G,
+    balanced,
+    initial_atom_field_state,
+    inner_product,
+    max_amp_diff,
+    params,
+    scale_and_add,
+    scalar_postselect,
+    scalar_state_after_both,
+)
 
 
 def random_engine_params(rng, balanced_control=False, **overrides):
@@ -83,12 +91,11 @@ def ten_term_postselected_state(j, p, omega_t):
 
 
 def four_state_postselect(j, p, omega_t):
-    """general_postselect composed from four PureStates, as it was before it
-    summed the order branches in one dict: both state_after_both branches,
-    scale_and_add with the recombination weights, then normalise and phase
-    ket by ket."""
-    first = state_after_both(CavityOrder.C0_THEN_C1, p, p.T)
-    second = state_after_both(CavityOrder.C1_THEN_C0, p, p.T)
+    """Postselection composed from four PureStates: both scalar order
+    branches, scale_and_add with the recombination weights, then normalise
+    and phase ket by ket."""
+    first = scalar_state_after_both(CavityOrder.C0_THEN_C1, p, p.T)
+    second = scalar_state_after_both(CavityOrder.C1_THEN_C0, p, p.T)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     w0 = math.cos(p.theta) * inv_sqrt2
     w1 = (-1.0 if j else 1.0) * cmath.exp(1j * p.varphi) * math.sin(p.theta) * inv_sqrt2
@@ -110,6 +117,18 @@ def postselect_outcome(route, j, p, omega_t):
         return route(j, p, omega_t)
     except ImpossiblePostselectionError as err:
         return None, err.probability
+
+
+def assert_near_reference(outcome, reference):
+    """The kernel against a scalar reference: the same refusals and the same
+    support, probabilities and amplitudes within 1e-15 (numpy sums and
+    multiplies in another order, so last bits move)."""
+    (state, prob), (ref_state, ref_prob) = outcome, reference
+    assert abs(prob - ref_prob) <= 1e-15
+    assert (state is None) == (ref_state is None)
+    if state is not None:
+        assert state.kets() == ref_state.kets()
+        assert max_amp_diff(state, ref_state) <= 1e-15
 
 
 # ---------------------------------------------------------------- gamma
@@ -422,7 +441,9 @@ def test_general_postselect_equals_four_state_composition(rng):
     for p, omega_t in cases:
         for j in (0, 1):
             reference = postselect_outcome(four_state_postselect, j, p, omega_t)
-            assert postselect_outcome(general_postselect, j, p, omega_t) == reference
+            # the scalar dict path rounds exactly as the composition does
+            assert postselect_outcome(scalar_postselect, j, p, omega_t) == reference
+            assert_near_reference(postselect_outcome(general_postselect, j, p, omega_t), reference)
             refused += reference[0] is None
     assert refused >= 3
 
@@ -451,6 +472,8 @@ def test_postselect_properties(p, omega_t):
     # (atom starting ground) and n+m+1 (atom starting excited)
     outcomes = [postselect_outcome(general_postselect, j, p, omega_t) for j in (0, 1)]
     assert abs(outcomes[0][1] + outcomes[1][1] - 1.0) <= 1e-12
+    for j, outcome in enumerate(outcomes):
+        assert_near_reference(outcome, postselect_outcome(scalar_postselect, j, p, omega_t))
     for state, prob in outcomes:
         if state is None:
             assert prob < MIN_OUTCOME_PROBABILITY

@@ -18,7 +18,6 @@ from ico_cqed import (
     evolve,
     general_postselect,
     hadamard_control,
-    initial_atom_field_state,
     jc_generator,
     jc_propagator,
     measure_control,
@@ -28,7 +27,7 @@ from ico_cqed import (
 from ico_cqed import oracle
 from ico_cqed.oracle import _evolve_branches, _guard_population
 from ico_cqed.verify import random_params
-from helpers import E, G, excitation_distribution, max_amp_diff
+from helpers import E, G, excitation_distribution, initial_atom_field_state, max_amp_diff
 
 
 def full_state_vector(w, state):
@@ -39,6 +38,20 @@ def full_state_vector(w, state):
 
 
 # ---------------------------------------------------------------- generator
+
+
+@pytest.mark.parametrize(
+    "n, m, message",
+    [(0, 4, "m must lie in 0..3, got 4"), (4, 0, "n must lie in 0..3, got 4"),
+     (-1, 0, "n must lie in 0..3, got -1"), (0, -1, "m must lie in 0..3, got -1")],
+)
+def test_window_index_refuses_occupation_outside_window(n, m, message):
+    # (g, 0, 4) would otherwise alias the flat index of (g, 1, 0)
+    w = TruncationWindow(3)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        w.index(G, n, m)
+    assert w.index(G, 3, 3) == w.atom_field_dim - 1
+    assert w.decode(w.index(G, 1, 0)) == (G, 1, 0)
 
 
 def test_generator_single_excitation_element():

@@ -1,12 +1,15 @@
 """The array sweep against the scalar PureState path, cell by cell.
 
-``run_sweep`` evaluates a whole g*T grid at once.  The reference below
-rebuilds every row one grid point at a time from ``state_after_both`` /
-``general_postselect`` and the scalar observables, the way sweeps were
-computed before they were vectorised.
+``run_sweep`` evaluates a whole g*T grid at once through
+``engine.grid_amplitudes``, the kernel that also serves
+``state_after_both`` and ``general_postselect``.  The reference below
+rebuilds every row one grid point at a time from the scalar closed forms
+in ``helpers`` and the scalar observables, the way sweeps were computed
+before they were vectorised.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,17 +26,16 @@ from ico_cqed import (
     SweepConfig,
     SystemParams,
     condition_on_atom,
-    general_postselect,
     grid_points,
     ket_probability,
     linear_entropy,
     reduced_cavity0,
     run_sweep,
     sigma_z_expectation,
-    state_after_both,
 )
+from ico_cqed.engine import grid_amplitudes, measurement_phase
 from ico_cqed.sweep import SCENARIOS
-from helpers import E, G
+from helpers import E, G, scalar_postselect, scalar_state_after_both
 
 TOL = 1e-12
 
@@ -64,13 +66,13 @@ def reference_rows(cfg):
         )
         control_prob = None
         if cfg.scenario == "series_C0C1":
-            state = state_after_both(CavityOrder.C0_THEN_C1, p, p.T)
+            state = scalar_state_after_both(CavityOrder.C0_THEN_C1, p, p.T)
         elif cfg.scenario == "series_C1C0":
-            state = state_after_both(CavityOrder.C1_THEN_C0, p, p.T)
+            state = scalar_state_after_both(CavityOrder.C1_THEN_C0, p, p.T)
         else:
             j = 0 if cfg.scenario == "ico_j0" else 1
             try:
-                state, control_prob = general_postselect(j, p, cfg.omega_t)
+                state, control_prob = scalar_postselect(j, p, cfg.omega_t)
             except ImpossiblePostselectionError as exc:
                 state, control_prob = None, exc.probability
         rows.append((gt,) + tuple(reference_cell(q, state, control_prob) for q in cfg.quantities))
@@ -202,3 +204,51 @@ def test_entropy_cells_are_never_negative():
         cells = [v for row in rows for v in row[1:]]
         assert None not in cells
         assert min(cells) >= 0.0
+
+
+@pytest.mark.parametrize("n, m", [(0, 0), (2, 0), (1, 3), (4, 4)])
+def test_kernel_per_point_arrays_match_scalar_path(n, m):
+    # every argument of grid_amplitudes varies from point to point, the
+    # second transit included; series columns are compared with the scalar
+    # branch, ico columns after measurement_phase with scalar_postselect
+    rng = np.random.default_rng([7, n, m])
+    size = 40
+    g = rng.uniform(0.5, 2.0, size)
+    t_first = rng.uniform(0.0, 10.0, size) / g
+    t_second = t_first * rng.uniform(0.0, 1.0, size)
+    angles = {
+        "xi": rng.uniform(0.0, math.pi / 2, size),
+        "chi": rng.uniform(0.0, 2 * math.pi, size),
+        "theta": rng.uniform(0.0, math.pi / 2, size),
+        "varphi": rng.uniform(0.0, 2 * math.pi, size),
+    }
+    omega_t = rng.uniform(0.0, 20.0, size)
+    for scenario in SCENARIOS:
+        ico = scenario.startswith("ico")
+        basis, amps, prob = grid_amplitudes(
+            scenario, n, m, g=g, t_first=t_first, t_second=t_first if ico else t_second,
+            **angles,
+        )
+        if ico:
+            amps = measurement_phase(basis, amps, omega_t)
+        for i in range(size):
+            p = SystemParams(g=g[i], T=t_first[i], n=n, m=m, **{k: v[i] for k, v in angles.items()})
+            if ico:
+                state, ref_prob = scalar_postselect(int(scenario[-1]), p, omega_t[i])
+                assert abs(prob[i] - ref_prob) <= 1e-15
+            else:
+                order = CavityOrder.C0_THEN_C1 if scenario == "series_C0C1" else CavityOrder.C1_THEN_C0
+                state = scalar_state_after_both(order, p, t_second[i])
+            column = dict(zip(basis, amps[:, i].tolist()))
+            assert {k for k, a in column.items() if a} == set(state.kets())
+            assert max(abs(column[k] - a) for k, a in state.items()) <= 1e-15
+
+
+@pytest.mark.parametrize("index", range(8))
+def test_cells_do_not_depend_on_the_rest_of_the_grid(index):
+    # a one-point sweep gives the bits of the same point inside a longer grid
+    cfg = general_config(index)
+    start = cfg.gT_start + 17 * cfg.gT_step
+    alone = run_sweep(replace(cfg, gT_start=start, gT_stop=start))
+    longer = run_sweep(replace(cfg, gT_start=start, gT_stop=start + 20 * cfg.gT_step))
+    assert alone.rows[0] == longer.rows[0]

@@ -1,5 +1,6 @@
-"""run_verification: input validation, the worst-draw record, and the array
-chain it runs against the public PureState chain of the oracle."""
+"""run_verification: input validation, the worst-draw record, the grouped
+closed-form evaluation, and the array chain it runs against the public
+PureState chain of the oracle."""
 
 import math
 from dataclasses import replace
@@ -22,6 +23,7 @@ from ico_cqed import (
 )
 from ico_cqed.verify import (
     _amplitude_deviation,
+    _closed_forms,
     _compare_draw,
     _conditional,
     _recombined,
@@ -90,9 +92,34 @@ def test_analytic_ket_outside_window_counts_as_deviation():
     numeric = np.zeros(w.atom_field_dim, dtype=complex)
     numeric[w.index(G, 1, 0)] = 0.5
     # (g, 0, n_max + 1) would land on the flat index of (g, 1, 0)
-    assert w.index(G, 0, w.n_max + 1) == w.index(G, 1, 0)
-    ghost = PureState({AtomFieldKet(G, 0, w.n_max + 1): 0.5})
-    assert _amplitude_deviation(ghost, numeric, w) == 0.5
+    with pytest.raises(ValueError, match="^m must lie in 0..3"):
+        w.index(G, 0, w.n_max + 1)
+    ghost = (AtomFieldKet(G, 0, w.n_max + 1),)
+    assert _amplitude_deviation(ghost, np.array([0.5 + 0j]), numeric, w) == 0.5
+
+
+def test_grouped_closed_forms_equal_one_draw_calls():
+    # verify evaluates the closed forms once per (n, m) group; each draw's
+    # columns must be the bits a call for that draw alone gives, which is
+    # also what general_postselect returns
+    draws = seeded_draws(5, 240)
+    grouped = _closed_forms(draws)
+    assert len({(p.n, p.m) for p, _ in draws}) == 25
+    refused = 0
+    for (p, t), closed in zip(draws, grouped):
+        alone = _closed_forms([(p, t)])[0]
+        for j, (basis, column, prob) in enumerate(closed):
+            assert alone[j][0] == basis and alone[j][2] == prob
+            assert alone[j][1].tobytes() == column.tobytes()
+            try:
+                state, prob_gp = general_postselect(j, p, p.omega * t)
+            except ImpossiblePostselectionError as err:
+                assert err.probability == prob and not column.any()
+                refused += 1
+                continue
+            assert prob_gp == prob
+            assert state == PureState(dict(zip(basis, column.tolist())))
+    assert refused >= 2
 
 
 @pytest.mark.parametrize(
@@ -143,10 +170,11 @@ def test_failed_report_replays_worst_draw():
     for _ in range(40):
         q = random_params(rng)
         t_q = q.T1 + q.T + float(rng.uniform(0.0, 2.0))
-        per_draw.append(max(dev for _, _, _, dev in _compare_draw(q, t_q)))
+        rows = _compare_draw(q, t_q, _closed_forms([(q, t_q)])[0])
+        per_draw.append(max(dev for _, _, _, dev in rows))
     assert max(per_draw) == report.max_amplitude_deviation
     assert per_draw.index(max(per_draw)) == report.worst_draw
-    deviations = {j: dev for j, _, _, dev in _compare_draw(p, t)}
+    deviations = {j: dev for j, _, _, dev in _compare_draw(p, t, _closed_forms([(p, t)])[0])}
     assert deviations[report.worst_outcome] == report.max_amplitude_deviation
     # and through the public PureState chain
     j = report.worst_outcome
