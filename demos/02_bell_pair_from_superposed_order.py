@@ -16,10 +16,9 @@ from ico_cqed import (
     bell_resonance_gT,
     bell_state,
     condition_on_atom,
-    control_probability,
+    general_postselect,
     ico_postselected_state,
     linear_entropy,
-    overlap_orders,
     reduced_cavity0,
 )
 
@@ -35,11 +34,8 @@ def show_state(label, state):
 
 def main():
     p = SystemParams(g=1.0, T=math.pi / 2, theta=math.pi / 4)
-    print(f"order-branch overlap at gT = pi/2: {overlap_orders(p):.3e}")
-    print(
-        "control outcomes: P(0) = %.3f, P(1) = %.3f"
-        % (control_probability(0, p), control_probability(1, p))
-    )
+    p0, p1 = (general_postselect(j, p)[1] for j in (0, 1))
+    print(f"control outcomes at gT = pi/2: P(0) = {p0:.3f}, P(1) = {p1:.3f}")
     st = ico_postselected_state(0, p, 0.0)
     fields, prob = condition_on_atom(st, G)
     print(f"atom found ground with probability {prob:.12f}")

@@ -8,7 +8,14 @@ This script locates the widest low-variation window of each curve.
 
 import math
 
-from ico_cqed import SystemParams, sigma_z_ico, sigma_z_series
+from ico_cqed import (
+    AtomicInversion,
+    SweepConfig,
+    SystemParams,
+    run_sweep,
+    sigma_z_ico,
+    sigma_z_series,
+)
 
 
 def widest_flat_window(gts, values, tv_budget=0.02):
@@ -24,15 +31,17 @@ def widest_flat_window(gts, values, tv_budget=0.02):
     return gts[best[0]], gts[best[1]]
 
 
+def inversion_scan(scenario, n, m):
+    """g*T grid 0, 0.005, ..., 10 and the inversion on it, balanced control."""
+    cfg = SweepConfig(scenario, (AtomicInversion(),), n=n, m=m, gT_stop=10.0, gT_step=0.005)
+    gts, values = zip(*run_sweep(cfg).rows)
+    return list(gts), list(values)
+
+
 def main():
-    step = 0.005
-    gts = [step * i for i in range(int(10 / step) + 1)]
     for n, m in ((0, 0), (1, 1), (0, 1)):
-        ser, ico = [], []
-        for gt in gts:
-            p = SystemParams(g=1.0, T=gt, n=n, m=m, theta=math.pi / 4)
-            ser.append(sigma_z_series(p))
-            ico.append(sigma_z_ico(p))
+        gts, ser = inversion_scan("series_C0C1", n, m)
+        _, ico = inversion_scan("ico_j0", n, m)
         lo_s, hi_s = widest_flat_window(gts, ser)
         lo_i, hi_i = widest_flat_window(gts, ico)
         print(f"fill n={n}, m={m}:")

@@ -12,16 +12,13 @@ parameter scans.
 from ._version import __version__
 from .engine import (
     CavityOrder,
-    CoeffSet,
     bell_resonance_gT,
     bell_state,
     coeffs_c,
     coeffs_s,
-    control_probability,
     gamma,
     general_postselect,
     ico_postselected_state,
-    overlap_orders,
     state_after_both,
 )
 from .errors import (
@@ -85,7 +82,6 @@ __all__ = [
     "AtomicInversion",
     "BranchEntropy",
     "CavityOrder",
-    "CoeffSet",
     "ConfigError",
     "ControlProbabilityColumn",
     "DegenerateBranchError",
@@ -112,7 +108,6 @@ __all__ = [
     "coeffs_s",
     "condition_on_atom",
     "config_from_dict",
-    "control_probability",
     "evolve",
     "figure_meta",
     "figure_table",
@@ -126,7 +121,6 @@ __all__ = [
     "ket_probability",
     "linear_entropy",
     "measure_control",
-    "overlap_orders",
     "random_params",
     "reduced_cavity0",
     "run_sweep",

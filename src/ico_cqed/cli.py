@@ -24,7 +24,7 @@ from .sweep import (
     run_sweep,
     sweep_meta,
 )
-from .verify import run_verification
+from .verify import MAX_DRAWS, run_verification
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,7 +70,7 @@ def build_parser() -> _Parser:
     )
     verify_p.add_argument("--seed", type=int, default=1, help="RNG seed (default 1)")
     verify_p.add_argument(
-        "--draws", type=int, default=200, help="number of random draws (default 200)"
+        "--draws", type=int, default=200, help=f"random draws (default 200, at most {MAX_DRAWS})"
     )
     return parser
 

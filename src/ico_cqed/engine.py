@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from enum import Enum
 
 import numpy as np
@@ -39,47 +39,11 @@ class CavityOrder(Enum):
     C1_THEN_C0 = "C1_then_C0"
 
 
-def _check_balanced_control(p: SystemParams, what: str) -> None:
-    if abs(p.theta - math.pi / 4) > _ANGLE_ATOL or abs(p.varphi) > _ANGLE_ATOL:
-        raise ValueError(
-            f"{what} assumes the balanced control preparation "
-            f"(theta = pi/4, varphi = 0); use general_postselect for "
-            f"theta={p.theta}, varphi={p.varphi}"
-        )
-
-
 def gamma(k: int, g: float) -> float:
     """Doublet rotation rate g*sqrt(k+1); k = -1 gives exactly 0."""
     if k < -1:
         raise ValueError(f"gamma is defined for k >= -1, got {k}")
     return g * math.sqrt(k + 1)
-
-
-@dataclass(frozen=True)
-class CoeffSet:
-    """Eight transition amplitudes for one traversal order.
-
-    Slot ``cj`` multiplies the j-th basis ket of that order's expansion.
-    For the swapped order the same slots hold the mirrored amplitudes, with
-    the photon numbers n and m exchanging roles.
-    """
-
-    c1: complex
-    c2: complex
-    c3: complex
-    c4: complex
-    c5: complex
-    c6: complex
-    c7: complex
-    c8: complex
-
-    def as_tuple(self) -> tuple:
-        return (self.c1, self.c2, self.c3, self.c4, self.c5, self.c6, self.c7, self.c8)
-
-    def squared_sum(self) -> float:
-        return math.fsum(
-            complex(c).real ** 2 + complex(c).imag ** 2 for c in self.as_tuple()
-        )
 
 
 def _check_tau(p: SystemParams, tau: float) -> None:
@@ -111,9 +75,9 @@ def _slot_amplitudes(lib, g, n: int, m: int, t_first, t_second, ce, se) -> tuple
     )
 
 
-def coeffs_c(p: SystemParams, tau: float) -> CoeffSet:
-    """Amplitudes after time T in the first cavity (n photons) followed by
-    time tau in the second cavity (m photons).
+def coeffs_c(p: SystemParams, tau: float) -> tuple:
+    """The eight slot amplitudes after time T in the first cavity (n
+    photons) followed by time tau in the second cavity (m photons).
 
     The sin(xi) slots vanish exactly for an atom prepared excited, and every
     slot attached to a negative-occupation ket carries a sin factor with a
@@ -121,37 +85,24 @@ def coeffs_c(p: SystemParams, tau: float) -> CoeffSet:
     """
     _check_tau(p, tau)
     ce, se = math.cos(p.xi), cmath.exp(1j * p.chi) * math.sin(p.xi)
-    return CoeffSet(*_slot_amplitudes(math, p.g, p.n, p.m, p.T, tau, ce, se))
+    return _slot_amplitudes(math, p.g, p.n, p.m, p.T, tau, ce, se)
 
 
-def coeffs_s(p: SystemParams, tau: float) -> CoeffSet:
+def coeffs_s(p: SystemParams, tau: float) -> tuple:
     """Mirror of coeffs_c for the opposite order: n and m exchange roles."""
     return coeffs_c(replace(p, n=p.m, m=p.n), tau)
 
 
-# Basis layout per order: (slot index, atom level, photon shift in the first
-# mode, photon shift in the second mode) relative to the initial (n, m).
+# Basis layout per order: (atom level, photon shift in the first mode,
+# photon shift in the second mode) of each slot, relative to the initial (n, m).
 _LAYOUT_FIRST_C0 = (
-    (0, _E, 0, 0),
-    (1, _E, -1, 0),
-    (2, _G, 0, +1),
-    (3, _G, -1, +1),
-    (4, _E, 0, -1),
-    (5, _E, +1, -1),
-    (6, _G, 0, 0),
-    (7, _G, +1, 0),
+    (_E, 0, 0), (_E, -1, 0), (_G, 0, +1), (_G, -1, +1),
+    (_E, 0, -1), (_E, +1, -1), (_G, 0, 0), (_G, +1, 0),
 )
 _LAYOUT_FIRST_C1 = (
-    (0, _E, 0, 0),
-    (1, _E, 0, -1),
-    (2, _G, +1, 0),
-    (3, _G, +1, -1),
-    (4, _E, -1, 0),
-    (5, _E, -1, +1),
-    (6, _G, 0, 0),
-    (7, _G, 0, +1),
+    (_E, 0, 0), (_E, 0, -1), (_G, +1, 0), (_G, +1, -1),
+    (_E, -1, 0), (_E, -1, +1), (_G, 0, 0), (_G, 0, +1),
 )
-
 
 _SERIES = {CavityOrder.C0_THEN_C1: "series_C0C1", CavityOrder.C1_THEN_C0: "series_C1C0"}
 
@@ -173,28 +124,6 @@ def state_after_both(order: CavityOrder, p: SystemParams, tau: float) -> PureSta
     return PureState(dict(zip(basis, amps[:, 0].tolist())))
 
 
-def overlap_orders(p: SystemParams) -> complex:
-    """Overlap between the two order branches at tau = T, from the closed
-    forms: only six ket pairs are shared between the two expansions."""
-    c1, c2, c3, _, c5, _, c7, c8 = coeffs_c(p, p.T).as_tuple()
-    s1, s2, s3, _, s5, _, s7, s8 = coeffs_s(p, p.T).as_tuple()
-    pairs = ((c1, s1), (c2, s5), (c3, s8), (c5, s2), (c7, s7), (c8, s3))
-    return sum((complex(a).conjugate() * b for a, b in pairs), 0j)
-
-
-def control_probability(j: int, p: SystemParams) -> float:
-    """Probability of finding the control in |j> after the balanced
-    recombination, for the maximally indefinite preparation.
-
-    The two outcomes sum to exactly 1 by construction.  Arbitrary control
-    angles are served by general_postselect.
-    """
-    check_outcome(j)
-    _check_balanced_control(p, "control_probability")
-    p0 = 0.5 * (1.0 + overlap_orders(p).real)
-    return p0 if j == 0 else 1.0 - p0
-
-
 def ico_postselected_state(j: int, p: SystemParams, omega_t: float = 0.0) -> PureState:
     """Atom-field state conditioned on control outcome j (balanced preparation).
 
@@ -204,7 +133,11 @@ def ico_postselected_state(j: int, p: SystemParams, omega_t: float = 0.0) -> Pur
     excited) keeps the relative factor exp(i*omega_t), with omega_t equal to
     the mode frequency times the measurement time.
     """
-    _check_balanced_control(p, "ico_postselected_state")
+    if abs(p.theta - math.pi / 4) > _ANGLE_ATOL or abs(p.varphi) > _ANGLE_ATOL:
+        raise ValueError(
+            "the balanced control preparation (theta = pi/4, varphi = 0) is "
+            f"required; use general_postselect for theta={p.theta}, varphi={p.varphi}"
+        )
     state, _ = general_postselect(j, p, omega_t)
     unwind = cmath.exp(1j * omega_t * (p.n + p.m + 0.5))
     return PureState({ket: amp * unwind for ket, amp in state.items()})
@@ -221,9 +154,12 @@ def general_postselect(
     Returns the normalized conditional atom-field state and the outcome
     probability: one point of grid_amplitudes and measurement_phase.  An
     outcome with probability below MIN_OUTCOME_PROBABILITY raises
-    ImpossiblePostselectionError, which carries the refused probability.
+    ImpossiblePostselectionError, which carries the refused probability; a
+    non-finite omega_t raises ValueError.
     """
     check_outcome(j)
+    if not math.isfinite(omega_t):
+        raise ValueError(f"omega_t must be finite, got {omega_t}")
     basis, amps, prob = _one_point(("ico_j0", "ico_j1")[j], p, p.T)
     if prob[0] < MIN_OUTCOME_PROBABILITY:
         raise ImpossiblePostselectionError(f"control outcome {j}", float(prob[0]))
@@ -260,7 +196,7 @@ def grid_amplitudes(
     reachable = {
         (atom, n + dn, m + dm)
         for layout in (_LAYOUT_FIRST_C0, _LAYOUT_FIRST_C1)
-        for _, atom, dn, dm in layout
+        for atom, dn, dm in layout
         if n + dn >= 0 and m + dm >= 0
     }
     basis = tuple(sorted(AtomFieldKet(*key) for key in reachable))
@@ -272,7 +208,7 @@ def grid_amplitudes(
         # of the one crossed second, as coeffs_c and coeffs_s pass them.
         slots = _slot_amplitudes(np, g, first, second, t_first, t_second, ce, se)
         amps = np.zeros((len(basis), size), dtype=complex)
-        for slot, atom, dn, dm in layout:
+        for slot, (atom, dn, dm) in enumerate(layout):
             i = row.get((atom, n + dn, m + dm))
             if i is not None:
                 amps[i] = slots[slot]
@@ -308,7 +244,13 @@ def measurement_phase(basis: tuple[AtomFieldKet, ...], amps: np.ndarray, omega_t
 
 def bell_resonance_gT(n: int, resonance: int) -> float:
     """Interaction time, as g*T, at which the equal-fill case n = m collapses
-    each atom-conditioned branch to a two-ket entangled field state."""
+    each atom-conditioned branch to a two-ket entangled field state.  n must
+    be a non-negative integer and resonance a positive one; otherwise a
+    ValueError names the field."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise ValueError(f"n must be a non-negative integer, got {n!r}")
+    if isinstance(resonance, bool) or not isinstance(resonance, int) or resonance < 1:
+        raise ValueError(f"resonance must be a positive integer, got {resonance!r}")
     return (2 * resonance - 1) * math.pi / (2.0 * math.sqrt(n + 1))
 
 
@@ -324,11 +266,8 @@ def bell_state(atom_branch: AtomLevel, n: int, resonance: int) -> PureState:
     """
     if not isinstance(atom_branch, AtomLevel):
         raise ValueError(f"atom_branch must be an AtomLevel, got {atom_branch!r}")
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ValueError(f"n must be a non-negative integer, got {n!r}")
-    if isinstance(resonance, bool) or not isinstance(resonance, int) or resonance < 1:
-        raise ValueError(f"resonance must be a positive integer, got {resonance!r}")
-    arg = 0.5 * math.pi * (2 * resonance - 1) * math.sqrt(n / (n + 1))
+    # Rotation angle g*sqrt(n)*T of the doublet below the initial fill.
+    arg = bell_resonance_gT(n, resonance) * math.sqrt(n)
     parity = -1.0 if resonance % 2 else 1.0
     if atom_branch is _E:
         if n == 0:

@@ -1,5 +1,9 @@
 """Measured quantities: ket probabilities, atom conditioning, reduced field
-density matrices, linear entropy, and the atomic inversion."""
+density matrices, linear entropy, and the atomic inversion.
+
+The inversion, partial trace and linear entropy are written once, over
+amplitude columns: run_sweep applies them to a grid, the PureState
+functions here to one column."""
 
 from __future__ import annotations
 
@@ -8,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import coeffs_c, coeffs_s, control_probability
+from .engine import ico_postselected_state
 from .errors import FlavorMismatchError, ImpossiblePostselectionError
 from .states import (
     MIN_OUTCOME_PROBABILITY,
@@ -19,6 +23,8 @@ from .states import (
     Ket,
     PureState,
     SystemParams,
+    column_sums,
+    normalize_columns,
 )
 
 _E = AtomLevel.EXCITED
@@ -82,6 +88,51 @@ def condition_on_atom(s: PureState, a: AtomLevel) -> tuple[PureState, float]:
     return PureState({k: v * scale for k, v in picked.items()}), prob
 
 
+def _column(s: PureState) -> tuple[list, np.ndarray]:
+    """A state's sorted kets and its amplitudes as one (K, 1) column."""
+    kets = s.kets()
+    return kets, np.array([s.amplitude(k) for k in kets], dtype=complex).reshape(-1, 1)
+
+
+def _first_mode_rho(kets: list, amps: np.ndarray) -> tuple[int, np.ndarray]:
+    """Partial trace over the second mode of each column of ``amps``, whose
+    row r is the amplitude on the Fock pair (kets[r].n, kets[r].m): the
+    lowest first-mode level lo and rho[i, j, col] = sum_m a(lo+i, m)
+    a*(lo+j, m) over the first-mode levels lo..hi."""
+    lo = min(k.n for k in kets)
+    ms = sorted({k.m for k in kets})
+    psi = np.zeros((max(k.n for k in kets) - lo + 1, len(ms), amps.shape[1]), dtype=complex)
+    for k, column in zip(kets, amps):
+        psi[k.n - lo, ms.index(k.m)] = column
+    return lo, np.sum(psi[:, None] * psi.conj()[None, :], axis=2)
+
+
+def _linear_entropy(rho: np.ndarray) -> np.ndarray:
+    """1 - Tr(rho^2) of each rho[:, :, col], clamped at 0, where rounding can
+    push a pure state's purity an ulp above 1."""
+    return np.maximum(1.0 - column_sums(np.abs(rho) ** 2), 0.0)
+
+
+def inversion_columns(basis: tuple, amps: np.ndarray) -> np.ndarray:
+    """Atomic inversion P(excited) - P(ground) of each column of ``amps``,
+    whose rows are the kets of ``basis``."""
+    sign = np.array([1.0 if k.atom is _E else -1.0 for k in basis])
+    return column_sums(sign[:, None] * (amps.real**2 + amps.imag**2))
+
+
+def branch_entropy_columns(
+    basis: tuple, amps: np.ndarray, atom: AtomLevel
+) -> tuple[np.ndarray, np.ndarray]:
+    """First-mode linear entropy of the field left after finding the atom in
+    ``atom``, for each normalized column of ``amps``, and the mask of columns
+    where that outcome can be conditioned on (probability at least
+    MIN_OUTCOME_PROBABILITY; the others give 0)."""
+    rows = [i for i, k in enumerate(basis) if k.atom is atom]
+    picked, prob = normalize_columns(amps[rows])
+    _, rho = _first_mode_rho([basis[i] for i in rows], picked)
+    return _linear_entropy(rho), prob >= MIN_OUTCOME_PROBABILITY
+
+
 def reduced_cavity0(fields: PureState) -> FieldDensityMatrix:
     """Partial trace over the second mode of a normalized two-mode pure state.
 
@@ -89,38 +140,24 @@ def reduced_cavity0(fields: PureState) -> FieldDensityMatrix:
     """
     if fields.flavor is not FieldsKet:
         raise FlavorMismatchError("reduced_cavity0 requires a fields-only state")
-    if len(fields) == 0:
-        raise ValueError("cannot reduce the empty state")
-    ns = sorted({k.n for k in fields.kets()})
-    lo = ns[0]
-    size = ns[-1] - lo + 1
-    rho = np.zeros((size, size), dtype=complex)
-    columns: dict[int, dict[int, complex]] = {}
-    for ket, amp in fields.items():
-        columns.setdefault(ket.m, {})[ket.n] = amp
-    for col in columns.values():
-        for n_i, a_i in col.items():
-            for n_j, a_j in col.items():
-                rho[n_i - lo, n_j - lo] += a_i * a_j.conjugate()
-    return FieldDensityMatrix(lo, rho)
+    lo, rho = _first_mode_rho(*_column(fields))
+    return FieldDensityMatrix(lo, rho[:, :, 0])
 
 
 def linear_entropy(rho: FieldDensityMatrix) -> float:
-    """1 - Tr(rho^2): zero for pure states, 1 - 1/d for the maximally mixed
-    state on d levels.  Clamped at 0, where rounding can push a pure state's
-    purity an ulp above 1."""
-    purity = float(np.sum(np.abs(rho.elements) ** 2))
-    return max(1.0 - purity, 0.0)
+    """1 - Tr(rho^2), clamped at 0: zero for pure states, 1 - 1/d for the
+    maximally mixed state on d levels."""
+    return float(_linear_entropy(rho.elements[:, :, None])[0])
 
 
 def sigma_z_expectation(s: PureState) -> float:
-    """Atomic inversion P(excited) - P(ground) read directly off a state."""
+    """Atomic inversion P(excited) - P(ground) read directly off a state; 0
+    for the empty state."""
     if s.flavor not in (AtomFieldKet, FullKet, None):
         raise FlavorMismatchError("sigma_z_expectation needs kets with an atom level")
-    return math.fsum(
-        (1.0 if ket.atom is _E else -1.0) * (amp.real * amp.real + amp.imag * amp.imag)
-        for ket, amp in s.items()
-    )
+    if len(s) == 0:
+        return 0.0
+    return float(inversion_columns(*_column(s))[0])
 
 
 def sigma_z_series(p: SystemParams) -> float:
@@ -137,23 +174,10 @@ def sigma_z_series(p: SystemParams) -> float:
 
 
 def sigma_z_ico(p: SystemParams) -> float:
-    """Closed-form atomic inversion of the control-0 conditional state for an
-    atom prepared excited and the balanced control preparation.
-
-    The value does not depend on the measurement time: the interior phases
-    drop out of every modulus.
-    """
+    """Atomic inversion of the control-0 conditional state, one point of the
+    kernel, for an atom prepared excited (else ValueError) and the balanced
+    control preparation (as ico_postselected_state requires); independent of
+    the measurement time."""
     if p.xi != 0.0:
         raise ValueError("sigma_z_ico requires xi = 0 (atom initially excited)")
-    n0_sq = control_probability(0, p)
-    if n0_sq < MIN_OUTCOME_PROBABILITY:
-        raise ImpossiblePostselectionError("control outcome 0", n0_sq)
-    c1, _, c3, _, _, c6, _, c8 = coeffs_c(p, p.T).as_tuple()
-    s1, _, s3, _, _, s6, _, s8 = coeffs_s(p, p.T).as_tuple()
-
-    def sq(z: complex) -> float:
-        z = complex(z)
-        return z.real * z.real + z.imag * z.imag
-
-    numerator = sq(c1 + s1) + sq(c6) + sq(s6) - sq(c3 + s8) - sq(c8 + s3)
-    return numerator / (4.0 * n0_sq)
+    return sigma_z_expectation(ico_postselected_state(0, p))

@@ -236,7 +236,11 @@ def measure_control(s: PureState, j: int) -> tuple[PureState, float]:
 
 def schrodinger_phase(s: PureState, omega: float, t: float) -> PureState:
     """Reattach the free-evolution phase exp(-i*omega*t*(excitations - 1/2))
-    ket by ket; norm-preserving, and trivial within one excitation sector."""
+    ket by ket; norm-preserving, and trivial within one excitation sector.
+    A non-finite omega or t raises ValueError."""
+    for name, value in (("omega", omega), ("t", t)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if s.flavor is FieldsKet:
         raise FlavorMismatchError(
             "schrodinger_phase needs kets that carry the atom level"

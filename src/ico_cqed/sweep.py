@@ -19,14 +19,13 @@ import numpy as np
 from ._version import __version__
 from .engine import grid_amplitudes
 from .errors import ConfigError
+from .observables import branch_entropy_columns, inversion_columns
 from .states import (
     MIN_OUTCOME_PROBABILITY,
     AtomFieldKet,
     AtomLevel,
     _check_occupation,
     check_preparation,
-    column_sums,
-    normalize_columns,
 )
 
 _E = AtomLevel.EXCITED
@@ -238,28 +237,6 @@ class Table:
         return "\n".join(lines) + "\n"
 
 
-def _branch_entropy(
-    basis: tuple[AtomFieldKet, ...], amps: np.ndarray, atom: AtomLevel
-) -> tuple[np.ndarray, np.ndarray]:
-    """First-mode linear entropy of the field left after finding the atom in
-    ``atom``, at every grid point, and the mask of points where that outcome
-    can be conditioned on.
-
-    The branch spans at most three levels of each mode, so the reduced state
-    is a 3 x 3 matrix per point and its purity is sum_ij |sum_m a_im a*_jm|^2.
-    """
-    rows = [i for i, k in enumerate(basis) if k.atom is atom]
-    picked, prob = normalize_columns(amps[rows])
-    ns = sorted({basis[i].n for i in rows})
-    ms = sorted({basis[i].m for i in rows})
-    psi = np.zeros((len(ns), len(ms), amps.shape[1]), dtype=complex)
-    for r, i in enumerate(rows):
-        psi[ns.index(basis[i].n), ms.index(basis[i].m)] = picked[r]
-    rho = np.sum(psi[:, None] * psi.conj()[None, :], axis=2)
-    purity = column_sums(np.abs(rho) ** 2)
-    return np.maximum(1.0 - purity, 0.0), prob >= MIN_OUTCOME_PROBABILITY
-
-
 def _cells(values: np.ndarray, possible: np.ndarray | None) -> list:
     """Plain Python floats, with None where the conditioning outcome is
     impossible."""
@@ -282,7 +259,6 @@ def run_sweep(cfg: SweepConfig) -> Table:
         cfg.scenario, cfg.n, cfg.m, g=1.0, t_first=gT, t_second=gT,
         xi=cfg.xi, chi=cfg.chi, theta=cfg.theta, varphi=cfg.varphi,
     )
-    probs = amps.real**2 + amps.imag**2
     state_possible = None if control_prob is None else control_prob >= MIN_OUTCOME_PROBABILITY
     row = {ket: i for i, ket in enumerate(basis)}
     columns = [grid]
@@ -293,14 +269,13 @@ def run_sweep(cfg: SweepConfig) -> Table:
         possible = state_possible
         if isinstance(q, KetProbability):
             i = row.get(AtomFieldKet(q.atom, q.n, q.m))
-            values = np.zeros(len(grid)) if i is None else probs[i]
+            values = np.zeros(len(grid)) if i is None else amps[i].real**2 + amps[i].imag**2
         elif isinstance(q, AtomicInversion):
-            sign = np.array([1.0 if k.atom is _E else -1.0 for k in basis])
-            values = column_sums(sign[:, None] * probs)
+            values = inversion_columns(basis, amps)
         else:
             # A refused control outcome left a zero column, so its atom
             # branches are refused as well.
-            values, possible = _branch_entropy(basis, amps, q.atom_branch)
+            values, possible = branch_entropy_columns(basis, amps, q.atom_branch)
         columns.append(_cells(values, possible))
     return Table(("gT",) + tuple(q.column_id for q in cfg.quantities), tuple(zip(*columns)))
 

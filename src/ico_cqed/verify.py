@@ -23,6 +23,10 @@ from .states import MIN_OUTCOME_PROBABILITY, SystemParams, prune_amplitudes
 
 DEFAULT_TOLERANCE = 1e-9
 
+#: Most draws one run may ask for: all draws and their closed forms stay in
+#: memory, about 1.5 KB per draw, so 100,000 take some 150 MB.
+MAX_DRAWS = 100_000
+
 
 @dataclass(frozen=True)
 class VerifyReport:
@@ -195,6 +199,8 @@ def _check_inputs(seed: int, draws: int, tolerance: float) -> None:
             raise ValueError(f"{name}: must be an integer, got {value!r}")
         if value < least:
             raise ValueError(f"{name}: must be >= {least}")
+    if draws > MAX_DRAWS:
+        raise ValueError(f"draws: must be <= MAX_DRAWS = {MAX_DRAWS}, got {draws}")
     # The chained comparison also rejects NaN, which fails every comparison.
     if not 0 <= tolerance < math.inf:
         raise ValueError(f"tolerance: must be finite and >= 0, got {tolerance!r}")
@@ -212,7 +218,8 @@ def run_verification(
     and schrodinger_phase carried out per draw on the window's vectors
     instead of on PureStates, with the same pruning and the same refusal of
     impossible outcomes.  seed must be an int >= 0, draws an int >= 1 and
-    tolerance finite and >= 0; otherwise a ValueError names the field."""
+    tolerance finite and >= 0; otherwise a ValueError names the field.
+    draws may not exceed MAX_DRAWS."""
     _check_inputs(seed, draws, tolerance)
     rng = np.random.default_rng(seed)
     drawn = []

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite, among them the scalar references the
-closed-form kernel (engine.grid_amplitudes) is checked against."""
+closed-form kernel (engine.grid_amplitudes) is checked against and the
+balanced-control formulas built on the slot amplitudes (the order overlap,
+P(j) and the conditional inversion)."""
 
 import cmath
 import math
@@ -106,7 +108,7 @@ def scalar_order_branch(order: CavityOrder, p: SystemParams, tau: float) -> dict
     once their amplitude is checked to vanish."""
     coeffs = coeffs_c(p, tau) if order is CavityOrder.C0_THEN_C1 else coeffs_s(p, tau)
     amps = {}
-    for amp, (atom, dn, dm) in zip(coeffs.as_tuple(), _SLOT_KETS[order]):
+    for amp, (atom, dn, dm) in zip(coeffs, _SLOT_KETS[order]):
         amp, n, m = complex(amp), p.n + dn, p.m + dm
         if n < 0 or m < 0:
             assert abs(amp) <= 1e-30, f"negative-occupation ket ({atom.label},{n},{m})"
@@ -146,3 +148,42 @@ def scalar_postselect(j: int, p: SystemParams, omega_t: float = 0.0):
         phase = cmath.exp(-1j * omega_t * (atom.excitation + n + m - 0.5))
         amps[AtomFieldKet(atom, n, m)] = amp * scale * phase
     return PureState(amps), prob
+
+
+# ---------------------------------------------------------------- balanced-control closed forms
+
+
+def overlap_orders(p: SystemParams) -> complex:
+    """<psi_C0C1|psi_C1C0> at tau = T from the two orders' slot amplitudes:
+    only six ket pairs are shared between the two expansions."""
+    c1, c2, c3, _, c5, _, c7, c8 = coeffs_c(p, p.T)
+    s1, s2, s3, _, s5, _, s7, s8 = coeffs_s(p, p.T)
+    pairs = ((c1, s1), (c2, s5), (c3, s8), (c5, s2), (c7, s7), (c8, s3))
+    return sum((complex(a).conjugate() * b for a, b in pairs), 0j)
+
+
+def balanced_control_probability(j: int, p: SystemParams) -> float:
+    """P(j) = (1 +- Re overlap) / 2 for the balanced control preparation
+    (theta = pi/4, varphi = 0); the two outcomes sum to exactly 1."""
+    check_outcome(j)
+    p0 = 0.5 * (1.0 + overlap_orders(p).real)
+    return p0 if j == 0 else 1.0 - p0
+
+
+def sigma_z_ico_reference(p: SystemParams) -> float:
+    """The paper's inversion of the control-0 conditional state for an atom
+    prepared excited (xi = 0) and the balanced control preparation, from the
+    slot amplitudes of both orders."""
+    assert p.xi == 0.0
+    n0_sq = balanced_control_probability(0, p)
+    if n0_sq < MIN_OUTCOME_PROBABILITY:
+        raise ImpossiblePostselectionError("control outcome 0", n0_sq)
+    c1, _, c3, _, _, c6, _, c8 = coeffs_c(p, p.T)
+    s1, _, s3, _, _, s6, _, s8 = coeffs_s(p, p.T)
+
+    def sq(z: complex) -> float:
+        z = complex(z)
+        return z.real * z.real + z.imag * z.imag
+
+    numerator = sq(c1 + s1) + sq(c6) + sq(s6) - sq(c3 + s8) - sq(c8 + s3)
+    return numerator / (4.0 * n0_sq)

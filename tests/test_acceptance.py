@@ -26,13 +26,12 @@ from ico_cqed import (
     reduced_cavity0,
     run_sweep,
     run_verification,
-    sigma_z_ico,
     sigma_z_series,
     state_after_both,
 )
 from ico_cqed.states import FieldsKet, PureState
 from ico_cqed.verify import random_params
-from helpers import E, G, balanced, excitation_distribution, params
+from helpers import E, G, balanced, excitation_distribution, params, sigma_z_ico_reference
 
 
 def series(gt, **kw):
@@ -149,7 +148,9 @@ def test_criterion_09_series_zero_entanglement_vs_ico():
 
 
 def test_criterion_10_rabi_formulas_match_states():
-    # the grid of np.linspace(0, 10, 1000)
+    # Both paper formulas, sigma_z_series and the conditional inversion's
+    # coefficient algebra (tests/helpers), against the kernel's inversion
+    # columns on the grid of np.linspace(0, 10, 1000).
     step = 10.0 / 999
     worst_series = 0.0
     worst_ico = 0.0
@@ -162,11 +163,12 @@ def test_criterion_10_rabi_formulas_match_states():
         )
         for gt, prob, direct in zip(gts, control, inversion):
             if prob > 1e-10:
-                worst_ico = max(worst_ico, abs(sigma_z_ico(balanced(gt, n=n, m=m)) - direct))
+                formula = sigma_z_ico_reference(balanced(gt, n=n, m=m))
+                worst_ico = max(worst_ico, abs(formula - direct))
     assert worst_series <= 1e-12
     assert worst_ico <= 1e-12
     spot_series = sigma_z_series(params(math.pi / 2))
-    spot_ico = sigma_z_ico(balanced(math.pi / 2))
+    spot_ico = sigma_z_ico_reference(balanced(math.pi / 2))
     assert abs(spot_series + 1.0) <= 1e-12
     assert abs(spot_ico + 1.0) <= 1e-12
     print(
@@ -253,9 +255,8 @@ def test_criterion_14_ico_plateau():
     # inversion minima, so the comparison is made over the same window).
     step = 0.01
     width_points = int(round(0.3 / step))
-    gts = [step * i for i in range(1001)]
-    ico = [sigma_z_ico(balanced(gt)) for gt in gts]
-    ser = [sigma_z_series(params(gt)) for gt in gts]
+    gts, ico = scan("ico_j0", [AtomicInversion()], step=step)
+    _, ser = scan("series_C0C1", [AtomicInversion()], step=step)
 
     def window_tv(values, start):
         return sum(

@@ -21,23 +21,23 @@ from ico_cqed import (
     coeffs_c,
     coeffs_s,
     condition_on_atom,
-    control_probability,
     evolve,
     gamma,
     general_postselect,
     hadamard_control,
     ico_postselected_state,
     measure_control,
-    overlap_orders,
     state_after_both,
 )
 from helpers import (
     E,
     G,
     balanced,
+    balanced_control_probability,
     initial_atom_field_state,
     inner_product,
     max_amp_diff,
+    overlap_orders,
     params,
     scale_and_add,
     scalar_postselect,
@@ -61,11 +61,11 @@ def ten_term_postselected_state(j, p, omega_t):
     """The paper's closed form for the control-j conditional state under the
     balanced preparation, with the global phase exp(-i*omega_t*(n+m+1/2))
     dropped: ten terms built from the two orders' coefficient sets."""
-    c1, c2, c3, c4, c5, c6, c7, c8 = coeffs_c(p, p.T).as_tuple()
-    s1, s2, s3, s4, s5, s6, s7, s8 = coeffs_s(p, p.T).as_tuple()
+    c1, c2, c3, c4, c5, c6, c7, c8 = coeffs_c(p, p.T)
+    s1, s2, s3, s4, s5, s6, s7, s8 = coeffs_s(p, p.T)
     sign = 1.0 if j == 0 else -1.0
     eit = cmath.exp(1j * omega_t)
-    scale = 1.0 / (2.0 * math.sqrt(control_probability(j, p)))
+    scale = 1.0 / (2.0 * math.sqrt(balanced_control_probability(j, p)))
     # The excitation sector n+m+1 carries no interior phase, the sector n+m
     # (reachable only for an atom not prepared purely excited) exp(i*omega_t).
     terms = (
@@ -145,13 +145,12 @@ def test_gamma_domain():
         gamma(-2, 1.0)
 
 
-# ---------------------------------------------------------------- coefficient sets
+# ---------------------------------------------------------------- slot amplitudes
 
 
 def test_coeffs_only_last_slot_survives_at_quarter_period():
     p = params(math.pi / 2)
-    for coeffs in (coeffs_c(p, p.T), coeffs_s(p, p.T)):
-        values = coeffs.as_tuple()
+    for values in (coeffs_c(p, p.T), coeffs_s(p, p.T)):
         for v in values[:7]:
             assert abs(v) < 1e-15
         assert abs(values[7] - (-1j)) < 1e-15
@@ -160,17 +159,17 @@ def test_coeffs_only_last_slot_survives_at_quarter_period():
 def test_coeffs_no_interaction():
     p = params(0.0)
     for coeffs in (coeffs_c(p, 0.0), coeffs_s(p, 0.0)):
-        assert coeffs.c1 == 1.0
-        assert all(v == 0 for v in coeffs.as_tuple()[1:])
+        assert coeffs[0] == 1.0
+        assert all(v == 0 for v in coeffs[1:])
 
 
 def test_coeffs_ground_start_kills_cos_slots():
     p = params(1.3, xi=math.pi / 2, chi=0.0, n=0, m=2)
-    c = coeffs_c(p, p.T)
+    c1, c2, c3, c4, _, c6, _, c8 = coeffs_c(p, p.T)
     # sin(gamma_{-1} T) = 0 exactly
-    assert c.c2 == 0 and c.c4 == 0
+    assert c2 == 0 and c4 == 0
     # cos(pi/2) underflows below the prune scale rather than to exact zero
-    for v in (c.c1, c.c3, c.c6, c.c8):
+    for v in (c1, c3, c6, c8):
         assert abs(v) < 1e-15
 
 
@@ -178,8 +177,8 @@ def test_coeffs_unit_sum(rng):
     for _ in range(50):
         p = random_engine_params(rng)
         tau = float(rng.uniform(0.0, p.T)) if p.T > 0 else 0.0
-        assert abs(coeffs_c(p, tau).squared_sum() - 1.0) < 1e-12
-        assert abs(coeffs_s(p, tau).squared_sum() - 1.0) < 1e-12
+        for coeffs in (coeffs_c(p, tau), coeffs_s(p, tau)):
+            assert abs(math.fsum(abs(c) ** 2 for c in coeffs) - 1.0) < 1e-12
 
 
 def test_coeffs_s_matches_explicit_formulas(rng):
@@ -198,10 +197,10 @@ def test_coeffs_s_matches_explicit_formulas(rng):
             * math.cos(gamma(p.m - 1, g) * p.T)
             * math.cos(gamma(p.n - 1, g) * tau)
         )
-        assert abs(s.c1 - s1) < 1e-14
-        assert abs(s.c6 - s6) < 1e-14
-        assert abs(s.c8 - s8) < 1e-14
-        assert abs(s.c7 - s7) < 1e-14
+        assert abs(s[0] - s1) < 1e-14
+        assert abs(s[5] - s6) < 1e-14
+        assert abs(s[7] - s8) < 1e-14
+        assert abs(s[6] - s7) < 1e-14
 
 
 def test_coeffs_coincide_for_equal_fill(rng):
@@ -209,7 +208,7 @@ def test_coeffs_coincide_for_equal_fill(rng):
         nm = int(rng.integers(0, 5))
         p = random_engine_params(rng, n=nm, m=nm)
         tau = float(rng.uniform(0.0, p.T)) if p.T > 0 else 0.0
-        assert coeffs_c(p, tau).as_tuple() == coeffs_s(p, tau).as_tuple()
+        assert coeffs_c(p, tau) == coeffs_s(p, tau)
 
 
 def test_coeffs_tau_domain():
@@ -286,34 +285,31 @@ def test_overlap_orders_vanishes_at_quarter_period():
 
 
 def test_overlap_orders_matches_inner_product(rng):
+    # the reference overlap of tests/helpers against the two kernel branches,
+    # and the balanced P(0) = (1 + Re<psi_C0C1|psi_C1C0>) / 2 and
+    # P(0) + P(1) = 1 of general_postselect
     for _ in range(30):
-        p = random_engine_params(rng)
+        p = random_engine_params(rng, balanced_control=True)
         first = state_after_both(CavityOrder.C0_THEN_C1, p, p.T)
         second = state_after_both(CavityOrder.C1_THEN_C0, p, p.T)
-        assert abs(overlap_orders(p) - inner_product(first, second)) < 1e-12
-        assert abs(overlap_orders(p)) <= 1 + 1e-12
+        overlap = inner_product(first, second)
+        assert abs(overlap_orders(p) - overlap) < 1e-12
+        assert abs(overlap) <= 1 + 1e-12
+        probs = [postselect_outcome(general_postselect, j, p, 0.0)[1] for j in (0, 1)]
+        assert abs(probs[0] - 0.5 * (1.0 + overlap.real)) < 1e-12
+        assert abs(probs[0] + probs[1] - 1.0) < 1e-12
 
 
 def test_control_probability_values():
+    # no interaction: both orders leave the initial state, so control
+    # outcome 1 cannot occur; at gT = pi/2 the two branches are orthogonal
     p = balanced(0.0)
-    assert control_probability(0, p) == 1.0
-    assert control_probability(1, p) == 0.0
+    assert abs(general_postselect(0, p)[1] - 1.0) <= 1e-15
+    with pytest.raises(ImpossiblePostselectionError):
+        general_postselect(1, p)
     p = balanced(math.pi / 2)
-    assert abs(control_probability(0, p) - 0.5) < 1e-12
-    assert abs(control_probability(1, p) - 0.5) < 1e-12
-
-
-def test_control_probabilities_sum_to_exactly_one(rng):
-    for _ in range(30):
-        p = random_engine_params(rng, balanced_control=True)
-        assert control_probability(0, p) + control_probability(1, p) == 1.0
-
-
-def test_control_probability_requires_balanced_preparation():
-    with pytest.raises(ValueError):
-        control_probability(0, params(1.0, theta=0.3))
-    with pytest.raises(ValueError):
-        control_probability(2, balanced(1.0))
+    for j in (0, 1):
+        assert abs(general_postselect(j, p)[1] - 0.5) < 1e-12
 
 
 # ---------------------------------------------------------------- postselected states
@@ -364,7 +360,7 @@ def test_postselection_matches_ten_term_form(rng):
         p = random_engine_params(rng, balanced_control=True)
         omega_t = float(rng.uniform(0.0, 8.0))
         for j in (0, 1):
-            prob = control_probability(j, p)
+            prob = balanced_control_probability(j, p)
             if prob < 1e-3:
                 continue
             reference = ten_term_postselected_state(j, p, omega_t)
@@ -416,6 +412,14 @@ def test_general_postselect_probabilities_sum_to_one(rng):
                 continue
             total += prob
         assert abs(total - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("omega_t", [math.nan, math.inf, -math.inf])
+def test_non_finite_measurement_phase_is_refused(omega_t):
+    # refused where it enters, naming the field, before any amplitude is formed
+    for route in (general_postselect, ico_postselected_state):
+        with pytest.raises(ValueError, match="^omega_t must be finite"):
+            route(0, balanced(1.0), omega_t)
 
 
 def test_general_postselect_equals_four_state_composition(rng):
@@ -529,6 +533,19 @@ def test_bell_state_validation():
         bell_state(G, -1, 1)
     with pytest.raises(ValueError):
         bell_state(G, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "n,resonance,field",
+    [(-1, 1, "n"), (1.0, 1, "n"), (True, 1, "n"), (0, 0, "resonance"), (0, -2, "resonance"),
+     (2, 1.5, "resonance")],
+)
+def test_bell_resonance_gT_validation(n, resonance, field):
+    # the same checks as bell_state: n = -1 used to divide by zero and
+    # resonance = 0 to return a negative time
+    for call in (lambda: bell_resonance_gT(n, resonance), lambda: bell_state(G, n, resonance)):
+        with pytest.raises(ValueError, match=f"^{field} must be a"):
+            call()
 
 
 @pytest.mark.parametrize("branch,n", [(G, 0), (G, 1), (G, 3), (E, 1), (E, 2)])

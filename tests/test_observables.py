@@ -15,7 +15,6 @@ from ico_cqed import (
     coeffs_c,
     coeffs_s,
     condition_on_atom,
-    control_probability,
     gamma,
     ico_postselected_state,
     ket_probability,
@@ -26,7 +25,7 @@ from ico_cqed import (
     sigma_z_series,
     state_after_both,
 )
-from helpers import E, G, balanced, params
+from helpers import E, G, balanced, balanced_control_probability, params, sigma_z_ico_reference
 
 
 def swap_modes(fields: PureState) -> PureState:
@@ -143,8 +142,8 @@ def test_reduced_series_excited_slice_is_diagonal(rng):
 def _ico_reduced_reference(p, omega_t, branch):
     """Transcribed 3x3 reduced matrices for the conditional states, with the
     one off-diagonal term fixed to keep the matrix Hermitian."""
-    c1, c2, c3, c4, c5, c6, c7, c8 = coeffs_c(p, p.T).as_tuple()
-    s1, s2, s3, s4, s5, s6, s7, s8 = coeffs_s(p, p.T).as_tuple()
+    c1, c2, c3, c4, c5, c6, c7, c8 = coeffs_c(p, p.T)
+    s1, s2, s3, s4, s5, s6, s7, s8 = coeffs_s(p, p.T)
     eit = cmath.exp(1j * omega_t)
     if branch is E:
         amps = {
@@ -351,12 +350,15 @@ def test_sigma_z_ico_landmarks():
 
 
 def test_sigma_z_ico_matches_direct_expectation(rng):
+    # against the state at another measurement time and against the paper's
+    # coefficient algebra kept in tests/helpers
     for _ in range(20):
         p = balanced(float(rng.uniform(0, 10)), n=int(rng.integers(0, 4)), m=int(rng.integers(0, 4)))
-        if control_probability(0, p) < 1e-6:
+        if balanced_control_probability(0, p) < 1e-6:
             continue
         direct = sigma_z_expectation(ico_postselected_state(0, p, float(rng.uniform(0, 5))))
         assert abs(sigma_z_ico(p) - direct) < 1e-12
+        assert abs(sigma_z_ico(p) - sigma_z_ico_reference(p)) < 1e-12
 
 
 def test_sigma_z_ico_requires_excited_atom_and_balance():

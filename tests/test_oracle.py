@@ -412,3 +412,11 @@ def test_schrodinger_phase_rejects_fields_only():
 
     with pytest.raises(FlavorMismatchError):
         schrodinger_phase(PureState({FieldsKet(0, 0): 1.0}), 1.0, 1.0)
+
+
+@pytest.mark.parametrize("omega,t,field", [(math.nan, 1.0, "omega"), (1.0, math.inf, "t"),
+                                           (-math.inf, 0.5, "omega")])
+def test_schrodinger_phase_rejects_non_finite_phase(omega, t, field):
+    st = PureState({AtomFieldKet(E, 0, 0): 1.0})
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        schrodinger_phase(st, omega, t)

@@ -21,7 +21,10 @@ from ico_cqed import (
     run_verification,
     schrodinger_phase,
 )
+from ico_cqed import verify
+from ico_cqed.cli import main
 from ico_cqed.verify import (
+    MAX_DRAWS,
     _amplitude_deviation,
     _closed_forms,
     _compare_draw,
@@ -139,6 +142,21 @@ def test_grouped_closed_forms_equal_one_draw_calls():
 def test_run_verification_rejects_bad_input(kwargs, field):
     with pytest.raises(ValueError, match=f"^{field}: "):
         run_verification(**kwargs)
+
+
+def test_draws_beyond_max_are_refused_before_drawing(monkeypatch, capsys):
+    # refused by the input check: no parameter is drawn, nothing is allocated
+    def no_draws(rng):
+        raise AssertionError("a draw was made")
+
+    monkeypatch.setattr(verify, "random_params", no_draws)
+    with pytest.raises(ValueError, match=f"^draws: must be <= MAX_DRAWS = {MAX_DRAWS}"):
+        run_verification(seed=1, draws=MAX_DRAWS + 1)
+    assert main(["verify", "--draws", str(MAX_DRAWS + 1)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("ico-cqed: draws: must be <=")
 
 
 def test_pass_report_prints_no_worst_draw():
