@@ -286,8 +286,8 @@ def test_overlap_orders_vanishes_at_quarter_period():
 
 def test_overlap_orders_matches_inner_product(rng):
     # the reference overlap of tests/helpers against the two kernel branches,
-    # and the balanced P(0) = (1 + Re<psi_C0C1|psi_C1C0>) / 2 and
-    # P(0) + P(1) = 1 of general_postselect
+    # and the balanced P(0) = (1 + Re<psi_C0C1|psi_C1C0>) / 2 of
+    # general_postselect
     for _ in range(30):
         p = random_engine_params(rng, balanced_control=True)
         first = state_after_both(CavityOrder.C0_THEN_C1, p, p.T)
@@ -295,9 +295,17 @@ def test_overlap_orders_matches_inner_product(rng):
         overlap = inner_product(first, second)
         assert abs(overlap_orders(p) - overlap) < 1e-12
         assert abs(overlap) <= 1 + 1e-12
+        p0 = postselect_outcome(general_postselect, 0, p, 0.0)[1]
+        assert abs(p0 - 0.5 * (1.0 + overlap.real)) < 1e-12
+
+
+def test_control_probabilities_sum_to_exactly_one(rng):
+    # general_postselect normalizes each outcome's residual on its own, so
+    # P(0) + P(1) = 1 holds to a few ulps, not bit for bit
+    for _ in range(30):
+        p = random_engine_params(rng, balanced_control=True)
         probs = [postselect_outcome(general_postselect, j, p, 0.0)[1] for j in (0, 1)]
-        assert abs(probs[0] - 0.5 * (1.0 + overlap.real)) < 1e-12
-        assert abs(probs[0] + probs[1] - 1.0) < 1e-12
+        assert abs(probs[0] + probs[1] - 1.0) <= 1e-15
 
 
 def test_control_probability_values():
