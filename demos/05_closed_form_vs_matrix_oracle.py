@@ -2,8 +2,11 @@
 
 The closed forms multiply trigonometric factors; the oracle rotates a
 truncated-Fock-space state vector through the transit schedule and measures
-the control.  This script runs the seeded randomized comparison and
-then walks one draw end to end, printing both amplitude sets side by side.
+the control through its recombine -> condition -> phase chain.  This script
+runs the seeded randomized comparison, which calls that chain on window
+vectors, and then walks one draw end to end through the chain's PureState
+views (hadamard_control, measure_control, schrodinger_phase), printing both
+amplitude sets side by side.
 """
 
 import numpy as np

@@ -4,6 +4,10 @@ This module rebuilds the dynamics from the interaction Hamiltonian and the
 piecewise transit schedule alone.  It shares no formulas with ``engine``
 and serves as the independent verification path: the closed forms and this
 propagator must agree to rounding error or one of them is wrong.
+
+The control is measured by one array chain, recombine -> condition -> phase.
+verify runs it on window vectors; hadamard_control, measure_control and
+schrodinger_phase run it on the compact support of a PureState.
 """
 
 from __future__ import annotations
@@ -195,59 +199,90 @@ def evolve(p: SystemParams, t: float, w: TruncationWindow) -> PureState:
     guard Fock rows, which an adequate window makes impossible.
     """
     branches = _evolve_branches(p, t, w)
-    amps: dict[FullKet, complex] = {}
-    for control, i in zip(*np.nonzero(branches)):
-        atom, n, m = w.decode(int(i))
-        amps[FullKet(int(control), AtomFieldKet(atom, n, m))] = complex(branches[control, i])
-    return PureState(amps)
+    columns = np.flatnonzero(branches.any(axis=0)).tolist()
+    return _full_state([AtomFieldKet(*w.decode(i)) for i in columns], branches[:, columns])
+
+
+def recombine(branches: np.ndarray) -> np.ndarray:
+    """Balanced recombination |c> -> (|0> + (-1)^c |1>)/sqrt(2) of (2, K)
+    control rows, pruned; row c of the input holds the control-c component,
+    row j of the output the outcome-j one.  It is its own inverse."""
+    half = branches * (1.0 / math.sqrt(2.0))
+    return prune_amplitudes(np.stack((half[0] + half[1], half[0] - half[1])))
+
+
+def condition(rows: np.ndarray, j: int) -> tuple[np.ndarray, float]:
+    """Row j (0 or 1) of normalized (2, K) control rows, renormalized and
+    pruned, and its Born probability.  An outcome below
+    MIN_OUTCOME_PROBABILITY raises ImpossiblePostselectionError."""
+    row = rows[j]
+    prob = math.fsum((row.real**2 + row.imag**2).tolist())
+    if prob < MIN_OUTCOME_PROBABILITY:
+        raise ImpossiblePostselectionError(f"control outcome {j}", prob)
+    return prune_amplitudes(row * (1.0 / math.sqrt(prob))), prob
+
+
+def phase(amps: np.ndarray, omega: float, t: float, excitations: np.ndarray) -> np.ndarray:
+    """amps times exp(-i*omega*t*(excitations - 1/2)), pruned, excitations
+    being each ket's atom excitation plus photon number.  A non-finite omega,
+    t or omega * t raises ValueError."""
+    for name, value in (("omega", omega), ("t", t), ("omega * t", omega * t)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    factor = np.exp(-1j * omega * t * (excitations - 0.5))
+    # The product written out rounds as Python's complex product does;
+    # numpy's complex multiply may fuse the multiply-adds.
+    phased = np.empty_like(amps)
+    phased.real = amps.real * factor.real - amps.imag * factor.imag
+    phased.imag = amps.real * factor.imag + amps.imag * factor.real
+    return prune_amplitudes(phased)
+
+
+@functools.lru_cache(maxsize=16)
+def basis_excitations(w: TruncationWindow) -> np.ndarray:
+    """Atom excitation plus photon number of every window index; read-only."""
+    atom, n, m = np.indices((2, w.levels, w.levels)).reshape(3, -1)
+    excitations = 1 - atom + n + m
+    excitations.flags.writeable = False
+    return excitations
+
+
+def _control_rows(s: PureState, caller: str) -> tuple[list[AtomFieldKet], np.ndarray]:
+    """The atom-field kets of a full-flavor state and its (2, K) control rows."""
+    if s.flavor is not FullKet and s.flavor is not None:
+        raise FlavorMismatchError(f"{caller} requires a full-flavor state")
+    column: dict[AtomFieldKet, int] = {}
+    rows = np.zeros((2, len(s)), dtype=complex)
+    for ket, amp in s.items():
+        rows[ket.control, column.setdefault(ket.rest, len(column))] = amp
+    return list(column), rows[:, : len(column)]
+
+
+def _full_state(rests: list[AtomFieldKet], rows: np.ndarray) -> PureState:
+    """The full-flavor state with amplitude rows[c, i] on |c>|rests[i]>."""
+    return PureState({FullKet(c, rest): amp for c, row in enumerate(rows.tolist())
+                      for rest, amp in zip(rests, row) if amp})
 
 
 def hadamard_control(s: PureState) -> PureState:
-    """Balanced recombination |j>_c -> (|0>_c + (-1)^j |1>_c)/sqrt(2); applying
-    it twice restores the input."""
-    if s.flavor is not FullKet and s.flavor is not None:
-        raise FlavorMismatchError("hadamard_control requires a full-flavor state")
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    amps: dict[FullKet, complex] = {}
-    for ket, amp in s.items():
-        half = amp * inv_sqrt2
-        k0, k1 = FullKet(0, ket.rest), FullKet(1, ket.rest)
-        amps[k0] = amps.get(k0, 0j) + half
-        amps[k1] = amps.get(k1, 0j) + (half if ket.control == 0 else -half)
-    return PureState(amps)
+    """recombine on a full-flavor state; applying it twice restores the input."""
+    rests, rows = _control_rows(s, "hadamard_control")
+    return _full_state(rests, recombine(rows))
 
 
 def measure_control(s: PureState, j: int) -> tuple[PureState, float]:
-    """Project the control onto |j> and renormalize.
-
-    Returns the conditional atom-field state and the Born probability of the
-    outcome, assuming the input is normalized.
-    """
+    """condition on a full-flavor state; j must be the int 0 or 1."""
     check_outcome(j)
-    if s.flavor is not FullKet and s.flavor is not None:
-        raise FlavorMismatchError("measure_control requires a full-flavor state")
-    picked = {ket.rest: amp for ket, amp in s.items() if ket.control == j}
-    prob = math.fsum(a.real * a.real + a.imag * a.imag for a in picked.values())
-    if prob < MIN_OUTCOME_PROBABILITY:
-        raise ImpossiblePostselectionError(f"control outcome {j}", prob)
-    scale = 1.0 / math.sqrt(prob)
-    return PureState({k: a * scale for k, a in picked.items()}), prob
+    rests, rows = _control_rows(s, "measure_control")
+    row, prob = condition(rows, j)
+    return PureState(dict(zip(rests, row.tolist()))), prob
 
 
 def schrodinger_phase(s: PureState, omega: float, t: float) -> PureState:
-    """Reattach the free-evolution phase exp(-i*omega*t*(excitations - 1/2))
-    ket by ket; norm-preserving, and trivial within one excitation sector.
-    A non-finite omega or t raises ValueError."""
-    for name, value in (("omega", omega), ("t", t)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    """phase on a state whose kets carry the atom level; norm-preserving."""
     if s.flavor is FieldsKet:
-        raise FlavorMismatchError(
-            "schrodinger_phase needs kets that carry the atom level"
-        )
-    return PureState(
-        {
-            ket: amp * cmath.exp(-1j * omega * t * (ket.excitations - 0.5))
-            for ket, amp in s.items()
-        }
-    )
+        raise FlavorMismatchError("schrodinger_phase needs kets that carry the atom level")
+    kets = s.kets()
+    amps = np.array([s.amplitude(k) for k in kets], dtype=complex)
+    phased = phase(amps, omega, t, np.array([k.excitations for k in kets]))
+    return PureState(dict(zip(kets, phased.tolist())))

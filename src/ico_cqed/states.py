@@ -15,6 +15,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from operator import attrgetter
 from typing import Mapping, Union
 
 import numpy as np
@@ -124,14 +125,6 @@ class AtomFieldKet:
         _check_occupation(self.n, "n")
         _check_occupation(self.m, "m")
 
-    @classmethod
-    def excited(cls, n: int, m: int) -> "AtomFieldKet":
-        return cls(AtomLevel.EXCITED, n, m)
-
-    @classmethod
-    def ground(cls, n: int, m: int) -> "AtomFieldKet":
-        return cls(AtomLevel.GROUND, n, m)
-
     @property
     def excitations(self) -> int:
         """Atom excitation plus total photon number; conserved by the dynamics."""
@@ -171,6 +164,13 @@ class FullKet:
 
 Ket = Union[FullKet, AtomFieldKet, FieldsKet]
 
+# Each flavor's dataclass order as a sort key, cheaper than its __lt__.
+_SORT_KEY = {
+    FullKet: attrgetter("control", "rest.atom", "rest.n", "rest.m"),
+    AtomFieldKet: attrgetter("atom", "n", "m"),
+    FieldsKet: attrgetter("n", "m"),
+}
+
 
 class PureState:
     """Immutable sparse map from kets of one flavor to complex amplitudes."""
@@ -198,10 +198,6 @@ class PureState:
         self._amps = amps
         self._flavor = flavor if amps else None
 
-    @classmethod
-    def from_ket(cls, ket: Ket, amplitude: complex = 1.0) -> "PureState":
-        return cls({ket: amplitude})
-
     @property
     def flavor(self) -> type | None:
         """Ket class of this state, or None for the empty state."""
@@ -211,11 +207,11 @@ class PureState:
         return self._amps.get(ket, 0j)
 
     def kets(self) -> list:
-        return sorted(self._amps)
+        return sorted(self._amps, key=_SORT_KEY.get(self._flavor))
 
     def items(self) -> list:
         """(ket, amplitude) pairs in the deterministic ket order."""
-        return [(k, self._amps[k]) for k in sorted(self._amps)]
+        return [(k, self._amps[k]) for k in self.kets()]
 
     def __len__(self) -> int:
         return len(self._amps)
@@ -294,6 +290,8 @@ class SystemParams:
             raise ValueError(f"g must be finite and > 0, got {self.g}")
         if not 0 <= self.T < math.inf:
             raise ValueError(f"T must be finite and >= 0, got {self.T}")
+        if not math.isfinite(self.g * self.T):
+            raise ValueError(f"g*T must be finite, got g={self.g}, T={self.T}")
         if not 0 < self.omega < math.inf:
             raise ValueError(f"omega must be finite and > 0, got {self.omega}")
         check_preparation(self)

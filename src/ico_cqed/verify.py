@@ -10,16 +10,14 @@ consistency evidence.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import oracle
 from .engine import grid_amplitudes, measurement_phase
-from .errors import ImpossiblePostselectionError
-from .oracle import TruncationWindow, _evolve_branches
-from .states import MIN_OUTCOME_PROBABILITY, SystemParams, prune_amplitudes
+from .states import MIN_OUTCOME_PROBABILITY, SystemParams
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -97,43 +95,6 @@ def random_params(rng: np.random.Generator) -> SystemParams:
     )
 
 
-def _recombined(p: SystemParams, t: float, w: TruncationWindow) -> np.ndarray:
-    """oracle.hadamard_control(oracle.evolve(p, t, w)) on the window's basis:
-    row j holds the control-j component, pruned as a PureState would be."""
-    half = _evolve_branches(p, t, w) * (1.0 / math.sqrt(2.0))
-    return prune_amplitudes(np.stack((half[0] + half[1], half[0] - half[1])))
-
-
-@functools.lru_cache(maxsize=16)
-def _excitations(w: TruncationWindow) -> np.ndarray:
-    """Atom excitation plus photon number of every basis index; read-only."""
-    atom, n, m = np.indices((2, w.levels, w.levels)).reshape(3, -1)
-    excitations = 1 - atom + n + m
-    excitations.flags.writeable = False
-    return excitations
-
-
-def _conditional(
-    recombined: np.ndarray, j: int, p: SystemParams, t: float, w: TruncationWindow
-) -> tuple[np.ndarray, float]:
-    """oracle.measure_control followed by oracle.schrodinger_phase on the
-    window's basis: the normalized, phased control-j component and its
-    probability.  Refuses an outcome below MIN_OUTCOME_PROBABILITY as
-    measure_control does."""
-    row = recombined[j]
-    prob = math.fsum((row.real**2 + row.imag**2).tolist())
-    if prob < MIN_OUTCOME_PROBABILITY:
-        raise ImpossiblePostselectionError(f"control outcome {j}", prob)
-    phase = np.exp(-1j * p.omega * t * (_excitations(w) - 0.5))
-    state = prune_amplitudes(row * (1.0 / math.sqrt(prob)))
-    # The product written out rounds as Python's complex product does;
-    # numpy's complex multiply may fuse the multiply-adds.
-    phased = np.empty_like(state)
-    phased.real = state.real * phase.real - state.imag * phase.imag
-    phased.imag = state.real * phase.imag + state.imag * phase.real
-    return prune_amplitudes(phased), prob
-
-
 def _closed_forms(draws: list[tuple[SystemParams, float]]) -> list[list[tuple]]:
     """Per (params, measurement time) draw and control outcome j: the basis,
     the phased conditional amplitudes and the outcome probability, as
@@ -162,7 +123,7 @@ def _closed_forms(draws: list[tuple[SystemParams, float]]) -> list[list[tuple]]:
 
 
 def _amplitude_deviation(
-    basis: tuple, analytic: np.ndarray, numeric: np.ndarray, w: TruncationWindow
+    basis: tuple, analytic: np.ndarray, numeric: np.ndarray, w: oracle.TruncationWindow
 ) -> float:
     """Largest |analytic - numeric| over the union of both supports; an
     analytic ket outside the window counts with its full magnitude.  hypot
@@ -181,13 +142,14 @@ def _compare_draw(p: SystemParams, t: float, closed: list) -> list[tuple]:
     """(outcome, closed-form probability, matrix probability, amplitude
     deviation) for each control outcome the closed forms do not refuse;
     ``closed`` is the draw's entry of _closed_forms."""
-    window = TruncationWindow.for_params(p)
-    recombined = _recombined(p, t, window)
+    window = oracle.TruncationWindow.for_params(p)
+    recombined = oracle.recombine(oracle._evolve_branches(p, t, window))
     rows = []
     for j, (basis, analytic, prob_analytic) in enumerate(closed):
         if prob_analytic < MIN_OUTCOME_PROBABILITY:
             continue
-        numeric, prob_numeric = _conditional(recombined, j, p, t, window)
+        state, prob_numeric = oracle.condition(recombined, j)
+        numeric = oracle.phase(state, p.omega, t, oracle.basis_excitations(window))
         deviation = _amplitude_deviation(basis, analytic, numeric, window)
         rows.append((j, prob_analytic, prob_numeric, deviation))
     return rows
@@ -214,10 +176,10 @@ def run_verification(
 
     The closed-form side is engine.grid_amplitudes, the kernel behind every
     sweep and figure, called once per (n, m) group of draws and control
-    outcome.  The matrix side is evolve, hadamard_control, measure_control
-    and schrodinger_phase carried out per draw on the window's vectors
-    instead of on PureStates, with the same pruning and the same refusal of
-    impossible outcomes.  seed must be an int >= 0, draws an int >= 1 and
+    outcome.  The matrix side is the oracle's chain, recombine -> condition
+    -> phase, run per draw on the window vectors of the evolved branches:
+    the code behind hadamard_control, measure_control and
+    schrodinger_phase.  seed must be an int >= 0, draws an int >= 1 and
     tolerance finite and >= 0; otherwise a ValueError names the field.
     draws may not exceed MAX_DRAWS."""
     _check_inputs(seed, draws, tolerance)

@@ -1,7 +1,8 @@
 """Shared helpers for the test suite, among them the scalar references the
-closed-form kernel (engine.grid_amplitudes) is checked against and the
+closed-form kernel (engine.grid_amplitudes) is checked against, the
 balanced-control formulas built on the slot amplitudes (the order overlap,
-P(j) and the conditional inversion)."""
+P(j) and the conditional inversion) and the ket-by-ket dict reference for
+the oracle's recombine -> condition -> phase chain."""
 
 import cmath
 import math
@@ -12,6 +13,7 @@ from ico_cqed import (
     AtomFieldKet,
     AtomLevel,
     CavityOrder,
+    FullKet,
     ImpossiblePostselectionError,
     PureState,
     SystemParams,
@@ -79,8 +81,8 @@ def initial_atom_field_state(p: SystemParams) -> PureState:
     """Atom-field part of the initial state: cos(xi)|e,n,m> + e^{i chi} sin(xi)|g,n,m>."""
     return PureState(
         {
-            AtomFieldKet.excited(p.n, p.m): math.cos(p.xi),
-            AtomFieldKet.ground(p.n, p.m): cmath.exp(1j * p.chi) * math.sin(p.xi),
+            AtomFieldKet(E, p.n, p.m): math.cos(p.xi),
+            AtomFieldKet(G, p.n, p.m): cmath.exp(1j * p.chi) * math.sin(p.xi),
         }
     )
 
@@ -187,3 +189,40 @@ def sigma_z_ico_reference(p: SystemParams) -> float:
 
     numerator = sq(c1 + s1) + sq(c6) + sq(s6) - sq(c3 + s8) - sq(c8 + s3)
     return numerator / (4.0 * n0_sq)
+
+
+# ---------------------------------------------------------------- dict oracle chain
+
+
+def reference_hadamard_control(s: PureState) -> PureState:
+    """Dict reference for oracle.hadamard_control: each ket's half amplitude
+    added to both control outcomes, ket by ket in the sorted order."""
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    amps: dict = {}
+    for ket, amp in s.items():
+        half = amp * inv_sqrt2
+        k0, k1 = FullKet(0, ket.rest), FullKet(1, ket.rest)
+        amps[k0] = amps.get(k0, 0j) + half
+        amps[k1] = amps.get(k1, 0j) + (half if ket.control == 0 else -half)
+    return PureState(amps)
+
+
+def reference_measure_control(s: PureState, j: int):
+    """Dict reference for oracle.measure_control: the control-j kets, the
+    math.fsum probability, refusal below MIN_OUTCOME_PROBABILITY."""
+    picked = {ket.rest: amp for ket, amp in s.items() if ket.control == j}
+    prob = math.fsum(a.real * a.real + a.imag * a.imag for a in picked.values())
+    if prob < MIN_OUTCOME_PROBABILITY:
+        raise ImpossiblePostselectionError(f"control outcome {j}", prob)
+    scale = 1.0 / math.sqrt(prob)
+    return PureState({k: a * scale for k, a in picked.items()}), prob
+
+
+def reference_schrodinger_phase(s: PureState, omega: float, t: float) -> PureState:
+    """Dict reference for oracle.schrodinger_phase: cmath.exp ket by ket."""
+    return PureState(
+        {
+            ket: amp * cmath.exp(-1j * omega * t * (ket.excitations - 0.5))
+            for ket, amp in s.items()
+        }
+    )

@@ -3,14 +3,17 @@
 ``bench/spans.py`` wraps fixed functions and classes of the modules in its
 TARGETS table, and ``bench/workloads.py`` calls others to run and check its
 operations.  Removing or renaming one of them breaks the benchmark, so
-these tests install the tracer against the package and look up every
-package name the workloads use.  Nothing under bench/ is changed.
+these tests install the tracer against the package, look up every package
+name the workloads use, and run one input of every workload through its op
+and its output check.  Nothing under bench/ is changed.
 """
 
 import ast
 import importlib
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -77,3 +80,13 @@ def test_workload_names_exist():
     assert not missing, f"bench/workloads.py uses names the package lacks: {missing}"
     names = {name for name, _, _ in used}
     assert {"engine.general_postselect", "oracle.evolve", "sweep.run_sweep"} <= names
+
+
+WORKLOADS = load_bench_module("workloads").WORKLOADS
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_first_input_of_each_workload_passes_its_check(name, tmp_path):
+    wl = WORKLOADS[name](1, tmp_path)
+    inp = wl.pass_inputs(0)[0]
+    assert wl.check(inp, wl.run(inp), {}) is None

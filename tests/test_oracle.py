@@ -420,3 +420,12 @@ def test_schrodinger_phase_rejects_non_finite_phase(omega, t, field):
     st = PureState({AtomFieldKet(E, 0, 0): 1.0})
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         schrodinger_phase(st, omega, t)
+
+
+def test_phase_refuses_an_overflowing_angle():
+    # omega and t are finite, their product is not
+    for state in (PureState({AtomFieldKet(E, 0, 0): 1.0}), PureState()):
+        with pytest.raises(ValueError, match=r"^omega \* t must be finite, got inf"):
+            schrodinger_phase(state, 1e308, 10.0)
+    with pytest.raises(ValueError, match=r"^omega \* t must be finite, got -inf"):
+        oracle.phase(np.ones(1, dtype=complex), -1e308, 10.0, np.array([1]))

@@ -1,10 +1,11 @@
 """Preset rows against the matrix oracle.
 
 The first row and 20 seeded rows of every preset sweep are rebuilt through
-oracle.evolve -> hadamard_control -> measure_control.  The observables are
-computed here with numpy, not through ico_cqed.observables, so the kernel
-and the observable column functions that write the preset CSVs are both
-checked against code they share nothing with.
+oracle.evolve -> hadamard_control -> measure_control, the PureState views
+of the oracle's recombine -> condition chain that verify also runs.  The
+observables are computed here with numpy, not through ico_cqed.observables,
+so the kernel and the observable column functions that write the preset
+CSVs are both checked against code they share nothing with.
 """
 
 import math

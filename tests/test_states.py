@@ -37,21 +37,28 @@ def test_negative_occupation_kets_rejected():
 
 
 def test_ket_ordering_is_control_atom_n_m():
-    kets = [
+    full = [
         FullKet(1, AtomFieldKet(E, 0, 0)),
         FullKet(0, AtomFieldKet(G, 0, 0)),
         FullKet(0, AtomFieldKet(E, 1, 0)),
         FullKet(0, AtomFieldKet(E, 0, 2)),
         FullKet(0, AtomFieldKet(E, 0, 1)),
     ]
-    ordered = sorted(kets)
-    assert ordered == [
+    assert sorted(full) == [
         FullKet(0, AtomFieldKet(E, 0, 1)),
         FullKet(0, AtomFieldKet(E, 0, 2)),
         FullKet(0, AtomFieldKet(E, 1, 0)),
         FullKet(0, AtomFieldKet(G, 0, 0)),
         FullKet(1, AtomFieldKet(E, 0, 0)),
     ]
+    atom_field = [AtomFieldKet(G, 0, 1), AtomFieldKet(E, 2, 0), AtomFieldKet(G, 0, 0),
+                  AtomFieldKet(E, 0, 3), AtomFieldKet(E, 1, 5)]
+    fields = [FieldsKet(2, 0), FieldsKet(0, 7), FieldsKet(1, 1), FieldsKet(0, 2)]
+    # PureState.kets() and items() give the dataclass order of every flavor
+    for kets in (full, atom_field, fields):
+        state = PureState({ket: 1.0 + i for i, ket in enumerate(kets)})
+        assert state.kets() == sorted(kets)
+        assert state.items() == [(ket, 1.0 + kets.index(ket)) for ket in sorted(kets)]
 
 
 def test_prune_and_finiteness():
@@ -71,8 +78,8 @@ def test_mixed_flavors_rejected():
 def test_inner_product_normalization_and_orthogonality():
     psi = PureState({AtomFieldKet(E, 0, 0): 0.6, AtomFieldKet(G, 1, 0): 0.8j})
     assert abs(inner_product(psi, psi) - 1.0) < 1e-15
-    a = PureState.from_ket(AtomFieldKet(E, 0, 0))
-    b = PureState.from_ket(AtomFieldKet(G, 1, 0))
+    a = PureState({AtomFieldKet(E, 0, 0): 1.0})
+    b = PureState({AtomFieldKet(G, 1, 0): 1.0})
     assert inner_product(a, b) == 0
 
 
@@ -95,18 +102,18 @@ def test_inner_product_conjugate_symmetric(rng):
 
 def test_norm_basics():
     assert PureState().norm() == 0.0
-    assert PureState.from_ket(FieldsKet(0, 0)).norm() == 1.0
+    assert PureState({FieldsKet(0, 0): 1.0}).norm() == 1.0
     bell = PureState({FieldsKet(0, 1): 1 / math.sqrt(2), FieldsKet(1, 0): 1 / math.sqrt(2)})
     assert abs(bell.norm() - 1.0) < 1e-15
 
 
 def test_scale_and_add_identity_and_cancellation():
     psi = PureState({AtomFieldKet(E, 0, 0): 0.6, AtomFieldKet(G, 1, 0): 0.8})
-    phi = PureState.from_ket(AtomFieldKet(G, 0, 1))
+    phi = PureState({AtomFieldKet(G, 0, 1): 1.0})
     assert scale_and_add(1.0, psi, 0.0, phi) == psi
     assert len(scale_and_add(1.0, psi, -1.0, psi)) == 0
     with pytest.raises(FlavorMismatchError):
-        scale_and_add(1.0, psi, 1.0, PureState.from_ket(FieldsKet(0, 0)))
+        scale_and_add(1.0, psi, 1.0, PureState({FieldsKet(0, 0): 1.0}))
 
 
 def test_scale_and_add_combines_order_branches():
@@ -147,6 +154,8 @@ def test_system_params_validation():
         SystemParams(g=1.0, T=1.0, n=-1)
     with pytest.raises(ValueError):
         SystemParams(g=1.0, T=1.0, T0=1.0, T1=1.5)  # T0 + T > T1
+    with pytest.raises(ValueError, match=r"^g\*T must be finite"):
+        SystemParams(g=1e300, T=1e10)  # both finite, the product is not
     p = SystemParams(g=2.0, T=3.0, T0=1.0)
     assert p.T1 == 4.0  # defaults to back-to-back transits
     assert p.gT == 6.0

@@ -1,6 +1,7 @@
 """run_verification: input validation, the worst-draw record, the grouped
-closed-form evaluation, and the array chain it runs against the public
-PureState chain of the oracle."""
+closed-form evaluation, and the oracle chain it runs (recombine ->
+condition -> phase), with the PureState views of that chain, against the
+ket-by-ket dict reference in helpers."""
 
 import math
 from dataclasses import replace
@@ -23,16 +24,21 @@ from ico_cqed import (
 )
 from ico_cqed import verify
 from ico_cqed.cli import main
+from ico_cqed.oracle import _evolve_branches, basis_excitations, condition, phase, recombine
 from ico_cqed.verify import (
     MAX_DRAWS,
     _amplitude_deviation,
     _closed_forms,
     _compare_draw,
-    _conditional,
-    _recombined,
     random_params,
 )
-from helpers import G, max_amp_diff
+from helpers import (
+    G,
+    max_amp_diff,
+    reference_hadamard_control,
+    reference_measure_control,
+    reference_schrodinger_phase,
+)
 
 
 def window_vector(w, state):
@@ -64,27 +70,48 @@ def seeded_draws(seed, count):
     return draws
 
 
-def test_array_chain_equals_public_chain():
+def wide_draws(seed, count):
+    """Draws like random_params whose larger photon number cycles through 4,
+    10 and 20, as the benchmark's oracle_wide workload makes them."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for k in range(count):
+        larger = (4, 10, 20)[k % 3]
+        other = int(rng.integers(0, larger + 1))
+        n, m = (larger, other) if rng.random() < 0.5 else (other, larger)
+        p = replace(random_params(rng), n=n, m=m)
+        draws.append((p, p.T1 + p.T + float(rng.uniform(0.0, 2.0))))
+    return draws
+
+
+def test_chain_and_views_equal_dict_reference():
+    # exact: the chain on window vectors and its PureState views give the
+    # bits, the refusals and the probabilities of the dict reference
     refused = 0
-    for p, t in seeded_draws(11, 150):
+    for p, t in seeded_draws(11, 150) + wide_draws(7, 60):
         w = TruncationWindow.for_params(p)
-        mixed = hadamard_control(evolve(p, t, w))
-        recombined = _recombined(p, t, w)
+        full = evolve(p, t, w)
+        mixed = hadamard_control(full)
+        assert mixed == reference_hadamard_control(full)
+        rows = recombine(_evolve_branches(p, t, w))
         for j in (0, 1):
             try:
-                state, prob = measure_control(mixed, j)
+                expected, prob = reference_measure_control(mixed, j)
             except ImpossiblePostselectionError as err:
-                with pytest.raises(ImpossiblePostselectionError) as mine:
-                    _conditional(recombined, j, p, t, w)
-                assert mine.value.probability == err.probability
+                for refuse in (lambda: measure_control(mixed, j), lambda: condition(rows, j)):
+                    with pytest.raises(ImpossiblePostselectionError) as mine:
+                        refuse()
+                    assert mine.value.probability == err.probability
                 refused += 1
                 continue
-            numeric, prob_numeric = _conditional(recombined, j, p, t, w)
-            assert abs(prob_numeric - prob) <= 1e-15
-            expected = window_vector(w, schrodinger_phase(state, p.omega, t))
-            assert np.max(np.abs(numeric - expected)) <= 1e-15
-            # the same pruning: identical support
-            assert np.array_equal(numeric != 0, expected != 0)
+            state, prob_view = measure_control(mixed, j)
+            assert state == expected and prob_view == prob
+            phased = reference_schrodinger_phase(expected, p.omega, t)
+            assert schrodinger_phase(state, p.omega, t) == phased
+            numeric, prob_chain = condition(rows, j)
+            assert prob_chain == prob
+            numeric = phase(numeric, p.omega, t, basis_excitations(w))
+            assert np.array_equal(numeric, window_vector(w, phased))
     assert refused == 2
 
 
