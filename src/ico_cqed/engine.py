@@ -8,9 +8,11 @@ propagator lives in ``oracle`` and shares none of these expressions.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import replace
 from enum import Enum
+from types import MappingProxyType
 
 import numpy as np
 
@@ -167,6 +169,21 @@ def general_postselect(
     return PureState(dict(zip(basis, phased[:, 0].tolist()))), float(prob[0])
 
 
+@functools.lru_cache(maxsize=32, typed=True)
+def _reachable(n: int, m: int) -> tuple[tuple[AtomFieldKet, ...], MappingProxyType]:
+    """The sorted basis of the kets both orders reach from (n, m), and the
+    row of each (atom, n, m) key on it; both read-only, as the cache shares
+    them."""
+    reachable = {
+        (atom, n + dn, m + dm)
+        for layout in (_LAYOUT_FIRST_C0, _LAYOUT_FIRST_C1)
+        for atom, dn, dm in layout
+        if n + dn >= 0 and m + dm >= 0
+    }
+    basis = tuple(sorted(AtomFieldKet(*key) for key in reachable))
+    return basis, MappingProxyType({(k.atom, k.n, k.m): i for i, k in enumerate(basis)})
+
+
 def grid_amplitudes(
     scenario: str, n: int, m: int, *, g, t_first, t_second, xi, chi, theta, varphi
 ) -> tuple[tuple[AtomFieldKet, ...], np.ndarray, np.ndarray | None]:
@@ -193,14 +210,7 @@ def grid_amplitudes(
         g, t_first, t_second, xi, chi, theta, varphi
     )
     size = np.broadcast(g, t_first, t_second, xi, chi, theta, varphi).size
-    reachable = {
-        (atom, n + dn, m + dm)
-        for layout in (_LAYOUT_FIRST_C0, _LAYOUT_FIRST_C1)
-        for atom, dn, dm in layout
-        if n + dn >= 0 and m + dm >= 0
-    }
-    basis = tuple(sorted(AtomFieldKet(*key) for key in reachable))
-    row = {(k.atom, k.n, k.m): i for i, k in enumerate(basis)}
+    basis, row = _reachable(n, m)
     ce, se = np.cos(xi), np.exp(1j * chi) * np.sin(xi)
 
     def branch(first: int, second: int, layout: tuple) -> np.ndarray:

@@ -211,7 +211,9 @@ class PureState:
 
     def items(self) -> list:
         """(ket, amplitude) pairs in the deterministic ket order."""
-        return [(k, self._amps[k]) for k in self.kets()]
+        # sorting the pairs spares hashing every ket again to look it up
+        key = _SORT_KEY.get(self._flavor)
+        return sorted(self._amps.items(), key=lambda pair: key(pair[0]))
 
     def __len__(self) -> int:
         return len(self._amps)

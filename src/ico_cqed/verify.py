@@ -17,6 +17,7 @@ import numpy as np
 
 from . import oracle
 from .engine import grid_amplitudes, measurement_phase
+from .errors import ImpossiblePostselectionError
 from .states import MIN_OUTCOME_PROBABILITY, SystemParams
 
 DEFAULT_TOLERANCE = 1e-9
@@ -95,64 +96,83 @@ def random_params(rng: np.random.Generator) -> SystemParams:
     )
 
 
-def _closed_forms(draws: list[tuple[SystemParams, float]]) -> list[list[tuple]]:
-    """Per (params, measurement time) draw and control outcome j: the basis,
-    the phased conditional amplitudes and the outcome probability, as
-    general_postselect computes them, from one grid_amplitudes call per
-    (n, m) group and outcome.  A draw evaluated alone gets the same bits."""
+def _groups(draws: list[tuple[SystemParams, float]]) -> list[list[int]]:
+    """Indices of the draws grouped by (n, m), in order of first appearance."""
     groups: dict[tuple[int, int], list[int]] = {}
     for i, (p, _) in enumerate(draws):
         groups.setdefault((p.n, p.m), []).append(i)
-    out: list[list[tuple]] = [[] for _ in draws]
-    for (n, m), members in groups.items():
-        params = [draws[i][0] for i in members]
-        transit = np.array([p.T for p in params])
-        per_point = {
-            name: np.array([getattr(p, name) for p in params])
-            for name in ("g", "xi", "chi", "theta", "varphi")
-        }
-        omega_t = np.array([draws[i][0].omega * draws[i][1] for i in members])
-        for scenario in ("ico_j0", "ico_j1"):
-            basis, amps, prob = grid_amplitudes(
-                scenario, n, m, t_first=transit, t_second=transit, **per_point
-            )
-            phased = measurement_phase(basis, amps, omega_t)
-            for col, i in enumerate(members):
-                out[i].append((basis, phased[:, col], float(prob[col])))
+    return list(groups.values())
+
+
+def _closed_forms(group: list[tuple[SystemParams, float]]) -> list[tuple]:
+    """Per control outcome j of (params, measurement time) draws that share
+    (n, m): the basis, the (K, N) phased conditional amplitudes and the N
+    outcome probabilities, as general_postselect computes them, from one
+    grid_amplitudes call.  A draw evaluated alone gets the same bits."""
+    params = [p for p, _ in group]
+    transit = np.array([p.T for p in params])
+    per_point = {
+        name: np.array([getattr(p, name) for p in params])
+        for name in ("g", "xi", "chi", "theta", "varphi")
+    }
+    omega_t = np.array([p.omega * t for p, t in group])
+    out = []
+    for scenario in ("ico_j0", "ico_j1"):
+        basis, amps, prob = grid_amplitudes(
+            scenario, params[0].n, params[0].m, t_first=transit, t_second=transit, **per_point
+        )
+        out.append((basis, measurement_phase(basis, amps, omega_t), prob))
     return out
 
 
 def _amplitude_deviation(
     basis: tuple, analytic: np.ndarray, numeric: np.ndarray, w: oracle.TruncationWindow
-) -> float:
-    """Largest |analytic - numeric| over the union of both supports; an
-    analytic ket outside the window counts with its full magnitude.  hypot
-    rounds as abs() of a Python complex does; numpy's complex abs may not."""
+) -> np.ndarray:
+    """Largest |analytic - numeric| over the union of both supports, per
+    column: analytic is (K, ...) on the basis, numeric (atom_field_dim, ...)
+    on the window.  An analytic ket outside the window counts with its full
+    magnitude.  hypot rounds as abs() of a Python complex does; numpy's
+    complex abs may not."""
+    inside = [i for i, k in enumerate(basis) if k.n <= w.n_max and k.m <= w.n_max]
     diff = numeric.copy()
-    outside = 0.0
-    for ket, amp in zip(basis, analytic.tolist()):
-        if ket.n > w.n_max or ket.m > w.n_max:
-            outside = max(outside, abs(amp))
-        else:
-            diff[w.index(ket.atom, ket.n, ket.m)] -= amp
-    return max(outside, float(np.hypot(diff.real, diff.imag).max()))
+    diff[[w.index(basis[i].atom, basis[i].n, basis[i].m) for i in inside]] -= analytic[inside]
+    deviation = np.hypot(diff.real, diff.imag).max(axis=0)
+    outside = np.delete(analytic, inside, axis=0)
+    if len(outside):
+        deviation = np.maximum(deviation, np.hypot(outside.real, outside.imag).max(axis=0))
+    return deviation
 
 
-def _compare_draw(p: SystemParams, t: float, closed: list) -> list[tuple]:
-    """(outcome, closed-form probability, matrix probability, amplitude
-    deviation) for each control outcome the closed forms do not refuse;
-    ``closed`` is the draw's entry of _closed_forms."""
-    window = oracle.TruncationWindow.for_params(p)
-    recombined = oracle.recombine(oracle._evolve_branches(p, t, window))
-    rows = []
-    for j, (basis, analytic, prob_analytic) in enumerate(closed):
-        if prob_analytic < MIN_OUTCOME_PROBABILITY:
-            continue
-        state, prob_numeric = oracle.condition(recombined, j)
-        numeric = oracle.phase(state, p.omega, t, oracle.basis_excitations(window))
-        deviation = _amplitude_deviation(basis, analytic, numeric, window)
-        rows.append((j, prob_analytic, prob_numeric, deviation))
-    return rows
+def _compare_group(group: list[tuple[SystemParams, float]]) -> list[list[tuple]]:
+    """Per draw of a group sharing (n, m): (outcome, closed-form probability,
+    matrix probability, amplitude deviation) for each control outcome the
+    closed forms do not refuse.  Both sides run once for the whole group."""
+    window = oracle.TruncationWindow.for_params(group[0][0])
+    rows = oracle.recombine(oracle._evolve_branches(group, window))
+    omega, times = [p.omega for p, _ in group], [t for _, t in group]
+    numeric, prob_numeric = [], []
+    for j in (0, 1):
+        state, prob = oracle.condition(rows, j)
+        numeric.append(oracle.phase(state, omega, times, oracle.basis_excitations(window)))
+        prob_numeric.append(prob)
+    closed = _closed_forms(group)
+    # both outcomes share the group's basis: one index map serves them all
+    deviation = _amplitude_deviation(
+        closed[0][0], np.stack([amps for _, amps, _ in closed], axis=1),
+        np.stack(numeric, axis=1), window,
+    )
+    compared = []
+    for col in range(len(group)):
+        found = []
+        for j, (_, _, prob) in enumerate(closed):
+            prob_analytic = float(prob[col])
+            if prob_analytic < MIN_OUTCOME_PROBABILITY:
+                continue
+            if prob_numeric[j][col] < MIN_OUTCOME_PROBABILITY:
+                raise ImpossiblePostselectionError(f"control outcome {j}", prob_numeric[j][col])
+            found.append((j, prob_analytic, prob_numeric[j][col], float(deviation[j, col])))
+        compared.append(found)
+    return compared
 
 
 def _check_inputs(seed: int, draws: int, tolerance: float) -> None:
@@ -177,8 +197,8 @@ def run_verification(
     The closed-form side is engine.grid_amplitudes, the kernel behind every
     sweep and figure, called once per (n, m) group of draws and control
     outcome.  The matrix side is the oracle's chain, recombine -> condition
-    -> phase, run per draw on the window vectors of the evolved branches:
-    the code behind hadamard_control, measure_control and
+    -> phase, run once per (n, m) group on the window vectors of the evolved
+    branches: the code behind hadamard_control, measure_control and
     schrodinger_phase.  seed must be an int >= 0, draws an int >= 1 and
     tolerance finite and >= 0; otherwise a ValueError names the field.
     draws may not exceed MAX_DRAWS."""
@@ -188,14 +208,16 @@ def run_verification(
     for _ in range(draws):
         p = random_params(rng)
         drawn.append((p, p.T1 + p.T + float(rng.uniform(0.0, 2.0))))
-    closed = _closed_forms(drawn)
+    compared: list[list[tuple]] = [[] for _ in drawn]
+    for members in _groups(drawn):
+        for i, rows in zip(members, _compare_group([drawn[i] for i in members])):
+            compared[i] = rows
     max_amp = 0.0
     max_prob = 0.0
     max_sum = 0.0
     skipped = 0
     worst = None
-    for draw, (p, t_meas) in enumerate(drawn):
-        rows = _compare_draw(p, t_meas, closed[draw])
+    for draw, ((p, t_meas), rows) in enumerate(zip(drawn, compared)):
         skipped += 2 - len(rows)
         for j, prob_analytic, prob_numeric, deviation in rows:
             max_prob = max(max_prob, abs(prob_analytic - prob_numeric))

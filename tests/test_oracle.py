@@ -51,7 +51,7 @@ def test_window_index_refuses_occupation_outside_window(n, m, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         w.index(G, n, m)
     assert w.index(G, 3, 3) == w.atom_field_dim - 1
-    assert w.decode(w.index(G, 1, 0)) == (G, 1, 0)
+    assert np.unravel_index(w.index(G, 1, 0), (2, w.levels, w.levels)) == (G, 1, 0)
 
 
 def test_generator_single_excitation_element():
@@ -85,12 +85,10 @@ def test_generator_hermitian_and_sector_block_diagonal():
     for cavity in (0, 1):
         h = jc_generator(cavity, 1.3, w)
         assert np.max(np.abs(h - h.conj().T)) < 1e-14
-        for i in range(w.atom_field_dim):
-            for j in range(w.atom_field_dim):
-                if h[i, j] != 0:
-                    ai, ni, mi = w.decode(i)
-                    aj, nj, mj = w.decode(j)
-                    assert ai.excitation + ni + mi == aj.excitation + nj + mj
+        atom, n, m = np.unravel_index(np.arange(w.atom_field_dim), (2, w.levels, w.levels))
+        excitations = 1 - atom + n + m
+        for i, j in zip(*np.nonzero(h)):
+            assert excitations[i] == excitations[j]
 
 
 # ---------------------------------------------------------------- propagator
@@ -301,15 +299,16 @@ def test_evolve_window_validation():
 
 
 def test_guard_population_trips_overflow_check():
+    # one column per leak, plus a clean column: each column is summed alone
     w = TruncationWindow(3)
-    for control, ket in ((0, (E, 3, 0)), (1, (G, 0, 3)), (1, (E, 3, 3))):
-        leaked = np.zeros((2, w.atom_field_dim), dtype=complex)
-        leaked[control, w.index(*ket)] = 0.6j
-        leaked[1 - control, w.index(E, 1, 0)] = 0.8
-        assert _guard_population(leaked, w) == pytest.approx(0.36, abs=1e-15)
-    clean = np.zeros((2, w.atom_field_dim), dtype=complex)
-    clean[0, w.index(E, 2, 2)] = 1.0
-    assert _guard_population(clean, w) == 0.0
+    leaks = ((0, (E, 3, 0)), (1, (G, 0, 3)), (1, (E, 3, 3)))
+    branches = np.zeros((2, w.atom_field_dim, len(leaks) + 1), dtype=complex)
+    for column, (control, ket) in enumerate(leaks):
+        branches[control, w.index(*ket), column] = 0.6j
+        branches[1 - control, w.index(E, 1, 0), column] = 0.8
+    branches[0, w.index(E, 2, 2), len(leaks)] = 1.0
+    assert _guard_population(branches, w) == pytest.approx([0.36] * 3 + [0.0], abs=1e-15)
+    assert _guard_population(branches, w)[-1] == 0.0
 
 
 def test_evolve_refuses_guard_row_leak(monkeypatch):
@@ -329,11 +328,31 @@ def test_evolve_refuses_guard_row_leak(monkeypatch):
 
 
 def test_evolve_guard_rows_stay_empty(rng):
-    for _ in range(5):
-        p = random_params(rng)
-        w = TruncationWindow.for_params(p)
-        branches = _evolve_branches(p, p.T1 + 0.5 * p.T, w)
-        assert _guard_population(branches, w) < 1e-12
+    # five draws evolved as one batch on the window the largest of them needs
+    draws = [(p, p.T1 + 0.5 * p.T) for p in (random_params(rng) for _ in range(5))]
+    w = TruncationWindow(max(max(p.n, p.m) for p, _ in draws) + 2)
+    assert max(_guard_population(_evolve_branches(draws, w), w)) < 1e-12
+
+
+def test_evolve_refuses_a_guard_row_leak_in_one_column(monkeypatch):
+    # a batch is refused when a single draw leaks, whichever column it is in
+    p = SystemParams(g=1.0, T=1.0, n=1, m=0)
+    w = TruncationWindow.for_params(p)
+    draws = [(p, p.T1 + p.T)] * 3
+    rotate = oracle._rotate
+
+    def leaky_in(column):
+        def leaky(x, cavity, t, g, w):
+            out = rotate(x, cavity, t, g, w)
+            out[w.index(E, w.n_max, 0), column] += 0.1
+            return out
+        return leaky
+
+    assert max(_guard_population(_evolve_branches(draws, w), w)) == 0.0
+    for column in range(len(draws)):
+        monkeypatch.setattr(oracle, "_rotate", leaky_in(column))
+        with pytest.raises(TruncationOverflowError):
+            _evolve_branches(draws, w)
 
 
 # ---------------------------------------------------------------- recombination and measurement
@@ -428,4 +447,23 @@ def test_phase_refuses_an_overflowing_angle():
         with pytest.raises(ValueError, match=r"^omega \* t must be finite, got inf"):
             schrodinger_phase(state, 1e308, 10.0)
     with pytest.raises(ValueError, match=r"^omega \* t must be finite, got -inf"):
-        oracle.phase(np.ones(1, dtype=complex), -1e308, 10.0, np.array([1]))
+        oracle.phase(np.ones((1, 1), dtype=complex), (-1e308,), (10.0,), np.array([1]))
+
+
+def test_phase_refuses_an_overflowing_phase_argument():
+    # omega * t is finite, omega * t * (excitations - 1/2) is not
+    argument = r"^omega \* t \* \(excitations - 1/2\) must be finite, got "
+    with pytest.raises(ValueError, match=argument + "inf"):
+        oracle.phase(np.ones((1, 1), dtype=complex), (1e308,), (1.0,), np.array([3]))
+    # one overflowing column refuses the batch; the others alone are fine
+    amps = np.ones((2, 3), dtype=complex)
+    omega, t = (1.0, -1e308, 2.0), (1.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match=argument + "-inf"):
+        oracle.phase(amps, omega, t, np.array([0, 3]))
+    assert np.isfinite(oracle.phase(amps[:, ::2], omega[::2], t[::2], np.array([0, 3]))).all()
+    # three excitations: 2.5 * 1e308 overflows, -0.5 * 1e308 at none does not
+    with pytest.raises(ValueError, match=argument + "inf"):
+        schrodinger_phase(PureState({AtomFieldKet(E, 1, 1): 1.0}), 1e308, 1.0)
+    ground = PureState({AtomFieldKet(G, 0, 0): 1.0})
+    phased = schrodinger_phase(ground, 1e308, 1.0).amplitude(AtomFieldKet(G, 0, 0))
+    assert abs(phased) == pytest.approx(1.0, abs=1e-15)

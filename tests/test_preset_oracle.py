@@ -1,15 +1,14 @@
-"""Preset rows against the matrix oracle.
+"""Every preset cell against the matrix oracle.
 
-The first row and 20 seeded rows of every preset sweep are rebuilt through
-oracle.evolve -> hadamard_control -> measure_control, the PureState views
-of the oracle's recombine -> condition chain that verify also runs.  The
-observables are computed here with numpy, not through ico_cqed.observables,
-so the kernel and the observable column functions that write the preset
-CSVs are both checked against code they share nothing with.
+Each preset sweep is rebuilt through the oracle's batched chain: the
+1,001 grid points of a sweep evolve as one batch in oracle._evolve_branches,
+then recombine -> condition, the chain that verify and the PureState views
+also run.  The observables are computed here with numpy, not through
+ico_cqed.observables, so the kernel and the observable column functions that
+write the preset CSVs are both checked against code they share nothing with.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,74 +18,64 @@ from ico_cqed import (
     MIN_OUTCOME_PROBABILITY,
     AtomicInversion,
     ControlProbabilityColumn,
-    ImpossiblePostselectionError,
     KetProbability,
     SystemParams,
     TruncationWindow,
-    evolve,
-    hadamard_control,
-    measure_control,
     run_sweep,
 )
-from helpers import E
+from ico_cqed.oracle import _evolve_branches, condition, recombine
 
-ROWS = 20
 TOL = 1e-9
 
 
-def oracle_outcome(cfg, gt):
-    """The conditional atom-field amplitudes keyed by (atom, n, m), or None
-    where the scenario's control outcome is refused, and its probability."""
-    p = SystemParams(g=1.0, T=gt, theta=cfg.theta, varphi=cfg.varphi,
-                     xi=cfg.xi, chi=cfg.chi, n=cfg.n, m=cfg.m)
-    window = TruncationWindow.for_params(p)
+def oracle_outcomes(cfg, grid):
+    """The window, the conditional amplitudes as (atom, n, m, point) on it,
+    zero where the scenario's control outcome is refused, and the outcome
+    probability per point."""
     j = 0 if cfg.scenario in ("series_C0C1", "ico_j0") else 1
-    if cfg.scenario.startswith("series"):
-        # a definite order is the control-j branch alone
-        full = evolve(replace(p, theta=j * math.pi / 2, varphi=0.0), 2 * gt, window)
-    else:
-        full = hadamard_control(evolve(p, 2 * gt, window))
-    try:
-        state, prob = measure_control(full, j)
-    except ImpossiblePostselectionError as err:
-        return None, err.probability
-    return {(k.atom, k.n, k.m): a for k, a in state.items()}, prob
+    series = cfg.scenario.startswith("series")
+    # a definite order is the control-j branch alone
+    theta, varphi = (j * math.pi / 2, 0.0) if series else (cfg.theta, cfg.varphi)
+    draws = [(SystemParams(g=1.0, T=gt, theta=theta, varphi=varphi, xi=cfg.xi, chi=cfg.chi,
+                           n=cfg.n, m=cfg.m), 2 * gt) for gt in grid]
+    w = TruncationWindow.for_params(draws[0][0])
+    branches = _evolve_branches(draws, w)
+    amps, probs = condition(branches if series else recombine(branches), j)
+    return w, amps.reshape(2, w.levels, w.levels, len(grid)), np.array(probs)
 
 
-def oracle_cell(q, amps, prob):
+def oracle_column(q, w, amps, probs):
+    """One column of cells; NaN marks an empty cell."""
     if isinstance(q, ControlProbabilityColumn):
-        return prob
-    if amps is None:
-        return None
+        return probs
+    population = amps.real**2 + amps.imag**2
+    empty = probs < MIN_OUTCOME_PROBABILITY
     if isinstance(q, KetProbability):
-        return abs(amps.get((q.atom, q.n, q.m), 0.0)) ** 2
-    if isinstance(q, AtomicInversion):
-        return sum((1.0 if atom is E else -1.0) * abs(a) ** 2 for (atom, _, _), a in amps.items())
-    branch = {(n, m): a for (atom, n, m), a in amps.items() if atom is q.atom_branch}
-    weight = sum(abs(a) ** 2 for a in branch.values())
-    if weight < MIN_OUTCOME_PROBABILITY:
-        return None
-    ns = sorted({n for n, _ in branch})
-    ms = sorted({m for _, m in branch})
-    psi = np.zeros((len(ns), len(ms)), dtype=complex)
-    for (n, m), a in branch.items():
-        psi[ns.index(n), ms.index(m)] = a / math.sqrt(weight)
-    rho = psi @ psi.conj().T
-    return 1.0 - float(np.sum(np.abs(rho) ** 2))
+        inside = q.n <= w.n_max and q.m <= w.n_max
+        cells = population[q.atom, q.n, q.m] if inside else np.zeros(len(probs))
+    elif isinstance(q, AtomicInversion):
+        cells = population[0].sum(axis=(0, 1)) - population[1].sum(axis=(0, 1))
+    else:
+        weight = population[q.atom_branch].sum(axis=(0, 1))
+        empty |= weight < MIN_OUTCOME_PROBABILITY
+        psi = amps[q.atom_branch] / np.sqrt(np.where(empty, 1.0, weight))
+        rho = np.einsum("nmp,kmp->nkp", psi, psi.conj())
+        cells = 1.0 - (np.abs(rho) ** 2).sum(axis=(0, 1))
+    return np.where(empty, np.nan, cells)
 
 
 @pytest.mark.parametrize("index,figure_id", list(enumerate(sorted(FIGURE_PRESETS))))
 def test_preset_rows_match_oracle(index, figure_id):
     for cfg in FIGURE_PRESETS[figure_id].sweeps:
         table = run_sweep(cfg)
-        rng = np.random.default_rng([1313, index])
-        picked = [0] + sorted(rng.choice(np.arange(1, len(table.rows)), ROWS, replace=False))
-        for i in picked:
-            gt, *cells = table.rows[i]
-            amps, prob = oracle_outcome(cfg, gt)
-            for q, v in zip(cfg.quantities, cells):
-                o = oracle_cell(q, amps, prob)
+        grid = [row[0] for row in table.rows]
+        assert len(grid) == 1001
+        w, amps, probs = oracle_outcomes(cfg, grid)
+        for k, q in enumerate(cfg.quantities):
+            column = oracle_column(q, w, amps, probs)
+            for i, (row, o) in enumerate(zip(table.rows, column.tolist())):
+                v = row[1 + k]
                 where = f"{cfg.scenario} row {i} {q.column_id}: {v!r} vs oracle {o!r}"
-                assert (v is None) == (o is None), where
+                assert (v is None) == math.isnan(o), where
                 if v is not None:
                     assert abs(v - o) <= TOL, where

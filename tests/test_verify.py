@@ -1,7 +1,7 @@
 """run_verification: input validation, the worst-draw record, the grouped
-closed-form evaluation, and the oracle chain it runs (recombine ->
-condition -> phase), with the PureState views of that chain, against the
-ket-by-ket dict reference in helpers."""
+closed-form and oracle evaluation, and the oracle chain it runs (recombine
+-> condition -> phase) batched over draws, with the PureState views of that
+chain, against the ket-by-ket dict reference in helpers."""
 
 import math
 from dataclasses import replace
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ico_cqed import (
+    MIN_OUTCOME_PROBABILITY,
     AtomFieldKet,
     ImpossiblePostselectionError,
     PureState,
@@ -29,7 +30,8 @@ from ico_cqed.verify import (
     MAX_DRAWS,
     _amplitude_deviation,
     _closed_forms,
-    _compare_draw,
+    _compare_group,
+    _groups,
     random_params,
 )
 from helpers import (
@@ -84,48 +86,94 @@ def wide_draws(seed, count):
     return draws
 
 
+def matrix_chain(group, w):
+    """The oracle chain on a batch of draws that share the window: per
+    outcome j, the phased conditional window vectors (atom_field_dim, N)
+    and the N probabilities."""
+    rows = recombine(_evolve_branches(group, w))
+    omega, times = [p.omega for p, _ in group], [t for _, t in group]
+    out = []
+    for j in (0, 1):
+        state, prob = condition(rows, j)
+        out.append((phase(state, omega, times, basis_excitations(w)), prob))
+    return out
+
+
+def window_groups(draws):
+    """The draws grouped by window; one batch may mix several (n, m)."""
+    groups = {}
+    for p, t in draws:
+        groups.setdefault(TruncationWindow.for_params(p), []).append((p, t))
+    return groups.items()
+
+
 def test_chain_and_views_equal_dict_reference():
-    # exact: the chain on window vectors and its PureState views give the
-    # bits, the refusals and the probabilities of the dict reference
+    # exact: the batched chain on window vectors and its PureState views give
+    # the bits, the refusals and the probabilities of the dict reference
     refused = 0
-    for p, t in seeded_draws(11, 150) + wide_draws(7, 60):
-        w = TruncationWindow.for_params(p)
-        full = evolve(p, t, w)
-        mixed = hadamard_control(full)
-        assert mixed == reference_hadamard_control(full)
-        rows = recombine(_evolve_branches(p, t, w))
-        for j in (0, 1):
-            try:
-                expected, prob = reference_measure_control(mixed, j)
-            except ImpossiblePostselectionError as err:
-                for refuse in (lambda: measure_control(mixed, j), lambda: condition(rows, j)):
+    for w, group in window_groups(seeded_draws(11, 150) + wide_draws(7, 60)):
+        batched = matrix_chain(group, w)
+        for col, (p, t) in enumerate(group):
+            full = evolve(p, t, w)
+            mixed = hadamard_control(full)
+            assert mixed == reference_hadamard_control(full)
+            for j, (numeric, probs) in enumerate(batched):
+                try:
+                    expected, prob = reference_measure_control(mixed, j)
+                except ImpossiblePostselectionError as err:
                     with pytest.raises(ImpossiblePostselectionError) as mine:
-                        refuse()
-                    assert mine.value.probability == err.probability
-                refused += 1
-                continue
-            state, prob_view = measure_control(mixed, j)
-            assert state == expected and prob_view == prob
-            phased = reference_schrodinger_phase(expected, p.omega, t)
-            assert schrodinger_phase(state, p.omega, t) == phased
-            numeric, prob_chain = condition(rows, j)
-            assert prob_chain == prob
-            numeric = phase(numeric, p.omega, t, basis_excitations(w))
-            assert np.array_equal(numeric, window_vector(w, phased))
+                        measure_control(mixed, j)
+                    assert mine.value.probability == err.probability == probs[col]
+                    assert not numeric[:, col].any()
+                    refused += 1
+                    continue
+                state, prob_view = measure_control(mixed, j)
+                assert state == expected and prob_view == prob == probs[col]
+                phased = reference_schrodinger_phase(expected, p.omega, t)
+                assert schrodinger_phase(state, p.omega, t) == phased
+                assert np.array_equal(numeric[:, col], window_vector(w, phased))
     assert refused == 2
+
+
+def test_batching_changes_no_bits():
+    # a draw run alone (N = 1) gets exactly the amplitudes, probabilities and
+    # refusals it gets inside its (n, m) group; the (0, 0) group mixes the
+    # refused outcome 1 at gT = 0 and 3e-5 with accepted ones
+    draws = seeded_draws(5, 240)
+    groups = [[draws[i] for i in members] for members in _groups(draws)]
+    assert len(groups) == 25
+    refused = mixed = 0
+    for group in groups:
+        w = TruncationWindow.for_params(group[0][0])
+        batched = matrix_chain(group, w)
+        compared = _compare_group(group)
+        refused_here = set()
+        for col, draw in enumerate(group):
+            alone = matrix_chain([draw], w)
+            for j, ((numeric, probs), (one, prob_one)) in enumerate(zip(batched, alone)):
+                assert numeric[:, col].tobytes() == one[:, 0].tobytes()
+                assert probs[col] == prob_one[0]
+                if prob_one[0] < MIN_OUTCOME_PROBABILITY:
+                    assert not one.any()
+                    refused_here.add((col, j))
+            assert compared[col] == _compare_group([draw])[0]
+        refused += len(refused_here)
+        mixed += 0 < len(refused_here) < 2 * len(group)
+    assert refused >= 2 and mixed >= 1
 
 
 def test_analytic_ket_outside_window_counts_as_deviation():
     # a closed form that put weight beyond the window must not alias onto
-    # another index of the numeric vector
+    # another index of the numeric vector, and counts in full in each column
     w = TruncationWindow(3)
-    numeric = np.zeros(w.atom_field_dim, dtype=complex)
-    numeric[w.index(G, 1, 0)] = 0.5
+    numeric = np.zeros((w.atom_field_dim, 2), dtype=complex)
+    numeric[w.index(G, 1, 0)] = 0.25, 0.75
     # (g, 0, n_max + 1) would land on the flat index of (g, 1, 0)
     with pytest.raises(ValueError, match="^m must lie in 0..3"):
         w.index(G, 0, w.n_max + 1)
     ghost = (AtomFieldKet(G, 0, w.n_max + 1),)
-    assert _amplitude_deviation(ghost, np.array([0.5 + 0j]), numeric, w) == 0.5
+    deviation = _amplitude_deviation(ghost, np.array([[0.5 + 0j, 0.5]]), numeric, w)
+    assert deviation.tolist() == [0.5, 0.75]
 
 
 def test_grouped_closed_forms_equal_one_draw_calls():
@@ -133,22 +181,27 @@ def test_grouped_closed_forms_equal_one_draw_calls():
     # columns must be the bits a call for that draw alone gives, which is
     # also what general_postselect returns
     draws = seeded_draws(5, 240)
-    grouped = _closed_forms(draws)
-    assert len({(p.n, p.m) for p, _ in draws}) == 25
+    assert len(_groups(draws)) == 25
     refused = 0
-    for (p, t), closed in zip(draws, grouped):
-        alone = _closed_forms([(p, t)])[0]
-        for j, (basis, column, prob) in enumerate(closed):
-            assert alone[j][0] == basis and alone[j][2] == prob
-            assert alone[j][1].tobytes() == column.tobytes()
-            try:
-                state, prob_gp = general_postselect(j, p, p.omega * t)
-            except ImpossiblePostselectionError as err:
-                assert err.probability == prob and not column.any()
-                refused += 1
-                continue
-            assert prob_gp == prob
-            assert state == PureState(dict(zip(basis, column.tolist())))
+    for members in _groups(draws):
+        grouped = _closed_forms([draws[i] for i in members])
+        for col, i in enumerate(members):
+            p, t = draws[i]
+            alone = _closed_forms([(p, t)])
+            for j, ((basis, amps, probs), (basis_one, one, prob_one)) in enumerate(
+                zip(grouped, alone)
+            ):
+                column, prob = amps[:, col], float(probs[col])
+                assert basis_one == basis and prob_one[0] == prob
+                assert one[:, 0].tobytes() == column.tobytes()
+                try:
+                    state, prob_gp = general_postselect(j, p, p.omega * t)
+                except ImpossiblePostselectionError as err:
+                    assert err.probability == prob and not column.any()
+                    refused += 1
+                    continue
+                assert prob_gp == prob
+                assert state == PureState(dict(zip(basis, column.tolist())))
     assert refused >= 2
 
 
@@ -215,11 +268,11 @@ def test_failed_report_replays_worst_draw():
     for _ in range(40):
         q = random_params(rng)
         t_q = q.T1 + q.T + float(rng.uniform(0.0, 2.0))
-        rows = _compare_draw(q, t_q, _closed_forms([(q, t_q)])[0])
+        rows = _compare_group([(q, t_q)])[0]
         per_draw.append(max(dev for _, _, _, dev in rows))
     assert max(per_draw) == report.max_amplitude_deviation
     assert per_draw.index(max(per_draw)) == report.worst_draw
-    deviations = {j: dev for j, _, _, dev in _compare_draw(p, t, _closed_forms([(p, t)])[0])}
+    deviations = {j: dev for j, _, _, dev in _compare_group([(p, t)])[0]}
     assert deviations[report.worst_outcome] == report.max_amplitude_deviation
     # and through the public PureState chain
     j = report.worst_outcome
