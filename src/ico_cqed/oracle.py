@@ -177,7 +177,7 @@ def _evolve_branches(draws: list[tuple[SystemParams, float]], w: TruncationWindo
     # The control-1 branch, cavity 1 first, is the control-0 branch of the
     # preparation with the two modes exchanged.  So both branches run as 2N
     # columns through cavity 0 and then cavity 1, and the modes of the last
-    # N are exchanged back.
+    # N are exchanged back: two rotations per batch, not four.
     size = len(draws)
     psi0 = np.zeros((w.atom_field_dim, 2 * size), dtype=complex)
     for column, (p, _) in enumerate(draws):

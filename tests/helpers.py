@@ -17,6 +17,7 @@ from ico_cqed import (
     ImpossiblePostselectionError,
     PureState,
     SystemParams,
+    TruncationWindow,
     coeffs_c,
     coeffs_s,
 )
@@ -34,6 +35,15 @@ def params(gt, **overrides):
 def balanced(gt, **overrides):
     """Maximally indefinite control preparation."""
     return params(gt, theta=math.pi / 4, **overrides)
+
+
+def window_groups(draws):
+    """(params, t) draws grouped by their tight window, TruncationWindow.for_params;
+    one batch may mix several (n, m)."""
+    groups = {}
+    for p, t in draws:
+        groups.setdefault(TruncationWindow.for_params(p), []).append((p, t))
+    return groups.items()
 
 
 def max_amp_diff(a: PureState, b: PureState) -> float:

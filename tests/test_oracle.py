@@ -27,7 +27,14 @@ from ico_cqed import (
 from ico_cqed import oracle
 from ico_cqed.oracle import _evolve_branches, _guard_population
 from ico_cqed.verify import random_params
-from helpers import E, G, excitation_distribution, initial_atom_field_state, max_amp_diff
+from helpers import (
+    E,
+    G,
+    excitation_distribution,
+    initial_atom_field_state,
+    max_amp_diff,
+    window_groups,
+)
 
 
 def full_state_vector(w, state):
@@ -328,10 +335,16 @@ def test_evolve_refuses_guard_row_leak(monkeypatch):
 
 
 def test_evolve_guard_rows_stay_empty(rng):
-    # five draws evolved as one batch on the window the largest of them needs
-    draws = [(p, p.T1 + 0.5 * p.T) for p in (random_params(rng) for _ in range(5))]
-    w = TruncationWindow(max(max(p.n, p.m) for p, _ in draws) + 2)
-    assert max(_guard_population(_evolve_branches(draws, w), w)) < 1e-12
+    # every draw on its own tight window, the guard row right above the
+    # reachable rows: alone, and batched with the draws that share the window
+    draws = [(p, p.T1 + 0.5 * p.T) for p in (random_params(rng) for _ in range(20))]
+    for p, t in draws:
+        w = TruncationWindow.for_params(p)
+        assert max(_guard_population(_evolve_branches([(p, t)], w), w)) < 1e-12
+    groups = window_groups(draws)
+    assert max(len(group) for _, group in groups) > 1
+    for w, group in groups:
+        assert max(_guard_population(_evolve_branches(group, w), w)) < 1e-12
 
 
 def test_evolve_refuses_a_guard_row_leak_in_one_column(monkeypatch):

@@ -40,6 +40,7 @@ from helpers import (
     reference_hadamard_control,
     reference_measure_control,
     reference_schrodinger_phase,
+    window_groups,
 )
 
 
@@ -97,14 +98,6 @@ def matrix_chain(group, w):
         state, prob = condition(rows, j)
         out.append((phase(state, omega, times, basis_excitations(w)), prob))
     return out
-
-
-def window_groups(draws):
-    """The draws grouped by window; one batch may mix several (n, m)."""
-    groups = {}
-    for p, t in draws:
-        groups.setdefault(TruncationWindow.for_params(p), []).append((p, t))
-    return groups.items()
 
 
 def test_chain_and_views_equal_dict_reference():
