@@ -157,11 +157,16 @@ def general_postselect(
     probability: one point of grid_amplitudes and measurement_phase.  An
     outcome with probability below MIN_OUTCOME_PROBABILITY raises
     ImpossiblePostselectionError, which carries the refused probability; a
-    non-finite omega_t raises ValueError.
+    non-finite omega_t, or one whose phase argument overflows, raises
+    ValueError.
     """
     check_outcome(j)
-    if not math.isfinite(omega_t):
-        raise ValueError(f"omega_t must be finite, got {omega_t}")
+    # The ket (e, n, m) has the most excitations, n + m + 1; its argument is
+    # rounded as measurement_phase rounds it.  A non-finite omega_t fails too.
+    if not math.isfinite(omega_t * (float(p.n + p.m + 1) - 0.5)):
+        raise ValueError(
+            f"omega_t must be finite, as must omega_t * (n + m + 1/2), got omega_t={omega_t}"
+        )
     basis, amps, prob = _one_point(("ico_j0", "ico_j1")[j], p, p.T)
     if prob[0] < MIN_OUTCOME_PROBABILITY:
         raise ImpossiblePostselectionError(f"control outcome {j}", float(prob[0]))

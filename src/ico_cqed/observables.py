@@ -80,12 +80,14 @@ def condition_on_atom(s: PureState, a: AtomLevel) -> tuple[PureState, float]:
     """
     if s.flavor is not AtomFieldKet:
         raise FlavorMismatchError("condition_on_atom requires an atom-field state")
-    picked = {FieldsKet(k.n, k.m): amp for k, amp in s.items() if k.atom is a}
-    prob = math.fsum(v.real * v.real + v.imag * v.imag for v in picked.values())
-    if prob < MIN_OUTCOME_PROBABILITY:
-        raise ImpossiblePostselectionError(f"atom level {a.label}", prob)
-    scale = 1.0 / math.sqrt(prob)
-    return PureState({k: v * scale for k, v in picked.items()}), prob
+    items = s.items()
+    # the other level's rows as zeros: an absent level has probability 0.0
+    picked, prob = normalize_columns(np.array([[v if k.atom is a else 0j] for k, v in items]))
+    if prob[0] < MIN_OUTCOME_PROBABILITY:
+        raise ImpossiblePostselectionError(f"atom level {a.label}", float(prob[0]))
+    picked = picked[:, 0].tolist()
+    fields = {FieldsKet(k.n, k.m): v for (k, _), v in zip(items, picked) if k.atom is a}
+    return PureState(fields), float(prob[0])
 
 
 def _column(s: PureState) -> tuple[list, np.ndarray]:

@@ -93,6 +93,9 @@ def _check_occupation(value: int, name: str) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < 0:
         raise ValueError(f"{name} must be >= 0, got {value}")
+    # From 2**53 on, n and n + 1 round to one float: sqrt(n) = sqrt(n + 1).
+    if value >= 2**53:
+        raise ValueError(f"{name} must be < 2**53, got a {value.bit_length()}-bit integer")
 
 
 @dataclass(frozen=True, order=True)

@@ -328,14 +328,19 @@ FIGURE_PRESETS: dict[str, FigurePreset] = {
 }
 
 
-def figure_table(figure_id: str) -> Table:
-    """Run the sweeps behind one preset and merge them on the shared grid."""
+def _preset(figure_id: str) -> FigurePreset:
     preset = FIGURE_PRESETS.get(figure_id)
     if preset is None:
         raise ConfigError(
             f"figure: unknown id {figure_id!r}; available: "
             f"{', '.join(sorted(FIGURE_PRESETS))}"
         )
+    return preset
+
+
+def figure_table(figure_id: str) -> Table:
+    """Run the sweeps behind one preset and merge them on the shared grid."""
+    preset = _preset(figure_id)
     tables = [run_sweep(cfg) for cfg in preset.sweeps]
     if len(tables) == 1:
         return tables[0]
@@ -358,12 +363,9 @@ def sweep_meta(cfg: SweepConfig) -> dict:
 
 
 def figure_meta(figure_id: str) -> dict:
-    preset = FIGURE_PRESETS.get(figure_id)
-    if preset is None:
-        raise ConfigError(f"figure: unknown id {figure_id!r}")
     return {
         "figure": figure_id,
-        "sweeps": [cfg.to_dict() for cfg in preset.sweeps],
+        "sweeps": [cfg.to_dict() for cfg in _preset(figure_id).sweeps],
         "library_version": __version__,
     }
 

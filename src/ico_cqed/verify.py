@@ -96,19 +96,12 @@ def random_params(rng: np.random.Generator) -> SystemParams:
     )
 
 
-def _groups(draws: list[tuple[SystemParams, float]]) -> list[list[int]]:
-    """Indices of the draws grouped by (n, m), in order of first appearance."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, (p, _) in enumerate(draws):
-        groups.setdefault((p.n, p.m), []).append(i)
-    return list(groups.values())
-
-
-def _closed_forms(group: list[tuple[SystemParams, float]]) -> list[tuple]:
-    """Per control outcome j of (params, measurement time) draws that share
-    (n, m): the basis, the (K, N) phased conditional amplitudes and the N
-    outcome probabilities, as general_postselect computes them, from one
-    grid_amplitudes call.  A draw evaluated alone gets the same bits."""
+def _closed_forms(group: list[tuple[SystemParams, float]]) -> tuple:
+    """For (params, measurement time) draws that share (n, m): the basis, the
+    (K, 2, N) phased conditional amplitudes, axis 1 the control outcome j,
+    and the (2, N) outcome probabilities, as general_postselect computes
+    them, from one grid_amplitudes call per outcome.  A draw evaluated alone
+    gets the same bits."""
     params = [p for p, _ in group]
     transit = np.array([p.T for p in params])
     per_point = {
@@ -116,13 +109,14 @@ def _closed_forms(group: list[tuple[SystemParams, float]]) -> list[tuple]:
         for name in ("g", "xi", "chi", "theta", "varphi")
     }
     omega_t = np.array([p.omega * t for p, t in group])
-    out = []
+    amps, probs = [], []
     for scenario in ("ico_j0", "ico_j1"):
-        basis, amps, prob = grid_amplitudes(
+        basis, conditional, prob = grid_amplitudes(
             scenario, params[0].n, params[0].m, t_first=transit, t_second=transit, **per_point
         )
-        out.append((basis, measurement_phase(basis, amps, omega_t), prob))
-    return out
+        amps.append(measurement_phase(basis, conditional, omega_t))
+        probs.append(prob)
+    return basis, np.stack(amps, axis=1), np.array(probs)
 
 
 def _amplitude_deviation(
@@ -143,10 +137,12 @@ def _amplitude_deviation(
     return deviation
 
 
-def _compare_group(group: list[tuple[SystemParams, float]]) -> list[list[tuple]]:
-    """Per draw of a group sharing (n, m): (outcome, closed-form probability,
-    matrix probability, amplitude deviation) for each control outcome the
-    closed forms do not refuse.  Both sides run once for the whole group."""
+def _compare_group(group: list[tuple[SystemParams, float]]) -> tuple:
+    """For draws that share (n, m), three (2, N) arrays, row j for control
+    outcome j and column i for draw i: the closed-form probability, the
+    matrix probability and the amplitude deviation.  Both sides run once for
+    the whole group.  The first (draw, outcome) that the closed forms accept
+    and the matrix side refuses raises ImpossiblePostselectionError."""
     window = oracle.TruncationWindow.for_params(group[0][0])
     rows = oracle.recombine(oracle._evolve_branches(group, window))
     omega, times = [p.omega for p, _ in group], [t for _, t in group]
@@ -155,24 +151,14 @@ def _compare_group(group: list[tuple[SystemParams, float]]) -> list[list[tuple]]
         state, prob = oracle.condition(rows, j)
         numeric.append(oracle.phase(state, omega, times, oracle.basis_excitations(window)))
         prob_numeric.append(prob)
-    closed = _closed_forms(group)
-    # both outcomes share the group's basis: one index map serves them all
-    deviation = _amplitude_deviation(
-        closed[0][0], np.stack([amps for _, amps, _ in closed], axis=1),
-        np.stack(numeric, axis=1), window,
-    )
-    compared = []
-    for col in range(len(group)):
-        found = []
-        for j, (_, _, prob) in enumerate(closed):
-            prob_analytic = float(prob[col])
-            if prob_analytic < MIN_OUTCOME_PROBABILITY:
-                continue
-            if prob_numeric[j][col] < MIN_OUTCOME_PROBABILITY:
-                raise ImpossiblePostselectionError(f"control outcome {j}", prob_numeric[j][col])
-            found.append((j, prob_analytic, prob_numeric[j][col], float(deviation[j, col])))
-        compared.append(found)
-    return compared
+    basis, analytic, prob_analytic = _closed_forms(group)
+    prob_numeric = np.array(prob_numeric)
+    refused = (prob_analytic >= MIN_OUTCOME_PROBABILITY) & (prob_numeric < MIN_OUTCOME_PROBABILITY)
+    if refused.any():
+        draw, j = np.argwhere(refused.T)[0]  # the first in draw-major order
+        raise ImpossiblePostselectionError(f"control outcome {j}", float(prob_numeric[j, draw]))
+    deviation = _amplitude_deviation(basis, analytic, np.stack(numeric, axis=1), window)
+    return prob_analytic, prob_numeric, deviation
 
 
 def _check_inputs(seed: int, draws: int, tolerance: float) -> None:
@@ -205,36 +191,34 @@ def run_verification(
     _check_inputs(seed, draws, tolerance)
     rng = np.random.default_rng(seed)
     drawn = []
-    for _ in range(draws):
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i in range(draws):
         p = random_params(rng)
         drawn.append((p, p.T1 + p.T + float(rng.uniform(0.0, 2.0))))
-    compared: list[list[tuple]] = [[] for _ in drawn]
-    for members in _groups(drawn):
-        for i, rows in zip(members, _compare_group([drawn[i] for i in members])):
-            compared[i] = rows
-    max_amp = 0.0
-    max_prob = 0.0
-    max_sum = 0.0
-    skipped = 0
-    worst = None
-    for draw, ((p, t_meas), rows) in enumerate(zip(drawn, compared)):
-        skipped += 2 - len(rows)
-        for j, prob_analytic, prob_numeric, deviation in rows:
-            max_prob = max(max_prob, abs(prob_analytic - prob_numeric))
-            if worst is None or deviation > max_amp:
-                max_amp, worst = deviation, (draw, j, t_meas, p)
-        if len(rows) == 2:
-            max_sum = max(max_sum, abs(rows[0][1] + rows[1][1] - 1.0))
-    # Every draw compares at least one outcome: P(0) + P(1) = 1.
-    worst_draw, worst_outcome, worst_time, worst_params = worst
+        groups.setdefault((p.n, p.m), []).append(i)
+    analytic, numeric, deviation = np.empty((3, 2, draws))
+    for members in groups.values():
+        analytic[:, members], numeric[:, members], deviation[:, members] = _compare_group(
+            [drawn[i] for i in members]
+        )
+    compared = analytic >= MIN_OUTCOME_PROBABILITY
+    # Every draw compares at least one outcome, as P(0) + P(1) = 1; argmax
+    # over the draw-major view names the first of equal deviations.
+    worst = int(np.argmax(np.where(compared, deviation, -np.inf).T))
+    worst_draw, worst_outcome = divmod(worst, 2)
+    worst_params, worst_time = drawn[worst_draw]
     return VerifyReport(
         seed=seed,
         draws=draws,
         tolerance=tolerance,
-        max_amplitude_deviation=max_amp,
-        max_probability_deviation=max_prob,
-        max_probability_sum_deviation=max_sum,
-        skipped_outcomes=skipped,
+        max_amplitude_deviation=float(deviation[worst_outcome, worst_draw]),
+        max_probability_deviation=float(
+            np.max(np.abs(analytic - numeric), where=compared, initial=0.0)
+        ),
+        max_probability_sum_deviation=float(np.max(
+            np.abs(analytic[0] + analytic[1] - 1.0), where=compared.all(axis=0), initial=0.0
+        )),
+        skipped_outcomes=int(np.count_nonzero(~compared)),
         worst_draw=worst_draw,
         worst_outcome=worst_outcome,
         worst_time=worst_time,

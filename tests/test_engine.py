@@ -430,6 +430,18 @@ def test_non_finite_measurement_phase_is_refused(omega_t):
             route(0, balanced(1.0), omega_t)
 
 
+def test_overflowing_measurement_phase_is_refused():
+    # finite omega_t whose argument overflows on the ket with n + m + 1 = 4
+    # excitations: refused with no numpy warning, which fails the run
+    p = SystemParams(g=1, T=1, n=2, m=1, xi=0.3, theta=0.5)
+    for route, q in ((general_postselect, p), (ico_postselected_state, balanced(1.0, n=2, m=1))):
+        with pytest.raises(ValueError, match=r"^omega_t must be finite, as must omega_t \* \(n"):
+            route(0, q, 1e308)
+    # 0.5 * 1e308 and 3.5 * 1e307 stay finite
+    assert general_postselect(0, replace(p, n=0, m=0), 1e308)[1] > 0
+    assert general_postselect(0, p, 1e307)[1] > 0
+
+
 def test_general_postselect_equals_four_state_composition(rng):
     cases = []
     for _ in range(300):

@@ -101,8 +101,9 @@ def test_condition_on_atom_product_state():
     fields, prob = condition_on_atom(psi, E)
     assert prob == 1.0
     assert fields.kets() == [FieldsKet(2, 3)]
-    with pytest.raises(ImpossiblePostselectionError):
+    with pytest.raises(ImpossiblePostselectionError, match="^atom level g has probability") as err:
         condition_on_atom(psi, G)
+    assert err.value.probability == 0.0
 
 
 # ---------------------------------------------------------------- reduced density matrices

@@ -156,6 +156,11 @@ def test_system_params_validation():
         SystemParams(g=1.0, T=1.0, T0=1.0, T1=1.5)  # T0 + T > T1
     with pytest.raises(ValueError, match=r"^g\*T must be finite"):
         SystemParams(g=1e300, T=1e10)  # both finite, the product is not
+    for field in ("n", "m"):
+        for huge in (2**53, 10**400):
+            with pytest.raises(ValueError, match=rf"^{field} must be < 2\*\*53"):
+                SystemParams(g=1.0, T=1.0, **{field: huge})
+        assert getattr(SystemParams(g=1.0, T=1.0, **{field: 2**53 - 1}), field) == 2**53 - 1
     p = SystemParams(g=2.0, T=3.0, T0=1.0)
     assert p.T1 == 4.0  # defaults to back-to-back transits
     assert p.gT == 6.0

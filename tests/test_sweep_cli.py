@@ -20,7 +20,7 @@ from ico_cqed import (
     sweep_meta,
 )
 from ico_cqed.cli import main
-from ico_cqed.sweep import MAX_GRID_POINTS, meta_json
+from ico_cqed.sweep import FIGURE_PRESETS, MAX_GRID_POINTS, meta_json
 from helpers import E, G
 
 
@@ -129,7 +129,8 @@ def test_cli_sweep_rejects_non_finite_floats(tmp_path, capsys, field, value):
     assert captured.err.startswith(f"ico-cqed: {field}: must be finite")
 
 
-BAD_OCCUPATIONS = [-1, 1.7, True, "2"]
+# From 2**53 on, n and n + 1 are one float; 10**400 overflows a float.
+BAD_OCCUPATIONS = [-1, 1.7, True, "2", 2**53, 10**400]
 
 
 @pytest.mark.parametrize("value", BAD_OCCUPATIONS, ids=repr)
@@ -153,6 +154,17 @@ def test_cli_sweep_rejects_bad_ket_prob_occupation(tmp_path, capsys, value):
     assert captured.err.splitlines() == [captured.err.strip()]
     assert captured.err.startswith("ico-cqed: quantities[0]: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("field", ["n", "m"])
+def test_cli_sweep_rejects_huge_photon_number(tmp_path, capsys, field):
+    path = tmp_path / "cfg.json"
+    data = {"scenario": "ico_j0", "quantities": [{"kind": "sigma_z"}], field: 10**400}
+    path.write_text(json.dumps(data))
+    assert main(["sweep", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ico-cqed: {field} must be < 2**53, got a 1329-bit integer\n"
 
 
 @pytest.mark.parametrize(
@@ -260,10 +272,13 @@ def test_every_preset_runs_fast_and_is_deterministic():
 
 
 def test_unknown_figure_id():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as table_err:
         figure_table("fig9z")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as meta_err:
         figure_meta("fig9z")
+    assert str(table_err.value) == str(meta_err.value) == (
+        "figure: unknown id 'fig9z'; available: " + ", ".join(sorted(FIGURE_PRESETS))
+    )
 
 
 def test_fig4b_ico_entropy_column_is_constant_half():

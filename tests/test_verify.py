@@ -1,7 +1,8 @@
 """run_verification: input validation, the worst-draw record, the grouped
-closed-form and oracle evaluation, and the oracle chain it runs (recombine
--> condition -> phase) batched over draws, with the PureState views of that
-chain, against the ket-by-ket dict reference in helpers."""
+closed-form and oracle evaluation, the reduction of its (2, N) arrays, and
+the oracle chain it runs (recombine -> condition -> phase) batched over
+draws, with the PureState views of that chain, against the ket-by-ket dict
+reference in helpers."""
 
 import math
 from dataclasses import replace
@@ -31,7 +32,6 @@ from ico_cqed.verify import (
     _amplitude_deviation,
     _closed_forms,
     _compare_group,
-    _groups,
     random_params,
 )
 from helpers import (
@@ -87,6 +87,14 @@ def wide_draws(seed, count):
     return draws
 
 
+def nm_groups(draws):
+    """The draws grouped by (n, m), as run_verification groups them."""
+    groups = {}
+    for p, t in draws:
+        groups.setdefault((p.n, p.m), []).append((p, t))
+    return list(groups.values())
+
+
 def matrix_chain(group, w):
     """The oracle chain on a batch of draws that share the window: per
     outcome j, the phased conditional window vectors (atom_field_dim, N)
@@ -132,8 +140,7 @@ def test_batching_changes_no_bits():
     # a draw run alone (N = 1) gets exactly the amplitudes, probabilities and
     # refusals it gets inside its (n, m) group; the (0, 0) group mixes the
     # refused outcome 1 at gT = 0 and 3e-5 with accepted ones
-    draws = seeded_draws(5, 240)
-    groups = [[draws[i] for i in members] for members in _groups(draws)]
+    groups = nm_groups(seeded_draws(5, 240))
     assert len(groups) == 25
     refused = mixed = 0
     for group in groups:
@@ -149,7 +156,8 @@ def test_batching_changes_no_bits():
                 if prob_one[0] < MIN_OUTCOME_PROBABILITY:
                     assert not one.any()
                     refused_here.add((col, j))
-            assert compared[col] == _compare_group([draw])[0]
+            for grouped, one in zip(compared, _compare_group([draw])):
+                assert grouped[:, col].tolist() == one[:, 0].tolist()
         refused += len(refused_here)
         mixed += 0 < len(refused_here) < 2 * len(group)
     assert refused >= 2 and mixed >= 1
@@ -173,20 +181,18 @@ def test_grouped_closed_forms_equal_one_draw_calls():
     # verify evaluates the closed forms once per (n, m) group; each draw's
     # columns must be the bits a call for that draw alone gives, which is
     # also what general_postselect returns
-    draws = seeded_draws(5, 240)
-    assert len(_groups(draws)) == 25
+    groups = nm_groups(seeded_draws(5, 240))
+    assert len(groups) == 25
     refused = 0
-    for members in _groups(draws):
-        grouped = _closed_forms([draws[i] for i in members])
-        for col, i in enumerate(members):
-            p, t = draws[i]
-            alone = _closed_forms([(p, t)])
-            for j, ((basis, amps, probs), (basis_one, one, prob_one)) in enumerate(
-                zip(grouped, alone)
-            ):
-                column, prob = amps[:, col], float(probs[col])
-                assert basis_one == basis and prob_one[0] == prob
-                assert one[:, 0].tobytes() == column.tobytes()
+    for group in groups:
+        basis, amps, probs = _closed_forms(group)
+        assert amps.shape == (len(basis), 2, len(group)) and probs.shape == (2, len(group))
+        for col, (p, t) in enumerate(group):
+            basis_one, one, prob_one = _closed_forms([(p, t)])
+            assert basis_one == basis and prob_one.tolist() == probs[:, [col]].tolist()
+            assert one[:, :, 0].tobytes() == amps[:, :, col].tobytes()
+            for j in (0, 1):
+                column, prob = amps[:, j, col], float(probs[j, col])
                 try:
                     state, prob_gp = general_postselect(j, p, p.omega * t)
                 except ImpossiblePostselectionError as err:
@@ -261,15 +267,54 @@ def test_failed_report_replays_worst_draw():
     for _ in range(40):
         q = random_params(rng)
         t_q = q.T1 + q.T + float(rng.uniform(0.0, 2.0))
-        rows = _compare_group([(q, t_q)])[0]
-        per_draw.append(max(dev for _, _, _, dev in rows))
+        analytic, _, deviation = _compare_group([(q, t_q)])
+        per_draw.append(deviation[analytic >= MIN_OUTCOME_PROBABILITY].max())
     assert max(per_draw) == report.max_amplitude_deviation
-    assert per_draw.index(max(per_draw)) == report.worst_draw
-    deviations = {j: dev for j, _, _, dev in _compare_group([(p, t)])[0]}
-    assert deviations[report.worst_outcome] == report.max_amplitude_deviation
+    assert per_draw.index(max(per_draw)) == report.worst_draw == 35
+    _, _, deviation = _compare_group([(p, t)])
+    assert deviation[report.worst_outcome, 0] == report.max_amplitude_deviation
     # and through the public PureState chain
     j = report.worst_outcome
     analytic, _ = general_postselect(j, p, p.omega * t)
     mixed = hadamard_control(evolve(p, t, TruncationWindow.for_params(p)))
     numeric = schrodinger_phase(measure_control(mixed, j)[0], p.omega, t)
     assert abs(max_amp_diff(analytic, numeric) - report.max_amplitude_deviation) <= 1e-15
+
+
+def test_reduction_counts_compared_outcomes_and_names_first_worst(monkeypatch):
+    # Fixed draws, each measured at T1 + T + u with one u: the balanced
+    # control at gT = 0 and 3e-5 refuses outcome 1, and draw 1 comes again
+    # as draw 4, so the two share the largest deviation bit for bit.
+    rng = np.random.default_rng(17)
+    picks = [random_params(rng) for _ in range(5)]
+    top, plain, other = picks[0], picks[3], picks[4]
+    balanced = [SystemParams(g=1.0, T=T, theta=math.pi / 4, omega=1.3) for T in (0.0, 3e-5)]
+    fixed = [balanced[0], top, plain, other, top, balanced[1]]
+    state = np.random.default_rng(0).bit_generator.state
+    u = float(np.random.default_rng(0).uniform(0.0, 2.0))
+
+    def next_fixed(rng, draws=iter(fixed)):
+        rng.bit_generator.state = state
+        return next(draws)
+
+    monkeypatch.setattr(verify, "random_params", next_fixed)
+    report = run_verification(seed=1, draws=len(fixed), tolerance=0)
+    analytic, numeric, deviation = (
+        np.concatenate(side, axis=1)
+        for side in zip(*(_compare_group([(p, p.T1 + p.T + u)]) for p in fixed))
+    )
+    compared = analytic >= MIN_OUTCOME_PROBABILITY
+    assert compared.tolist() == [[True] * 6, [False, True, True, True, True, False]]
+    assert report.skipped_outcomes == 2
+    assert report.max_probability_deviation == np.abs(analytic - numeric)[compared].max()
+    residual = np.abs(analytic[0] + analytic[1] - 1.0)
+    # the refused draw at gT = 3e-5 has the largest residual: it must not count
+    assert residual[5] > residual[1:5].max() == report.max_probability_sum_deviation
+    largest = deviation[compared].max()
+    assert deviation[:, 1].tolist() == deviation[:, 4].tolist()
+    others = compared.copy()
+    others[:, [1, 4]] = False
+    assert deviation[:, 1].max() == largest > deviation[others].max()
+    assert (report.worst_draw, report.max_amplitude_deviation) == (1, largest)
+    assert report.worst_outcome == int(np.argmax(deviation[:, 1]))
+    assert (report.worst_params, report.worst_time) == (top, top.T1 + top.T + u)
