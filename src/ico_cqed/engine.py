@@ -53,14 +53,16 @@ def _check_tau(p: SystemParams, tau: float) -> None:
         raise ValueError(f"tau must lie in [0, T] = [0, {p.T}], got {tau}")
 
 
-def _slot_amplitudes(lib, g, n: int, m: int, t_first, t_second, ce, se) -> tuple:
+def _slot_amplitudes(lib, g, roots_n: tuple, roots_m: tuple, t_first, t_second, ce, se) -> tuple:
     """The eight slot amplitudes of one order: time t_first in the first
     cavity (n photons), then t_second in the second (m photons), for an atom
-    prepared as ce|e> + se|g>.  ``lib`` supplies cos and sin: ``math`` for
-    scalars, ``numpy`` for arrays, so coeffs_c and grid_amplitudes share
-    these formulas."""
-    x_n, x_n1 = gamma(n, g) * t_first, gamma(n - 1, g) * t_first
-    x_m, x_m1 = gamma(m, g) * t_second, gamma(m - 1, g) * t_second
+    prepared as ce|e> + se|g>; roots_n is (sqrt(n + 1), sqrt(n)), roots_m
+    the same for m.  ``lib`` supplies cos and sin: ``math`` for scalars,
+    ``numpy`` for arrays, so coeffs_c and grid_amplitudes share these
+    formulas.  Each angle is rounded as gamma(k, g) * t: math.sqrt and
+    numpy's sqrt both round correctly."""
+    x_n, x_n1 = g * roots_n[0] * t_first, g * roots_n[1] * t_first
+    x_m, x_m1 = g * roots_m[0] * t_second, g * roots_m[1] * t_second
     cos_n, sin_n = lib.cos(x_n), lib.sin(x_n)
     cos_n1, sin_n1 = lib.cos(x_n1), lib.sin(x_n1)
     cos_m, sin_m = lib.cos(x_m), lib.sin(x_m)
@@ -87,7 +89,8 @@ def coeffs_c(p: SystemParams, tau: float) -> tuple:
     """
     _check_tau(p, tau)
     ce, se = math.cos(p.xi), cmath.exp(1j * p.chi) * math.sin(p.xi)
-    return _slot_amplitudes(math, p.g, p.n, p.m, p.T, tau, ce, se)
+    roots_n, roots_m = ((math.sqrt(k + 1), math.sqrt(k)) for k in (p.n, p.m))
+    return _slot_amplitudes(math, p.g, roots_n, roots_m, p.T, tau, ce, se)
 
 
 def coeffs_s(p: SystemParams, tau: float) -> tuple:
@@ -105,6 +108,16 @@ _LAYOUT_FIRST_C1 = (
     (_E, 0, 0), (_E, 0, -1), (_G, +1, 0), (_G, +1, -1),
     (_E, -1, 0), (_E, -1, +1), (_G, 0, 0), (_G, 0, +1),
 )
+#: The ten offsets both orders reach, the basis of grid_amplitudes.  Sorted,
+#: they name the kets at any fixed (n, m) in AtomFieldKet order.
+OFFSETS = tuple(sorted(set(_LAYOUT_FIRST_C0) | set(_LAYOUT_FIRST_C1)))
+_SLOTS_FIRST_C0, _SLOTS_FIRST_C1 = (
+    [OFFSETS.index(o) for o in layout] for layout in (_LAYOUT_FIRST_C0, _LAYOUT_FIRST_C1)
+)
+# Each offset's atom excitation plus photon shift, and its two shifts, as columns.
+_EXCITATIONS, _DN, _DM = (
+    np.array([[1 - atom + dn + dm, dn, dm] for atom, dn, dm in OFFSETS]).T[:, :, None]
+)
 
 _SERIES = {CavityOrder.C0_THEN_C1: "series_C0C1", CavityOrder.C1_THEN_C0: "series_C1C0"}
 
@@ -115,6 +128,38 @@ def _one_point(scenario: str, p: SystemParams, tau: float) -> tuple:
                            xi=p.xi, chi=p.chi, theta=p.theta, varphi=p.varphi)
 
 
+def _layout(n: np.ndarray, m: np.ndarray) -> tuple:
+    """What grid_amplitudes needs of photon numbers n and m, arrays of 1 or
+    N values: (sqrt(n + 1), sqrt(n)) and the same for m; where each offset's
+    ket would hold a negative photon number, as a (10, 1 or N) mask; the
+    rows (the offsets some point reaches), the row of each such offset, and
+    whether each offset is missed anywhere."""
+    negative = (n + _DN < 0) | (m + _DM < 0)
+    rows = np.flatnonzero(~negative.all(axis=1))
+    return (
+        (np.sqrt(n + 1), np.sqrt(n)), (np.sqrt(m + 1), np.sqrt(m)), negative,
+        rows, dict(zip(rows.tolist(), range(len(rows)))), negative.any(axis=1).tolist(),
+    )
+
+
+@functools.lru_cache(maxsize=32)
+def _point_layout(n: int, m: int) -> tuple:
+    """_layout at one (n, m), which every sweep and one-point call shares;
+    read-only."""
+    roots_n, roots_m, negative, rows, row_of, missed = _layout(np.array([n]), np.array([m]))
+    for array in (*roots_n, *roots_m, negative, rows):
+        array.flags.writeable = False
+    return roots_n, roots_m, negative, rows, MappingProxyType(row_of), tuple(missed)
+
+
+@functools.lru_cache(maxsize=32)
+def reachable_kets(n: int, m: int) -> tuple[AtomFieldKet, ...]:
+    """The sorted basis of the at most ten kets both orders reach from
+    (n, m): the kets of grid_amplitudes' rows at that one (n, m)."""
+    return tuple(AtomFieldKet(a, n + dn, m + dm) for a, dn, dm in OFFSETS
+                 if n + dn >= 0 and m + dm >= 0)
+
+
 def state_after_both(order: CavityOrder, p: SystemParams, tau: float) -> PureState:
     """Atom-field state once the atom has spent time T in its first cavity
     and time tau inside its second, for the given traversal order: one
@@ -122,8 +167,8 @@ def state_after_both(order: CavityOrder, p: SystemParams, tau: float) -> PureSta
     if order not in _SERIES:
         raise TypeError(f"order must be a CavityOrder, got {order!r}")
     _check_tau(p, tau)
-    basis, amps, _ = _one_point(_SERIES[order], p, tau)
-    return PureState(dict(zip(basis, amps[:, 0].tolist())))
+    _, amps, _ = _one_point(_SERIES[order], p, tau)
+    return PureState(dict(zip(reachable_kets(p.n, p.m), amps[:, 0].tolist())))
 
 
 def ico_postselected_state(j: int, p: SystemParams, omega_t: float = 0.0) -> PureState:
@@ -167,74 +212,66 @@ def general_postselect(
         raise ValueError(
             f"omega_t must be finite, as must omega_t * (n + m + 1/2), got omega_t={omega_t}"
         )
-    basis, amps, prob = _one_point(("ico_j0", "ico_j1")[j], p, p.T)
+    rows, amps, prob = _one_point(("ico_j0", "ico_j1")[j], p, p.T)
     if prob[0] < MIN_OUTCOME_PROBABILITY:
         raise ImpossiblePostselectionError(f"control outcome {j}", float(prob[0]))
-    phased = measurement_phase(basis, amps, omega_t)
-    return PureState(dict(zip(basis, phased[:, 0].tolist()))), float(prob[0])
-
-
-@functools.lru_cache(maxsize=32, typed=True)
-def _reachable(n: int, m: int) -> tuple[tuple[AtomFieldKet, ...], MappingProxyType]:
-    """The sorted basis of the kets both orders reach from (n, m), and the
-    row of each (atom, n, m) key on it; both read-only, as the cache shares
-    them."""
-    reachable = {
-        (atom, n + dn, m + dm)
-        for layout in (_LAYOUT_FIRST_C0, _LAYOUT_FIRST_C1)
-        for atom, dn, dm in layout
-        if n + dn >= 0 and m + dm >= 0
-    }
-    basis = tuple(sorted(AtomFieldKet(*key) for key in reachable))
-    return basis, MappingProxyType({(k.atom, k.n, k.m): i for i, k in enumerate(basis)})
+    phased = measurement_phase(rows, p.n, p.m, amps, omega_t)
+    return PureState(dict(zip(reachable_kets(p.n, p.m), phased[:, 0].tolist()))), float(prob[0])
 
 
 def grid_amplitudes(
-    scenario: str, n: int, m: int, *, g, t_first, t_second, xi, chi, theta, varphi
-) -> tuple[tuple[AtomFieldKet, ...], np.ndarray, np.ndarray | None]:
+    scenario: str, n, m, *, g, t_first, t_second, xi, chi, theta, varphi
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """A scenario's atom-field state at N points in one array pass; the
     closed forms behind every state, sweep and verify draw.
 
     ``scenario`` is series_C0C1 or series_C1C0 (definite orders) or ico_j0
-    or ico_j1 (superposed order, control outcome j); n and m are the initial
-    photon numbers.  The coupling g, the times t_first and t_second spent in
+    or ico_j1 (superposed order, control outcome j).  The initial photon
+    numbers n and m, the coupling g, the times t_first and t_second spent in
     the first and the second cavity crossed and the angles xi, chi, theta,
     varphi are arrays of length N, or scalars, which are broadcast.
 
-    Returns the sorted basis of the at most ten reachable kets, a (K, N)
-    array of amplitudes on it and, for the ico scenarios, the control
-    outcome probability per point (None for the series).  A column whose
-    probability is below MIN_OUTCOME_PROBABILITY is refused and zero; the
-    others are normalized.  Amplitudes below PRUNE_EPSILON are zeroed in the
-    order branches, the recombined state and the normalized state.  A column
-    does not depend on the other points of the call.  measurement_phase
-    applies the measurement phase, which is left out here.
+    Returns the rows, indices into OFFSETS of the at most ten offsets that
+    some point reaches, a (K, N) array of amplitudes, row r on the ket
+    OFFSETS[rows[r]] away from the point's (n, m), and, for the ico
+    scenarios, the control outcome probability per point (None for the
+    series).  At one (n, m) the rows name reachable_kets(n, m); a point
+    that would put a negative photon number on a row's ket has 0 there.  A
+    column whose probability is below MIN_OUTCOME_PROBABILITY is refused
+    and zero; the others are normalized.  Amplitudes below PRUNE_EPSILON are
+    zeroed in the order branches, the recombined state and the normalized
+    state.  A column does not depend on the other points of the call.
+    measurement_phase applies the measurement phase, which is left out here.
     """
+    if isinstance(n, int) and isinstance(m, int):
+        roots_n, roots_m, negative, rows, row_of, missed = _point_layout(n, m)
+    else:
+        roots_n, roots_m, negative, rows, row_of, missed = _layout(*np.atleast_1d(n, m))
     # Scalars stay of length 1, so a fixed angle costs one evaluation.
     g, t_first, t_second, xi, chi, theta, varphi = np.atleast_1d(
         g, t_first, t_second, xi, chi, theta, varphi
     )
-    size = np.broadcast(g, t_first, t_second, xi, chi, theta, varphi).size
-    basis, row = _reachable(n, m)
+    size = np.broadcast(negative[0], g, t_first, t_second, xi, chi, theta, varphi).size
     ce, se = np.cos(xi), np.exp(1j * chi) * np.sin(xi)
 
-    def branch(first: int, second: int, layout: tuple) -> np.ndarray:
-        # first and second: photon numbers of the cavity crossed first and
-        # of the one crossed second, as coeffs_c and coeffs_s pass them.
-        slots = _slot_amplitudes(np, g, first, second, t_first, t_second, ce, se)
-        amps = np.zeros((len(basis), size), dtype=complex)
-        for slot, (atom, dn, dm) in enumerate(layout):
-            i = row.get((atom, n + dn, m + dm))
-            if i is not None:
-                amps[i] = slots[slot]
-            elif slots[slot].any():  # it has a zero-rate sin factor, so is 0
-                raise AssertionError(f"negative-occupation ket ({atom.label},{n + dn},{m + dm})")
+    def branch(roots_first, roots_second, slot_offsets: list) -> np.ndarray:
+        # the roots of the photon numbers of the cavity crossed first and
+        # of the one crossed second, as coeffs_c and coeffs_s pass them
+        slots = _slot_amplitudes(np, g, roots_first, roots_second, t_first, t_second, ce, se)
+        amps = np.zeros((len(rows), size), dtype=complex)
+        for offset, slot in zip(slot_offsets, slots):
+            # it has a zero-rate sin factor where its ket's photon number
+            # would be negative, so is 0 there
+            if missed[offset] and np.any(slot, where=negative[offset]):
+                raise AssertionError(f"negative-occupation ket at offset {OFFSETS[offset]}")
+            if offset in row_of:
+                amps[row_of[offset]] = slot
         return prune_amplitudes(amps)
 
     if scenario == "series_C0C1":
-        return basis, branch(n, m, _LAYOUT_FIRST_C0), None
+        return rows, branch(roots_n, roots_m, _SLOTS_FIRST_C0), None
     if scenario == "series_C1C0":
-        return basis, branch(m, n, _LAYOUT_FIRST_C1), None
+        return rows, branch(roots_m, roots_n, _SLOTS_FIRST_C1), None
     # Weights of the C0-first and C1-first branches in the control-j
     # component once the control is recombined (Hadamard) for measurement.
     sign = {"ico_j0": 1.0, "ico_j1": -1.0}[scenario]
@@ -242,18 +279,19 @@ def grid_amplitudes(
     w0 = np.cos(theta) * inv_sqrt2
     w1 = sign * np.exp(1j * varphi) * np.sin(theta) * inv_sqrt2
     residual = prune_amplitudes(
-        w0 * branch(n, m, _LAYOUT_FIRST_C0) + w1 * branch(m, n, _LAYOUT_FIRST_C1)
+        w0 * branch(roots_n, roots_m, _SLOTS_FIRST_C0)
+        + w1 * branch(roots_m, roots_n, _SLOTS_FIRST_C1)
     )
-    amps, prob = normalize_columns(residual)
-    return basis, amps, prob
+    return (rows, *normalize_columns(residual))
 
 
-def measurement_phase(basis: tuple[AtomFieldKet, ...], amps: np.ndarray, omega_t) -> np.ndarray:
-    """grid_amplitudes' columns times exp(-i*omega_t*(excitations - 1/2))
-    ket by ket, pruned again; omega_t (mode frequency times measurement
-    time) is a scalar or one value per column."""
-    excitations = np.array([k.excitations for k in basis], dtype=float)
-    phase = np.exp(-1j * np.asarray(omega_t, dtype=float) * (excitations[:, None] - 0.5))
+def measurement_phase(rows: np.ndarray, n, m, amps: np.ndarray, omega_t) -> np.ndarray:
+    """grid_amplitudes' (K, N) amplitudes on its rows from photon numbers n
+    and m times exp(-i*omega_t*(excitations - 1/2)) ket by ket, pruned; n, m
+    and omega_t (mode frequency times measurement time) are scalars or one
+    value per column."""
+    excitations = _EXCITATIONS[rows] + (n + m)
+    phase = np.exp(-1j * np.asarray(omega_t, dtype=float) * (excitations - 0.5))
     return prune_amplitudes(amps * phase)
 
 

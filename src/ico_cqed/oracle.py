@@ -8,9 +8,10 @@ propagator must agree to rounding error or one of them is wrong.
 The evolution and the measured control run as one array chain,
 _evolve_branches -> recombine -> condition -> phase, batched over draws:
 the last axis holds one column per draw, and a column does not depend on
-the others.  verify runs it once per (n, m) group of draws on window
-vectors; evolve, hadamard_control, measure_control and schrodinger_phase
-run it with one column, on the compact support of a PureState.
+the others.  verify runs it once per chunk of draws, whatever their
+(n, m), on the window vectors of the largest; evolve, hadamard_control,
+measure_control and schrodinger_phase run it with one column, on the
+compact support of a PureState.
 """
 
 from __future__ import annotations
@@ -117,13 +118,18 @@ def _rates(n_max: int) -> tuple[float, ...]:
 def _rotate(x: np.ndarray, cavity: int, t, g, w: TruncationWindow) -> np.ndarray:
     """exp(-i t H_int) of one cavity applied to each column of ``x``, of shape
     (atom_field_dim, N), as the doublet rotations described in jc_propagator.
-    t and g are sequences of N values, column c rotating for time t[c] at
-    coupling g[c], or of one value that every column shares."""
+    t and g are sequences of D values, D dividing N, column c rotating for
+    time t[c % D] at coupling g[c % D]: one value that every column shares,
+    one per column, or one per draw of columns that repeat the draws."""
     k = w.n_max
-    # angles (n_max, N), each (g * sqrt(k+1)) * t
+    # angles (n_max, 1, D), each (g * sqrt(k+1)) * t
     angles = [rate * g_c * t_c for rate in _rates(k) for g_c, t_c in zip(g, t)]
     diag = np.array([math.cos(a) for a in angles], dtype=complex).reshape(k, 1, -1)
     off = -1j * np.array([math.sin(a) for a in angles]).reshape(k, 1, -1)
+    if diag.shape[-1] < x.shape[-1]:
+        # each draw's angles, evaluated once, for each of its columns
+        reps = x.shape[-1] // diag.shape[-1]
+        diag, off = np.concatenate([diag] * reps, axis=2), np.concatenate([off] * reps, axis=2)
     out = x.copy()
     # x as (atom, active mode, spectator mode, N): the doublet k pairs |e>
     # at occupation k of the active mode with |g> at k+1.
@@ -152,55 +158,70 @@ def jc_propagator(cavity: int, t: float, g: float, w: TruncationWindow) -> np.nd
     return _rotate(np.eye(w.atom_field_dim, dtype=complex), cavity, (t,), (g,), w)
 
 
-def _guard_population(branches: np.ndarray, w: TruncationWindow) -> list[float]:
-    """Probability on the guard Fock row n_max of either mode, per column of
-    (2, atom_field_dim, N) branches."""
-    amps = branches.reshape(-1, w.levels, w.levels, branches.shape[-1])
-    guard = np.concatenate((amps[:, w.n_max], amps[:, : w.n_max, w.n_max]), axis=1)
-    population = (guard.real**2 + guard.imag**2).reshape(-1, branches.shape[-1])
-    return [math.fsum(column) for column in population.T.tolist()]
+@functools.lru_cache(maxsize=16)
+def _highest_occupation(w: TruncationWindow) -> np.ndarray:
+    """The larger photon number of every window index, as a column; read-only."""
+    _, n, m = np.indices((2, w.levels, w.levels)).reshape(3, -1, 1)
+    highest = np.maximum(n, m)
+    highest.flags.writeable = False
+    return highest
+
+
+def _guard_population(branches: np.ndarray, tops, w: TruncationWindow) -> np.ndarray:
+    """Probability per column of (2, atom_field_dim, N) branches on the kets
+    with a photon number at or beyond the column's guard row tops[c]."""
+    population = branches.real * branches.real
+    population += branches.imag * branches.imag
+    return (population * (_highest_occupation(w) >= tops)).sum(axis=(0, 1))
 
 
 def _evolve_branches(draws: list[tuple[SystemParams, float]], w: TruncationWindow) -> np.ndarray:
     """The two control branches of evolve's state for N (params, time) draws
-    that share the window, as a (2, atom_field_dim, N) array on its basis,
-    weights included and amplitudes below PRUNE_EPSILON zeroed; every draw
-    gets evolve's checks and errors, and its column does not depend on the
-    other draws."""
+    on one window, as a (2, atom_field_dim, N) array on its basis, weights
+    included and amplitudes below PRUNE_EPSILON zeroed.  The draws may
+    differ in (n, m); the window must fit the largest.  Every draw gets
+    evolve's checks and errors on its own guard rows, max(n, m) + 2 and up,
+    and its column does not depend on the other draws."""
+    params = [p for p, _ in draws]
     for p, t in draws:
         _check_time(t)
-        if w.n_max < max(p.n, p.m) + 2:
-            raise ValueError(
-                f"window too small: need n_max >= max(n, m) + 2 = {max(p.n, p.m) + 2}, "
-                f"got {w.n_max}"
-            )
+    tops = [max(p.n, p.m) + 2 for p in params]
+    if w.n_max < max(tops, default=0):
+        raise ValueError(
+            f"window too small: need n_max >= max(n, m) + 2 = {max(tops)}, got {w.n_max}"
+        )
     # The control-1 branch, cavity 1 first, is the control-0 branch of the
     # preparation with the two modes exchanged.  So both branches run as 2N
     # columns through cavity 0 and then cavity 1, and the modes of the last
     # N are exchanged back: two rotations per batch, not four.
     size = len(draws)
-    psi0 = np.zeros((w.atom_field_dim, 2 * size), dtype=complex)
-    for column, (p, _) in enumerate(draws):
-        prepared = ((_E, math.cos(p.xi)), (_G, cmath.exp(1j * p.chi) * math.sin(p.xi)))
-        for col, n, m in ((column, p.n, p.m), (size + column, p.m, p.n)):
-            for level, amp in prepared:
-                psi0[w.index(level, n, m), col] = amp
+    vec = np.zeros((w.atom_field_dim, 2 * size), dtype=complex)
+    # |e, n, m> of column c sits at flat index n * levels + m, |g, n, m> one
+    # levels**2 further
+    site = [p.n * w.levels + p.m for p in params] + [p.m * w.levels + p.n for p in params]
+    vec[site + [w.levels**2 + i for i in site], [*range(2 * size)] * 2] = (
+        [math.cos(p.xi) for p in params] * 2
+        + [cmath.exp(1j * p.chi) * math.sin(p.xi) for p in params] * 2
+    )
     # T1 >= T0 + T, so the second transit starts after the first has ended;
     # before, between and after the transits a rotation by 0 is the identity.
-    first = [min(max(t - p.T0, 0.0), p.T) for p, t in draws] * 2
-    second = [min(max(t - p.T1, 0.0), p.T) for p, t in draws] * 2
-    g = [p.g for p, _ in draws] * 2
-    vec = _rotate(_rotate(psi0, 0, first, g, w), 1, second, g, w)
+    # Both halves share each draw's times and coupling.
+    first = [min(max(t - p.T0, 0.0), p.T) for p, t in draws]
+    second = [min(max(t - p.T1, 0.0), p.T) for p, t in draws]
+    g = [p.g for p in params]
+    # rebinding vec frees each state once the next is built
+    vec = _rotate(vec, 0, first, g, w)
+    vec = _rotate(vec, 1, second, g, w)
     exchanged = vec[:, size:].reshape(2, w.levels, w.levels, size).swapaxes(1, 2)
     branches = np.empty((2, w.atom_field_dim, size), dtype=complex)
-    branches[0] = np.array([math.cos(p.theta) for p, _ in draws]) * vec[:, :size]
+    branches[0] = np.array([math.cos(p.theta) for p in params]) * vec[:, :size]
     branches[1] = np.array(
-        [cmath.exp(1j * p.varphi) * math.sin(p.theta) for p, _ in draws]
+        [cmath.exp(1j * p.varphi) * math.sin(p.theta) for p in params]
     ) * exchanged.reshape(w.atom_field_dim, size)
     prune_amplitudes(branches)
-    for leak in _guard_population(branches, w):
-        if leak >= 1e-12:
-            raise TruncationOverflowError(f"guard-row population {leak:.3e}")
+    leak = _guard_population(branches, tops, w)
+    if (leak >= 1e-12).any():
+        raise TruncationOverflowError(f"guard-row population {leak[leak >= 1e-12][0]:.3e}")
     return branches
 
 
@@ -233,8 +254,17 @@ def condition(rows: np.ndarray, j: int) -> tuple[np.ndarray, list[float]]:
     comes back as zeros."""
     row = rows[j]
     flat = row.ravel()
-    population = (flat.real**2 + flat.imag**2).reshape(row.shape)
-    probs = [math.fsum(column) for column in population.T.tolist()]
+    population = (flat.real * flat.real + flat.imag * flat.imag).reshape(row.shape).T
+    if len(population) > 1:
+        # fsum rounds the exact sum once, so a column's zeros may be left
+        # out; on a batch of draws most populations are 0
+        nonzero = population != 0
+        values = population[nonzero].tolist()
+        ends = nonzero.sum(axis=1).cumsum().tolist()
+        columns = [values[start:end] for start, end in zip([0, *ends], ends)]
+    else:
+        columns = population.tolist()
+    probs = [math.fsum(column) for column in columns]
     scale = np.array([1.0 / math.sqrt(q) if q >= MIN_OUTCOME_PROBABILITY else 0.0 for q in probs])
     return prune_amplitudes(row * scale), probs
 
@@ -245,24 +275,35 @@ def phase(amps: np.ndarray, omega, t, excitations: np.ndarray) -> np.ndarray:
     ket's atom excitation plus photon number, an integer >= 0.  A non-finite
     omega, t, omega * t or omega * t * (excitations - 1/2) raises
     ValueError."""
-    shifted = excitations - 0.5
     # the largest |excitations - 1/2|: omega * t * top rounds as the largest
     # entry of the column's argument, so it overflows exactly when one does
     top = float(np.maximum.reduce(excitations, initial=1)) - 0.5
-    for omega_c, t_c in zip(omega, t):
-        for name, value in (("omega", omega_c), ("t", t_c), ("omega * t", omega_c * t_c),
-                            ("omega * t * (excitations - 1/2)", omega_c * t_c * top)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-    rate = np.array([-1j * omega_c * t_c for omega_c, t_c in zip(omega, t)])
-    # elementwise on flat views: numpy's one-dimensional loops cost less
-    factor = np.exp(rate * shifted[:, None]).ravel()
+    omega, t = np.asarray(omega, dtype=float), np.asarray(t, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        omega_t = omega * t
+        checked = (omega, t, omega_t, omega_t * top)
+    # a non-finite factor leaves each later product non-finite, so the last
+    # is finite exactly when all four are
+    if not np.isfinite(checked[3]).all():
+        column, field = np.argwhere(~np.isfinite(checked).T)[0]  # the first column, then field
+        name = ("omega", "t", "omega * t", "omega * t * (excitations - 1/2)")[field]
+        raise ValueError(f"{name} must be finite, got {float(checked[field][column])}")
+    rate = -1j * omega_t
     flat = amps.ravel()
+    if amps.shape[1] > 1:
+        # on a batch of draws most amplitudes are 0: the exponential and the
+        # product only where one is not
+        nonzero = np.flatnonzero(flat)
+        kets, columns = np.divmod(nonzero, amps.shape[1])
+        factor = np.exp(rate[columns] * (excitations[kets] - 0.5))
+    else:
+        nonzero, factor = slice(None), np.exp(rate * (excitations - 0.5))
+    amp = flat[nonzero]
     # The product written out rounds as Python's complex product does;
     # numpy's complex multiply may fuse the multiply-adds.
-    phased = np.empty_like(flat)
-    phased.real = flat.real * factor.real - flat.imag * factor.imag
-    phased.imag = flat.real * factor.imag + flat.imag * factor.real
+    phased = np.zeros_like(flat)
+    phased.real[nonzero] = amp.real * factor.real - amp.imag * factor.imag
+    phased.imag[nonzero] = amp.real * factor.imag + amp.imag * factor.real
     return prune_amplitudes(phased).reshape(amps.shape)
 
 

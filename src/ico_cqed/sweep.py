@@ -17,7 +17,7 @@ from typing import Union
 import numpy as np
 
 from ._version import __version__
-from .engine import grid_amplitudes
+from .engine import grid_amplitudes, reachable_kets
 from .errors import ConfigError
 from .observables import branch_entropy_columns, inversion_columns
 from .states import (
@@ -255,10 +255,11 @@ def run_sweep(cfg: SweepConfig) -> Table:
     """
     grid = grid_points(cfg)
     gT = np.array(grid)
-    basis, amps, control_prob = grid_amplitudes(
+    _, amps, control_prob = grid_amplitudes(
         cfg.scenario, cfg.n, cfg.m, g=1.0, t_first=gT, t_second=gT,
         xi=cfg.xi, chi=cfg.chi, theta=cfg.theta, varphi=cfg.varphi,
     )
+    basis = reachable_kets(cfg.n, cfg.m)
     state_possible = None if control_prob is None else control_prob >= MIN_OUTCOME_PROBABILITY
     row = {ket: i for i, ket in enumerate(basis)}
     columns = [grid]

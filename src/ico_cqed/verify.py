@@ -16,15 +16,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .engine import grid_amplitudes, measurement_phase
+from .engine import OFFSETS, grid_amplitudes, measurement_phase
 from .errors import ImpossiblePostselectionError
 from .states import MIN_OUTCOME_PROBABILITY, SystemParams
 
 DEFAULT_TOLERANCE = 1e-9
 
-#: Most draws one run may ask for: all draws and their closed forms stay in
-#: memory, about 1.5 KB per draw, so 100,000 take some 150 MB.
+#: Most draws one run may ask for: every drawn SystemParams and the (2,
+#: draws) comparison arrays stay in memory, about 0.6 KB per draw, and one
+#: chunk's arrays take about 4 MB, so 100,000 draws peak some 70 MB above
+#: the imported package.
 MAX_DRAWS = 100_000
+#: Draws compared in one batch; it bounds the batch arrays, which grow with
+#: the draws times the window of the largest (98 kets at n, m <= 4).
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -74,91 +79,96 @@ class VerifyReport:
         return lines
 
 
+# Bounds of the eight uniform draws: g, g*T, T0, omega, theta, varphi, xi, chi.
+_LOW = np.array([0.5, 0.0, 0.0, 0.2, 0.0, 0.0, 0.0, 0.0])
+_SPAN = np.array([2.0, 10.0, 2.0, 3.0, math.pi / 2, 2 * math.pi, math.pi / 2, 2 * math.pi]) - _LOW
+# The atom level and the two photon shifts of each offset.
+_OFFSETS = np.array(OFFSETS).T
+
+
 def random_params(rng: np.random.Generator) -> SystemParams:
     """One random parameter draw: g*T in [0, 10), all four preparation angles
     uniform over their ranges, photon numbers in 0..4, and a non-trivial
-    transit schedule."""
-    g = float(rng.uniform(0.5, 2.0))
-    transit = float(rng.uniform(0.0, 10.0)) / g
-    entry = float(rng.uniform(0.0, 2.0))
-    return SystemParams(
-        g=g,
-        T=transit,
-        omega=float(rng.uniform(0.2, 3.0)),
-        theta=float(rng.uniform(0.0, math.pi / 2)),
-        varphi=float(rng.uniform(0.0, 2 * math.pi)),
-        xi=float(rng.uniform(0.0, math.pi / 2)),
-        chi=float(rng.uniform(0.0, 2 * math.pi)),
-        n=int(rng.integers(0, 5)),
-        m=int(rng.integers(0, 5)),
-        T0=entry,
-        T1=entry + transit + float(rng.uniform(0.0, 2.0)),
-    )
+    transit schedule.  Each uniform value is low + (high - low) * u, as
+    Generator.uniform rounds it."""
+    g, gT, entry, omega, theta, varphi, xi, chi = (_LOW + _SPAN * rng.random(8)).tolist()
+    # two scalar draws cost less than one of size 2, which draws the same
+    n, m = int(rng.integers(0, 5)), int(rng.integers(0, 5))
+    transit = gT / g
+    return SystemParams(g=g, T=transit, omega=omega, theta=theta, varphi=varphi, xi=xi, chi=chi,
+                        n=n, m=m, T0=entry, T1=entry + transit + 2.0 * rng.random())
 
 
-def _closed_forms(group: list[tuple[SystemParams, float]]) -> tuple:
-    """For (params, measurement time) draws that share (n, m): the basis, the
-    (K, 2, N) phased conditional amplitudes, axis 1 the control outcome j,
-    and the (2, N) outcome probabilities, as general_postselect computes
-    them, from one grid_amplitudes call per outcome.  A draw evaluated alone
-    gets the same bits."""
-    params = [p for p, _ in group]
+def _closed_forms(drawn: list[tuple[SystemParams, float]], n: np.ndarray, m: np.ndarray) -> tuple:
+    """For N (params, measurement time) draws with photon numbers n and m:
+    the rows of engine.OFFSETS the draws reach, per control outcome j the
+    (K, N) phased conditional amplitudes on them, and the (2, N) outcome
+    probabilities, as general_postselect computes them, from one
+    grid_amplitudes call per outcome.  A draw evaluated alone gets the same
+    bits on the rows it reaches, and the others are 0."""
+    params = [p for p, _ in drawn]
     transit = np.array([p.T for p in params])
     per_point = {
         name: np.array([getattr(p, name) for p in params])
         for name in ("g", "xi", "chi", "theta", "varphi")
     }
-    omega_t = np.array([p.omega * t for p, t in group])
+    omega_t = np.array([p.omega * t for p, t in drawn])
     amps, probs = [], []
     for scenario in ("ico_j0", "ico_j1"):
-        basis, conditional, prob = grid_amplitudes(
-            scenario, params[0].n, params[0].m, t_first=transit, t_second=transit, **per_point
+        rows, conditional, prob = grid_amplitudes(
+            scenario, n, m, t_first=transit, t_second=transit, **per_point
         )
-        amps.append(measurement_phase(basis, conditional, omega_t))
+        amps.append(measurement_phase(rows, n, m, conditional, omega_t))
         probs.append(prob)
-    return basis, np.stack(amps, axis=1), np.array(probs)
+    return rows, amps, np.array(probs)
 
 
 def _amplitude_deviation(
-    basis: tuple, analytic: np.ndarray, numeric: np.ndarray, w: oracle.TruncationWindow
+    rows: np.ndarray, n: np.ndarray, m: np.ndarray, analytic: np.ndarray, numeric: np.ndarray,
+    w: oracle.TruncationWindow,
 ) -> np.ndarray:
     """Largest |analytic - numeric| over the union of both supports, per
-    column: analytic is (K, ...) on the basis, numeric (atom_field_dim, ...)
-    on the window.  An analytic ket outside the window counts with its full
-    magnitude.  hypot rounds as abs() of a Python complex does; numpy's
-    complex abs may not."""
-    inside = [i for i, k in enumerate(basis) if k.n <= w.n_max and k.m <= w.n_max]
+    column: analytic is (K, N) on the rows of engine.OFFSETS from the
+    column's photon numbers n and m, as grid_amplitudes returns it, numeric
+    (atom_field_dim, N) on the window.  An analytic ket outside the window
+    counts with its full magnitude; a negative-occupation one is 0.  hypot
+    rounds as abs() of a Python complex does; numpy's complex abs may not."""
+    atom, dn, dm = _OFFSETS[:, rows, None]
+    kn, km = n + dn, m + dm
+    inside = (kn >= 0) & (km >= 0) & (kn <= w.n_max) & (km <= w.n_max)
+    kets, columns = np.nonzero(inside)
+    index = (atom * w.levels + kn) * w.levels + km
     diff = numeric.copy()
-    diff[[w.index(basis[i].atom, basis[i].n, basis[i].m) for i in inside]] -= analytic[inside]
-    deviation = np.hypot(diff.real, diff.imag).max(axis=0)
-    outside = np.delete(analytic, inside, axis=0)
-    if len(outside):
-        deviation = np.maximum(deviation, np.hypot(outside.real, outside.imag).max(axis=0))
-    return deviation
+    diff[index[kets, columns], columns] -= analytic[kets, columns]
+    outside = np.where(inside, 0, analytic)
+    return np.maximum(np.hypot(diff.real, diff.imag).max(axis=0),
+                      np.hypot(outside.real, outside.imag).max(axis=0))
 
 
-def _compare_group(group: list[tuple[SystemParams, float]]) -> tuple:
-    """For draws that share (n, m), three (2, N) arrays, row j for control
-    outcome j and column i for draw i: the closed-form probability, the
-    matrix probability and the amplitude deviation.  Both sides run once for
-    the whole group.  The first (draw, outcome) that the closed forms accept
-    and the matrix side refuses raises ImpossiblePostselectionError."""
-    window = oracle.TruncationWindow.for_params(group[0][0])
-    rows = oracle.recombine(oracle._evolve_branches(group, window))
-    omega, times = [p.omega for p, _ in group], [t for _, t in group]
-    numeric, prob_numeric = [], []
+def _compare(drawn: list[tuple[SystemParams, float]]) -> tuple:
+    """For N draws, three (2, N) arrays, row j for control outcome j and
+    column i for draw i: the closed-form probability, the matrix probability
+    and the amplitude deviation.  Both sides run once for all draws, the
+    matrix side on the window of the largest.  The first (draw, outcome)
+    that the closed forms accept and the matrix side refuses raises
+    ImpossiblePostselectionError."""
+    n, m = np.array([(p.n, p.m) for p, _ in drawn]).T
+    window = oracle.TruncationWindow(int(max(n.max(), m.max())) + 2)
+    outcomes = oracle.recombine(oracle._evolve_branches(drawn, window))
+    omega, times = [p.omega for p, _ in drawn], [t for _, t in drawn]
+    rows, analytic, prob_analytic = _closed_forms(drawn, n, m)
+    prob_numeric, deviation = [], []
     for j in (0, 1):
-        state, prob = oracle.condition(rows, j)
-        numeric.append(oracle.phase(state, omega, times, oracle.basis_excitations(window)))
+        state, prob = oracle.condition(outcomes, j)
+        numeric = oracle.phase(state, omega, times, oracle.basis_excitations(window))
         prob_numeric.append(prob)
-    basis, analytic, prob_analytic = _closed_forms(group)
+        deviation.append(_amplitude_deviation(rows, n, m, analytic[j], numeric, window))
     prob_numeric = np.array(prob_numeric)
     refused = (prob_analytic >= MIN_OUTCOME_PROBABILITY) & (prob_numeric < MIN_OUTCOME_PROBABILITY)
     if refused.any():
         draw, j = np.argwhere(refused.T)[0]  # the first in draw-major order
         raise ImpossiblePostselectionError(f"control outcome {j}", float(prob_numeric[j, draw]))
-    deviation = _amplitude_deviation(basis, analytic, np.stack(numeric, axis=1), window)
-    return prob_analytic, prob_numeric, deviation
+    return prob_analytic, prob_numeric, np.array(deviation)
 
 
 def _check_inputs(seed: int, draws: int, tolerance: float) -> None:
@@ -180,27 +190,25 @@ def run_verification(
     """Compare conditional states and outcome probabilities between the two
     independent computation paths over seeded random draws.
 
-    The closed-form side is engine.grid_amplitudes, the kernel behind every
-    sweep and figure, called once per (n, m) group of draws and control
+    The draws are compared in chunks of _CHUNK, each chunk as one batch of
+    mixed (n, m).  The closed-form side is engine.grid_amplitudes, the
+    kernel behind every sweep and figure, called once per chunk and control
     outcome.  The matrix side is the oracle's chain, recombine -> condition
-    -> phase, run once per (n, m) group on the window vectors of the evolved
-    branches: the code behind hadamard_control, measure_control and
-    schrodinger_phase.  seed must be an int >= 0, draws an int >= 1 and
-    tolerance finite and >= 0; otherwise a ValueError names the field.
-    draws may not exceed MAX_DRAWS."""
+    -> phase, run once per chunk on the window vectors of the evolved
+    branches, on the window of the chunk's largest draw: the code behind
+    hadamard_control, measure_control and schrodinger_phase.  seed must be
+    an int >= 0, draws an int >= 1 and tolerance finite and >= 0; otherwise
+    a ValueError names the field.  draws may not exceed MAX_DRAWS."""
     _check_inputs(seed, draws, tolerance)
     rng = np.random.default_rng(seed)
     drawn = []
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i in range(draws):
+    for _ in range(draws):
         p = random_params(rng)
-        drawn.append((p, p.T1 + p.T + float(rng.uniform(0.0, 2.0))))
-        groups.setdefault((p.n, p.m), []).append(i)
+        drawn.append((p, p.T1 + p.T + 2.0 * rng.random()))
     analytic, numeric, deviation = np.empty((3, 2, draws))
-    for members in groups.values():
-        analytic[:, members], numeric[:, members], deviation[:, members] = _compare_group(
-            [drawn[i] for i in members]
-        )
+    for start in range(0, draws, _CHUNK):
+        chunk = slice(start, start + _CHUNK)
+        analytic[:, chunk], numeric[:, chunk], deviation[:, chunk] = _compare(drawn[chunk])
     compared = analytic >= MIN_OUTCOME_PROBABILITY
     # Every draw compares at least one outcome, as P(0) + P(1) = 1; argmax
     # over the draw-major view names the first of equal deviations.

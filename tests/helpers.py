@@ -2,7 +2,8 @@
 closed-form kernel (engine.grid_amplitudes) is checked against, the
 balanced-control formulas built on the slot amplitudes (the order overlap,
 P(j) and the conditional inversion) and the ket-by-ket dict reference for
-the oracle's recombine -> condition -> phase chain."""
+the oracle's recombine -> condition -> phase chain, and the scalar draws
+of verify's parameter stream."""
 
 import cmath
 import math
@@ -236,3 +237,30 @@ def reference_schrodinger_phase(s: PureState, omega: float, t: float) -> PureSta
             for ket, amp in s.items()
         }
     )
+
+
+# ---------------------------------------------------------------- verify's draw stream
+
+
+def reference_draw(rng):
+    """One (params, measurement time) draw of ico-cqed verify as eleven
+    scalar Generator.uniform/integers calls for the parameters and one more
+    for the time: the stream verify.random_params and run_verification must
+    reproduce."""
+    g = float(rng.uniform(0.5, 2.0))
+    transit = float(rng.uniform(0.0, 10.0)) / g
+    entry = float(rng.uniform(0.0, 2.0))
+    p = SystemParams(
+        g=g,
+        T=transit,
+        omega=float(rng.uniform(0.2, 3.0)),
+        theta=float(rng.uniform(0.0, math.pi / 2)),
+        varphi=float(rng.uniform(0.0, 2 * math.pi)),
+        xi=float(rng.uniform(0.0, math.pi / 2)),
+        chi=float(rng.uniform(0.0, 2 * math.pi)),
+        n=int(rng.integers(0, 5)),
+        m=int(rng.integers(0, 5)),
+        T0=entry,
+        T1=entry + transit + float(rng.uniform(0.0, 2.0)),
+    )
+    return p, p.T1 + p.T + float(rng.uniform(0.0, 2.0))

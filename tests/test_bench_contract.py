@@ -90,3 +90,21 @@ def test_first_input_of_each_workload_passes_its_check(name, tmp_path):
     wl = WORKLOADS[name](1, tmp_path)
     inp = wl.pass_inputs(0)[0]
     assert wl.check(inp, wl.run(inp), {}) is None
+
+
+def test_traced_verify_op_records_every_parameter_draw(tmp_path):
+    # the traced layer sees verify only through random_params, called once
+    # per draw through the module global, and run_verification around it
+    spans = load_bench_module("spans")
+    wl = WORKLOADS["verify"](1, tmp_path)
+    inp = wl.pass_inputs(0)[0]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        report, _ = tracer.run_op(0, wl.run, inp)
+    finally:
+        tracer.uninstall()
+    assert wl.check(inp, report, {}) is None
+    names = [tracer.names[i] for i in tracer.name_of]
+    assert names.count("verify.random_params") == wl.draws == 200
+    assert names.count("verify.run_verification") == 1

@@ -306,16 +306,21 @@ def test_evolve_window_validation():
 
 
 def test_guard_population_trips_overflow_check():
-    # one column per leak, plus a clean column: each column is summed alone
+    # one column per leak, plus a clean column: each column is summed alone,
+    # from its own guard row up; the last two leak below the window's top
     w = TruncationWindow(3)
-    leaks = ((0, (E, 3, 0)), (1, (G, 0, 3)), (1, (E, 3, 3)))
+    leaks = ((0, (E, 3, 0)), (1, (G, 0, 3)), (1, (E, 3, 3)), (0, (G, 2, 1)), (1, (E, 0, 2)))
+    tops = np.array([3, 3, 3, 2, 2, 3])
     branches = np.zeros((2, w.atom_field_dim, len(leaks) + 1), dtype=complex)
     for column, (control, ket) in enumerate(leaks):
         branches[control, w.index(*ket), column] = 0.6j
         branches[1 - control, w.index(E, 1, 0), column] = 0.8
     branches[0, w.index(E, 2, 2), len(leaks)] = 1.0
-    assert _guard_population(branches, w) == pytest.approx([0.36] * 3 + [0.0], abs=1e-15)
-    assert _guard_population(branches, w)[-1] == 0.0
+    expected = [0.36] * len(leaks) + [0.0]
+    assert _guard_population(branches, tops, w).tolist() == pytest.approx(expected, abs=1e-15)
+    assert _guard_population(branches, tops, w)[-1] == 0.0
+    # the same leaks below the top row are no leaks for draws whose top is 3
+    assert _guard_population(branches, np.full(6, 3), w)[3:].tolist() == [0.0] * 3
 
 
 def test_evolve_refuses_guard_row_leak(monkeypatch):
@@ -336,15 +341,21 @@ def test_evolve_refuses_guard_row_leak(monkeypatch):
 
 def test_evolve_guard_rows_stay_empty(rng):
     # every draw on its own tight window, the guard row right above the
-    # reachable rows: alone, and batched with the draws that share the window
+    # reachable rows: alone, batched with the draws that share the window,
+    # and all together on the window of the largest, each draw from its own
+    # guard row up
     draws = [(p, p.T1 + 0.5 * p.T) for p in (random_params(rng) for _ in range(20))]
-    for p, t in draws:
+    tops = np.array([max(p.n, p.m) + 2 for p, _ in draws])
+    for (p, t), top in zip(draws, tops):
         w = TruncationWindow.for_params(p)
-        assert max(_guard_population(_evolve_branches([(p, t)], w), w)) < 1e-12
+        assert max(_guard_population(_evolve_branches([(p, t)], w), top, w)) < 1e-12
     groups = window_groups(draws)
     assert max(len(group) for _, group in groups) > 1
     for w, group in groups:
-        assert max(_guard_population(_evolve_branches(group, w), w)) < 1e-12
+        assert max(_guard_population(_evolve_branches(group, w), w.n_max, w)) < 1e-12
+    wide = TruncationWindow(int(tops.max()))
+    assert len(set(tops.tolist())) > 1
+    assert max(_guard_population(_evolve_branches(draws, wide), tops, wide)) < 1e-12
 
 
 def test_evolve_refuses_a_guard_row_leak_in_one_column(monkeypatch):
@@ -361,7 +372,7 @@ def test_evolve_refuses_a_guard_row_leak_in_one_column(monkeypatch):
             return out
         return leaky
 
-    assert max(_guard_population(_evolve_branches(draws, w), w)) == 0.0
+    assert max(_guard_population(_evolve_branches(draws, w), w.n_max, w)) == 0.0
     for column in range(len(draws)):
         monkeypatch.setattr(oracle, "_rotate", leaky_in(column))
         with pytest.raises(TruncationOverflowError):
@@ -480,3 +491,22 @@ def test_phase_refuses_an_overflowing_phase_argument():
     ground = PureState({AtomFieldKet(G, 0, 0): 1.0})
     phased = schrodinger_phase(ground, 1e308, 1.0).amplitude(AtomFieldKet(G, 0, 0))
     assert abs(phased) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_phase_names_the_first_failing_column_and_its_first_field():
+    # a NaN omega in column 3 of 5 and an overflowing omega * t in another:
+    # the error names the field that fails first in the first failing column
+    amps = np.ones((2, 5), dtype=complex)
+    excitations = np.array([0, 3])
+    omega, t = [1.0, 2.0, 0.5, math.nan, 1.5], [1.0] * 5
+    for column, message in ((1, r"omega \* t must be finite, got inf"),
+                            (4, "omega must be finite, got nan")):
+        t_over = list(t)
+        t_over[column] = 1e308
+        omega_over = list(omega)
+        omega_over[column] = 10.0
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            oracle.phase(amps, omega_over, t_over, excitations)
+    # the same per column: omega before t before their products
+    with pytest.raises(ValueError, match="^t must be finite, got nan$"):
+        oracle.phase(amps[:, :1], [1e308], [math.nan], excitations)

@@ -16,6 +16,7 @@ import pytest
 
 from ico_cqed import (
     FIGURE_PRESETS,
+    MIN_OUTCOME_PROBABILITY,
     AtomFieldKet,
     AtomicInversion,
     BranchEntropy,
@@ -33,7 +34,7 @@ from ico_cqed import (
     run_sweep,
     sigma_z_expectation,
 )
-from ico_cqed.engine import grid_amplitudes, measurement_phase
+from ico_cqed.engine import OFFSETS, grid_amplitudes, measurement_phase, reachable_kets
 from ico_cqed.sweep import SCENARIOS
 from helpers import E, G, scalar_postselect, scalar_state_after_both
 
@@ -225,12 +226,14 @@ def test_kernel_per_point_arrays_match_scalar_path(n, m):
     omega_t = rng.uniform(0.0, 20.0, size)
     for scenario in SCENARIOS:
         ico = scenario.startswith("ico")
-        basis, amps, prob = grid_amplitudes(
+        rows, amps, prob = grid_amplitudes(
             scenario, n, m, g=g, t_first=t_first, t_second=t_first if ico else t_second,
             **angles,
         )
         if ico:
-            amps = measurement_phase(basis, amps, omega_t)
+            amps = measurement_phase(rows, n, m, amps, omega_t)
+        basis = reachable_kets(n, m)
+        assert [OFFSETS[r] for r in rows] == [(k.atom, k.n - n, k.m - m) for k in basis]
         for i in range(size):
             p = SystemParams(g=g[i], T=t_first[i], n=n, m=m, **{k: v[i] for k, v in angles.items()})
             if ico:
@@ -242,6 +245,52 @@ def test_kernel_per_point_arrays_match_scalar_path(n, m):
             column = dict(zip(basis, amps[:, i].tolist()))
             assert {k for k, a in column.items() if a} == set(state.kets())
             assert max(abs(column[k] - a) for k, a in state.items()) <= 1e-15
+
+
+def test_kernel_mixes_photon_numbers_per_point():
+    # n and m vary from point to point as well: each column is the bits of a
+    # call at that point's scalar (n, m), phase included, on the rows that
+    # point reaches, and exactly 0 on the others; point 0 is the balanced
+    # control at gT = 0, whose outcome 1 is refused
+    rng = np.random.default_rng(23)
+    size = 60
+    n, m = rng.integers(0, 5, size), rng.integers(0, 5, size)
+    g = rng.uniform(0.5, 2.0, size)
+    t_first = rng.uniform(0.0, 10.0, size) / g
+    t_second = t_first * rng.uniform(0.0, 1.0, size)
+    angles = {
+        "xi": rng.uniform(0.0, math.pi / 2, size),
+        "chi": rng.uniform(0.0, 2 * math.pi, size),
+        "theta": rng.uniform(0.0, math.pi / 2, size),
+        "varphi": rng.uniform(0.0, 2 * math.pi, size),
+    }
+    t_first[0] = t_second[0] = 0.0
+    angles["theta"][0], angles["varphi"][0] = math.pi / 4, 0.0
+    omega_t = rng.uniform(0.0, 20.0, size)
+    negative = np.array([(n + dn < 0) | (m + dm < 0) for _, dn, dm in OFFSETS])
+    assert negative.any(axis=1).sum() == 6 and not negative.all(axis=1).any()
+    refused = 0
+    for scenario in SCENARIOS:
+        rows, amps, prob = grid_amplitudes(scenario, n, m, g=g, t_first=t_first,
+                                           t_second=t_second, **angles)
+        assert rows.tolist() == list(range(len(OFFSETS)))
+        phased = measurement_phase(rows, n, m, amps, omega_t)
+        assert not amps[negative].any()
+        for i in range(size):
+            point = {name: v[i] for name, v in angles.items()}
+            rows_one, one, prob_one = grid_amplitudes(
+                scenario, int(n[i]), int(m[i]), g=g[i], t_first=t_first[i],
+                t_second=t_second[i], **point,
+            )
+            assert one[:, 0].tobytes() == amps[rows_one, i].tobytes()
+            assert not np.delete(amps[:, i], rows_one).any()
+            assert (prob is None) == (prob_one is None)
+            if prob is not None:
+                assert prob_one.tolist() == [prob[i]]
+                refused += prob[i] < MIN_OUTCOME_PROBABILITY
+            one = measurement_phase(rows_one, int(n[i]), int(m[i]), one, omega_t[i])
+            assert one[:, 0].tobytes() == phased[rows_one, i].tobytes()
+    assert refused == 1
 
 
 @pytest.mark.parametrize("index", range(8))

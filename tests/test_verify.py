@@ -1,21 +1,23 @@
-"""run_verification: input validation, the worst-draw record, the grouped
-closed-form and oracle evaluation, the reduction of its (2, N) arrays, and
-the oracle chain it runs (recombine -> condition -> phase) batched over
-draws, with the PureState views of that chain, against the ket-by-ket dict
-reference in helpers."""
+"""run_verification: input validation, the pinned reports, the draw stream,
+the closed-form and oracle evaluation of draws of mixed (n, m) in one batch
+per chunk, the reduction of its (2, N) arrays, and the oracle chain it runs
+(recombine -> condition -> phase) batched over draws, with the PureState
+views of that chain, against the ket-by-ket dict reference in helpers."""
 
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ico_cqed import (
     MIN_OUTCOME_PROBABILITY,
-    AtomFieldKet,
     ImpossiblePostselectionError,
     PureState,
     SystemParams,
+    TruncationOverflowError,
     TruncationWindow,
     evolve,
     general_postselect,
@@ -24,24 +26,32 @@ from ico_cqed import (
     run_verification,
     schrodinger_phase,
 )
-from ico_cqed import verify
+from ico_cqed import oracle, verify
 from ico_cqed.cli import main
+from ico_cqed.engine import OFFSETS, reachable_kets
 from ico_cqed.oracle import _evolve_branches, basis_excitations, condition, phase, recombine
 from ico_cqed.verify import (
     MAX_DRAWS,
     _amplitude_deviation,
     _closed_forms,
-    _compare_group,
+    _compare,
     random_params,
 )
 from helpers import (
+    E,
     G,
     max_amp_diff,
+    reference_draw,
     reference_hadamard_control,
     reference_measure_control,
     reference_schrodinger_phase,
     window_groups,
 )
+
+#: repr(run_verification(seed, draws, tolerance=0)) under "seed,draws" and
+#: the output of ico-cqed verify --draws 200 under each seed, as the
+#: grouped evaluation that preceded the one batch per chunk printed them.
+PINNED = json.loads((Path(__file__).parent / "data" / "verify_reports.json").read_text())
 
 
 def window_vector(w, state):
@@ -87,18 +97,22 @@ def wide_draws(seed, count):
     return draws
 
 
-def nm_groups(draws):
-    """The draws grouped by (n, m), as run_verification groups them."""
-    groups = {}
-    for p, t in draws:
-        groups.setdefault((p.n, p.m), []).append((p, t))
-    return list(groups.values())
+def photon_numbers(draws):
+    return np.array([(p.n, p.m) for p, _ in draws]).T
+
+
+def tight_rows(p, wide):
+    """The rows of the wider window that hold the kets of p's own tight
+    window, in the tight window's order."""
+    w = TruncationWindow.for_params(p)
+    levels = range(w.levels)
+    return [wide.index(atom, n, m) for atom in (E, G) for n in levels for m in levels]
 
 
 def matrix_chain(group, w):
-    """The oracle chain on a batch of draws that share the window: per
-    outcome j, the phased conditional window vectors (atom_field_dim, N)
-    and the N probabilities."""
+    """The oracle chain on a batch of draws on one window: per outcome j,
+    the phased conditional window vectors (atom_field_dim, N) and the N
+    probabilities."""
     rows = recombine(_evolve_branches(group, w))
     omega, times = [p.omega for p, _ in group], [t for _, t in group]
     out = []
@@ -137,30 +151,55 @@ def test_chain_and_views_equal_dict_reference():
 
 
 def test_batching_changes_no_bits():
-    # a draw run alone (N = 1) gets exactly the amplitudes, probabilities and
-    # refusals it gets inside its (n, m) group; the (0, 0) group mixes the
-    # refused outcome 1 at gT = 0 and 3e-5 with accepted ones
-    groups = nm_groups(seeded_draws(5, 240))
-    assert len(groups) == 25
-    refused = mixed = 0
-    for group in groups:
-        w = TruncationWindow.for_params(group[0][0])
-        batched = matrix_chain(group, w)
-        compared = _compare_group(group)
-        refused_here = set()
-        for col, draw in enumerate(group):
-            alone = matrix_chain([draw], w)
-            for j, ((numeric, probs), (one, prob_one)) in enumerate(zip(batched, alone)):
-                assert numeric[:, col].tobytes() == one[:, 0].tobytes()
-                assert probs[col] == prob_one[0]
-                if prob_one[0] < MIN_OUTCOME_PROBABILITY:
-                    assert not one.any()
-                    refused_here.add((col, j))
-            for grouped, one in zip(compared, _compare_group([draw])):
-                assert grouped[:, col].tolist() == one[:, 0].tolist()
-        refused += len(refused_here)
-        mixed += 0 < len(refused_here) < 2 * len(group)
-    assert refused >= 2 and mixed >= 1
+    # draws of all 25 (n, m) evolve as one batch on the window of the
+    # largest: on the kets of its own tight window each column is the bits
+    # of the draw run alone there, and it is exactly 0 on every other ket;
+    # the refused outcome 1 at gT = 0 and 3e-5 shares the batch with
+    # accepted ones
+    draws = seeded_draws(5, 240)
+    assert len(set(map(tuple, photon_numbers(draws).T.tolist()))) == 25
+    wide = TruncationWindow(max(max(p.n, p.m) for p, _ in draws) + 2)
+    branches = _evolve_branches(draws, wide)
+    batched = matrix_chain(draws, wide)
+    compared = _compare(draws)
+    refused = 0
+    for col, (p, t) in enumerate(draws):
+        w = TruncationWindow.for_params(p)
+        rows = tight_rows(p, wide)
+        elsewhere = np.ones(wide.atom_field_dim, dtype=bool)
+        elsewhere[rows] = False
+        assert branches[:, rows, col].tobytes() == _evolve_branches([(p, t)], w)[:, :, 0].tobytes()
+        assert not branches[:, elsewhere, col].any()
+        for (numeric, probs), (one, prob_one) in zip(batched, matrix_chain([(p, t)], w)):
+            assert numeric[rows, col].tobytes() == one[:, 0].tobytes()
+            assert not numeric[elsewhere, col].any()
+            assert probs[col] == prob_one[0]
+            refused += prob_one[0] < MIN_OUTCOME_PROBABILITY
+        for batch, one in zip(compared, _compare([(p, t)])):
+            assert batch[:, col].tolist() == one[:, 0].tolist()
+    assert refused >= 2
+
+
+def test_leak_at_a_small_draws_guard_row_is_refused_in_a_wide_window(monkeypatch):
+    # the guard rows of the n = 1, m = 0 draw start at 3, inside the window
+    # of n_max = 6 that its batch with the n = 4, m = 2 draw needs: a leak
+    # there is refused, though the window's own top row stays empty
+    small, large = SystemParams(g=1.0, T=1.0, n=1, m=0), SystemParams(g=1.0, T=1.0, n=4, m=2)
+    draws = [(large, large.T1 + large.T), (small, small.T1 + small.T)]
+    wide = TruncationWindow(6)
+    rotate = oracle._rotate
+
+    def leaky(x, cavity, t, g, w):
+        out = rotate(x, cavity, t, g, w)
+        out[w.index(E, 3, 0), 1] += 0.1
+        return out
+
+    _evolve_branches(draws, wide)
+    monkeypatch.setattr(oracle, "_rotate", leaky)
+    with pytest.raises(TruncationOverflowError):
+        _evolve_branches(draws, wide)
+    with pytest.raises(TruncationOverflowError):
+        _compare(draws)
 
 
 def test_analytic_ket_outside_window_counts_as_deviation():
@@ -172,35 +211,41 @@ def test_analytic_ket_outside_window_counts_as_deviation():
     # (g, 0, n_max + 1) would land on the flat index of (g, 1, 0)
     with pytest.raises(ValueError, match="^m must lie in 0..3"):
         w.index(G, 0, w.n_max + 1)
-    ghost = (AtomFieldKet(G, 0, w.n_max + 1),)
-    deviation = _amplitude_deviation(ghost, np.array([[0.5 + 0j, 0.5]]), numeric, w)
-    assert deviation.tolist() == [0.5, 0.75]
+    rows = np.arange(len(OFFSETS))
+    analytic = np.zeros((len(OFFSETS), 2), dtype=complex)
+    analytic[OFFSETS.index((G, 0, +1))] = 0.5
+    n, m = np.zeros(2, dtype=int), np.full(2, w.n_max)
+    assert _amplitude_deviation(rows, n, m, analytic, numeric, w).tolist() == [0.5, 0.75]
 
 
 def test_grouped_closed_forms_equal_one_draw_calls():
-    # verify evaluates the closed forms once per (n, m) group; each draw's
-    # columns must be the bits a call for that draw alone gives, which is
-    # also what general_postselect returns
-    groups = nm_groups(seeded_draws(5, 240))
-    assert len(groups) == 25
+    # verify evaluates the closed forms of draws of mixed (n, m) in one
+    # call per outcome; each draw's columns must be the bits a call for
+    # that draw alone gives, which is also what general_postselect returns;
+    # a row a draw does not reach is 0 in its column
+    draws = seeded_draws(5, 240)
+    n, m = photon_numbers(draws)
+    rows, amps, probs = _closed_forms(draws, n, m)
+    assert rows.tolist() == list(range(len(OFFSETS)))
+    assert [a.shape for a in amps] == [(len(OFFSETS), len(draws))] * 2
+    assert probs.shape == (2, len(draws))
     refused = 0
-    for group in groups:
-        basis, amps, probs = _closed_forms(group)
-        assert amps.shape == (len(basis), 2, len(group)) and probs.shape == (2, len(group))
-        for col, (p, t) in enumerate(group):
-            basis_one, one, prob_one = _closed_forms([(p, t)])
-            assert basis_one == basis and prob_one.tolist() == probs[:, [col]].tolist()
-            assert one[:, :, 0].tobytes() == amps[:, :, col].tobytes()
-            for j in (0, 1):
-                column, prob = amps[:, j, col], float(probs[j, col])
-                try:
-                    state, prob_gp = general_postselect(j, p, p.omega * t)
-                except ImpossiblePostselectionError as err:
-                    assert err.probability == prob and not column.any()
-                    refused += 1
-                    continue
-                assert prob_gp == prob
-                assert state == PureState(dict(zip(basis, column.tolist())))
+    for col, (p, t) in enumerate(draws):
+        rows_one, one, prob_one = _closed_forms([(p, t)], np.array([p.n]), np.array([p.m]))
+        assert prob_one.tolist() == probs[:, [col]].tolist()
+        for j in (0, 1):
+            assert one[j][:, 0].tobytes() == amps[j][rows_one, col].tobytes()
+            assert not np.delete(amps[j][:, col], rows_one).any()
+            prob = float(probs[j, col])
+            try:
+                state, prob_gp = general_postselect(j, p, p.omega * t)
+            except ImpossiblePostselectionError as err:
+                assert err.probability == prob and not amps[j][:, col].any()
+                refused += 1
+                continue
+            assert prob_gp == prob
+            column = amps[j][rows_one, col].tolist()
+            assert state == PureState(dict(zip(reachable_kets(p.n, p.m), column)))
     assert refused >= 2
 
 
@@ -267,11 +312,11 @@ def test_failed_report_replays_worst_draw():
     for _ in range(40):
         q = random_params(rng)
         t_q = q.T1 + q.T + float(rng.uniform(0.0, 2.0))
-        analytic, _, deviation = _compare_group([(q, t_q)])
+        analytic, _, deviation = _compare([(q, t_q)])
         per_draw.append(deviation[analytic >= MIN_OUTCOME_PROBABILITY].max())
     assert max(per_draw) == report.max_amplitude_deviation
     assert per_draw.index(max(per_draw)) == report.worst_draw == 35
-    _, _, deviation = _compare_group([(p, t)])
+    _, _, deviation = _compare([(p, t)])
     assert deviation[report.worst_outcome, 0] == report.max_amplitude_deviation
     # and through the public PureState chain
     j = report.worst_outcome
@@ -301,7 +346,7 @@ def test_reduction_counts_compared_outcomes_and_names_first_worst(monkeypatch):
     report = run_verification(seed=1, draws=len(fixed), tolerance=0)
     analytic, numeric, deviation = (
         np.concatenate(side, axis=1)
-        for side in zip(*(_compare_group([(p, p.T1 + p.T + u)]) for p in fixed))
+        for side in zip(*(_compare([(p, p.T1 + p.T + u)]) for p in fixed))
     )
     compared = analytic >= MIN_OUTCOME_PROBABILITY
     assert compared.tolist() == [[True] * 6, [False, True, True, True, True, False]]
@@ -318,3 +363,44 @@ def test_reduction_counts_compared_outcomes_and_names_first_worst(monkeypatch):
     assert (report.worst_draw, report.max_amplitude_deviation) == (1, largest)
     assert report.worst_outcome == int(np.argmax(deviation[:, 1]))
     assert (report.worst_params, report.worst_time) == (top, top.T1 + top.T + u)
+
+
+def test_reports_equal_the_pinned_ones(capsys):
+    for key, expected in PINNED["reprs"].items():
+        seed, draws = map(int, key.split(","))
+        assert repr(run_verification(seed, draws, tolerance=0)) == expected, key
+    for seed, expected in PINNED["cli"].items():
+        assert main(["verify", "--draws", "200", "--seed", seed]) == expected["exit"]
+        assert capsys.readouterr().out == expected["stdout"], seed
+
+
+def test_draws_follow_the_scalar_reference_stream(monkeypatch):
+    # random_params and the time draw of run_verification give the draws of
+    # eleven scalar calls plus one, bit for bit
+    compared = []
+
+    def recording(drawn):
+        compared.extend(drawn)
+        return _compare(drawn)
+
+    monkeypatch.setattr(verify, "_compare", recording)
+    for seed in range(30):
+        compared.clear()
+        run_verification(seed, 200)
+        rng = np.random.default_rng(seed)
+        assert compared == [reference_draw(rng) for _ in range(200)], seed
+
+
+def test_chunk_seam_changes_no_report(monkeypatch):
+    # chunks of 7 draws, the last of 4, give the report of one chunk
+    default = repr(run_verification(5, 200, tolerance=0))
+    sizes = []
+
+    def recording(drawn):
+        sizes.append(len(drawn))
+        return _compare(drawn)
+
+    monkeypatch.setattr(verify, "_compare", recording)
+    monkeypatch.setattr(verify, "_CHUNK", 7)
+    assert repr(run_verification(5, 200, tolerance=0)) == default
+    assert sizes == [7] * 28 + [4]
