@@ -144,20 +144,19 @@ def _layout(n: np.ndarray, m: np.ndarray) -> tuple:
 
 @functools.lru_cache(maxsize=32)
 def _point_layout(n: int, m: int) -> tuple:
-    """_layout at one (n, m), which every sweep and one-point call shares;
-    read-only."""
+    """_layout at one (n, m), which every sweep and one-point call shares,
+    and the kets its rows name there; read-only."""
     roots_n, roots_m, negative, rows, row_of, missed = _layout(np.array([n]), np.array([m]))
     for array in (*roots_n, *roots_m, negative, rows):
         array.flags.writeable = False
-    return roots_n, roots_m, negative, rows, MappingProxyType(row_of), tuple(missed)
+    kets = tuple(AtomFieldKet(a, n + dn, m + dm) for a, dn, dm in (OFFSETS[r] for r in rows))
+    return roots_n, roots_m, negative, rows, MappingProxyType(row_of), tuple(missed), kets
 
 
-@functools.lru_cache(maxsize=32)
 def reachable_kets(n: int, m: int) -> tuple[AtomFieldKet, ...]:
     """The sorted basis of the at most ten kets both orders reach from
     (n, m): the kets of grid_amplitudes' rows at that one (n, m)."""
-    return tuple(AtomFieldKet(a, n + dn, m + dm) for a, dn, dm in OFFSETS
-                 if n + dn >= 0 and m + dm >= 0)
+    return _point_layout(n, m)[-1]
 
 
 def state_after_both(order: CavityOrder, p: SystemParams, tau: float) -> PureState:
@@ -244,7 +243,7 @@ def grid_amplitudes(
     measurement_phase applies the measurement phase, which is left out here.
     """
     if isinstance(n, int) and isinstance(m, int):
-        roots_n, roots_m, negative, rows, row_of, missed = _point_layout(n, m)
+        roots_n, roots_m, negative, rows, row_of, missed, _ = _point_layout(n, m)
     else:
         roots_n, roots_m, negative, rows, row_of, missed = _layout(*np.atleast_1d(n, m))
     # Scalars stay of length 1, so a fixed angle costs one evaluation.

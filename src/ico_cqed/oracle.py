@@ -116,33 +116,40 @@ def _rates(n_max: int) -> tuple[float, ...]:
 
 
 def _rotate(x: np.ndarray, cavity: int, t, g, w: TruncationWindow) -> np.ndarray:
-    """exp(-i t H_int) of one cavity applied to each column of ``x``, of shape
-    (atom_field_dim, N), as the doublet rotations described in jc_propagator.
-    t and g are sequences of D values, D dividing N, column c rotating for
-    time t[c % D] at coupling g[c % D]: one value that every column shares,
-    one per column, or one per draw of columns that repeat the draws."""
+    """exp(-i t H_int) of one cavity applied in place to each column of
+    ``x``, a C-contiguous (atom_field_dim, N) array, as the doublet
+    rotations described in jc_propagator; returns x.  t and g are sequences
+    of N values, column c rotating for time t[c] at coupling g[c]; of N / 2
+    values, one per draw whose columns c and c + N / 2 both rotate for
+    t[c]; or of one value that every column shares."""
     k = w.n_max
-    # angles (n_max, 1, D), each (g * sqrt(k+1)) * t
+    # angles (n_max, 1, len(t)), each (g * sqrt(k+1)) * t
     angles = [rate * g_c * t_c for rate in _rates(k) for g_c, t_c in zip(g, t)]
     diag = np.array([math.cos(a) for a in angles], dtype=complex).reshape(k, 1, -1)
     off = -1j * np.array([math.sin(a) for a in angles]).reshape(k, 1, -1)
-    if diag.shape[-1] < x.shape[-1]:
-        # each draw's angles, evaluated once, for each of its columns
-        reps = x.shape[-1] // diag.shape[-1]
-        diag, off = np.concatenate([diag] * reps, axis=2), np.concatenate([off] * reps, axis=2)
-    out = x.copy()
+    if 2 * diag.shape[-1] == x.shape[-1]:
+        # each draw's angles, evaluated once, for both its columns: factors
+        # as wide as x keep the products below flat loops
+        diag, off = np.concatenate((diag, diag), axis=2), np.concatenate((off, off), axis=2)
     # x as (atom, active mode, spectator mode, N): the doublet k pairs |e>
     # at occupation k of the active mode with |g> at k+1.
-    x4, out4 = x.reshape(2, w.levels, w.levels, -1), out.reshape(2, w.levels, w.levels, -1)
+    x4 = x.reshape(2, w.levels, w.levels, -1)
     if cavity == 0:
         # A doublet's rows are contiguous over the spectator mode; factors
         # repeated over it make each product below one flat loop.
         diag, off = diag.repeat(w.levels, axis=1), off.repeat(w.levels, axis=1)
     else:
-        x4, out4 = x4.swapaxes(1, 2), out4.swapaxes(1, 2)
-    out4[0, :k] = diag * x4[0, :k] + off * x4[1, 1:]
-    out4[1, 1:] = off * x4[0, :k] + diag * x4[1, 1:]
-    return out
+        x4 = x4.swapaxes(1, 2)
+    excited, ground = x4[0, :k], x4[1, 1:]
+    # (e, g) -> (diag * e + off * g, off * e + diag * g), each product with
+    # its operands in this order and each sum of two rounded as written;
+    # |g, 0> and the top |e> row stay put
+    rotated = diag * excited
+    rotated += off * ground
+    np.multiply(diag, ground, out=ground)
+    ground += off * excited
+    excited[...] = rotated
+    return x
 
 
 def jc_propagator(cavity: int, t: float, g: float, w: TruncationWindow) -> np.ndarray:
@@ -209,15 +216,14 @@ def _evolve_branches(draws: list[tuple[SystemParams, float]], w: TruncationWindo
     first = [min(max(t - p.T0, 0.0), p.T) for p, t in draws]
     second = [min(max(t - p.T1, 0.0), p.T) for p, t in draws]
     g = [p.g for p in params]
-    # rebinding vec frees each state once the next is built
     vec = _rotate(vec, 0, first, g, w)
     vec = _rotate(vec, 1, second, g, w)
     exchanged = vec[:, size:].reshape(2, w.levels, w.levels, size).swapaxes(1, 2)
     branches = np.empty((2, w.atom_field_dim, size), dtype=complex)
-    branches[0] = np.array([math.cos(p.theta) for p in params]) * vec[:, :size]
-    branches[1] = np.array(
-        [cmath.exp(1j * p.varphi) * math.sin(p.theta) for p in params]
-    ) * exchanged.reshape(w.atom_field_dim, size)
+    np.multiply([math.cos(p.theta) for p in params], vec[:, :size], out=branches[0])
+    np.multiply([cmath.exp(1j * p.varphi) * math.sin(p.theta) for p in params], exchanged,
+                out=branches[1].reshape(exchanged.shape))
+    del vec, exchanged  # the doubled batch is not needed for the guard check
     prune_amplitudes(branches)
     leak = _guard_population(branches, tops, w)
     if (leak >= 1e-12).any():
@@ -243,8 +249,11 @@ def recombine(branches: np.ndarray) -> np.ndarray:
     """Balanced recombination |c> -> (|0> + (-1)^c |1>)/sqrt(2) of (2, K, ...)
     control rows, pruned; row c of the input holds the control-c component,
     row j of the output the outcome-j one.  It is its own inverse."""
-    half = branches * (1.0 / math.sqrt(2.0))
-    return prune_amplitudes(np.stack((half[0] + half[1], half[0] - half[1])))
+    outcomes = branches * (1.0 / math.sqrt(2.0))
+    second = outcomes[1].copy()
+    np.subtract(outcomes[0], second, out=outcomes[1])
+    outcomes[0] += second
+    return prune_amplitudes(outcomes)
 
 
 def condition(rows: np.ndarray, j: int) -> tuple[np.ndarray, list[float]]:
@@ -257,7 +266,8 @@ def condition(rows: np.ndarray, j: int) -> tuple[np.ndarray, list[float]]:
     population = (flat.real * flat.real + flat.imag * flat.imag).reshape(row.shape).T
     if len(population) > 1:
         # fsum rounds the exact sum once, so a column's zeros may be left
-        # out; on a batch of draws most populations are 0
+        # out; on a batch of draws most populations are 0.  One column, the
+        # compact support of a PureState, has few zeros to skip.
         nonzero = population != 0
         values = population[nonzero].tolist()
         ends = nonzero.sum(axis=1).cumsum().tolist()
@@ -278,13 +288,13 @@ def phase(amps: np.ndarray, omega, t, excitations: np.ndarray) -> np.ndarray:
     # the largest |excitations - 1/2|: omega * t * top rounds as the largest
     # entry of the column's argument, so it overflows exactly when one does
     top = float(np.maximum.reduce(excitations, initial=1)) - 0.5
-    omega, t = np.asarray(omega, dtype=float), np.asarray(t, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        omega_t = omega * t
-        checked = (omega, t, omega_t, omega_t * top)
+        omega_t = np.multiply(omega, t, dtype=float)
+        argument = omega_t * top
     # a non-finite factor leaves each later product non-finite, so the last
     # is finite exactly when all four are
-    if not np.isfinite(checked[3]).all():
+    if not np.isfinite(argument).all():
+        checked = (np.asarray(omega, dtype=float), np.asarray(t, dtype=float), omega_t, argument)
         column, field = np.argwhere(~np.isfinite(checked).T)[0]  # the first column, then field
         name = ("omega", "t", "omega * t", "omega * t * (excitations - 1/2)")[field]
         raise ValueError(f"{name} must be finite, got {float(checked[field][column])}")
@@ -292,7 +302,8 @@ def phase(amps: np.ndarray, omega, t, excitations: np.ndarray) -> np.ndarray:
     flat = amps.ravel()
     if amps.shape[1] > 1:
         # on a batch of draws most amplitudes are 0: the exponential and the
-        # product only where one is not
+        # product only where one is not.  One column, the compact support of
+        # a PureState, has few zeros to skip.
         nonzero = np.flatnonzero(flat)
         kets, columns = np.divmod(nonzero, amps.shape[1])
         factor = np.exp(rate[columns] * (excitations[kets] - 0.5))
@@ -301,7 +312,7 @@ def phase(amps: np.ndarray, omega, t, excitations: np.ndarray) -> np.ndarray:
     amp = flat[nonzero]
     # The product written out rounds as Python's complex product does;
     # numpy's complex multiply may fuse the multiply-adds.
-    phased = np.zeros_like(flat)
+    phased = np.zeros(flat.shape, flat.dtype)
     phased.real[nonzero] = amp.real * factor.real - amp.imag * factor.imag
     phased.imag[nonzero] = amp.real * factor.imag + amp.imag * factor.real
     return prune_amplitudes(phased).reshape(amps.shape)

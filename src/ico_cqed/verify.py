@@ -24,12 +24,13 @@ DEFAULT_TOLERANCE = 1e-9
 
 #: Most draws one run may ask for: every drawn SystemParams and the (2,
 #: draws) comparison arrays stay in memory, about 0.6 KB per draw, and one
-#: chunk's arrays take about 4 MB, so 100,000 draws peak some 70 MB above
+#: chunk's arrays take under 1 MB, so 100,000 draws peak some 62 MB above
 #: the imported package.
 MAX_DRAWS = 100_000
 #: Draws compared in one batch; it bounds the batch arrays, which grow with
-#: the draws times the window of the largest (98 kets at n, m <= 4).
-_CHUNK = 256
+#: the draws times the window of the largest (98 kets at n, m <= 4).  A
+#: larger chunk is a little faster and holds more memory at once.
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
