@@ -19,12 +19,15 @@ import numpy as np
 from .errors import DegenerateBranchError, ImpossiblePostselectionError
 from .states import (
     MIN_OUTCOME_PROBABILITY,
+    PHOTON_LIMIT,
     AtomFieldKet,
     AtomLevel,
     FieldsKet,
     PureState,
     SystemParams,
     check_outcome,
+    check_real,
+    check_whole,
     normalize_columns,
     prune_amplitudes,
 )
@@ -43,14 +46,8 @@ class CavityOrder(Enum):
 
 def gamma(k: int, g: float) -> float:
     """Doublet rotation rate g*sqrt(k+1); k = -1 gives exactly 0."""
-    if k < -1:
-        raise ValueError(f"gamma is defined for k >= -1, got {k}")
+    check_whole(k, "k", -1)
     return g * math.sqrt(k + 1)
-
-
-def _check_tau(p: SystemParams, tau: float) -> None:
-    if not 0.0 <= tau <= p.T:
-        raise ValueError(f"tau must lie in [0, T] = [0, {p.T}], got {tau}")
 
 
 def _slot_amplitudes(lib, g, roots_n: tuple, roots_m: tuple, t_first, t_second, ce, se) -> tuple:
@@ -87,7 +84,7 @@ def coeffs_c(p: SystemParams, tau: float) -> tuple:
     slot attached to a negative-occupation ket carries a sin factor with a
     zero rate, so it vanishes as well.
     """
-    _check_tau(p, tau)
+    check_real(tau, "tau", 0.0, p.T, "[]")
     ce, se = math.cos(p.xi), cmath.exp(1j * p.chi) * math.sin(p.xi)
     roots_n, roots_m = ((math.sqrt(k + 1), math.sqrt(k)) for k in (p.n, p.m))
     return _slot_amplitudes(math, p.g, roots_n, roots_m, p.T, tau, ce, se)
@@ -165,7 +162,7 @@ def state_after_both(order: CavityOrder, p: SystemParams, tau: float) -> PureSta
     point of grid_amplitudes."""
     if order not in _SERIES:
         raise TypeError(f"order must be a CavityOrder, got {order!r}")
-    _check_tau(p, tau)
+    check_real(tau, "tau", 0.0, p.T, "[]")
     _, amps, _ = _one_point(_SERIES[order], p, tau)
     return PureState(dict(zip(reachable_kets(p.n, p.m), amps[:, 0].tolist())))
 
@@ -206,10 +203,11 @@ def general_postselect(
     """
     check_outcome(j)
     # The ket (e, n, m) has the most excitations, n + m + 1; its argument is
-    # rounded as measurement_phase rounds it.  A non-finite omega_t fails too.
+    # rounded as measurement_phase rounds it.
+    omega_t = check_real(omega_t, "omega_t")
     if not math.isfinite(omega_t * (float(p.n + p.m + 1) - 0.5)):
         raise ValueError(
-            f"omega_t must be finite, as must omega_t * (n + m + 1/2), got omega_t={omega_t}"
+            f"omega_t: must be finite, as must omega_t * (n + m + 1/2), got omega_t={omega_t}"
         )
     rows, amps, prob = _one_point(("ico_j0", "ico_j1")[j], p, p.T)
     if prob[0] < MIN_OUTCOME_PROBABILITY:
@@ -297,12 +295,10 @@ def measurement_phase(rows: np.ndarray, n, m, amps: np.ndarray, omega_t) -> np.n
 def bell_resonance_gT(n: int, resonance: int) -> float:
     """Interaction time, as g*T, at which the equal-fill case n = m collapses
     each atom-conditioned branch to a two-ket entangled field state.  n must
-    be a non-negative integer and resonance a positive one; otherwise a
+    be an int in 0..2**53 - 1 and resonance an int >= 1; otherwise a
     ValueError names the field."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ValueError(f"n must be a non-negative integer, got {n!r}")
-    if isinstance(resonance, bool) or not isinstance(resonance, int) or resonance < 1:
-        raise ValueError(f"resonance must be a positive integer, got {resonance!r}")
+    check_whole(n, "n", 0, PHOTON_LIMIT)
+    check_whole(resonance, "resonance", 1)
     return (2 * resonance - 1) * math.pi / (2.0 * math.sqrt(n + 1))
 
 
@@ -317,7 +313,7 @@ def bell_state(atom_branch: AtomLevel, n: int, resonance: int) -> PureState:
     of g*T avoids float-equality checks on the resonance condition.
     """
     if not isinstance(atom_branch, AtomLevel):
-        raise ValueError(f"atom_branch must be an AtomLevel, got {atom_branch!r}")
+        raise ValueError(f"atom_branch: must be an AtomLevel, got {atom_branch!r}")
     # Rotation angle g*sqrt(n)*T of the doublet below the initial fill.
     arg = bell_resonance_gT(n, resonance) * math.sqrt(n)
     parity = -1.0 if resonance % 2 else 1.0

@@ -23,6 +23,7 @@ from .states import (
     Ket,
     PureState,
     SystemParams,
+    check_whole,
     column_sums,
     normalize_columns,
 )
@@ -46,9 +47,8 @@ class FieldDensityMatrix:
         el = np.asarray(self.elements, dtype=complex)
         object.__setattr__(self, "elements", el)
         if el.ndim != 2 or el.shape[0] != el.shape[1]:
-            raise ValueError(f"elements must be a square matrix, got shape {el.shape}")
-        if self.offset < 0:
-            raise ValueError(f"offset must be >= 0, got {self.offset}")
+            raise ValueError(f"elements: must be a square matrix, got shape {el.shape}")
+        check_whole(self.offset, "offset", 0)
         if float(np.max(np.abs(el - el.conj().T))) > 1e-12:
             raise ValueError("density matrix must be Hermitian to 1e-12")
         if abs(float(np.trace(el).real) - 1.0) > 1e-12:

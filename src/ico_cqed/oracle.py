@@ -37,12 +37,17 @@ from .states import (
     PureState,
     SystemParams,
     check_outcome,
+    check_real,
+    check_whole,
     prune_amplitudes,
 )
 
 _E = AtomLevel.EXCITED
 _G = AtomLevel.GROUND
 _LEVELS = (_E, _G)
+
+#: Largest TruncationWindow n_max: room for photon numbers up to 50 and a guard row.
+MAX_N_MAX = 52
 
 
 @dataclass(frozen=True)
@@ -52,13 +57,15 @@ class TruncationWindow:
     A transit adds at most one photon per cavity, so a window with
     n_max >= max(initial n, initial m) + 2 keeps a guard row that must stay
     unpopulated; any leakage there indicates a bug, not a tight truncation.
+    n_max must be an int in 1..MAX_N_MAX.  jc_propagator and jc_generator
+    build a dense complex matrix of side atom_field_dim = 2 * (n_max + 1)**2:
+    76 MB at n_max 32 (dim 2,178), 505 MB at MAX_N_MAX (dim 5,618).
     """
 
     n_max: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.n_max, bool) or not isinstance(self.n_max, int) or self.n_max < 1:
-            raise ValueError(f"n_max must be a positive integer, got {self.n_max!r}")
+        check_whole(self.n_max, "n_max", 1, MAX_N_MAX + 1)
 
     @classmethod
     def for_params(cls, p: SystemParams) -> "TruncationWindow":
@@ -75,27 +82,15 @@ class TruncationWindow:
     def index(self, atom: AtomLevel, n: int, m: int) -> int:
         """Position of |atom, n, m> on the window's basis; an occupation
         outside 0..n_max is refused, since it would alias another ket."""
-        for name, value in (("n", n), ("m", m)):
-            if not 0 <= value <= self.n_max:
-                raise ValueError(f"{name} must lie in 0..{self.n_max}, got {value}")
+        check_whole(n, "n", 0, self.levels)
+        check_whole(m, "m", 0, self.levels)
         return (int(atom) * self.levels + n) * self.levels + m
-
-
-def _check_cavity(cavity: int) -> None:
-    if cavity not in (0, 1):
-        raise ValueError(f"cavity must be 0 or 1, got {cavity!r}")
-
-
-def _check_time(t: float) -> None:
-    # The chained comparison also rejects NaN, which fails every comparison.
-    if not 0 <= t < math.inf:
-        raise ValueError(f"t must be finite and >= 0, got {t}")
 
 
 def jc_generator(cavity: int, g: float, w: TruncationWindow) -> np.ndarray:
     """Interaction matrix g(a_j^dag sigma_- + sigma_+ a_j) on the ordered
     atom x mode0 x mode1 basis (hbar = 1)."""
-    _check_cavity(cavity)
+    check_whole(cavity, "cavity", 0, 2)
     h = np.zeros((w.atom_field_dim, w.atom_field_dim), dtype=complex)
     for k in range(w.n_max):
         coupling = g * math.sqrt(k + 1)
@@ -160,8 +155,8 @@ def jc_propagator(cavity: int, t: float, g: float, w: TruncationWindow) -> np.nd
     cross-check this construction against a dense matrix exponential of
     jc_generator, keeping the two derivations independent.
     """
-    _check_cavity(cavity)
-    _check_time(t)
+    check_whole(cavity, "cavity", 0, 2)
+    check_real(t, "t", 0.0)
     return _rotate(np.eye(w.atom_field_dim, dtype=complex), cavity, (t,), (g,), w)
 
 
@@ -190,13 +185,10 @@ def _evolve_branches(draws: list[tuple[SystemParams, float]], w: TruncationWindo
     evolve's checks and errors on its own guard rows, max(n, m) + 2 and up,
     and its column does not depend on the other draws."""
     params = [p for p, _ in draws]
-    for p, t in draws:
-        _check_time(t)
+    times = [check_real(t, "t", 0.0) for _, t in draws]
     tops = [max(p.n, p.m) + 2 for p in params]
     if w.n_max < max(tops, default=0):
-        raise ValueError(
-            f"window too small: need n_max >= max(n, m) + 2 = {max(tops)}, got {w.n_max}"
-        )
+        raise ValueError(f"n_max: must be >= max(n, m) + 2 = {max(tops)}, got {w.n_max}")
     # The control-1 branch, cavity 1 first, is the control-0 branch of the
     # preparation with the two modes exchanged.  So both branches run as 2N
     # columns through cavity 0 and then cavity 1, and the modes of the last
@@ -213,8 +205,8 @@ def _evolve_branches(draws: list[tuple[SystemParams, float]], w: TruncationWindo
     # T1 >= T0 + T, so the second transit starts after the first has ended;
     # before, between and after the transits a rotation by 0 is the identity.
     # Both halves share each draw's times and coupling.
-    first = [min(max(t - p.T0, 0.0), p.T) for p, t in draws]
-    second = [min(max(t - p.T1, 0.0), p.T) for p, t in draws]
+    first = [min(max(t - p.T0, 0.0), p.T) for p, t in zip(params, times)]
+    second = [min(max(t - p.T1, 0.0), p.T) for p, t in zip(params, times)]
     g = [p.g for p in params]
     vec = _rotate(vec, 0, first, g, w)
     vec = _rotate(vec, 1, second, g, w)
@@ -297,7 +289,7 @@ def phase(amps: np.ndarray, omega, t, excitations: np.ndarray) -> np.ndarray:
         checked = (np.asarray(omega, dtype=float), np.asarray(t, dtype=float), omega_t, argument)
         column, field = np.argwhere(~np.isfinite(checked).T)[0]  # the first column, then field
         name = ("omega", "t", "omega * t", "omega * t * (excitations - 1/2)")[field]
-        raise ValueError(f"{name} must be finite, got {float(checked[field][column])}")
+        raise ValueError(f"{name}: must be finite, got {float(checked[field][column])}")
     rate = -1j * omega_t
     flat = amps.ravel()
     if amps.shape[1] > 1:
@@ -362,7 +354,9 @@ def measure_control(s: PureState, j: int) -> tuple[PureState, float]:
 
 
 def schrodinger_phase(s: PureState, omega: float, t: float) -> PureState:
-    """phase on a state whose kets carry the atom level; norm-preserving."""
+    """phase, for finite reals omega and t, on a state whose kets carry the
+    atom level; norm-preserving."""
+    omega, t = check_real(omega, "omega"), check_real(t, "t")
     if s.flavor is FieldsKet:
         raise FlavorMismatchError("schrodinger_phase needs kets that carry the atom level")
     items = s.items()

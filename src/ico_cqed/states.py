@@ -7,14 +7,19 @@ the control qubit, and ``FieldsKet`` keeps the two Fock modes alone.  A
 complex amplitudes.  Amplitudes with magnitude below ``PRUNE_EPSILON`` are
 dropped at construction, so terms that vanish identically (sin(0) factors
 and the like) never clutter the support.
+
+Scalar inputs are checked by ``check_whole`` (ints) and ``check_real`` (finite
+reals); a refusal is a ValueError starting "<field>: ", as a ConfigError does.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from enum import IntEnum
+from numbers import Real
 from operator import attrgetter
 from typing import Mapping, Union
 
@@ -82,20 +87,50 @@ class AtomLevel(IntEnum):
         raise ValueError(f"unknown atom level {label!r}, expected 'e' or 'g'")
 
 
+#: Photon numbers must lie below this: from 2**53 on, n and n + 1 round to
+#: one float, and sqrt(n + 1) would silently equal sqrt(n).
+PHOTON_LIMIT = 2**53
+
+
+def _shown(value) -> str:
+    """A number for a message: an int of over 64 bits by its size alone."""
+    huge = isinstance(value, int) and value.bit_length() > 64
+    return f"a {value.bit_length()}-bit integer" if huge else str(value)
+
+
+def check_whole(value, name: str, least: int, below: int | None = None) -> None:
+    """Refuse a value that is not an int (a bool is not one), or that lies
+    outside least <= value < below; no upper bound for below None."""
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ValueError(f"{name}: must be an integer, got {value!r}")
+    if value < least or below is not None and value >= below:
+        bound = f"be >= {least}" if below is None else f"lie in {least}..{below - 1}"
+        raise ValueError(f"{name}: must {bound}, got {_shown(value)}")
+
+
+def check_real(value, name: str, low=-math.inf, high=math.inf, ends: str = "[)") -> float:
+    """A finite real (an int or float, not a bool) as a float; refused outside the
+    interval from low to high, whose ends "[" and "]" include and "(" and ")" exclude."""
+    number = value
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise ValueError(f"{name}: must be a real number, got {value!r}")
+        # an int compares exactly, also beyond the largest float
+        number = float(value) if abs(value) <= sys.float_info.max else math.inf
+    if low < number < high:  # NaN and the infinities fail it
+        return number
+    if not math.isfinite(number):
+        raise ValueError(f"{name}: must be finite, got {_shown(value)}")
+    if not (number == low and ends[0] == "[" or number == high and ends[1] == "]"):
+        interval = f"{ends[0]}{low:.6g}, {high:.6g}{ends[1]}"
+        raise ValueError(f"{name}: must lie in {interval}, got {_shown(value)}")
+    return number
+
+
 def check_outcome(j: int) -> None:
     """A control outcome is the int 0 or 1; bools and floats are refused."""
     if isinstance(j, bool) or not isinstance(j, int) or j not in (0, 1):
-        raise ValueError(f"control outcome must be 0 or 1, got {j!r}")
-
-
-def _check_occupation(value: int, name: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-    # From 2**53 on, n and n + 1 round to one float: sqrt(n) = sqrt(n + 1).
-    if value >= 2**53:
-        raise ValueError(f"{name} must be < 2**53, got a {value.bit_length()}-bit integer")
+        raise ValueError(f"control outcome: must be 0 or 1, got {j!r}")
 
 
 @dataclass(frozen=True, order=True)
@@ -106,8 +141,8 @@ class FieldsKet:
     m: int
 
     def __post_init__(self) -> None:
-        _check_occupation(self.n, "n")
-        _check_occupation(self.m, "m")
+        check_whole(self.n, "n", 0, PHOTON_LIMIT)
+        check_whole(self.m, "m", 0, PHOTON_LIMIT)
 
     @property
     def excitations(self) -> int:
@@ -124,9 +159,9 @@ class AtomFieldKet:
 
     def __post_init__(self) -> None:
         if not isinstance(self.atom, AtomLevel):
-            raise ValueError(f"atom must be an AtomLevel, got {self.atom!r}")
-        _check_occupation(self.n, "n")
-        _check_occupation(self.m, "m")
+            raise ValueError(f"atom: must be an AtomLevel, got {self.atom!r}")
+        check_whole(self.n, "n", 0, PHOTON_LIMIT)
+        check_whole(self.m, "m", 0, PHOTON_LIMIT)
 
     @property
     def excitations(self) -> int:
@@ -142,10 +177,9 @@ class FullKet:
     rest: AtomFieldKet
 
     def __post_init__(self) -> None:
-        if self.control not in (0, 1) or isinstance(self.control, bool):
-            raise ValueError(f"control must be 0 or 1, got {self.control!r}")
+        check_outcome(self.control)
         if not isinstance(self.rest, AtomFieldKet):
-            raise ValueError("rest must be an AtomFieldKet")
+            raise ValueError("rest: must be an AtomFieldKet")
 
     @property
     def atom(self) -> AtomLevel:
@@ -246,23 +280,18 @@ class PureState:
         return PureState({k: a / nrm for k, a in self._amps.items()})
 
 
-def _check_angle(value: float, name: str, upper: float, inclusive: bool) -> None:
-    ok = 0.0 <= value <= upper if inclusive else 0.0 <= value < upper
-    if not ok:
-        bracket = "]" if inclusive else ")"
-        raise ValueError(f"{name} must lie in [0, {upper:.6g}{bracket}, got {value}")
-
-
-def check_preparation(p) -> None:
-    """Range checks shared by SystemParams and SweepConfig: the control angles
-    theta and varphi, the atom angles xi and chi, and the photon numbers n and
-    m.  The ValueError message starts with the offending field name."""
-    _check_angle(p.theta, "theta", math.pi / 2, inclusive=True)
-    _check_angle(p.varphi, "varphi", 2 * math.pi, inclusive=False)
-    _check_angle(p.xi, "xi", math.pi / 2, inclusive=True)
-    _check_angle(p.chi, "chi", 2 * math.pi, inclusive=False)
-    _check_occupation(p.n, "n")
-    _check_occupation(p.m, "m")
+def check_preparation(p) -> dict[str, float]:
+    """Checks shared by SystemParams and SweepConfig: the preparation angles
+    theta, varphi, xi and chi, returned as floats, and the photon numbers n, m."""
+    angles = {
+        "theta": check_real(p.theta, "theta", 0.0, math.pi / 2, "[]"),
+        "varphi": check_real(p.varphi, "varphi", 0.0, 2 * math.pi),
+        "xi": check_real(p.xi, "xi", 0.0, math.pi / 2, "[]"),
+        "chi": check_real(p.chi, "chi", 0.0, 2 * math.pi),
+    }
+    check_whole(p.n, "n", 0, PHOTON_LIMIT)
+    check_whole(p.m, "m", 0, PHOTON_LIMIT)
+    return angles
 
 
 @dataclass(frozen=True)
@@ -290,26 +319,17 @@ class SystemParams:
     T1: float | None = None
 
     def __post_init__(self) -> None:
-        # Chained comparisons also reject NaN, which fails every comparison.
-        if not 0 < self.g < math.inf:
-            raise ValueError(f"g must be finite and > 0, got {self.g}")
-        if not 0 <= self.T < math.inf:
-            raise ValueError(f"T must be finite and >= 0, got {self.T}")
-        if not math.isfinite(self.g * self.T):
-            raise ValueError(f"g*T must be finite, got g={self.g}, T={self.T}")
-        if not 0 < self.omega < math.inf:
-            raise ValueError(f"omega must be finite and > 0, got {self.omega}")
+        g = check_real(self.g, "g", 0.0, ends="()")
+        T = check_real(self.T, "T", 0.0)
+        if not math.isfinite(g * T):
+            raise ValueError(f"g*T: must be finite, got g={g}, T={T}")
+        check_real(self.omega, "omega", 0.0, ends="()")
         check_preparation(self)
-        if not 0 <= self.T0 < math.inf:
-            raise ValueError(f"T0 must be finite and >= 0, got {self.T0}")
+        T0 = check_real(self.T0, "T0", 0.0)
         if self.T1 is None:
             object.__setattr__(self, "T1", self.T0 + self.T)
-        elif not math.isfinite(self.T1):
-            raise ValueError(f"T1 must be finite, got {self.T1}")
-        if self.T1 < self.T0 + self.T:
-            raise ValueError(
-                f"schedule must satisfy T0 + T <= T1, got T0={self.T0}, T={self.T}, T1={self.T1}"
-            )
+        elif (T1 := check_real(self.T1, "T1")) < T0 + T:
+            raise ValueError(f"T1: must be >= T0 + T, got T0={T0}, T={T}, T1={T1}")
 
     @property
     def gT(self) -> float:

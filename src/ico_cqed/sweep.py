@@ -22,10 +22,12 @@ from .errors import ConfigError
 from .observables import branch_entropy_columns, inversion_columns
 from .states import (
     MIN_OUTCOME_PROBABILITY,
+    PHOTON_LIMIT,
     AtomFieldKet,
     AtomLevel,
-    _check_occupation,
     check_preparation,
+    check_real,
+    check_whole,
 )
 
 _E = AtomLevel.EXCITED
@@ -47,8 +49,10 @@ class KetProbability:
     m: int
 
     def __post_init__(self) -> None:
-        _check_occupation(self.n, "n")
-        _check_occupation(self.m, "m")
+        if not isinstance(self.atom, AtomLevel):
+            raise ConfigError(f"atom: must be an AtomLevel, got {self.atom!r}")
+        check_whole(self.n, "n", 0, PHOTON_LIMIT)
+        check_whole(self.m, "m", 0, PHOTON_LIMIT)
 
     @property
     def column_id(self) -> str:
@@ -63,6 +67,10 @@ class BranchEntropy:
     """Column: first-mode linear entropy after conditioning on the atom level."""
 
     atom_branch: AtomLevel
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.atom_branch, AtomLevel):
+            raise ConfigError(f"atom_branch: must be an AtomLevel, got {self.atom_branch!r}")
 
     @property
     def column_id(self) -> str:
@@ -106,9 +114,8 @@ def _quantity_from_dict(obj: object, index: int) -> Quantity:
     kind = obj.get("kind")
     if kind == "ket_prob":
         try:
-            atom = AtomLevel.from_label(obj["atom"])
-            return KetProbability(atom, obj["n"], obj["m"])
-        except (KeyError, TypeError, ValueError) as exc:
+            return KetProbability(AtomLevel.from_label(obj["atom"]), obj["n"], obj["m"])
+        except (KeyError, ValueError) as exc:
             raise ConfigError(f"{where}: ket_prob needs atom ('e'|'g'), n, m ({exc})")
     if kind == "entropy":
         try:
@@ -144,24 +151,25 @@ class SweepConfig:
             raise ConfigError(
                 f"scenario: must be one of {', '.join(SCENARIOS)}, got {self.scenario!r}"
             )
-        if not self.quantities:
-            raise ConfigError("quantities: must be non-empty")
-        if self.scenario.startswith("series") and any(
-            isinstance(q, ControlProbabilityColumn) for q in self.quantities
-        ):
-            raise ConfigError("quantities: control_prob is defined only for ico scenarios")
+        if not isinstance(self.quantities, (tuple, list)) or not self.quantities:
+            raise ConfigError("quantities: must be a non-empty tuple or list")
+        object.__setattr__(self, "quantities", tuple(self.quantities))
+        for i, q in enumerate(self.quantities):
+            if not isinstance(q, Quantity):
+                raise ConfigError(f"quantities[{i}]: must be a Quantity column, got {q!r}")
+            if isinstance(q, ControlProbabilityColumn) and self.scenario.startswith("series"):
+                raise ConfigError(f"quantities[{i}]: control_prob needs an ico scenario")
         try:
-            check_preparation(self)
+            # stored as floats: a JSON 10 for gT_stop goes to the sidecar as 10.0
+            reals = check_preparation(self)
+            reals["gT_start"] = check_real(self.gT_start, "gT_start", 0.0)
+            reals["gT_stop"] = check_real(self.gT_stop, "gT_stop")
+            reals["gT_step"] = check_real(self.gT_step, "gT_step", 0.0, ends="()")
+            reals["omega_t"] = check_real(self.omega_t, "omega_t")
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        for name in ("gT_start", "gT_stop", "gT_step", "omega_t"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigError(f"{name}: must be finite, got {value}")
-        if self.gT_step <= 0:
-            raise ConfigError(f"gT_step: must be > 0, got {self.gT_step}")
-        if self.gT_start < 0:
-            raise ConfigError(f"gT_start: must be >= 0, got {self.gT_start}")
+        for name, value in reals.items():
+            object.__setattr__(self, name, value)
         if self.gT_start > self.gT_stop:
             raise ConfigError(
                 f"gT_start: must be <= gT_stop, got {self.gT_start} > {self.gT_stop}"
@@ -179,11 +187,11 @@ class SweepConfig:
 
 
 _CONFIG_FIELDS = {f.name for f in fields(SweepConfig)}
-_FLOAT_FIELDS = tuple(f.name for f in fields(SweepConfig) if isinstance(f.default, float))
 
 
 def config_from_dict(data: object) -> SweepConfig:
-    """Build a SweepConfig from parsed JSON, naming any offending field."""
+    """Build a SweepConfig from parsed JSON, naming any offending field; the
+    values are SweepConfig's to check."""
     if not isinstance(data, dict):
         raise ConfigError("config: expected a JSON object")
     unknown = set(data) - _CONFIG_FIELDS
@@ -192,20 +200,10 @@ def config_from_dict(data: object) -> SweepConfig:
     if "scenario" not in data:
         raise ConfigError("scenario: required field is missing")
     raw_quantities = data.get("quantities")
-    if not isinstance(raw_quantities, list) or not raw_quantities:
+    if not isinstance(raw_quantities, list):
         raise ConfigError("quantities: must be a non-empty list")
     quantities = tuple(_quantity_from_dict(q, i) for i, q in enumerate(raw_quantities))
-    kwargs: dict = {}
-    for name in ("n", "m"):
-        if name in data:
-            kwargs[name] = data[name]
-    for name in _FLOAT_FIELDS:
-        if name in data:
-            value = data[name]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{name}: must be a number, got {value!r}")
-            kwargs[name] = float(value)
-    return SweepConfig(scenario=data["scenario"], quantities=quantities, **kwargs)
+    return SweepConfig(**{**data, "quantities": quantities})
 
 
 def _whole_steps(cfg: SweepConfig) -> float:

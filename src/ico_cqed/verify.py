@@ -18,7 +18,7 @@ import numpy as np
 from . import oracle
 from .engine import OFFSETS, grid_amplitudes, measurement_phase
 from .errors import ImpossiblePostselectionError
-from .states import MIN_OUTCOME_PROBABILITY, SystemParams
+from .states import MIN_OUTCOME_PROBABILITY, SystemParams, check_real, check_whole
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -172,19 +172,6 @@ def _compare(drawn: list[tuple[SystemParams, float]]) -> tuple:
     return prob_analytic, prob_numeric, np.array(deviation)
 
 
-def _check_inputs(seed: int, draws: int, tolerance: float) -> None:
-    for name, value, least in (("seed", seed, 0), ("draws", draws, 1)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name}: must be an integer, got {value!r}")
-        if value < least:
-            raise ValueError(f"{name}: must be >= {least}")
-    if draws > MAX_DRAWS:
-        raise ValueError(f"draws: must be <= MAX_DRAWS = {MAX_DRAWS}, got {draws}")
-    # The chained comparison also rejects NaN, which fails every comparison.
-    if not 0 <= tolerance < math.inf:
-        raise ValueError(f"tolerance: must be finite and >= 0, got {tolerance!r}")
-
-
 def run_verification(
     seed: int, draws: int, tolerance: float = DEFAULT_TOLERANCE
 ) -> VerifyReport:
@@ -198,9 +185,11 @@ def run_verification(
     -> phase, run once per chunk on the window vectors of the evolved
     branches, on the window of the chunk's largest draw: the code behind
     hadamard_control, measure_control and schrodinger_phase.  seed must be
-    an int >= 0, draws an int >= 1 and tolerance finite and >= 0; otherwise
-    a ValueError names the field.  draws may not exceed MAX_DRAWS."""
-    _check_inputs(seed, draws, tolerance)
+    an int >= 0, draws an int in 1..MAX_DRAWS and tolerance a finite real
+    >= 0; otherwise a ValueError names the field."""
+    check_whole(seed, "seed", 0)
+    check_whole(draws, "draws", 1, MAX_DRAWS + 1)
+    check_real(tolerance, "tolerance", 0.0)
     rng = np.random.default_rng(seed)
     drawn = []
     for _ in range(draws):

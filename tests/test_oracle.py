@@ -25,7 +25,7 @@ from ico_cqed import (
     state_after_both,
 )
 from ico_cqed import oracle
-from ico_cqed.oracle import _evolve_branches, _guard_population
+from ico_cqed.oracle import MAX_N_MAX, _evolve_branches, _guard_population
 from ico_cqed.verify import random_params
 from helpers import (
     E,
@@ -49,8 +49,10 @@ def full_state_vector(w, state):
 
 @pytest.mark.parametrize(
     "n, m, message",
-    [(0, 4, "m must lie in 0..3, got 4"), (4, 0, "n must lie in 0..3, got 4"),
-     (-1, 0, "n must lie in 0..3, got -1"), (0, -1, "m must lie in 0..3, got -1")],
+    [(0, 4, "m: must lie in 0..3, got 4"), (4, 0, "n: must lie in 0..3, got 4"),
+     (-1, 0, "n: must lie in 0..3, got -1"), (0, -1, "m: must lie in 0..3, got -1")],
+    ids=["0-4-m must lie in 0..3, got 4", "4-0-n must lie in 0..3, got 4",
+         "-1-0-n must lie in 0..3, got -1", "0--1-m must lie in 0..3, got -1"],
 )
 def test_window_index_refuses_occupation_outside_window(n, m, message):
     # (g, 0, 4) would otherwise alias the flat index of (g, 1, 0)
@@ -59,6 +61,26 @@ def test_window_index_refuses_occupation_outside_window(n, m, message):
         w.index(G, n, m)
     assert w.index(G, 3, 3) == w.atom_field_dim - 1
     assert np.unravel_index(w.index(G, 1, 0), (2, w.levels, w.levels)) == (G, 1, 0)
+
+
+def test_window_is_capped_before_anything_is_allocated(monkeypatch):
+    # the cap is checked in the constructor: no array is built on refusal
+    def no_arrays(*args, **kwargs):
+        raise AssertionError("an array was allocated")
+
+    for name in ("zeros", "empty", "eye"):
+        monkeypatch.setattr(oracle.np, name, no_arrays)
+    assert TruncationWindow(MAX_N_MAX).atom_field_dim == 2 * (MAX_N_MAX + 1) ** 2
+    message = f"^n_max: must lie in 1..{MAX_N_MAX}, got {MAX_N_MAX + 1}$"
+    with pytest.raises(ValueError, match=message):
+        TruncationWindow(MAX_N_MAX + 1)
+    # a draw too large for any window is refused at its window
+    p = SystemParams(g=1.0, T=1.0, n=MAX_N_MAX - 1)
+    with pytest.raises(ValueError, match=message):
+        evolve(p, 1.0, TruncationWindow.for_params(p))
+    # the docstring's cost of jc_propagator at the cap: 505 MB
+    assert 16 * TruncationWindow(MAX_N_MAX).atom_field_dim ** 2 == 504_990_784
+    assert MAX_N_MAX >= 22  # the largest window the oracle_wide benchmark uses
 
 
 def test_generator_single_excitation_element():
@@ -293,9 +315,9 @@ def test_engine_matches_oracle_on_wide_envelope():
 def test_non_finite_time_is_refused(t):
     p = SystemParams(g=1.0, T=1.0, n=1, m=0)
     w = TruncationWindow.for_params(p)
-    with pytest.raises(ValueError, match="^t must be finite"):
+    with pytest.raises(ValueError, match="^t: must be finite"):
         evolve(p, t, w)
-    with pytest.raises(ValueError, match="^t must be finite"):
+    with pytest.raises(ValueError, match="^t: must be finite"):
         jc_propagator(0, t, 1.0, w)
 
 
@@ -415,7 +437,7 @@ def test_measure_control_product_state():
 @pytest.mark.parametrize("j", [True, False, 1.0, 0.0, 2, -1, "1"])
 def test_measure_control_rejects_non_int_outcome(j):
     st = PureState({FullKet(1, AtomFieldKet(G, 2, 1)): 1.0})
-    message = f"control outcome must be 0 or 1, got {j!r}"
+    message = f"control outcome: must be 0 or 1, got {j!r}"
     with pytest.raises(ValueError) as oracle_err:
         measure_control(st, j)
     assert str(oracle_err.value) == message
@@ -461,22 +483,22 @@ def test_schrodinger_phase_rejects_fields_only():
                                            (-math.inf, 0.5, "omega")])
 def test_schrodinger_phase_rejects_non_finite_phase(omega, t, field):
     st = PureState({AtomFieldKet(E, 0, 0): 1.0})
-    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+    with pytest.raises(ValueError, match=f"^{field}: must be finite"):
         schrodinger_phase(st, omega, t)
 
 
 def test_phase_refuses_an_overflowing_angle():
     # omega and t are finite, their product is not
     for state in (PureState({AtomFieldKet(E, 0, 0): 1.0}), PureState()):
-        with pytest.raises(ValueError, match=r"^omega \* t must be finite, got inf"):
+        with pytest.raises(ValueError, match=r"^omega \* t: must be finite, got inf"):
             schrodinger_phase(state, 1e308, 10.0)
-    with pytest.raises(ValueError, match=r"^omega \* t must be finite, got -inf"):
+    with pytest.raises(ValueError, match=r"^omega \* t: must be finite, got -inf"):
         oracle.phase(np.ones((1, 1), dtype=complex), (-1e308,), (10.0,), np.array([1]))
 
 
 def test_phase_refuses_an_overflowing_phase_argument():
     # omega * t is finite, omega * t * (excitations - 1/2) is not
-    argument = r"^omega \* t \* \(excitations - 1/2\) must be finite, got "
+    argument = r"^omega \* t \* \(excitations - 1/2\): must be finite, got "
     with pytest.raises(ValueError, match=argument + "inf"):
         oracle.phase(np.ones((1, 1), dtype=complex), (1e308,), (1.0,), np.array([3]))
     # one overflowing column refuses the batch; the others alone are fine
@@ -499,8 +521,8 @@ def test_phase_names_the_first_failing_column_and_its_first_field():
     amps = np.ones((2, 5), dtype=complex)
     excitations = np.array([0, 3])
     omega, t = [1.0, 2.0, 0.5, math.nan, 1.5], [1.0] * 5
-    for column, message in ((1, r"omega \* t must be finite, got inf"),
-                            (4, "omega must be finite, got nan")):
+    for column, message in ((1, r"omega \* t: must be finite, got inf"),
+                            (4, "omega: must be finite, got nan")):
         t_over = list(t)
         t_over[column] = 1e308
         omega_over = list(omega)
@@ -508,5 +530,5 @@ def test_phase_names_the_first_failing_column_and_its_first_field():
         with pytest.raises(ValueError, match=f"^{message}$"):
             oracle.phase(amps, omega_over, t_over, excitations)
     # the same per column: omega before t before their products
-    with pytest.raises(ValueError, match="^t must be finite, got nan$"):
+    with pytest.raises(ValueError, match="^t: must be finite, got nan$"):
         oracle.phase(amps[:, :1], [1e308], [math.nan], excitations)

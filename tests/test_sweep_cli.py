@@ -137,7 +137,10 @@ BAD_OCCUPATIONS = [-1, 1.7, True, "2", 2**53, 10**400]
 @pytest.mark.parametrize("field", ["n", "m"])
 def test_config_rejects_bad_ket_prob_occupation(field, value):
     column = {"kind": "ket_prob", "atom": "e", "n": 0, "m": 0, field: value}
-    with pytest.raises(ConfigError, match=rf"^quantities\[0\]: .*\({field} must be"):
+    with pytest.raises(
+        ConfigError,
+        match=rf"^quantities\[0\]: .*\({field}: must (be an integer|lie in 0\.\.{2**53 - 1}), got ",
+    ):
         config_from_dict({"scenario": "series_C0C1", "quantities": [column]})
     with pytest.raises(ValueError):
         KetProbability(E, **{"n": 0, "m": 0, field: value})
@@ -164,7 +167,7 @@ def test_cli_sweep_rejects_huge_photon_number(tmp_path, capsys, field):
     assert main(["sweep", "--config", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"ico-cqed: {field} must be < 2**53, got a 1329-bit integer\n"
+    assert captured.err == f"ico-cqed: {field}: must lie in 0..{2**53 - 1}, got a 1329-bit integer\n"
 
 
 @pytest.mark.parametrize(
@@ -188,8 +191,40 @@ def test_grid_of_max_size_is_accepted():
 
 
 def test_control_prob_rejected_for_series():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^quantities\[0\]: control_prob needs an ico scenario$"):
         SweepConfig("series_C0C1", (ControlProbabilityColumn(),))
+
+
+def test_ket_probability_refuses_an_atom_label():
+    # a label, not an AtomLevel: column_id used to raise AttributeError
+    with pytest.raises(ConfigError, match="^atom: must be an AtomLevel, got 'e'$"):
+        KetProbability("e", 0, 0)
+
+
+def test_branch_entropy_refuses_an_atom_label():
+    with pytest.raises(ConfigError, match="^atom_branch: must be an AtomLevel, got 'g'$"):
+        BranchEntropy("g")
+
+
+def test_sweep_config_refuses_a_column_that_is_not_a_quantity():
+    # used to fail inside run_sweep with AttributeError
+    message = r"^quantities\[1\]: must be a Quantity column, got 'sigma_z'$"
+    with pytest.raises(ConfigError, match=message):
+        SweepConfig("ico_j0", (AtomicInversion(), "sigma_z"))
+
+
+def test_sweep_config_stores_its_quantities_as_a_tuple():
+    # a list used to be stored as given and made the config unhashable
+    cfg = SweepConfig("ico_j0", [AtomicInversion()])
+    assert cfg.quantities == (AtomicInversion(),)
+    assert hash(cfg) == hash(SweepConfig("ico_j0", (AtomicInversion(),)))
+
+
+def test_sweep_config_stores_an_int_in_a_float_field_as_a_float():
+    cfg = SweepConfig("ico_j0", (AtomicInversion(),), theta=1, gT_stop=10, gT_step=1)
+    assert (cfg.theta, cfg.gT_stop, cfg.gT_step) == (1.0, 10.0, 1.0)
+    assert all(type(v) is float for v in (cfg.theta, cfg.gT_stop, cfg.gT_step))
+    assert '"gT_stop": 10.0' in meta_json(sweep_meta(cfg))
 
 
 def test_grid_points_count_and_spacing():
@@ -356,7 +391,7 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
 def test_cli_verify_rejects_negative_seed(capsys):
     assert main(["verify", "--seed", "-1", "--draws", "5"]) == 1
     err = capsys.readouterr().err
-    assert err == "ico-cqed: seed: must be >= 0\n"
+    assert err == "ico-cqed: seed: must be >= 0, got -1\n"
 
 
 def test_cli_maps_library_value_error_to_one_line(tmp_path, capsys):
@@ -373,7 +408,7 @@ def test_cli_maps_library_value_error_to_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == (
         "ico-cqed: quantities[0]: ket_prob needs atom ('e'|'g'), n, m "
-        "(n must be >= 0, got -1)\n"
+        f"(n: must lie in 0..{2**53 - 1}, got -1)\n"
     )
 
 

@@ -209,7 +209,7 @@ def test_analytic_ket_outside_window_counts_as_deviation():
     numeric = np.zeros((w.atom_field_dim, 2), dtype=complex)
     numeric[w.index(G, 1, 0)] = 0.25, 0.75
     # (g, 0, n_max + 1) would land on the flat index of (g, 1, 0)
-    with pytest.raises(ValueError, match="^m must lie in 0..3"):
+    with pytest.raises(ValueError, match="^m: must lie in 0..3, got 4$"):
         w.index(G, 0, w.n_max + 1)
     rows = np.arange(len(OFFSETS))
     analytic = np.zeros((len(OFFSETS), 2), dtype=complex)
@@ -274,13 +274,13 @@ def test_draws_beyond_max_are_refused_before_drawing(monkeypatch, capsys):
         raise AssertionError("a draw was made")
 
     monkeypatch.setattr(verify, "random_params", no_draws)
-    with pytest.raises(ValueError, match=f"^draws: must be <= MAX_DRAWS = {MAX_DRAWS}"):
+    with pytest.raises(ValueError, match=f"^draws: must lie in 1..{MAX_DRAWS}, got {MAX_DRAWS + 1}$"):
         run_verification(seed=1, draws=MAX_DRAWS + 1)
     assert main(["verify", "--draws", str(MAX_DRAWS + 1)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
-    assert captured.err.startswith("ico-cqed: draws: must be <=")
+    assert captured.err.startswith(f"ico-cqed: draws: must lie in 1..{MAX_DRAWS}, got")
 
 
 def test_pass_report_prints_no_worst_draw():
