@@ -92,7 +92,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"config: cannot read {args.config} ({exc})")
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad JSON, an int of over 4,300 digits, or nesting deeper than the stack
         raise ConfigError(f"config: invalid JSON in {args.config} ({exc})")
     cfg = config_from_dict(data)
     _emit(run_sweep(cfg), sweep_meta(cfg), args.out)

@@ -19,7 +19,6 @@ from .states import (
     AtomFieldKet,
     AtomLevel,
     FieldsKet,
-    FullKet,
     Ket,
     PureState,
     SystemParams,
@@ -78,6 +77,8 @@ def condition_on_atom(s: PureState, a: AtomLevel) -> tuple[PureState, float]:
     Returns the normalized two-mode field state and the Born probability of
     that outcome; the probabilities over both levels sum to one.
     """
+    if not isinstance(a, AtomLevel):
+        raise ValueError(f"atom level: must be an AtomLevel, got {a!r}")
     if s.flavor is not AtomFieldKet:
         raise FlavorMismatchError("condition_on_atom requires an atom-field state")
     items = s.items()
@@ -153,10 +154,10 @@ def linear_entropy(rho: FieldDensityMatrix) -> float:
 
 
 def sigma_z_expectation(s: PureState) -> float:
-    """Atomic inversion P(excited) - P(ground) read directly off a state; 0
-    for the empty state."""
-    if s.flavor not in (AtomFieldKet, FullKet, None):
-        raise FlavorMismatchError("sigma_z_expectation needs kets with an atom level")
+    """Atomic inversion P(excited) - P(ground) read directly off an
+    atom-field state; 0 for the empty state."""
+    if s.flavor is not AtomFieldKet and s.flavor is not None:
+        raise FlavorMismatchError("sigma_z_expectation requires an atom-field state")
     if len(s) == 0:
         return 0.0
     return float(inversion_columns(*_column(s))[0])

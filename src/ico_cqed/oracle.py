@@ -32,7 +32,6 @@ from .states import (
     MIN_OUTCOME_PROBABILITY,
     AtomFieldKet,
     AtomLevel,
-    FieldsKet,
     FullKet,
     PureState,
     SystemParams,
@@ -84,7 +83,11 @@ class TruncationWindow:
         outside 0..n_max is refused, since it would alias another ket."""
         check_whole(n, "n", 0, self.levels)
         check_whole(m, "m", 0, self.levels)
-        return (int(atom) * self.levels + n) * self.levels + m
+        return self.flat_index(int(atom), n, m)
+
+    def flat_index(self, atom, n, m):
+        """index without its checks, elementwise on arrays: atom 0 is excited."""
+        return (atom * self.levels + n) * self.levels + m
 
 
 def jc_generator(cavity: int, g: float, w: TruncationWindow) -> np.ndarray:
@@ -161,12 +164,12 @@ def jc_propagator(cavity: int, t: float, g: float, w: TruncationWindow) -> np.nd
 
 
 @functools.lru_cache(maxsize=16)
-def _highest_occupation(w: TruncationWindow) -> np.ndarray:
-    """The larger photon number of every window index, as a column; read-only."""
-    _, n, m = np.indices((2, w.levels, w.levels)).reshape(3, -1, 1)
-    highest = np.maximum(n, m)
-    highest.flags.writeable = False
-    return highest
+def _basis(w: TruncationWindow) -> np.ndarray:
+    """The (atom, n, m) of every window index as a (3, atom_field_dim) table,
+    atom 0 being excited; read-only."""
+    table = np.indices((2, w.levels, w.levels)).reshape(3, -1)
+    table.flags.writeable = False
+    return table
 
 
 def _guard_population(branches: np.ndarray, tops, w: TruncationWindow) -> np.ndarray:
@@ -174,7 +177,8 @@ def _guard_population(branches: np.ndarray, tops, w: TruncationWindow) -> np.nda
     with a photon number at or beyond the column's guard row tops[c]."""
     population = branches.real * branches.real
     population += branches.imag * branches.imag
-    return (population * (_highest_occupation(w) >= tops)).sum(axis=(0, 1))
+    _, n, m = _basis(w)
+    return (population * (np.maximum(n, m)[:, None] >= tops)).sum(axis=(0, 1))
 
 
 def _evolve_branches(draws: list[tuple[SystemParams, float]], w: TruncationWindow) -> np.ndarray:
@@ -195,12 +199,12 @@ def _evolve_branches(draws: list[tuple[SystemParams, float]], w: TruncationWindo
     # N are exchanged back: two rotations per batch, not four.
     size = len(draws)
     vec = np.zeros((w.atom_field_dim, 2 * size), dtype=complex)
-    # |e, n, m> of column c sits at flat index n * levels + m, |g, n, m> one
-    # levels**2 further
-    site = [p.n * w.levels + p.m for p in params] + [p.m * w.levels + p.n for p in params]
-    vec[site + [w.levels**2 + i for i in site], [*range(2 * size)] * 2] = (
-        [math.cos(p.xi) for p in params] * 2
-        + [cmath.exp(1j * p.chi) * math.sin(p.xi) for p in params] * 2
+    # |e, n, m> and |g, n, m> of each column on the (atom, mode 0, mode 1,
+    # column) view, the last N with the modes exchanged
+    n, m = [p.n for p in params], [p.m for p in params]
+    vec.reshape(2, w.levels, w.levels, 2 * size)[:, n + m, m + n, [*range(2 * size)]] = (
+        [math.cos(p.xi) for p in params] * 2,
+        [cmath.exp(1j * p.chi) * math.sin(p.xi) for p in params] * 2,
     )
     # T1 >= T0 + T, so the second transit starts after the first has ended;
     # before, between and after the transits a rotation by 0 is the identity.
@@ -232,8 +236,7 @@ def evolve(p: SystemParams, t: float, w: TruncationWindow) -> PureState:
     """
     branches = _evolve_branches([(p, t)], w)[:, :, 0]
     columns = np.flatnonzero(branches.any(axis=0))
-    kets = np.unravel_index(columns, (2, w.levels, w.levels))
-    rests = [AtomFieldKet(_LEVELS[a], n, m) for a, n, m in zip(*(k.tolist() for k in kets))]
+    rests = [AtomFieldKet(_LEVELS[a], n, m) for a, n, m in zip(*_basis(w)[:, columns].tolist())]
     return _full_state(rests, branches[:, columns])
 
 
@@ -313,7 +316,7 @@ def phase(amps: np.ndarray, omega, t, excitations: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=16)
 def basis_excitations(w: TruncationWindow) -> np.ndarray:
     """Atom excitation plus photon number of every window index; read-only."""
-    atom, n, m = np.indices((2, w.levels, w.levels)).reshape(3, -1)
+    atom, n, m = _basis(w)
     excitations = 1 - atom + n + m
     excitations.flags.writeable = False
     return excitations
@@ -354,11 +357,11 @@ def measure_control(s: PureState, j: int) -> tuple[PureState, float]:
 
 
 def schrodinger_phase(s: PureState, omega: float, t: float) -> PureState:
-    """phase, for finite reals omega and t, on a state whose kets carry the
-    atom level; norm-preserving."""
+    """phase, for finite reals omega and t, on an atom-field state;
+    norm-preserving."""
     omega, t = check_real(omega, "omega"), check_real(t, "t")
-    if s.flavor is FieldsKet:
-        raise FlavorMismatchError("schrodinger_phase needs kets that carry the atom level")
+    if s.flavor is not AtomFieldKet and s.flavor is not None:
+        raise FlavorMismatchError("schrodinger_phase requires an atom-field state")
     items = s.items()
     kets = [k for k, _ in items]
     amps = np.array([a for _, a in items], dtype=complex)[:, None]

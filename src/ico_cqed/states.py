@@ -1,12 +1,12 @@
 """Sparse state vectors and shared domain types for the two-cavity system.
 
-Three ket flavors are used throughout the package: ``FullKet`` spans
-control qubit times atom times the two Fock modes, ``AtomFieldKet`` drops
-the control qubit, and ``FieldsKet`` keeps the two Fock modes alone.  A
-``PureState`` is an immutable sparse map from kets of a single flavor to
-complex amplitudes.  Amplitudes with magnitude below ``PRUNE_EPSILON`` are
-dropped at construction, so terms that vanish identically (sin(0) factors
-and the like) never clutter the support.
+Three ket flavors are used throughout the package: ``AtomFieldKet`` holds
+the atom level and the photon numbers of both modes, ``FullKet`` is a
+control-qubit bit on an ``AtomFieldKet``, and ``FieldsKet`` keeps the two
+Fock modes alone.  A ``PureState`` is an immutable sparse map from kets of
+a single flavor to complex amplitudes.  Amplitudes with magnitude below
+``PRUNE_EPSILON`` are dropped at construction, so terms that vanish
+identically (sin(0) factors and the like) never clutter the support.
 
 Scalar inputs are checked by ``check_whole`` (ints) and ``check_real`` (finite
 reals); a refusal is a ValueError starting "<field>: ", as a ConfigError does.
@@ -144,10 +144,6 @@ class FieldsKet:
         check_whole(self.n, "n", 0, PHOTON_LIMIT)
         check_whole(self.m, "m", 0, PHOTON_LIMIT)
 
-    @property
-    def excitations(self) -> int:
-        return self.n + self.m
-
 
 @dataclass(frozen=True, order=True)
 class AtomFieldKet:
@@ -171,7 +167,8 @@ class AtomFieldKet:
 
 @dataclass(frozen=True, order=True)
 class FullKet:
-    """Control-qubit bit together with the atom-field ket it rides on."""
+    """Control-qubit bit together with the atom-field ket it rides on; the
+    atom level and photon numbers are read through ``rest``."""
 
     control: int
     rest: AtomFieldKet
@@ -180,23 +177,6 @@ class FullKet:
         check_outcome(self.control)
         if not isinstance(self.rest, AtomFieldKet):
             raise ValueError("rest: must be an AtomFieldKet")
-
-    @property
-    def atom(self) -> AtomLevel:
-        return self.rest.atom
-
-    @property
-    def n(self) -> int:
-        return self.rest.n
-
-    @property
-    def m(self) -> int:
-        return self.rest.m
-
-    @property
-    def excitations(self) -> int:
-        """The control qubit does not count towards the excitation number."""
-        return self.rest.excitations
 
 
 Ket = Union[FullKet, AtomFieldKet, FieldsKet]
@@ -323,13 +303,20 @@ class SystemParams:
         T = check_real(self.T, "T", 0.0)
         if not math.isfinite(g * T):
             raise ValueError(f"g*T: must be finite, got g={g}, T={T}")
-        check_real(self.omega, "omega", 0.0, ends="()")
-        check_preparation(self)
+        omega = check_real(self.omega, "omega", 0.0, ends="()")
+        angles = check_preparation(self)
         T0 = check_real(self.T0, "T0", 0.0)
-        if self.T1 is None:
-            object.__setattr__(self, "T1", self.T0 + self.T)
-        elif (T1 := check_real(self.T1, "T1")) < T0 + T:
+        T1 = T0 + T if self.T1 is None else check_real(self.T1, "T1")
+        if T1 < T0 + T:
             raise ValueError(f"T1: must be >= T0 + T, got T0={T0}, T={T}, T1={T1}")
+        # stored as floats, since an int of 2**64 or more would reach numpy as
+        # an object; object.__setattr__ is slow, so only when a field is not a
+        # float yet (vars(self) would slow every later attribute read)
+        given = {type(self.g), type(self.T), type(self.omega), type(self.theta),
+                 type(self.varphi), type(self.xi), type(self.chi), type(self.T0), type(self.T1)}
+        if given != {float}:
+            for name, value in dict(angles, g=g, T=T, omega=omega, T0=T0, T1=T1).items():
+                object.__setattr__(self, name, value)
 
     @property
     def gT(self) -> float:

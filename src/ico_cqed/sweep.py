@@ -196,7 +196,7 @@ def config_from_dict(data: object) -> SweepConfig:
         raise ConfigError("config: expected a JSON object")
     unknown = set(data) - _CONFIG_FIELDS
     if unknown:
-        raise ConfigError(f"{sorted(unknown)[0]}: unknown config field")
+        raise ConfigError(f"config: unknown field {sorted(unknown)[0]!r}")
     if "scenario" not in data:
         raise ConfigError("scenario: required field is missing")
     raw_quantities = data.get("quantities")

@@ -138,7 +138,7 @@ def _amplitude_deviation(
     kn, km = n + dn, m + dm
     inside = (kn >= 0) & (km >= 0) & (kn <= w.n_max) & (km <= w.n_max)
     kets, columns = np.nonzero(inside)
-    index = (atom * w.levels + kn) * w.levels + km
+    index = w.flat_index(atom, kn, km)
     diff = numeric.copy()
     diff[index[kets, columns], columns] -= analytic[kets, columns]
     outside = np.where(inside, 0, analytic)

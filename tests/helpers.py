@@ -66,11 +66,13 @@ def phase_aligned_diff(a: PureState, b: PureState) -> float:
 
 
 def excitation_distribution(state: PureState) -> dict:
-    """Probability per excitation number, for conservation checks."""
+    """Probability per excitation number, for conservation checks; a
+    full-flavor ket counts the excitations of its atom-field ket."""
     dist: dict = {}
     for ket, amp in state.items():
         w = amp.real * amp.real + amp.imag * amp.imag
-        dist[ket.excitations] = dist.get(ket.excitations, 0.0) + w
+        excitations = getattr(ket, "rest", ket).excitations
+        dist[excitations] = dist.get(excitations, 0.0) + w
     return dist
 
 

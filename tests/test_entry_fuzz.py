@@ -24,6 +24,7 @@ from ico_cqed import (
     SystemParams,
     TruncationWindow,
     bell_resonance_gT,
+    condition_on_atom,
     config_from_dict,
     evolve,
     general_postselect,
@@ -125,6 +126,11 @@ TARGETS = {
     "evolve": (
         lambda t: evolve(P, t, TruncationWindow.for_params(P)), {"t": reals(0.0, 5.0)}, set()
     ),
+    "condition_on_atom": (
+        lambda **kw: condition_on_atom(STATE, kw["atom level"]),
+        {"atom level": st.sampled_from(AtomLevel)},
+        set(),
+    ),
     "schrodinger_phase": (
         lambda omega, t: schrodinger_phase(STATE, omega, t),
         {"omega": reals(-5.0, 5.0), "t": reals(-5.0, 5.0)},
@@ -172,6 +178,8 @@ def test_entry_point_accepts_or_names_the_field(target, data):
         (lambda: state_after_both(CavityOrder.C0_THEN_C1, P, "0.5"),
          "tau: must be a real number, got '0.5'"),
         (lambda: run_verification(1, 1, "x"), "tolerance: must be a real number, got 'x'"),
+        # an atom label used to escape as an AttributeError
+        (lambda: condition_on_atom(STATE, "e"), "atom level: must be an AtomLevel, got 'e'"),
         # beyond the largest float
         (lambda: SystemParams(g=1.0, T=10**400), "T: must be finite, got a 1329-bit integer"),
         (lambda: bell_resonance_gT(2**53, 1), f"n: must lie in 0..{2**53 - 1}, got {2**53}"),

@@ -10,6 +10,7 @@ from ico_cqed import (
     FieldDensityMatrix,
     FieldsKet,
     FlavorMismatchError,
+    FullKet,
     ImpossiblePostselectionError,
     PureState,
     coeffs_c,
@@ -55,6 +56,16 @@ def test_ket_probability_sums_to_one(rng):
 def test_ket_probability_flavor_guard():
     with pytest.raises(FlavorMismatchError):
         ket_probability(series_state(1.0), FieldsKet(0, 0))
+
+
+def test_sigma_z_expectation_takes_atom_field_states_only():
+    full = PureState({FullKet(0, AtomFieldKet(E, 0, 0)): 0.6,
+                      FullKet(1, AtomFieldKet(G, 1, 0)): 0.8})
+    with pytest.raises(FlavorMismatchError, match="^sigma_z_expectation requires an atom-field"):
+        sigma_z_expectation(full)
+    with pytest.raises(FlavorMismatchError):
+        sigma_z_expectation(PureState({FieldsKet(0, 0): 1.0}))
+    assert sigma_z_expectation(PureState()) == 0.0
 
 
 # ---------------------------------------------------------------- atom conditioning

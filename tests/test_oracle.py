@@ -40,7 +40,8 @@ from helpers import (
 def full_state_vector(w, state):
     vec = np.zeros(2 * w.atom_field_dim, dtype=complex)
     for ket, amp in state.items():
-        vec[ket.control * w.atom_field_dim + w.index(ket.atom, ket.n, ket.m)] = amp
+        rest = ket.rest
+        vec[ket.control * w.atom_field_dim + w.index(rest.atom, rest.n, rest.m)] = amp
     return vec
 
 
@@ -477,6 +478,12 @@ def test_schrodinger_phase_rejects_fields_only():
 
     with pytest.raises(FlavorMismatchError):
         schrodinger_phase(PureState({FieldsKet(0, 0): 1.0}), 1.0, 1.0)
+
+
+def test_schrodinger_phase_rejects_a_full_flavor_state():
+    full = evolve(SystemParams(g=1.0, T=1.0, theta=0.5), 1.0, TruncationWindow(2))
+    with pytest.raises(FlavorMismatchError, match="^schrodinger_phase requires an atom-field"):
+        schrodinger_phase(full, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("omega,t,field", [(math.nan, 1.0, "omega"), (1.0, math.inf, "t"),

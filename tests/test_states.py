@@ -11,6 +11,7 @@ from ico_cqed import (
     FullKet,
     PureState,
     SystemParams,
+    general_postselect,
     state_after_both,
 )
 from helpers import E, G, inner_product, max_amp_diff, params, scale_and_add
@@ -59,6 +60,16 @@ def test_ket_ordering_is_control_atom_n_m():
         state = PureState({ket: 1.0 + i for i, ket in enumerate(kets)})
         assert state.kets() == sorted(kets)
         assert state.items() == [(ket, 1.0 + kets.index(ket)) for ket in sorted(kets)]
+
+
+def test_full_ket_is_a_control_bit_on_an_atom_field_ket():
+    # the atom level and photon numbers are read through rest alone
+    ket = FullKet(1, AtomFieldKet(G, 2, 3))
+    assert (ket.control, ket.rest) == (1, AtomFieldKet(G, 2, 3))
+    for member in ("atom", "n", "m", "excitations"):
+        assert not hasattr(ket, member)
+    assert not hasattr(FieldsKet(2, 3), "excitations")
+    assert AtomFieldKet(E, 2, 3).excitations == 6
 
 
 def test_prune_and_finiteness():
@@ -164,6 +175,32 @@ def test_system_params_validation():
     p = SystemParams(g=2.0, T=3.0, T0=1.0)
     assert p.T1 == 4.0  # defaults to back-to-back transits
     assert p.gT == 6.0
+
+
+def test_system_params_stores_reals_as_floats():
+    p = SystemParams(g=2, T=3, omega=1, theta=1, varphi=0, xi=0, chi=6, n=1, m=2, T0=1, T1=5)
+    reals = ("g", "T", "omega", "theta", "varphi", "xi", "chi", "T0", "T1")
+    assert all(type(getattr(p, name)) is float for name in reals)
+    assert (p.g, p.T, p.T1, p.chi) == (2.0, 3.0, 5.0, 6.0)
+    assert type(p.n) is int and type(p.m) is int
+    assert type(SystemParams(g=1, T=2).T1) is float
+    assert repr(SystemParams(g=1, T=2)) == (
+        "SystemParams(g=1.0, T=2.0, omega=1.0, theta=0.0, varphi=0.0, xi=0.0, chi=0.0, "
+        "n=0, m=0, T0=0.0, T1=2.0)"
+    )
+    assert SystemParams(g=1, T=2) == SystemParams(g=1.0, T=2.0)
+
+
+def test_huge_int_couplings_and_times_compute():
+    # an int of 2**64 used to reach numpy as an object array and raise a
+    # bare TypeError; stored as a float it computes as the float does
+    state, prob = general_postselect(0, SystemParams(g=2**64, T=1.0, theta=0.7))
+    assert (state, prob) == general_postselect(0, SystemParams(g=2.0**64, T=1.0, theta=0.7))
+    assert 0.0 < prob <= 1.0
+    order = CavityOrder.C0_THEN_C1
+    state = state_after_both(order, SystemParams(g=1.0, T=2**64), 0.5)
+    assert state == state_after_both(order, SystemParams(g=1.0, T=2.0**64), 0.5)
+    assert abs(state.norm() - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("field", ["g", "T", "omega", "T0", "T1"])
