@@ -29,10 +29,10 @@ from .verify import MAX_DRAWS, run_verification
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad arguments; this CLI reserves 2 for
-    verification failures, so usage errors are remapped to status 1."""
+    verification failures, so usage errors are remapped to status 1.  A
+    refusal is one stderr line, as a library refusal is: no usage line."""
 
     def error(self, message: str):
-        self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
 

@@ -12,7 +12,6 @@ import functools
 import math
 from dataclasses import replace
 from enum import Enum
-from types import MappingProxyType
 
 import numpy as np
 
@@ -50,29 +49,30 @@ def gamma(k: int, g: float) -> float:
     return g * math.sqrt(k + 1)
 
 
-def _slot_amplitudes(lib, g, roots_n: tuple, roots_m: tuple, t_first, t_second, ce, se) -> tuple:
+def _slot_amplitudes(lib, rates_n: tuple, rates_m: tuple, t_first, t_second, ce, se) -> tuple:
     """The eight slot amplitudes of one order: time t_first in the first
     cavity (n photons), then t_second in the second (m photons), for an atom
-    prepared as ce|e> + se|g>; roots_n is (sqrt(n + 1), sqrt(n)), roots_m
-    the same for m.  ``lib`` supplies cos and sin: ``math`` for scalars,
-    ``numpy`` for arrays, so coeffs_c and grid_amplitudes share these
-    formulas.  Each angle is rounded as gamma(k, g) * t: math.sqrt and
+    prepared as ce|e> + se|g>; rates_n is (gamma(n, g), gamma(n - 1, g)),
+    rates_m the same for m.  ``lib`` supplies cos and sin: ``math`` for
+    scalars, ``numpy`` for arrays, so coeffs_c and grid_amplitudes share
+    these formulas.  Each angle is rounded as gamma(k, g) * t: math.sqrt and
     numpy's sqrt both round correctly."""
-    x_n, x_n1 = g * roots_n[0] * t_first, g * roots_n[1] * t_first
-    x_m, x_m1 = g * roots_m[0] * t_second, g * roots_m[1] * t_second
+    x_n, x_n1 = rates_n[0] * t_first, rates_n[1] * t_first
+    x_m, x_m1 = rates_m[0] * t_second, rates_m[1] * t_second
     cos_n, sin_n = lib.cos(x_n), lib.sin(x_n)
     cos_n1, sin_n1 = lib.cos(x_n1), lib.sin(x_n1)
     cos_m, sin_m = lib.cos(x_m), lib.sin(x_m)
     cos_m1, sin_m1 = lib.cos(x_m1), lib.sin(x_m1)
+    ice, ise = -1j * ce, -1j * se
     return (
         ce * cos_n * cos_m,
-        -1j * se * sin_n1 * cos_m,
-        -1j * ce * cos_n * sin_m,
+        ise * sin_n1 * cos_m,
+        ice * cos_n * sin_m,
         -se * sin_n1 * sin_m,
-        -1j * se * cos_n1 * sin_m1,
+        ise * cos_n1 * sin_m1,
         -ce * sin_n * sin_m1,
         se * cos_n1 * cos_m1,
-        -1j * ce * sin_n * cos_m1,
+        ice * sin_n * cos_m1,
     )
 
 
@@ -86,8 +86,8 @@ def coeffs_c(p: SystemParams, tau: float) -> tuple:
     """
     check_real(tau, "tau", 0.0, p.T, "[]")
     ce, se = math.cos(p.xi), cmath.exp(1j * p.chi) * math.sin(p.xi)
-    roots_n, roots_m = ((math.sqrt(k + 1), math.sqrt(k)) for k in (p.n, p.m))
-    return _slot_amplitudes(math, p.g, roots_n, roots_m, p.T, tau, ce, se)
+    rates_n, rates_m = ((p.g * math.sqrt(k + 1), p.g * math.sqrt(k)) for k in (p.n, p.m))
+    return _slot_amplitudes(math, rates_n, rates_m, p.T, tau, ce, se)
 
 
 def coeffs_s(p: SystemParams, tau: float) -> tuple:
@@ -111,10 +111,10 @@ OFFSETS = tuple(sorted(set(_LAYOUT_FIRST_C0) | set(_LAYOUT_FIRST_C1)))
 _SLOTS_FIRST_C0, _SLOTS_FIRST_C1 = (
     [OFFSETS.index(o) for o in layout] for layout in (_LAYOUT_FIRST_C0, _LAYOUT_FIRST_C1)
 )
-# Each offset's atom excitation plus photon shift, and its two shifts, as columns.
-_EXCITATIONS, _DN, _DM = (
-    np.array([[1 - atom + dn + dm, dn, dm] for atom, dn, dm in OFFSETS]).T[:, :, None]
-)
+# Each offset's atom level and its two photon shifts, and its atom excitation
+# plus photon shift, as (10, 1) columns.
+_ATOM, _DN, _DM = np.array(OFFSETS).T[:, :, None]
+_EXCITATIONS = 1 - _ATOM + _DN + _DM
 
 _SERIES = {CavityOrder.C0_THEN_C1: "series_C0C1", CavityOrder.C1_THEN_C0: "series_C1C0"}
 
@@ -125,35 +125,21 @@ def _one_point(scenario: str, p: SystemParams, tau: float) -> tuple:
                            xi=p.xi, chi=p.chi, theta=p.theta, varphi=p.varphi)
 
 
-def _layout(n: np.ndarray, m: np.ndarray) -> tuple:
-    """What grid_amplitudes needs of photon numbers n and m, arrays of 1 or
-    N values: (sqrt(n + 1), sqrt(n)) and the same for m; where each offset's
-    ket would hold a negative photon number, as a (10, 1 or N) mask; the
-    rows (the offsets some point reaches), the row of each such offset, and
-    whether each offset is missed anywhere."""
-    negative = (n + _DN < 0) | (m + _DM < 0)
-    rows = np.flatnonzero(~negative.all(axis=1))
-    return (
-        (np.sqrt(n + 1), np.sqrt(n)), (np.sqrt(m + 1), np.sqrt(m)), negative,
-        rows, dict(zip(rows.tolist(), range(len(rows)))), negative.any(axis=1).tolist(),
-    )
-
-
 @functools.lru_cache(maxsize=32)
-def _point_layout(n: int, m: int) -> tuple:
-    """_layout at one (n, m), which every sweep and one-point call shares,
-    and the kets its rows name there; read-only."""
-    roots_n, roots_m, negative, rows, row_of, missed = _layout(np.array([n]), np.array([m]))
-    for array in (*roots_n, *roots_m, negative, rows):
-        array.flags.writeable = False
-    kets = tuple(AtomFieldKet(a, n + dn, m + dm) for a, dn, dm in (OFFSETS[r] for r in rows))
-    return roots_n, roots_m, negative, rows, MappingProxyType(row_of), tuple(missed), kets
+def reachable_kets(n: int, m: int) -> tuple[tuple[int, ...], tuple[AtomFieldKet, ...]]:
+    """The rows of grid_amplitudes that both orders reach from one (n, m),
+    as indices into OFFSETS, and their kets, at most ten, sorted."""
+    reached = [(r, AtomFieldKet(a, n + dn, m + dm))
+               for r, (a, dn, dm) in enumerate(OFFSETS) if n + dn >= 0 and m + dm >= 0]
+    rows, kets = zip(*reached)
+    return rows, kets
 
 
-def reachable_kets(n: int, m: int) -> tuple[AtomFieldKet, ...]:
-    """The sorted basis of the at most ten kets both orders reach from
-    (n, m): the kets of grid_amplitudes' rows at that one (n, m)."""
-    return _point_layout(n, m)[-1]
+def _point_state(p: SystemParams, amps: np.ndarray) -> PureState:
+    """The one column of a one-point call at p's (n, m) as a PureState."""
+    rows, kets = reachable_kets(p.n, p.m)
+    column = amps[:, 0].tolist()
+    return PureState({ket: column[r] for r, ket in zip(rows, kets)})
 
 
 def state_after_both(order: CavityOrder, p: SystemParams, tau: float) -> PureState:
@@ -163,8 +149,8 @@ def state_after_both(order: CavityOrder, p: SystemParams, tau: float) -> PureSta
     if order not in _SERIES:
         raise TypeError(f"order must be a CavityOrder, got {order!r}")
     check_real(tau, "tau", 0.0, p.T, "[]")
-    _, amps, _ = _one_point(_SERIES[order], p, tau)
-    return PureState(dict(zip(reachable_kets(p.n, p.m), amps[:, 0].tolist())))
+    amps, _ = _one_point(_SERIES[order], p, tau)
+    return _point_state(p, amps)
 
 
 def ico_postselected_state(j: int, p: SystemParams, omega_t: float = 0.0) -> PureState:
@@ -209,16 +195,15 @@ def general_postselect(
         raise ValueError(
             f"omega_t: must be finite, as must omega_t * (n + m + 1/2), got omega_t={omega_t}"
         )
-    rows, amps, prob = _one_point(("ico_j0", "ico_j1")[j], p, p.T)
+    amps, prob = _one_point(("ico_j0", "ico_j1")[j], p, p.T)
     if prob[0] < MIN_OUTCOME_PROBABILITY:
         raise ImpossiblePostselectionError(f"control outcome {j}", float(prob[0]))
-    phased = measurement_phase(rows, p.n, p.m, amps, omega_t)
-    return PureState(dict(zip(reachable_kets(p.n, p.m), phased[:, 0].tolist()))), float(prob[0])
+    return _point_state(p, measurement_phase(p.n, p.m, amps, omega_t)), float(prob[0])
 
 
 def grid_amplitudes(
     scenario: str, n, m, *, g, t_first, t_second, xi, chi, theta, varphi
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """A scenario's atom-field state at N points in one array pass; the
     closed forms behind every state, sweep and verify draw.
 
@@ -228,47 +213,45 @@ def grid_amplitudes(
     the first and the second cavity crossed and the angles xi, chi, theta,
     varphi are arrays of length N, or scalars, which are broadcast.
 
-    Returns the rows, indices into OFFSETS of the at most ten offsets that
-    some point reaches, a (K, N) array of amplitudes, row r on the ket
-    OFFSETS[rows[r]] away from the point's (n, m), and, for the ico
-    scenarios, the control outcome probability per point (None for the
-    series).  At one (n, m) the rows name reachable_kets(n, m); a point
-    that would put a negative photon number on a row's ket has 0 there.  A
-    column whose probability is below MIN_OUTCOME_PROBABILITY is refused
-    and zero; the others are normalized.  Amplitudes below PRUNE_EPSILON are
-    zeroed in the order branches, the recombined state and the normalized
-    state.  A column does not depend on the other points of the call.
-    measurement_phase applies the measurement phase, which is left out here.
+    Returns a (len(OFFSETS), N) array of amplitudes, row r on the ket
+    OFFSETS[r] away from the point's (n, m), and, for the ico scenarios, the
+    control outcome probability per point (None for the series).  A point
+    has 0 on every row whose ket would hold a negative photon number; the
+    others are reachable_kets(n, m) at its (n, m).  A column whose
+    probability is below MIN_OUTCOME_PROBABILITY is refused and zero; the
+    others are normalized.  Amplitudes below PRUNE_EPSILON are zeroed in the
+    order branches, the recombined state and the normalized state.  A column
+    does not depend on the other points of the call.  measurement_phase
+    applies the measurement phase, which is left out here.
     """
-    if isinstance(n, int) and isinstance(m, int):
-        roots_n, roots_m, negative, rows, row_of, missed, _ = _point_layout(n, m)
-    else:
-        roots_n, roots_m, negative, rows, row_of, missed = _layout(*np.atleast_1d(n, m))
-    # Scalars stay of length 1, so a fixed angle costs one evaluation.
-    g, t_first, t_second, xi, chi, theta, varphi = np.atleast_1d(
-        g, t_first, t_second, xi, chi, theta, varphi
+    # Scalars stay of length 1, so a fixed angle costs one evaluation; the
+    # photon numbers, below 2**53, are exact as floats.
+    n, m, g, t_first, t_second, xi, chi, theta, varphi = (
+        np.array(x, dtype=float, copy=None, ndmin=1)
+        for x in (n, m, g, t_first, t_second, xi, chi, theta, varphi)
     )
-    size = np.broadcast(negative[0], g, t_first, t_second, xi, chi, theta, varphi).size
+    rates_n, rates_m = ((g * np.sqrt(k + 1.0), g * np.sqrt(k)) for k in (n, m))
+    negative = np.minimum(n + _DN, m + _DM) < 0
+    size = np.broadcast(n, m, g, t_first, t_second, xi, chi, theta, varphi).size
     ce, se = np.cos(xi), np.exp(1j * chi) * np.sin(xi)
 
-    def branch(roots_first, roots_second, slot_offsets: list) -> np.ndarray:
-        # the roots of the photon numbers of the cavity crossed first and
-        # of the one crossed second, as coeffs_c and coeffs_s pass them
-        slots = _slot_amplitudes(np, g, roots_first, roots_second, t_first, t_second, ce, se)
-        amps = np.zeros((len(rows), size), dtype=complex)
+    def branch(rates_first, rates_second, slot_offsets: list) -> np.ndarray:
+        # the rates of the cavity crossed first and of the one crossed
+        # second, as coeffs_c and coeffs_s pass them
+        slots = _slot_amplitudes(np, rates_first, rates_second, t_first, t_second, ce, se)
+        amps = np.zeros((len(OFFSETS), size), dtype=complex)
         for offset, slot in zip(slot_offsets, slots):
-            # it has a zero-rate sin factor where its ket's photon number
-            # would be negative, so is 0 there
-            if missed[offset] and np.any(slot, where=negative[offset]):
-                raise AssertionError(f"negative-occupation ket at offset {OFFSETS[offset]}")
-            if offset in row_of:
-                amps[row_of[offset]] = slot
+            amps[offset] = slot
+        # a slot has a zero-rate sin factor where its ket's photon number
+        # would be negative, so is 0 there
+        if amps.any(where=negative):
+            raise AssertionError("an order branch has weight on a negative-occupation ket")
         return prune_amplitudes(amps)
 
     if scenario == "series_C0C1":
-        return rows, branch(roots_n, roots_m, _SLOTS_FIRST_C0), None
+        return branch(rates_n, rates_m, _SLOTS_FIRST_C0), None
     if scenario == "series_C1C0":
-        return rows, branch(roots_m, roots_n, _SLOTS_FIRST_C1), None
+        return branch(rates_m, rates_n, _SLOTS_FIRST_C1), None
     # Weights of the C0-first and C1-first branches in the control-j
     # component once the control is recombined (Hadamard) for measurement.
     sign = {"ico_j0": 1.0, "ico_j1": -1.0}[scenario]
@@ -276,18 +259,18 @@ def grid_amplitudes(
     w0 = np.cos(theta) * inv_sqrt2
     w1 = sign * np.exp(1j * varphi) * np.sin(theta) * inv_sqrt2
     residual = prune_amplitudes(
-        w0 * branch(roots_n, roots_m, _SLOTS_FIRST_C0)
-        + w1 * branch(roots_m, roots_n, _SLOTS_FIRST_C1)
+        w0 * branch(rates_n, rates_m, _SLOTS_FIRST_C0)
+        + w1 * branch(rates_m, rates_n, _SLOTS_FIRST_C1)
     )
-    return (rows, *normalize_columns(residual))
+    return normalize_columns(residual)
 
 
-def measurement_phase(rows: np.ndarray, n, m, amps: np.ndarray, omega_t) -> np.ndarray:
-    """grid_amplitudes' (K, N) amplitudes on its rows from photon numbers n
+def measurement_phase(n, m, amps: np.ndarray, omega_t) -> np.ndarray:
+    """grid_amplitudes' (len(OFFSETS), N) amplitudes from photon numbers n
     and m times exp(-i*omega_t*(excitations - 1/2)) ket by ket, pruned; n, m
     and omega_t (mode frequency times measurement time) are scalars or one
     value per column."""
-    excitations = _EXCITATIONS[rows] + (n + m)
+    excitations = _EXCITATIONS + (n + m)
     phase = np.exp(-1j * np.asarray(omega_t, dtype=float) * (excitations - 0.5))
     return prune_amplitudes(amps * phase)
 

@@ -35,8 +35,8 @@ _G = AtomLevel.GROUND
 
 SCENARIOS = ("series_C0C1", "series_C1C0", "ico_j0", "ico_j1")
 
-#: Largest grid a sweep may ask for.  The default grid has 1,001 points; a
-#: million keeps one sweep's table and CSV to a few hundred MB.
+#: Largest grid a sweep may ask for.  The default grid has 1,001 points;
+#: run_sweep states what a grid of a million costs in memory.
 MAX_GRID_POINTS = 1_000_000
 
 
@@ -107,11 +107,21 @@ class ControlProbabilityColumn:
 Quantity = Union[KetProbability, BranchEntropy, AtomicInversion, ControlProbabilityColumn]
 
 
+#: The fields of each quantity kind besides "kind".
+_QUANTITY_FIELDS = {"ket_prob": {"atom", "n", "m"}, "entropy": {"atom_branch"},
+                    "sigma_z": set(), "control_prob": set()}
+
+
 def _quantity_from_dict(obj: object, index: int) -> Quantity:
     where = f"quantities[{index}]"
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected an object with a 'kind' field")
     kind = obj.get("kind")
+    if not isinstance(kind, str) or kind not in _QUANTITY_FIELDS:
+        raise ConfigError(f"{where}.kind: unknown quantity kind {kind!r}")
+    unknown = set(obj) - _QUANTITY_FIELDS[kind] - {"kind"}
+    if unknown:
+        raise ConfigError(f"{where}: unknown field {sorted(unknown)[0]!r}")
     if kind == "ket_prob":
         try:
             return KetProbability(AtomLevel.from_label(obj["atom"]), obj["n"], obj["m"])
@@ -124,9 +134,7 @@ def _quantity_from_dict(obj: object, index: int) -> Quantity:
             raise ConfigError(f"{where}: entropy needs atom_branch ('e'|'g') ({exc})")
     if kind == "sigma_z":
         return AtomicInversion()
-    if kind == "control_prob":
-        return ControlProbabilityColumn()
-    raise ConfigError(f"{where}.kind: unknown quantity kind {kind!r}")
+    return ControlProbabilityColumn()
 
 
 @dataclass(frozen=True)
@@ -250,14 +258,22 @@ def run_sweep(cfg: SweepConfig) -> Table:
     All grid points are evaluated together by engine.grid_amplitudes, at
     g = 1 and tau = T.  No column depends on the measurement phase, so it
     is not applied.
+
+    Memory grows with the N grid points: each kernel array is
+    (len(OFFSETS), N) complex, 160 B a point, and the peak that tracemalloc
+    traces is below 1,100 + 40 * C bytes a point for C quantities.  An ico
+    sweep with the six column kinds peaks at 1,186 B a point (measured at
+    N = 20,001 and 100,001; the entropy columns' temporaries are the
+    largest part), so at MAX_GRID_POINTS it peaks near 1.2 GB.
     """
     grid = grid_points(cfg)
     gT = np.array(grid)
-    _, amps, control_prob = grid_amplitudes(
+    amps, control_prob = grid_amplitudes(
         cfg.scenario, cfg.n, cfg.m, g=1.0, t_first=gT, t_second=gT,
         xi=cfg.xi, chi=cfg.chi, theta=cfg.theta, varphi=cfg.varphi,
     )
-    basis = reachable_kets(cfg.n, cfg.m)
+    rows, basis = reachable_kets(cfg.n, cfg.m)
+    amps = amps[list(rows)]
     state_possible = None if control_prob is None else control_prob >= MIN_OUTCOME_PROBABILITY
     row = {ket: i for i, ket in enumerate(basis)}
     columns = [grid]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .engine import OFFSETS, grid_amplitudes, measurement_phase
+from .engine import _ATOM, _DN, _DM, grid_amplitudes, measurement_phase
 from .errors import ImpossiblePostselectionError
 from .states import MIN_OUTCOME_PROBABILITY, SystemParams, check_real, check_whole
 
@@ -83,8 +83,6 @@ class VerifyReport:
 # Bounds of the eight uniform draws: g, g*T, T0, omega, theta, varphi, xi, chi.
 _LOW = np.array([0.5, 0.0, 0.0, 0.2, 0.0, 0.0, 0.0, 0.0])
 _SPAN = np.array([2.0, 10.0, 2.0, 3.0, math.pi / 2, 2 * math.pi, math.pi / 2, 2 * math.pi]) - _LOW
-# The atom level and the two photon shifts of each offset.
-_OFFSETS = np.array(OFFSETS).T
 
 
 def random_params(rng: np.random.Generator) -> SystemParams:
@@ -102,11 +100,10 @@ def random_params(rng: np.random.Generator) -> SystemParams:
 
 def _closed_forms(drawn: list[tuple[SystemParams, float]], n: np.ndarray, m: np.ndarray) -> tuple:
     """For N (params, measurement time) draws with photon numbers n and m:
-    the rows of engine.OFFSETS the draws reach, per control outcome j the
-    (K, N) phased conditional amplitudes on them, and the (2, N) outcome
-    probabilities, as general_postselect computes them, from one
-    grid_amplitudes call per outcome.  A draw evaluated alone gets the same
-    bits on the rows it reaches, and the others are 0."""
+    per control outcome j the (len(engine.OFFSETS), N) phased conditional
+    amplitudes, and the (2, N) outcome probabilities, as general_postselect
+    computes them, from one grid_amplitudes call per outcome.  A draw
+    evaluated alone gets the same bits."""
     params = [p for p, _ in drawn]
     transit = np.array([p.T for p in params])
     per_point = {
@@ -116,29 +113,28 @@ def _closed_forms(drawn: list[tuple[SystemParams, float]], n: np.ndarray, m: np.
     omega_t = np.array([p.omega * t for p, t in drawn])
     amps, probs = [], []
     for scenario in ("ico_j0", "ico_j1"):
-        rows, conditional, prob = grid_amplitudes(
+        conditional, prob = grid_amplitudes(
             scenario, n, m, t_first=transit, t_second=transit, **per_point
         )
-        amps.append(measurement_phase(rows, n, m, conditional, omega_t))
+        amps.append(measurement_phase(n, m, conditional, omega_t))
         probs.append(prob)
-    return rows, amps, np.array(probs)
+    return amps, np.array(probs)
 
 
 def _amplitude_deviation(
-    rows: np.ndarray, n: np.ndarray, m: np.ndarray, analytic: np.ndarray, numeric: np.ndarray,
+    n: np.ndarray, m: np.ndarray, analytic: np.ndarray, numeric: np.ndarray,
     w: oracle.TruncationWindow,
 ) -> np.ndarray:
     """Largest |analytic - numeric| over the union of both supports, per
-    column: analytic is (K, N) on the rows of engine.OFFSETS from the
-    column's photon numbers n and m, as grid_amplitudes returns it, numeric
+    column: analytic is (len(engine.OFFSETS), N) from the column's photon
+    numbers n and m, as grid_amplitudes returns it, numeric
     (atom_field_dim, N) on the window.  An analytic ket outside the window
     counts with its full magnitude; a negative-occupation one is 0.  hypot
     rounds as abs() of a Python complex does; numpy's complex abs may not."""
-    atom, dn, dm = _OFFSETS[:, rows, None]
-    kn, km = n + dn, m + dm
+    kn, km = n + _DN, m + _DM
     inside = (kn >= 0) & (km >= 0) & (kn <= w.n_max) & (km <= w.n_max)
     kets, columns = np.nonzero(inside)
-    index = w.flat_index(atom, kn, km)
+    index = w.flat_index(_ATOM, kn, km)
     diff = numeric.copy()
     diff[index[kets, columns], columns] -= analytic[kets, columns]
     outside = np.where(inside, 0, analytic)
@@ -157,13 +153,13 @@ def _compare(drawn: list[tuple[SystemParams, float]]) -> tuple:
     window = oracle.TruncationWindow(int(max(n.max(), m.max())) + 2)
     outcomes = oracle.recombine(oracle._evolve_branches(drawn, window))
     omega, times = [p.omega for p, _ in drawn], [t for _, t in drawn]
-    rows, analytic, prob_analytic = _closed_forms(drawn, n, m)
+    analytic, prob_analytic = _closed_forms(drawn, n, m)
     prob_numeric, deviation = [], []
     for j in (0, 1):
         state, prob = oracle.condition(outcomes, j)
         numeric = oracle.phase(state, omega, times, oracle.basis_excitations(window))
         prob_numeric.append(prob)
-        deviation.append(_amplitude_deviation(rows, n, m, analytic[j], numeric, window))
+        deviation.append(_amplitude_deviation(n, m, analytic[j], numeric, window))
     prob_numeric = np.array(prob_numeric)
     refused = (prob_analytic >= MIN_OUTCOME_PROBABILITY) & (prob_numeric < MIN_OUTCOME_PROBABILITY)
     if refused.any():

@@ -22,10 +22,14 @@ from ico_cqed.cli import main
 from ico_cqed.sweep import FIGURE_PRESETS, SCENARIOS, grid_points
 from ico_cqed.verify import MAX_DRAWS
 
+# Text over the Basic Multilingual Plane: non-ASCII, whitespace, newlines and
+# the empty string all occur.  An explicit alphabet spares each session the
+# seconds Hypothesis takes to build its full-Unicode character map.
+CHARS = st.characters(max_codepoint=0xFFFF)
 SCALAR_JUNK = st.one_of(
     st.booleans(),
     st.none(),
-    st.text(max_size=4),
+    st.text(CHARS, max_size=4),
     st.sampled_from(["NaN", "Infinity", "-inf", "1e400", "0x10", "e", "g"]),
     st.sampled_from([math.nan, math.inf, -math.inf]),  # json writes NaN, Infinity
     st.integers(min_value=2**53),
@@ -36,7 +40,7 @@ SCALAR_JUNK = st.one_of(
 JUNK = st.recursive(
     SCALAR_JUNK,
     lambda inner: st.one_of(
-        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)
+        st.lists(inner, max_size=3), st.dictionaries(st.text(CHARS, max_size=3), inner, max_size=3)
     ),
     max_leaves=4,
 )
@@ -64,10 +68,12 @@ def quantity(draw, ico: bool) -> dict:
 
 
 @st.composite
-def config(draw) -> tuple[dict, set]:
-    """A config whose every field is drawn well-formed or as junk, and the
-    names a refusal may give: the junk fields, the grid fields a junk grid
-    field is compared with, and the junk quantity entries."""
+def config(draw) -> tuple[dict, set, bool]:
+    """A config whose every field is drawn well-formed or as junk, the
+    names a refusal may give (the junk fields, the grid fields a junk grid
+    field is compared with, and the junk quantity entries), and whether it
+    holds an unknown key, at the top level or in a quantity entry, which
+    must be refused."""
     scenario = draw(st.sampled_from(SCENARIOS))
     start = draw(st.floats(0.0, 1.0))
     step = draw(st.floats(0.1, 1.0))
@@ -83,7 +89,7 @@ def config(draw) -> tuple[dict, set]:
         "gT_step": st.just(step),
         "omega_t": st.floats(-20.0, 20.0),
     }
-    data, names = {}, set()
+    data, names, unknown = {}, set(), False
     for field, strategy in well_formed.items():
         # one given field in ten is junk; scenario and quantities are
         # required, and the grid is always given: the default one has 1,001
@@ -107,11 +113,21 @@ def config(draw) -> tuple[dict, set]:
         else:
             quantities[i][key] = draw(JUNK)
         names |= {f"quantities[{i}]", f"quantities[{i}].kind"}
+    if "quantities" not in names and draw(st.integers(0, 3)) == 0:
+        quantities = data["quantities"]
+        i = draw(st.integers(0, len(quantities) - 1))
+        if isinstance(quantities[i], dict):
+            entry = quantities[i]
+            key = draw(st.text(CHARS, min_size=1, max_size=6).filter(lambda k: k not in entry))
+            entry[key] = draw(JUNK)
+            names.add(f"quantities[{i}]")
+            unknown = True
     if draw(st.integers(0, 9)) == 0:
-        key = draw(st.text(min_size=1, max_size=6).filter(lambda k: k not in well_formed))
+        key = draw(st.text(CHARS, min_size=1, max_size=6).filter(lambda k: k not in well_formed))
         data[key] = draw(JUNK)
         names.add("config")
-    return data, names
+        unknown = True
+    return data, names, unknown
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:
@@ -133,7 +149,7 @@ def named_field(line: str, prefix: str = "ico-cqed: ") -> str:
 @settings(max_examples=80)
 @given(drawn=config())
 def test_generated_config_runs_or_names_a_junk_field(tmp_path_factory, drawn):
-    data, names = drawn
+    data, names, unknown = drawn
     text = json.dumps(data)
     try:
         cfg = config_from_dict(json.loads(text))
@@ -142,6 +158,7 @@ def test_generated_config_runs_or_names_a_junk_field(tmp_path_factory, drawn):
         assert named_field(str(exc), "") in names, (exc, names)
         accepted = False
     else:
+        assert not unknown, f"config with an unknown key accepted: {data}"
         assert len(grid_points(cfg)) <= 11
         accepted = True
     path = tmp_path_factory.getbasetemp() / "config.json"
@@ -184,9 +201,9 @@ def test_generated_verify_argv_runs_or_names_the_option(data):
     assert "Traceback" not in out + err
     lines = err.splitlines()
     if bad_token:
-        # argparse refuses the token: its usage line, then one error line
-        assert code == 1 and len(lines) == 2 and lines[0].startswith("usage: ico-cqed verify")
-        option = named_field(lines[1], "ico-cqed verify: error: argument --")
+        # argparse refuses the token in one line, with no usage line
+        assert code == 1 and out == "" and len(lines) == 1
+        option = named_field(lines[0], "ico-cqed verify: error: argument --")
         assert option in bad_token, lines
     elif junk:
         assert code == 1 and out == "" and len(lines) == 1
@@ -197,7 +214,7 @@ def test_generated_verify_argv_runs_or_names_the_option(data):
 
 @settings(max_examples=40)
 @given(figure_id=st.one_of(
-    st.text(max_size=8),
+    st.text(CHARS, max_size=8),
     st.sampled_from(["fig2", "fig6a", "FIG2A", "fig2a ", " fig2a", "fig2a\n", "fig4c"]),
 ).filter(lambda s: not s.startswith("-") and s not in FIGURE_PRESETS))
 def test_generated_figure_id_is_refused_naming_the_figure(figure_id):

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import tracemalloc
 
 import pytest
 
@@ -19,6 +20,7 @@ from ico_cqed import (
     run_sweep,
     sweep_meta,
 )
+from ico_cqed import sweep
 from ico_cqed.cli import main
 from ico_cqed.sweep import FIGURE_PRESETS, MAX_GRID_POINTS, meta_json
 from helpers import E, G
@@ -91,6 +93,20 @@ def test_config_errors_name_the_field(mutation, field):
     with pytest.raises(ConfigError) as err:
         config_from_dict(data)
     assert field in str(err.value)
+
+
+def test_quantity_entry_refuses_an_unknown_key():
+    # a typo inside a quantity object is refused as one at the top level is
+    data = {
+        "scenario": "ico_j0",
+        "quantities": [{"kind": "sigma_z"}, {"kind": "entropy", "atom_branch": "g"}],
+    }
+    data["quantities"][1]["atom_brnch"] = "e"
+    with pytest.raises(ConfigError, match=r"^quantities\[1\]: unknown field 'atom_brnch'$"):
+        config_from_dict(data)
+    data["quantities"][0].update(atom="x", n=-5)
+    with pytest.raises(ConfigError, match=r"^quantities\[0\]: unknown field 'atom'$"):
+        config_from_dict(data)
 
 
 NON_FINITE = [
@@ -188,6 +204,28 @@ def test_grid_of_max_size_is_accepted():
     # grid_points would give exactly MAX_GRID_POINTS points; the size check
     # uses the same count.
     SweepConfig("series_C0C1", (pk("e", 0, 0),), gT_stop=MAX_GRID_POINTS - 1.0, gT_step=1.0)
+
+
+def test_sweep_at_the_grid_cap_stays_within_the_stated_memory(monkeypatch):
+    # run_sweep's docstring bounds the traced peak by 1,100 + 40 * C bytes a
+    # grid point for C quantities, which at MAX_GRID_POINTS is its stated
+    # peak; checked at a lowered cap on the costliest sweep: ico, all ten
+    # kernel rows reachable, every column kind
+    monkeypatch.setattr(sweep, "MAX_GRID_POINTS", 4_000)
+    quantities = (ControlProbabilityColumn(), pk("e", 1, 1), pk("g", 2, 1), AtomicInversion(),
+                  BranchEntropy(E), BranchEntropy(G))
+    cap = {"gT_stop": 3_999 * 0.0025, "gT_step": 0.0025}
+    cfg = SweepConfig("ico_j0", quantities, n=1, m=1, xi=0.4, **cap)
+    with pytest.raises(ConfigError, match="MAX_GRID_POINTS = 4000 "):
+        SweepConfig("ico_j0", quantities, n=1, m=1, gT_stop=4_000 * 0.0025, gT_step=0.0025)
+    tracemalloc.start()
+    try:
+        table = run_sweep(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.rows) == sweep.MAX_GRID_POINTS
+    assert peak <= (1_100 + 40 * len(quantities)) * sweep.MAX_GRID_POINTS
 
 
 def test_control_prob_rejected_for_series():

@@ -226,14 +226,16 @@ def test_kernel_per_point_arrays_match_scalar_path(n, m):
     omega_t = rng.uniform(0.0, 20.0, size)
     for scenario in SCENARIOS:
         ico = scenario.startswith("ico")
-        rows, amps, prob = grid_amplitudes(
+        amps, prob = grid_amplitudes(
             scenario, n, m, g=g, t_first=t_first, t_second=t_first if ico else t_second,
             **angles,
         )
         if ico:
-            amps = measurement_phase(rows, n, m, amps, omega_t)
-        basis = reachable_kets(n, m)
+            amps = measurement_phase(n, m, amps, omega_t)
+        rows, basis = reachable_kets(n, m)
         assert [OFFSETS[r] for r in rows] == [(k.atom, k.n - n, k.m - m) for k in basis]
+        assert amps.shape == (len(OFFSETS), size)
+        assert not np.delete(amps, rows, axis=0).any()
         for i in range(size):
             p = SystemParams(g=g[i], T=t_first[i], n=n, m=m, **{k: v[i] for k, v in angles.items()})
             if ico:
@@ -242,7 +244,7 @@ def test_kernel_per_point_arrays_match_scalar_path(n, m):
             else:
                 order = CavityOrder.C0_THEN_C1 if scenario == "series_C0C1" else CavityOrder.C1_THEN_C0
                 state = scalar_state_after_both(order, p, t_second[i])
-            column = dict(zip(basis, amps[:, i].tolist()))
+            column = dict(zip(basis, amps[rows, i].tolist()))
             assert {k for k, a in column.items() if a} == set(state.kets())
             assert max(abs(column[k] - a) for k, a in state.items()) <= 1e-15
 
@@ -271,25 +273,29 @@ def test_kernel_mixes_photon_numbers_per_point():
     assert negative.any(axis=1).sum() == 6 and not negative.all(axis=1).any()
     refused = 0
     for scenario in SCENARIOS:
-        rows, amps, prob = grid_amplitudes(scenario, n, m, g=g, t_first=t_first,
-                                           t_second=t_second, **angles)
-        assert rows.tolist() == list(range(len(OFFSETS)))
-        phased = measurement_phase(rows, n, m, amps, omega_t)
+        amps, prob = grid_amplitudes(scenario, n, m, g=g, t_first=t_first,
+                                     t_second=t_second, **angles)
+        assert amps.shape == (len(OFFSETS), size)
+        phased = measurement_phase(n, m, amps, omega_t)
         assert not amps[negative].any()
         for i in range(size):
             point = {name: v[i] for name, v in angles.items()}
-            rows_one, one, prob_one = grid_amplitudes(
+            one, prob_one = grid_amplitudes(
                 scenario, int(n[i]), int(m[i]), g=g[i], t_first=t_first[i],
                 t_second=t_second[i], **point,
             )
-            assert one[:, 0].tobytes() == amps[rows_one, i].tobytes()
+            rows_one, _ = reachable_kets(int(n[i]), int(m[i]))
+            assert one.shape == (len(OFFSETS), 1)
+            assert one[rows_one, 0].tobytes() == amps[rows_one, i].tobytes()
             assert not np.delete(amps[:, i], rows_one).any()
+            assert not np.delete(one[:, 0], rows_one).any()
             assert (prob is None) == (prob_one is None)
             if prob is not None:
                 assert prob_one.tolist() == [prob[i]]
                 refused += prob[i] < MIN_OUTCOME_PROBABILITY
-            one = measurement_phase(rows_one, int(n[i]), int(m[i]), one, omega_t[i])
-            assert one[:, 0].tobytes() == phased[rows_one, i].tobytes()
+            one = measurement_phase(int(n[i]), int(m[i]), one, omega_t[i])
+            assert one[rows_one, 0].tobytes() == phased[rows_one, i].tobytes()
+            assert not np.delete(phased[:, i], rows_one).any()
     assert refused == 1
 
 

@@ -211,11 +211,10 @@ def test_analytic_ket_outside_window_counts_as_deviation():
     # (g, 0, n_max + 1) would land on the flat index of (g, 1, 0)
     with pytest.raises(ValueError, match="^m: must lie in 0..3, got 4$"):
         w.index(G, 0, w.n_max + 1)
-    rows = np.arange(len(OFFSETS))
     analytic = np.zeros((len(OFFSETS), 2), dtype=complex)
     analytic[OFFSETS.index((G, 0, +1))] = 0.5
     n, m = np.zeros(2, dtype=int), np.full(2, w.n_max)
-    assert _amplitude_deviation(rows, n, m, analytic, numeric, w).tolist() == [0.5, 0.75]
+    assert _amplitude_deviation(n, m, analytic, numeric, w).tolist() == [0.5, 0.75]
 
 
 def test_grouped_closed_forms_equal_one_draw_calls():
@@ -225,17 +224,19 @@ def test_grouped_closed_forms_equal_one_draw_calls():
     # a row a draw does not reach is 0 in its column
     draws = seeded_draws(5, 240)
     n, m = photon_numbers(draws)
-    rows, amps, probs = _closed_forms(draws, n, m)
-    assert rows.tolist() == list(range(len(OFFSETS)))
+    amps, probs = _closed_forms(draws, n, m)
     assert [a.shape for a in amps] == [(len(OFFSETS), len(draws))] * 2
     assert probs.shape == (2, len(draws))
     refused = 0
     for col, (p, t) in enumerate(draws):
-        rows_one, one, prob_one = _closed_forms([(p, t)], np.array([p.n]), np.array([p.m]))
+        one, prob_one = _closed_forms([(p, t)], np.array([p.n]), np.array([p.m]))
+        rows_one, kets = reachable_kets(p.n, p.m)
         assert prob_one.tolist() == probs[:, [col]].tolist()
         for j in (0, 1):
-            assert one[j][:, 0].tobytes() == amps[j][rows_one, col].tobytes()
+            assert one[j].shape == (len(OFFSETS), 1)
+            assert one[j][rows_one, 0].tobytes() == amps[j][rows_one, col].tobytes()
             assert not np.delete(amps[j][:, col], rows_one).any()
+            assert not np.delete(one[j][:, 0], rows_one).any()
             prob = float(probs[j, col])
             try:
                 state, prob_gp = general_postselect(j, p, p.omega * t)
@@ -245,7 +246,7 @@ def test_grouped_closed_forms_equal_one_draw_calls():
                 continue
             assert prob_gp == prob
             column = amps[j][rows_one, col].tolist()
-            assert state == PureState(dict(zip(reachable_kets(p.n, p.m), column)))
+            assert state == PureState(dict(zip(kets, column)))
     assert refused >= 2
 
 
