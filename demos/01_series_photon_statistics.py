@@ -34,7 +34,7 @@ def channel_maxima(n, m, step, stop):
     cfg = SweepConfig(
         "series_C0C1", tuple(channels.values()), n=n, m=m, gT_stop=stop, gT_step=step
     )
-    gts, *columns = zip(*run_sweep(cfg).rows)
+    gts, *columns = run_sweep(cfg).cells
     best = {}
     for label, values in zip(channels, columns):
         i = max(range(len(values)), key=values.__getitem__)  # first maximum

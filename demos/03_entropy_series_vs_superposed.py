@@ -23,7 +23,7 @@ def entropy_curves(n, m, branch, start, stop, step):
             scenario, (BranchEntropy(branch),), n=n, m=m,
             gT_start=start, gT_stop=stop, gT_step=step,
         )
-        curves.append([v for _, v in run_sweep(cfg).rows if v is not None])
+        curves.append([v for v in run_sweep(cfg).cells[1] if v is not None])
     return curves
 
 

@@ -34,7 +34,7 @@ def widest_flat_window(gts, values, tv_budget=0.02):
 def inversion_scan(scenario, n, m):
     """g*T grid 0, 0.005, ..., 10 and the inversion on it, balanced control."""
     cfg = SweepConfig(scenario, (AtomicInversion(),), n=n, m=m, gT_stop=10.0, gT_step=0.005)
-    gts, values = zip(*run_sweep(cfg).rows)
+    gts, values = run_sweep(cfg).cells
     return list(gts), list(values)
 
 

@@ -39,6 +39,10 @@ SCENARIOS = ("series_C0C1", "series_C1C0", "ico_j0", "ico_j1")
 #: run_sweep states what a grid of a million costs in memory.
 MAX_GRID_POINTS = 1_000_000
 
+#: Most quantity columns a sweep may ask for; each costs some 40 B a grid
+#: point in run_sweep's peak.
+MAX_QUANTITIES = 16
+
 
 @dataclass(frozen=True)
 class KetProbability:
@@ -161,6 +165,7 @@ class SweepConfig:
             )
         if not isinstance(self.quantities, (tuple, list)) or not self.quantities:
             raise ConfigError("quantities: must be a non-empty tuple or list")
+        _check_quantity_count(self.quantities)
         object.__setattr__(self, "quantities", tuple(self.quantities))
         for i, q in enumerate(self.quantities):
             if not isinstance(q, Quantity):
@@ -197,6 +202,12 @@ class SweepConfig:
 _CONFIG_FIELDS = {f.name for f in fields(SweepConfig)}
 
 
+def _check_quantity_count(quantities: tuple | list) -> None:
+    if len(quantities) > MAX_QUANTITIES:
+        raise ConfigError(f"quantities: must hold at most MAX_QUANTITIES = {MAX_QUANTITIES} "
+                          f"columns, got {len(quantities)}")
+
+
 def config_from_dict(data: object) -> SweepConfig:
     """Build a SweepConfig from parsed JSON, naming any offending field; the
     values are SweepConfig's to check."""
@@ -210,6 +221,7 @@ def config_from_dict(data: object) -> SweepConfig:
     raw_quantities = data.get("quantities")
     if not isinstance(raw_quantities, list):
         raise ConfigError("quantities: must be a non-empty list")
+    _check_quantity_count(raw_quantities)
     quantities = tuple(_quantity_from_dict(q, i) for i, q in enumerate(raw_quantities))
     return SweepConfig(**{**data, "quantities": quantities})
 
@@ -222,33 +234,51 @@ def _whole_steps(cfg: SweepConfig) -> float:
     return (cfg.gT_stop - cfg.gT_start) / cfg.gT_step + 1e-9
 
 
+def _grid(cfg: SweepConfig) -> np.ndarray:
+    """start + i * step, each product and sum rounded as Python rounds them."""
+    return cfg.gT_start + np.arange(int(_whole_steps(cfg)) + 1) * cfg.gT_step
+
+
 def grid_points(cfg: SweepConfig) -> list[float]:
     """Uniform grid start, start+step, ...; the stop point is included when it
     lands on the grid to within a relative slack."""
-    count = int(_whole_steps(cfg)) + 1
-    return [cfg.gT_start + i * cfg.gT_step for i in range(count)]
+    return _grid(cfg).tolist()
 
 
 @dataclass(frozen=True)
 class Table:
-    """Column names plus rows of floats; None marks an empty CSV cell."""
+    """Column names plus one tuple of cells per column, gT first; None marks
+    an empty CSV cell."""
 
     columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    cells: tuple[tuple, ...]
+
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        return tuple(zip(*self.cells))
 
     def to_csv(self) -> str:
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join("" if v is None else repr(v) for v in row))
-        return "\n".join(lines) + "\n"
+        """Floats in shortest round-trip form (str of a float is its repr),
+        one format call per row; a column holding None is copied with ""
+        in its place first, so no cell becomes a string before its row.
+
+        The peak that tracemalloc traces above the table is about
+        75 + 55 * C bytes a grid point for C quantity columns of
+        22-character cells (measured at N = 20,001: 953 B at C = 16), and
+        310 B a point for the six-column ico sweep of run_sweep's docstring.
+        """
+        cells = [col if None not in col else ["" if v is None else v for v in col]
+                 for col in self.cells]
+        row = ",".join(["%s"] * len(self.columns))
+        return "\n".join([",".join(self.columns), *map(row.__mod__, zip(*cells))]) + "\n"
 
 
-def _cells(values: np.ndarray, possible: np.ndarray | None) -> list:
+def _cells(values: np.ndarray, possible: np.ndarray | None) -> tuple:
     """Plain Python floats, with None where the conditioning outcome is
     impossible."""
     if possible is None or possible.all():
-        return values.tolist()
-    return [v if ok else None for v, ok in zip(values.tolist(), possible.tolist())]
+        return tuple(values.tolist())
+    return tuple(np.where(possible, values.astype(object), None).tolist())
 
 
 def run_sweep(cfg: SweepConfig) -> Table:
@@ -264,10 +294,13 @@ def run_sweep(cfg: SweepConfig) -> Table:
     traces is below 1,100 + 40 * C bytes a point for C quantities.  An ico
     sweep with the six column kinds peaks at 1,186 B a point (measured at
     N = 20,001 and 100,001; the entropy columns' temporaries are the
-    largest part), so at MAX_GRID_POINTS it peaks near 1.2 GB.
+    largest part), so at MAX_GRID_POINTS it peaks near 1.2 GB; sixteen
+    columns peaked at 1,377 to 1,505 B a point, and the bound at both caps,
+    MAX_GRID_POINTS and MAX_QUANTITIES, is about 1.74 GB.  The table it
+    returns keeps 32 B a cell, and the table plus Table.to_csv's peak stays
+    below this bound.
     """
-    grid = grid_points(cfg)
-    gT = np.array(grid)
+    gT = _grid(cfg)
     amps, control_prob = grid_amplitudes(
         cfg.scenario, cfg.n, cfg.m, g=1.0, t_first=gT, t_second=gT,
         xi=cfg.xi, chi=cfg.chi, theta=cfg.theta, varphi=cfg.varphi,
@@ -276,15 +309,15 @@ def run_sweep(cfg: SweepConfig) -> Table:
     amps = amps[list(rows)]
     state_possible = None if control_prob is None else control_prob >= MIN_OUTCOME_PROBABILITY
     row = {ket: i for i, ket in enumerate(basis)}
-    columns = [grid]
+    columns = [tuple(gT.tolist())]
     for q in cfg.quantities:
         if isinstance(q, ControlProbabilityColumn):
-            columns.append(control_prob.tolist())
+            columns.append(tuple(control_prob.tolist()))
             continue
         possible = state_possible
         if isinstance(q, KetProbability):
             i = row.get(AtomFieldKet(q.atom, q.n, q.m))
-            values = np.zeros(len(grid)) if i is None else amps[i].real**2 + amps[i].imag**2
+            values = np.zeros(len(gT)) if i is None else amps[i].real**2 + amps[i].imag**2
         elif isinstance(q, AtomicInversion):
             values = inversion_columns(basis, amps)
         else:
@@ -292,7 +325,7 @@ def run_sweep(cfg: SweepConfig) -> Table:
             # branches are refused as well.
             values, possible = branch_entropy_columns(basis, amps, q.atom_branch)
         columns.append(_cells(values, possible))
-    return Table(("gT",) + tuple(q.column_id for q in cfg.quantities), tuple(zip(*columns)))
+    return Table(("gT",) + tuple(q.column_id for q in cfg.quantities), tuple(columns))
 
 
 @dataclass(frozen=True)
@@ -359,16 +392,10 @@ def figure_table(figure_id: str) -> Table:
     tables = [run_sweep(cfg) for cfg in preset.sweeps]
     if len(tables) == 1:
         return tables[0]
-    columns = ["gT"]
-    for cfg, table in zip(preset.sweeps, tables):
-        columns.extend(f"{cfg.scenario}:{cid}" for cid in table.columns[1:])
-    rows = []
-    for i in range(len(tables[0].rows)):
-        row = [tables[0].rows[i][0]]
-        for table in tables:
-            row.extend(table.rows[i][1:])
-        rows.append(tuple(row))
-    return Table(tuple(columns), tuple(rows))
+    columns = ("gT",) + tuple(f"{cfg.scenario}:{cid}"
+                              for cfg, table in zip(preset.sweeps, tables)
+                              for cid in table.columns[1:])
+    return Table(columns, tables[0].cells[:1] + tuple(c for t in tables for c in t.cells[1:]))
 
 
 def sweep_meta(cfg: SweepConfig) -> dict:

@@ -266,3 +266,32 @@ def reference_draw(rng):
         T1=entry + transit + float(rng.uniform(0.0, 2.0)),
     )
     return p, p.T1 + p.T + float(rng.uniform(0.0, 2.0))
+
+
+# ---------------------------------------------------------------- row-wise tables
+
+
+def reference_to_csv(columns, rows) -> str:
+    """The row-wise Table.to_csv that the column renderer replaced: one
+    generator over the cells of each row."""
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join("" if v is None else repr(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_figure_table(preset, tables):
+    """figure_table's row-wise merge of a preset's sweep tables, each with
+    materialised .columns and .rows: the merged (columns, rows)."""
+    if len(tables) == 1:
+        return tables[0].columns, tables[0].rows
+    columns = ["gT"]
+    for cfg, table in zip(preset.sweeps, tables):
+        columns.extend(f"{cfg.scenario}:{cid}" for cid in table.columns[1:])
+    rows = []
+    for i in range(len(tables[0].rows)):
+        row = [tables[0].rows[i][0]]
+        for table in tables:
+            row.extend(table.rows[i][1:])
+        rows.append(tuple(row))
+    return tuple(columns), tuple(rows)

@@ -45,7 +45,7 @@ def scan(scenario, quantities, n=0, m=0, start=0.0, stop=10.0, step=0.01):
     conditioning outcome is impossible."""
     cfg = SweepConfig(scenario, tuple(quantities), n=n, m=m,
                       gT_start=start, gT_stop=stop, gT_step=step)
-    return list(zip(*run_sweep(cfg).rows))
+    return list(run_sweep(cfg).cells)
 
 
 def test_criterion_01_series_revival():

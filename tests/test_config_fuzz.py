@@ -5,8 +5,9 @@ stderr line that names a field holding junk.
 Junk is anything JSON holds that a field does not take: bools, null,
 strings (also "NaN" and "Infinity"), NaN and the infinities, ints of
 magnitude 2**53 and up, negative numbers, and lists and objects nested
-around them.  Every accepted grid has at most 11 points, and no draw count
-or grid size is drawn at its cap."""
+around them, and quantity lists longer than MAX_QUANTITIES.  Every accepted
+grid has at most 11 points, and no draw count or grid size is drawn at its
+cap."""
 
 import contextlib
 import io
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from ico_cqed import config_from_dict
 from ico_cqed.cli import main
-from ico_cqed.sweep import FIGURE_PRESETS, SCENARIOS, grid_points
+from ico_cqed.sweep import FIGURE_PRESETS, MAX_QUANTITIES, SCENARIOS, grid_points
 from ico_cqed.verify import MAX_DRAWS
 
 # Text over the Basic Multilingual Plane: non-ASCII, whitespace, newlines and
@@ -72,8 +73,8 @@ def config(draw) -> tuple[dict, set, bool]:
     """A config whose every field is drawn well-formed or as junk, the
     names a refusal may give (the junk fields, the grid fields a junk grid
     field is compared with, and the junk quantity entries), and whether it
-    holds an unknown key, at the top level or in a quantity entry, which
-    must be refused."""
+    must be refused: it holds an unknown key, at the top level or in a
+    quantity entry, or more than MAX_QUANTITIES quantity entries."""
     scenario = draw(st.sampled_from(SCENARIOS))
     start = draw(st.floats(0.0, 1.0))
     step = draw(st.floats(0.1, 1.0))
@@ -89,7 +90,7 @@ def config(draw) -> tuple[dict, set, bool]:
         "gT_step": st.just(step),
         "omega_t": st.floats(-20.0, 20.0),
     }
-    data, names, unknown = {}, set(), False
+    data, names, refused = {}, set(), False
     for field, strategy in well_formed.items():
         # one given field in ten is junk; scenario and quantities are
         # required, and the grid is always given: the default one has 1,001
@@ -121,13 +122,20 @@ def config(draw) -> tuple[dict, set, bool]:
             key = draw(st.text(CHARS, min_size=1, max_size=6).filter(lambda k: k not in entry))
             entry[key] = draw(JUNK)
             names.add(f"quantities[{i}]")
-            unknown = True
+            refused = True
     if draw(st.integers(0, 9)) == 0:
         key = draw(st.text(CHARS, min_size=1, max_size=6).filter(lambda k: k not in well_formed))
         data[key] = draw(JUNK)
         names.add("config")
-        unknown = True
-    return data, names, unknown
+        refused = True
+    if "quantities" not in names and draw(st.integers(0, 9)) == 0:
+        # refused by its length, before any entry is built
+        quantities = data["quantities"]
+        count = draw(st.integers(MAX_QUANTITIES + 1, 3 * MAX_QUANTITIES))
+        data["quantities"] = [quantities[i % len(quantities)] for i in range(count)]
+        names.add("quantities")
+        refused = True
+    return data, names, refused
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:
@@ -149,7 +157,7 @@ def named_field(line: str, prefix: str = "ico-cqed: ") -> str:
 @settings(max_examples=80)
 @given(drawn=config())
 def test_generated_config_runs_or_names_a_junk_field(tmp_path_factory, drawn):
-    data, names, unknown = drawn
+    data, names, refused = drawn
     text = json.dumps(data)
     try:
         cfg = config_from_dict(json.loads(text))
@@ -158,7 +166,7 @@ def test_generated_config_runs_or_names_a_junk_field(tmp_path_factory, drawn):
         assert named_field(str(exc), "") in names, (exc, names)
         accepted = False
     else:
-        assert not unknown, f"config with an unknown key accepted: {data}"
+        assert not refused, f"config with an unknown key or too many quantities accepted: {data}"
         assert len(grid_points(cfg)) <= 11
         accepted = True
     path = tmp_path_factory.getbasetemp() / "config.json"

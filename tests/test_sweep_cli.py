@@ -210,7 +210,9 @@ def test_sweep_at_the_grid_cap_stays_within_the_stated_memory(monkeypatch):
     # run_sweep's docstring bounds the traced peak by 1,100 + 40 * C bytes a
     # grid point for C quantities, which at MAX_GRID_POINTS is its stated
     # peak; checked at a lowered cap on the costliest sweep: ico, all ten
-    # kernel rows reachable, every column kind
+    # kernel rows reachable, every column kind.  The table it keeps plus
+    # to_csv's peak stays below that bound, so a CLI sweep peaks in
+    # run_sweep, and to_csv keeps to its own docstring's 75 + 55 * C
     monkeypatch.setattr(sweep, "MAX_GRID_POINTS", 4_000)
     quantities = (ControlProbabilityColumn(), pk("e", 1, 1), pk("g", 2, 1), AtomicInversion(),
                   BranchEntropy(E), BranchEntropy(G))
@@ -221,11 +223,32 @@ def test_sweep_at_the_grid_cap_stays_within_the_stated_memory(monkeypatch):
     tracemalloc.start()
     try:
         table = run_sweep(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        kept, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        table.to_csv()
+        csv_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(table.rows) == sweep.MAX_GRID_POINTS
-    assert peak <= (1_100 + 40 * len(quantities)) * sweep.MAX_GRID_POINTS
+    bound = (1_100 + 40 * len(quantities)) * sweep.MAX_GRID_POINTS
+    assert peak <= bound
+    assert csv_peak <= bound
+    assert csv_peak - kept <= (75 + 55 * len(quantities)) * sweep.MAX_GRID_POINTS
+
+
+def test_more_quantities_than_the_cap_are_refused():
+    columns = (AtomicInversion(),) * sweep.MAX_QUANTITIES
+    assert len(SweepConfig("ico_j0", columns).quantities) == 16
+    message = r"^quantities: must hold at most MAX_QUANTITIES = 16 columns, got 17$"
+    with pytest.raises(ConfigError, match=message):
+        SweepConfig("ico_j0", columns + (AtomicInversion(),))
+    # config_from_dict counts the entries before it builds one: the junk
+    # seventeenth entry would be refused as quantities[16] otherwise
+    entries = [{"kind": "sigma_z"}] * sweep.MAX_QUANTITIES + ["junk"]
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict({"scenario": "ico_j0", "quantities": entries})
+    with pytest.raises(ConfigError, match=r"^quantities: .* got 1000$"):
+        config_from_dict({"scenario": "ico_j0", "quantities": [{"kind": "sigma_z"}] * 1000})
 
 
 def test_control_prob_rejected_for_series():
