@@ -16,7 +16,6 @@ from .engine import (
     bell_state,
     coeffs_c,
     coeffs_s,
-    gamma,
     general_postselect,
     ico_postselected_state,
     state_after_both,
@@ -42,7 +41,6 @@ from .oracle import (
     TruncationWindow,
     evolve,
     hadamard_control,
-    jc_generator,
     jc_propagator,
     measure_control,
     schrodinger_phase,
@@ -111,12 +109,10 @@ __all__ = [
     "evolve",
     "figure_meta",
     "figure_table",
-    "gamma",
     "general_postselect",
     "grid_points",
     "hadamard_control",
     "ico_postselected_state",
-    "jc_generator",
     "jc_propagator",
     "ket_probability",
     "linear_entropy",

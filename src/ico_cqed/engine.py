@@ -43,20 +43,14 @@ class CavityOrder(Enum):
     C1_THEN_C0 = "C1_then_C0"
 
 
-def gamma(k: int, g: float) -> float:
-    """Doublet rotation rate g*sqrt(k+1); k = -1 gives exactly 0."""
-    check_whole(k, "k", -1)
-    return g * math.sqrt(k + 1)
-
-
 def _slot_amplitudes(lib, rates_n: tuple, rates_m: tuple, t_first, t_second, ce, se) -> tuple:
     """The eight slot amplitudes of one order: time t_first in the first
     cavity (n photons), then t_second in the second (m photons), for an atom
-    prepared as ce|e> + se|g>; rates_n is (gamma(n, g), gamma(n - 1, g)),
-    rates_m the same for m.  ``lib`` supplies cos and sin: ``math`` for
-    scalars, ``numpy`` for arrays, so coeffs_c and grid_amplitudes share
-    these formulas.  Each angle is rounded as gamma(k, g) * t: math.sqrt and
-    numpy's sqrt both round correctly."""
+    prepared as ce|e> + se|g>; rates_n is the doublet rates (g*sqrt(n + 1),
+    g*sqrt(n)), rates_m the same for m.  ``lib`` supplies cos and sin:
+    ``math`` for scalars, ``numpy`` for arrays, so coeffs_c and
+    grid_amplitudes share these formulas.  Each angle is rounded as
+    (g*sqrt(k + 1)) * t: math.sqrt and numpy's sqrt both round correctly."""
     x_n, x_n1 = rates_n[0] * t_first, rates_n[1] * t_first
     x_m, x_m1 = rates_m[0] * t_second, rates_m[1] * t_second
     cos_n, sin_n = lib.cos(x_n), lib.sin(x_n)

@@ -8,18 +8,20 @@ propagator must agree to rounding error or one of them is wrong.
 The evolution and the measured control run as one array chain,
 _evolve_branches -> recombine -> condition -> phase, batched over draws:
 the last axis holds one column per draw, and a column does not depend on
-the others.  verify runs it once per chunk of draws, whatever their
-(n, m), on the window vectors of the largest; evolve, hadamard_control,
-measure_control and schrodinger_phase run it with one column, on the
-compact support of a PureState.
+the others.  The draws enter as a draw table (draw_table), one array per
+SystemParams field and one, "t", of the times, as verify's closed-form side
+also reads them.  verify runs the chain once per chunk of draws, whatever
+their (n, m), on the window vectors of the largest; evolve,
+hadamard_control, measure_control and schrodinger_phase run it with one
+column, on the compact support of a PureState.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -56,9 +58,9 @@ class TruncationWindow:
     A transit adds at most one photon per cavity, so a window with
     n_max >= max(initial n, initial m) + 2 keeps a guard row that must stay
     unpopulated; any leakage there indicates a bug, not a tight truncation.
-    n_max must be an int in 1..MAX_N_MAX.  jc_propagator and jc_generator
-    build a dense complex matrix of side atom_field_dim = 2 * (n_max + 1)**2:
-    76 MB at n_max 32 (dim 2,178), 505 MB at MAX_N_MAX (dim 5,618).
+    n_max must be an int in 1..MAX_N_MAX.  jc_propagator builds a dense
+    complex matrix of side atom_field_dim = 2 * (n_max + 1)**2: 76 MB at
+    n_max 32 (dim 2,178), 505 MB at MAX_N_MAX (dim 5,618).
     """
 
     n_max: int
@@ -90,45 +92,17 @@ class TruncationWindow:
         return (atom * self.levels + n) * self.levels + m
 
 
-def jc_generator(cavity: int, g: float, w: TruncationWindow) -> np.ndarray:
-    """Interaction matrix g(a_j^dag sigma_- + sigma_+ a_j) on the ordered
-    atom x mode0 x mode1 basis (hbar = 1)."""
-    check_whole(cavity, "cavity", 0, 2)
-    h = np.zeros((w.atom_field_dim, w.atom_field_dim), dtype=complex)
-    for k in range(w.n_max):
-        coupling = g * math.sqrt(k + 1)
-        for spectator in range(w.levels):
-            if cavity == 0:
-                row, col = w.index(_G, k + 1, spectator), w.index(_E, k, spectator)
-            else:
-                row, col = w.index(_G, spectator, k + 1), w.index(_E, spectator, k)
-            h[row, col] = coupling
-            h[col, row] = coupling
-    return h
-
-
-@functools.lru_cache(maxsize=64)
-def _rates(n_max: int) -> tuple[float, ...]:
-    """sqrt(k+1) for the doublets k = 0..n_max-1 of a mode."""
-    return tuple(math.sqrt(k + 1) for k in range(n_max))
-
-
 def _rotate(x: np.ndarray, cavity: int, t, g, w: TruncationWindow) -> np.ndarray:
     """exp(-i t H_int) of one cavity applied in place to each column of
     ``x``, a C-contiguous (atom_field_dim, N) array, as the doublet
-    rotations described in jc_propagator; returns x.  t and g are sequences
-    of N values, column c rotating for time t[c] at coupling g[c]; of N / 2
-    values, one per draw whose columns c and c + N / 2 both rotate for
-    t[c]; or of one value that every column shares."""
+    rotations described in jc_propagator; returns x.  t and g are arrays of
+    N values, column c rotating for time t[c] at coupling g[c], or of one
+    value that every column shares."""
     k = w.n_max
     # angles (n_max, 1, len(t)), each (g * sqrt(k+1)) * t
-    angles = [rate * g_c * t_c for rate in _rates(k) for g_c, t_c in zip(g, t)]
-    diag = np.array([math.cos(a) for a in angles], dtype=complex).reshape(k, 1, -1)
-    off = -1j * np.array([math.sin(a) for a in angles]).reshape(k, 1, -1)
-    if 2 * diag.shape[-1] == x.shape[-1]:
-        # each draw's angles, evaluated once, for both its columns: factors
-        # as wide as x keep the products below flat loops
-        diag, off = np.concatenate((diag, diag), axis=2), np.concatenate((off, off), axis=2)
+    angles = (np.sqrt(np.arange(1.0, k + 1))[:, None, None] * g) * t
+    diag = np.cos(angles).astype(complex)
+    off = -1j * np.sin(angles)
     # x as (atom, active mode, spectator mode, N): the doublet k pairs |e>
     # at occupation k of the active mode with |g> at k+1.
     x4 = x.reshape(2, w.levels, w.levels, -1)
@@ -155,12 +129,12 @@ def jc_propagator(cavity: int, t: float, g: float, w: TruncationWindow) -> np.nd
 
     Each pair {|e,k>, |g,k+1>} of the active mode rotates by the angle
     g*sqrt(k+1)*t; |g,0> and the truncated top excited row stay put.  Tests
-    cross-check this construction against a dense matrix exponential of
-    jc_generator, keeping the two derivations independent.
+    cross-check this construction against a dense matrix exponential of the
+    interaction Hamiltonian, keeping the two derivations independent.
     """
     check_whole(cavity, "cavity", 0, 2)
-    check_real(t, "t", 0.0)
-    return _rotate(np.eye(w.atom_field_dim, dtype=complex), cavity, (t,), (g,), w)
+    t, g = np.array([check_real(t, "t", 0.0)]), np.array([g])
+    return _rotate(np.eye(w.atom_field_dim, dtype=complex), cavity, t, g, w)
 
 
 @functools.lru_cache(maxsize=16)
@@ -181,44 +155,57 @@ def _guard_population(branches: np.ndarray, tops, w: TruncationWindow) -> np.nda
     return (population * (np.maximum(n, m)[:, None] >= tops)).sum(axis=(0, 1))
 
 
-def _evolve_branches(draws: list[tuple[SystemParams, float]], w: TruncationWindow) -> np.ndarray:
-    """The two control branches of evolve's state for N (params, time) draws
-    on one window, as a (2, atom_field_dim, N) array on its basis, weights
-    included and amplitudes below PRUNE_EPSILON zeroed.  The draws may
-    differ in (n, m); the window must fit the largest.  Every draw gets
-    evolve's checks and errors on its own guard rows, max(n, m) + 2 and up,
-    and its column does not depend on the other draws."""
-    params = [p for p, _ in draws]
-    times = [check_real(t, "t", 0.0) for _, t in draws]
-    tops = [max(p.n, p.m) + 2 for p in params]
-    if w.n_max < max(tops, default=0):
-        raise ValueError(f"n_max: must be >= max(n, m) + 2 = {max(tops)}, got {w.n_max}")
+#: The columns of a draw table: the SystemParams fields, then the time t.
+_COLUMNS = (*(f.name for f in fields(SystemParams)), "t")
+_params_values = operator.attrgetter(*_COLUMNS[:-1])
+
+
+def draw_table(draws: list[tuple[SystemParams, float]]) -> dict[str, np.ndarray]:
+    """N (params, time) draws as a draw table: one C-contiguous array of N
+    values per SystemParams field, ints for n and m and floats otherwise,
+    and "t", the times, taken as they are: evolve checks its own."""
+    values = np.array([(*_params_values(p), t) for p, t in draws], dtype=float)
+    table = dict(zip(_COLUMNS, values.reshape(-1, len(_COLUMNS)).T.copy()))
+    table["n"], table["m"] = table["n"].astype(int), table["m"].astype(int)
+    return table
+
+
+def _evolve_branches(table: dict[str, np.ndarray], w: TruncationWindow) -> np.ndarray:
+    """The two control branches of evolve's state for the N draws of a draw
+    table on one window, as a (2, atom_field_dim, N) array on its basis,
+    weights included and amplitudes below PRUNE_EPSILON zeroed.  The draws
+    may differ in (n, m); the window must fit the largest.  Every draw gets
+    evolve's errors on its own guard rows, max(n, m) + 2 and up, and its
+    column does not depend on the other draws."""
+    n, m = table["n"], table["m"]
+    tops = np.maximum(n, m) + 2
+    if w.n_max < tops.max(initial=0):
+        raise ValueError(f"n_max: must be >= max(n, m) + 2 = {tops.max()}, got {w.n_max}")
+    # cos(a) and exp(i phi) sin(a), rounded as cmath.exp(1j * phi) * math.sin(a),
+    # for the atom's preparation (xi, chi) and the control's (theta, varphi)
+    angle, phi = np.array([(table["xi"], table["theta"]), (table["chi"], table["varphi"])])
+    cos, polar = np.cos(angle), (np.cos(phi) + 1j * np.sin(phi)) * np.sin(angle)
     # The control-1 branch, cavity 1 first, is the control-0 branch of the
     # preparation with the two modes exchanged.  So both branches run as 2N
     # columns through cavity 0 and then cavity 1, and the modes of the last
     # N are exchanged back: two rotations per batch, not four.
-    size = len(draws)
+    size = len(n)
     vec = np.zeros((w.atom_field_dim, 2 * size), dtype=complex)
     # |e, n, m> and |g, n, m> of each column on the (atom, mode 0, mode 1,
     # column) view, the last N with the modes exchanged
-    n, m = [p.n for p in params], [p.m for p in params]
-    vec.reshape(2, w.levels, w.levels, 2 * size)[:, n + m, m + n, [*range(2 * size)]] = (
-        [math.cos(p.xi) for p in params] * 2,
-        [cmath.exp(1j * p.chi) * math.sin(p.xi) for p in params] * 2,
-    )
+    view, columns = vec.reshape(2, w.levels, w.levels, 2 * size), np.arange(size)
+    view[:, n, m, columns] = view[:, m, n, columns + size] = cos[0], polar[0]
     # T1 >= T0 + T, so the second transit starts after the first has ended;
     # before, between and after the transits a rotation by 0 is the identity.
     # Both halves share each draw's times and coupling.
-    first = [min(max(t - p.T0, 0.0), p.T) for p, t in zip(params, times)]
-    second = [min(max(t - p.T1, 0.0), p.T) for p, t in zip(params, times)]
-    g = [p.g for p in params]
-    vec = _rotate(vec, 0, first, g, w)
-    vec = _rotate(vec, 1, second, g, w)
+    schedule = [table[name] for name in ("t", "T0", "T1", "T", "g")]
+    t, entry0, entry1, transit, g = np.concatenate((schedule, schedule), axis=1)
+    vec = _rotate(vec, 0, np.minimum(np.maximum(t - entry0, 0.0), transit), g, w)
+    vec = _rotate(vec, 1, np.minimum(np.maximum(t - entry1, 0.0), transit), g, w)
     exchanged = vec[:, size:].reshape(2, w.levels, w.levels, size).swapaxes(1, 2)
     branches = np.empty((2, w.atom_field_dim, size), dtype=complex)
-    np.multiply([math.cos(p.theta) for p in params], vec[:, :size], out=branches[0])
-    np.multiply([cmath.exp(1j * p.varphi) * math.sin(p.theta) for p in params], exchanged,
-                out=branches[1].reshape(exchanged.shape))
+    np.multiply(cos[1], vec[:, :size], out=branches[0])
+    np.multiply(polar[1], exchanged, out=branches[1].reshape(exchanged.shape))
     del vec, exchanged  # the doubled batch is not needed for the guard check
     prune_amplitudes(branches)
     leak = _guard_population(branches, tops, w)
@@ -234,7 +221,7 @@ def evolve(p: SystemParams, t: float, w: TruncationWindow) -> PureState:
     first.  Raises TruncationOverflowError if probability shows up in the
     guard Fock rows, which an adequate window makes impossible.
     """
-    branches = _evolve_branches([(p, t)], w)[:, :, 0]
+    branches = _evolve_branches(draw_table([(p, check_real(t, "t", 0.0))]), w)[:, :, 0]
     columns = np.flatnonzero(branches.any(axis=0))
     rests = [AtomFieldKet(_LEVELS[a], n, m) for a, n, m in zip(*_basis(w)[:, columns].tolist())]
     return _full_state(rests, branches[:, columns])

@@ -22,10 +22,10 @@ from .states import MIN_OUTCOME_PROBABILITY, SystemParams, check_real, check_who
 
 DEFAULT_TOLERANCE = 1e-9
 
-#: Most draws one run may ask for: every drawn SystemParams and the (2,
-#: draws) comparison arrays stay in memory, about 0.6 KB per draw, and one
-#: chunk's arrays take under 1 MB, so 100,000 draws peak some 62 MB above
-#: the imported package.
+#: Most draws one run may ask for: the drawn SystemParams, the run's draw
+#: table and the (2, draws) comparison arrays stay in memory, a tracemalloc
+#: peak of about 0.75 KB per draw, plus under 1 MB for one chunk's arrays;
+#: 100,000 draws peak at 74 MB above the imported package.
 MAX_DRAWS = 100_000
 #: Draws compared in one batch; it bounds the batch arrays, which grow with
 #: the draws times the window of the largest (98 kets at n, m <= 4).  A
@@ -98,24 +98,18 @@ def random_params(rng: np.random.Generator) -> SystemParams:
                         n=n, m=m, T0=entry, T1=entry + transit + 2.0 * rng.random())
 
 
-def _closed_forms(drawn: list[tuple[SystemParams, float]], n: np.ndarray, m: np.ndarray) -> tuple:
-    """For N (params, measurement time) draws with photon numbers n and m:
-    per control outcome j the (len(engine.OFFSETS), N) phased conditional
-    amplitudes, and the (2, N) outcome probabilities, as general_postselect
-    computes them, from one grid_amplitudes call per outcome.  A draw
-    evaluated alone gets the same bits."""
-    params = [p for p, _ in drawn]
-    transit = np.array([p.T for p in params])
-    per_point = {
-        name: np.array([getattr(p, name) for p in params])
-        for name in ("g", "xi", "chi", "theta", "varphi")
-    }
-    omega_t = np.array([p.omega * t for p, t in drawn])
+def _closed_forms(table: dict[str, np.ndarray]) -> tuple:
+    """For the N draws of a draw table (oracle.draw_table): per control
+    outcome j the (len(engine.OFFSETS), N) phased conditional amplitudes,
+    and the (2, N) outcome probabilities, as general_postselect computes
+    them at omega_t = omega * t, from one grid_amplitudes call per outcome.
+    A draw evaluated alone gets the same bits."""
+    n, m, omega_t = table["n"], table["m"], table["omega"] * table["t"]
+    per_point = {name: table[name] for name in ("g", "xi", "chi", "theta", "varphi")}
+    per_point.update(t_first=table["T"], t_second=table["T"])
     amps, probs = [], []
     for scenario in ("ico_j0", "ico_j1"):
-        conditional, prob = grid_amplitudes(
-            scenario, n, m, t_first=transit, t_second=transit, **per_point
-        )
+        conditional, prob = grid_amplitudes(scenario, n, m, **per_point)
         amps.append(measurement_phase(n, m, conditional, omega_t))
         probs.append(prob)
     return amps, np.array(probs)
@@ -142,22 +136,21 @@ def _amplitude_deviation(
                       np.hypot(outside.real, outside.imag).max(axis=0))
 
 
-def _compare(drawn: list[tuple[SystemParams, float]]) -> tuple:
-    """For N draws, three (2, N) arrays, row j for control outcome j and
-    column i for draw i: the closed-form probability, the matrix probability
-    and the amplitude deviation.  Both sides run once for all draws, the
-    matrix side on the window of the largest.  The first (draw, outcome)
-    that the closed forms accept and the matrix side refuses raises
-    ImpossiblePostselectionError."""
-    n, m = np.array([(p.n, p.m) for p, _ in drawn]).T
+def _compare(table: dict[str, np.ndarray]) -> tuple:
+    """For the N draws of a draw table, three (2, N) arrays, row j for
+    control outcome j and column i for draw i: the closed-form probability,
+    the matrix probability and the amplitude deviation.  Both sides run once
+    for all draws, the matrix side on the window of the largest.  The first
+    (draw, outcome) that the closed forms accept and the matrix side refuses
+    raises ImpossiblePostselectionError."""
+    n, m = table["n"], table["m"]
     window = oracle.TruncationWindow(int(max(n.max(), m.max())) + 2)
-    outcomes = oracle.recombine(oracle._evolve_branches(drawn, window))
-    omega, times = [p.omega for p, _ in drawn], [t for _, t in drawn]
-    analytic, prob_analytic = _closed_forms(drawn, n, m)
+    outcomes = oracle.recombine(oracle._evolve_branches(table, window))
+    analytic, prob_analytic = _closed_forms(table)
     prob_numeric, deviation = [], []
     for j in (0, 1):
         state, prob = oracle.condition(outcomes, j)
-        numeric = oracle.phase(state, omega, times, oracle.basis_excitations(window))
+        numeric = oracle.phase(state, table["omega"], table["t"], oracle.basis_excitations(window))
         prob_numeric.append(prob)
         deviation.append(_amplitude_deviation(n, m, analytic[j], numeric, window))
     prob_numeric = np.array(prob_numeric)
@@ -191,10 +184,13 @@ def run_verification(
     for _ in range(draws):
         p = random_params(rng)
         drawn.append((p, p.T1 + p.T + 2.0 * rng.random()))
+    table = oracle.draw_table(drawn)
     analytic, numeric, deviation = np.empty((3, 2, draws))
     for start in range(0, draws, _CHUNK):
         chunk = slice(start, start + _CHUNK)
-        analytic[:, chunk], numeric[:, chunk], deviation[:, chunk] = _compare(drawn[chunk])
+        analytic[:, chunk], numeric[:, chunk], deviation[:, chunk] = _compare(
+            {name: column[chunk] for name, column in table.items()}
+        )
     compared = analytic >= MIN_OUTCOME_PROBABILITY
     # Every draw compares at least one outcome, as P(0) + P(1) = 1; argmax
     # over the draw-major view names the first of equal deviations.

@@ -8,6 +8,8 @@ of verify's parameter stream."""
 import cmath
 import math
 
+import numpy as np
+
 from ico_cqed import (
     MIN_OUTCOME_PROBABILITY,
     PRUNE_EPSILON,
@@ -22,6 +24,7 @@ from ico_cqed import (
     coeffs_c,
     coeffs_s,
 )
+from ico_cqed import verify
 from ico_cqed.states import check_outcome
 
 E = AtomLevel.EXCITED
@@ -45,6 +48,40 @@ def window_groups(draws):
     for p, t in draws:
         groups.setdefault(TruncationWindow.for_params(p), []).append((p, t))
     return groups.items()
+
+
+def grid_table(t, **columns):
+    """A draw table with one draw per entry of the array t, built without a
+    SystemParams per draw: each other column is given as an array or as one
+    value for every draw; g and T are required, the rest default as in
+    SystemParams, T1 = T0 + T among them."""
+    values = dict(omega=1.0, theta=0.0, varphi=0.0, xi=0.0, chi=0.0, n=0, m=0, T0=0.0, t=t)
+    values.update(columns)
+    values.setdefault("T1", values["T0"] + values["T"])
+    return {name: np.broadcast_to(value, np.shape(t)).astype(int if name in ("n", "m") else float)
+            for name, value in values.items()}
+
+
+def doublet_rate(k: int, g: float) -> float:
+    """The rotation rate g*sqrt(k+1) of the doublet {|e,k>, |g,k+1>}; k = -1 gives exactly 0."""
+    return g * math.sqrt(k + 1)
+
+
+def jc_generator(cavity: int, g: float, w: TruncationWindow):
+    """Interaction matrix g(a_j^dag sigma_- + sigma_+ a_j) on the ordered
+    atom x mode0 x mode1 basis (hbar = 1): the dense reference whose matrix
+    exponential oracle.jc_propagator must equal."""
+    h = np.zeros((w.atom_field_dim, w.atom_field_dim), dtype=complex)
+    for k in range(w.n_max):
+        coupling = doublet_rate(k, g)
+        for spectator in range(w.levels):
+            if cavity == 0:
+                row, col = w.index(G, k + 1, spectator), w.index(E, k, spectator)
+            else:
+                row, col = w.index(G, spectator, k + 1), w.index(E, spectator, k)
+            h[row, col] = coupling
+            h[col, row] = coupling
+    return h
 
 
 def max_amp_diff(a: PureState, b: PureState) -> float:
@@ -266,6 +303,27 @@ def reference_draw(rng):
         T1=entry + transit + float(rng.uniform(0.0, 2.0)),
     )
     return p, p.T1 + p.T + float(rng.uniform(0.0, 2.0))
+
+
+def decoded_table(seed, count):
+    """The draw table of the first ``count`` draws of run_verification(seed,
+    ...), decoded from the raw PCG64 stream with numpy instead of drawn one
+    call at a time.  A draw takes eleven 64-bit outputs: eight doubles for
+    g, g*T, T0, omega, theta, varphi, xi and chi, one word whose low and high
+    32-bit halves give n and m by Lemire's method, and two more doubles for
+    T1 and t.  Lemire's method would reject a half whose low product word is
+    0 and draw again, which shifts the stream; this asserts that none is."""
+    raw = np.random.default_rng(seed).bit_generator.random_raw(11 * count).reshape(count, 11)
+    u = (raw >> np.uint64(11)) * 2.0**-53
+    g, gT, T0, omega, theta, varphi, xi, chi = (verify._LOW + verify._SPAN * u[:, :8]).T
+    low, shift = np.uint64(0xFFFFFFFF), np.uint64(32)
+    products = np.stack((raw[:, 8] & low, raw[:, 8] >> shift)) * np.uint64(5)
+    assert (products & low).all(), f"seed {seed}: a Lemire rejection shifts the stream"
+    n, m = (products >> shift).astype(int)
+    T = gT / g
+    T1 = T0 + T + 2.0 * u[:, 9]
+    return dict(g=g, T=T, omega=omega, theta=theta, varphi=varphi, xi=xi, chi=chi, n=n, m=m,
+                T0=T0, T1=T1, t=T1 + T + 2.0 * u[:, 10])
 
 
 # ---------------------------------------------------------------- row-wise tables

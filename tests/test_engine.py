@@ -23,7 +23,6 @@ from ico_cqed import (
     coeffs_s,
     condition_on_atom,
     evolve,
-    gamma,
     general_postselect,
     hadamard_control,
     ico_postselected_state,
@@ -35,6 +34,7 @@ from helpers import (
     G,
     balanced,
     balanced_control_probability,
+    doublet_rate,
     initial_atom_field_state,
     inner_product,
     max_amp_diff,
@@ -132,20 +132,6 @@ def assert_near_reference(outcome, reference):
         assert max_amp_diff(state, ref_state) <= 1e-15
 
 
-# ---------------------------------------------------------------- gamma
-
-
-def test_gamma_values():
-    assert gamma(0, 1.0) == 1.0
-    assert gamma(-1, 5.0) == 0.0
-    assert gamma(3, 1.0) == 2.0
-
-
-def test_gamma_domain():
-    with pytest.raises(ValueError):
-        gamma(-2, 1.0)
-
-
 # ---------------------------------------------------------------- slot amplitudes
 
 
@@ -188,16 +174,13 @@ def test_coeffs_s_matches_explicit_formulas(rng):
         p = random_engine_params(rng)
         tau = float(rng.uniform(0.0, p.T)) if p.T > 0 else 0.0
         s = coeffs_s(p, tau)
-        g = p.g
-        s1 = math.cos(p.xi) * math.cos(gamma(p.m, g) * p.T) * math.cos(gamma(p.n, g) * tau)
-        s6 = -math.cos(p.xi) * math.sin(gamma(p.m, g) * p.T) * math.sin(gamma(p.n - 1, g) * tau)
-        s8 = -1j * math.cos(p.xi) * math.sin(gamma(p.m, g) * p.T) * math.cos(gamma(p.n - 1, g) * tau)
-        s7 = (
-            cmath.exp(1j * p.chi)
-            * math.sin(p.xi)
-            * math.cos(gamma(p.m - 1, g) * p.T)
-            * math.cos(gamma(p.n - 1, g) * tau)
-        )
+        ks = (p.n, p.n - 1, p.m, p.m - 1)
+        rate_n, rate_n1, rate_m, rate_m1 = (doublet_rate(k, p.g) for k in ks)
+        s1 = math.cos(p.xi) * math.cos(rate_m * p.T) * math.cos(rate_n * tau)
+        s6 = -math.cos(p.xi) * math.sin(rate_m * p.T) * math.sin(rate_n1 * tau)
+        s8 = -1j * math.cos(p.xi) * math.sin(rate_m * p.T) * math.cos(rate_n1 * tau)
+        s7 = (cmath.exp(1j * p.chi) * math.sin(p.xi)
+              * math.cos(rate_m1 * p.T) * math.cos(rate_n1 * tau))
         assert abs(s[0] - s1) < 1e-14
         assert abs(s[5] - s6) < 1e-14
         assert abs(s[7] - s8) < 1e-14

@@ -16,7 +16,6 @@ from ico_cqed import (
     coeffs_c,
     coeffs_s,
     condition_on_atom,
-    gamma,
     ico_postselected_state,
     ket_probability,
     linear_entropy,
@@ -26,7 +25,15 @@ from ico_cqed import (
     sigma_z_series,
     state_after_both,
 )
-from helpers import E, G, balanced, balanced_control_probability, params, sigma_z_ico_reference
+from helpers import (
+    E,
+    G,
+    balanced,
+    balanced_control_probability,
+    doublet_rate,
+    params,
+    sigma_z_ico_reference,
+)
 
 
 def swap_modes(fields: PureState) -> PureState:
@@ -90,10 +97,10 @@ def test_condition_on_atom_series_slices(rng):
         gt = float(rng.uniform(0.3, 9.7))
         p = params(gt, n=1, m=1)
         st = state_after_both(CavityOrder.C0_THEN_C1, p, p.T)
-        cn = math.cos(gamma(1, 1.0) * gt)
-        sn = math.sin(gamma(1, 1.0) * gt)
-        cm1 = math.cos(gamma(0, 1.0) * gt)
-        sm1 = math.sin(gamma(0, 1.0) * gt)
+        cn = math.cos(doublet_rate(1, 1.0) * gt)
+        sn = math.sin(doublet_rate(1, 1.0) * gt)
+        cm1 = math.cos(doublet_rate(0, 1.0) * gt)
+        sm1 = math.sin(doublet_rate(0, 1.0) * gt)
         try:
             fields_e, prob_e = condition_on_atom(st, E)
         except ImpossiblePostselectionError:

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,23 +18,29 @@ from ico_cqed import (
     evolve,
     general_postselect,
     hadamard_control,
-    jc_generator,
     jc_propagator,
     measure_control,
     schrodinger_phase,
     state_after_both,
 )
 from ico_cqed import oracle
-from ico_cqed.oracle import MAX_N_MAX, _evolve_branches, _guard_population
+from ico_cqed.oracle import MAX_N_MAX, _evolve_branches, _guard_population, draw_table
 from ico_cqed.verify import random_params
 from helpers import (
     E,
     G,
     excitation_distribution,
+    grid_table,
     initial_atom_field_state,
+    jc_generator,
     max_amp_diff,
     window_groups,
 )
+
+
+def evolve_branches(draws, w):
+    """_evolve_branches on the draw table of (params, time) draws."""
+    return _evolve_branches(draw_table(draws), w)
 
 
 def full_state_vector(w, state):
@@ -45,7 +51,7 @@ def full_state_vector(w, state):
     return vec
 
 
-# ---------------------------------------------------------------- generator
+# ---------------------------------------------------------------- window and dense generator
 
 
 @pytest.mark.parametrize(
@@ -312,6 +318,34 @@ def test_engine_matches_oracle_on_wide_envelope():
         assert abs(sum(probs) - 1.0) < 1e-9
 
 
+def test_draw_table_holds_every_field_and_the_time(rng):
+    # one C-contiguous column per SystemParams field plus t, each the values
+    # of the draws in order; n and m as ints
+    draws = [(p, p.T1 + 0.5) for p in (random_params(rng) for _ in range(5))]
+    table = draw_table(draws)
+    names = [f.name for f in fields(SystemParams)]
+    assert list(table) == [*names, "t"]
+    for name in names:
+        assert table[name].tolist() == [getattr(p, name) for p, _ in draws], name
+    assert table["t"].tolist() == [t for _, t in draws]
+    assert table["n"].dtype == table["m"].dtype == int
+    assert all(column.dtype == float for name, column in table.items() if name not in ("n", "m"))
+    assert all(column.flags.c_contiguous and len(column) == 5 for column in table.values())
+
+
+def test_grid_table_equals_the_draw_table_of_its_params():
+    # the test-side table builder gives the columns draw_table gives for the
+    # SystemParams the grid stands for, bit for bit
+    grid = np.linspace(0.0, 9.0, 7)
+    table = grid_table(2 * grid, g=1.3, T=grid, theta=0.7, xi=0.2, chi=1.1, n=3, m=1)
+    expected = draw_table([(SystemParams(g=1.3, T=gt, theta=0.7, xi=0.2, chi=1.1, n=3, m=1), 2 * gt)
+                           for gt in grid.tolist()])
+    assert table.keys() == expected.keys()
+    for name, column in expected.items():
+        assert table[name].dtype == column.dtype
+        assert table[name].tobytes() == column.tobytes(), name
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_non_finite_time_is_refused(t):
     p = SystemParams(g=1.0, T=1.0, n=1, m=0)
@@ -371,14 +405,14 @@ def test_evolve_guard_rows_stay_empty(rng):
     tops = np.array([max(p.n, p.m) + 2 for p, _ in draws])
     for (p, t), top in zip(draws, tops):
         w = TruncationWindow.for_params(p)
-        assert max(_guard_population(_evolve_branches([(p, t)], w), top, w)) < 1e-12
+        assert max(_guard_population(evolve_branches([(p, t)], w), top, w)) < 1e-12
     groups = window_groups(draws)
     assert max(len(group) for _, group in groups) > 1
     for w, group in groups:
-        assert max(_guard_population(_evolve_branches(group, w), w.n_max, w)) < 1e-12
+        assert max(_guard_population(evolve_branches(group, w), w.n_max, w)) < 1e-12
     wide = TruncationWindow(int(tops.max()))
     assert len(set(tops.tolist())) > 1
-    assert max(_guard_population(_evolve_branches(draws, wide), tops, wide)) < 1e-12
+    assert max(_guard_population(evolve_branches(draws, wide), tops, wide)) < 1e-12
 
 
 def test_evolve_refuses_a_guard_row_leak_in_one_column(monkeypatch):
@@ -395,11 +429,11 @@ def test_evolve_refuses_a_guard_row_leak_in_one_column(monkeypatch):
             return out
         return leaky
 
-    assert max(_guard_population(_evolve_branches(draws, w), w.n_max, w)) == 0.0
+    assert max(_guard_population(evolve_branches(draws, w), w.n_max, w)) == 0.0
     for column in range(len(draws)):
         monkeypatch.setattr(oracle, "_rotate", leaky_in(column))
         with pytest.raises(TruncationOverflowError):
-            _evolve_branches(draws, w)
+            evolve_branches(draws, w)
 
 
 # ---------------------------------------------------------------- recombination and measurement

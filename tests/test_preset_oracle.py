@@ -2,7 +2,8 @@
 
 Each preset sweep is rebuilt through the oracle's batched chain: the
 1,001 grid points of a sweep evolve as one batch in oracle._evolve_branches,
-then recombine -> condition, the chain that verify and the PureState views
+from a draw table built from the grid without a SystemParams per point, then
+recombine -> condition, the chain that verify and the PureState views
 also run.  The observables are computed here with numpy, not through
 ico_cqed.observables, so the kernel and the observable column functions that
 write the preset CSVs are both checked against code they share nothing with.
@@ -19,11 +20,11 @@ from ico_cqed import (
     AtomicInversion,
     ControlProbabilityColumn,
     KetProbability,
-    SystemParams,
     TruncationWindow,
     run_sweep,
 )
 from ico_cqed.oracle import _evolve_branches, condition, recombine
+from helpers import grid_table
 
 TOL = 1e-9
 
@@ -36,10 +37,11 @@ def oracle_outcomes(cfg, grid):
     series = cfg.scenario.startswith("series")
     # a definite order is the control-j branch alone
     theta, varphi = (j * math.pi / 2, 0.0) if series else (cfg.theta, cfg.varphi)
-    draws = [(SystemParams(g=1.0, T=gt, theta=theta, varphi=varphi, xi=cfg.xi, chi=cfg.chi,
-                           n=cfg.n, m=cfg.m), 2 * gt) for gt in grid]
-    w = TruncationWindow.for_params(draws[0][0])
-    branches = _evolve_branches(draws, w)
+    grid = np.array(grid)
+    table = grid_table(2 * grid, g=1.0, T=grid, theta=theta, varphi=varphi, xi=cfg.xi,
+                       chi=cfg.chi, n=cfg.n, m=cfg.m)
+    w = TruncationWindow(max(cfg.n, cfg.m) + 2)
+    branches = _evolve_branches(table, w)
     amps, probs = condition(branches if series else recombine(branches), j)
     return w, amps.reshape(2, w.levels, w.levels, len(grid)), np.array(probs)
 

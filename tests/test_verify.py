@@ -6,6 +6,7 @@ views of that chain, against the ket-by-ket dict reference in helpers."""
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,7 +30,14 @@ from ico_cqed import (
 from ico_cqed import oracle, verify
 from ico_cqed.cli import main
 from ico_cqed.engine import OFFSETS, reachable_kets
-from ico_cqed.oracle import _evolve_branches, basis_excitations, condition, phase, recombine
+from ico_cqed.oracle import (
+    _evolve_branches,
+    basis_excitations,
+    condition,
+    draw_table,
+    phase,
+    recombine,
+)
 from ico_cqed.verify import (
     MAX_DRAWS,
     _amplitude_deviation,
@@ -40,6 +48,7 @@ from ico_cqed.verify import (
 from helpers import (
     E,
     G,
+    decoded_table,
     max_amp_diff,
     reference_draw,
     reference_hadamard_control,
@@ -97,10 +106,6 @@ def wide_draws(seed, count):
     return draws
 
 
-def photon_numbers(draws):
-    return np.array([(p.n, p.m) for p, _ in draws]).T
-
-
 def tight_rows(p, wide):
     """The rows of the wider window that hold the kets of p's own tight
     window, in the tight window's order."""
@@ -110,16 +115,21 @@ def tight_rows(p, wide):
 
 
 def matrix_chain(group, w):
-    """The oracle chain on a batch of draws on one window: per outcome j,
-    the phased conditional window vectors (atom_field_dim, N) and the N
-    probabilities."""
-    rows = recombine(_evolve_branches(group, w))
-    omega, times = [p.omega for p, _ in group], [t for _, t in group]
+    """The oracle chain on a batch of (params, time) draws on one window, run
+    on their draw table: per outcome j, the phased conditional window
+    vectors (atom_field_dim, N) and the N probabilities."""
+    table = draw_table(group)
+    rows = recombine(_evolve_branches(table, w))
     out = []
     for j in (0, 1):
         state, prob = condition(rows, j)
-        out.append((phase(state, omega, times, basis_excitations(w)), prob))
+        out.append((phase(state, table["omega"], table["t"], basis_excitations(w)), prob))
     return out
+
+
+def compare(draws):
+    """verify._compare on the draw table of (params, time) draws."""
+    return _compare(draw_table(draws))
 
 
 def test_chain_and_views_equal_dict_reference():
@@ -157,25 +167,27 @@ def test_batching_changes_no_bits():
     # the refused outcome 1 at gT = 0 and 3e-5 shares the batch with
     # accepted ones
     draws = seeded_draws(5, 240)
-    assert len(set(map(tuple, photon_numbers(draws).T.tolist()))) == 25
+    table = draw_table(draws)
+    assert len(set(zip(table["n"].tolist(), table["m"].tolist()))) == 25
     wide = TruncationWindow(max(max(p.n, p.m) for p, _ in draws) + 2)
-    branches = _evolve_branches(draws, wide)
+    branches = _evolve_branches(table, wide)
     batched = matrix_chain(draws, wide)
-    compared = _compare(draws)
+    compared = compare(draws)
     refused = 0
     for col, (p, t) in enumerate(draws):
         w = TruncationWindow.for_params(p)
         rows = tight_rows(p, wide)
         elsewhere = np.ones(wide.atom_field_dim, dtype=bool)
         elsewhere[rows] = False
-        assert branches[:, rows, col].tobytes() == _evolve_branches([(p, t)], w)[:, :, 0].tobytes()
+        alone = _evolve_branches(draw_table([(p, t)]), w)
+        assert branches[:, rows, col].tobytes() == alone[:, :, 0].tobytes()
         assert not branches[:, elsewhere, col].any()
         for (numeric, probs), (one, prob_one) in zip(batched, matrix_chain([(p, t)], w)):
             assert numeric[rows, col].tobytes() == one[:, 0].tobytes()
             assert not numeric[elsewhere, col].any()
             assert probs[col] == prob_one[0]
             refused += prob_one[0] < MIN_OUTCOME_PROBABILITY
-        for batch, one in zip(compared, _compare([(p, t)])):
+        for batch, one in zip(compared, compare([(p, t)])):
             assert batch[:, col].tolist() == one[:, 0].tolist()
     assert refused >= 2
 
@@ -185,7 +197,7 @@ def test_leak_at_a_small_draws_guard_row_is_refused_in_a_wide_window(monkeypatch
     # of n_max = 6 that its batch with the n = 4, m = 2 draw needs: a leak
     # there is refused, though the window's own top row stays empty
     small, large = SystemParams(g=1.0, T=1.0, n=1, m=0), SystemParams(g=1.0, T=1.0, n=4, m=2)
-    draws = [(large, large.T1 + large.T), (small, small.T1 + small.T)]
+    draws = draw_table([(large, large.T1 + large.T), (small, small.T1 + small.T)])
     wide = TruncationWindow(6)
     rotate = oracle._rotate
 
@@ -223,13 +235,12 @@ def test_grouped_closed_forms_equal_one_draw_calls():
     # that draw alone gives, which is also what general_postselect returns;
     # a row a draw does not reach is 0 in its column
     draws = seeded_draws(5, 240)
-    n, m = photon_numbers(draws)
-    amps, probs = _closed_forms(draws, n, m)
+    amps, probs = _closed_forms(draw_table(draws))
     assert [a.shape for a in amps] == [(len(OFFSETS), len(draws))] * 2
     assert probs.shape == (2, len(draws))
     refused = 0
     for col, (p, t) in enumerate(draws):
-        one, prob_one = _closed_forms([(p, t)], np.array([p.n]), np.array([p.m]))
+        one, prob_one = _closed_forms(draw_table([(p, t)]))
         rows_one, kets = reachable_kets(p.n, p.m)
         assert prob_one.tolist() == probs[:, [col]].tolist()
         for j in (0, 1):
@@ -284,6 +295,26 @@ def test_draws_beyond_max_are_refused_before_drawing(monkeypatch, capsys):
     assert captured.err.startswith(f"ico-cqed: draws: must lie in 1..{MAX_DRAWS}, got")
 
 
+def test_memory_per_draw_stays_as_stated(monkeypatch):
+    # MAX_DRAWS' comment: a tracemalloc peak of about 0.75 KB per draw plus
+    # under 1 MB for one chunk.  Checked at a lower cap, so that the test
+    # allocates little: the run at the cap stays under the bound, and so does
+    # what each draw adds over a run of a quarter of the cap.
+    cap = 1024
+    monkeypatch.setattr(verify, "MAX_DRAWS", cap)
+    run_verification(1, 64)  # the package's caches are not the run's memory
+    peaks = {}
+    for draws in (cap // 4, cap):
+        tracemalloc.start()
+        run_verification(1, draws)
+        peaks[draws] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peaks[cap] <= 750 * cap + 1_000_000
+    assert peaks[cap] - peaks[cap // 4] <= 750 * (cap - cap // 4)
+    with pytest.raises(ValueError, match=f"^draws: must lie in 1..{cap}, got {cap + 1}$"):
+        run_verification(1, cap + 1)
+
+
 def test_pass_report_prints_no_worst_draw():
     report = run_verification(seed=1, draws=20)
     assert report.passed
@@ -313,11 +344,11 @@ def test_failed_report_replays_worst_draw():
     for _ in range(40):
         q = random_params(rng)
         t_q = q.T1 + q.T + float(rng.uniform(0.0, 2.0))
-        analytic, _, deviation = _compare([(q, t_q)])
+        analytic, _, deviation = compare([(q, t_q)])
         per_draw.append(deviation[analytic >= MIN_OUTCOME_PROBABILITY].max())
     assert max(per_draw) == report.max_amplitude_deviation
     assert per_draw.index(max(per_draw)) == report.worst_draw == 35
-    _, _, deviation = _compare([(p, t)])
+    _, _, deviation = compare([(p, t)])
     assert deviation[report.worst_outcome, 0] == report.max_amplitude_deviation
     # and through the public PureState chain
     j = report.worst_outcome
@@ -347,7 +378,7 @@ def test_reduction_counts_compared_outcomes_and_names_first_worst(monkeypatch):
     report = run_verification(seed=1, draws=len(fixed), tolerance=0)
     analytic, numeric, deviation = (
         np.concatenate(side, axis=1)
-        for side in zip(*(_compare([(p, p.T1 + p.T + u)]) for p in fixed))
+        for side in zip(*(compare([(p, p.T1 + p.T + u)]) for p in fixed))
     )
     compared = analytic >= MIN_OUTCOME_PROBABILITY
     assert compared.tolist() == [[True] * 6, [False, True, True, True, True, False]]
@@ -377,19 +408,64 @@ def test_reports_equal_the_pinned_ones(capsys):
 
 def test_draws_follow_the_scalar_reference_stream(monkeypatch):
     # random_params and the time draw of run_verification give the draws of
-    # eleven scalar calls plus one, bit for bit
+    # eleven scalar calls plus one, bit for bit, and the chunks' tables
+    # hold them in order
     compared = []
 
-    def recording(drawn):
-        compared.extend(drawn)
-        return _compare(drawn)
+    def recording(table):
+        compared.append(table)
+        return _compare(table)
 
     monkeypatch.setattr(verify, "_compare", recording)
     for seed in range(30):
         compared.clear()
         run_verification(seed, 200)
         rng = np.random.default_rng(seed)
-        assert compared == [reference_draw(rng) for _ in range(200)], seed
+        expected = draw_table([reference_draw(rng) for _ in range(200)])
+        for name, column in expected.items():
+            drawn = np.concatenate([table[name] for table in compared])
+            assert drawn.dtype == column.dtype and drawn.tobytes() == column.tobytes(), (seed, name)
+
+
+def test_decoded_stream_equals_the_drawn_one():
+    # the numpy decoding of verify's stream that the trigonometry guard
+    # below reads gives the table of the scalar draws, bit for bit
+    rng = np.random.default_rng(7)
+    expected = draw_table([reference_draw(rng) for _ in range(200)])
+    decoded = decoded_table(7, 200)
+    assert decoded.keys() == expected.keys()
+    for name, column in expected.items():
+        assert decoded[name].dtype == column.dtype, name
+        assert np.ascontiguousarray(decoded[name]).tobytes() == column.tobytes(), name
+
+
+def test_numpy_trigonometry_equals_math_bit_for_bit():
+    # The oracle evaluates its angles with np.cos and np.sin where it used
+    # math.cos and math.sin; its bits, and so the pinned reports, rest on the
+    # two agreeing.  Checked on every angle the oracle takes in the pinned
+    # verify runs (the preparation angles, and each doublet's (g*sqrt(k+1))*t
+    # for k up to 5, as n, m <= 4) and on seeded angles in [0, 500), which
+    # hold those of the oracle_wide benchmark's windows.
+    runs = {}
+    for key in PINNED["reprs"]:
+        seed, draws = map(int, key.split(","))
+        runs[seed] = max(draws, runs.get(seed, 0))
+    angles = [np.random.default_rng(2024).uniform(0.0, 500.0, 20_000)]
+    for seed, draws in runs.items():
+        table = decoded_table(seed, draws)
+        rates = np.sqrt(np.arange(1.0, 7.0))[:, None] * table["g"]
+        for start in (table["T0"], table["T1"]):
+            clipped = np.minimum(np.maximum(table["t"] - start, 0.0), table["T"])
+            angles.append((rates * clipped).ravel())
+        angles += [table[name] for name in ("xi", "chi", "theta", "varphi")]
+    angles = np.concatenate(angles)
+    for name, fast, exact in (("cos", np.cos, math.cos), ("sin", np.sin, math.sin)):
+        differ = fast(angles) != np.array([exact(a) for a in angles.tolist()])
+        assert not differ.any(), (
+            f"np.{name} differs from math.{name} on {differ.sum()} of {differ.size} angles, "
+            f"first at {angles[differ][0]!r}: the oracle's bits rest on their equality, so on "
+            f"this host oracle._rotate and oracle._evolve_branches need math.cos and math.sin back"
+        )
 
 
 def test_chunk_seam_changes_no_report(monkeypatch):
@@ -397,11 +473,11 @@ def test_chunk_seam_changes_no_report(monkeypatch):
     default = repr(run_verification(5, 200, tolerance=0))
     sizes = []
 
-    def recording(drawn):
-        sizes.append(len(drawn))
-        return _compare(drawn)
+    def recording(table):
+        sizes.append({len(column) for column in table.values()})
+        return _compare(table)
 
     monkeypatch.setattr(verify, "_compare", recording)
     monkeypatch.setattr(verify, "_CHUNK", 7)
     assert repr(run_verification(5, 200, tolerance=0)) == default
-    assert sizes == [7] * 28 + [4]
+    assert sizes == [{7}] * 28 + [{4}]
