@@ -463,8 +463,9 @@ def test_numpy_trigonometry_equals_math_bit_for_bit():
         differ = fast(angles) != np.array([exact(a) for a in angles.tolist()])
         assert not differ.any(), (
             f"np.{name} differs from math.{name} on {differ.sum()} of {differ.size} angles, "
-            f"first at {angles[differ][0]!r}: the oracle's bits rest on their equality, so on "
-            f"this host oracle._rotate and oracle._evolve_branches need math.cos and math.sin back"
+            f"first at {float(angles[differ][0])!r}: the oracle's bits rest on their "
+            f"equality, so on this host oracle._rotate and oracle._evolve_branches need "
+            f"math.cos and math.sin back"
         )
 
 
