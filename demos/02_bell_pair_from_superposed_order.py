@@ -41,7 +41,7 @@ def main():
     print(f"atom found ground with probability {prob:.12f}")
     show_state("field pair", fields)
     rho = reduced_cavity0(fields)
-    print(f"  first-mode weights: {[float(rho.elements[i, i].real) for i in range(rho.dim)]}")
+    print(f"  first-mode weights: {[float(rho[i, i].real) for i in range(len(rho))]}")
     print(f"  linear entropy: {linear_entropy(rho):.12f} (maximum for two levels: 0.5)")
     print()
 

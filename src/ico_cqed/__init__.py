@@ -28,7 +28,6 @@ from .errors import (
     TruncationOverflowError,
 )
 from .observables import (
-    FieldDensityMatrix,
     condition_on_atom,
     ket_probability,
     linear_entropy,
@@ -84,7 +83,6 @@ __all__ = [
     "ControlProbabilityColumn",
     "DegenerateBranchError",
     "FIGURE_PRESETS",
-    "FieldDensityMatrix",
     "FieldsKet",
     "FigurePreset",
     "FlavorMismatchError",

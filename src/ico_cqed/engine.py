@@ -225,7 +225,6 @@ def grid_amplitudes(
         for x in (n, m, g, t_first, t_second, xi, chi, theta, varphi)
     )
     rates_n, rates_m = ((g * np.sqrt(k + 1.0), g * np.sqrt(k)) for k in (n, m))
-    negative = np.minimum(n + _DN, m + _DM) < 0
     size = np.broadcast(n, m, g, t_first, t_second, xi, chi, theta, varphi).size
     ce, se = np.cos(xi), np.exp(1j * chi) * np.sin(xi)
 
@@ -236,10 +235,6 @@ def grid_amplitudes(
         amps = np.zeros((len(OFFSETS), size), dtype=complex)
         for offset, slot in zip(slot_offsets, slots):
             amps[offset] = slot
-        # a slot has a zero-rate sin factor where its ket's photon number
-        # would be negative, so is 0 there
-        if amps.any(where=negative):
-            raise AssertionError("an order branch has weight on a negative-occupation ket")
         return prune_amplitudes(amps)
 
     if scenario == "series_C0C1":

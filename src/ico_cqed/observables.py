@@ -8,7 +8,6 @@ functions here to one column."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .states import (
     Ket,
     PureState,
     SystemParams,
-    check_whole,
     column_sums,
     normalize_columns,
 )
@@ -31,42 +29,20 @@ _E = AtomLevel.EXCITED
 _G = AtomLevel.GROUND
 
 
-@dataclass(frozen=True)
-class FieldDensityMatrix:
-    """Dense Hermitian density matrix of one cavity mode over a Fock window.
-
-    ``offset`` is the Fock index of the first row/column.  Construction
-    checks Hermiticity, unit trace, and positive semidefiniteness.
-    """
-
-    offset: int
-    elements: np.ndarray
-
-    def __post_init__(self) -> None:
-        el = np.asarray(self.elements, dtype=complex)
-        object.__setattr__(self, "elements", el)
-        if el.ndim != 2 or el.shape[0] != el.shape[1]:
-            raise ValueError(f"elements: must be a square matrix, got shape {el.shape}")
-        check_whole(self.offset, "offset", 0)
-        if float(np.max(np.abs(el - el.conj().T))) > 1e-12:
-            raise ValueError("density matrix must be Hermitian to 1e-12")
-        if abs(float(np.trace(el).real) - 1.0) > 1e-12:
-            raise ValueError("density matrix must have unit trace to 1e-12")
-        if float(np.linalg.eigvalsh(el).min()) < -1e-10:
-            raise ValueError("density matrix must be positive semidefinite")
-
-    @property
-    def dim(self) -> int:
-        return self.elements.shape[0]
+def _require(s: PureState, flavors: tuple, message: str) -> None:
+    """Refuse with FlavorMismatchError(message) anything but a PureState whose
+    flavor (None for the empty state) is one of ``flavors``."""
+    if not isinstance(s, PureState) or s.flavor not in flavors:
+        raise FlavorMismatchError(f"{message}, got {s!r:.80}")
 
 
 def ket_probability(s: PureState, ket: Ket) -> float:
     """Born probability of one basis ket, |amplitude|^2."""
-    if s.flavor is not None and type(ket) is not s.flavor:
+    if not isinstance(ket, Ket):
         raise FlavorMismatchError(
-            f"ket flavor {type(ket).__name__} does not match state flavor "
-            f"{s.flavor.__name__}"
-        )
+            f"ket: must be an AtomFieldKet, FieldsKet or FullKet, got {ket!r}")
+    flavor = type(ket)
+    _require(s, (flavor, None), f"ket_probability requires a state of flavor {flavor.__name__}")
     amp = s.amplitude(ket)
     return amp.real * amp.real + amp.imag * amp.imag
 
@@ -79,8 +55,7 @@ def condition_on_atom(s: PureState, a: AtomLevel) -> tuple[PureState, float]:
     """
     if not isinstance(a, AtomLevel):
         raise ValueError(f"atom level: must be an AtomLevel, got {a!r}")
-    if s.flavor is not AtomFieldKet:
-        raise FlavorMismatchError("condition_on_atom requires an atom-field state")
+    _require(s, (AtomFieldKet,), "condition_on_atom requires an atom-field state")
     items = s.items()
     # the other level's rows as zeros: an absent level has probability 0.0
     picked, prob = normalize_columns(np.array([[v if k.atom is a else 0j] for k, v in items]))
@@ -97,17 +72,17 @@ def _column(s: PureState) -> tuple[list, np.ndarray]:
     return kets, np.array([s.amplitude(k) for k in kets], dtype=complex).reshape(-1, 1)
 
 
-def _first_mode_rho(kets: list, amps: np.ndarray) -> tuple[int, np.ndarray]:
+def _first_mode_rho(kets: list, amps: np.ndarray) -> np.ndarray:
     """Partial trace over the second mode of each column of ``amps``, whose
-    row r is the amplitude on the Fock pair (kets[r].n, kets[r].m): the
-    lowest first-mode level lo and rho[i, j, col] = sum_m a(lo+i, m)
-    a*(lo+j, m) over the first-mode levels lo..hi."""
+    row r is the amplitude on the Fock pair (kets[r].n, kets[r].m):
+    rho[i, j, col] = sum_m a(lo+i, m) a*(lo+j, m) over the first-mode levels
+    lo..hi, lo the lowest one occupied."""
     lo = min(k.n for k in kets)
     ms = sorted({k.m for k in kets})
     psi = np.zeros((max(k.n for k in kets) - lo + 1, len(ms), amps.shape[1]), dtype=complex)
     for k, column in zip(kets, amps):
         psi[k.n - lo, ms.index(k.m)] = column
-    return lo, np.sum(psi[:, None] * psi.conj()[None, :], axis=2)
+    return np.sum(psi[:, None] * psi.conj()[None, :], axis=2)
 
 
 def _linear_entropy(rho: np.ndarray) -> np.ndarray:
@@ -132,32 +107,33 @@ def branch_entropy_columns(
     MIN_OUTCOME_PROBABILITY; the others give 0)."""
     rows = [i for i, k in enumerate(basis) if k.atom is atom]
     picked, prob = normalize_columns(amps[rows])
-    _, rho = _first_mode_rho([basis[i] for i in rows], picked)
+    rho = _first_mode_rho([basis[i] for i in rows], picked)
     return _linear_entropy(rho), prob >= MIN_OUTCOME_PROBABILITY
 
 
-def reduced_cavity0(fields: PureState) -> FieldDensityMatrix:
-    """Partial trace over the second mode of a normalized two-mode pure state.
-
-    Works on any support; the window spans the occupied first-mode levels.
-    """
-    if fields.flavor is not FieldsKet:
-        raise FlavorMismatchError("reduced_cavity0 requires a fields-only state")
-    lo, rho = _first_mode_rho(*_column(fields))
-    return FieldDensityMatrix(lo, rho[:, :, 0])
+def reduced_cavity0(fields: PureState) -> np.ndarray:
+    """Partial trace over the second mode of a normalized two-mode pure state,
+    as a (d, d) complex array: row and column i are first-mode level lo + i,
+    lo the lowest level the state occupies, and d spans the occupied levels."""
+    _require(fields, (FieldsKet,), "reduced_cavity0 requires a fields-only state")
+    return _first_mode_rho(*_column(fields))[:, :, 0]
 
 
-def linear_entropy(rho: FieldDensityMatrix) -> float:
+def linear_entropy(rho: np.ndarray) -> float:
     """1 - Tr(rho^2), clamped at 0: zero for pure states, 1 - 1/d for the
-    maximally mixed state on d levels."""
-    return float(_linear_entropy(rho.elements[:, :, None])[0])
+    maximally mixed state on d levels.  rho must be a finite, non-empty,
+    square matrix; it is not checked to be a density matrix."""
+    a = np.asarray(rho)
+    square = a.ndim == 2 and 0 < len(a) == a.shape[1]
+    if not (square and a.dtype.kind in "iufc" and np.isfinite(a).all()):
+        raise ValueError(f"rho: must be a finite square matrix, got {a.dtype} of shape {a.shape}")
+    return float(_linear_entropy(a[:, :, None])[0])
 
 
 def sigma_z_expectation(s: PureState) -> float:
     """Atomic inversion P(excited) - P(ground) read directly off an
     atom-field state; 0 for the empty state."""
-    if s.flavor is not AtomFieldKet and s.flavor is not None:
-        raise FlavorMismatchError("sigma_z_expectation requires an atom-field state")
+    _require(s, (AtomFieldKet, None), "sigma_z_expectation requires an atom-field state")
     if len(s) == 0:
         return 0.0
     return float(inversion_columns(*_column(s))[0])

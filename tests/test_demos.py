@@ -1,10 +1,12 @@
 """Guards for the demo scripts.  Every name a demo imports from the package
 must exist, so removing a public name cannot silently break a demo.  The
-fast demos also run end to end in a subprocess; demo 05 drives the matrix
-oracle's evolve against the closed forms."""
+fast demos also run end to end in a subprocess and must print exactly what
+tests/data/demo_stdout.json pins; demo 05 drives the matrix oracle's evolve
+against the closed forms."""
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -21,6 +23,7 @@ FAST_DEMOS = (
     "04_inversion_plateaus.py",
     "05_closed_form_vs_matrix_oracle.py",
 )
+PINNED_STDOUT = json.loads((ROOT / "tests" / "data" / "demo_stdout.json").read_text())
 
 
 def test_demos_are_found():
@@ -52,4 +55,4 @@ def test_fast_demo_runs(name):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip()
+    assert done.stdout == PINNED_STDOUT[name]

@@ -7,7 +7,6 @@ import pytest
 from ico_cqed import (
     AtomFieldKet,
     CavityOrder,
-    FieldDensityMatrix,
     FieldsKet,
     FlavorMismatchError,
     FullKet,
@@ -61,8 +60,36 @@ def test_ket_probability_sums_to_one(rng):
 
 
 def test_ket_probability_flavor_guard():
-    with pytest.raises(FlavorMismatchError):
+    with pytest.raises(FlavorMismatchError, match="^ket_probability requires a state of flavor"):
         ket_probability(series_state(1.0), FieldsKet(0, 0))
+
+
+@pytest.mark.parametrize(
+    "state", [PureState(), PureState({FieldsKet(0, 1): 1.0})], ids=["empty", "fields"]
+)
+@pytest.mark.parametrize("junk", ["junk", None, (0, 1), 0], ids=["str", "None", "tuple", "int"])
+def test_ket_probability_refuses_a_non_ket(state, junk):
+    # the empty state, too, which holds every ket with probability 0
+    with pytest.raises(FlavorMismatchError, match="^ket: must be an AtomFieldKet, FieldsKet or"):
+        ket_probability(state, junk)
+    assert ket_probability(state, FieldsKet(0, 0)) == 0.0
+
+
+STATE_CALLS = {
+    "ket_probability": lambda s: ket_probability(s, FieldsKet(0, 0)),
+    "condition_on_atom": lambda s: condition_on_atom(s, E),
+    "reduced_cavity0": reduced_cavity0,
+    "sigma_z_expectation": sigma_z_expectation,
+}
+
+
+@pytest.mark.parametrize("name", STATE_CALLS)
+@pytest.mark.parametrize(
+    "junk", ["abc", None, {FieldsKet(0, 0): 1.0}, 0.5], ids=["str", "None", "dict", "float"]
+)
+def test_observables_refuse_a_non_state(name, junk):
+    with pytest.raises(FlavorMismatchError, match=f"^{name} requires .*, got "):
+        STATE_CALLS[name](junk)
 
 
 def test_sigma_z_expectation_takes_atom_field_states_only():
@@ -129,16 +156,16 @@ def test_condition_on_atom_product_state():
 
 def test_reduced_product_state_is_rank_one():
     rho = reduced_cavity0(PureState({FieldsKet(3, 5): 1.0}))
-    assert rho.offset == 3
-    assert rho.dim == 1
-    assert rho.elements[0, 0] == 1.0
+    assert type(rho) is np.ndarray and rho.dtype == complex
+    assert rho.shape == (1, 1)
+    assert rho[0, 0] == 1.0
     assert linear_entropy(rho) < 1e-15
 
 
 def test_reduced_bell_is_maximally_mixed():
     bell = PureState({FieldsKet(0, 1): 1 / math.sqrt(2), FieldsKet(1, 0): 1 / math.sqrt(2)})
     rho = reduced_cavity0(bell)
-    assert np.allclose(rho.elements, np.diag([0.5, 0.5]), atol=1e-14)
+    assert np.allclose(rho, np.diag([0.5, 0.5]), atol=1e-14)
     assert abs(linear_entropy(rho) - 0.5) < 1e-14
 
 
@@ -155,7 +182,7 @@ def test_reduced_series_excited_slice_is_diagonal(rng):
         sn = math.sin(math.sqrt(2) * gt) ** 2 * math.sin(gt) ** 2
         weights = np.array([cn, sn]) / (cn + sn)
         # weights attach to photon numbers n and n+1 in the first mode
-        assert np.allclose(rho.elements, np.diag(weights), atol=1e-12)
+        assert np.allclose(rho, np.diag(weights), atol=1e-12)
 
 
 def _ico_reduced_reference(p, omega_t, branch):
@@ -219,25 +246,71 @@ def test_reduced_ico_matches_transcribed_matrices(rng, branch):
         except ImpossiblePostselectionError:
             continue
         rho = reduced_cavity0(fields)
-        assert rho.offset == 1
+        # row 0 of the reference is first-mode level 1, the lowest occupied
+        assert min(k.n for k in fields.kets()) == 1
         ref = _ico_reduced_reference(p, omega_t, branch)
-        assert np.max(np.abs(rho.elements - ref)) < 1e-12
+        assert np.max(np.abs(rho - ref)) < 1e-12
 
 
-def test_density_matrix_validation():
-    with pytest.raises(ValueError):
-        FieldDensityMatrix(0, np.array([[0.5, 0.5], [0.0, 0.5]]))  # not Hermitian
-    with pytest.raises(ValueError):
-        FieldDensityMatrix(0, np.diag([0.5, 0.4]))  # trace short of one
-    with pytest.raises(ValueError):
-        FieldDensityMatrix(0, np.array([[1.5, 0.0], [0.0, -0.5]]))  # negative weight
+def _invariant_states(rng):
+    """Seeded two-mode field states with n, m <= 5: every product state, the
+    Bell pair, and the atom-conditioned series and ico branches."""
+    yield from (PureState({FieldsKet(n, m): 1.0}) for n in range(6) for m in range(6))
+    yield PureState({FieldsKet(0, 1): 1 / math.sqrt(2), FieldsKet(1, 0): 1 / math.sqrt(2)})
+    for _ in range(40):
+        n, m = (int(k) for k in rng.integers(0, 6, 2))
+        gt, xi, chi, omega_t = (float(x) for x in rng.uniform(0, [10, 1.5, 6, 7]))
+        p = balanced(gt, xi=xi, chi=chi, n=n, m=m)
+        for st in (series_state(gt, n=n, m=m), ico_postselected_state(0, p, omega_t)):
+            for branch in (E, G):
+                try:
+                    yield condition_on_atom(st, branch)[0]
+                except ImpossiblePostselectionError:
+                    pass
+
+
+def test_reduced_matrix_is_a_density_matrix(rng):
+    # Hermitian, unit trace and positive semidefinite to the thresholds a
+    # density-matrix type once checked on every call; row i is level lo + i
+    count = 0
+    for fields in _invariant_states(rng):
+        rho = reduced_cavity0(fields)
+        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
+        assert abs(np.trace(rho).real - 1.0) <= 1e-12
+        assert np.linalg.eigvalsh(rho).min() >= -1e-10
+        lo = min(k.n for k in fields.kets())
+        weights = np.zeros(len(rho))
+        for k, a in fields.items():
+            weights[k.n - lo] += abs(a) ** 2
+        assert np.allclose(rho.diagonal().real, weights, atol=1e-14, rtol=0)
+        count += 1
+    assert count > 150
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [
+        [[math.nan]],
+        np.diag([0.5, math.inf]),
+        np.full((2, 3), 1 / 3),
+        np.array([0.5, 0.5]),
+        np.full((2, 2, 2), 0.25),
+        "abc",
+        np.zeros((0, 0)),
+    ],
+    ids=["nan", "inf", "2x3", "1-d", "3-d", "str", "0x0"],
+)
+def test_linear_entropy_refuses_a_non_matrix(rho):
+    with pytest.raises(ValueError, match="^rho: must be a finite square matrix, got "):
+        linear_entropy(rho)
 
 
 def test_linear_entropy_values():
-    assert linear_entropy(FieldDensityMatrix(0, np.diag([1.0]))) == 0.0
-    assert abs(linear_entropy(FieldDensityMatrix(0, np.diag([0.5, 0.5]))) - 0.5) < 1e-15
+    assert linear_entropy(np.diag([1.0])) == 0.0
+    assert abs(linear_entropy(np.diag([0.5, 0.5])) - 0.5) < 1e-15
     third = np.diag([1 / 3] * 3)
-    assert abs(linear_entropy(FieldDensityMatrix(0, third)) - 2 / 3) < 1e-15
+    assert abs(linear_entropy(third) - 2 / 3) < 1e-15
+    assert linear_entropy([[1]]) == 0.0
 
 
 def test_entropy_report_bounds():

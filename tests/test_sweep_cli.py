@@ -1,7 +1,9 @@
+import hashlib
 import json
 import math
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -410,6 +412,22 @@ def test_cli_figure_writes_csv_and_sidecar(tmp_path):
     meta = json.loads((tmp_path / "fig4b.csv.meta.json").read_text())
     assert meta["figure"] == "fig4b"
     assert len(meta["sweeps"]) == 2
+
+
+def test_cli_presets_match_the_pinned_bytes(tmp_path):
+    # SHA-256 of every preset's CSV and sidecar, as `ico-cqed figure ID --out`
+    # writes them; the sidecar records library_version, so a version bump
+    # changes its pin
+    pinned = json.loads((Path(__file__).parent / "data" / "preset_sha256.json").read_text())
+    assert sorted(pinned) == sorted(FIGURE_PRESETS)
+    for figure_id, want in pinned.items():
+        out = tmp_path / f"{figure_id}.csv"
+        assert main(["figure", figure_id, "--out", str(out)]) == 0
+        got = {
+            "csv": hashlib.sha256(out.read_bytes()).hexdigest(),
+            "meta": hashlib.sha256((tmp_path / f"{figure_id}.csv.meta.json").read_bytes()).hexdigest(),
+        }
+        assert got == want, figure_id
 
 
 def test_cli_sweep_runs_config_file(tmp_path, capsys):

@@ -34,6 +34,7 @@ from ico_cqed import (
     run_sweep,
     sigma_z_expectation,
 )
+from ico_cqed import engine
 from ico_cqed.engine import OFFSETS, grid_amplitudes, measurement_phase, reachable_kets
 from ico_cqed.sweep import SCENARIOS
 from helpers import E, G, scalar_postselect, scalar_state_after_both
@@ -183,6 +184,39 @@ def test_cells_are_plain_floats_or_none(scenario):
     cells = [v for row in table.rows for v in row]
     assert None in cells
     assert all(v is None or type(v) is float for v in cells)
+
+
+def test_slots_of_negative_occupation_kets_are_exactly_zero():
+    # a slot whose ket would hold -1 photons carries the sine of a zero
+    # doublet rate, so is 0.0 itself before any pruning, not merely below
+    # PRUNE_EPSILON: n = 0 and m = 0, both orders, array and scalar forms
+    rng = np.random.default_rng(29)
+    size = 40
+    g = rng.uniform(0.5, 2.0, size)
+    t_first = rng.uniform(0.0, 10.0, size) / g
+    t_second = t_first * rng.uniform(0.0, 1.0, size)
+    xi, chi = rng.uniform(0.0, math.pi / 2, size), rng.uniform(0.0, 2 * math.pi, size)
+    ce, se = np.cos(xi), np.exp(1j * chi) * np.sin(xi)
+    fills = [(0, 0)] + [(0, k) for k in range(1, 6)] + [(k, 0) for k in range(1, 6)]
+    checked = 0
+    for n, m in fills:
+        rates_n, rates_m = ((g * np.sqrt(k + 1.0), g * np.sqrt(float(k))) for k in (n, m))
+        orders = ((engine._LAYOUT_FIRST_C0, rates_n, rates_m),
+                  (engine._LAYOUT_FIRST_C1, rates_m, rates_n))
+        for layout, first, second in orders:
+            slots = engine._slot_amplitudes(np, first, second, t_first, t_second, ce, se)
+            points = [
+                engine._slot_amplitudes(math, (first[0][i], first[1][i]),
+                                        (second[0][i], second[1][i]), t_first[i],
+                                        t_second[i], ce[i], se[i])
+                for i in range(0, size, 8)
+            ]
+            for s, (_, dn, dm) in enumerate(layout):
+                if n + dn < 0 or m + dm < 0:
+                    assert (slots[s] == 0.0).all()
+                    assert all(point[s] == 0.0 for point in points)
+                    checked += 1
+    assert checked == 2 * 4 + 10 * 2 * 2
 
 
 def test_entropy_cells_are_never_negative():
