@@ -2,8 +2,9 @@
 closed-form kernel (engine.grid_amplitudes) is checked against, the
 balanced-control formulas built on the slot amplitudes (the order overlap,
 P(j) and the conditional inversion) and the ket-by-ket dict reference for
-the oracle's recombine -> condition -> phase chain, and the scalar draws
-of verify's parameter stream."""
+the oracle's recombine -> condition -> phase chain, the scalar draws of
+verify's parameter stream, and the seeded sweep configs whose CLI output
+tests/data/sweep_sha256.json pins."""
 
 import cmath
 import math
@@ -25,6 +26,7 @@ from ico_cqed import (
     coeffs_s,
 )
 from ico_cqed import verify
+from ico_cqed.sweep import SCENARIOS
 from ico_cqed.states import check_outcome
 
 E = AtomLevel.EXCITED
@@ -353,3 +355,45 @@ def reference_figure_table(preset, tables):
             row.extend(table.rows[i][1:])
         rows.append(tuple(row))
     return tuple(columns), tuple(rows)
+
+
+#: Seeded sweep configs pinned by tests/data/sweep_sha256.json.
+SEEDED_SWEEPS = 40
+
+
+def seeded_sweep_config(index: int) -> dict:
+    """JSON config ``index`` of the pinned seeded sweeps: the four scenarios
+    in turn, random preparation angles and omega_t, n and m in 0..8, every
+    quantity kind in a random order (two ket_prob columns within a photon of
+    (n, m), some unreachable), and a 101-point grid.  Every eighth config is
+    an ico_j1 sweep from gT = 0 with the balanced control preparation, whose
+    first row has empty cells."""
+    rng = np.random.default_rng(index)
+    scenario = SCENARIOS[index % len(SCENARIOS)]
+    n, m = (int(v) for v in rng.integers(0, 9, size=2))
+    quantities = [
+        {"kind": "ket_prob", "atom": "eg"[a], "n": max(n + dn, 0), "m": max(m + dm, 0)}
+        for a, dn, dm in rng.integers((0, -1, -1), (2, 3, 3), size=(2, 3)).tolist()
+    ]
+    quantities += [{"kind": "sigma_z"}, {"kind": "entropy", "atom_branch": "e"},
+                   {"kind": "entropy", "atom_branch": "g"}]
+    if scenario.startswith("ico"):
+        quantities.append({"kind": "control_prob"})
+    step = float(rng.choice([0.01, 0.05, 0.1, 0.2]))
+    cfg = {
+        "scenario": scenario,
+        "quantities": [quantities[i] for i in rng.permutation(len(quantities))],
+        "n": n,
+        "m": m,
+        "theta": float(rng.uniform(0.0, math.pi / 2)),
+        "varphi": float(rng.uniform(0.0, 2 * math.pi)),
+        "xi": float(rng.uniform(0.0, math.pi / 2)),
+        "chi": float(rng.uniform(0.0, 2 * math.pi)),
+        "omega_t": float(rng.uniform(-10.0, 10.0)),
+        "gT_start": float(rng.uniform(0.0, 2.0)),
+        "gT_step": step,
+    }
+    if index % 8 == 7:
+        cfg.update(theta=math.pi / 4, varphi=0.0, gT_start=0.0)
+    cfg["gT_stop"] = cfg["gT_start"] + 100 * step
+    return cfg

@@ -168,6 +168,7 @@ def test_generated_config_runs_or_names_a_junk_field(tmp_path_factory, drawn):
     else:
         assert not refused, f"config with an unknown key or too many quantities accepted: {data}"
         assert len(grid_points(cfg)) <= 11
+        assert config_from_dict(cfg.to_dict()) == cfg
         accepted = True
     path = tmp_path_factory.getbasetemp() / "config.json"
     path.write_text(text)

@@ -25,7 +25,7 @@ from ico_cqed import (
 from ico_cqed import sweep
 from ico_cqed.cli import main
 from ico_cqed.sweep import FIGURE_PRESETS, MAX_GRID_POINTS, meta_json
-from helpers import E, G
+from helpers import E, G, SEEDED_SWEEPS, seeded_sweep_config
 
 
 def pk(label, n, m):
@@ -110,6 +110,72 @@ def test_quantity_entry_refuses_an_unknown_key():
     with pytest.raises(ConfigError, match=r"^quantities\[0\]: unknown field 'atom'$"):
         config_from_dict(data)
 
+
+
+def _in_config(entry) -> dict:
+    return {"scenario": "ico_j0", "quantities": [{"kind": "sigma_z"}, entry]}
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"kind": "ket_prob", "atom": "e", "n": 0},
+         "quantities[1]: ket_prob needs atom ('e'|'g'), n, m ('m')"),
+        ({"kind": "ket_prob", "atom": "q", "n": 0, "m": 0},
+         "quantities[1]: ket_prob needs atom ('e'|'g'), n, m "
+         "(unknown atom level 'q', expected 'e' or 'g')"),
+        ({"kind": "ket_prob", "atom": "q", "n": 0},
+         "quantities[1]: ket_prob needs atom ('e'|'g'), n, m "
+         "(unknown atom level 'q', expected 'e' or 'g')"),
+        ({"kind": "ket_prob", "atom": ["e"], "n": 0, "m": 0},
+         "quantities[1]: ket_prob needs atom ('e'|'g'), n, m "
+         "(unknown atom level ['e'], expected 'e' or 'g')"),
+        ({"kind": "ket_prob", "atom": "g", "n": -1, "m": 0},
+         "quantities[1]: ket_prob needs atom ('e'|'g'), n, m "
+         "(n: must lie in 0..9007199254740991, got -1)"),
+        ({"kind": "ket_prob", "atom": "e", "n": True, "m": 0},
+         "quantities[1]: ket_prob needs atom ('e'|'g'), n, m (n: must be an integer, got True)"),
+        ({"kind": "ket_prob", "atom": "e", "n": 0, "m": 2**53},
+         "quantities[1]: ket_prob needs atom ('e'|'g'), n, m "
+         "(m: must lie in 0..9007199254740991, got 9007199254740992)"),
+        ({"kind": "entropy"}, "quantities[1]: entropy needs atom_branch ('e'|'g') ('atom_branch')"),
+        ({"kind": "entropy", "atom_branch": "x"},
+         "quantities[1]: entropy needs atom_branch ('e'|'g') "
+         "(unknown atom level 'x', expected 'e' or 'g')"),
+        ({"kind": "sigma_z", "atom": "e"}, "quantities[1]: unknown field 'atom'"),
+        ({"kind": "control_prob", "n": 0}, "quantities[1]: unknown field 'n'"),
+        ({"kind": "ket_prob", "atom": "e", "n": 0, "m": 0, "b": 1, "a": 1},
+         "quantities[1]: unknown field 'a'"),
+        ({"kind": "nope"}, "quantities[1].kind: unknown quantity kind 'nope'"),
+        ({"atom": "e"}, "quantities[1].kind: unknown quantity kind None"),
+        (["ket_prob"], "quantities[1]: expected an object with a 'kind' field"),
+    ],
+    ids=["ket_prob missing m", "ket_prob bad atom", "ket_prob bad atom and missing m",
+         "ket_prob list atom", "ket_prob negative n", "ket_prob bool n", "ket_prob huge m",
+         "entropy missing atom_branch", "entropy bad label", "sigma_z extra key",
+         "control_prob extra key", "ket_prob two extra keys", "unknown kind", "no kind",
+         "not an object"],
+)
+def test_quantity_refusals_read_exactly(entry, message):
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(_in_config(entry))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: KetProbability("e", 0, 0), "atom: must be an AtomLevel, got 'e'"),
+        (lambda: KetProbability(E, -1, 0), "n: must lie in 0..9007199254740991, got -1"),
+        (lambda: KetProbability(E, 0, 1.0), "m: must be an integer, got 1.0"),
+        (lambda: BranchEntropy("g"), "atom_branch: must be an AtomLevel, got 'g'"),
+    ],
+    ids=["label atom", "negative n", "float m", "label atom_branch"],
+)
+def test_quantity_constructor_refusals_read_exactly(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
 
 NON_FINITE = [
     ("gT_start", math.nan),
@@ -423,11 +489,33 @@ def test_cli_presets_match_the_pinned_bytes(tmp_path):
     for figure_id, want in pinned.items():
         out = tmp_path / f"{figure_id}.csv"
         assert main(["figure", figure_id, "--out", str(out)]) == 0
-        got = {
-            "csv": hashlib.sha256(out.read_bytes()).hexdigest(),
-            "meta": hashlib.sha256((tmp_path / f"{figure_id}.csv.meta.json").read_bytes()).hexdigest(),
-        }
-        assert got == want, figure_id
+        assert written_sha256(out) == want, figure_id
+
+
+def written_sha256(out: Path) -> dict:
+    """SHA-256 of a CSV the CLI wrote with --out and of its sidecar."""
+    sidecar = Path(str(out) + ".meta.json")
+    return {"csv": hashlib.sha256(out.read_bytes()).hexdigest(),
+            "meta": hashlib.sha256(sidecar.read_bytes()).hexdigest()}
+
+
+def test_cli_seeded_sweeps_match_the_pinned_bytes(tmp_path):
+    # no preset has a control_prob column, xi != 0 or ico_j1: these pin the
+    # CLI's output for helpers.seeded_sweep_config, as `ico-cqed sweep
+    # --config C --out F` writes it; a library_version bump changes the
+    # sidecar pins
+    pinned = json.loads((Path(__file__).parent / "data" / "sweep_sha256.json").read_text())
+    assert sorted(pinned, key=int) == [str(i) for i in range(SEEDED_SWEEPS)]
+    empty_rows = 0
+    for index, want in pinned.items():
+        config, out = tmp_path / f"{index}.json", tmp_path / f"{index}.csv"
+        config.write_text(json.dumps(seeded_sweep_config(int(index))))
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 102, index
+        empty_rows += ",," in lines[1] or lines[1].endswith(",")
+        assert written_sha256(out) == want, index
+    assert empty_rows == SEEDED_SWEEPS // 8  # the balanced ico_j1 sweeps from gT = 0
 
 
 def test_cli_sweep_runs_config_file(tmp_path, capsys):
