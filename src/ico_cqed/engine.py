@@ -91,14 +91,12 @@ def coeffs_s(p: SystemParams, tau: float) -> tuple:
 
 # Basis layout per order: (atom level, photon shift in the first mode,
 # photon shift in the second mode) of each slot, relative to the initial (n, m).
+# The C1-first order is the C0-first one with the two modes exchanged.
 _LAYOUT_FIRST_C0 = (
     (_E, 0, 0), (_E, -1, 0), (_G, 0, +1), (_G, -1, +1),
     (_E, 0, -1), (_E, +1, -1), (_G, 0, 0), (_G, +1, 0),
 )
-_LAYOUT_FIRST_C1 = (
-    (_E, 0, 0), (_E, 0, -1), (_G, +1, 0), (_G, +1, -1),
-    (_E, -1, 0), (_E, -1, +1), (_G, 0, 0), (_G, 0, +1),
-)
+_LAYOUT_FIRST_C1 = tuple((atom, dm, dn) for atom, dn, dm in _LAYOUT_FIRST_C0)
 #: The ten offsets both orders reach, the basis of grid_amplitudes.  Sorted,
 #: they name the kets at any fixed (n, m) in AtomFieldKet order.
 OFFSETS = tuple(sorted(set(_LAYOUT_FIRST_C0) | set(_LAYOUT_FIRST_C1)))

@@ -21,6 +21,7 @@ from .states import (
     Ket,
     PureState,
     SystemParams,
+    check_state,
     column_sums,
     normalize_columns,
 )
@@ -29,20 +30,13 @@ _E = AtomLevel.EXCITED
 _G = AtomLevel.GROUND
 
 
-def _require(s: PureState, flavors: tuple, message: str) -> None:
-    """Refuse with FlavorMismatchError(message) anything but a PureState whose
-    flavor (None for the empty state) is one of ``flavors``."""
-    if not isinstance(s, PureState) or s.flavor not in flavors:
-        raise FlavorMismatchError(f"{message}, got {s!r:.80}")
-
-
 def ket_probability(s: PureState, ket: Ket) -> float:
     """Born probability of one basis ket, |amplitude|^2."""
     if not isinstance(ket, Ket):
         raise FlavorMismatchError(
             f"ket: must be an AtomFieldKet, FieldsKet or FullKet, got {ket!r}")
     flavor = type(ket)
-    _require(s, (flavor, None), f"ket_probability requires a state of flavor {flavor.__name__}")
+    check_state(s, (flavor, None), f"ket_probability requires a state of flavor {flavor.__name__}")
     amp = s.amplitude(ket)
     return amp.real * amp.real + amp.imag * amp.imag
 
@@ -55,7 +49,7 @@ def condition_on_atom(s: PureState, a: AtomLevel) -> tuple[PureState, float]:
     """
     if not isinstance(a, AtomLevel):
         raise ValueError(f"atom level: must be an AtomLevel, got {a!r}")
-    _require(s, (AtomFieldKet,), "condition_on_atom requires an atom-field state")
+    check_state(s, (AtomFieldKet,), "condition_on_atom requires an atom-field state")
     items = s.items()
     # the other level's rows as zeros: an absent level has probability 0.0
     picked, prob = normalize_columns(np.array([[v if k.atom is a else 0j] for k, v in items]))
@@ -115,7 +109,7 @@ def reduced_cavity0(fields: PureState) -> np.ndarray:
     """Partial trace over the second mode of a normalized two-mode pure state,
     as a (d, d) complex array: row and column i are first-mode level lo + i,
     lo the lowest level the state occupies, and d spans the occupied levels."""
-    _require(fields, (FieldsKet,), "reduced_cavity0 requires a fields-only state")
+    check_state(fields, (FieldsKet,), "reduced_cavity0 requires a fields-only state")
     return _first_mode_rho(*_column(fields))[:, :, 0]
 
 
@@ -133,7 +127,7 @@ def linear_entropy(rho: np.ndarray) -> float:
 def sigma_z_expectation(s: PureState) -> float:
     """Atomic inversion P(excited) - P(ground) read directly off an
     atom-field state; 0 for the empty state."""
-    _require(s, (AtomFieldKet, None), "sigma_z_expectation requires an atom-field state")
+    check_state(s, (AtomFieldKet, None), "sigma_z_expectation requires an atom-field state")
     if len(s) == 0:
         return 0.0
     return float(inversion_columns(*_column(s))[0])

@@ -25,11 +25,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import (
-    FlavorMismatchError,
-    ImpossiblePostselectionError,
-    TruncationOverflowError,
-)
+from .errors import ImpossiblePostselectionError, TruncationOverflowError
 from .states import (
     MIN_OUTCOME_PROBABILITY,
     AtomFieldKet,
@@ -39,6 +35,7 @@ from .states import (
     SystemParams,
     check_outcome,
     check_real,
+    check_state,
     check_whole,
     prune_amplitudes,
 )
@@ -311,8 +308,7 @@ def basis_excitations(w: TruncationWindow) -> np.ndarray:
 
 def _control_rows(s: PureState, caller: str) -> tuple[list[AtomFieldKet], np.ndarray]:
     """The atom-field kets of a full-flavor state and its (2, K) control rows."""
-    if s.flavor is not FullKet and s.flavor is not None:
-        raise FlavorMismatchError(f"{caller} requires a full-flavor state")
+    check_state(s, (FullKet, None), f"{caller} requires a full-flavor state")
     column: dict[AtomFieldKet, int] = {}
     rows = np.zeros((2, len(s)), dtype=complex)
     for ket, amp in s.items():
@@ -347,8 +343,7 @@ def schrodinger_phase(s: PureState, omega: float, t: float) -> PureState:
     """phase, for finite reals omega and t, on an atom-field state;
     norm-preserving."""
     omega, t = check_real(omega, "omega"), check_real(t, "t")
-    if s.flavor is not AtomFieldKet and s.flavor is not None:
-        raise FlavorMismatchError("schrodinger_phase requires an atom-field state")
+    check_state(s, (AtomFieldKet, None), "schrodinger_phase requires an atom-field state")
     items = s.items()
     kets = [k for k, _ in items]
     amps = np.array([a for _, a in items], dtype=complex)[:, None]

@@ -10,6 +10,7 @@ identically (sin(0) factors and the like) never clutter the support.
 
 Scalar inputs are checked by ``check_whole`` (ints) and ``check_real`` (finite
 reals); a refusal is a ValueError starting "<field>: ", as a ConfigError does.
+``check_state`` refuses a non-state or a wrong flavor with FlavorMismatchError.
 """
 
 from __future__ import annotations
@@ -131,6 +132,12 @@ def check_outcome(j: int) -> None:
     """A control outcome is the int 0 or 1; bools and floats are refused."""
     if isinstance(j, bool) or not isinstance(j, int) or j not in (0, 1):
         raise ValueError(f"control outcome: must be 0 or 1, got {j!r}")
+
+
+def check_state(s, flavors: tuple, message: str) -> None:
+    """Refuse all but a PureState whose flavor (None if empty) is in ``flavors``."""
+    if not isinstance(s, PureState) or s.flavor not in flavors:
+        raise FlavorMismatchError(f"{message}, got {s!r:.80}")
 
 
 @dataclass(frozen=True, order=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import Union
+from typing import Union, get_args, get_type_hints
 
 import numpy as np
 
@@ -22,12 +22,10 @@ from .errors import ConfigError
 from .observables import branch_entropy_columns, inversion_columns
 from .states import (
     MIN_OUTCOME_PROBABILITY,
-    PHOTON_LIMIT,
     AtomFieldKet,
     AtomLevel,
     check_preparation,
     check_real,
-    check_whole,
 )
 
 _E = AtomLevel.EXCITED
@@ -44,32 +42,43 @@ MAX_GRID_POINTS = 1_000_000
 MAX_QUANTITIES = 16
 
 
+class _Column:
+    """A quantity kind: ``kind`` names it in a config, whose entry for it
+    holds "kind" and the kind's fields, an AtomLevel field by its label."""
+
+    def to_dict(self) -> dict:
+        out = {"kind": self.kind}
+        for name, level in _KINDS[self.kind][1].items():
+            value = getattr(self, name)
+            out[name] = value.label if level else value
+        return out
+
+
 @dataclass(frozen=True)
-class KetProbability:
+class KetProbability(_Column):
     """Column: probability of one atom-field basis ket."""
 
+    kind = "ket_prob"
     atom: AtomLevel
     n: int
     m: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.atom, AtomLevel):
-            raise ConfigError(f"atom: must be an AtomLevel, got {self.atom!r}")
-        check_whole(self.n, "n", 0, PHOTON_LIMIT)
-        check_whole(self.m, "m", 0, PHOTON_LIMIT)
+        try:
+            AtomFieldKet(self.atom, self.n, self.m)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     @property
     def column_id(self) -> str:
         return f"P({self.atom.label},{self.n},{self.m})"
 
-    def to_dict(self) -> dict:
-        return {"kind": "ket_prob", "atom": self.atom.label, "n": self.n, "m": self.m}
-
 
 @dataclass(frozen=True)
-class BranchEntropy:
+class BranchEntropy(_Column):
     """Column: first-mode linear entropy after conditioning on the atom level."""
 
+    kind = "entropy"
     atom_branch: AtomLevel
 
     def __post_init__(self) -> None:
@@ -80,40 +89,29 @@ class BranchEntropy:
     def column_id(self) -> str:
         return f"S_L({self.atom_branch.label})"
 
-    def to_dict(self) -> dict:
-        return {"kind": "entropy", "atom_branch": self.atom_branch.label}
-
 
 @dataclass(frozen=True)
-class AtomicInversion:
+class AtomicInversion(_Column):
     """Column: direct expectation of the atomic inversion."""
 
-    @property
-    def column_id(self) -> str:
-        return "sigma_z"
-
-    def to_dict(self) -> dict:
-        return {"kind": "sigma_z"}
+    kind = column_id = "sigma_z"
 
 
 @dataclass(frozen=True)
-class ControlProbabilityColumn:
+class ControlProbabilityColumn(_Column):
     """Column: probability of the scenario's control outcome (ico only)."""
 
-    @property
-    def column_id(self) -> str:
-        return "control_prob"
-
-    def to_dict(self) -> dict:
-        return {"kind": "control_prob"}
+    kind = column_id = "control_prob"
 
 
 Quantity = Union[KetProbability, BranchEntropy, AtomicInversion, ControlProbabilityColumn]
 
-
-#: The fields of each quantity kind besides "kind".
-_QUANTITY_FIELDS = {"ket_prob": {"atom", "n", "m"}, "entropy": {"atom_branch"},
-                    "sigma_z": set(), "control_prob": set()}
+#: Each quantity kind's class and its fields in order, each mapped to whether
+#: it is an AtomLevel.
+_KINDS = {
+    cls.kind: (cls, {f.name: get_type_hints(cls)[f.name] is AtomLevel for f in fields(cls)})
+    for cls in get_args(Quantity)
+}
 
 
 def _quantity_from_dict(obj: object, index: int) -> Quantity:
@@ -121,24 +119,18 @@ def _quantity_from_dict(obj: object, index: int) -> Quantity:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected an object with a 'kind' field")
     kind = obj.get("kind")
-    if not isinstance(kind, str) or kind not in _QUANTITY_FIELDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ConfigError(f"{where}.kind: unknown quantity kind {kind!r}")
-    unknown = set(obj) - _QUANTITY_FIELDS[kind] - {"kind"}
+    cls, kind_fields = _KINDS[kind]
+    unknown = obj.keys() - kind_fields.keys() - {"kind"}
     if unknown:
         raise ConfigError(f"{where}: unknown field {sorted(unknown)[0]!r}")
-    if kind == "ket_prob":
-        try:
-            return KetProbability(AtomLevel.from_label(obj["atom"]), obj["n"], obj["m"])
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"{where}: ket_prob needs atom ('e'|'g'), n, m ({exc})")
-    if kind == "entropy":
-        try:
-            return BranchEntropy(AtomLevel.from_label(obj["atom_branch"]))
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"{where}: entropy needs atom_branch ('e'|'g') ({exc})")
-    if kind == "sigma_z":
-        return AtomicInversion()
-    return ControlProbabilityColumn()
+    try:
+        return cls(*[AtomLevel.from_label(obj[name]) if level else obj[name]
+                     for name, level in kind_fields.items()])
+    except (KeyError, ValueError) as exc:
+        needs = ", ".join(f"{k} ('e'|'g')" if level else k for k, level in kind_fields.items())
+        raise ConfigError(f"{where}: {kind} needs {needs} ({exc})")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import scipy.linalg
 from ico_cqed import (
     AtomFieldKet,
     CavityOrder,
+    FieldsKet,
     FlavorMismatchError,
     FullKet,
     ImpossiblePostselectionError,
@@ -457,6 +458,23 @@ def test_hadamard_is_involution(rng):
 def test_hadamard_requires_full_flavor():
     with pytest.raises(FlavorMismatchError):
         hadamard_control(PureState({AtomFieldKet(E, 0, 0): 1.0}))
+
+
+ORACLE_VIEWS = {
+    "hadamard_control": (hadamard_control, "a full-flavor state"),
+    "measure_control": (lambda s: measure_control(s, 0), "a full-flavor state"),
+    "schrodinger_phase": (lambda s: schrodinger_phase(s, 1.0, 1.0), "an atom-field state"),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_VIEWS)
+@pytest.mark.parametrize("junk", ["abc", None, {}, PureState({FieldsKet(0, 1): 1.0})],
+                         ids=["str", "None", "dict", "fields state"])
+def test_oracle_views_refuse_a_non_state(name, junk):
+    # a non-state used to raise AttributeError on its missing flavor
+    view, wanted = ORACLE_VIEWS[name]
+    with pytest.raises(FlavorMismatchError, match=f"^{name} requires {wanted}, got "):
+        view(junk)
 
 
 def test_measure_control_product_state():

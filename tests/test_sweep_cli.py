@@ -173,7 +173,7 @@ def test_quantity_refusals_read_exactly(entry, message):
     ids=["label atom", "negative n", "float m", "label atom_branch"],
 )
 def test_quantity_constructor_refusals_read_exactly(build, message):
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(ConfigError) as err:
         build()
     assert str(err.value) == message
 
