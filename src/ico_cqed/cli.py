@@ -9,6 +9,7 @@ versus matrix-propagator comparison.  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -37,6 +38,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="ico-cqed",
@@ -56,6 +58,7 @@ def build_parser() -> _Parser:
         help="CSV output path (stdout if omitted); a <out>.meta.json sidecar "
         "with the resolved config is written next to it",
     )
+    sweep_p.set_defaults(run=_cmd_sweep)
 
     figure_p = sub.add_parser("figure", help="emit the data behind one packaged preset")
     figure_p.add_argument(
@@ -64,6 +67,7 @@ def build_parser() -> _Parser:
         help=f"preset id, one of: {', '.join(sorted(FIGURE_PRESETS))}",
     )
     figure_p.add_argument("--out", type=Path, help="CSV output path (stdout if omitted)")
+    figure_p.set_defaults(run=_cmd_figure)
 
     verify_p = sub.add_parser(
         "verify", help="compare the closed forms against the matrix propagator"
@@ -72,6 +76,7 @@ def build_parser() -> _Parser:
     verify_p.add_argument(
         "--draws", type=int, default=200, help=f"random draws (default 200, at most {MAX_DRAWS})"
     )
+    verify_p.set_defaults(run=_cmd_verify)
     return parser
 
 
@@ -114,14 +119,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "figure":
-            return _cmd_figure(args)
-        return _cmd_verify(args)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         # ConfigError and the library's other input errors are ValueErrors.
         print(f"ico-cqed: {exc}", file=sys.stderr)

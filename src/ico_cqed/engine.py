@@ -37,10 +37,10 @@ _ANGLE_ATOL = 1e-12
 
 
 class CavityOrder(Enum):
-    """Which cavity the atom crosses first."""
+    """Which cavity the atom crosses first; its value names the matching series scenario."""
 
-    C0_THEN_C1 = "C0_then_C1"
-    C1_THEN_C0 = "C1_then_C0"
+    C0_THEN_C1 = "series_C0C1"
+    C1_THEN_C0 = "series_C1C0"
 
 
 def _slot_amplitudes(lib, rates_n: tuple, rates_m: tuple, t_first, t_second, ce, se) -> tuple:
@@ -108,8 +108,6 @@ _SLOTS_FIRST_C0, _SLOTS_FIRST_C1 = (
 _ATOM, _DN, _DM = np.array(OFFSETS).T[:, :, None]
 _EXCITATIONS = 1 - _ATOM + _DN + _DM
 
-_SERIES = {CavityOrder.C0_THEN_C1: "series_C0C1", CavityOrder.C1_THEN_C0: "series_C1C0"}
-
 
 def _one_point(scenario: str, p: SystemParams, tau: float) -> tuple:
     """grid_amplitudes at the single point p, with time tau in the second cavity."""
@@ -138,10 +136,10 @@ def state_after_both(order: CavityOrder, p: SystemParams, tau: float) -> PureSta
     """Atom-field state once the atom has spent time T in its first cavity
     and time tau inside its second, for the given traversal order: one
     point of grid_amplitudes."""
-    if order not in _SERIES:
+    if not isinstance(order, CavityOrder):
         raise TypeError(f"order must be a CavityOrder, got {order!r}")
     check_real(tau, "tau", 0.0, p.T, "[]")
-    amps, _ = _one_point(_SERIES[order], p, tau)
+    amps, _ = _one_point(order.value, p, tau)
     return _point_state(p, amps)
 
 

@@ -21,7 +21,9 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -157,11 +159,11 @@ _COLUMNS = (*(f.name for f in fields(SystemParams)), "t")
 _params_values = operator.attrgetter(*_COLUMNS[:-1])
 
 
-def draw_table(draws: list[tuple[SystemParams, float]]) -> dict[str, np.ndarray]:
-    """N (params, time) draws as a draw table: one C-contiguous array of N
-    values per SystemParams field, ints for n and m and floats otherwise,
-    and "t", the times, taken as they are: evolve checks its own."""
-    values = np.array([(*_params_values(p), t) for p, t in draws], dtype=float)
+def draw_table(draws: Iterable[tuple[SystemParams, float]]) -> dict[str, np.ndarray]:
+    """N (params, time) draws from any iterable as a draw table: one C-contiguous
+    array of N values per SystemParams field, ints for n and m and floats
+    otherwise, and "t", the times, taken as they are: evolve checks its own."""
+    values = np.fromiter(chain.from_iterable((*_params_values(p), t) for p, t in draws), float)
     table = dict(zip(_COLUMNS, values.reshape(-1, len(_COLUMNS)).T.copy()))
     table["n"], table["m"] = table["n"].astype(int), table["m"].astype(int)
     return table

@@ -183,7 +183,7 @@ class FullKet:
     def __post_init__(self) -> None:
         check_outcome(self.control)
         if not isinstance(self.rest, AtomFieldKet):
-            raise ValueError("rest: must be an AtomFieldKet")
+            raise ValueError(f"rest: must be an AtomFieldKet, got {self.rest!r}")
 
 
 Ket = Union[FullKet, AtomFieldKet, FieldsKet]

@@ -22,10 +22,9 @@ from .states import MIN_OUTCOME_PROBABILITY, SystemParams, check_real, check_who
 
 DEFAULT_TOLERANCE = 1e-9
 
-#: Most draws one run may ask for: the drawn SystemParams, the run's draw
-#: table and the (2, draws) comparison arrays stay in memory, a tracemalloc
-#: peak of about 0.75 KB per draw, plus under 1 MB for one chunk's arrays;
-#: 100,000 draws peak at 74 MB above the imported package.
+#: Most draws one run may ask for: the run's draw table and the (2, draws) comparison
+#: arrays stay in memory, a tracemalloc peak of about 0.21 KB per draw, plus under 1 MB
+#: for one chunk's arrays; 100,000 draws peak at 21 MB above the imported package.
 MAX_DRAWS = 100_000
 #: Draws compared in one batch; it bounds the batch arrays, which grow with
 #: the draws times the window of the largest (98 kets at n, m <= 4).  A
@@ -180,11 +179,8 @@ def run_verification(
     check_whole(draws, "draws", 1, MAX_DRAWS + 1)
     check_real(tolerance, "tolerance", 0.0)
     rng = np.random.default_rng(seed)
-    drawn = []
-    for _ in range(draws):
-        p = random_params(rng)
-        drawn.append((p, p.T1 + p.T + 2.0 * rng.random()))
-    table = oracle.draw_table(drawn)
+    params = (random_params(rng) for _ in range(draws))
+    table = oracle.draw_table((p, p.T1 + p.T + 2.0 * rng.random()) for p in params)
     analytic, numeric, deviation = np.empty((3, 2, draws))
     for start in range(0, draws, _CHUNK):
         chunk = slice(start, start + _CHUNK)
@@ -196,7 +192,8 @@ def run_verification(
     # over the draw-major view names the first of equal deviations.
     worst = int(np.argmax(np.where(compared, deviation, -np.inf).T))
     worst_draw, worst_outcome = divmod(worst, 2)
-    worst_params, worst_time = drawn[worst_draw]
+    # the worst draw's table row: its SystemParams fields in order, then t
+    *worst_params, worst_time = (column[worst_draw].item() for column in table.values())
     return VerifyReport(
         seed=seed,
         draws=draws,
@@ -212,5 +209,5 @@ def run_verification(
         worst_draw=worst_draw,
         worst_outcome=worst_outcome,
         worst_time=worst_time,
-        worst_params=worst_params,
+        worst_params=SystemParams(*worst_params),
     )

@@ -257,6 +257,19 @@ def test_state_after_both_swap_symmetry(rng):
             assert abs(amp - b.amplitude(AtomFieldKet(ket.atom, ket.m, ket.n))) < 1e-14
 
 
+@pytest.mark.parametrize("order", ["series_C0C1", "C0_then_C1", 0, None])
+def test_state_after_both_refuses_an_order_that_is_not_a_cavity_order(order):
+    # the scenario name an order carries as its value is not an order
+    p = params(math.pi / 2)
+    message = f"^order must be a CavityOrder, got {re.escape(repr(order))}$"
+    with pytest.raises(TypeError, match=message):
+        state_after_both(order, p, p.T)
+
+
+def test_cavity_order_values_name_the_series_scenarios():
+    assert [order.value for order in CavityOrder] == ["series_C0C1", "series_C1C0"]
+
+
 # ---------------------------------------------------------------- overlap and outcome probabilities
 
 
@@ -537,6 +550,8 @@ def test_bell_state_validation():
         bell_state(G, -1, 1)
     with pytest.raises(ValueError):
         bell_state(G, 0, 0)
+    with pytest.raises(ValueError, match="^atom_branch: must be an AtomLevel, got 'g'$"):
+        bell_state("g", 0, 1)
 
 
 @pytest.mark.parametrize(

@@ -334,6 +334,17 @@ def test_draw_table_holds_every_field_and_the_time(rng):
     assert all(column.flags.c_contiguous and len(column) == 5 for column in table.values())
 
 
+def test_draw_table_of_a_generator_equals_that_of_a_list(rng):
+    # the table reads its draws as they come, with no list of its own
+    draws = [(p, p.T1 + 0.25) for p in (random_params(rng) for _ in range(70))]
+    listed, streamed = draw_table(draws), draw_table(draw for draw in draws)
+    assert streamed.keys() == listed.keys()
+    for name, column in listed.items():
+        assert streamed[name].dtype == column.dtype, name
+        assert streamed[name].tobytes() == column.tobytes(), name
+    assert all(len(column) == 0 for column in draw_table(iter(())).values())
+
+
 def test_grid_table_equals_the_draw_table_of_its_params():
     # the test-side table builder gives the columns draw_table gives for the
     # SystemParams the grid stands for, bit for bit

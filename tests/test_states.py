@@ -72,6 +72,16 @@ def test_full_ket_is_a_control_bit_on_an_atom_field_ket():
     assert AtomFieldKet(E, 2, 3).excitations == 6
 
 
+def test_full_ket_refuses_a_rest_that_is_not_an_atom_field_ket():
+    with pytest.raises(ValueError, match="^rest: must be an AtomFieldKet, got 'x'$"):
+        FullKet(0, "x")
+
+
+def test_pure_state_refuses_a_key_that_is_not_a_ket():
+    with pytest.raises(TypeError, match="^not a ket: 'x'$"):
+        PureState({"x": 1.0})
+
+
 def test_prune_and_finiteness():
     st = PureState({AtomFieldKet(E, 0, 0): 1.0, AtomFieldKet(G, 0, 0): 1e-16})
     assert st.kets() == [AtomFieldKet(E, 0, 0)]
@@ -113,6 +123,8 @@ def test_inner_product_conjugate_symmetric(rng):
 
 def test_norm_basics():
     assert PureState().norm() == 0.0
+    with pytest.raises(ValueError, match="^cannot normalize the zero state$"):
+        PureState().normalized()
     assert PureState({FieldsKet(0, 0): 1.0}).norm() == 1.0
     bell = PureState({FieldsKet(0, 1): 1 / math.sqrt(2), FieldsKet(1, 0): 1 / math.sqrt(2)})
     assert abs(bell.norm() - 1.0) < 1e-15
@@ -215,3 +227,6 @@ def test_states_are_value_objects():
     same = PureState({AtomFieldKet(E, 0, 0): 1.0})
     assert psi == same
     assert max_amp_diff(psi, same) == 0.0
+    # a state is never equal to a value of another type
+    assert PureState() != "x"
+    assert PureState().__eq__("x") is NotImplemented

@@ -23,7 +23,7 @@ from ico_cqed import (
     sweep_meta,
 )
 from ico_cqed import sweep
-from ico_cqed.cli import main
+from ico_cqed.cli import build_parser, main
 from ico_cqed.sweep import FIGURE_PRESETS, MAX_GRID_POINTS, meta_json
 from helpers import E, G, SEEDED_SWEEPS, seeded_sweep_config
 
@@ -95,6 +95,15 @@ def test_config_errors_name_the_field(mutation, field):
     with pytest.raises(ConfigError) as err:
         config_from_dict(data)
     assert field in str(err.value)
+
+
+@pytest.mark.parametrize("data,message", [
+    ([], "config: expected a JSON object"),
+    ({"quantities": []}, "scenario: required field is missing"),
+])
+def test_config_from_dict_refuses_a_non_object_and_a_missing_scenario(data, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        config_from_dict(data)
 
 
 def test_quantity_entry_refuses_an_unknown_key():
@@ -549,6 +558,25 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep"])  # missing required --config
     assert exc.value.code == 1
+
+
+def test_cli_sweep_refuses_a_config_that_is_not_an_object(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    assert main(["sweep", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ico-cqed: config: expected a JSON object\n"
+
+
+def test_cli_builds_its_parser_once(tmp_path, capsys):
+    # every command dispatches through the one cached parser
+    build_parser.cache_clear()
+    assert main(["figure", "fig2a", "--out", str(tmp_path / "fig2a.csv")]) == 0
+    assert main(["verify", "--draws", "3"]) == 0
+    assert main(["figure", "fig9z"]) == 1
+    assert build_parser.cache_info().misses == 1
+    assert build_parser.cache_info().hits == 2
 
 
 def test_cli_verify_rejects_negative_seed(capsys):

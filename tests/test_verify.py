@@ -214,6 +214,29 @@ def test_leak_at_a_small_draws_guard_row_is_refused_in_a_wide_window(monkeypatch
         _compare(draws)
 
 
+def test_outcome_only_the_matrix_side_refuses_is_raised_draw_major(monkeypatch):
+    # the matrix side refuses outcome 1 of draw 2 and outcome 0 of draw 3,
+    # which the closed forms accept: the first in draw order is raised
+    rng = np.random.default_rng(5)
+    table = draw_table((p, p.T1 + p.T) for p in (random_params(rng) for _ in range(4)))
+    _, probs = _closed_forms(table)
+    assert (probs >= MIN_OUTCOME_PROBABILITY).all()
+    refuse = {1: 2, 0: 3}  # outcome -> draw
+    matrix_condition = oracle.condition
+
+    def refusing(rows, j):
+        state, prob = matrix_condition(rows, j)
+        state[:, refuse[j]] = 0.0
+        prob[refuse[j]] = 0.0
+        return state, prob
+
+    monkeypatch.setattr(oracle, "condition", refusing)
+    with pytest.raises(ImpossiblePostselectionError,
+                       match="^control outcome 1 has probability 0.000e[+]00$") as err:
+        _compare(table)
+    assert err.value.probability == 0.0
+
+
 def test_analytic_ket_outside_window_counts_as_deviation():
     # a closed form that put weight beyond the window must not alias onto
     # another index of the numeric vector, and counts in full in each column
@@ -296,10 +319,11 @@ def test_draws_beyond_max_are_refused_before_drawing(monkeypatch, capsys):
 
 
 def test_memory_per_draw_stays_as_stated(monkeypatch):
-    # MAX_DRAWS' comment: a tracemalloc peak of about 0.75 KB per draw plus
-    # under 1 MB for one chunk.  Checked at a lower cap, so that the test
-    # allocates little: the run at the cap stays under the bound, and so does
-    # what each draw adds over a run of a quarter of the cap.
+    # MAX_DRAWS' comment: a tracemalloc peak of about 0.21 KB per draw plus
+    # under 1 MB for one chunk, the draw table being the only copy of the
+    # draws.  Checked at a lower cap, so that the test allocates little: the
+    # run at the cap stays under 250 B per draw, and so does what each draw
+    # adds over a run of a quarter of the cap.
     cap = 1024
     monkeypatch.setattr(verify, "MAX_DRAWS", cap)
     run_verification(1, 64)  # the package's caches are not the run's memory
@@ -309,8 +333,8 @@ def test_memory_per_draw_stays_as_stated(monkeypatch):
         run_verification(1, draws)
         peaks[draws] = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-    assert peaks[cap] <= 750 * cap + 1_000_000
-    assert peaks[cap] - peaks[cap // 4] <= 750 * (cap - cap // 4)
+    assert peaks[cap] <= 250 * cap + 1_000_000
+    assert peaks[cap] - peaks[cap // 4] <= 250 * (cap - cap // 4)
     with pytest.raises(ValueError, match=f"^draws: must lie in 1..{cap}, got {cap + 1}$"):
         run_verification(1, cap + 1)
 
