@@ -214,6 +214,20 @@ def grid_amplitudes(
     does not depend on the other points of the call.  measurement_phase
     applies the measurement phase, which is left out here.
     """
+    branches = _branches(scenario, n, m, g, t_first, t_second, xi, chi, theta, varphi)
+    if scenario.startswith("series"):
+        return branches[0], None
+    return _ico_outcome(*branches, {"ico_j0": 0, "ico_j1": 1}[scenario])
+
+
+def _branches(scenario: str, n, m, g, t_first, t_second, xi, chi, theta, varphi) -> tuple:
+    """The (len(OFFSETS), N) order branches a scenario is built from, each
+    pruned, with the arguments of grid_amplitudes: a series scenario's one
+    branch, or for any other (ico_j0, ico_j1 or just "ico") the superposed
+    order's two, weighted as control outcome 0 takes them once the control
+    is recombined (Hadamard) for measurement: the C0-first branch times
+    cos(theta)/sqrt(2), the C1-first one times e^{i varphi} sin(theta)/sqrt(2).
+    Outcome 1 takes the second with the opposite sign."""
     # Scalars stay of length 1, so a fixed angle costs one evaluation; the
     # photon numbers, below 2**53, are exact as floats.
     n, m, g, t_first, t_second, xi, chi, theta, varphi = (
@@ -234,20 +248,24 @@ def grid_amplitudes(
         return prune_amplitudes(amps)
 
     if scenario == "series_C0C1":
-        return branch(rates_n, rates_m, _SLOTS_FIRST_C0), None
+        return (branch(rates_n, rates_m, _SLOTS_FIRST_C0),)
     if scenario == "series_C1C0":
-        return branch(rates_m, rates_n, _SLOTS_FIRST_C1), None
-    # Weights of the C0-first and C1-first branches in the control-j
-    # component once the control is recombined (Hadamard) for measurement.
-    sign = {"ico_j0": 1.0, "ico_j1": -1.0}[scenario]
+        return (branch(rates_m, rates_n, _SLOTS_FIRST_C1),)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     w0 = np.cos(theta) * inv_sqrt2
-    w1 = sign * np.exp(1j * varphi) * np.sin(theta) * inv_sqrt2
-    residual = prune_amplitudes(
-        w0 * branch(rates_n, rates_m, _SLOTS_FIRST_C0)
-        + w1 * branch(rates_m, rates_n, _SLOTS_FIRST_C1)
-    )
-    return normalize_columns(residual)
+    w1 = np.exp(1j * varphi) * np.sin(theta) * inv_sqrt2
+    return (w0 * branch(rates_n, rates_m, _SLOTS_FIRST_C0),
+            w1 * branch(rates_m, rates_n, _SLOTS_FIRST_C1))
+
+
+def _ico_outcome(first: np.ndarray, second: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Control outcome j of the two weighted ico branches of _branches, as
+    grid_amplitudes returns it: their sum (j = 0) or difference (j = 1),
+    formed in first, which it overwrites, pruned, then normalized per
+    column.  Negation is exact, so the difference rounds as a sum with the
+    second weight negated would."""
+    (np.subtract if j else np.add)(first, second, out=first)
+    return normalize_columns(prune_amplitudes(first))
 
 
 def measurement_phase(n, m, amps: np.ndarray, omega_t) -> np.ndarray:

@@ -16,20 +16,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .engine import _ATOM, _DN, _DM, grid_amplitudes, measurement_phase
+from .engine import _ATOM, _DN, _DM, _branches, _ico_outcome, measurement_phase
 from .errors import ImpossiblePostselectionError
 from .states import MIN_OUTCOME_PROBABILITY, SystemParams, check_real, check_whole
 
 DEFAULT_TOLERANCE = 1e-9
 
 #: Most draws one run may ask for: the run's draw table and the (2, draws) comparison
-#: arrays stay in memory, a tracemalloc peak of about 0.21 KB per draw, plus under 1 MB
-#: for one chunk's arrays; 100,000 draws peak at 21 MB above the imported package.
+#: arrays stay in memory, a tracemalloc peak of about 0.18 KB per draw, plus under 1 MB
+#: for one chunk's arrays or one decoded block's temporaries; 100,000 draws peak at
+#: 18 MB above the imported package.
 MAX_DRAWS = 100_000
-#: Draws compared in one batch; it bounds the batch arrays, which grow with
-#: the draws times the window of the largest (98 kets at n, m <= 4).  A
+#: Most draws compared in one batch; it bounds the batch arrays, which grow
+#: with the draws times the window of the largest (98 kets at n, m <= 4).  A
 #: larger chunk is a little faster and holds more memory at once.
 _CHUNK = 64
+#: Raw PCG64 outputs one draw takes (_decode).
+_WORDS = 11
+#: Draws decoded at once: the block's temporaries, about 0.4 KB a draw, stay
+#: below one chunk's arrays, and a larger block saves little.
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -88,7 +94,8 @@ def random_params(rng: np.random.Generator) -> SystemParams:
     """One random parameter draw: g*T in [0, 10), all four preparation angles
     uniform over their ranges, photon numbers in 0..4, and a non-trivial
     transit schedule.  Each uniform value is low + (high - low) * u, as
-    Generator.uniform rounds it."""
+    Generator.uniform rounds it.  run_verification decodes the same stream
+    as arrays (_decode) and draws with this only where that cannot."""
     g, gT, entry, omega, theta, varphi, xi, chi = (_LOW + _SPAN * rng.random(8)).tolist()
     # two scalar draws cost less than one of size 2, which draws the same
     n, m = int(rng.integers(0, 5)), int(rng.integers(0, 5))
@@ -97,18 +104,61 @@ def random_params(rng: np.random.Generator) -> SystemParams:
                         n=n, m=m, T0=entry, T1=entry + transit + 2.0 * rng.random())
 
 
+def _decode(raw: np.ndarray) -> tuple[dict[str, np.ndarray], bool]:
+    """The draw table of len(raw) // _WORDS draws decoded from raw PCG64
+    outputs, and whether Lemire's method rejects one of their photon
+    numbers; if not, the table holds the draws random_params and the time
+    draw make from that stream, bit for bit.  A draw takes eleven words:
+    eight doubles (word >> 11) * 2**-53, as Generator.random makes them; one
+    word whose low and high 32-bit halves h give n and m as
+    Generator.integers(0, 5) does, the high word of h * 5, unless its low
+    word is 0, when Lemire's method draws again; two doubles for T1 and t."""
+    words = raw.reshape(-1, _WORDS).T
+    u = (words >> 11) * 2.0**-53
+    g, gT, T0, omega, theta, varphi, xi, chi = _LOW[:, None] + _SPAN[:, None] * u[:8]
+    products = np.stack((words[8] & 0xFFFFFFFF, words[8] >> 32)) * 5
+    n, m = (products >> 32).astype(int)
+    T = gT / g
+    T1 = T0 + T + 2.0 * u[9]
+    table = dict(g=g, T=T, omega=omega, theta=theta, varphi=varphi, xi=xi, chi=chi, n=n, m=m,
+                 T0=T0, T1=T1, t=T1 + T + 2.0 * u[10])
+    return table, not (products & 0xFFFFFFFF).all()
+
+
+def _draw_table(seed: int, draws: int) -> dict[str, np.ndarray]:
+    """The draw table of run_verification(seed, draws): one C-contiguous
+    column per SystemParams field and one, "t", of the measurement times.
+    The stream is decoded in blocks of _BLOCK draws.  If Lemire's method
+    rejects a photon number anywhere in the run, about once in 2e9 draws,
+    the whole run is drawn again with random_params, one draw at a time."""
+    bits = np.random.default_rng(seed).bit_generator
+    table = {name: np.empty(draws, int if name in ("n", "m") else float)
+             for name in oracle._COLUMNS}
+    for start in range(0, draws, _BLOCK):
+        block, rejected = _decode(bits.random_raw(_WORDS * min(_BLOCK, draws - start)))
+        if rejected:
+            del table, block  # the scalar draws hold their own table
+            rng = np.random.default_rng(seed)
+            params = (random_params(rng) for _ in range(draws))
+            return oracle.draw_table((p, p.T1 + p.T + 2.0 * rng.random()) for p in params)
+        for name, column in block.items():
+            table[name][start:start + _BLOCK] = column
+    return table
+
+
 def _closed_forms(table: dict[str, np.ndarray]) -> tuple:
-    """For the N draws of a draw table (oracle.draw_table): per control
-    outcome j the (len(engine.OFFSETS), N) phased conditional amplitudes,
-    and the (2, N) outcome probabilities, as general_postselect computes
-    them at omega_t = omega * t, from one grid_amplitudes call per outcome.
-    A draw evaluated alone gets the same bits."""
+    """For the N draws of a draw table: per control outcome j the
+    (len(engine.OFFSETS), N) phased conditional amplitudes, and the (2, N)
+    outcome probabilities, as general_postselect computes them at omega_t =
+    omega * t.  Both weighted order branches are built once, and each
+    outcome recombines them as grid_amplitudes("ico_j0"/"ico_j1") does.  A
+    draw evaluated alone gets the same bits."""
     n, m, omega_t = table["n"], table["m"], table["omega"] * table["t"]
-    per_point = {name: table[name] for name in ("g", "xi", "chi", "theta", "varphi")}
-    per_point.update(t_first=table["T"], t_second=table["T"])
+    first, second = _branches("ico", n, m, table["g"], table["T"], table["T"], table["xi"],
+                              table["chi"], table["theta"], table["varphi"])
     amps, probs = [], []
-    for scenario in ("ico_j0", "ico_j1"):
-        conditional, prob = grid_amplitudes(scenario, n, m, **per_point)
+    for j in (0, 1):
+        conditional, prob = _ico_outcome(first if j else first.copy(), second, j)
         amps.append(measurement_phase(n, m, conditional, omega_t))
         probs.append(prob)
     return amps, np.array(probs)
@@ -166,10 +216,14 @@ def run_verification(
     """Compare conditional states and outcome probabilities between the two
     independent computation paths over seeded random draws.
 
-    The draws are compared in chunks of _CHUNK, each chunk as one batch of
-    mixed (n, m).  The closed-form side is engine.grid_amplitudes, the
-    kernel behind every sweep and figure, called once per chunk and control
-    outcome.  The matrix side is the oracle's chain, recombine -> condition
+    The draws are decoded from the seed's raw PCG64 stream into one draw
+    table (_draw_table), with no object per draw; only worst_params is built
+    as a SystemParams.  They are compared in the fewest chunks of at most
+    _CHUNK draws, of one size but the last, each chunk as one batch of
+    mixed (n, m).  The closed-form side is the kernel behind
+    every sweep and figure, engine.grid_amplitudes: both weighted order
+    branches are built once per chunk, and each control outcome recombines
+    them.  The matrix side is the oracle's chain, recombine -> condition
     -> phase, run once per chunk on the window vectors of the evolved
     branches, on the window of the chunk's largest draw: the code behind
     hadamard_control, measure_control and schrodinger_phase.  seed must be
@@ -178,12 +232,11 @@ def run_verification(
     check_whole(seed, "seed", 0)
     check_whole(draws, "draws", 1, MAX_DRAWS + 1)
     check_real(tolerance, "tolerance", 0.0)
-    rng = np.random.default_rng(seed)
-    params = (random_params(rng) for _ in range(draws))
-    table = oracle.draw_table((p, p.T1 + p.T + 2.0 * rng.random()) for p in params)
+    table = _draw_table(seed, draws)
     analytic, numeric, deviation = np.empty((3, 2, draws))
-    for start in range(0, draws, _CHUNK):
-        chunk = slice(start, start + _CHUNK)
+    step = math.ceil(draws / math.ceil(draws / _CHUNK))
+    for start in range(0, draws, step):
+        chunk = slice(start, start + step)
         analytic[:, chunk], numeric[:, chunk], deviation[:, chunk] = _compare(
             {name: column[chunk] for name, column in table.items()}
         )

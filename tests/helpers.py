@@ -25,7 +25,6 @@ from ico_cqed import (
     coeffs_c,
     coeffs_s,
 )
-from ico_cqed import verify
 from ico_cqed.sweep import SCENARIOS
 from ico_cqed.states import check_outcome
 
@@ -305,27 +304,6 @@ def reference_draw(rng):
         T1=entry + transit + float(rng.uniform(0.0, 2.0)),
     )
     return p, p.T1 + p.T + float(rng.uniform(0.0, 2.0))
-
-
-def decoded_table(seed, count):
-    """The draw table of the first ``count`` draws of run_verification(seed,
-    ...), decoded from the raw PCG64 stream with numpy instead of drawn one
-    call at a time.  A draw takes eleven 64-bit outputs: eight doubles for
-    g, g*T, T0, omega, theta, varphi, xi and chi, one word whose low and high
-    32-bit halves give n and m by Lemire's method, and two more doubles for
-    T1 and t.  Lemire's method would reject a half whose low product word is
-    0 and draw again, which shifts the stream; this asserts that none is."""
-    raw = np.random.default_rng(seed).bit_generator.random_raw(11 * count).reshape(count, 11)
-    u = (raw >> np.uint64(11)) * 2.0**-53
-    g, gT, T0, omega, theta, varphi, xi, chi = (verify._LOW + verify._SPAN * u[:, :8]).T
-    low, shift = np.uint64(0xFFFFFFFF), np.uint64(32)
-    products = np.stack((raw[:, 8] & low, raw[:, 8] >> shift)) * np.uint64(5)
-    assert (products & low).all(), f"seed {seed}: a Lemire rejection shifts the stream"
-    n, m = (products >> shift).astype(int)
-    T = gT / g
-    T1 = T0 + T + 2.0 * u[:, 9]
-    return dict(g=g, T=T, omega=omega, theta=theta, varphi=varphi, xi=xi, chi=chi, n=n, m=m,
-                T0=T0, T1=T1, t=T1 + T + 2.0 * u[:, 10])
 
 
 # ---------------------------------------------------------------- row-wise tables

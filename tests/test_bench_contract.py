@@ -93,8 +93,9 @@ def test_first_input_of_each_workload_passes_its_check(name, tmp_path):
 
 
 def test_traced_verify_op_records_every_parameter_draw(tmp_path):
-    # the traced layer sees verify only through random_params, called once
-    # per draw through the module global, and run_verification around it
+    # run_verification decodes its draws as arrays: the traced layer sees no
+    # random_params call and one SystemParams, the report's worst_params,
+    # and the report counts the draws
     spans = load_bench_module("spans")
     wl = WORKLOADS["verify"](1, tmp_path)
     inp = wl.pass_inputs(0)[0]
@@ -106,5 +107,7 @@ def test_traced_verify_op_records_every_parameter_draw(tmp_path):
         tracer.uninstall()
     assert wl.check(inp, report, {}) is None
     names = [tracer.names[i] for i in tracer.name_of]
-    assert names.count("verify.random_params") == wl.draws == 200
+    assert report.draws == wl.draws == 200
+    assert names.count("verify.random_params") == 0
+    assert names.count("states.SystemParams") == 1
     assert names.count("verify.run_verification") == 1

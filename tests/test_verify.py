@@ -43,12 +43,13 @@ from ico_cqed.verify import (
     _amplitude_deviation,
     _closed_forms,
     _compare,
+    _decode,
+    _draw_table,
     random_params,
 )
 from helpers import (
     E,
     G,
-    decoded_table,
     max_amp_diff,
     reference_draw,
     reference_hadamard_control,
@@ -305,10 +306,10 @@ def test_run_verification_rejects_bad_input(kwargs, field):
 
 def test_draws_beyond_max_are_refused_before_drawing(monkeypatch, capsys):
     # refused by the input check: no parameter is drawn, nothing is allocated
-    def no_draws(rng):
+    def no_draws(seed, draws):
         raise AssertionError("a draw was made")
 
-    monkeypatch.setattr(verify, "random_params", no_draws)
+    monkeypatch.setattr(verify, "_draw_table", no_draws)
     with pytest.raises(ValueError, match=f"^draws: must lie in 1..{MAX_DRAWS}, got {MAX_DRAWS + 1}$"):
         run_verification(seed=1, draws=MAX_DRAWS + 1)
     assert main(["verify", "--draws", str(MAX_DRAWS + 1)]) == 1
@@ -391,14 +392,13 @@ def test_reduction_counts_compared_outcomes_and_names_first_worst(monkeypatch):
     top, plain, other = picks[0], picks[3], picks[4]
     balanced = [SystemParams(g=1.0, T=T, theta=math.pi / 4, omega=1.3) for T in (0.0, 3e-5)]
     fixed = [balanced[0], top, plain, other, top, balanced[1]]
-    state = np.random.default_rng(0).bit_generator.state
     u = float(np.random.default_rng(0).uniform(0.0, 2.0))
 
-    def next_fixed(rng, draws=iter(fixed)):
-        rng.bit_generator.state = state
-        return next(draws)
+    def fixed_table(seed, draws):
+        assert (seed, draws) == (1, len(fixed))
+        return draw_table((p, p.T1 + p.T + u) for p in fixed)
 
-    monkeypatch.setattr(verify, "random_params", next_fixed)
+    monkeypatch.setattr(verify, "_draw_table", fixed_table)
     report = run_verification(seed=1, draws=len(fixed), tolerance=0)
     analytic, numeric, deviation = (
         np.concatenate(side, axis=1)
@@ -451,16 +451,69 @@ def test_draws_follow_the_scalar_reference_stream(monkeypatch):
             assert drawn.dtype == column.dtype and drawn.tobytes() == column.tobytes(), (seed, name)
 
 
-def test_decoded_stream_equals_the_drawn_one():
-    # the numpy decoding of verify's stream that the trigonometry guard
-    # below reads gives the table of the scalar draws, bit for bit
+def test_decoded_stream_equals_the_drawn_one(monkeypatch):
+    # the numpy decoding of verify's raw stream gives the table of the scalar
+    # draws, bit for bit, in one block and across the seams of blocks of 7
     rng = np.random.default_rng(7)
     expected = draw_table([reference_draw(rng) for _ in range(200)])
-    decoded = decoded_table(7, 200)
-    assert decoded.keys() == expected.keys()
-    for name, column in expected.items():
-        assert decoded[name].dtype == column.dtype, name
-        assert np.ascontiguousarray(decoded[name]).tobytes() == column.tobytes(), name
+    decoded, rejected = _decode(np.random.default_rng(7).bit_generator.random_raw(11 * 200))
+    assert not rejected
+    monkeypatch.setattr(verify, "_BLOCK", 7)
+    blocked = _draw_table(7, 200)
+    assert all(column.flags.c_contiguous for column in blocked.values())
+    for table in (decoded, blocked):
+        assert list(table) == list(expected)
+        for name, column in expected.items():
+            assert table[name].dtype == column.dtype, name
+            assert np.ascontiguousarray(table[name]).tobytes() == column.tobytes(), name
+
+
+def test_decoder_flags_a_rejected_photon_number():
+    # Generator.integers(0, 5) rejects a 32-bit half whose product by 5 has
+    # a low word of 0, which for the odd bound 5 is the half 0, and draws
+    # again; the decoder cannot, and says so for either half of any draw
+    raw = np.random.default_rng(3).bit_generator.random_raw(11 * 3)
+    assert not _decode(raw)[1]
+    for half in (0xFFFFFFFF, 0xFFFFFFFF << 32):
+        block = raw.copy()
+        block[11 + 8] &= ~np.uint64(half)
+        assert _decode(block)[1]
+
+
+def test_a_rejection_redraws_the_whole_run_with_random_params(monkeypatch):
+    # a rejection in the third block of 16 draws sends the whole run of 70
+    # through random_params, one call per draw, to the decoded run's report
+    decoded = repr(run_verification(4, 70, tolerance=0))
+    blocks, calls = [], []
+    scalar = verify.random_params
+
+    def rejecting(raw):
+        blocks.append(len(raw))
+        return _decode(raw)[0], len(blocks) == 3
+
+    def counting(rng):
+        calls.append(rng)
+        return scalar(rng)
+
+    monkeypatch.setattr(verify, "_BLOCK", 16)
+    monkeypatch.setattr(verify, "_decode", rejecting)
+    monkeypatch.setattr(verify, "random_params", counting)
+    assert repr(run_verification(4, 70, tolerance=0)) == decoded
+    assert blocks == [11 * 16] * 3 and len(calls) == 70
+
+
+def test_decoding_memory_per_draw_stays_as_stated():
+    # MAX_DRAWS' comment, for the decoder alone: the decoded table, 96 B a
+    # draw, plus one block's temporaries stay under 250 B per draw at 16,384
+    # draws, where decoding the whole run at once would peak at about 350
+    draws = 16_384
+    _draw_table(1, 64)
+    tracemalloc.start()
+    table = _draw_table(1, draws)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert len(table["t"]) == draws
+    assert peak <= 250 * draws
 
 
 def test_numpy_trigonometry_equals_math_bit_for_bit():
@@ -476,7 +529,7 @@ def test_numpy_trigonometry_equals_math_bit_for_bit():
         runs[seed] = max(draws, runs.get(seed, 0))
     angles = [np.random.default_rng(2024).uniform(0.0, 500.0, 20_000)]
     for seed, draws in runs.items():
-        table = decoded_table(seed, draws)
+        table = _draw_table(seed, draws)
         rates = np.sqrt(np.arange(1.0, 7.0))[:, None] * table["g"]
         for start in (table["T0"], table["T1"]):
             clipped = np.minimum(np.maximum(table["t"] - start, 0.0), table["T"])
