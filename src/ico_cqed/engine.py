@@ -25,6 +25,7 @@ from .states import (
     PureState,
     SystemParams,
     check_outcome,
+    check_params,
     check_real,
     check_whole,
     normalize_columns,
@@ -136,6 +137,7 @@ def state_after_both(order: CavityOrder, p: SystemParams, tau: float) -> PureSta
     """Atom-field state once the atom has spent time T in its first cavity
     and time tau inside its second, for the given traversal order: one
     point of grid_amplitudes."""
+    check_params(p)
     if not isinstance(order, CavityOrder):
         raise TypeError(f"order must be a CavityOrder, got {order!r}")
     check_real(tau, "tau", 0.0, p.T, "[]")
@@ -152,6 +154,7 @@ def ico_postselected_state(j: int, p: SystemParams, omega_t: float = 0.0) -> Pur
     excited) keeps the relative factor exp(i*omega_t), with omega_t equal to
     the mode frequency times the measurement time.
     """
+    check_params(p)
     if abs(p.theta - math.pi / 4) > _ANGLE_ATOL or abs(p.varphi) > _ANGLE_ATOL:
         raise ValueError(
             "the balanced control preparation (theta = pi/4, varphi = 0) is "
@@ -177,6 +180,7 @@ def general_postselect(
     non-finite omega_t, or one whose phase argument overflows, raises
     ValueError.
     """
+    check_params(p)
     check_outcome(j)
     # The ket (e, n, m) has the most excitations, n + m + 1; its argument is
     # rounded as measurement_phase rounds it.

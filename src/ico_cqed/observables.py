@@ -21,6 +21,7 @@ from .states import (
     Ket,
     PureState,
     SystemParams,
+    check_params,
     check_state,
     column_sums,
     normalize_columns,
@@ -136,6 +137,7 @@ def sigma_z_expectation(s: PureState) -> float:
 def sigma_z_series(p: SystemParams) -> float:
     """Closed-form atomic inversion after both cavities in the definite order
     (first cavity 0, then cavity 1) for an atom prepared excited (xi = 0)."""
+    check_params(p)
     if p.xi != 0.0:
         raise ValueError("sigma_z_series requires xi = 0 (atom initially excited)")
     x = p.gT
@@ -151,6 +153,7 @@ def sigma_z_ico(p: SystemParams) -> float:
     kernel, for an atom prepared excited (else ValueError) and the balanced
     control preparation (as ico_postselected_state requires); independent of
     the measurement time."""
+    check_params(p)
     if p.xi != 0.0:
         raise ValueError("sigma_z_ico requires xi = 0 (atom initially excited)")
     return sigma_z_expectation(ico_postselected_state(0, p))

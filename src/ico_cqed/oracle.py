@@ -10,10 +10,10 @@ _evolve_branches -> recombine -> condition -> phase, batched over draws:
 the last axis holds one column per draw, and a column does not depend on
 the others.  The draws enter as a draw table (draw_table), one array per
 SystemParams field and one, "t", of the times, as verify's closed-form side
-also reads them.  verify runs the chain once per chunk of draws, whatever
-their (n, m), on the window vectors of the largest; evolve,
-hadamard_control, measure_control and schrodinger_phase run it with one
-column, on the compact support of a PureState.
+also reads them.  verify evolves each chunk of draws, whatever their (n, m),
+on the window of the largest, and runs the rest of the chain on the kets
+each draw populates (_compact); evolve, hadamard_control, measure_control
+and schrodinger_phase run it with one column, on the support of a PureState.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .states import (
     PureState,
     SystemParams,
     check_outcome,
+    check_params,
     check_real,
     check_state,
     check_whole,
@@ -213,6 +214,18 @@ def _evolve_branches(table: dict[str, np.ndarray], w: TruncationWindow) -> np.nd
     return branches
 
 
+def _compact(branches: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The compact support of (2, atom_field_dim, N) branches: a (K, N) table
+    of the window indices each column populates in either branch, ascending,
+    and the (2, K, N) branches on them.  K is the most any column populates;
+    a column with fewer is padded with indices it leaves at exactly 0."""
+    populated = branches.any(axis=0)
+    # a stable sort of the unpopulated flags puts each column's populated
+    # indices first, in ascending order, and its unpopulated ones after them
+    rows = np.argsort(~populated, axis=0, kind="stable")[: populated.sum(axis=0).max()]
+    return rows, branches[:, rows, np.arange(rows.shape[1])]
+
+
 def evolve(p: SystemParams, t: float, w: TruncationWindow) -> PureState:
     """Full interaction-picture state (control x atom x fields) at time t.
 
@@ -220,7 +233,9 @@ def evolve(p: SystemParams, t: float, w: TruncationWindow) -> PureState:
     first.  Raises TruncationOverflowError if probability shows up in the
     guard Fock rows, which an adequate window makes impossible.
     """
+    check_params(p)
     branches = _evolve_branches(draw_table([(p, check_real(t, "t", 0.0))]), w)[:, :, 0]
+    # flatnonzero, not _compact: on one column it costs less
     columns = np.flatnonzero(branches.any(axis=0))
     rests = [AtomFieldKet(_LEVELS[a], n, m) for a, n, m in zip(*_basis(w)[:, columns].tolist())]
     return _full_state(rests, branches[:, columns])
@@ -245,30 +260,22 @@ def condition(rows: np.ndarray, j: int) -> tuple[np.ndarray, list[float]]:
     row = rows[j]
     flat = row.ravel()
     population = (flat.real * flat.real + flat.imag * flat.imag).reshape(row.shape).T
-    if len(population) > 1:
-        # fsum rounds the exact sum once, so a column's zeros may be left
-        # out; on a batch of draws most populations are 0.  One column, the
-        # compact support of a PureState, has few zeros to skip.
-        nonzero = population != 0
-        values = population[nonzero].tolist()
-        ends = nonzero.sum(axis=1).cumsum().tolist()
-        columns = [values[start:end] for start, end in zip([0, *ends], ends)]
-    else:
-        columns = population.tolist()
-    probs = [math.fsum(column) for column in columns]
+    # fsum rounds the exact sum once, so the order of a column's kets and
+    # its zeros cannot change the probability
+    probs = [math.fsum(column) for column in population.tolist()]
     scale = np.array([1.0 / math.sqrt(q) if q >= MIN_OUTCOME_PROBABILITY else 0.0 for q in probs])
     return prune_amplitudes(row * scale), probs
 
 
 def phase(amps: np.ndarray, omega, t, excitations: np.ndarray) -> np.ndarray:
     """(K, N) amplitudes times exp(-i*omega*t*(excitations - 1/2)), pruned:
-    column c at frequency omega[c] and time t[c], excitations being each
-    ket's atom excitation plus photon number, an integer >= 0.  A non-finite
-    omega, t, omega * t or omega * t * (excitations - 1/2) raises
-    ValueError."""
+    column c at frequency omega[c] and time t[c], excitations holding each
+    entry's atom excitation plus photon number, an integer >= 0, as a (K, N)
+    array or, one per row, a (K, 1) array.  A non-finite omega, t,
+    omega * t or omega * t * (excitations - 1/2) raises ValueError."""
     # the largest |excitations - 1/2|: omega * t * top rounds as the largest
     # entry of the column's argument, so it overflows exactly when one does
-    top = float(np.maximum.reduce(excitations, initial=1)) - 0.5
+    top = float(np.maximum.reduce(excitations, axis=None, initial=1)) - 0.5
     with np.errstate(over="ignore", invalid="ignore"):
         omega_t = np.multiply(omega, t, dtype=float)
         argument = omega_t * top
@@ -279,23 +286,12 @@ def phase(amps: np.ndarray, omega, t, excitations: np.ndarray) -> np.ndarray:
         column, field = np.argwhere(~np.isfinite(checked).T)[0]  # the first column, then field
         name = ("omega", "t", "omega * t", "omega * t * (excitations - 1/2)")[field]
         raise ValueError(f"{name}: must be finite, got {float(checked[field][column])}")
-    rate = -1j * omega_t
-    flat = amps.ravel()
-    if amps.shape[1] > 1:
-        # on a batch of draws most amplitudes are 0: the exponential and the
-        # product only where one is not.  One column, the compact support of
-        # a PureState, has few zeros to skip.
-        nonzero = np.flatnonzero(flat)
-        kets, columns = np.divmod(nonzero, amps.shape[1])
-        factor = np.exp(rate[columns] * (excitations[kets] - 0.5))
-    else:
-        nonzero, factor = slice(None), np.exp(rate * (excitations - 0.5))
-    amp = flat[nonzero]
+    flat, factor = amps.ravel(), np.exp(-1j * omega_t * (excitations - 0.5)).ravel()
     # The product written out rounds as Python's complex product does;
     # numpy's complex multiply may fuse the multiply-adds.
-    phased = np.zeros(flat.shape, flat.dtype)
-    phased.real[nonzero] = amp.real * factor.real - amp.imag * factor.imag
-    phased.imag[nonzero] = amp.real * factor.imag + amp.imag * factor.real
+    phased = np.empty_like(flat)
+    phased.real = flat.real * factor.real - flat.imag * factor.imag
+    phased.imag = flat.real * factor.imag + flat.imag * factor.real
     return prune_amplitudes(phased).reshape(amps.shape)
 
 
@@ -349,5 +345,5 @@ def schrodinger_phase(s: PureState, omega: float, t: float) -> PureState:
     items = s.items()
     kets = [k for k, _ in items]
     amps = np.array([a for _, a in items], dtype=complex)[:, None]
-    phased = phase(amps, (omega,), (t,), np.array([k.excitations for k in kets]))
+    phased = phase(amps, (omega,), (t,), np.array([k.excitations for k in kets])[:, None])
     return PureState(dict(zip(kets, phased[:, 0].tolist())))

@@ -10,7 +10,8 @@ identically (sin(0) factors and the like) never clutter the support.
 
 Scalar inputs are checked by ``check_whole`` (ints) and ``check_real`` (finite
 reals); a refusal is a ValueError starting "<field>: ", as a ConfigError does.
-``check_state`` refuses a non-state or a wrong flavor with FlavorMismatchError.
+``check_state`` refuses a non-state or a wrong flavor with FlavorMismatchError,
+and ``check_params`` a non-SystemParams with TypeError.
 """
 
 from __future__ import annotations
@@ -138,6 +139,12 @@ def check_state(s, flavors: tuple, message: str) -> None:
     """Refuse all but a PureState whose flavor (None if empty) is in ``flavors``."""
     if not isinstance(s, PureState) or s.flavor not in flavors:
         raise FlavorMismatchError(f"{message}, got {s!r:.80}")
+
+
+def check_params(p) -> None:
+    """Refuse all but a SystemParams with TypeError, before any field is read."""
+    if not isinstance(p, SystemParams):
+        raise TypeError(f"p: must be a SystemParams, got {p!r}")
 
 
 @dataclass(frozen=True, order=True)

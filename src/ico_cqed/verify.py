@@ -25,11 +25,11 @@ DEFAULT_TOLERANCE = 1e-9
 #: Most draws one run may ask for: the run's draw table and the (2, draws) comparison
 #: arrays stay in memory, a tracemalloc peak of about 0.18 KB per draw, plus under 1 MB
 #: for one chunk's arrays or one decoded block's temporaries; 100,000 draws peak at
-#: 18 MB above the imported package.
+#: 17.8 MB above the imported package.
 MAX_DRAWS = 100_000
-#: Most draws compared in one batch; it bounds the batch arrays, which grow
-#: with the draws times the window of the largest (98 kets at n, m <= 4).  A
-#: larger chunk is a little faster and holds more memory at once.
+#: Most draws compared in one batch; it bounds the branches evolved on the window
+#: of the largest draw (98 kets at n, m <= 4), before the chain moves to at most ten
+#: kets a draw.  A one-chunk run peaks at 0.69 MB under tracemalloc, 2.6 MB at 256.
 _CHUNK = 64
 #: Raw PCG64 outputs one draw takes (_decode).
 _WORDS = 11
@@ -147,9 +147,9 @@ def _draw_table(seed: int, draws: int) -> dict[str, np.ndarray]:
 
 
 def _closed_forms(table: dict[str, np.ndarray]) -> tuple:
-    """For the N draws of a draw table: per control outcome j the
-    (len(engine.OFFSETS), N) phased conditional amplitudes, and the (2, N)
-    outcome probabilities, as general_postselect computes them at omega_t =
+    """For the N draws of a draw table: the (2, len(engine.OFFSETS), N)
+    phased conditional amplitudes and the (2, N) outcome probabilities, row
+    j for control outcome j, as general_postselect computes them at omega_t =
     omega * t.  Both weighted order branches are built once, and each
     outcome recombines them as grid_amplitudes("ico_j0"/"ico_j1") does.  A
     draw evaluated alone gets the same bits."""
@@ -161,53 +161,56 @@ def _closed_forms(table: dict[str, np.ndarray]) -> tuple:
         conditional, prob = _ico_outcome(first if j else first.copy(), second, j)
         amps.append(measurement_phase(n, m, conditional, omega_t))
         probs.append(prob)
-    return amps, np.array(probs)
+    return np.array(amps), np.array(probs)
 
 
 def _amplitude_deviation(
-    n: np.ndarray, m: np.ndarray, analytic: np.ndarray, numeric: np.ndarray,
+    n: np.ndarray, m: np.ndarray, analytic: np.ndarray, rows: np.ndarray, numeric: np.ndarray,
     w: oracle.TruncationWindow,
 ) -> np.ndarray:
-    """Largest |analytic - numeric| over the union of both supports, per
-    column: analytic is (len(engine.OFFSETS), N) from the column's photon
-    numbers n and m, as grid_amplitudes returns it, numeric
-    (atom_field_dim, N) on the window.  An analytic ket outside the window
-    counts with its full magnitude; a negative-occupation one is 0.  hypot
-    rounds as abs() of a Python complex does; numpy's complex abs may not."""
+    """Largest |analytic - numeric| per control outcome and column, (2, N):
+    analytic is (2, len(engine.OFFSETS), N) as grid_amplitudes returns it
+    for the columns' n and m, numeric (2, K, N) on the window indices rows
+    (K, N) of oracle._compact.  Matched by window index, an entry or an
+    analytic ket with no partner counts in full, also an analytic ket
+    outside the window; a negative-occupation one is 0.  hypot rounds as
+    abs() of a Python complex does; numpy's complex abs may not."""
     kn, km = n + _DN, m + _DM
     inside = (kn >= 0) & (km >= 0) & (kn <= w.n_max) & (km <= w.n_max)
-    kets, columns = np.nonzero(inside)
-    index = w.flat_index(_ATOM, kn, km)
-    diff = numeric.copy()
-    diff[index[kets, columns], columns] -= analytic[kets, columns]
-    outside = np.where(inside, 0, analytic)
-    return np.maximum(np.hypot(diff.real, diff.imag).max(axis=0),
-                      np.hypot(outside.real, outside.imag).max(axis=0))
+    # (len(OFFSETS), K, N): analytic ket r sits on numeric entry k of its column
+    matched = np.where(inside, w.flat_index(_ATOM, kn, km), -1)[:, None] == rows
+    # each entry's analytic partner, at most one, and 0 where it has none
+    partner = analytic[:, matched.argmax(axis=0), np.arange(rows.shape[1])] * matched.any(axis=0)
+    diff = numeric - partner
+    unmatched = np.where(matched.any(axis=1), 0, analytic)
+    return np.maximum(np.hypot(diff.real, diff.imag).max(axis=1),
+                      np.hypot(unmatched.real, unmatched.imag).max(axis=1))
 
 
 def _compare(table: dict[str, np.ndarray]) -> tuple:
     """For the N draws of a draw table, three (2, N) arrays, row j for
     control outcome j and column i for draw i: the closed-form probability,
     the matrix probability and the amplitude deviation.  Both sides run once
-    for all draws, the matrix side on the window of the largest.  The first
-    (draw, outcome) that the closed forms accept and the matrix side refuses
-    raises ImpossiblePostselectionError."""
+    for all draws, the matrix side on the compact support of the branches
+    evolved on the window of the largest.  The first (draw, outcome) that the
+    closed forms accept and the matrix side refuses raises
+    ImpossiblePostselectionError."""
     n, m = table["n"], table["m"]
     window = oracle.TruncationWindow(int(max(n.max(), m.max())) + 2)
-    outcomes = oracle.recombine(oracle._evolve_branches(table, window))
+    rows, branches = oracle._compact(oracle._evolve_branches(table, window))
+    outcomes = oracle.recombine(branches)
+    excitations = oracle.basis_excitations(window)[rows]
     analytic, prob_analytic = _closed_forms(table)
-    prob_numeric, deviation = [], []
+    numeric = np.empty_like(outcomes)
+    prob_numeric = np.empty_like(prob_analytic)
     for j in (0, 1):
-        state, prob = oracle.condition(outcomes, j)
-        numeric = oracle.phase(state, table["omega"], table["t"], oracle.basis_excitations(window))
-        prob_numeric.append(prob)
-        deviation.append(_amplitude_deviation(n, m, analytic[j], numeric, window))
-    prob_numeric = np.array(prob_numeric)
+        state, prob_numeric[j] = oracle.condition(outcomes, j)
+        numeric[j] = oracle.phase(state, table["omega"], table["t"], excitations)
     refused = (prob_analytic >= MIN_OUTCOME_PROBABILITY) & (prob_numeric < MIN_OUTCOME_PROBABILITY)
     if refused.any():
         draw, j = np.argwhere(refused.T)[0]  # the first in draw-major order
         raise ImpossiblePostselectionError(f"control outcome {j}", float(prob_numeric[j, draw]))
-    return prob_analytic, prob_numeric, np.array(deviation)
+    return prob_analytic, prob_numeric, _amplitude_deviation(n, m, analytic, rows, numeric, window)
 
 
 def run_verification(
@@ -224,11 +227,11 @@ def run_verification(
     every sweep and figure, engine.grid_amplitudes: both weighted order
     branches are built once per chunk, and each control outcome recombines
     them.  The matrix side is the oracle's chain, recombine -> condition
-    -> phase, run once per chunk on the window vectors of the evolved
-    branches, on the window of the chunk's largest draw: the code behind
-    hadamard_control, measure_control and schrodinger_phase.  seed must be
-    an int >= 0, draws an int in 1..MAX_DRAWS and tolerance a finite real
-    >= 0; otherwise a ValueError names the field."""
+    -> phase, run once per chunk on the kets each draw populates, of the
+    branches evolved on the window of the chunk's largest draw: the code
+    behind hadamard_control, measure_control and schrodinger_phase.  seed
+    must be an int >= 0, draws an int in 1..MAX_DRAWS and tolerance a finite
+    real >= 0; otherwise a ValueError names the field."""
     check_whole(seed, "seed", 0)
     check_whole(draws, "draws", 1, MAX_DRAWS + 1)
     check_real(tolerance, "tolerance", 0.0)

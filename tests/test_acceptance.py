@@ -283,3 +283,69 @@ def test_criterion_14_ico_plateau():
         f"[{gts[best]:.2f}, {gts[best + width_points]:.2f}] with TV "
         f"{window_tv(ico, best):.2e}; series TV there {window_tv(ser, best):.3f} >= 0.02"
     )
+
+
+def vacuum_pair_entropy(theta, varphi, gt):
+    """S_L of the ground-branch field after outcome 0, from empty cavities
+    and an excited atom: the ROADMAP Baseline's closed form, in which the
+    branch is a|1,0> + b|0,1>."""
+    c = math.cos(gt)
+    a, b = math.cos(theta) ** 2 / 2, math.sin(theta) ** 2 / 2
+    x = 2 * c * math.sqrt(a * b) * math.cos(varphi)
+    one, other = a + b * c * c + x, a * c * c + b + x
+    return 2 * one * other / (one + other) ** 2
+
+
+def vacuum_pair_sweep(scenario, start, stop=None, step=0.01, theta=math.pi / 4, varphi=0.0):
+    """(gT, S_L of the ground branch, its probability) for each point of a
+    run_sweep from n = m = 0 with an excited atom at which that branch
+    holds more than 1e-6, as criterion 7 skips it; one point without stop."""
+    cfg = SweepConfig(scenario, (BranchEntropy(G), AtomicInversion()), theta=theta,
+                      varphi=varphi, gT_start=start,
+                      gT_stop=start if stop is None else stop, gT_step=step)
+    gts, entropy, inversion = run_sweep(cfg).cells
+    return [(gt, s_l, 0.5 * (1.0 - z)) for gt, s_l, z in zip(gts, entropy, inversion)
+            if s_l is not None and 0.5 * (1.0 - z) > 1e-6]
+
+
+def test_criterion_15_vacuum_pair_entanglement_over_the_control_preparation():
+    # The second claim, large entanglement from empty cavities, over the
+    # control's whole preparation space: run_sweep's ico_j0 ground branch
+    # against the closed form on a seeded (theta, varphi) grid, the series
+    # order against 2c^2/(1 + c^2)^2, and the minimum over gT pinned: 1/2 at
+    # theta = pi/4 for every varphi, sin^2(2 theta)/2 at varphi = pi/2, and 0
+    # at varphi = 0 for any other theta, at cos gT = -tan(theta) (or
+    # -cot(theta) above pi/4), with a ground branch that is not negligible.
+    rng = np.random.default_rng(15)
+    thetas = [math.pi / 4, math.pi / 4 - 0.01, math.pi / 4 - 0.05, math.pi / 4 - 0.2,
+              math.pi / 4 + 0.2, *rng.uniform(0.05, math.pi / 2 - 0.05, 2).tolist()]
+    varphis = [0.0, math.pi / 8, math.pi / 2, *rng.uniform(0.0, 2 * math.pi, 2).tolist()]
+    worst, compared = 0.0, 0
+    for theta in thetas:
+        for varphi in varphis:
+            points = vacuum_pair_sweep("ico_j0", 0.001, 10.0, theta=theta, varphi=varphi)
+            worst = max(worst, *(abs(s_l - vacuum_pair_entropy(theta, varphi, gt))
+                                 for gt, s_l, _ in points))
+            compared += len(points)
+            least = min(s_l for _, s_l, _ in points)
+            if theta == math.pi / 4:
+                assert abs(least - 0.5) <= 1e-9
+            elif varphi == math.pi / 2:
+                assert least >= math.sin(2 * theta) ** 2 / 2 - 1e-12
+        if theta != math.pi / 4:
+            # the minima themselves, one point each: c = 0 at varphi = pi/2
+            ((_, s_l, _),) = vacuum_pair_sweep("ico_j0", math.pi / 2, theta=theta,
+                                               varphi=math.pi / 2)
+            assert abs(s_l - math.sin(2 * theta) ** 2 / 2) <= 1e-12
+            ratio = math.tan(theta) if theta < math.pi / 4 else 1.0 / math.tan(theta)
+            ((_, s_l, ground),) = vacuum_pair_sweep("ico_j0", math.acos(-ratio), theta=theta)
+            assert s_l <= 1e-9 and ground > 1e-5
+    series = vacuum_pair_sweep("series_C0C1", 0.001, 10.0)
+    worst_series = max(abs(s_l - 2 * math.cos(gt) ** 2 / (1 + math.cos(gt) ** 2) ** 2)
+                       for gt, s_l, _ in series)
+    assert worst <= 1e-9 and worst_series <= 1e-9
+    print(
+        f"[PASS] criterion 15: ground-branch S_L within {worst:.2e} of the closed form over "
+        f"{len(thetas)} x {len(varphis)} (theta, varphi) and {compared} points, series within "
+        f"{worst_series:.2e} of 2c^2/(1 + c^2)^2; minimum 1/2 only at theta = pi/4"
+    )

@@ -27,6 +27,8 @@ from ico_cqed import (
     hadamard_control,
     ico_postselected_state,
     measure_control,
+    sigma_z_ico,
+    sigma_z_series,
     state_after_both,
 )
 from helpers import (
@@ -264,6 +266,23 @@ def test_state_after_both_refuses_an_order_that_is_not_a_cavity_order(order):
     message = f"^order must be a CavityOrder, got {re.escape(repr(order))}$"
     with pytest.raises(TypeError, match=message):
         state_after_both(order, p, p.T)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: state_after_both(CavityOrder.C0_THEN_C1, p, 0.0),
+    lambda p: general_postselect(0, p),
+    lambda p: ico_postselected_state(0, p),
+    sigma_z_series,
+    sigma_z_ico,
+    lambda p: evolve(p, 0.0, TruncationWindow(2)),
+], ids=["state_after_both", "general_postselect", "ico_postselected_state", "sigma_z_series",
+        "sigma_z_ico", "evolve"])
+def test_entry_points_refuse_a_non_system_params_by_type(call):
+    # before any field of it is read, which raised AttributeError
+    for p in ("abc", None, {"g": 1.0, "T": 1.0}):
+        message = f"^p: must be a SystemParams, got {re.escape(repr(p))}$"
+        with pytest.raises(TypeError, match=message):
+            call(p)
 
 
 def test_cavity_order_values_name_the_series_scenarios():

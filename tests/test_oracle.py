@@ -575,8 +575,8 @@ def test_phase_refuses_an_overflowing_phase_argument():
     amps = np.ones((2, 3), dtype=complex)
     omega, t = (1.0, -1e308, 2.0), (1.0, 1.0, 1.0)
     with pytest.raises(ValueError, match=argument + "-inf"):
-        oracle.phase(amps, omega, t, np.array([0, 3]))
-    assert np.isfinite(oracle.phase(amps[:, ::2], omega[::2], t[::2], np.array([0, 3]))).all()
+        oracle.phase(amps, omega, t, np.array([[0], [3]]))
+    assert np.isfinite(oracle.phase(amps[:, ::2], omega[::2], t[::2], np.array([[0], [3]]))).all()
     # three excitations: 2.5 * 1e308 overflows, -0.5 * 1e308 at none does not
     with pytest.raises(ValueError, match=argument + "inf"):
         schrodinger_phase(PureState({AtomFieldKet(E, 1, 1): 1.0}), 1e308, 1.0)
@@ -589,7 +589,7 @@ def test_phase_names_the_first_failing_column_and_its_first_field():
     # a NaN omega in column 3 of 5 and an overflowing omega * t in another:
     # the error names the field that fails first in the first failing column
     amps = np.ones((2, 5), dtype=complex)
-    excitations = np.array([0, 3])
+    excitations = np.array([[0], [3]])
     omega, t = [1.0, 2.0, 0.5, math.nan, 1.5], [1.0] * 5
     for column, message in ((1, r"omega \* t: must be finite, got inf"),
                             (4, "omega: must be finite, got nan")):

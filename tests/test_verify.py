@@ -124,7 +124,7 @@ def matrix_chain(group, w):
     out = []
     for j in (0, 1):
         state, prob = condition(rows, j)
-        out.append((phase(state, table["omega"], table["t"], basis_excitations(w)), prob))
+        out.append((phase(state, table["omega"], table["t"], basis_excitations(w)[:, None]), prob))
     return out
 
 
@@ -193,6 +193,24 @@ def test_batching_changes_no_bits():
     assert refused >= 2
 
 
+def test_compact_support_keeps_the_kets_each_draw_populates():
+    # per column: its populated window indices in ascending order, then
+    # distinct indices it leaves at exactly 0 up to the chunk's longest
+    # support, and the branches' bits on them
+    draws = seeded_draws(5, 60)
+    wide = TruncationWindow(max(max(p.n, p.m) for p, _ in draws) + 2)
+    branches = _evolve_branches(draw_table(draws), wide)
+    rows, compact = oracle._compact(branches)
+    populated = branches.any(axis=0)
+    counts = populated.sum(axis=0)
+    assert rows.shape == compact.shape[1:] == (counts.max(), len(draws)) and counts.min() < len(rows)
+    for col, count in enumerate(counts):
+        assert rows[:count, col].tolist() == np.flatnonzero(populated[:, col]).tolist()
+        assert len(set(rows[:, col].tolist())) == len(rows)
+        assert not populated[rows[count:, col], col].any()
+        assert compact[:, :, col].tobytes() == branches[:, rows[:, col], col].tobytes()
+
+
 def test_leak_at_a_small_draws_guard_row_is_refused_in_a_wide_window(monkeypatch):
     # the guard rows of the n = 1, m = 0 draw start at 3, inside the window
     # of n_max = 6 that its batch with the n = 4, m = 2 draw needs: a leak
@@ -240,17 +258,55 @@ def test_outcome_only_the_matrix_side_refuses_is_raised_draw_major(monkeypatch):
 
 def test_analytic_ket_outside_window_counts_as_deviation():
     # a closed form that put weight beyond the window must not alias onto
-    # another index of the numeric vector, and counts in full in each column
+    # another index of the numeric entries, and counts in full in each column
     w = TruncationWindow(3)
-    numeric = np.zeros((w.atom_field_dim, 2), dtype=complex)
-    numeric[w.index(G, 1, 0)] = 0.25, 0.75
+    rows = np.full((1, 2), w.index(G, 1, 0))
+    numeric = np.zeros((2, 1, 2), dtype=complex)
+    numeric[:, 0] = 0.25, 0.75
     # (g, 0, n_max + 1) would land on the flat index of (g, 1, 0)
     with pytest.raises(ValueError, match="^m: must lie in 0..3, got 4$"):
         w.index(G, 0, w.n_max + 1)
-    analytic = np.zeros((len(OFFSETS), 2), dtype=complex)
-    analytic[OFFSETS.index((G, 0, +1))] = 0.5
+    analytic = np.zeros((2, len(OFFSETS), 2), dtype=complex)
+    analytic[:, OFFSETS.index((G, 0, +1))] = 0.5
     n, m = np.zeros(2, dtype=int), np.full(2, w.n_max)
-    assert _amplitude_deviation(n, m, analytic, numeric, w).tolist() == [0.5, 0.75]
+    assert _amplitude_deviation(n, m, analytic, rows, numeric, w).tolist() == [[0.5, 0.75]] * 2
+
+
+def test_leak_onto_a_ket_the_closed_forms_do_not_reach_is_the_deviation(monkeypatch):
+    # a matrix side that puts amplitude on |e, 2, 2> in the n = 1, m = 0
+    # draw, a ket inside the window, below that draw's guard rows (3 and up)
+    # and out of reach of the closed forms from (1, 0): in a chunk of mixed
+    # (n, m) the leaked ket joins the draw's compact support, the draw's
+    # deviation is exactly its magnitude, and every other draw compares as
+    # before
+    rng = np.random.default_rng(3)
+    draws = []
+    for n, m in ((4, 2), (1, 0), (0, 3), (2, 2)):
+        p = replace(random_params(rng), n=n, m=m)
+        draws.append((p, p.T1 + p.T))
+    table, wide, column = draw_table(draws), TruncationWindow(6), 1
+    leaked = wide.index(E, 2, 2)
+    assert (E, 2 - 1, 2 - 0) not in OFFSETS
+    clean = _compare(table)
+    assert (clean[0] >= 1e-3).all() and (clean[2] < 1e-9).all()
+    rotate = oracle._rotate
+
+    def leaky(x, cavity, t, g, w):
+        out = rotate(x, cavity, t, g, w)
+        if cavity == 1:  # the last rotation; the first N columns are control 0
+            out[leaked, column] += 1e-3
+        return out
+
+    monkeypatch.setattr(oracle, "_rotate", leaky)
+    rows, _ = oracle._compact(_evolve_branches(table, wide))
+    assert leaked in rows[:, column]
+    dirty = _compare(table)
+    magnitude = [abs(complex(numeric[leaked, column])) for numeric, _ in matrix_chain(draws, wide)]
+    assert min(magnitude) > 1e-4
+    assert dirty[2][:, column].tolist() == magnitude
+    others = [c for c in range(len(draws)) if c != column]
+    for before, after in zip(clean, dirty):
+        assert after[:, others].tolist() == before[:, others].tolist()
 
 
 def test_grouped_closed_forms_equal_one_draw_calls():
