@@ -28,16 +28,18 @@ def test_equal_ratios_give_a_point_interval():
     assert ab_inprocess.ratio_interval([2.0] * 10, [1.6] * 10) == (0.8, 0.8, 0.8)
 
 
-def test_bootstrap_interval_covers_a_rare_outlier_only_at_its_rate():
+def test_bootstrap_interval_covers_a_rare_outlier_only_at_its_rate(monkeypatch):
     # ratios 1, 1, 1, 1, 5: a resampled median is 5 when three or more of
     # five draws are the 5, with probability 0.058: above 0.025, so the
     # 95 % interval reaches 5, and below 0.1, so the 80 % one stops at 1
     parent, change = [1.0] * 5, [1.0, 1.0, 1.0, 1.0, 5.0]
     assert ab_inprocess.ratio_interval(parent, change) == (1.0, 1.0, 5.0)
-    assert ab_inprocess.ratio_interval(parent, change, level=0.8) == (1.0, 1.0, 1.0)
+    monkeypatch.setattr(ab_inprocess, "LEVEL", 0.8)
+    assert ab_inprocess.ratio_interval(parent, change) == (1.0, 1.0, 1.0)
     # seeded: the same interval on every call
-    again = ab_inprocess.ratio_interval(parent, change, seed=7, level=0.9)
-    assert again == ab_inprocess.ratio_interval(parent, change, seed=7, level=0.9)
+    monkeypatch.setattr(ab_inprocess, "LEVEL", 0.9)
+    again = ab_inprocess.ratio_interval(parent, change, seed=7)
+    assert again == ab_inprocess.ratio_interval(parent, change, seed=7)
 
 
 @pytest.mark.parametrize("parent,change", [([1.0, 2.0], [1.0]), ([1.0], [1.0])])
@@ -46,14 +48,15 @@ def test_interval_needs_two_or_more_whole_rounds(parent, change):
         ab_inprocess.ratio_interval(parent, change)
 
 
-def test_rounds_alternate_sides_in_a_seeded_order_and_count_differing_results():
+def test_rounds_alternate_sides_in_a_seeded_order_and_count_differing_results(monkeypatch):
+    monkeypatch.setattr(ab_inprocess, "WARMUP", 1)
     calls = []
 
     def op(side, r):
         calls.append((side, r))
         return r if side == "a" or r != 2 else "other"
 
-    times, differ = ab_inprocess.time_rounds(["a", "b"], op, rounds=6, seed=3, warmup=1)
+    times, differ = ab_inprocess.time_rounds(["a", "b"], op, rounds=6, seed=3)
     assert [len(side) for side in times] == [6, 6]
     assert differ == 1  # round 2 only
     # every round runs both sides once, warm-up round first (as round 0)
@@ -61,7 +64,7 @@ def test_rounds_alternate_sides_in_a_seeded_order_and_count_differing_results():
     first = [calls[i][0] for i in range(0, len(calls), 2)]
     assert set(first) == {"a", "b"}  # neither side always runs first
     calls.clear()
-    ab_inprocess.time_rounds(["a", "b"], op, rounds=6, seed=3, warmup=1)
+    ab_inprocess.time_rounds(["a", "b"], op, rounds=6, seed=3)
     assert [calls[i][0] for i in range(0, len(calls), 2)] == first
 
 

@@ -7,7 +7,7 @@ PARENT_TREE and CHANGE_TREE are source checkouts.  Each tree's
 directory under its own package name, ``ico_cqed_parent`` and
 ``ico_cqed_change``; every import inside ``src/`` is relative, so a renamed
 copy imports as it is and both live in one process.  After a few untimed
-warm-up rounds, round r runs ``run_verification(r, DRAWS)`` once on each
+warm-up rounds, round r runs ``run_verification(r, 200)`` once on each
 side, in an order drawn from a generator seeded with SEED, and times each
 call with ``time.perf_counter``.  Timing both sides in one process, round by
 round, takes out the process layout that moves the timings of separate
@@ -35,19 +35,26 @@ import numpy as np
 
 #: Package names of the two copies, parent first.
 SIDES = ("ico_cqed_parent", "ico_cqed_change")
+#: Draws per timed run_verification call.
+DRAWS = 200
+#: Untimed rounds before the timed ones.
+WARMUP = 5
+#: Bootstrap resamples of the per-round ratios, and the interval's level.
+RESAMPLES = 2000
+LEVEL = 0.95
 
 
-def ratio_interval(parent: list[float], change: list[float], *, resamples: int = 2000,
-                   level: float = 0.95, seed: int = 0) -> tuple[float, float, float]:
+def ratio_interval(parent: list[float], change: list[float],
+                   seed: int = 0) -> tuple[float, float, float]:
     """The median of the per-round ratios change[i] / parent[i], and the
-    percentile bootstrap interval of that median at the given level: the
-    ratios resampled with replacement, resamples times, by a generator
-    seeded with seed."""
+    percentile bootstrap interval of that median at LEVEL: the ratios
+    resampled with replacement, RESAMPLES times, by a generator seeded
+    with seed."""
     if len(parent) != len(change) or len(parent) < 2:
         raise ValueError(f"need two or more rounds, got {len(parent)} and {len(change)} times")
     ratios = np.asarray(change, dtype=float) / np.asarray(parent, dtype=float)
-    draws = np.random.default_rng(seed).choice(ratios, size=(resamples, len(ratios)))
-    low, high = np.quantile(np.median(draws, axis=1), [(1 - level) / 2, (1 + level) / 2])
+    draws = np.random.default_rng(seed).choice(ratios, size=(RESAMPLES, len(ratios)))
+    low, high = np.quantile(np.median(draws, axis=1), [(1 - LEVEL) / 2, (1 + LEVEL) / 2])
     return float(np.median(ratios)), float(low), float(high)
 
 
@@ -59,16 +66,16 @@ def load_copy(tree: Path, name: str, directory: Path):
     return importlib.import_module(name)
 
 
-def time_rounds(packages, op, rounds: int, seed: int, warmup: int = 5):
+def time_rounds(packages, op, rounds: int, seed: int):
     """Per package, the times of op(package, r) for r in 0..rounds-1, each
     round running the packages in an order shuffled by a generator seeded
-    with seed, after warmup untimed rounds; and the rounds whose results'
+    with seed, after WARMUP untimed rounds; and the rounds whose results'
     reprs differ between the packages."""
     order = list(range(len(packages)))
     shuffle = random.Random(seed).shuffle
     times: list[list[float]] = [[] for _ in packages]
     differ = 0
-    for r in range(-warmup, rounds):
+    for r in range(-WARMUP, rounds):
         shuffle(order)
         results, elapsed = [None] * len(packages), [0.0] * len(packages)
         for side in order:
@@ -87,7 +94,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("parent", type=Path, help="the parent source tree")
     parser.add_argument("change", type=Path, help="the changed source tree")
     parser.add_argument("--rounds", type=int, default=400, help="timed rounds (default 400)")
-    parser.add_argument("--draws", type=int, default=200, help="draws per run (default 200)")
     parser.add_argument("--seed", type=int, default=1, help="seed of the side order (default 1)")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="ab-inprocess-") as tmp:
@@ -95,13 +101,13 @@ def main(argv: list[str] | None = None) -> int:
         packages = [load_copy(tree, name, Path(tmp))
                     for tree, name in zip((args.parent, args.change), SIDES)]
         (parent, change), differ = time_rounds(
-            packages, lambda package, r: package.run_verification(r, args.draws),
+            packages, lambda package, r: package.run_verification(r, DRAWS),
             args.rounds, args.seed)
     median, low, high = ratio_interval(parent, change, seed=args.seed)
-    print(f"run_verification(s, {args.draws}), {args.rounds} rounds, side order seed {args.seed}")
+    print(f"run_verification(s, {DRAWS}), {args.rounds} rounds, side order seed {args.seed}")
     print(f"parent median {1e3 * statistics.median(parent):.3f} ms, "
           f"change median {1e3 * statistics.median(change):.3f} ms")
-    print(f"change / parent: median {median:.4f}, 95 % bootstrap interval [{low:.4f}, {high:.4f}]")
+    print(f"change / parent: median {median:.4f}, {LEVEL:.0%} bootstrap interval [{low:.4f}, {high:.4f}]")
     print(f"rounds whose reports differ: {differ}")
     return 0
 
