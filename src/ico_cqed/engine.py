@@ -79,6 +79,7 @@ def coeffs_c(p: SystemParams, tau: float) -> tuple:
     slot attached to a negative-occupation ket carries a sin factor with a
     zero rate, so it vanishes as well.
     """
+    check_params(p)
     check_real(tau, "tau", 0.0, p.T, "[]")
     ce, se = math.cos(p.xi), cmath.exp(1j * p.chi) * math.sin(p.xi)
     rates_n, rates_m = ((p.g * math.sqrt(k + 1), p.g * math.sqrt(k)) for k in (p.n, p.m))
@@ -87,6 +88,7 @@ def coeffs_c(p: SystemParams, tau: float) -> tuple:
 
 def coeffs_s(p: SystemParams, tau: float) -> tuple:
     """Mirror of coeffs_c for the opposite order: n and m exchange roles."""
+    check_params(p)
     return coeffs_c(replace(p, n=p.m, m=p.n), tau)
 
 

@@ -10,10 +10,10 @@ _evolve_branches -> recombine -> condition -> phase, batched over draws:
 the last axis holds one column per draw, and a column does not depend on
 the others.  The draws enter as a draw table (draw_table), one array per
 SystemParams field and one, "t", of the times, as verify's closed-form side
-also reads them.  verify evolves each chunk of draws, whatever their (n, m),
-on the window of the largest, and runs the rest of the chain on the kets
-each draw populates (_compact); evolve, hadamard_control, measure_control
-and schrodinger_phase run it with one column, on the support of a PureState.
+also reads them.  Each draw evolves on its own five levels per mode, and
+the rest of the chain runs on the kets it populates: verify's chunks mix
+draws of any (n, m); evolve, hadamard_control, measure_control and
+schrodinger_phase run it with one column, on the support of a PureState.
 """
 
 from __future__ import annotations
@@ -70,6 +70,7 @@ class TruncationWindow:
 
     @classmethod
     def for_params(cls, p: SystemParams) -> "TruncationWindow":
+        check_params(p)
         return cls(max(p.n, p.m) + 2)
 
     @property
@@ -92,19 +93,19 @@ class TruncationWindow:
         return (atom * self.levels + n) * self.levels + m
 
 
-def _rotate(x: np.ndarray, cavity: int, t, g, w: TruncationWindow) -> np.ndarray:
+def _rotate(x: np.ndarray, cavity: int, t, g, base, w: TruncationWindow) -> np.ndarray:
     """exp(-i t H_int) of one cavity applied in place to each column of
     ``x``, a C-contiguous (atom_field_dim, N) array, as the doublet
-    rotations described in jc_propagator; returns x.  t and g are arrays of
-    N values, column c rotating for time t[c] at coupling g[c], or of one
-    value that every column shares."""
+    rotations described in jc_propagator; returns x.  t, g and base are
+    arrays of N values, column c rotating for time t[c] at coupling g[c] with
+    level i of the active mode at occupation base[c] + i, or one shared value."""
     k = w.n_max
-    # angles (n_max, 1, len(t)), each (g * sqrt(k+1)) * t
-    angles = (np.sqrt(np.arange(1.0, k + 1))[:, None, None] * g) * t
+    # angles (n_max, 1, len(t)), each (g * sqrt(base+i+1)) * t for doublet i
+    angles = (np.sqrt(np.arange(1.0, k + 1)[:, None, None] + base) * g) * t
     diag = np.cos(angles).astype(complex)
     off = -1j * np.sin(angles)
-    # x as (atom, active mode, spectator mode, N): the doublet k pairs |e>
-    # at occupation k of the active mode with |g> at k+1.
+    # x as (atom, active mode, spectator mode, N): the doublet i pairs |e>
+    # at level i of the active mode with |g> at level i+1.
     x4 = x.reshape(2, w.levels, w.levels, -1)
     if cavity == 0:
         # A doublet's rows are contiguous over the spectator mode; factors
@@ -115,7 +116,7 @@ def _rotate(x: np.ndarray, cavity: int, t, g, w: TruncationWindow) -> np.ndarray
     excited, ground = x4[0, :k], x4[1, 1:]
     # (e, g) -> (diag * e + off * g, off * e + diag * g), each product with
     # its operands in this order and each sum of two rounded as written;
-    # |g, 0> and the top |e> row stay put
+    # the bottom |g> and the top |e> level stay put
     rotated = diag * excited
     rotated += off * ground
     np.multiply(diag, ground, out=ground)
@@ -134,25 +135,7 @@ def jc_propagator(cavity: int, t: float, g: float, w: TruncationWindow) -> np.nd
     """
     check_whole(cavity, "cavity", 0, 2)
     t, g = np.array([check_real(t, "t", 0.0)]), np.array([g])
-    return _rotate(np.eye(w.atom_field_dim, dtype=complex), cavity, t, g, w)
-
-
-@functools.lru_cache(maxsize=16)
-def _basis(w: TruncationWindow) -> np.ndarray:
-    """The (atom, n, m) of every window index as a (3, atom_field_dim) table,
-    atom 0 being excited; read-only."""
-    table = np.indices((2, w.levels, w.levels)).reshape(3, -1)
-    table.flags.writeable = False
-    return table
-
-
-def _guard_population(branches: np.ndarray, tops, w: TruncationWindow) -> np.ndarray:
-    """Probability per column of (2, atom_field_dim, N) branches on the kets
-    with a photon number at or beyond the column's guard row tops[c]."""
-    population = branches.real * branches.real
-    population += branches.imag * branches.imag
-    _, n, m = _basis(w)
-    return (population * (np.maximum(n, m)[:, None] >= tops)).sum(axis=(0, 1))
+    return _rotate(np.eye(w.atom_field_dim, dtype=complex), cavity, t, g, 0, w)
 
 
 #: The columns of a draw table: the SystemParams fields, then the time t.
@@ -170,60 +153,74 @@ def draw_table(draws: Iterable[tuple[SystemParams, float]]) -> dict[str, np.ndar
     return table
 
 
-def _evolve_branches(table: dict[str, np.ndarray], w: TruncationWindow) -> np.ndarray:
+#: Each draw's local window in _evolve_branches: level i of a mode holds occupation
+#: max(k - 2, 0) + i for the mode's photon number k; each edge but occupation 0 is a guard row.
+_LOCAL = TruncationWindow(4)
+_levels = np.indices((_LOCAL.levels, _LOCAL.levels, 3, 3))
+#: [a, b, i, j]: how far the ket at local levels (a, b) lies from a draw whose n and
+#: m sit at levels (i, j), the larger of its modes' distances; 2 and up is a guard row.
+_DISTANCE = abs(_levels[:2] - _levels[2:]).max(axis=0)
+
+
+def _evolve_branches(table: dict[str, np.ndarray], w: TruncationWindow) -> tuple:
     """The two control branches of evolve's state for the N draws of a draw
-    table on one window, as a (2, atom_field_dim, N) array on its basis,
-    weights included and amplitudes below PRUNE_EPSILON zeroed.  The draws
-    may differ in (n, m); the window must fit the largest.  Every draw gets
-    evolve's errors on its own guard rows, max(n, m) + 2 and up, and its
-    column does not depend on the other draws."""
-    n, m = table["n"], table["m"]
-    tops = np.maximum(n, m) + 2
-    if w.n_max < tops.max(initial=0):
-        raise ValueError(f"n_max: must be >= max(n, m) + 2 = {tops.max()}, got {w.n_max}")
+    table on the kets each draw populates: a (K, N) table of the indices on
+    w's basis that each column populates in either branch, ascending, and
+    the (2, K, N) branches on them, weights included and amplitudes below
+    PRUNE_EPSILON zeroed.  K is the most any column populates; a column with
+    fewer is padded with distinct indices it leaves at exactly 0.  The draws
+    may differ in (n, m); w must fit the largest.  Each draw evolves on its
+    own local window (_LOCAL) and gets evolve's errors on its own guard rows,
+    refusing any population of a mode at k + 2 and up or k - 2 and down for
+    its photon number k; a column does not depend on the others."""
+    photons = np.array([table["n"], table["m"]])
+    if w.n_max < photons.max(initial=0) + 2:
+        raise ValueError(f"n_max: must be >= max(n, m) + 2 = {photons.max() + 2}, got {w.n_max}")
     # cos(a) and exp(i phi) sin(a), rounded as cmath.exp(1j * phi) * math.sin(a),
     # for the atom's preparation (xi, chi) and the control's (theta, varphi)
     angle, phi = np.array([(table["xi"], table["theta"]), (table["chi"], table["varphi"])])
     cos, polar = np.cos(angle), (np.cos(phi) + 1j * np.sin(phi)) * np.sin(angle)
+    size, levels = photons.shape[1], _LOCAL.levels
+    # each mode's photon number k sits at local level min(k, 2), above base k - level
+    level = np.minimum(photons, 2)
+    base = photons - level
     # The control-1 branch, cavity 1 first, is the control-0 branch of the
     # preparation with the two modes exchanged.  So both branches run as 2N
     # columns through cavity 0 and then cavity 1, and the modes of the last
     # N are exchanged back: two rotations per batch, not four.
-    size = len(n)
-    vec = np.zeros((w.atom_field_dim, 2 * size), dtype=complex)
+    vec = np.zeros((_LOCAL.atom_field_dim, 2 * size), dtype=complex)
     # |e, n, m> and |g, n, m> of each column on the (atom, mode 0, mode 1,
-    # column) view, the last N with the modes exchanged
-    view, columns = vec.reshape(2, w.levels, w.levels, 2 * size), np.arange(size)
-    view[:, n, m, columns] = view[:, m, n, columns + size] = cos[0], polar[0]
+    # column) view, the last N with the modes, and so the bases, exchanged
+    view, columns = vec.reshape(2, levels, levels, 2 * size), np.arange(size)
+    view[:, level[0], level[1], columns] = view[:, level[1], level[0], columns + size] = (
+        cos[0], polar[0])
     # T1 >= T0 + T, so the second transit starts after the first has ended;
     # before, between and after the transits a rotation by 0 is the identity.
     # Both halves share each draw's times and coupling.
     schedule = [table[name] for name in ("t", "T0", "T1", "T", "g")]
-    t, entry0, entry1, transit, g = np.concatenate((schedule, schedule), axis=1)
-    vec = _rotate(vec, 0, np.minimum(np.maximum(t - entry0, 0.0), transit), g, w)
-    vec = _rotate(vec, 1, np.minimum(np.maximum(t - entry1, 0.0), transit), g, w)
-    exchanged = vec[:, size:].reshape(2, w.levels, w.levels, size).swapaxes(1, 2)
-    branches = np.empty((2, w.atom_field_dim, size), dtype=complex)
+    t, entry0, entry1, transit, g, base0, base1 = np.concatenate(
+        ((*schedule, *base), (*schedule, *base[::-1])), axis=1)
+    vec = _rotate(vec, 0, np.minimum(np.maximum(t - entry0, 0.0), transit), g, base0, _LOCAL)
+    vec = _rotate(vec, 1, np.minimum(np.maximum(t - entry1, 0.0), transit), g, base1, _LOCAL)
+    exchanged = vec[:, size:].reshape(2, levels, levels, size).swapaxes(1, 2)
+    branches = np.empty((2, _LOCAL.atom_field_dim, size), dtype=complex)
     np.multiply(cos[1], vec[:, :size], out=branches[0])
     np.multiply(polar[1], exchanged, out=branches[1].reshape(exchanged.shape))
     del vec, exchanged  # the doubled batch is not needed for the guard check
     prune_amplitudes(branches)
-    leak = _guard_population(branches, tops, w)
-    if (leak >= 1e-12).any():
-        raise TruncationOverflowError(f"guard-row population {leak[leak >= 1e-12][0]:.3e}")
-    return branches
-
-
-def _compact(branches: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The compact support of (2, atom_field_dim, N) branches: a (K, N) table
-    of the window indices each column populates in either branch, ascending,
-    and the (2, K, N) branches on them.  K is the most any column populates;
-    a column with fewer is padded with indices it leaves at exactly 0."""
-    populated = branches.any(axis=0)
-    # a stable sort of the unpopulated flags puts each column's populated
-    # indices first, in ascending order, and its unpopulated ones after them
-    rows = np.argsort(~populated, axis=0, kind="stable")[: populated.sum(axis=0).max()]
-    return rows, branches[:, rows, np.arange(rows.shape[1])]
+    distance = _DISTANCE[:, :, level[0], level[1]]
+    populated = branches.any(axis=0).reshape(2, levels, levels, size)
+    if (populated & (distance >= 2)).any():
+        population = (branches.real ** 2 + branches.imag ** 2).sum(axis=0).reshape(populated.shape)
+        leak = (population * (distance >= 2)).sum(axis=(0, 1, 2))
+        raise TruncationOverflowError(f"guard-row population {leak[leak > 0][0]:.3e}")
+    # A stable sort puts each column's populated kets first, ascending, and
+    # then the rest, nearest first: the 18 or more within distance 2 lie in w.
+    order = np.argsort(np.where(populated, -1, distance).reshape(-1, size), axis=0, kind="stable")
+    order = order[: populated.sum(axis=(0, 1, 2)).max()]
+    atom, i, j = np.unravel_index(order, populated.shape[:3])
+    rows = np.ravel_multi_index((atom, base[0] + i, base[1] + j), (2, w.levels, w.levels))
+    return rows, branches[:, order, columns]
 
 
 def evolve(p: SystemParams, t: float, w: TruncationWindow) -> PureState:
@@ -231,14 +228,15 @@ def evolve(p: SystemParams, t: float, w: TruncationWindow) -> PureState:
 
     The control-0 branch meets cavity 0 first, the control-1 branch cavity 1
     first.  Raises TruncationOverflowError if probability shows up in the
-    guard Fock rows, which an adequate window makes impossible.
+    guard Fock rows, which a correct rotation makes impossible.
     """
     check_params(p)
-    branches = _evolve_branches(draw_table([(p, check_real(t, "t", 0.0))]), w)[:, :, 0]
-    # flatnonzero, not _compact: on one column it costs less
-    columns = np.flatnonzero(branches.any(axis=0))
-    rests = [AtomFieldKet(_LEVELS[a], n, m) for a, n, m in zip(*_basis(w)[:, columns].tolist())]
-    return _full_state(rests, branches[:, columns])
+    rows, branches = _evolve_branches(draw_table([(p, check_real(t, "t", 0.0))]), w)
+    # one column: its K rows are the kets it populates
+    levels = w.levels
+    rests = [AtomFieldKet(_LEVELS[r // levels**2], r // levels % levels, r % levels)
+             for r in rows[:, 0].tolist()]
+    return _full_state(rests, branches[:, :, 0])
 
 
 def recombine(branches: np.ndarray) -> np.ndarray:
@@ -298,7 +296,7 @@ def phase(amps: np.ndarray, omega, t, excitations: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=16)
 def basis_excitations(w: TruncationWindow) -> np.ndarray:
     """Atom excitation plus photon number of every window index; read-only."""
-    atom, n, m = _basis(w)
+    atom, n, m = np.indices((2, w.levels, w.levels)).reshape(3, -1)
     excitations = 1 - atom + n + m
     excitations.flags.writeable = False
     return excitations

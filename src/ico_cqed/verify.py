@@ -27,10 +27,10 @@ DEFAULT_TOLERANCE = 1e-9
 #: for one chunk's arrays or one decoded block's temporaries; 100,000 draws peak at
 #: 17.8 MB above the imported package.
 MAX_DRAWS = 100_000
-#: Most draws compared in one batch; it bounds the branches evolved on the window
-#: of the largest draw (98 kets at n, m <= 4), before the chain moves to at most ten
-#: kets a draw.  A one-chunk run peaks at 0.69 MB under tracemalloc, 2.6 MB at 256.
-_CHUNK = 64
+#: Most draws compared in one batch; it bounds the branches evolved on 50 kets a draw
+#: before the chain moves to at most ten.  tracemalloc peaks: 0.68 MB for one chunk of
+#: 128 draws, 0.55 MB for 200 draws (two chunks of 100), 0.81 MB for 1,024.
+_CHUNK = 128
 #: Raw PCG64 outputs one draw takes (_decode).
 _WORDS = 11
 #: Draws decoded at once: the block's temporaries, about 0.4 KB a draw, stay
@@ -171,7 +171,7 @@ def _amplitude_deviation(
     """Largest |analytic - numeric| per control outcome and column, (2, N):
     analytic is (2, len(engine.OFFSETS), N) as grid_amplitudes returns it
     for the columns' n and m, numeric (2, K, N) on the window indices rows
-    (K, N) of oracle._compact.  Matched by window index, an entry or an
+    (K, N) of oracle._evolve_branches.  Matched by window index, an entry or an
     analytic ket with no partner counts in full, also an analytic ket
     outside the window; a negative-occupation one is 0.  hypot rounds as
     abs() of a Python complex does; numpy's complex abs may not."""
@@ -191,13 +191,13 @@ def _compare(table: dict[str, np.ndarray]) -> tuple:
     """For the N draws of a draw table, three (2, N) arrays, row j for
     control outcome j and column i for draw i: the closed-form probability,
     the matrix probability and the amplitude deviation.  Both sides run once
-    for all draws, the matrix side on the compact support of the branches
-    evolved on the window of the largest.  The first (draw, outcome) that the
-    closed forms accept and the matrix side refuses raises
+    for all draws, the matrix side on the compact support of the branches,
+    indexed on the window of the largest draw.  The first (draw, outcome)
+    that the closed forms accept and the matrix side refuses raises
     ImpossiblePostselectionError."""
     n, m = table["n"], table["m"]
     window = oracle.TruncationWindow(int(max(n.max(), m.max())) + 2)
-    rows, branches = oracle._compact(oracle._evolve_branches(table, window))
+    rows, branches = oracle._evolve_branches(table, window)
     outcomes = oracle.recombine(branches)
     excitations = oracle.basis_excitations(window)[rows]
     analytic, prob_analytic = _closed_forms(table)
@@ -228,7 +228,7 @@ def run_verification(
     branches are built once per chunk, and each control outcome recombines
     them.  The matrix side is the oracle's chain, recombine -> condition
     -> phase, run once per chunk on the kets each draw populates, of the
-    branches evolved on the window of the chunk's largest draw: the code
+    branches each draw evolves on its own local window: the code
     behind hadamard_control, measure_control and schrodinger_phase.  seed
     must be an int >= 0, draws an int in 1..MAX_DRAWS and tolerance a finite
     real >= 0; otherwise a ValueError names the field."""

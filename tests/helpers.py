@@ -2,8 +2,9 @@
 closed-form kernel (engine.grid_amplitudes) is checked against, the
 balanced-control formulas built on the slot amplitudes (the order overlap,
 P(j) and the conditional inversion) and the ket-by-ket dict reference for
-the oracle's recombine -> condition -> phase chain, the scalar draws of
-verify's parameter stream, and the seeded sweep configs whose CLI output
+the oracle's recombine -> condition -> phase chain, the full-window
+evolution the oracle's local windows are checked against, the scalar draws
+of verify's parameter stream, and the seeded sweep configs whose CLI output
 tests/data/sweep_sha256.json pins."""
 
 import cmath
@@ -25,8 +26,9 @@ from ico_cqed import (
     coeffs_c,
     coeffs_s,
 )
+from ico_cqed import oracle
 from ico_cqed.sweep import SCENARIOS
-from ico_cqed.states import check_outcome
+from ico_cqed.states import check_outcome, prune_amplitudes
 
 E = AtomLevel.EXCITED
 G = AtomLevel.GROUND
@@ -277,6 +279,73 @@ def reference_schrodinger_phase(s: PureState, omega: float, t: float) -> PureSta
             for ket, amp in s.items()
         }
     )
+
+
+# ---------------------------------------------------------------- window evolution
+
+#: oracle._rotate as the package defines it, whatever a test patches in its place.
+_ROTATE = oracle._rotate
+
+
+def full_window_branches(table, w):
+    """The two control branches of the draws of a draw table, every draw
+    evolved on all of the window w: a (2, atom_field_dim, N) array on its
+    basis, weights included and pruned, with no guard row checked.  This is
+    the evolution that oracle._evolve_branches' local windows replaced, kept
+    as their reference; it rotates with oracle._rotate at base 0, as
+    jc_propagator does."""
+    n, m = table["n"], table["m"]
+    angle, phi = np.array([(table["xi"], table["theta"]), (table["chi"], table["varphi"])])
+    cos, polar = np.cos(angle), (np.cos(phi) + 1j * np.sin(phi)) * np.sin(angle)
+    size = len(n)
+    vec = np.zeros((w.atom_field_dim, 2 * size), dtype=complex)
+    view, columns = vec.reshape(2, w.levels, w.levels, 2 * size), np.arange(size)
+    view[:, n, m, columns] = view[:, m, n, columns + size] = cos[0], polar[0]
+    schedule = [table[name] for name in ("t", "T0", "T1", "T", "g")]
+    t, entry0, entry1, transit, g = np.concatenate((schedule, schedule), axis=1)
+    vec = _ROTATE(vec, 0, np.minimum(np.maximum(t - entry0, 0.0), transit), g, 0, w)
+    vec = _ROTATE(vec, 1, np.minimum(np.maximum(t - entry1, 0.0), transit), g, 0, w)
+    exchanged = vec[:, size:].reshape(2, w.levels, w.levels, size).swapaxes(1, 2)
+    branches = np.empty((2, w.atom_field_dim, size), dtype=complex)
+    np.multiply(cos[1], vec[:, :size], out=branches[0])
+    np.multiply(polar[1], exchanged, out=branches[1].reshape(exchanged.shape))
+    return prune_amplitudes(branches)
+
+
+def window_branches(table, w):
+    """oracle._evolve_branches on a draw table, its compact branches put
+    back on the window w: (2, atom_field_dim, N), exactly 0 off each
+    column's compact support."""
+    rows, branches = oracle._evolve_branches(table, w)
+    full = np.zeros((2, w.atom_field_dim, rows.shape[1]), dtype=complex)
+    full[:, rows, np.arange(rows.shape[1])] = branches
+    return full
+
+
+def leaky_rotate(table, leaks):
+    """A stand-in for oracle._rotate that moves weight where a rotation must
+    not: the real rotation, then, after the last one (cavity 1), each leak
+    (column, control, (atom, n, m), amplitude) added onto |atom, n, m> of
+    that column's control branch, on the local window of the table's draw in
+    that column (levels max(k - 2, 0) and up for each mode's photon number k)."""
+    size = len(table["n"])
+    base = np.maximum(np.array([table["n"], table["m"]]) - 2, 0)
+
+    def leaky(x, cavity, t, g, b, w):
+        out = _ROTATE(x, cavity, t, g, b, w)
+        if cavity == 1:
+            view = out.reshape(2, w.levels, w.levels, -1)
+            for column, control, (atom, n, m), amplitude in leaks:
+                i, j = n - base[0, column], m - base[1, column]
+                assert 0 <= i < w.levels and 0 <= j < w.levels, "leak beyond the local window"
+                # the control-1 half of the batch holds its modes exchanged
+                if control:
+                    view[int(atom), j, i, size + column] += amplitude
+                else:
+                    view[int(atom), i, j, column] += amplitude
+        return out
+
+    return leaky
 
 
 # ---------------------------------------------------------------- verify's draw stream

@@ -1,10 +1,12 @@
 """tools/ab_inprocess.py: the ratio and bootstrap arithmetic on fixed
-numbers, the side order of its rounds, and a renamed package copy; no
-benchmark runs."""
+numbers, the side order of its rounds, a renamed package copy and the
+memory peak it prints; no benchmark runs."""
 
 import importlib.util
 import sys
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -78,3 +80,37 @@ def test_a_renamed_copy_of_the_package_imports_as_its_own_package(tmp_path, monk
     finally:
         for name in [n for n in sys.modules if n.startswith("ico_cqed_copy_under_test")]:
             del sys.modules[name]
+
+
+def test_traced_peak_measures_one_call_and_stops_tracing():
+    assert 1_000_000 <= ab_inprocess.traced_peak(lambda: bytearray(1_000_000)) < 1_100_000
+    assert not tracemalloc.is_tracing()
+
+    def failing():
+        raise RuntimeError("op failed")
+
+    with pytest.raises(RuntimeError, match="^op failed$"):
+        ab_inprocess.traced_peak(failing)
+    assert not tracemalloc.is_tracing()
+
+
+def test_main_prints_each_sides_memory_peak(monkeypatch, capsys):
+    # stand-in packages whose run_verification allocates 1 MB and 2 MB: the
+    # last line gives each side's peak for run_verification(0, DRAWS)
+    calls = []
+
+    def package(size):
+        def run_verification(seed, draws):
+            calls.append((size, seed, draws))
+            return bytearray(size)
+        return SimpleNamespace(run_verification=run_verification)
+
+    sides = {"ico_cqed_parent": package(1_000_000), "ico_cqed_change": package(2_000_000)}
+    monkeypatch.setattr(ab_inprocess, "load_copy", lambda tree, name, directory: sides[name])
+    monkeypatch.setattr(ab_inprocess, "WARMUP", 0)
+    monkeypatch.setattr(sys, "path", [*sys.path])  # main puts its copies' directory first
+    assert ab_inprocess.main(["parent", "change", "--rounds", "2"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    head = f"tracemalloc peak of run_verification(0, {ab_inprocess.DRAWS}): parent 1.0"
+    assert last.startswith(head) and ", change 2.0" in last and last.endswith(" MB")
+    assert calls[-2:] == [(1_000_000, 0, ab_inprocess.DRAWS), (2_000_000, 0, ab_inprocess.DRAWS)]

@@ -275,8 +275,11 @@ def test_state_after_both_refuses_an_order_that_is_not_a_cavity_order(order):
     sigma_z_series,
     sigma_z_ico,
     lambda p: evolve(p, 0.0, TruncationWindow(2)),
+    lambda p: coeffs_c(p, 0.0),
+    lambda p: coeffs_s(p, 0.0),
+    TruncationWindow.for_params,
 ], ids=["state_after_both", "general_postselect", "ico_postselected_state", "sigma_z_series",
-        "sigma_z_ico", "evolve"])
+        "sigma_z_ico", "evolve", "coeffs_c", "coeffs_s", "for_params"])
 def test_entry_points_refuse_a_non_system_params_by_type(call):
     # before any field of it is read, which raised AttributeError
     for p in ("abc", None, {"g": 1.0, "T": 1.0}):

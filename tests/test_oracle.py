@@ -25,22 +25,26 @@ from ico_cqed import (
     state_after_both,
 )
 from ico_cqed import oracle
-from ico_cqed.oracle import MAX_N_MAX, _evolve_branches, _guard_population, draw_table
+from ico_cqed.oracle import MAX_N_MAX, _evolve_branches, draw_table
 from ico_cqed.verify import random_params
 from helpers import (
     E,
     G,
     excitation_distribution,
+    full_window_branches,
     grid_table,
     initial_atom_field_state,
     jc_generator,
+    leaky_rotate,
     max_amp_diff,
+    window_branches,
     window_groups,
 )
 
 
 def evolve_branches(draws, w):
-    """_evolve_branches on the draw table of (params, time) draws."""
+    """_evolve_branches on the draw table of (params, time) draws: the (K, N)
+    window indices and the (2, K, N) branches on them."""
     return _evolve_branches(draw_table(draws), w)
 
 
@@ -374,22 +378,49 @@ def test_evolve_window_validation():
         evolve(p, 1.0, TruncationWindow(4))  # needs max(n, m) + 2 = 5
 
 
-def test_guard_population_trips_overflow_check():
-    # one column per leak, plus a clean column: each column is summed alone,
-    # from its own guard row up; the last two leak below the window's top
-    w = TruncationWindow(3)
-    leaks = ((0, (E, 3, 0)), (1, (G, 0, 3)), (1, (E, 3, 3)), (0, (G, 2, 1)), (1, (E, 0, 2)))
-    tops = np.array([3, 3, 3, 2, 2, 3])
-    branches = np.zeros((2, w.atom_field_dim, len(leaks) + 1), dtype=complex)
+def test_guard_population_trips_overflow_check(monkeypatch):
+    # one column per leak, plus a clean column: each column is checked and
+    # summed alone, on its own guard rows, every occupation of a mode at k + 2
+    # and up or k - 2 and down; a leak of 0.6j in either branch weighs
+    # 0.36 / 2, as theta = pi/4, and draws of three (n, m) share the batch
+    picks = ((1, 0), (1, 0), (1, 0), (3, 2), (3, 2), (2, 2))
+    draws = [(p, p.T1 + p.T) for p in (SystemParams(g=1.0, T=1.0, theta=math.pi / 4, n=n, m=m)
+                                       for n, m in picks)]
+    table, w = draw_table(draws), TruncationWindow(5)
+    leaks = (
+        (0, (E, 3, 0)),  # mode 0 at n + 2
+        (1, (G, 0, 2)),  # mode 1, the smaller, at m + 2
+        (1, (E, 4, 4)),  # the top of both modes' local windows
+        (0, (G, 1, 2)),  # mode 0 at n - 2, the bottom of its local window
+        (1, (E, 3, 0)),  # mode 1 at m - 2, occupation 0
+    )
+    _evolve_branches(table, w)
     for column, (control, ket) in enumerate(leaks):
-        branches[control, w.index(*ket), column] = 0.6j
-        branches[1 - control, w.index(E, 1, 0), column] = 0.8
-    branches[0, w.index(E, 2, 2), len(leaks)] = 1.0
-    expected = [0.36] * len(leaks) + [0.0]
-    assert _guard_population(branches, tops, w).tolist() == pytest.approx(expected, abs=1e-15)
-    assert _guard_population(branches, tops, w)[-1] == 0.0
-    # the same leaks below the top row are no leaks for draws whose top is 3
-    assert _guard_population(branches, np.full(6, 3), w)[3:].tolist() == [0.0] * 3
+        monkeypatch.setattr(oracle, "_rotate", leaky_rotate(table, [(column, control, ket, 0.6j)]))
+        with pytest.raises(TruncationOverflowError, match="^guard-row population 1.800e-01$"):
+            _evolve_branches(table, w)
+    # two leaks in one column add up; of two leaking columns the first is named
+    both = [(2, 0, (E, 3, 0), 0.6j), (2, 1, (G, 1, 3), 0.6j)]
+    monkeypatch.setattr(oracle, "_rotate", leaky_rotate(table, both))
+    with pytest.raises(TruncationOverflowError, match="^guard-row population 3.600e-01$"):
+        _evolve_branches(table, w)
+    two = [(4, 0, (E, 1, 0), 0.6j), (1, 0, (E, 4, 0), 0.2j)]
+    monkeypatch.setattr(oracle, "_rotate", leaky_rotate(table, two))
+    with pytest.raises(TruncationOverflowError, match="^guard-row population 2.000e-02$"):
+        _evolve_branches(table, w)
+    # any population trips it, however small: a rotation leaves a guard row
+    # at exactly 0, so even 1.41e-15 (2e-15 weighed), above PRUNE_EPSILON, counts
+    monkeypatch.setattr(oracle, "_rotate", leaky_rotate(table, [(5, 1, (E, 4, 2), 2e-15)]))
+    with pytest.raises(TruncationOverflowError, match="^guard-row population 2.000e-30$"):
+        _evolve_branches(table, w)
+    # the same leaks one occupation nearer each draw's own (n, m) are no
+    # leaks: the kets join the compact support
+    inner = [(0, 0, (E, 2, 0), 0.6j), (1, 1, (G, 0, 1), 0.6j), (2, 1, (E, 2, 1), 0.6j),
+             (3, 0, (G, 2, 2), 0.6j), (4, 1, (E, 3, 1), 0.6j)]
+    monkeypatch.setattr(oracle, "_rotate", leaky_rotate(table, inner))
+    dirty = window_branches(table, w)
+    for column, control, ket, _ in inner:
+        assert abs(dirty[control, w.index(*ket), column]) > 0.4
 
 
 def test_evolve_refuses_guard_row_leak(monkeypatch):
@@ -397,7 +428,7 @@ def test_evolve_refuses_guard_row_leak(monkeypatch):
     p = SystemParams(g=1.0, T=1.0, n=1, m=0)
     w = TruncationWindow.for_params(p)
 
-    def leaky(x, cavity, t, g, w):
+    def leaky(x, cavity, t, g, base, w):
         out = x.copy()
         out[w.index(E, w.n_max, 0)] += x[w.index(E, 1, 0)]
         out[w.index(E, 1, 0)] = 0.0
@@ -408,23 +439,54 @@ def test_evolve_refuses_guard_row_leak(monkeypatch):
         evolve(p, p.T1 + p.T, w)
 
 
+def test_evolve_refuses_a_leak_onto_occupation_k_minus_2(monkeypatch):
+    # n = 3: mode 0's local window starts at occupation 1 = n - 2, a guard
+    # row that a rotation into |g, 0, m> would have left unchecked
+    p = SystemParams(g=1.0, T=1.0, xi=0.4, n=3, m=1)
+    t = p.T1 + p.T
+    evolve(p, t, TruncationWindow.for_params(p))
+    table = draw_table([(p, t)])
+    monkeypatch.setattr(oracle, "_rotate", leaky_rotate(table, [(0, 0, (G, 1, 1), 1e-3)]))
+    with pytest.raises(TruncationOverflowError, match="^guard-row population 1.000e-06$"):
+        evolve(p, t, TruncationWindow.for_params(p))
+
+
+def test_evolve_refuses_a_leak_onto_k_plus_2_of_the_smaller_mode(monkeypatch):
+    # m = 1 guards occupation 3 of mode 1, below n + 2 = 6, the guard row of
+    # the larger mode and of the window
+    p = SystemParams(g=1.0, T=1.0, n=4, m=1)
+    t = p.T1 + p.T
+    table = draw_table([(p, t)])
+    monkeypatch.setattr(oracle, "_rotate", leaky_rotate(table, [(0, 0, (E, 4, 3), 1e-3)]))
+    with pytest.raises(TruncationOverflowError, match="^guard-row population 1.000e-06$"):
+        evolve(p, t, TruncationWindow.for_params(p))
+
+
+def assert_within_reach(draws, w):
+    """The kets each draw populates, from its own (n, m), are one photon or
+    none away in each mode."""
+    rows, branches = evolve_branches(draws, w)
+    _, kn, km = np.unravel_index(rows, (2, w.levels, w.levels))
+    populated = branches.any(axis=0)
+    n, m = np.array([(p.n, p.m) for p, _ in draws]).T
+    assert (abs(kn - n)[populated] <= 1).all() and (abs(km - m)[populated] <= 1).all()
+
+
 def test_evolve_guard_rows_stay_empty(rng):
-    # every draw on its own tight window, the guard row right above the
-    # reachable rows: alone, batched with the draws that share the window,
-    # and all together on the window of the largest, each draw from its own
-    # guard row up
+    # every draw on its own tight window: alone, batched with the draws that
+    # share the window, and all together on the window of the largest, each
+    # draw populating nothing at or beyond its guard rows, not even below
+    # the refusal's threshold
     draws = [(p, p.T1 + 0.5 * p.T) for p in (random_params(rng) for _ in range(20))]
     tops = np.array([max(p.n, p.m) + 2 for p, _ in draws])
-    for (p, t), top in zip(draws, tops):
-        w = TruncationWindow.for_params(p)
-        assert max(_guard_population(evolve_branches([(p, t)], w), top, w)) < 1e-12
+    for p, t in draws:
+        assert_within_reach([(p, t)], TruncationWindow.for_params(p))
     groups = window_groups(draws)
     assert max(len(group) for _, group in groups) > 1
     for w, group in groups:
-        assert max(_guard_population(evolve_branches(group, w), w.n_max, w)) < 1e-12
-    wide = TruncationWindow(int(tops.max()))
+        assert_within_reach(group, w)
     assert len(set(tops.tolist())) > 1
-    assert max(_guard_population(evolve_branches(draws, wide), tops, wide)) < 1e-12
+    assert_within_reach(draws, TruncationWindow(int(tops.max())))
 
 
 def test_evolve_refuses_a_guard_row_leak_in_one_column(monkeypatch):
@@ -432,20 +494,31 @@ def test_evolve_refuses_a_guard_row_leak_in_one_column(monkeypatch):
     p = SystemParams(g=1.0, T=1.0, n=1, m=0)
     w = TruncationWindow.for_params(p)
     draws = [(p, p.T1 + p.T)] * 3
-    rotate = oracle._rotate
-
-    def leaky_in(column):
-        def leaky(x, cavity, t, g, w):
-            out = rotate(x, cavity, t, g, w)
-            out[w.index(E, w.n_max, 0), column] += 0.1
-            return out
-        return leaky
-
-    assert max(_guard_population(evolve_branches(draws, w), w.n_max, w)) == 0.0
+    table = draw_table(draws)
+    assert_within_reach(draws, w)
     for column in range(len(draws)):
-        monkeypatch.setattr(oracle, "_rotate", leaky_in(column))
+        leaks = [(column, 0, (E, w.n_max, 0), 0.1)]
+        monkeypatch.setattr(oracle, "_rotate", leaky_rotate(table, leaks))
         with pytest.raises(TruncationOverflowError):
-            evolve_branches(draws, w)
+            _evolve_branches(table, w)
+
+
+def test_local_windows_give_the_full_window_bits():
+    # each draw evolved on its own five levels per mode gives, on every ket
+    # it populates, the bits of the evolution on all of the window, and
+    # nothing elsewhere: mixed (n, m) up to 50 in one batch, at times before,
+    # inside and after the transits
+    rng = np.random.default_rng(23)
+    for larger in (2, 6, 20, 50):
+        draws = []
+        for _ in range(24):
+            n, m = (int(k) for k in rng.integers(0, larger + 1, size=2))
+            p = replace(random_params(rng), n=n, m=m)
+            draws.append((p, float(rng.uniform(0.0, p.T1 + p.T + 1.0))))
+        table = draw_table(draws)
+        assert len(set(zip(table["n"].tolist(), table["m"].tolist()))) > 1
+        w = TruncationWindow(int(max(table["n"].max(), table["m"].max())) + 2)
+        assert window_branches(table, w).tobytes() == full_window_branches(table, w).tobytes()
 
 
 # ---------------------------------------------------------------- recombination and measurement

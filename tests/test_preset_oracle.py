@@ -2,11 +2,12 @@
 
 Each preset sweep is rebuilt through the oracle's batched chain: the
 1,001 grid points of a sweep evolve as one batch in oracle._evolve_branches,
-from a draw table built from the grid without a SystemParams per point, then
-recombine -> condition, the chain that verify and the PureState views
-also run.  The observables are computed here with numpy, not through
-ico_cqed.observables, so the kernel and the observable column functions that
-write the preset CSVs are both checked against code they share nothing with.
+from a draw table built from the grid without a SystemParams per point, and
+are put back on the sweep's window, then recombine -> condition, the chain
+that verify and the PureState views also run.  The observables are computed
+here with numpy, not through ico_cqed.observables, so the kernel and the
+observable column functions that write the preset CSVs are both checked
+against code they share nothing with.
 """
 
 import math
@@ -23,8 +24,8 @@ from ico_cqed import (
     TruncationWindow,
     run_sweep,
 )
-from ico_cqed.oracle import _evolve_branches, condition, recombine
-from helpers import grid_table
+from ico_cqed.oracle import condition, recombine
+from helpers import grid_table, window_branches
 
 TOL = 1e-9
 
@@ -41,7 +42,7 @@ def oracle_outcomes(cfg, grid):
     table = grid_table(2 * grid, g=1.0, T=grid, theta=theta, varphi=varphi, xi=cfg.xi,
                        chi=cfg.chi, n=cfg.n, m=cfg.m)
     w = TruncationWindow(max(cfg.n, cfg.m) + 2)
-    branches = _evolve_branches(table, w)
+    branches = window_branches(table, w)
     amps, probs = condition(branches if series else recombine(branches), j)
     return w, amps.reshape(2, w.levels, w.levels, len(grid)), np.array(probs)
 

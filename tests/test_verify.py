@@ -50,11 +50,14 @@ from ico_cqed.verify import (
 from helpers import (
     E,
     G,
+    full_window_branches,
+    leaky_rotate,
     max_amp_diff,
     reference_draw,
     reference_hadamard_control,
     reference_measure_control,
     reference_schrodinger_phase,
+    window_branches,
     window_groups,
 )
 
@@ -120,7 +123,7 @@ def matrix_chain(group, w):
     on their draw table: per outcome j, the phased conditional window
     vectors (atom_field_dim, N) and the N probabilities."""
     table = draw_table(group)
-    rows = recombine(_evolve_branches(table, w))
+    rows = recombine(window_branches(table, w))
     out = []
     for j in (0, 1):
         state, prob = condition(rows, j)
@@ -162,16 +165,16 @@ def test_chain_and_views_equal_dict_reference():
 
 
 def test_batching_changes_no_bits():
-    # draws of all 25 (n, m) evolve as one batch on the window of the
-    # largest: on the kets of its own tight window each column is the bits
-    # of the draw run alone there, and it is exactly 0 on every other ket;
+    # draws of all 25 (n, m) evolve as one batch, indexed on the window of
+    # the largest: on the kets of its own tight window each column is the
+    # bits of the draw run alone there, and it is exactly 0 on every other ket;
     # the refused outcome 1 at gT = 0 and 3e-5 shares the batch with
     # accepted ones
     draws = seeded_draws(5, 240)
     table = draw_table(draws)
     assert len(set(zip(table["n"].tolist(), table["m"].tolist()))) == 25
     wide = TruncationWindow(max(max(p.n, p.m) for p, _ in draws) + 2)
-    branches = _evolve_branches(table, wide)
+    branches = window_branches(table, wide)
     batched = matrix_chain(draws, wide)
     compared = compare(draws)
     refused = 0
@@ -180,7 +183,7 @@ def test_batching_changes_no_bits():
         rows = tight_rows(p, wide)
         elsewhere = np.ones(wide.atom_field_dim, dtype=bool)
         elsewhere[rows] = False
-        alone = _evolve_branches(draw_table([(p, t)]), w)
+        alone = window_branches(draw_table([(p, t)]), w)
         assert branches[:, rows, col].tobytes() == alone[:, :, 0].tobytes()
         assert not branches[:, elsewhere, col].any()
         for (numeric, probs), (one, prob_one) in zip(batched, matrix_chain([(p, t)], w)):
@@ -194,21 +197,28 @@ def test_batching_changes_no_bits():
 
 
 def test_compact_support_keeps_the_kets_each_draw_populates():
-    # per column: its populated window indices in ascending order, then
-    # distinct indices it leaves at exactly 0 up to the chunk's longest
-    # support, and the branches' bits on them
+    # per column: the window indices the full-window evolution populates, in
+    # ascending order, then distinct indices it leaves at exactly 0 up to the
+    # chunk's longest support, and that evolution's bits on them; on the
+    # window of the largest draw and on tight windows, where a small draw's
+    # local window reaches beyond the window's top and its padding must not
     draws = seeded_draws(5, 60)
     wide = TruncationWindow(max(max(p.n, p.m) for p, _ in draws) + 2)
-    branches = _evolve_branches(draw_table(draws), wide)
-    rows, compact = oracle._compact(branches)
-    populated = branches.any(axis=0)
-    counts = populated.sum(axis=0)
-    assert rows.shape == compact.shape[1:] == (counts.max(), len(draws)) and counts.min() < len(rows)
-    for col, count in enumerate(counts):
-        assert rows[:count, col].tolist() == np.flatnonzero(populated[:, col]).tolist()
-        assert len(set(rows[:, col].tolist())) == len(rows)
-        assert not populated[rows[count:, col], col].any()
-        assert compact[:, :, col].tobytes() == branches[:, rows[:, col], col].tobytes()
+    padded_below_the_local_top = 0
+    for w, group in [(wide, draws), *window_groups(draws)]:
+        table = draw_table(group)
+        branches = full_window_branches(table, w)
+        rows, compact = _evolve_branches(table, w)
+        populated = branches.any(axis=0)
+        counts = populated.sum(axis=0)
+        assert rows.shape == compact.shape[1:] == (counts.max(), len(group))
+        for col, count in enumerate(counts):
+            assert rows[:count, col].tolist() == np.flatnonzero(populated[:, col]).tolist()
+            assert len(set(rows[:, col].tolist())) == len(rows)
+            assert not populated[rows[count:, col], col].any()
+            assert compact[:, :, col].tobytes() == branches[:, rows[:, col], col].tobytes()
+        padded_below_the_local_top += w.n_max < 4 and counts.min() < len(rows)
+    assert padded_below_the_local_top
 
 
 def test_leak_at_a_small_draws_guard_row_is_refused_in_a_wide_window(monkeypatch):
@@ -218,15 +228,8 @@ def test_leak_at_a_small_draws_guard_row_is_refused_in_a_wide_window(monkeypatch
     small, large = SystemParams(g=1.0, T=1.0, n=1, m=0), SystemParams(g=1.0, T=1.0, n=4, m=2)
     draws = draw_table([(large, large.T1 + large.T), (small, small.T1 + small.T)])
     wide = TruncationWindow(6)
-    rotate = oracle._rotate
-
-    def leaky(x, cavity, t, g, w):
-        out = rotate(x, cavity, t, g, w)
-        out[w.index(E, 3, 0), 1] += 0.1
-        return out
-
     _evolve_branches(draws, wide)
-    monkeypatch.setattr(oracle, "_rotate", leaky)
+    monkeypatch.setattr(oracle, "_rotate", leaky_rotate(draws, [(1, 0, (E, 3, 0), 0.1)]))
     with pytest.raises(TruncationOverflowError):
         _evolve_branches(draws, wide)
     with pytest.raises(TruncationOverflowError):
@@ -273,9 +276,10 @@ def test_analytic_ket_outside_window_counts_as_deviation():
 
 
 def test_leak_onto_a_ket_the_closed_forms_do_not_reach_is_the_deviation(monkeypatch):
-    # a matrix side that puts amplitude on |e, 2, 2> in the n = 1, m = 0
-    # draw, a ket inside the window, below that draw's guard rows (3 and up)
-    # and out of reach of the closed forms from (1, 0): in a chunk of mixed
+    # a matrix side that puts amplitude on |e, 2, 1> in the n = 1, m = 0
+    # draw, a ket inside the window, below that draw's guard rows (n + 2 and
+    # m + 2 and up) and out of reach of the closed forms from (1, 0), whose
+    # excitations it does not conserve: in a chunk of mixed
     # (n, m) the leaked ket joins the draw's compact support, the draw's
     # deviation is exactly its magnitude, and every other draw compares as
     # before
@@ -285,20 +289,12 @@ def test_leak_onto_a_ket_the_closed_forms_do_not_reach_is_the_deviation(monkeypa
         p = replace(random_params(rng), n=n, m=m)
         draws.append((p, p.T1 + p.T))
     table, wide, column = draw_table(draws), TruncationWindow(6), 1
-    leaked = wide.index(E, 2, 2)
-    assert (E, 2 - 1, 2 - 0) not in OFFSETS
+    leaked = wide.index(E, 2, 1)
+    assert (E, 2 - 1, 1 - 0) not in OFFSETS
     clean = _compare(table)
     assert (clean[0] >= 1e-3).all() and (clean[2] < 1e-9).all()
-    rotate = oracle._rotate
-
-    def leaky(x, cavity, t, g, w):
-        out = rotate(x, cavity, t, g, w)
-        if cavity == 1:  # the last rotation; the first N columns are control 0
-            out[leaked, column] += 1e-3
-        return out
-
-    monkeypatch.setattr(oracle, "_rotate", leaky)
-    rows, _ = oracle._compact(_evolve_branches(table, wide))
+    monkeypatch.setattr(oracle, "_rotate", leaky_rotate(table, [(column, 0, (E, 2, 1), 1e-3)]))
+    rows, _ = _evolve_branches(table, wide)
     assert leaked in rows[:, column]
     dirty = _compare(table)
     magnitude = [abs(complex(numeric[leaked, column])) for numeric, _ in matrix_chain(draws, wide)]

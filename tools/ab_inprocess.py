@@ -15,8 +15,11 @@ runs by several per cent.
 
 Printed: each side's median op time, the median of the per-round ratios
 change / parent with a percentile bootstrap interval of that median
-(Kalibera & Jones, ISMM 2013), and how many rounds gave reports whose
-reprs differ between the sides.  Uses the standard library and numpy only.
+(Kalibera & Jones, ISMM 2013), how many rounds gave reports whose reprs
+differ between the sides, and each side's ``tracemalloc`` peak for one
+untimed ``run_verification(0, 200)`` after the timed rounds, so that a
+change of chunk size shows its memory cost next to its time.  Uses the
+standard library and numpy only.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +93,16 @@ def time_rounds(packages, op, rounds: int, seed: int):
     return times, differ
 
 
+def traced_peak(call) -> int:
+    """The tracemalloc peak, in bytes, of one call(), traced on its own."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="the parent source tree")
@@ -103,12 +117,15 @@ def main(argv: list[str] | None = None) -> int:
         (parent, change), differ = time_rounds(
             packages, lambda package, r: package.run_verification(r, DRAWS),
             args.rounds, args.seed)
+        peaks = [traced_peak(lambda: package.run_verification(0, DRAWS)) for package in packages]
     median, low, high = ratio_interval(parent, change, seed=args.seed)
     print(f"run_verification(s, {DRAWS}), {args.rounds} rounds, side order seed {args.seed}")
     print(f"parent median {1e3 * statistics.median(parent):.3f} ms, "
           f"change median {1e3 * statistics.median(change):.3f} ms")
     print(f"change / parent: median {median:.4f}, {LEVEL:.0%} bootstrap interval [{low:.4f}, {high:.4f}]")
     print(f"rounds whose reports differ: {differ}")
+    print(f"tracemalloc peak of run_verification(0, {DRAWS}): "
+          f"parent {peaks[0] / 1e6:.3f} MB, change {peaks[1] / 1e6:.3f} MB")
     return 0
 
 
