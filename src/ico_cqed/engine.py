@@ -275,10 +275,10 @@ def _ico_outcome(first: np.ndarray, second: np.ndarray, j: int) -> tuple[np.ndar
 
 
 def measurement_phase(n, m, amps: np.ndarray, omega_t) -> np.ndarray:
-    """grid_amplitudes' (len(OFFSETS), N) amplitudes from photon numbers n
-    and m times exp(-i*omega_t*(excitations - 1/2)) ket by ket, pruned; n, m
-    and omega_t (mode frequency times measurement time) are scalars or one
-    value per column."""
+    """grid_amplitudes' (..., len(OFFSETS), N) amplitudes from photon
+    numbers n and m times exp(-i*omega_t*(excitations - 1/2)) ket by ket,
+    the same factor over the leading axes, pruned; n, m and omega_t (mode
+    frequency times measurement time) are scalars or one value per column."""
     excitations = _EXCITATIONS + (n + m)
     phase = np.exp(-1j * np.asarray(omega_t, dtype=float) * (excitations - 0.5))
     return prune_amplitudes(amps * phase)

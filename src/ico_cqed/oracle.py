@@ -11,14 +11,13 @@ the last axis holds one column per draw, and a column does not depend on
 the others.  The draws enter as a draw table (draw_table), one array per
 SystemParams field and one, "t", of the times, as verify's closed-form side
 also reads them.  Each draw evolves on its own five levels per mode, and
-the rest of the chain runs on the kets it populates: verify's chunks mix
-draws of any (n, m); evolve, hadamard_control, measure_control and
-schrodinger_phase run it with one column, on the support of a PureState.
+the rest of the chain runs on the kets it populates, named by (atom, n, m):
+verify's chunks mix draws of any (n, m); evolve, hadamard_control,
+measure_control and schrodinger_phase run it with one column.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from collections.abc import Iterable
@@ -55,12 +54,13 @@ MAX_N_MAX = 52
 class TruncationWindow:
     """Retained Fock levels 0..n_max for each cavity mode.
 
-    A transit adds at most one photon per cavity, so a window with
-    n_max >= max(initial n, initial m) + 2 keeps a guard row that must stay
-    unpopulated; any leakage there indicates a bug, not a tight truncation.
-    n_max must be an int in 1..MAX_N_MAX.  jc_propagator builds a dense
-    complex matrix of side atom_field_dim = 2 * (n_max + 1)**2: 76 MB at
-    n_max 32 (dim 2,178), 505 MB at MAX_N_MAX (dim 5,618).
+    n_max sizes jc_propagator and sets evolve's refusal of a draw with
+    n_max < max(initial n, initial m) + 2.  The guard rows evolve checks live
+    on each draw's own local window (_evolve_branches); any population there
+    indicates a bug, not a tight truncation.  n_max must be an int in
+    1..MAX_N_MAX.  jc_propagator builds a dense complex matrix of side
+    atom_field_dim = 2 * (n_max + 1)**2: 76 MB at n_max 32 (dim 2,178),
+    505 MB at MAX_N_MAX (dim 5,618).
     """
 
     n_max: int
@@ -82,14 +82,12 @@ class TruncationWindow:
         return 2 * self.levels * self.levels
 
     def index(self, atom: AtomLevel, n: int, m: int) -> int:
-        """Position of |atom, n, m> on the window's basis; an occupation
-        outside 0..n_max is refused, since it would alias another ket."""
+        """Position of |atom, n, m> on the window's basis; a non-AtomLevel atom or
+        an occupation outside 0..n_max is refused: it would alias another ket."""
+        if not isinstance(atom, AtomLevel):
+            raise ValueError(f"atom: must be an AtomLevel, got {atom!r}")
         check_whole(n, "n", 0, self.levels)
         check_whole(m, "m", 0, self.levels)
-        return self.flat_index(int(atom), n, m)
-
-    def flat_index(self, atom, n, m):
-        """index without its checks, elementwise on arrays: atom 0 is excited."""
         return (atom * self.levels + n) * self.levels + m
 
 
@@ -162,20 +160,18 @@ _levels = np.indices((_LOCAL.levels, _LOCAL.levels, 3, 3))
 _DISTANCE = abs(_levels[:2] - _levels[2:]).max(axis=0)
 
 
-def _evolve_branches(table: dict[str, np.ndarray], w: TruncationWindow) -> tuple:
+def _evolve_branches(table: dict[str, np.ndarray]) -> tuple:
     """The two control branches of evolve's state for the N draws of a draw
-    table on the kets each draw populates: a (K, N) table of the indices on
-    w's basis that each column populates in either branch, ascending, and
-    the (2, K, N) branches on them, weights included and amplitudes below
-    PRUNE_EPSILON zeroed.  K is the most any column populates; a column with
-    fewer is padded with distinct indices it leaves at exactly 0.  The draws
-    may differ in (n, m); w must fit the largest.  Each draw evolves on its
+    table on the kets each draw populates: a (3, K, N) table of each entry's
+    atom level, n and m, and the (2, K, N) branches on them, weights
+    included and amplitudes below PRUNE_EPSILON zeroed.  K is the most any
+    column populates; a column holds the kets it populates in either branch,
+    in AtomFieldKet order, then, if it has fewer, distinct kets it leaves at
+    exactly 0.  The draws may differ in (n, m).  Each draw evolves on its
     own local window (_LOCAL) and gets evolve's errors on its own guard rows,
     refusing any population of a mode at k + 2 and up or k - 2 and down for
     its photon number k; a column does not depend on the others."""
     photons = np.array([table["n"], table["m"]])
-    if w.n_max < photons.max(initial=0) + 2:
-        raise ValueError(f"n_max: must be >= max(n, m) + 2 = {photons.max() + 2}, got {w.n_max}")
     # cos(a) and exp(i phi) sin(a), rounded as cmath.exp(1j * phi) * math.sin(a),
     # for the atom's preparation (xi, chi) and the control's (theta, varphi)
     angle, phi = np.array([(table["xi"], table["theta"]), (table["chi"], table["varphi"])])
@@ -208,34 +204,35 @@ def _evolve_branches(table: dict[str, np.ndarray], w: TruncationWindow) -> tuple
     np.multiply(polar[1], exchanged, out=branches[1].reshape(exchanged.shape))
     del vec, exchanged  # the doubled batch is not needed for the guard check
     prune_amplitudes(branches)
-    distance = _DISTANCE[:, :, level[0], level[1]]
+    guard = _DISTANCE[:, :, level[0], level[1]] >= 2
     populated = branches.any(axis=0).reshape(2, levels, levels, size)
-    if (populated & (distance >= 2)).any():
+    if (populated & guard).any():
         population = (branches.real ** 2 + branches.imag ** 2).sum(axis=0).reshape(populated.shape)
-        leak = (population * (distance >= 2)).sum(axis=(0, 1, 2))
+        leak = (population * guard).sum(axis=(0, 1, 2))
         raise TruncationOverflowError(f"guard-row population {leak[leak > 0][0]:.3e}")
-    # A stable sort puts each column's populated kets first, ascending, and
-    # then the rest, nearest first: the 18 or more within distance 2 lie in w.
-    order = np.argsort(np.where(populated, -1, distance).reshape(-1, size), axis=0, kind="stable")
+    # A stable sort puts each column's populated kets first, in AtomFieldKet
+    # order, and then the rest.
+    order = np.argsort(~populated.reshape(-1, size), axis=0, kind="stable")
     order = order[: populated.sum(axis=(0, 1, 2)).max()]
     atom, i, j = np.unravel_index(order, populated.shape[:3])
-    rows = np.ravel_multi_index((atom, base[0] + i, base[1] + j), (2, w.levels, w.levels))
-    return rows, branches[:, order, columns]
+    return np.array((atom, base[0] + i, base[1] + j)), branches[:, order, columns]
 
 
 def evolve(p: SystemParams, t: float, w: TruncationWindow) -> PureState:
     """Full interaction-picture state (control x atom x fields) at time t.
 
     The control-0 branch meets cavity 0 first, the control-1 branch cavity 1
-    first.  Raises TruncationOverflowError if probability shows up in the
-    guard Fock rows, which a correct rotation makes impossible.
+    first.  w only refuses a draw: n_max < max(n, m) + 2 raises ValueError.
+    Raises TruncationOverflowError if probability shows up in the guard Fock
+    rows, which a correct rotation makes impossible.
     """
     check_params(p)
-    rows, branches = _evolve_branches(draw_table([(p, check_real(t, "t", 0.0))]), w)
-    # one column: its K rows are the kets it populates
-    levels = w.levels
-    rests = [AtomFieldKet(_LEVELS[r // levels**2], r // levels % levels, r % levels)
-             for r in rows[:, 0].tolist()]
+    t, top = check_real(t, "t", 0.0), max(p.n, p.m) + 2
+    if w.n_max < top:
+        raise ValueError(f"n_max: must be >= max(n, m) + 2 = {top}, got {w.n_max}")
+    kets, branches = _evolve_branches(draw_table([(p, t)]))
+    # one column: its K entries are the kets it populates
+    rests = [AtomFieldKet(_LEVELS[atom], n, m) for atom, n, m in kets[:, :, 0].T.tolist()]
     return _full_state(rests, branches[:, :, 0])
 
 
@@ -266,11 +263,11 @@ def condition(rows: np.ndarray, j: int) -> tuple[np.ndarray, list[float]]:
 
 
 def phase(amps: np.ndarray, omega, t, excitations: np.ndarray) -> np.ndarray:
-    """(K, N) amplitudes times exp(-i*omega*t*(excitations - 1/2)), pruned:
-    column c at frequency omega[c] and time t[c], excitations holding each
-    entry's atom excitation plus photon number, an integer >= 0, as a (K, N)
-    array or, one per row, a (K, 1) array.  A non-finite omega, t,
-    omega * t or omega * t * (excitations - 1/2) raises ValueError."""
+    """(..., K, N) amplitudes times exp(-i*omega*t*(excitations - 1/2)), pruned:
+    column c at frequency omega[c] and time t[c] on every leading index,
+    excitations holding each entry's atom excitation plus photon number, an
+    integer >= 0, as a (K, N) array or, one per row, a (K, 1) array.  A
+    non-finite omega, t, omega * t or omega * t * (excitations - 1/2) raises ValueError."""
     # the largest |excitations - 1/2|: omega * t * top rounds as the largest
     # entry of the column's argument, so it overflows exactly when one does
     top = float(np.maximum.reduce(excitations, axis=None, initial=1)) - 0.5
@@ -284,22 +281,13 @@ def phase(amps: np.ndarray, omega, t, excitations: np.ndarray) -> np.ndarray:
         column, field = np.argwhere(~np.isfinite(checked).T)[0]  # the first column, then field
         name = ("omega", "t", "omega * t", "omega * t * (excitations - 1/2)")[field]
         raise ValueError(f"{name}: must be finite, got {float(checked[field][column])}")
-    flat, factor = amps.ravel(), np.exp(-1j * omega_t * (excitations - 0.5)).ravel()
+    factor = np.exp(-1j * omega_t * (excitations - 0.5))
     # The product written out rounds as Python's complex product does;
     # numpy's complex multiply may fuse the multiply-adds.
-    phased = np.empty_like(flat)
-    phased.real = flat.real * factor.real - flat.imag * factor.imag
-    phased.imag = flat.real * factor.imag + flat.imag * factor.real
-    return prune_amplitudes(phased).reshape(amps.shape)
-
-
-@functools.lru_cache(maxsize=16)
-def basis_excitations(w: TruncationWindow) -> np.ndarray:
-    """Atom excitation plus photon number of every window index; read-only."""
-    atom, n, m = np.indices((2, w.levels, w.levels)).reshape(3, -1)
-    excitations = 1 - atom + n + m
-    excitations.flags.writeable = False
-    return excitations
+    phased = np.empty_like(amps)
+    phased.real = amps.real * factor.real - amps.imag * factor.imag
+    phased.imag = amps.real * factor.imag + amps.imag * factor.real
+    return prune_amplitudes(phased)
 
 
 def _control_rows(s: PureState, caller: str) -> tuple[list[AtomFieldKet], np.ndarray]:

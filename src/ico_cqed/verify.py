@@ -156,31 +156,26 @@ def _closed_forms(table: dict[str, np.ndarray]) -> tuple:
     n, m, omega_t = table["n"], table["m"], table["omega"] * table["t"]
     first, second = _branches("ico", n, m, table["g"], table["T"], table["T"], table["xi"],
                               table["chi"], table["theta"], table["varphi"])
-    amps, probs = [], []
-    for j in (0, 1):
-        conditional, prob = _ico_outcome(first if j else first.copy(), second, j)
-        amps.append(measurement_phase(n, m, conditional, omega_t))
-        probs.append(prob)
-    return np.array(amps), np.array(probs)
+    conditional, probs = zip(*(_ico_outcome(first if j else first.copy(), second, j)
+                               for j in (0, 1)))
+    return measurement_phase(n, m, np.array(conditional), omega_t), np.array(probs)
 
 
 def _amplitude_deviation(
-    n: np.ndarray, m: np.ndarray, analytic: np.ndarray, rows: np.ndarray, numeric: np.ndarray,
-    w: oracle.TruncationWindow,
+    n: np.ndarray, m: np.ndarray, analytic: np.ndarray, kets: np.ndarray, numeric: np.ndarray
 ) -> np.ndarray:
     """Largest |analytic - numeric| per control outcome and column, (2, N):
     analytic is (2, len(engine.OFFSETS), N) as grid_amplitudes returns it
-    for the columns' n and m, numeric (2, K, N) on the window indices rows
-    (K, N) of oracle._evolve_branches.  Matched by window index, an entry or an
-    analytic ket with no partner counts in full, also an analytic ket
-    outside the window; a negative-occupation one is 0.  hypot rounds as
-    abs() of a Python complex does; numpy's complex abs may not."""
-    kn, km = n + _DN, m + _DM
-    inside = (kn >= 0) & (km >= 0) & (kn <= w.n_max) & (km <= w.n_max)
+    for the columns' n and m, numeric (2, K, N) on the kets (3, K, N) of
+    oracle._evolve_branches.  Matched on equal (atom, n, m), an entry or an
+    analytic ket with no partner counts in full; a negative-occupation one
+    is 0.  hypot rounds as abs() of a Python complex does; numpy's complex
+    abs may not."""
     # (len(OFFSETS), K, N): analytic ket r sits on numeric entry k of its column
-    matched = np.where(inside, w.flat_index(_ATOM, kn, km), -1)[:, None] == rows
+    atom, kn, km = _ATOM[:, None], (n + _DN)[:, None], (m + _DM)[:, None]
+    matched = (atom == kets[0]) & (kn == kets[1]) & (km == kets[2])
     # each entry's analytic partner, at most one, and 0 where it has none
-    partner = analytic[:, matched.argmax(axis=0), np.arange(rows.shape[1])] * matched.any(axis=0)
+    partner = analytic[:, matched.argmax(axis=0), np.arange(kets.shape[2])] * matched.any(axis=0)
     diff = numeric - partner
     unmatched = np.where(matched.any(axis=1), 0, analytic)
     return np.maximum(np.hypot(diff.real, diff.imag).max(axis=1),
@@ -191,26 +186,22 @@ def _compare(table: dict[str, np.ndarray]) -> tuple:
     """For the N draws of a draw table, three (2, N) arrays, row j for
     control outcome j and column i for draw i: the closed-form probability,
     the matrix probability and the amplitude deviation.  Both sides run once
-    for all draws, the matrix side on the compact support of the branches,
-    indexed on the window of the largest draw.  The first (draw, outcome)
-    that the closed forms accept and the matrix side refuses raises
-    ImpossiblePostselectionError."""
-    n, m = table["n"], table["m"]
-    window = oracle.TruncationWindow(int(max(n.max(), m.max())) + 2)
-    rows, branches = oracle._evolve_branches(table, window)
+    for all draws, the matrix side on the kets each draw populates.  The
+    first (draw, outcome) that the closed forms accept and the matrix side
+    refuses raises ImpossiblePostselectionError."""
+    kets, branches = oracle._evolve_branches(table)
     outcomes = oracle.recombine(branches)
-    excitations = oracle.basis_excitations(window)[rows]
     analytic, prob_analytic = _closed_forms(table)
-    numeric = np.empty_like(outcomes)
-    prob_numeric = np.empty_like(prob_analytic)
-    for j in (0, 1):
-        state, prob_numeric[j] = oracle.condition(outcomes, j)
-        numeric[j] = oracle.phase(state, table["omega"], table["t"], excitations)
+    states, probs = zip(*(oracle.condition(outcomes, j) for j in (0, 1)))
+    prob_numeric = np.array(probs)
+    numeric = oracle.phase(np.array(states), table["omega"], table["t"],
+                           1 - kets[0] + kets[1] + kets[2])
     refused = (prob_analytic >= MIN_OUTCOME_PROBABILITY) & (prob_numeric < MIN_OUTCOME_PROBABILITY)
     if refused.any():
         draw, j = np.argwhere(refused.T)[0]  # the first in draw-major order
         raise ImpossiblePostselectionError(f"control outcome {j}", float(prob_numeric[j, draw]))
-    return prob_analytic, prob_numeric, _amplitude_deviation(n, m, analytic, rows, numeric, window)
+    return prob_analytic, prob_numeric, _amplitude_deviation(
+        table["n"], table["m"], analytic, kets, numeric)
 
 
 def run_verification(

@@ -314,11 +314,16 @@ def full_window_branches(table, w):
 
 def window_branches(table, w):
     """oracle._evolve_branches on a draw table, its compact branches put
-    back on the window w: (2, atom_field_dim, N), exactly 0 off each
-    column's compact support."""
-    rows, branches = oracle._evolve_branches(table, w)
-    full = np.zeros((2, w.atom_field_dim, rows.shape[1]), dtype=complex)
-    full[:, rows, np.arange(rows.shape[1])] = branches
+    back on the window w at each entry's (atom, n, m): (2, atom_field_dim,
+    N), exactly 0 off each column's entries.  An entry beyond w must be
+    exactly 0 and is left out."""
+    (atom, n, m), branches = oracle._evolve_branches(table)
+    inside = (n <= w.n_max) & (m <= w.n_max)
+    assert not branches[:, ~inside].any(), "an amplitude beyond the window"
+    columns = np.broadcast_to(np.arange(n.shape[1]), n.shape)
+    rows = (atom * w.levels + n) * w.levels + m
+    full = np.zeros((2, w.atom_field_dim, n.shape[1]), dtype=complex)
+    full[:, rows[inside], columns[inside]] = branches[:, inside]
     return full
 
 

@@ -74,12 +74,25 @@ def test_a_renamed_copy_of_the_package_imports_as_its_own_package(tmp_path, monk
     tree = Path(__file__).resolve().parents[1]
     monkeypatch.syspath_prepend(str(tmp_path))
     copy = ab_inprocess.load_copy(tree, "ico_cqed_copy_under_test", tmp_path)
-    try:
-        assert Path(copy.__file__).parent == tmp_path / "ico_cqed_copy_under_test"
-        assert copy.verify.__name__ == "ico_cqed_copy_under_test.verify"
-    finally:
-        for name in [n for n in sys.modules if n.startswith("ico_cqed_copy_under_test")]:
-            del sys.modules[name]
+    assert Path(copy.__file__).parent == tmp_path / "ico_cqed_copy_under_test"
+    assert copy.verify.__name__ == "ico_cqed_copy_under_test.verify"
+
+
+def test_a_second_copy_under_one_name_imports_its_own_tree(tmp_path, monkeypatch):
+    # two trees that differ in one constant of a submodule, copied under one
+    # name into two directories: each call returns its own tree's constant,
+    # in the package and in the submodule it imports
+    for value in (1, 2):
+        package = tmp_path / f"tree{value}" / "src" / "ico_cqed"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("from .constants import VALUE\n")
+        (package / "constants.py").write_text(f"VALUE = {value}\n")
+        directory = tmp_path / f"copy{value}"
+        directory.mkdir()
+        monkeypatch.syspath_prepend(str(directory))
+        copy = ab_inprocess.load_copy(package.parents[1], "ico_cqed_stale_under_test", directory)
+        assert copy.VALUE == copy.constants.VALUE == value
+        assert Path(copy.__file__).parent == directory / "ico_cqed_stale_under_test"
 
 
 def test_traced_peak_measures_one_call_and_stops_tracing():
@@ -108,9 +121,30 @@ def test_main_prints_each_sides_memory_peak(monkeypatch, capsys):
     sides = {"ico_cqed_parent": package(1_000_000), "ico_cqed_change": package(2_000_000)}
     monkeypatch.setattr(ab_inprocess, "load_copy", lambda tree, name, directory: sides[name])
     monkeypatch.setattr(ab_inprocess, "WARMUP", 0)
-    monkeypatch.setattr(sys, "path", [*sys.path])  # main puts its copies' directory first
     assert ab_inprocess.main(["parent", "change", "--rounds", "2"]) == 0
     last = capsys.readouterr().out.splitlines()[-1]
     head = f"tracemalloc peak of run_verification(0, {ab_inprocess.DRAWS}): parent 1.0"
     assert last.startswith(head) and ", change 2.0" in last and last.endswith(" MB")
     assert calls[-2:] == [(1_000_000, 0, ab_inprocess.DRAWS), (2_000_000, 0, ab_inprocess.DRAWS)]
+
+
+def test_main_leaves_sys_path_as_it_found_it(monkeypatch):
+    # main puts its copies' directory first on sys.path and takes it off
+    # when it returns, also when an op raises
+    def package(fails):
+        def run_verification(seed, draws):
+            if fails:
+                raise RuntimeError("op failed")
+        return SimpleNamespace(run_verification=run_verification)
+
+    monkeypatch.setattr(ab_inprocess, "WARMUP", 0)
+    before = list(sys.path)
+    for fails in (False, True):
+        sides = {name: package(fails) for name in ab_inprocess.SIDES}
+        monkeypatch.setattr(ab_inprocess, "load_copy", lambda tree, name, directory: sides[name])
+        if fails:
+            with pytest.raises(RuntimeError, match="^op failed$"):
+                ab_inprocess.main(["parent", "change", "--rounds", "2"])
+        else:
+            assert ab_inprocess.main(["parent", "change", "--rounds", "2"]) == 0
+        assert sys.path == before

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -42,10 +43,16 @@ from helpers import (
 )
 
 
-def evolve_branches(draws, w):
-    """_evolve_branches on the draw table of (params, time) draws: the (K, N)
-    window indices and the (2, K, N) branches on them."""
-    return _evolve_branches(draw_table(draws), w)
+def evolve_branches(draws):
+    """_evolve_branches on the draw table of (params, time) draws: the (3, K,
+    N) kets, as (atom, n, m), and the (2, K, N) branches on them."""
+    return _evolve_branches(draw_table(draws))
+
+
+def entry_amplitude(kets, branches, control, ket, column):
+    """The amplitude of one column's control branch on its one entry |atom, n, m>."""
+    (entry,) = np.flatnonzero((kets[:, :, column].T == ket).all(axis=1))
+    return branches[control, entry, column]
 
 
 def full_state_vector(w, state):
@@ -60,17 +67,24 @@ def full_state_vector(w, state):
 
 
 @pytest.mark.parametrize(
-    "n, m, message",
-    [(0, 4, "m: must lie in 0..3, got 4"), (4, 0, "n: must lie in 0..3, got 4"),
-     (-1, 0, "n: must lie in 0..3, got -1"), (0, -1, "m: must lie in 0..3, got -1")],
+    "atom, n, m, message",
+    [(G, 0, 4, "m: must lie in 0..3, got 4"), (G, 4, 0, "n: must lie in 0..3, got 4"),
+     (G, -1, 0, "n: must lie in 0..3, got -1"), (G, 0, -1, "m: must lie in 0..3, got -1"),
+     (-1, 0, 0, "atom: must be an AtomLevel, got -1"),
+     (2, 0, 0, "atom: must be an AtomLevel, got 2"),
+     (True, 1, 0, "atom: must be an AtomLevel, got True"),
+     ("e", 0, 0, "atom: must be an AtomLevel, got 'e'")],
     ids=["0-4-m must lie in 0..3, got 4", "4-0-n must lie in 0..3, got 4",
-         "-1-0-n must lie in 0..3, got -1", "0--1-m must lie in 0..3, got -1"],
+         "-1-0-n must lie in 0..3, got -1", "0--1-m must lie in 0..3, got -1",
+         "atom -1", "atom 2", "atom True", "atom 'e'"],
 )
-def test_window_index_refuses_occupation_outside_window(n, m, message):
-    # (g, 0, 4) would otherwise alias the flat index of (g, 1, 0)
+def test_window_index_refuses_occupation_outside_window(atom, n, m, message):
+    # (g, 0, 4) would otherwise alias the flat index of (g, 1, 0), atom -1
+    # index -16, (g, 0, 0) as a numpy index, and atom 2 index 32, past the
+    # basis; True would pass for the ground level and "e" fail in int()
     w = TruncationWindow(3)
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        w.index(G, n, m)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        w.index(atom, n, m)
     assert w.index(G, 3, 3) == w.atom_field_dim - 1
     assert np.unravel_index(w.index(G, 1, 0), (2, w.levels, w.levels)) == (G, 1, 0)
 
@@ -378,6 +392,24 @@ def test_evolve_window_validation():
         evolve(p, 1.0, TruncationWindow(4))  # needs max(n, m) + 2 = 5
 
 
+def test_evolve_window_sets_only_its_refusal():
+    # the window names no ket: every window from max(n, m) + 2 up gives the
+    # same state, and one level fewer is refused
+    rng = np.random.default_rng(24)
+    for _ in range(8):
+        n, m = (int(k) for k in rng.integers(0, 21, size=2))
+        p = replace(random_params(rng), n=n, m=m)
+        t = float(rng.uniform(0.0, p.T1 + p.T + 1.0))
+        top = max(n, m) + 2
+        state = evolve(p, t, TruncationWindow(top))
+        assert len(state) > 1
+        for n_max in range(top + 1, MAX_N_MAX + 1):
+            assert evolve(p, t, TruncationWindow(n_max)) == state
+        message = rf"^n_max: must be >= max\(n, m\) \+ 2 = {top}, got {top - 1}$"
+        with pytest.raises(ValueError, match=message):
+            evolve(p, t, TruncationWindow(top - 1))
+
+
 def test_guard_population_trips_overflow_check(monkeypatch):
     # one column per leak, plus a clean column: each column is checked and
     # summed alone, on its own guard rows, every occupation of a mode at k + 2
@@ -394,33 +426,33 @@ def test_guard_population_trips_overflow_check(monkeypatch):
         (0, (G, 1, 2)),  # mode 0 at n - 2, the bottom of its local window
         (1, (E, 3, 0)),  # mode 1 at m - 2, occupation 0
     )
-    _evolve_branches(table, w)
+    _evolve_branches(table)
     for column, (control, ket) in enumerate(leaks):
         monkeypatch.setattr(oracle, "_rotate", leaky_rotate(table, [(column, control, ket, 0.6j)]))
         with pytest.raises(TruncationOverflowError, match="^guard-row population 1.800e-01$"):
-            _evolve_branches(table, w)
+            _evolve_branches(table)
     # two leaks in one column add up; of two leaking columns the first is named
     both = [(2, 0, (E, 3, 0), 0.6j), (2, 1, (G, 1, 3), 0.6j)]
     monkeypatch.setattr(oracle, "_rotate", leaky_rotate(table, both))
     with pytest.raises(TruncationOverflowError, match="^guard-row population 3.600e-01$"):
-        _evolve_branches(table, w)
+        _evolve_branches(table)
     two = [(4, 0, (E, 1, 0), 0.6j), (1, 0, (E, 4, 0), 0.2j)]
     monkeypatch.setattr(oracle, "_rotate", leaky_rotate(table, two))
     with pytest.raises(TruncationOverflowError, match="^guard-row population 2.000e-02$"):
-        _evolve_branches(table, w)
+        _evolve_branches(table)
     # any population trips it, however small: a rotation leaves a guard row
     # at exactly 0, so even 1.41e-15 (2e-15 weighed), above PRUNE_EPSILON, counts
     monkeypatch.setattr(oracle, "_rotate", leaky_rotate(table, [(5, 1, (E, 4, 2), 2e-15)]))
     with pytest.raises(TruncationOverflowError, match="^guard-row population 2.000e-30$"):
-        _evolve_branches(table, w)
+        _evolve_branches(table)
     # the same leaks one occupation nearer each draw's own (n, m) are no
     # leaks: the kets join the compact support
     inner = [(0, 0, (E, 2, 0), 0.6j), (1, 1, (G, 0, 1), 0.6j), (2, 1, (E, 2, 1), 0.6j),
              (3, 0, (G, 2, 2), 0.6j), (4, 1, (E, 3, 1), 0.6j)]
     monkeypatch.setattr(oracle, "_rotate", leaky_rotate(table, inner))
-    dirty = window_branches(table, w)
+    kets, dirty = _evolve_branches(table)
     for column, control, ket, _ in inner:
-        assert abs(dirty[control, w.index(*ket), column]) > 0.4
+        assert abs(entry_amplitude(kets, dirty, control, ket, column)) > 0.4
 
 
 def test_evolve_refuses_guard_row_leak(monkeypatch):
@@ -462,31 +494,29 @@ def test_evolve_refuses_a_leak_onto_k_plus_2_of_the_smaller_mode(monkeypatch):
         evolve(p, t, TruncationWindow.for_params(p))
 
 
-def assert_within_reach(draws, w):
+def assert_within_reach(draws):
     """The kets each draw populates, from its own (n, m), are one photon or
     none away in each mode."""
-    rows, branches = evolve_branches(draws, w)
-    _, kn, km = np.unravel_index(rows, (2, w.levels, w.levels))
+    (_, kn, km), branches = evolve_branches(draws)
     populated = branches.any(axis=0)
     n, m = np.array([(p.n, p.m) for p, _ in draws]).T
     assert (abs(kn - n)[populated] <= 1).all() and (abs(km - m)[populated] <= 1).all()
 
 
 def test_evolve_guard_rows_stay_empty(rng):
-    # every draw on its own tight window: alone, batched with the draws that
-    # share the window, and all together on the window of the largest, each
-    # draw populating nothing at or beyond its guard rows, not even below
-    # the refusal's threshold
+    # every draw alone, batched with the draws that share its tight window,
+    # and all together with draws of other windows, each draw populating
+    # nothing at or beyond its guard rows
     draws = [(p, p.T1 + 0.5 * p.T) for p in (random_params(rng) for _ in range(20))]
     tops = np.array([max(p.n, p.m) + 2 for p, _ in draws])
-    for p, t in draws:
-        assert_within_reach([(p, t)], TruncationWindow.for_params(p))
+    for draw in draws:
+        assert_within_reach([draw])
     groups = window_groups(draws)
     assert max(len(group) for _, group in groups) > 1
-    for w, group in groups:
-        assert_within_reach(group, w)
+    for _, group in groups:
+        assert_within_reach(group)
     assert len(set(tops.tolist())) > 1
-    assert_within_reach(draws, TruncationWindow(int(tops.max())))
+    assert_within_reach(draws)
 
 
 def test_evolve_refuses_a_guard_row_leak_in_one_column(monkeypatch):
@@ -495,12 +525,12 @@ def test_evolve_refuses_a_guard_row_leak_in_one_column(monkeypatch):
     w = TruncationWindow.for_params(p)
     draws = [(p, p.T1 + p.T)] * 3
     table = draw_table(draws)
-    assert_within_reach(draws, w)
+    assert_within_reach(draws)
     for column in range(len(draws)):
         leaks = [(column, 0, (E, w.n_max, 0), 0.1)]
         monkeypatch.setattr(oracle, "_rotate", leaky_rotate(table, leaks))
         with pytest.raises(TruncationOverflowError):
-            _evolve_branches(table, w)
+            _evolve_branches(table)
 
 
 def test_local_windows_give_the_full_window_bits():
@@ -675,3 +705,25 @@ def test_phase_names_the_first_failing_column_and_its_first_field():
     # the same per column: omega before t before their products
     with pytest.raises(ValueError, match="^t: must be finite, got nan$"):
         oracle.phase(amps[:, :1], [1e308], [math.nan], excitations)
+
+
+def test_phase_over_leading_axes_equals_a_call_per_leading_index():
+    # (2, K, N) amplitudes phase as two (K, N) calls, bit for bit, with
+    # excitations per entry or per row, and a non-finite factor is refused
+    # with the error each call gives
+    rng = np.random.default_rng(24)
+    amps = rng.normal(size=(2, 6, 5)) + 1j * rng.normal(size=(2, 6, 5))
+    amps[0, 2, 1] = amps[1, 0, 4] = 1e-17  # pruned
+    excitations = rng.integers(0, 9, size=(6, 5))
+    omega, t = rng.uniform(0.2, 3.2, 5), rng.uniform(0.0, 30.0, 5)
+    for per in (excitations, excitations[:, :1]):
+        both = oracle.phase(amps, omega, t, per)
+        assert both.shape == amps.shape and not both[0, 2, 1] and not both[1, 0, 4]
+        assert both.tobytes() == np.array([oracle.phase(a, omega, t, per) for a in amps]).tobytes()
+    for column, value, message in ((3, (math.nan, 1.0), "omega: must be finite, got nan"),
+                                   (1, (10.0, 1e308), r"omega \* t: must be finite, got inf")):
+        omega_bad, t_bad = omega.copy(), t.copy()
+        omega_bad[column], t_bad[column] = value
+        for a in (amps, *amps):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                oracle.phase(a, omega_bad, t_bad, excitations)

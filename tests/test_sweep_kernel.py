@@ -333,6 +333,20 @@ def test_kernel_mixes_photon_numbers_per_point():
     assert refused == 1
 
 
+def test_measurement_phase_over_leading_axes_equals_a_call_per_leading_index():
+    # (2, len(OFFSETS), N) amplitudes, as verify phases both control outcomes,
+    # give the bits of one call per outcome
+    rng = np.random.default_rng(24)
+    n, m = rng.integers(0, 5, size=(2, 7))
+    shape = (2, len(OFFSETS), 7)
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    amps[1, 3, 2] = 1e-17  # pruned
+    omega_t = rng.uniform(-10.0, 10.0, 7)
+    both = measurement_phase(n, m, amps, omega_t)
+    assert both.shape == shape and not both[1, 3, 2]
+    assert both.tobytes() == np.array([measurement_phase(n, m, a, omega_t) for a in amps]).tobytes()
+
+
 @pytest.mark.parametrize("index", range(8))
 def test_cells_do_not_depend_on_the_rest_of_the_grid(index):
     # a one-point sweep gives the bits of the same point inside a longer grid

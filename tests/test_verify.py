@@ -15,6 +15,8 @@ import pytest
 
 from ico_cqed import (
     MIN_OUTCOME_PROBABILITY,
+    AtomFieldKet,
+    AtomLevel,
     ImpossiblePostselectionError,
     PureState,
     SystemParams,
@@ -30,14 +32,7 @@ from ico_cqed import (
 from ico_cqed import oracle, verify
 from ico_cqed.cli import main
 from ico_cqed.engine import OFFSETS, reachable_kets
-from ico_cqed.oracle import (
-    _evolve_branches,
-    basis_excitations,
-    condition,
-    draw_table,
-    phase,
-    recombine,
-)
+from ico_cqed.oracle import _evolve_branches, condition, draw_table, phase, recombine
 from ico_cqed.verify import (
     MAX_DRAWS,
     _amplitude_deviation,
@@ -124,10 +119,11 @@ def matrix_chain(group, w):
     vectors (atom_field_dim, N) and the N probabilities."""
     table = draw_table(group)
     rows = recombine(window_branches(table, w))
+    atom, n, m = np.indices((2, w.levels, w.levels)).reshape(3, -1, 1)
     out = []
     for j in (0, 1):
         state, prob = condition(rows, j)
-        out.append((phase(state, table["omega"], table["t"], basis_excitations(w)[:, None]), prob))
+        out.append((phase(state, table["omega"], table["t"], 1 - atom + n + m), prob))
     return out
 
 
@@ -197,41 +193,43 @@ def test_batching_changes_no_bits():
 
 
 def test_compact_support_keeps_the_kets_each_draw_populates():
-    # per column: the window indices the full-window evolution populates, in
-    # ascending order, then distinct indices it leaves at exactly 0 up to the
-    # chunk's longest support, and that evolution's bits on them; on the
-    # window of the largest draw and on tight windows, where a small draw's
-    # local window reaches beyond the window's top and its padding must not
+    # per column: the kets, as (atom, n, m), that the full-window evolution
+    # populates, in AtomFieldKet order, then distinct kets it leaves at
+    # exactly 0 up to the chunk's longest support, and that evolution's bits
+    # on them; in one chunk of mixed (n, m) and in batches of one tight
+    # window, on a window that holds every draw's local window
     draws = seeded_draws(5, 60)
-    wide = TruncationWindow(max(max(p.n, p.m) for p, _ in draws) + 2)
-    padded_below_the_local_top = 0
-    for w, group in [(wide, draws), *window_groups(draws)]:
+    padded = 0
+    for group in [draws, *(group for _, group in window_groups(draws))]:
         table = draw_table(group)
+        w = TruncationWindow(max(4, max(max(p.n, p.m) for p, _ in group) + 2))
         branches = full_window_branches(table, w)
-        rows, compact = _evolve_branches(table, w)
+        kets, compact = _evolve_branches(table)
         populated = branches.any(axis=0)
         counts = populated.sum(axis=0)
-        assert rows.shape == compact.shape[1:] == (counts.max(), len(group))
+        assert kets.shape == (3, *compact.shape[1:]) == (3, counts.max(), len(group))
         for col, count in enumerate(counts):
-            assert rows[:count, col].tolist() == np.flatnonzero(populated[:, col]).tolist()
-            assert len(set(rows[:, col].tolist())) == len(rows)
-            assert not populated[rows[count:, col], col].any()
-            assert compact[:, :, col].tobytes() == branches[:, rows[:, col], col].tobytes()
-        padded_below_the_local_top += w.n_max < 4 and counts.min() < len(rows)
-    assert padded_below_the_local_top
+            rests = [AtomFieldKet(AtomLevel(a), n, m) for a, n, m in kets[:, :, col].T.tolist()]
+            rows = [w.index(ket.atom, ket.n, ket.m) for ket in rests]
+            assert rests[:count] == sorted(rests[:count])
+            assert rows[:count] == np.flatnonzero(populated[:, col]).tolist()
+            assert len(set(rests)) == len(rests)
+            assert not populated[rows[count:], col].any() and not compact[:, count:, col].any()
+            assert compact[:, :, col].tobytes() == branches[:, rows, col].tobytes()
+        padded += counts.min() < len(kets[0])
+    assert padded
 
 
 def test_leak_at_a_small_draws_guard_row_is_refused_in_a_wide_window(monkeypatch):
-    # the guard rows of the n = 1, m = 0 draw start at 3, inside the window
-    # of n_max = 6 that its batch with the n = 4, m = 2 draw needs: a leak
-    # there is refused, though the window's own top row stays empty
+    # the guard rows of the n = 1, m = 0 draw start at 3, which the n = 4,
+    # m = 2 draw in its batch populates: a leak there is refused, though it
+    # lies well inside the window of n_max = 6 that the batch would need
     small, large = SystemParams(g=1.0, T=1.0, n=1, m=0), SystemParams(g=1.0, T=1.0, n=4, m=2)
     draws = draw_table([(large, large.T1 + large.T), (small, small.T1 + small.T)])
-    wide = TruncationWindow(6)
-    _evolve_branches(draws, wide)
+    _evolve_branches(draws)
     monkeypatch.setattr(oracle, "_rotate", leaky_rotate(draws, [(1, 0, (E, 3, 0), 0.1)]))
     with pytest.raises(TruncationOverflowError):
-        _evolve_branches(draws, wide)
+        _evolve_branches(draws)
     with pytest.raises(TruncationOverflowError):
         _compare(draws)
 
@@ -260,19 +258,22 @@ def test_outcome_only_the_matrix_side_refuses_is_raised_draw_major(monkeypatch):
 
 
 def test_analytic_ket_outside_window_counts_as_deviation():
-    # a closed form that put weight beyond the window must not alias onto
-    # another index of the numeric entries, and counts in full in each column
+    # a closed-form ket with no entry on the same (atom, n, m) counts in full
+    # in each column, and an entry on another ket is not its partner: not
+    # |g, 1, 0>, where |g, 0, 4> would land as a flat index on the window of
+    # n_max 3, nor |e, 0, 4>; an entry on |g, 0, 4> itself is
     w = TruncationWindow(3)
-    rows = np.full((1, 2), w.index(G, 1, 0))
-    numeric = np.zeros((2, 1, 2), dtype=complex)
-    numeric[:, 0] = 0.25, 0.75
-    # (g, 0, n_max + 1) would land on the flat index of (g, 1, 0)
     with pytest.raises(ValueError, match="^m: must lie in 0..3, got 4$"):
         w.index(G, 0, w.n_max + 1)
+    numeric = np.zeros((2, 1, 2), dtype=complex)
+    numeric[:, 0] = 0.25, 0.75
     analytic = np.zeros((2, len(OFFSETS), 2), dtype=complex)
     analytic[:, OFFSETS.index((G, 0, +1))] = 0.5
     n, m = np.zeros(2, dtype=int), np.full(2, w.n_max)
-    assert _amplitude_deviation(n, m, analytic, rows, numeric, w).tolist() == [[0.5, 0.75]] * 2
+    for ket, deviation in (((G, 1, 0), [0.5, 0.75]), ((E, 0, 4), [0.5, 0.75]),
+                           ((G, 0, 4), [0.25, 0.25])):
+        kets = np.array([ket, ket]).T[:, None]
+        assert _amplitude_deviation(n, m, analytic, kets, numeric).tolist() == [deviation] * 2
 
 
 def test_leak_onto_a_ket_the_closed_forms_do_not_reach_is_the_deviation(monkeypatch):
@@ -294,8 +295,8 @@ def test_leak_onto_a_ket_the_closed_forms_do_not_reach_is_the_deviation(monkeypa
     clean = _compare(table)
     assert (clean[0] >= 1e-3).all() and (clean[2] < 1e-9).all()
     monkeypatch.setattr(oracle, "_rotate", leaky_rotate(table, [(column, 0, (E, 2, 1), 1e-3)]))
-    rows, _ = _evolve_branches(table, wide)
-    assert leaked in rows[:, column]
+    kets, _ = _evolve_branches(table)
+    assert [E, 2, 1] in kets[:, :, column].T.tolist()
     dirty = _compare(table)
     magnitude = [abs(complex(numeric[leaked, column])) for numeric, _ in matrix_chain(draws, wide)]
     assert min(magnitude) > 1e-4

@@ -64,9 +64,13 @@ def ratio_interval(parent: list[float], change: list[float],
 
 def load_copy(tree: Path, name: str, directory: Path):
     """tree's src/ico_cqed copied into directory as the package name, and
-    imported; directory must be on sys.path."""
+    imported afresh: a module already imported under that name, the package
+    or one of its submodules, is dropped first.  directory must be on
+    sys.path, ahead of any other directory that holds the name."""
     shutil.copytree(tree / "src" / "ico_cqed", directory / name,
                     ignore=shutil.ignore_patterns("__pycache__"))
+    for module in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
+        del sys.modules[module]
     return importlib.import_module(name)
 
 
@@ -112,12 +116,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="ab-inprocess-") as tmp:
         sys.path.insert(0, tmp)
-        packages = [load_copy(tree, name, Path(tmp))
-                    for tree, name in zip((args.parent, args.change), SIDES)]
-        (parent, change), differ = time_rounds(
-            packages, lambda package, r: package.run_verification(r, DRAWS),
-            args.rounds, args.seed)
-        peaks = [traced_peak(lambda: package.run_verification(0, DRAWS)) for package in packages]
+        try:
+            packages = [load_copy(tree, name, Path(tmp))
+                        for tree, name in zip((args.parent, args.change), SIDES)]
+            (parent, change), differ = time_rounds(
+                packages, lambda package, r: package.run_verification(r, DRAWS),
+                args.rounds, args.seed)
+            peaks = [traced_peak(lambda: package.run_verification(0, DRAWS))
+                     for package in packages]
+        finally:
+            sys.path.remove(tmp)
     median, low, high = ratio_interval(parent, change, seed=args.seed)
     print(f"run_verification(s, {DRAWS}), {args.rounds} rounds, side order seed {args.seed}")
     print(f"parent median {1e3 * statistics.median(parent):.3f} ms, "
