@@ -18,6 +18,7 @@ measure_control and schrodinger_phase run it with one column.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections.abc import Iterable
@@ -232,7 +233,7 @@ def evolve(p: SystemParams, t: float, w: TruncationWindow) -> PureState:
         raise ValueError(f"n_max: must be >= max(n, m) + 2 = {top}, got {w.n_max}")
     kets, branches = _evolve_branches(draw_table([(p, t)]))
     # one column: its K entries are the kets it populates
-    rests = [AtomFieldKet(_LEVELS[atom], n, m) for atom, n, m in kets[:, :, 0].T.tolist()]
+    rests = [_atom_field_ket(*ket) for ket in kets[:, :, 0].T.tolist()]
     return _full_state(rests, branches[:, :, 0])
 
 
@@ -267,17 +268,19 @@ def phase(amps: np.ndarray, omega, t, excitations: np.ndarray) -> np.ndarray:
     column c at frequency omega[c] and time t[c] on every leading index,
     excitations holding each entry's atom excitation plus photon number, an
     integer >= 0, as a (K, N) array or, one per row, a (K, 1) array.  A
-    non-finite omega, t, omega * t or omega * t * (excitations - 1/2) raises ValueError."""
-    # the largest |excitations - 1/2|: omega * t * top rounds as the largest
-    # entry of the column's argument, so it overflows exactly when one does
-    top = float(np.maximum.reduce(excitations, axis=None, initial=1)) - 0.5
+    non-finite omega, t, omega * t or omega * t * (excitations - 1/2) raises
+    ValueError, each column checked against its own excitations."""
+    # each column's largest |excitations - 1/2|: omega * t * top rounds as the
+    # largest entry of the column's argument, so it overflows exactly when one does
+    top = np.maximum.reduce(excitations, axis=0, initial=1) - 0.5
     with np.errstate(over="ignore", invalid="ignore"):
         omega_t = np.multiply(omega, t, dtype=float)
         argument = omega_t * top
     # a non-finite factor leaves each later product non-finite, so the last
     # is finite exactly when all four are
     if not np.isfinite(argument).all():
-        checked = (np.asarray(omega, dtype=float), np.asarray(t, dtype=float), omega_t, argument)
+        checked = np.broadcast_arrays(np.asarray(omega, dtype=float), np.asarray(t, dtype=float),
+                                      omega_t, argument)
         column, field = np.argwhere(~np.isfinite(checked).T)[0]  # the first column, then field
         name = ("omega", "t", "omega * t", "omega * t * (excitations - 1/2)")[field]
         raise ValueError(f"{name}: must be finite, got {float(checked[field][column])}")
@@ -290,19 +293,38 @@ def phase(amps: np.ndarray, omega, t, excitations: np.ndarray) -> np.ndarray:
     return prune_amplitudes(phased)
 
 
+#: Kets each ket cache below holds at most: the views accept any state, so an
+#: unbounded cache would grow with every new ket; n, m <= 21 take 968 AtomFieldKets.
+_KET_CACHE = 4096
+
+
+@functools.lru_cache(maxsize=_KET_CACHE)
+def _atom_field_ket(atom: int, n: int, m: int) -> AtomFieldKet:
+    """|atom, n, m> for atom 0 (excited) or 1 (ground), built once while cached."""
+    return AtomFieldKet(_LEVELS[atom], n, m)
+
+
+@functools.lru_cache(maxsize=_KET_CACHE)
+def _full_ket(control: int, rest: AtomFieldKet) -> FullKet:
+    """|control>|rest>, built once while cached."""
+    return FullKet(control, rest)
+
+
 def _control_rows(s: PureState, caller: str) -> tuple[list[AtomFieldKet], np.ndarray]:
-    """The atom-field kets of a full-flavor state and its (2, K) control rows."""
+    """The atom-field kets of a full-flavor state and its (2, K) control rows,
+    in the order the state stores its kets: every later step is elementwise
+    or, in condition, an exact sum, so the order changes no bit."""
     check_state(s, (FullKet, None), f"{caller} requires a full-flavor state")
     column: dict[AtomFieldKet, int] = {}
     rows = np.zeros((2, len(s)), dtype=complex)
-    for ket, amp in s.items():
+    for ket, amp in s._amps.items():
         rows[ket.control, column.setdefault(ket.rest, len(column))] = amp
     return list(column), rows[:, : len(column)]
 
 
 def _full_state(rests: list[AtomFieldKet], rows: np.ndarray) -> PureState:
     """The full-flavor state with amplitude rows[c, i] on |c>|rests[i]>."""
-    return PureState({FullKet(c, rest): amp for c, row in enumerate(rows.tolist())
+    return PureState({_full_ket(c, rest): amp for c, row in enumerate(rows.tolist())
                       for rest, amp in zip(rests, row) if amp})
 
 
@@ -328,8 +350,8 @@ def schrodinger_phase(s: PureState, omega: float, t: float) -> PureState:
     norm-preserving."""
     omega, t = check_real(omega, "omega"), check_real(t, "t")
     check_state(s, (AtomFieldKet, None), "schrodinger_phase requires an atom-field state")
-    items = s.items()
-    kets = [k for k, _ in items]
-    amps = np.array([a for _, a in items], dtype=complex)[:, None]
+    # in stored order, as phase is elementwise
+    kets = list(s._amps)
+    amps = np.array(list(s._amps.values()), dtype=complex)[:, None]
     phased = phase(amps, (omega,), (t,), np.array([k.excitations for k in kets])[:, None])
     return PureState(dict(zip(kets, phased[:, 0].tolist())))

@@ -172,6 +172,10 @@ class AtomFieldKet:
             raise ValueError(f"atom: must be an AtomLevel, got {self.atom!r}")
         check_whole(self.n, "n", 0, PHOTON_LIMIT)
         check_whole(self.m, "m", 0, PHOTON_LIMIT)
+        object.__setattr__(self, "_hash", hash((self.atom, self.n, self.m)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def excitations(self) -> int:
@@ -191,6 +195,10 @@ class FullKet:
         check_outcome(self.control)
         if not isinstance(self.rest, AtomFieldKet):
             raise ValueError(f"rest: must be an AtomFieldKet, got {self.rest!r}")
+        object.__setattr__(self, "_hash", hash((self.control, self.rest)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 Ket = Union[FullKet, AtomFieldKet, FieldsKet]
@@ -212,19 +220,22 @@ class PureState:
         amps: dict[Ket, complex] = {}
         flavor: type | None = None
         for ket, raw in (amplitudes or {}).items():
-            if not isinstance(ket, (FullKet, AtomFieldKet, FieldsKet)):
-                raise TypeError(f"not a ket: {ket!r}")
-            if flavor is None:
+            if type(ket) is not flavor:
+                if not isinstance(ket, (FullKet, AtomFieldKet, FieldsKet)):
+                    raise TypeError(f"not a ket: {ket!r}")
+                if flavor is not None:
+                    raise FlavorMismatchError(
+                        f"mixed ket flavors {flavor.__name__} and {type(ket).__name__}"
+                    )
                 flavor = type(ket)
-            elif type(ket) is not flavor:
-                raise FlavorMismatchError(
-                    f"mixed ket flavors {flavor.__name__} and {type(ket).__name__}"
-                )
             amp = complex(raw)
-            if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
-                raise ValueError(f"non-finite amplitude {amp!r} on {ket!r}")
-            if abs(amp) < PRUNE_EPSILON:
+            # abs is inf or NaN exactly when a part is (it raises OverflowError
+            # rather than round a finite amplitude up to inf), and NaN is never pruned
+            size = abs(amp)
+            if size < PRUNE_EPSILON:
                 continue
+            if not size < math.inf:
+                raise ValueError(f"non-finite amplitude {amp!r} on {ket!r}")
             amps[ket] = amp
         self._amps = amps
         self._flavor = flavor if amps else None

@@ -38,6 +38,7 @@ from helpers import (
     jc_generator,
     leaky_rotate,
     max_amp_diff,
+    reference_hadamard_control,
     window_branches,
     window_groups,
 )
@@ -707,6 +708,24 @@ def test_phase_names_the_first_failing_column_and_its_first_field():
         oracle.phase(amps[:, :1], [1e308], [math.nan], excitations)
 
 
+def test_phase_checks_each_column_against_its_own_excitations():
+    # column 1's 60 excitations used to refuse column 0, whose own argument,
+    # 1e307 * (1 - 1/2), is finite
+    amps = np.ones((2, 2), dtype=complex)
+    omega, t, excitations = [1e307, 1.0], [1.0, 1.0], np.array([[1, 1], [1, 60]])
+    both = oracle.phase(amps, omega, t, excitations)
+    for c in (0, 1):
+        alone = oracle.phase(amps[:, c:c + 1], omega[c:c + 1], t[c:c + 1], excitations[:, c:c + 1])
+        assert np.ascontiguousarray(both[:, c:c + 1]).tobytes() == alone.tobytes()
+    # a column that overflows is refused with its own argument: -1e307 * 59.5
+    argument = r"^omega \* t \* \(excitations - 1/2\): must be finite, got "
+    with pytest.raises(ValueError, match=argument + "-inf$"):
+        oracle.phase(amps, [1e307, -1e307], t, excitations)
+    # excitations one per row are every column's
+    with pytest.raises(ValueError, match=argument + "inf$"):
+        oracle.phase(amps, omega, t, excitations[:, 1:])
+
+
 def test_phase_over_leading_axes_equals_a_call_per_leading_index():
     # (2, K, N) amplitudes phase as two (K, N) calls, bit for bit, with
     # excitations per entry or per row, and a non-finite factor is refused
@@ -727,3 +746,83 @@ def test_phase_over_leading_axes_equals_a_call_per_leading_index():
         for a in (amps, *amps):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 oracle.phase(a, omega_bad, t_bad, excitations)
+
+
+# ---------------------------------------------------------------- stored order and ket caches
+
+
+def amplitude_bits(state: PureState) -> bytes:
+    return np.array([amp for _, amp in state.items()], dtype=complex).tobytes()
+
+
+def reordered(state: PureState) -> list[PureState]:
+    """state, and the same state built from its sorted items forwards, backwards
+    and shuffled: equal states whose kets are stored in other orders."""
+    items = state.items()
+    shuffled = [items[i] for i in np.random.default_rng(len(items)).permutation(len(items))]
+    return [state, *(PureState(dict(order)) for order in (items, items[::-1], shuffled))]
+
+
+def assert_one_result(results):
+    """Equal results: states ==, with the same kets and bitwise equal
+    amplitudes, and equal probabilities; or one refusal text."""
+    first = results[0]
+    for other in results[1:]:
+        assert type(other) is type(first)
+        if isinstance(first, BaseException):
+            assert str(other) == str(first)
+            continue
+        state, other_state = (first, other) if isinstance(first, PureState) else (first[0], other[0])
+        assert other_state == state and other_state.kets() == state.kets()
+        assert amplitude_bits(other_state) == amplitude_bits(state)
+        if not isinstance(first, PureState):
+            assert other[1] == first[1]
+
+
+def outcome(j):
+    """measure_control(·, j) as a value: its result, or the refusal it raises."""
+    def measured(state):
+        try:
+            return measure_control(state, j)
+        except ImpossiblePostselectionError as err:
+            return err
+    return measured
+
+
+def test_views_ignore_the_order_a_state_is_stored_in():
+    rng = np.random.default_rng(2025)
+    for _ in range(12):
+        p = replace(random_params(rng), n=int(rng.integers(0, 21)), m=int(rng.integers(0, 21)))
+        t = p.T1 + p.T + float(rng.uniform(0.0, 2.0))
+        w = TruncationWindow.for_params(p)
+        # with theta 0 only the control-0 branch is populated: outcome 1 is refused
+        unmixed = evolve(replace(p, theta=0.0), t, w)
+        assert isinstance(outcome(1)(unmixed), ImpossiblePostselectionError)
+        for j in (0, 1):
+            assert_one_result([outcome(j)(s) for s in reordered(unmixed)])
+        mixed = [hadamard_control(s) for s in reordered(evolve(p, t, w))]
+        assert_one_result(mixed)
+        for j in (0, 1):
+            measured = [outcome(j)(s) for s in reordered(mixed[0])]
+            assert_one_result(measured)
+            if isinstance(measured[0], tuple):
+                phased = [schrodinger_phase(s, p.omega, t) for s in reordered(measured[0][0])]
+                assert_one_result(phased)
+
+
+def test_ket_caches_stay_within_their_bound():
+    # a state of more distinct kets than either cache holds, both controls populated
+    rng = np.random.default_rng(7)
+    kets = [FullKet(c, AtomFieldKet(a, n, m)) for c in (0, 1) for a in (E, G)
+            for n in range(40) for m in range(40)]
+    for cached in (oracle._full_ket, oracle._atom_field_ket):
+        assert len(kets) > cached.cache_info().maxsize
+    state = PureState(dict(zip(kets, (rng.normal(size=len(kets)) + 0.5j).tolist())))
+    for part in (state, PureState(dict(state.items()[: len(kets) // 3])), state):
+        assert hadamard_control(part) == reference_hadamard_control(part)
+        info = oracle._full_ket.cache_info()
+        assert 0 < info.currsize <= info.maxsize
+    for a, n, m in np.ndindex(2, 50, 50):
+        assert oracle._atom_field_ket(a, n, m) == AtomFieldKet((E, G)[a], n, m)
+        info = oracle._atom_field_ket.cache_info()
+        assert info.currsize <= info.maxsize

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -89,6 +92,104 @@ def test_prune_and_finiteness():
         PureState({AtomFieldKet(E, 0, 0): complex("nan")})
     with pytest.raises(ValueError):
         PureState({AtomFieldKet(E, 0, 0): complex("inf")})
+
+
+#: repr of AtomFieldKet(E, 0, 0) and AtomFieldKet(G, 1, 2), as refusals print them
+E00 = "AtomFieldKet(atom=<AtomLevel.EXCITED: 0>, n=0, m=0)"
+G12 = "AtomFieldKet(atom=<AtomLevel.GROUND: 1>, n=1, m=2)"
+
+
+def refusal(amplitudes) -> BaseException:
+    """The exception PureState(amplitudes) raises."""
+    with pytest.raises(Exception) as err:
+        PureState(amplitudes)
+    return err.value
+
+
+@pytest.mark.parametrize("amplitudes, error, text", [
+    ({("x", 1): 1.0}, TypeError, "not a ket: ('x', 1)"),
+    ({AtomFieldKet(E, 0, 0): 1.0, 3: 1.0}, TypeError, "not a ket: 3"),
+    ({AtomFieldKet(E, 0, 0): 1e-16, "x": 1.0}, TypeError, "not a ket: 'x'"),
+    ({AtomFieldKet(E, 0, 0): 1.0, "x": complex("nan")}, TypeError, "not a ket: 'x'"),
+    ({AtomFieldKet(E, 0, 0): 1.0, FieldsKet(0, 0): 1.0}, FlavorMismatchError,
+     "mixed ket flavors AtomFieldKet and FieldsKet"),
+    ({FieldsKet(0, 0): 1.0, AtomFieldKet(E, 0, 0): 1.0}, FlavorMismatchError,
+     "mixed ket flavors FieldsKet and AtomFieldKet"),
+    ({FullKet(1, AtomFieldKet(E, 0, 0)): 1.0, AtomFieldKet(E, 0, 0): 1.0}, FlavorMismatchError,
+     "mixed ket flavors FullKet and AtomFieldKet"),
+    # a pruned ket still sets the flavor, and the flavor is checked before the amplitude
+    ({AtomFieldKet(E, 0, 0): 1e-16, FieldsKet(0, 0): 1.0}, FlavorMismatchError,
+     "mixed ket flavors AtomFieldKet and FieldsKet"),
+    ({AtomFieldKet(E, 0, 0): 1.0, FieldsKet(0, 0): complex("nan")}, FlavorMismatchError,
+     "mixed ket flavors AtomFieldKet and FieldsKet"),
+    ({AtomFieldKet(E, 0, 0): complex("nan"), FieldsKet(0, 0): 1.0}, ValueError,
+     f"non-finite amplitude (nan+0j) on {E00}"),
+    ({AtomFieldKet(E, 0, 0): float("nan")}, ValueError, f"non-finite amplitude (nan+0j) on {E00}"),
+    ({AtomFieldKet(E, 0, 0): math.inf}, ValueError, f"non-finite amplitude (inf+0j) on {E00}"),
+    ({AtomFieldKet(E, 0, 0): -math.inf}, ValueError, f"non-finite amplitude (-inf+0j) on {E00}"),
+    ({AtomFieldKet(E, 0, 0): complex(math.inf, math.nan)}, ValueError,
+     f"non-finite amplitude (inf+nanj) on {E00}"),
+    ({AtomFieldKet(E, 0, 0): complex(0.0, -math.inf)}, ValueError,
+     f"non-finite amplitude -infj on {E00}"),
+    # a NaN is never pruned, even beside a magnitude below PRUNE_EPSILON
+    ({AtomFieldKet(E, 0, 0): complex(1e-16, math.nan)}, ValueError,
+     f"non-finite amplitude (1e-16+nanj) on {E00}"),
+    ({AtomFieldKet(E, 0, 0): 1e-16, AtomFieldKet(G, 1, 2): complex("nan")}, ValueError,
+     f"non-finite amplitude (nan+0j) on {G12}"),
+    ({AtomFieldKet(E, 0, 0): 1e-16, AtomFieldKet(G, 1, 2): -math.inf}, ValueError,
+     f"non-finite amplitude (-inf+0j) on {G12}"),
+    ({AtomFieldKet(E, 0, 0): 1e-16, AtomFieldKet(G, 1, 2): complex(math.inf, math.nan)},
+     ValueError, f"non-finite amplitude (inf+nanj) on {G12}"),
+])
+def test_pure_state_refusals_keep_their_type_text_and_precedence(amplitudes, error, text):
+    err = refusal(amplitudes)
+    assert type(err) is error
+    assert str(err) == text
+
+
+def test_pure_state_keeps_a_huge_finite_amplitude_and_prunes_a_tiny_one():
+    huge = PureState({AtomFieldKet(E, 0, 0): 1e308 + 1e308j, AtomFieldKet(G, 1, 2): 1e-16})
+    assert huge.items() == [(AtomFieldKet(E, 0, 0), 1e308 + 1e308j)]
+    assert huge.flavor is AtomFieldKet
+    tiny = PureState({AtomFieldKet(E, 0, 0): 1e-16, AtomFieldKet(G, 1, 2): -1e-16j})
+    assert len(tiny) == 0 and tiny.flavor is None and tiny == PureState()
+
+
+KET_FIELDS = {AtomFieldKet: ("atom", "n", "m"), FullKet: ("control", "rest")}
+#: a value of each flavor's last field that none of the kets below holds
+OTHER = {AtomFieldKet: 5, FullKet: AtomFieldKet(G, 4, 4)}
+
+
+@pytest.mark.parametrize("ket", [AtomFieldKet(E, 2, 3), AtomFieldKet(G, 0, 7),
+                                 FullKet(1, AtomFieldKet(G, 2, 3)),
+                                 FullKet(0, AtomFieldKet(E, 0, 0))], ids=repr)
+def test_ket_hash_is_the_hash_of_its_fields(ket):
+    names = KET_FIELDS[type(ket)]
+    assert tuple(f.name for f in dataclasses.fields(ket)) == names
+    values = tuple(getattr(ket, name) for name in names)
+    assert hash(ket) == hash(values)
+    # built afresh, copied, replaced or pickled: equal, and hashing equal
+    rebuilt = type(ket)(*values)
+    assert rebuilt is not ket
+    for twin in (rebuilt, dataclasses.replace(ket), copy.copy(ket), copy.deepcopy(ket),
+                 pickle.loads(pickle.dumps(ket))):
+        assert type(twin) is type(ket)
+        assert twin == ket and hash(twin) == hash(ket)
+        assert repr(twin) == repr(ket)
+        assert {twin: 1}[ket] == 1
+    # a replaced field hashes anew
+    changed = dataclasses.replace(ket, **{names[-1]: OTHER[type(ket)]})
+    assert changed != ket and hash(changed) == hash((*values[:-1], OTHER[type(ket)]))
+
+
+def test_ket_repr_and_order_are_those_of_the_dataclass():
+    assert repr(AtomFieldKet(E, 2, 3)) == "AtomFieldKet(atom=<AtomLevel.EXCITED: 0>, n=2, m=3)"
+    assert repr(FullKet(1, AtomFieldKet(G, 2, 3))) == (
+        "FullKet(control=1, rest=AtomFieldKet(atom=<AtomLevel.GROUND: 1>, n=2, m=3))")
+    kets = [AtomFieldKet(a, n, m) for a in (G, E) for n in (3, 0, 1) for m in (2, 0)]
+    assert sorted(kets) == sorted(kets, key=lambda k: (k.atom, k.n, k.m))
+    full = [FullKet(c, k) for k in kets for c in (1, 0)]
+    assert sorted(full) == sorted(full, key=lambda k: (k.control, k.rest.atom, k.rest.n, k.rest.m))
 
 
 def test_mixed_flavors_rejected():
