@@ -44,20 +44,23 @@ class CavityOrder(Enum):
     C1_THEN_C0 = "series_C1C0"
 
 
-def _slot_amplitudes(lib, rates_n: tuple, rates_m: tuple, t_first, t_second, ce, se) -> tuple:
-    """The eight slot amplitudes of one order: time t_first in the first
-    cavity (n photons), then t_second in the second (m photons), for an atom
-    prepared as ce|e> + se|g>; rates_n is the doublet rates (g*sqrt(n + 1),
-    g*sqrt(n)), rates_m the same for m.  ``lib`` supplies cos and sin:
+def _rotations(lib, rates: tuple, t) -> tuple:
+    """The doublet rotations of one cavity after time t in it, as
+    (cos, sin) of (g*sqrt(k + 1)) * t, then of (g*sqrt(k)) * t, for rates
+    (g*sqrt(k + 1), g*sqrt(k)) at k photons.  ``lib`` supplies cos and sin:
     ``math`` for scalars, ``numpy`` for arrays, so coeffs_c and
     grid_amplitudes share these formulas.  Each angle is rounded as
     (g*sqrt(k + 1)) * t: math.sqrt and numpy's sqrt both round correctly."""
-    x_n, x_n1 = rates_n[0] * t_first, rates_n[1] * t_first
-    x_m, x_m1 = rates_m[0] * t_second, rates_m[1] * t_second
-    cos_n, sin_n = lib.cos(x_n), lib.sin(x_n)
-    cos_n1, sin_n1 = lib.cos(x_n1), lib.sin(x_n1)
-    cos_m, sin_m = lib.cos(x_m), lib.sin(x_m)
-    cos_m1, sin_m1 = lib.cos(x_m1), lib.sin(x_m1)
+    x, x1 = rates[0] * t, rates[1] * t
+    return lib.cos(x), lib.sin(x), lib.cos(x1), lib.sin(x1)
+
+
+def _slot_amplitudes(first: tuple, second: tuple, ce, se) -> tuple:
+    """The eight slot amplitudes of one order, from the _rotations of the
+    cavity crossed first (n photons) and of the one crossed second (m
+    photons), for an atom prepared as ce|e> + se|g>."""
+    cos_n, sin_n, cos_n1, sin_n1 = first
+    cos_m, sin_m, cos_m1, sin_m1 = second
     ice, ise = -1j * ce, -1j * se
     return (
         ce * cos_n * cos_m,
@@ -83,7 +86,7 @@ def coeffs_c(p: SystemParams, tau: float) -> tuple:
     check_real(tau, "tau", 0.0, p.T, "[]")
     ce, se = math.cos(p.xi), cmath.exp(1j * p.chi) * math.sin(p.xi)
     rates_n, rates_m = ((p.g * math.sqrt(k + 1), p.g * math.sqrt(k)) for k in (p.n, p.m))
-    return _slot_amplitudes(math, rates_n, rates_m, p.T, tau, ce, se)
+    return _slot_amplitudes(_rotations(math, rates_n, p.T), _rotations(math, rates_m, tau), ce, se)
 
 
 def coeffs_s(p: SystemParams, tau: float) -> tuple:
@@ -234,6 +237,8 @@ def _branches(scenario: str, n, m, g, t_first, t_second, xi, chi, theta, varphi)
     is recombined (Hadamard) for measurement: the C0-first branch times
     cos(theta)/sqrt(2), the C1-first one times e^{i varphi} sin(theta)/sqrt(2).
     Outcome 1 takes the second with the opposite sign."""
+    # checked before the conversion below, which copies a scalar time
+    one_time = t_first is t_second
     # Scalars stay of length 1, so a fixed angle costs one evaluation; the
     # photon numbers, below 2**53, are exact as floats.
     n, m, g, t_first, t_second, xi, chi, theta, varphi = (
@@ -244,24 +249,29 @@ def _branches(scenario: str, n, m, g, t_first, t_second, xi, chi, theta, varphi)
     size = np.broadcast(n, m, g, t_first, t_second, xi, chi, theta, varphi).size
     ce, se = np.cos(xi), np.exp(1j * chi) * np.sin(xi)
 
-    def branch(rates_first, rates_second, slot_offsets: list) -> np.ndarray:
-        # the rates of the cavity crossed first and of the one crossed
-        # second, as coeffs_c and coeffs_s pass them
-        slots = _slot_amplitudes(np, rates_first, rates_second, t_first, t_second, ce, se)
+    def rotations(rates_first, rates_second) -> tuple:
+        return _rotations(np, rates_first, t_first), _rotations(np, rates_second, t_second)
+
+    def branch(first, second, slot_offsets: list) -> np.ndarray:
         amps = np.zeros((len(OFFSETS), size), dtype=complex)
-        for offset, slot in zip(slot_offsets, slots):
+        for offset, slot in zip(slot_offsets, _slot_amplitudes(first, second, ce, se)):
             amps[offset] = slot
         return prune_amplitudes(amps)
 
-    if scenario == "series_C0C1":
-        return (branch(rates_n, rates_m, _SLOTS_FIRST_C0),)
     if scenario == "series_C1C0":
-        return (branch(rates_m, rates_n, _SLOTS_FIRST_C1),)
+        return (branch(*rotations(rates_m, rates_n), _SLOTS_FIRST_C1),)
+    c0_first = rotations(rates_n, rates_m)
+    if scenario == "series_C0C1":
+        return (branch(*c0_first, _SLOTS_FIRST_C0),)
+    # The C1-first order spends t_first in the m cavity and t_second in the
+    # n one: with one time for both (run_sweep, verify), the C0-first
+    # rotations swapped.
+    c1_first = c0_first[::-1] if one_time else rotations(rates_m, rates_n)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     w0 = np.cos(theta) * inv_sqrt2
     w1 = np.exp(1j * varphi) * np.sin(theta) * inv_sqrt2
-    return (w0 * branch(rates_n, rates_m, _SLOTS_FIRST_C0),
-            w1 * branch(rates_m, rates_n, _SLOTS_FIRST_C1))
+    return (w0 * branch(*c0_first, _SLOTS_FIRST_C0),
+            w1 * branch(*c1_first, _SLOTS_FIRST_C1))
 
 
 def _ico_outcome(first: np.ndarray, second: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:

@@ -3,7 +3,9 @@ density matrices, linear entropy, and the atomic inversion.
 
 The inversion, partial trace and linear entropy are written once, over
 amplitude columns: run_sweep applies them to a grid, the PureState
-functions here to one column."""
+functions here to one column.  The partial trace multiplies only the pairs
+of kets that share a second-mode occupation and sums them in ascending
+occupation, so a column's result does not depend on the columns beside it."""
 
 from __future__ import annotations
 
@@ -71,13 +73,20 @@ def _first_mode_rho(kets: list, amps: np.ndarray) -> np.ndarray:
     """Partial trace over the second mode of each column of ``amps``, whose
     row r is the amplitude on the Fock pair (kets[r].n, kets[r].m):
     rho[i, j, col] = sum_m a(lo+i, m) a*(lo+j, m) over the first-mode levels
-    lo..hi, lo the lowest one occupied."""
+    lo..hi, lo the lowest one occupied, summed in ascending m.  Only the
+    pairs of kets that share an m are multiplied: every other term of the
+    sum is a product with a zero amplitude."""
     lo = min(k.n for k in kets)
-    ms = sorted({k.m for k in kets})
-    psi = np.zeros((max(k.n for k in kets) - lo + 1, len(ms), amps.shape[1]), dtype=complex)
-    for k, column in zip(kets, amps):
-        psi[k.n - lo, ms.index(k.m)] = column
-    return np.sum(psi[:, None] * psi.conj()[None, :], axis=2)
+    rho = np.zeros((max(k.n for k in kets) - lo + 1,) * 2 + amps.shape[1:], dtype=complex)
+    conj = amps.conj()
+    by_m: dict = {}
+    for r, k in enumerate(kets):
+        by_m.setdefault(k.m, []).append((k.n - lo, r))
+    for m in sorted(by_m):
+        for i, r in by_m[m]:
+            for j, s in by_m[m]:
+                rho[i, j] += amps[r] * conj[s]
+    return rho
 
 
 def _linear_entropy(rho: np.ndarray) -> np.ndarray:

@@ -231,7 +231,11 @@ class PureState:
             amp = complex(raw)
             # abs is inf or NaN exactly when a part is (it raises OverflowError
             # rather than round a finite amplitude up to inf), and NaN is never pruned
-            size = abs(amp)
+            try:
+                size = abs(amp)
+            except OverflowError:
+                raise ValueError(
+                    f"amplitude {amp!r} on {ket!r}: its magnitude overflows a float") from None
             if size < PRUNE_EPSILON:
                 continue
             if not size < math.inf:

@@ -250,19 +250,23 @@ class Table:
         return tuple(zip(*self.cells))
 
     def to_csv(self) -> str:
-        """Floats in shortest round-trip form (str of a float is its repr),
-        one format call per row; a column holding None is copied with ""
-        in its place first, so no cell becomes a string before its row.
+        """Floats in shortest round-trip form, their repr, streamed row by
+        row: each column is mapped lazily to its cell strings, "" for None,
+        and each row joined as it is read, so no cell becomes a string
+        before its row.
 
         The peak that tracemalloc traces above the table is about
         75 + 55 * C bytes a grid point for C quantity columns of
         22-character cells (measured at N = 20,001: 953 B at C = 16), and
         310 B a point for the six-column ico sweep of run_sweep's docstring.
         """
-        cells = [col if None not in col else ["" if v is None else v for v in col]
-                 for col in self.cells]
-        row = ",".join(["%s"] * len(self.columns))
-        return "\n".join([",".join(self.columns), *map(row.__mod__, zip(*cells))]) + "\n"
+        cells = [map(repr if None not in col else _csv_cell, col) for col in self.cells]
+        return "\n".join([",".join(self.columns), *map(",".join, zip(*cells))]) + "\n"
+
+
+def _csv_cell(value) -> str:
+    """A CSV cell: "" for None, else the value's repr."""
+    return "" if value is None else repr(value)
 
 
 def _cells(values: np.ndarray, possible: np.ndarray | None) -> tuple:
@@ -284,10 +288,10 @@ def run_sweep(cfg: SweepConfig) -> Table:
     Memory grows with the N grid points: each kernel array is
     (len(OFFSETS), N) complex, 160 B a point, and the peak that tracemalloc
     traces is below 1,100 + 40 * C bytes a point for C quantities.  An ico
-    sweep with the six column kinds peaks at 1,186 B a point (measured at
-    N = 20,001 and 100,001; the entropy columns' temporaries are the
-    largest part), so at MAX_GRID_POINTS it peaks near 1.2 GB; sixteen
-    columns peaked at 1,377 to 1,505 B a point, and the bound at both caps,
+    sweep with the six column kinds peaks at 705 B a point (measured at
+    N = 20,001 and 100,001; grid_amplitudes' own peak, 587 B a point, is
+    the largest part), so at MAX_GRID_POINTS it peaks near 0.7 GB; sixteen
+    columns peaked at 1,025 B a point, and the bound at both caps,
     MAX_GRID_POINTS and MAX_QUANTITIES, is about 1.74 GB.  The table it
     returns keeps 32 B a cell, and the table plus Table.to_csv's peak stays
     below this bound.

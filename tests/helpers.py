@@ -380,6 +380,24 @@ def reference_draw(rng):
     return p, p.T1 + p.T + float(rng.uniform(0.0, 2.0))
 
 
+# ---------------------------------------------------------------- partial trace
+
+
+def dense_first_mode_rho(kets, amps):
+    """The outer-product partial trace that observables._first_mode_rho's
+    sparse one replaced, kept as its reference: every column of amps laid
+    out on the (first-mode level, second-mode level) grid, the (d, d, d_m,
+    N) outer product of that grid with its conjugate, summed over d_m.
+    numpy adds along that axis in ascending m for two or more columns; a
+    lone column with four or more second-mode levels it adds pairwise."""
+    lo = min(k.n for k in kets)
+    ms = sorted({k.m for k in kets})
+    psi = np.zeros((max(k.n for k in kets) - lo + 1, len(ms), amps.shape[1]), dtype=complex)
+    for k, column in zip(kets, amps):
+        psi[k.n - lo, ms.index(k.m)] = column
+    return np.sum(psi[:, None] * psi.conj()[None, :], axis=2)
+
+
 # ---------------------------------------------------------------- row-wise tables
 
 

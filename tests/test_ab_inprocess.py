@@ -148,3 +148,52 @@ def test_main_leaves_sys_path_as_it_found_it(monkeypatch):
         else:
             assert ab_inprocess.main(["parent", "change", "--rounds", "2"]) == 0
         assert sys.path == before
+
+
+def test_sweep_general_op_times_each_rounds_workload_config_to_its_csv(monkeypatch, capsys):
+    # stand-in packages and workloads: round r runs config_from_dict ->
+    # run_sweep -> to_csv on sweep_config(SEED, r), the change side's CSV
+    # differs in round 1 only, and the peak is of round 0's op
+    calls = []
+
+    def package(side):
+        def config_from_dict(cfg):
+            return cfg
+
+        def run_sweep(cfg):
+            calls.append((side, cfg))
+            text = f"csv {cfg}" if side == "parent" or cfg != (5, 1) else "other"
+            return SimpleNamespace(to_csv=lambda: text)
+        return SimpleNamespace(config_from_dict=config_from_dict, run_sweep=run_sweep)
+
+    sides = {"ico_cqed_parent": package("parent"), "ico_cqed_change": package("change")}
+    monkeypatch.setattr(ab_inprocess, "load_copy", lambda tree, name, directory: sides[name])
+    workloads = SimpleNamespace(sweep_config=lambda seed, index: (seed, index))
+    monkeypatch.setattr(ab_inprocess, "load_workloads", lambda tree: workloads)
+    monkeypatch.setattr(ab_inprocess, "WARMUP", 0)
+    argv = ["parent", "change", "--op", "sweep_general", "--rounds", "3", "--seed", "5"]
+    assert ab_inprocess.main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    call = "run_sweep(config_from_dict(sweep_config(5, {}))).to_csv()"
+    assert out[0] == call.format("r") + ", 3 rounds, side order seed 5"
+    assert out[3] == "rounds whose CSV texts differ: 1"
+    assert out[4].startswith(f"tracemalloc peak of {call.format(0)}: parent ")
+    assert sorted(calls[:6]) == sorted((side, (5, r)) for r in range(3)
+                                       for side in ("parent", "change"))
+    assert calls[6:] == [("parent", (5, 0)), ("change", (5, 0))]
+
+
+def test_the_workloads_module_loads_from_the_tree_and_leaves_sys_path(tmp_path):
+    # a tree whose bench/workloads.py imports its own src package
+    (tmp_path / "src" / "pkg_under_test").mkdir(parents=True)
+    (tmp_path / "src" / "pkg_under_test" / "__init__.py").write_text("SEEDS = 3\n")
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "workloads.py").write_text(
+        "from pkg_under_test import SEEDS\n"
+        "def sweep_config(seed, index):\n"
+        "    return {'seed': seed * SEEDS, 'index': index}\n")
+    before = list(sys.path)
+    workloads = ab_inprocess.load_workloads(tmp_path)
+    assert workloads.sweep_config(2, 4) == {"seed": 6, "index": 4}
+    assert sys.path == before
+    sys.modules.pop("pkg_under_test", None)

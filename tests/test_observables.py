@@ -24,11 +24,14 @@ from ico_cqed import (
     sigma_z_series,
     state_after_both,
 )
+from ico_cqed import observables
+from ico_cqed.observables import _first_mode_rho, branch_entropy_columns
 from helpers import (
     E,
     G,
     balanced,
     balanced_control_probability,
+    dense_first_mode_rho,
     doublet_rate,
     params,
     sigma_z_ico_reference,
@@ -183,6 +186,77 @@ def test_reduced_series_excited_slice_is_diagonal(rng):
         weights = np.array([cn, sn]) / (cn + sn)
         # weights attach to photon numbers n and n+1 in the first mode
         assert np.allclose(rho, np.diag(weights), atol=1e-12)
+
+
+def trace_cases(rng):
+    """(kets, amps) for the partial trace: sorted kets on sparse level sets,
+    so with gaps in n and in m, a single ket, kets on a single first-mode
+    level, and a block of seven second-mode levels, each with 1, 2 and 9
+    amplitude columns holding exact zeros, signed zeros and entries of 1e-16
+    beside entries of order 1."""
+    levels = [0, 1, 3, 4, 8]
+    ket_sets = [[FieldsKet(2, 5)], [FieldsKet(3, m) for m in (0, 1, 4, 6)],
+                [FieldsKet(n, m) for n in (0, 2) for m in range(7)]]
+    for _ in range(40):
+        pairs = rng.choice(levels, size=(int(rng.integers(2, 12)), 2)).tolist()
+        ket_sets.append(sorted({FieldsKet(n, m) for n, m in pairs}))
+    for kets in ket_sets:
+        for columns in (1, 2, 9):
+            shape = (len(kets), columns)
+            amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            amps *= rng.choice([1.0, 1e-16], size=shape, p=[0.8, 0.2])
+            amps[rng.random(shape) < 0.2] = 0.0
+            amps.imag[rng.random(shape) < 0.1] = -0.0
+            yield kets, amps
+
+
+def dense_rho(kets, amps):
+    """dense_first_mode_rho summed in ascending m, as the sparse trace sums
+    it: a lone column with four or more second-mode levels, which numpy
+    would add pairwise, is summed side by side with a copy of itself."""
+    if amps.shape[1] == 1 and len({k.m for k in kets}) >= 4:
+        return dense_first_mode_rho(kets, np.hstack([amps, amps]))[:, :, :1]
+    return dense_first_mode_rho(kets, amps)
+
+
+def test_sparse_partial_trace_equals_the_dense_formula_bit_for_bit(rng):
+    pairwise = 0
+    for kets, amps in trace_cases(rng):
+        rho = _first_mode_rho(kets, amps)
+        assert rho.tobytes() == dense_rho(kets, amps).tobytes()
+        lone = dense_first_mode_rho(kets, amps)
+        if lone.tobytes() != rho.tobytes():
+            # only a lone column's pairwise sum rounds otherwise, and by
+            # less than an ulp of the largest entry
+            assert amps.shape[1] == 1 and len({k.m for k in kets}) >= 4
+            assert np.abs(lone - rho).max() <= 2.0**-52 * np.abs(rho).max()
+            pairwise += 1
+    assert pairwise > 0
+
+
+def test_sparse_branch_entropy_equals_the_dense_formula_bit_for_bit(rng, monkeypatch):
+    for fields, amps in trace_cases(rng):
+        # the same cases as atom-field columns, beside zero-probability rows
+        # of the other atom level
+        basis = tuple(sorted([AtomFieldKet(E, k.n, k.m) for k in fields]
+                             + [AtomFieldKet(G, k.m, k.n) for k in fields[:2]]))
+        rows = {AtomFieldKet(E, k.n, k.m): a for k, a in zip(fields, amps)}
+        column = np.array([rows.get(ket, np.zeros(amps.shape[1])) for ket in basis])
+        sparse = branch_entropy_columns(basis, column, E)
+        with monkeypatch.context() as patch:
+            patch.setattr(observables, "_first_mode_rho", dense_rho)
+            dense = branch_entropy_columns(basis, column, E)
+        assert [a.tobytes() for a in sparse] == [a.tobytes() for a in dense]
+
+
+def test_reduced_cavity0_equals_the_dense_formula_bit_for_bit(rng):
+    for kets, amps in trace_cases(rng):
+        if amps.shape[1] > 1 or not amps.any():
+            continue
+        state = PureState(dict(zip(kets, amps[:, 0]))).normalized()
+        kept = state.kets()
+        column = np.array([[state.amplitude(k)] for k in kept])
+        assert reduced_cavity0(state).tobytes() == dense_rho(kept, column)[:, :, 0].tobytes()
 
 
 def _ico_reduced_reference(p, omega_t, branch):

@@ -140,6 +140,11 @@ def refusal(amplitudes) -> BaseException:
      f"non-finite amplitude (-inf+0j) on {G12}"),
     ({AtomFieldKet(E, 0, 0): 1e-16, AtomFieldKet(G, 1, 2): complex(math.inf, math.nan)},
      ValueError, f"non-finite amplitude (inf+nanj) on {G12}"),
+    # finite parts whose magnitude overflows a float
+    ({AtomFieldKet(E, 0, 0): 1.3e308 * (1 + 1j)}, ValueError,
+     f"amplitude (1.3e+308+1.3e+308j) on {E00}: its magnitude overflows a float"),
+    ({AtomFieldKet(E, 0, 0): 1.0, AtomFieldKet(G, 1, 2): complex(-1.7e308, -1e308)}, ValueError,
+     f"amplitude (-1.7e+308-1e+308j) on {G12}: its magnitude overflows a float"),
 ])
 def test_pure_state_refusals_keep_their_type_text_and_precedence(amplitudes, error, text):
     err = refusal(amplitudes)

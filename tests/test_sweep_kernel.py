@@ -33,6 +33,7 @@ from ico_cqed import (
     reduced_cavity0,
     run_sweep,
     sigma_z_expectation,
+    state_after_both,
 )
 from ico_cqed import engine
 from ico_cqed.engine import OFFSETS, grid_amplitudes, measurement_phase, reachable_kets
@@ -204,11 +205,13 @@ def test_slots_of_negative_occupation_kets_are_exactly_zero():
         orders = ((engine._LAYOUT_FIRST_C0, rates_n, rates_m),
                   (engine._LAYOUT_FIRST_C1, rates_m, rates_n))
         for layout, first, second in orders:
-            slots = engine._slot_amplitudes(np, first, second, t_first, t_second, ce, se)
+            slots = engine._slot_amplitudes(engine._rotations(np, first, t_first),
+                                            engine._rotations(np, second, t_second), ce, se)
             points = [
-                engine._slot_amplitudes(math, (first[0][i], first[1][i]),
-                                        (second[0][i], second[1][i]), t_first[i],
-                                        t_second[i], ce[i], se[i])
+                engine._slot_amplitudes(
+                    engine._rotations(math, (first[0][i], first[1][i]), t_first[i]),
+                    engine._rotations(math, (second[0][i], second[1][i]), t_second[i]),
+                    ce[i], se[i])
                 for i in range(0, size, 8)
             ]
             for s, (_, dn, dm) in enumerate(layout):
@@ -217,6 +220,49 @@ def test_slots_of_negative_occupation_kets_are_exactly_zero():
                     assert all(point[s] == 0.0 for point in points)
                     checked += 1
     assert checked == 2 * 4 + 10 * 2 * 2
+
+
+@pytest.mark.parametrize("n, m", [(2, 5), (3, 3)])
+def test_one_time_array_for_both_cavities_shares_the_rotations_bit_for_bit(n, m):
+    # the C1-first order reuses the C0-first rotations, swapped, when one
+    # time array serves both cavities (as in run_sweep and verify); an equal
+    # but distinct copy takes the rotations of its own
+    rng = np.random.default_rng(37)
+    size = 50
+    g = rng.uniform(0.5, 2.0, size)
+    t = rng.uniform(0.0, 10.0, size) / g
+    angles = (rng.uniform(0.0, math.pi / 2, size), rng.uniform(0.0, 2 * math.pi, size),
+              rng.uniform(0.0, math.pi / 2, size), rng.uniform(0.0, 2 * math.pi, size))
+    for scenario in ("ico", "series_C1C0"):
+        shared = engine._branches(scenario, n, m, g, t, t, *angles)
+        apart = engine._branches(scenario, n, m, g, t, t.copy(), *angles)
+        assert [b.tobytes() for b in shared] == [b.tobytes() for b in apart]
+    # a shorter time in the second cavity: each ico branch is its series
+    # branch, weighted as _branches weights it
+    tau = t * rng.uniform(0.0, 1.0, size)
+    xi, chi, theta, varphi = angles
+    first, second = engine._branches("ico", n, m, g, t, tau, *angles)
+    c0c1, = engine._branches("series_C0C1", n, m, g, t, tau, *angles)
+    c1c0, = engine._branches("series_C1C0", n, m, g, t, tau, *angles)
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    assert first.tobytes() == (np.cos(theta) * inv_sqrt2 * c0c1).tobytes()
+    assert second.tobytes() == (np.exp(1j * varphi) * np.sin(theta) * inv_sqrt2 * c1c0).tobytes()
+
+
+def test_state_after_both_with_a_shorter_second_transit_is_the_mirrored_order():
+    # tau < T: the C1-first order at (n, m) is the C0-first one at (m, n)
+    # with the modes exchanged, bit for bit
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        p = SystemParams(g=float(rng.uniform(0.5, 2.0)), T=float(rng.uniform(0.1, 5.0)),
+                         xi=float(rng.uniform(0.0, math.pi / 2)),
+                         chi=float(rng.uniform(0.0, 2 * math.pi)),
+                         n=int(rng.integers(0, 6)), m=int(rng.integers(0, 6)))
+        tau = p.T * float(rng.uniform(0.0, 1.0))
+        state = state_after_both(CavityOrder.C1_THEN_C0, p, tau)
+        mirrored = state_after_both(CavityOrder.C0_THEN_C1, replace(p, n=p.m, m=p.n), tau)
+        exchanged = sorted((AtomFieldKet(k.atom, k.m, k.n), v) for k, v in mirrored.items())
+        assert repr(state.items()) == repr(exchanged)
 
 
 def test_entropy_cells_are_never_negative():
