@@ -17,7 +17,6 @@ from ico_cqed import (
     bell_state,
     condition_on_atom,
     general_postselect,
-    ico_postselected_state,
     linear_entropy,
     reduced_cavity0,
 )
@@ -36,7 +35,7 @@ def main():
     p = SystemParams(g=1.0, T=math.pi / 2, theta=math.pi / 4)
     p0, p1 = (general_postselect(j, p)[1] for j in (0, 1))
     print(f"control outcomes at gT = pi/2: P(0) = {p0:.3f}, P(1) = {p1:.3f}")
-    st = ico_postselected_state(0, p, 0.0)
+    st, _ = general_postselect(0, p)
     fields, prob = condition_on_atom(st, G)
     print(f"atom found ground with probability {prob:.12f}")
     show_state("field pair", fields)

@@ -8,14 +8,7 @@ This script locates the widest low-variation window of each curve.
 
 import math
 
-from ico_cqed import (
-    AtomicInversion,
-    SweepConfig,
-    SystemParams,
-    run_sweep,
-    sigma_z_ico,
-    sigma_z_series,
-)
+from ico_cqed import AtomicInversion, SweepConfig, run_sweep
 
 
 def widest_flat_window(gts, values, tv_budget=0.02):
@@ -38,6 +31,12 @@ def inversion_scan(scenario, n, m):
     return list(gts), list(values)
 
 
+def inversion_at(scenario, gt):
+    """The inversion at the one grid point gT = gt, empty cavities."""
+    cfg = SweepConfig(scenario, (AtomicInversion(),), gT_start=gt, gT_stop=gt, gT_step=1.0)
+    return run_sweep(cfg).cells[1][0]
+
+
 def main():
     for n, m in ((0, 0), (1, 1), (0, 1)):
         gts, ser = inversion_scan("series_C0C1", n, m)
@@ -50,8 +49,8 @@ def main():
     print()
     print("spot checks for empty cavities:")
     for gt in (math.pi / 2, math.pi):
-        p = SystemParams(g=1.0, T=gt, theta=math.pi / 4)
-        print(f"  gT = {gt:.4f}: definite {sigma_z_series(p):+.6f}, conditional {sigma_z_ico(p):+.6f}")
+        definite, conditional = (inversion_at(s, gt) for s in ("series_C0C1", "ico_j0"))
+        print(f"  gT = {gt:.4f}: definite {definite:+.6f}, conditional {conditional:+.6f}")
 
 
 if __name__ == "__main__":

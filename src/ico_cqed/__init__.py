@@ -9,6 +9,8 @@ linear entropies, and inversions; ``sweep`` and ``cli`` drive reproducible
 parameter scans.
 """
 
+import types as _types
+
 from ._version import __version__
 from .engine import (
     CavityOrder,
@@ -17,7 +19,6 @@ from .engine import (
     coeffs_c,
     coeffs_s,
     general_postselect,
-    ico_postselected_state,
     state_after_both,
 )
 from .errors import (
@@ -33,8 +34,6 @@ from .observables import (
     linear_entropy,
     reduced_cavity0,
     sigma_z_expectation,
-    sigma_z_ico,
-    sigma_z_series,
 )
 from .oracle import (
     TruncationWindow,
@@ -72,57 +71,10 @@ from .sweep import (
 )
 from .verify import VerifyReport, random_params, run_verification
 
-__all__ = [
-    "__version__",
-    "AtomFieldKet",
-    "AtomLevel",
-    "AtomicInversion",
-    "BranchEntropy",
-    "CavityOrder",
-    "ConfigError",
-    "ControlProbabilityColumn",
-    "DegenerateBranchError",
-    "FIGURE_PRESETS",
-    "FieldsKet",
-    "FigurePreset",
-    "FlavorMismatchError",
-    "FullKet",
-    "ImpossiblePostselectionError",
-    "KetProbability",
-    "MIN_OUTCOME_PROBABILITY",
-    "PRUNE_EPSILON",
-    "PureState",
-    "SweepConfig",
-    "SystemParams",
-    "Table",
-    "TruncationOverflowError",
-    "TruncationWindow",
-    "VerifyReport",
-    "bell_resonance_gT",
-    "bell_state",
-    "coeffs_c",
-    "coeffs_s",
-    "condition_on_atom",
-    "config_from_dict",
-    "evolve",
-    "figure_meta",
-    "figure_table",
-    "general_postselect",
-    "grid_points",
-    "hadamard_control",
-    "ico_postselected_state",
-    "jc_propagator",
-    "ket_probability",
-    "linear_entropy",
-    "measure_control",
-    "random_params",
-    "reduced_cavity0",
-    "run_sweep",
-    "run_verification",
-    "schrodinger_phase",
-    "sigma_z_expectation",
-    "sigma_z_ico",
-    "sigma_z_series",
-    "state_after_both",
-    "sweep_meta",
+# Every public name once: what the imports above bind, less the submodules
+# they bind beside it and the private names.
+__all__ = ["__version__"] + [
+    name
+    for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
 ]

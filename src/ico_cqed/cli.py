@@ -85,9 +85,12 @@ def _emit(table: Table, meta: dict, out: Path | None) -> None:
     if out is None:
         sys.stdout.write(csv_text)
         return
-    out.write_text(csv_text)
     sidecar = Path(str(out) + ".meta.json")
-    sidecar.write_text(meta_json(meta))
+    for path, text in ((out, csv_text), (sidecar, meta_json(meta))):
+        try:
+            path.write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"out: cannot write {path} ({exc})")
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -34,7 +34,6 @@ from .states import (
 
 _E = AtomLevel.EXCITED
 _G = AtomLevel.GROUND
-_ANGLE_ATOL = 1e-12
 
 
 class CavityOrder(Enum):
@@ -148,26 +147,6 @@ def state_after_both(order: CavityOrder, p: SystemParams, tau: float) -> PureSta
     check_real(tau, "tau", 0.0, p.T, "[]")
     amps, _ = _one_point(order.value, p, tau)
     return _point_state(p, amps)
-
-
-def ico_postselected_state(j: int, p: SystemParams, omega_t: float = 0.0) -> PureState:
-    """Atom-field state conditioned on control outcome j (balanced preparation).
-
-    This is general_postselect with the physically irrelevant global phase
-    exp(-i*omega_t*(n+m+1/2)) removed: the excitation sector n+m+1 carries no
-    phase, and the sector n+m (reachable only for an atom not prepared purely
-    excited) keeps the relative factor exp(i*omega_t), with omega_t equal to
-    the mode frequency times the measurement time.
-    """
-    check_params(p)
-    if abs(p.theta - math.pi / 4) > _ANGLE_ATOL or abs(p.varphi) > _ANGLE_ATOL:
-        raise ValueError(
-            "the balanced control preparation (theta = pi/4, varphi = 0) is "
-            f"required; use general_postselect for theta={p.theta}, varphi={p.varphi}"
-        )
-    state, _ = general_postselect(j, p, omega_t)
-    unwind = cmath.exp(1j * omega_t * (p.n + p.m + 0.5))
-    return PureState({ket: amp * unwind for ket, amp in state.items()})
 
 
 def general_postselect(

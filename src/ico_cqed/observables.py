@@ -9,11 +9,8 @@ occupation, so a column's result does not depend on the columns beside it."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .engine import ico_postselected_state
 from .errors import FlavorMismatchError, ImpossiblePostselectionError
 from .states import (
     MIN_OUTCOME_PROBABILITY,
@@ -22,8 +19,6 @@ from .states import (
     FieldsKet,
     Ket,
     PureState,
-    SystemParams,
-    check_params,
     check_state,
     column_sums,
     normalize_columns,
@@ -141,28 +136,3 @@ def sigma_z_expectation(s: PureState) -> float:
     if len(s) == 0:
         return 0.0
     return float(inversion_columns(*_column(s))[0])
-
-
-def sigma_z_series(p: SystemParams) -> float:
-    """Closed-form atomic inversion after both cavities in the definite order
-    (first cavity 0, then cavity 1) for an atom prepared excited (xi = 0)."""
-    check_params(p)
-    if p.xi != 0.0:
-        raise ValueError("sigma_z_series requires xi = 0 (atom initially excited)")
-    x = p.gT
-    cos_sq_first = math.cos(x * math.sqrt(1 + p.n)) ** 2
-    return (
-        math.cos(2 * x * math.sqrt(1 + p.m)) * cos_sq_first
-        - math.cos(2 * x * math.sqrt(p.m)) * (1.0 - cos_sq_first)
-    )
-
-
-def sigma_z_ico(p: SystemParams) -> float:
-    """Atomic inversion of the control-0 conditional state, one point of the
-    kernel, for an atom prepared excited (else ValueError) and the balanced
-    control preparation (as ico_postselected_state requires); independent of
-    the measurement time."""
-    check_params(p)
-    if p.xi != 0.0:
-        raise ValueError("sigma_z_ico requires xi = 0 (atom initially excited)")
-    return sigma_z_expectation(ico_postselected_state(0, p))

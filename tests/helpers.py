@@ -244,6 +244,19 @@ def sigma_z_ico_reference(p: SystemParams) -> float:
     return numerator / (4.0 * n0_sq)
 
 
+def sigma_z_series_reference(p: SystemParams) -> float:
+    """The paper's inversion after both cavities in the definite order
+    (first cavity 0, then cavity 1) for an atom prepared excited (xi = 0)."""
+    if p.xi != 0.0:
+        raise ValueError("sigma_z_series_reference requires xi = 0 (atom initially excited)")
+    x = p.gT
+    cos_sq_first = math.cos(x * math.sqrt(1 + p.n)) ** 2
+    return (
+        math.cos(2 * x * math.sqrt(1 + p.m)) * cos_sq_first
+        - math.cos(2 * x * math.sqrt(p.m)) * (1.0 - cos_sq_first)
+    )
+
+
 # ---------------------------------------------------------------- dict oracle chain
 
 

@@ -20,18 +20,25 @@ from ico_cqed import (
     TruncationWindow,
     condition_on_atom,
     evolve,
-    ico_postselected_state,
+    general_postselect,
     ket_probability,
     linear_entropy,
     reduced_cavity0,
     run_sweep,
     run_verification,
-    sigma_z_series,
     state_after_both,
 )
 from ico_cqed.states import FieldsKet, PureState
 from ico_cqed.verify import random_params
-from helpers import E, G, balanced, excitation_distribution, params, sigma_z_ico_reference
+from helpers import (
+    E,
+    G,
+    balanced,
+    excitation_distribution,
+    params,
+    sigma_z_ico_reference,
+    sigma_z_series_reference,
+)
 
 
 def series(gt, **kw):
@@ -91,7 +98,7 @@ def test_criterion_05_unequal_fill_emission():
 
 def test_criterion_06_ico_bell_generation():
     p = balanced(math.pi / 2)
-    st = ico_postselected_state(0, p, 0.0)
+    st, _ = general_postselect(0, p, 0.0)
     fields, prob = condition_on_atom(st, G)
     assert abs(prob - 1.0) <= 1e-12
     bell = PureState({FieldsKet(0, 1): 1 / math.sqrt(2), FieldsKet(1, 0): 1 / math.sqrt(2)})
@@ -148,16 +155,16 @@ def test_criterion_09_series_zero_entanglement_vs_ico():
 
 
 def test_criterion_10_rabi_formulas_match_states():
-    # Both paper formulas, sigma_z_series and the conditional inversion's
-    # coefficient algebra (tests/helpers), against the kernel's inversion
-    # columns on the grid of np.linspace(0, 10, 1000).
+    # Both paper formulas, the definite-order inversion and the conditional
+    # inversion's coefficient algebra (both in tests/helpers), against the
+    # kernel's inversion columns on the grid of np.linspace(0, 10, 1000).
     step = 10.0 / 999
     worst_series = 0.0
     worst_ico = 0.0
     for n, m in ((0, 0), (1, 1), (0, 1)):
         gts, inversion = scan("series_C0C1", [AtomicInversion()], n=n, m=m, step=step)
         for gt, direct in zip(gts, inversion):
-            worst_series = max(worst_series, abs(sigma_z_series(params(gt, n=n, m=m)) - direct))
+            worst_series = max(worst_series, abs(sigma_z_series_reference(params(gt, n=n, m=m)) - direct))
         gts, control, inversion = scan(
             "ico_j0", [ControlProbabilityColumn(), AtomicInversion()], n=n, m=m, step=step
         )
@@ -167,7 +174,7 @@ def test_criterion_10_rabi_formulas_match_states():
                 worst_ico = max(worst_ico, abs(formula - direct))
     assert worst_series <= 1e-12
     assert worst_ico <= 1e-12
-    spot_series = sigma_z_series(params(math.pi / 2))
+    spot_series = sigma_z_series_reference(params(math.pi / 2))
     spot_ico = sigma_z_ico_reference(balanced(math.pi / 2))
     assert abs(spot_series + 1.0) <= 1e-12
     assert abs(spot_ico + 1.0) <= 1e-12
@@ -231,7 +238,7 @@ def test_criterion_13_entropy_time_independence():
         for branch in (E, G):
             values = []
             for omega_t in (0.0, 1.3, 7.9):
-                st = ico_postselected_state(0, p, omega_t)
+                st, _ = general_postselect(0, p, omega_t)
                 try:
                     fields, _ = condition_on_atom(st, branch)
                 except ImpossiblePostselectionError:

@@ -1,13 +1,15 @@
-"""Guards for the demo scripts.  Every name a demo imports from the package
-must exist, so removing a public name cannot silently break a demo.  The
-fast demos also run end to end in a subprocess and must print exactly what
-tests/data/demo_stdout.json pins; demo 05 drives the matrix oracle's evolve
-against the closed forms."""
+"""Guards for the demo scripts and the README's quick start.  Every name a
+demo imports from the package must exist, so removing a public name cannot
+silently break a demo.  The fast demos also run end to end in a subprocess
+and must print exactly what tests/data/demo_stdout.json pins; demo 05 drives
+the matrix oracle's evolve against the closed forms.  The README's one
+Python block runs as written and prints what its comments state."""
 
 import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -56,3 +58,12 @@ def test_fast_demo_runs(name):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == PINNED_STDOUT[name]
+
+
+def test_readme_quick_start_prints_what_its_comments_state(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    prob, _, entropy = capsys.readouterr().out.splitlines()
+    assert abs(float(prob) - 1.0) <= 1e-12      # 1.0: atom exits ground
+    assert abs(float(entropy) - 0.5) <= 1e-12   # 0.5: maximally entangled

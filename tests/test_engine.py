@@ -25,10 +25,7 @@ from ico_cqed import (
     evolve,
     general_postselect,
     hadamard_control,
-    ico_postselected_state,
     measure_control,
-    sigma_z_ico,
-    sigma_z_series,
     state_after_both,
 )
 from helpers import (
@@ -271,15 +268,12 @@ def test_state_after_both_refuses_an_order_that_is_not_a_cavity_order(order):
 @pytest.mark.parametrize("call", [
     lambda p: state_after_both(CavityOrder.C0_THEN_C1, p, 0.0),
     lambda p: general_postselect(0, p),
-    lambda p: ico_postselected_state(0, p),
-    sigma_z_series,
-    sigma_z_ico,
     lambda p: evolve(p, 0.0, TruncationWindow(2)),
     lambda p: coeffs_c(p, 0.0),
     lambda p: coeffs_s(p, 0.0),
     TruncationWindow.for_params,
-], ids=["state_after_both", "general_postselect", "ico_postselected_state", "sigma_z_series",
-        "sigma_z_ico", "evolve", "coeffs_c", "coeffs_s", "for_params"])
+], ids=["state_after_both", "general_postselect", "evolve", "coeffs_c", "coeffs_s",
+        "for_params"])
 def test_entry_points_refuse_a_non_system_params_by_type(call):
     # before any field of it is read, which raised AttributeError
     for p in ("abc", None, {"g": 1.0, "T": 1.0}):
@@ -343,7 +337,7 @@ def test_control_probability_values():
 
 
 def test_postselected_bell_point():
-    st = ico_postselected_state(0, balanced(math.pi / 2), 0.0)
+    st, _ = general_postselect(0, balanced(math.pi / 2), 0.0)
     target = -1j / math.sqrt(2)
     assert abs(st.amplitude(AtomFieldKet(G, 0, 1)) - target) < 1e-12
     assert abs(st.amplitude(AtomFieldKet(G, 1, 0)) - target) < 1e-12
@@ -352,10 +346,10 @@ def test_postselected_bell_point():
 
 def test_postselected_no_interaction():
     p = balanced(0.0, n=1, m=2)
-    st = ico_postselected_state(0, p, 0.0)
+    st, _ = general_postselect(0, p, 0.0)
     assert st.kets() == [AtomFieldKet(E, 1, 2)]
     with pytest.raises(ImpossiblePostselectionError):
-        ico_postselected_state(1, p, 0.0)
+        general_postselect(1, p, 0.0)
 
 
 def test_postselected_normalized_and_t_invariant_support(rng):
@@ -363,26 +357,21 @@ def test_postselected_normalized_and_t_invariant_support(rng):
         p = random_engine_params(rng, balanced_control=True)
         for j in (0, 1):
             try:
-                st0 = ico_postselected_state(j, p, 0.0)
+                st0, _ = general_postselect(j, p, 0.0)
             except ImpossiblePostselectionError:
                 continue
             assert st0.is_normalized(1e-12)
-            st1 = ico_postselected_state(j, p, 4.2)
+            st1, _ = general_postselect(j, p, 4.2)
             # the interior phase rotates amplitudes but moves no weight
             assert sorted(st0.kets()) == sorted(st1.kets())
             for k in st0.kets():
                 assert abs(abs(st0.amplitude(k)) - abs(st1.amplitude(k))) < 1e-14
 
 
-def test_postselected_requires_balanced_preparation():
-    with pytest.raises(ValueError):
-        ico_postselected_state(0, params(1.0, theta=0.0), 0.0)
-
-
 def test_postselection_matches_ten_term_form(rng):
-    # ico_postselected_state equals the paper's form, general_postselect the
-    # same form with the dropped global phase reattached; compare away from
-    # near-degenerate outcomes where conditional amplitudes lose precision
+    # general_postselect equals the paper's form with the dropped global
+    # phase reattached; compare away from near-degenerate outcomes where
+    # conditional amplitudes lose precision
     for _ in range(25):
         p = random_engine_params(rng, balanced_control=True)
         omega_t = float(rng.uniform(0.0, 8.0))
@@ -391,7 +380,6 @@ def test_postselection_matches_ten_term_form(rng):
             if prob < 1e-3:
                 continue
             reference = ten_term_postselected_state(j, p, omega_t)
-            assert max_amp_diff(ico_postselected_state(j, p, omega_t), reference) < 1e-12
             general, general_prob = general_postselect(j, p, omega_t)
             assert abs(general_prob - prob) < 1e-12
             glob = cmath.exp(-1j * omega_t * (p.n + p.m + 0.5))
@@ -405,7 +393,6 @@ def test_rounding_noise_outcome_is_refused_on_every_route():
     p = SystemParams(g=1.0, T=3e-5, theta=math.pi / 4)
     mixed = hadamard_control(evolve(p, p.T1 + p.T, TruncationWindow.for_params(p)))
     for route in (
-        lambda: ico_postselected_state(1, p),
         lambda: general_postselect(1, p),
         lambda: measure_control(mixed, 1),
     ):
@@ -444,18 +431,17 @@ def test_general_postselect_probabilities_sum_to_one(rng):
 @pytest.mark.parametrize("omega_t", [math.nan, math.inf, -math.inf])
 def test_non_finite_measurement_phase_is_refused(omega_t):
     # refused where it enters, naming the field, before any amplitude is formed
-    for route in (general_postselect, ico_postselected_state):
-        with pytest.raises(ValueError, match="^omega_t: must be finite"):
-            route(0, balanced(1.0), omega_t)
+    with pytest.raises(ValueError, match="^omega_t: must be finite"):
+        general_postselect(0, balanced(1.0), omega_t)
 
 
 def test_overflowing_measurement_phase_is_refused():
     # finite omega_t whose argument overflows on the ket with n + m + 1 = 4
     # excitations: refused with no numpy warning, which fails the run
     p = SystemParams(g=1, T=1, n=2, m=1, xi=0.3, theta=0.5)
-    for route, q in ((general_postselect, p), (ico_postselected_state, balanced(1.0, n=2, m=1))):
+    for q in (p, balanced(1.0, n=2, m=1)):
         with pytest.raises(ValueError, match=r"^omega_t: must be finite, as must omega_t \* \(n"):
-            route(0, q, 1e308)
+            general_postselect(0, q, 1e308)
     # 0.5 * 1e308 and 3.5 * 1e307 stay finite
     assert general_postselect(0, replace(p, n=0, m=0), 1e308)[1] > 0
     assert general_postselect(0, p, 1e307)[1] > 0
@@ -599,6 +585,6 @@ def test_bell_resonance_gT_validation(n, resonance, message):
 @pytest.mark.parametrize("resonance", [1, 2, 3])
 def test_bell_state_matches_conditioned_slice(branch, n, resonance):
     p = balanced(bell_resonance_gT(n, resonance), n=n, m=n)
-    st = ico_postselected_state(0, p, 0.0)
+    st, _ = general_postselect(0, p, 0.0)
     fields, _ = condition_on_atom(st, branch)
     assert max_amp_diff(fields, bell_state(branch, n, resonance)) < 1e-12

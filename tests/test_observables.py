@@ -15,13 +15,11 @@ from ico_cqed import (
     coeffs_c,
     coeffs_s,
     condition_on_atom,
-    ico_postselected_state,
+    general_postselect,
     ket_probability,
     linear_entropy,
     reduced_cavity0,
     sigma_z_expectation,
-    sigma_z_ico,
-    sigma_z_series,
     state_after_both,
 )
 from ico_cqed import observables
@@ -35,6 +33,7 @@ from helpers import (
     doublet_rate,
     params,
     sigma_z_ico_reference,
+    sigma_z_series_reference,
 )
 
 
@@ -109,7 +108,7 @@ def test_sigma_z_expectation_takes_atom_field_states_only():
 
 
 def test_condition_on_atom_bell_point():
-    st = ico_postselected_state(0, balanced(math.pi / 2), 0.0)
+    st = general_postselect(0, balanced(math.pi / 2), 0.0)[0]
     fields, prob = condition_on_atom(st, G)
     assert abs(prob - 1.0) < 1e-12
     bell = PureState({FieldsKet(0, 1): 1 / math.sqrt(2), FieldsKet(1, 0): 1 / math.sqrt(2)})
@@ -314,7 +313,7 @@ def test_reduced_ico_matches_transcribed_matrices(rng, branch):
             m=2,
         )
         omega_t = float(rng.uniform(0, 7))
-        st = ico_postselected_state(0, p, omega_t)
+        st = general_postselect(0, p, omega_t)[0]
         try:
             fields, _ = condition_on_atom(st, branch)
         except ImpossiblePostselectionError:
@@ -335,7 +334,7 @@ def _invariant_states(rng):
         n, m = (int(k) for k in rng.integers(0, 6, 2))
         gt, xi, chi, omega_t = (float(x) for x in rng.uniform(0, [10, 1.5, 6, 7]))
         p = balanced(gt, xi=xi, chi=chi, n=n, m=m)
-        for st in (series_state(gt, n=n, m=m), ico_postselected_state(0, p, omega_t)):
+        for st in (series_state(gt, n=n, m=m), general_postselect(0, p, omega_t)[0]):
             for branch in (E, G):
                 try:
                     yield condition_on_atom(st, branch)[0]
@@ -391,7 +390,7 @@ def test_entropy_report_bounds():
     # the first-mode entropy stays under the support-dimension cap
     # 1 - 1/min(d0, d1)
     cases = (
-        (ico_postselected_state(0, balanced(1.3, n=1, m=1), 0.0), 2 / 3),
+        (general_postselect(0, balanced(1.3, n=1, m=1), 0.0)[0], 2 / 3),
         (series_state(1.3, n=1, m=1), 0.5),
     )
     for st, cap in cases:
@@ -420,7 +419,7 @@ def test_series_entropy_capped_at_half(rng):
 def test_ico_entropy_capped_at_two_thirds(rng):
     for _ in range(25):
         p = balanced(float(rng.uniform(0, 10)), n=int(rng.integers(0, 4)), m=int(rng.integers(0, 4)))
-        st = ico_postselected_state(0, p, 0.0)
+        st = general_postselect(0, p, 0.0)[0]
         for branch in (E, G):
             try:
                 fields, _ = condition_on_atom(st, branch)
@@ -433,7 +432,7 @@ def test_ico_ground_entropy_constant_for_equal_fill(rng):
     for nm in (0, 1, 2):
         for gt in rng.uniform(0.05, 10, 15):
             p = balanced(float(gt), n=nm, m=nm)
-            st = ico_postselected_state(0, p, 0.0)
+            st = general_postselect(0, p, 0.0)[0]
             try:
                 fields, prob = condition_on_atom(st, G)
             except ImpossiblePostselectionError:
@@ -445,7 +444,7 @@ def test_ico_ground_entropy_constant_for_equal_fill(rng):
 def test_entropy_same_whichever_mode_is_traced(rng):
     for _ in range(10):
         p = balanced(float(rng.uniform(0.2, 9.8)), n=1, m=2, xi=0.5, chi=1.0)
-        st = ico_postselected_state(0, p, 1.3)
+        st = general_postselect(0, p, 1.3)[0]
         for branch in (E, G):
             try:
                 fields, _ = condition_on_atom(st, branch)
@@ -468,7 +467,7 @@ def test_entropy_independent_of_measurement_time(rng):
         for branch in (E, G):
             values = []
             for omega_t in (0.0, 1.3, 7.9):
-                st = ico_postselected_state(0, p, omega_t)
+                st = general_postselect(0, p, omega_t)[0]
                 try:
                     fields, _ = condition_on_atom(st, branch)
                 except ImpossiblePostselectionError:
@@ -493,26 +492,31 @@ def test_series_zero_entanglement_case(rng):
 
 
 def test_sigma_z_series_landmarks():
-    assert sigma_z_series(params(0.0)) == 1.0
-    assert abs(sigma_z_series(params(math.pi / 2)) - (-1.0)) < 1e-12
-    assert abs(sigma_z_series(params(math.pi)) - 1.0) < 1e-12
+    assert sigma_z_series_reference(params(0.0)) == 1.0
+    assert abs(sigma_z_series_reference(params(math.pi / 2)) - (-1.0)) < 1e-12
+    assert abs(sigma_z_series_reference(params(math.pi)) - 1.0) < 1e-12
 
 
 def test_sigma_z_series_matches_direct_expectation(rng):
     for _ in range(20):
         p = params(float(rng.uniform(0, 10)), n=int(rng.integers(0, 4)), m=int(rng.integers(0, 4)))
         direct = sigma_z_expectation(state_after_both(CavityOrder.C0_THEN_C1, p, p.T))
-        assert abs(sigma_z_series(p) - direct) < 1e-12
+        assert abs(sigma_z_series_reference(p) - direct) < 1e-12
 
 
 def test_sigma_z_series_requires_excited_atom():
     with pytest.raises(ValueError):
-        sigma_z_series(params(1.0, xi=0.3))
+        sigma_z_series_reference(params(1.0, xi=0.3))
+
+
+def conditional_inversion(p):
+    """Inversion of the control-0 conditional state, one kernel point."""
+    return sigma_z_expectation(general_postselect(0, p)[0])
 
 
 def test_sigma_z_ico_landmarks():
-    assert sigma_z_ico(balanced(0.0)) == 1.0
-    assert abs(sigma_z_ico(balanced(math.pi / 2)) - (-1.0)) < 1e-12
+    assert conditional_inversion(balanced(0.0)) == 1.0
+    assert abs(conditional_inversion(balanced(math.pi / 2)) - (-1.0)) < 1e-12
 
 
 def test_sigma_z_ico_matches_direct_expectation(rng):
@@ -522,16 +526,9 @@ def test_sigma_z_ico_matches_direct_expectation(rng):
         p = balanced(float(rng.uniform(0, 10)), n=int(rng.integers(0, 4)), m=int(rng.integers(0, 4)))
         if balanced_control_probability(0, p) < 1e-6:
             continue
-        direct = sigma_z_expectation(ico_postselected_state(0, p, float(rng.uniform(0, 5))))
-        assert abs(sigma_z_ico(p) - direct) < 1e-12
-        assert abs(sigma_z_ico(p) - sigma_z_ico_reference(p)) < 1e-12
-
-
-def test_sigma_z_ico_requires_excited_atom_and_balance():
-    with pytest.raises(ValueError):
-        sigma_z_ico(balanced(1.0, xi=0.2))
-    with pytest.raises(ValueError):
-        sigma_z_ico(params(1.0, theta=0.1))
+        direct = sigma_z_expectation(general_postselect(0, p, float(rng.uniform(0, 5)))[0])
+        assert abs(conditional_inversion(p) - direct) < 1e-12
+        assert abs(conditional_inversion(p) - sigma_z_ico_reference(p)) < 1e-12
 
 
 def test_excitation_expectation_conserved(rng):

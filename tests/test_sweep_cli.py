@@ -560,6 +560,20 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
     assert exc.value.code == 1
 
 
+def test_cli_out_write_failures_name_the_field(tmp_path, capsys):
+    # the CSV into a missing directory, then a sidecar path taken by a directory
+    csv = tmp_path / "absent" / "x.csv"
+    sidecar = tmp_path / "x.csv.meta.json"
+    sidecar.mkdir()
+    for out, failed in ((csv, csv), (tmp_path / "x.csv", sidecar)):
+        assert main(["figure", "fig2a", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"ico-cqed: out: cannot write {failed} ([Errno ")
+        assert captured.err.endswith(")\n") and captured.err.count("\n") == 1
+    assert not csv.parent.exists()
+
+
 def test_cli_sweep_refuses_a_config_that_is_not_an_object(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[]")
