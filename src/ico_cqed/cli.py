@@ -90,6 +90,8 @@ def _emit(table: Table, meta: dict, out: Path | None) -> None:
         try:
             path.write_text(text)
         except OSError as exc:
+            if path is sidecar:
+                out.unlink()  # no CSV is left without its sidecar
             raise ConfigError(f"out: cannot write {path} ({exc})")
 
 

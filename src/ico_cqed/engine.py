@@ -276,10 +276,10 @@ def measurement_phase(n, m, amps: np.ndarray, omega_t) -> np.ndarray:
 def bell_resonance_gT(n: int, resonance: int) -> float:
     """Interaction time, as g*T, at which the equal-fill case n = m collapses
     each atom-conditioned branch to a two-ket entangled field state.  n must
-    be an int in 0..2**53 - 1 and resonance an int >= 1; otherwise a
+    be an int in 0..2**53 - 1 and resonance an int in 1..2**52; otherwise a
     ValueError names the field."""
     check_whole(n, "n", 0, PHOTON_LIMIT)
-    check_whole(resonance, "resonance", 1)
+    check_whole(resonance, "resonance", 1, 2**52 + 1)  # 2 * resonance - 1 stays exact
     return (2 * resonance - 1) * math.pi / (2.0 * math.sqrt(n + 1))
 
 

@@ -92,6 +92,12 @@ class TruncationWindow:
         return (atom * self.levels + n) * self.levels + m
 
 
+def _check_window(w) -> None:
+    """Refuse all but a TruncationWindow with TypeError, before any field is read."""
+    if not isinstance(w, TruncationWindow):
+        raise TypeError(f"w: must be a TruncationWindow, got {w!r}")
+
+
 def _rotate(x: np.ndarray, cavity: int, t, g, base, w: TruncationWindow) -> np.ndarray:
     """exp(-i t H_int) of one cavity applied in place to each column of
     ``x``, a C-contiguous (atom_field_dim, N) array, as the doublet
@@ -133,7 +139,10 @@ def jc_propagator(cavity: int, t: float, g: float, w: TruncationWindow) -> np.nd
     interaction Hamiltonian, keeping the two derivations independent.
     """
     check_whole(cavity, "cavity", 0, 2)
-    t, g = np.array([check_real(t, "t", 0.0)]), np.array([g])
+    t, g = check_real(t, "t", 0.0), check_real(g, "g", 0.0, ends="()")
+    _check_window(w)
+    if not math.isfinite(math.sqrt(w.n_max) * g * t):  # the largest angle
+        raise ValueError(f"g*t: must be finite, as must g*sqrt(n_max)*t, got g={g}, t={t}")
     return _rotate(np.eye(w.atom_field_dim, dtype=complex), cavity, t, g, 0, w)
 
 
@@ -229,6 +238,7 @@ def evolve(p: SystemParams, t: float, w: TruncationWindow) -> PureState:
     """
     check_params(p)
     t, top = check_real(t, "t", 0.0), max(p.n, p.m) + 2
+    _check_window(w)
     if w.n_max < top:
         raise ValueError(f"n_max: must be >= max(n, m) + 2 = {top}, got {w.n_max}")
     kets, branches = _evolve_branches(draw_table([(p, t)]))

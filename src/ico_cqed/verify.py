@@ -23,19 +23,13 @@ from .states import MIN_OUTCOME_PROBABILITY, SystemParams, check_real, check_who
 DEFAULT_TOLERANCE = 1e-9
 
 #: Most draws one run may ask for: the run's draw table and the (2, draws) comparison
-#: arrays stay in memory, a tracemalloc peak of about 0.18 KB per draw, plus under 1 MB
-#: for one chunk's arrays or one decoded block's temporaries; 100,000 draws peak at
-#: 17.8 MB above the imported package.
+#: arrays stay in memory, a tracemalloc peak of about 0.22 KB per draw, plus under 1 MB
+#: for one chunk's arrays; 100,000 draws peak at 21.9 MB above the imported package.
 MAX_DRAWS = 100_000
 #: Most draws compared in one batch; it bounds the branches evolved on 50 kets a draw
 #: before the chain moves to at most ten.  tracemalloc peaks: 0.68 MB for one chunk of
-#: 128 draws, 0.55 MB for 200 draws (two chunks of 100), 0.81 MB for 1,024.
+#: 128 draws, 0.56 MB for 200 draws (two chunks of 100), 0.85 MB for 1,024.
 _CHUNK = 128
-#: Raw PCG64 outputs one draw takes (_decode).
-_WORDS = 11
-#: Draws decoded at once: the block's temporaries, about 0.4 KB a draw, stay
-#: below one chunk's arrays, and a larger block saves little.
-_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -94,8 +88,8 @@ def random_params(rng: np.random.Generator) -> SystemParams:
     """One random parameter draw: g*T in [0, 10), all four preparation angles
     uniform over their ranges, photon numbers in 0..4, and a non-trivial
     transit schedule.  Each uniform value is low + (high - low) * u, as
-    Generator.uniform rounds it.  run_verification decodes the same stream
-    as arrays (_decode) and draws with this only where that cannot."""
+    Generator.uniform rounds it.  run_verification draws from the same
+    ranges but from its own stream (_draw_table): these are not its draws."""
     g, gT, entry, omega, theta, varphi, xi, chi = (_LOW + _SPAN * rng.random(8)).tolist()
     # two scalar draws cost less than one of size 2, which draws the same
     n, m = int(rng.integers(0, 5)), int(rng.integers(0, 5))
@@ -104,46 +98,19 @@ def random_params(rng: np.random.Generator) -> SystemParams:
                         n=n, m=m, T0=entry, T1=entry + transit + 2.0 * rng.random())
 
 
-def _decode(raw: np.ndarray) -> tuple[dict[str, np.ndarray], bool]:
-    """The draw table of len(raw) // _WORDS draws decoded from raw PCG64
-    outputs, and whether Lemire's method rejects one of their photon
-    numbers; if not, the table holds the draws random_params and the time
-    draw make from that stream, bit for bit.  A draw takes eleven words:
-    eight doubles (word >> 11) * 2**-53, as Generator.random makes them; one
-    word whose low and high 32-bit halves h give n and m as
-    Generator.integers(0, 5) does, the high word of h * 5, unless its low
-    word is 0, when Lemire's method draws again; two doubles for T1 and t."""
-    words = raw.reshape(-1, _WORDS).T
-    u = (words >> 11) * 2.0**-53
-    g, gT, T0, omega, theta, varphi, xi, chi = _LOW[:, None] + _SPAN[:, None] * u[:8]
-    products = np.stack((words[8] & 0xFFFFFFFF, words[8] >> 32)) * 5
-    n, m = (products >> 32).astype(int)
-    T = gT / g
-    T1 = T0 + T + 2.0 * u[9]
-    table = dict(g=g, T=T, omega=omega, theta=theta, varphi=varphi, xi=xi, chi=chi, n=n, m=m,
-                 T0=T0, T1=T1, t=T1 + T + 2.0 * u[10])
-    return table, not (products & 0xFFFFFFFF).all()
-
-
 def _draw_table(seed: int, draws: int) -> dict[str, np.ndarray]:
-    """The draw table of run_verification(seed, draws): one C-contiguous
-    column per SystemParams field and one, "t", of the measurement times.
-    The stream is decoded in blocks of _BLOCK draws.  If Lemire's method
-    rejects a photon number anywhere in the run, about once in 2e9 draws,
-    the whole run is drawn again with random_params, one draw at a time."""
-    bits = np.random.default_rng(seed).bit_generator
-    table = {name: np.empty(draws, int if name in ("n", "m") else float)
-             for name in oracle._COLUMNS}
-    for start in range(0, draws, _BLOCK):
-        block, rejected = _decode(bits.random_raw(_WORDS * min(_BLOCK, draws - start)))
-        if rejected:
-            del table, block  # the scalar draws hold their own table
-            rng = np.random.default_rng(seed)
-            params = (random_params(rng) for _ in range(draws))
-            return oracle.draw_table((p, p.T1 + p.T + 2.0 * rng.random()) for p in params)
-        for name, column in block.items():
-            table[name][start:start + _BLOCK] = column
-    return table
+    """run_verification's draw table, a C-contiguous column per name of
+    oracle._COLUMNS: draw i is made from row i of one (draws, 12)
+    Generator.random call, so it does not depend on draws (README recipe)."""
+    u = np.random.default_rng(seed).random((draws, 12)).T.copy()
+    u[:8] *= _SPAN[:, None]
+    u[:8] += _LOW[:, None]
+    g, gT, T0, omega, theta, varphi, xi, chi = u[:8]
+    n, m = (5.0 * u[8:10]).astype(int)
+    T = gT / g
+    T1 = T0 + T + 2.0 * u[10]
+    return dict(g=g, T=T, omega=omega, theta=theta, varphi=varphi, xi=xi, chi=chi, n=n, m=m,
+                T0=T0, T1=T1, t=T1 + T + 2.0 * u[11])
 
 
 def _closed_forms(table: dict[str, np.ndarray]) -> tuple:
@@ -210,9 +177,9 @@ def run_verification(
     """Compare conditional states and outcome probabilities between the two
     independent computation paths over seeded random draws.
 
-    The draws are decoded from the seed's raw PCG64 stream into one draw
-    table (_draw_table), with no object per draw; only worst_params is built
-    as a SystemParams.  They are compared in the fewest chunks of at most
+    The draws are made from one Generator.random call into one draw table
+    (_draw_table), with no object per draw; only worst_params is built as a
+    SystemParams.  They are compared in the fewest chunks of at most
     _CHUNK draws, of one size but the last, each chunk as one batch of
     mixed (n, m).  The closed-form side is the kernel behind
     every sweep and figure, engine.grid_amplitudes: both weighted order

@@ -3,12 +3,14 @@ closed-form kernel (engine.grid_amplitudes) is checked against, the
 balanced-control formulas built on the slot amplitudes (the order overlap,
 P(j) and the conditional inversion) and the ket-by-ket dict reference for
 the oracle's recombine -> condition -> phase chain, the full-window
-evolution the oracle's local windows are checked against, the scalar draws
-of verify's parameter stream, and the seeded sweep configs whose CLI output
+evolution the oracle's local windows are checked against, the README's
+recipe of verify's draws, and the seeded sweep configs whose CLI output
 tests/data/sweep_sha256.json pins."""
 
 import cmath
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from ico_cqed.states import check_outcome, prune_amplitudes
 
 E = AtomLevel.EXCITED
 G = AtomLevel.GROUND
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def params(gt, **overrides):
@@ -369,28 +372,15 @@ def leaky_rotate(table, leaks):
 # ---------------------------------------------------------------- verify's draw stream
 
 
-def reference_draw(rng):
-    """One (params, measurement time) draw of ico-cqed verify as eleven
-    scalar Generator.uniform/integers calls for the parameters and one more
-    for the time: the stream verify.random_params and run_verification must
-    reproduce."""
-    g = float(rng.uniform(0.5, 2.0))
-    transit = float(rng.uniform(0.0, 10.0)) / g
-    entry = float(rng.uniform(0.0, 2.0))
-    p = SystemParams(
-        g=g,
-        T=transit,
-        omega=float(rng.uniform(0.2, 3.0)),
-        theta=float(rng.uniform(0.0, math.pi / 2)),
-        varphi=float(rng.uniform(0.0, 2 * math.pi)),
-        xi=float(rng.uniform(0.0, math.pi / 2)),
-        chi=float(rng.uniform(0.0, 2 * math.pi)),
-        n=int(rng.integers(0, 5)),
-        m=int(rng.integers(0, 5)),
-        T0=entry,
-        T1=entry + transit + float(rng.uniform(0.0, 2.0)),
-    )
-    return p, p.T1 + p.T + float(rng.uniform(0.0, 2.0))
+def readme_verify_draw():
+    """The README's draw recipe, verify_draw(seed, i): the (params,
+    measurement time) of draw i of run_verification(seed, draws), rebuilt
+    in Python floats."""
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+    (recipe,) = [block for block in blocks if "def verify_draw(" in block]
+    namespace = {}
+    exec(compile(recipe, "README.md", "exec"), namespace)
+    return namespace["verify_draw"]
 
 
 # ---------------------------------------------------------------- partial trace

@@ -93,9 +93,9 @@ def test_first_input_of_each_workload_passes_its_check(name, tmp_path):
 
 
 def test_traced_verify_op_records_every_parameter_draw(tmp_path):
-    # run_verification decodes its draws as arrays: the traced layer sees no
-    # random_params call and one SystemParams, the report's worst_params,
-    # and the report counts the draws
+    # run_verification makes all its draws in one Generator.random call: the
+    # traced layer sees no random_params call and one SystemParams, the
+    # report's worst_params, and the report counts the draws
     spans = load_bench_module("spans")
     wl = WORKLOADS["verify"](1, tmp_path)
     inp = wl.pass_inputs(0)[0]

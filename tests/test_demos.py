@@ -2,8 +2,8 @@
 demo imports from the package must exist, so removing a public name cannot
 silently break a demo.  The fast demos also run end to end in a subprocess
 and must print exactly what tests/data/demo_stdout.json pins; demo 05 drives
-the matrix oracle's evolve against the closed forms.  The README's one
-Python block runs as written and prints what its comments state."""
+the matrix oracle's evolve against the closed forms.  The README's quick
+start runs as written and prints what its comments state."""
 
 import ast
 import importlib
@@ -62,8 +62,10 @@ def test_fast_demo_runs(name):
 
 def test_readme_quick_start_prints_what_its_comments_state(capsys):
     blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.M | re.S)
-    assert len(blocks) == 1
-    exec(compile(blocks[0], "README.md", "exec"), {})
+    # the other block is verify's draw recipe, which tests/test_verify.py runs
+    assert len(blocks) == 2
+    (quick_start,) = [block for block in blocks if "def verify_draw(" not in block]
+    exec(compile(quick_start, "README.md", "exec"), {})
     prob, _, entropy = capsys.readouterr().out.splitlines()
     assert abs(float(prob) - 1.0) <= 1e-12      # 1.0: atom exits ground
     assert abs(float(entropy) - 0.5) <= 1e-12   # 0.5: maximally entangled

@@ -567,8 +567,8 @@ def test_bell_state_validation():
     [pytest.param(-1, 1, "n: must lie in 0..9007199254740991, got -1", id="-1-1-n"),
      pytest.param(1.0, 1, "n: must be an integer, got 1.0", id="1.0-1-n"),
      pytest.param(True, 1, "n: must be an integer, got True", id="True-1-n"),
-     pytest.param(0, 0, "resonance: must be >= 1, got 0", id="0-0-resonance"),
-     pytest.param(0, -2, "resonance: must be >= 1, got -2", id="0--2-resonance"),
+     pytest.param(0, 0, "resonance: must lie in 1..4503599627370496, got 0", id="0-0-resonance"),
+     pytest.param(0, -2, "resonance: must lie in 1..4503599627370496, got -2", id="0--2-resonance"),
      pytest.param(2, 1.5, "resonance: must be an integer, got 1.5", id="2-1.5-resonance"),
      pytest.param(2**53, 1, "n: must lie in 0..9007199254740991, got 9007199254740992",
                   id="9007199254740992-1-n")],

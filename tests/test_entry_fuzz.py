@@ -24,10 +24,12 @@ from ico_cqed import (
     SystemParams,
     TruncationWindow,
     bell_resonance_gT,
+    bell_state,
     condition_on_atom,
     config_from_dict,
     evolve,
     general_postselect,
+    jc_propagator,
     run_verification,
     schrodinger_phase,
     state_after_both,
@@ -127,6 +129,11 @@ TARGETS = {
     "evolve": (
         lambda t: evolve(P, t, TruncationWindow.for_params(P)), {"t": reals(0.0, 5.0)}, set()
     ),
+    "jc_propagator": (
+        lambda **kw: jc_propagator(w=TruncationWindow(2), **kw),
+        {"cavity": st.integers(0, 1), "t": reals(0.0, 5.0), "g": reals(0.1, 3.0)},
+        {"g*t"},
+    ),
     "condition_on_atom": (
         lambda **kw: condition_on_atom(STATE, kw["atom level"]),
         {"atom level": st.sampled_from(AtomLevel)},
@@ -184,12 +191,32 @@ def test_entry_point_accepts_or_names_the_field(target, data):
         # beyond the largest float
         (lambda: SystemParams(g=1.0, T=10**400), "T: must be finite, got a 1329-bit integer"),
         (lambda: bell_resonance_gT(2**53, 1), f"n: must lie in 0..{2**53 - 1}, got {2**53}"),
+        # a coupling that is not a finite real > 0 used to give a NaN matrix,
+        # or numpy's UFuncTypeError for a string
+        (lambda: jc_propagator(0, 1.0, math.nan, TruncationWindow(2)), "g: must be finite, got nan"),
+        (lambda: jc_propagator(0, 1.0, 0, TruncationWindow(2)), "g: must lie in (0, inf), got 0"),
+        (lambda: jc_propagator(1, 1.0, "x", TruncationWindow(2)),
+         "g: must be a real number, got 'x'"),
+        (lambda: jc_propagator(0, 1e308, 10.0, TruncationWindow(2)),
+         "g*t: must be finite, as must g*sqrt(n_max)*t, got g=10.0, t=1e+308"),
     ],
 )
 def test_refusal_names_the_field(call, message):
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value) == message
+
+
+def test_resonance_is_refused_beyond_two_to_the_52():
+    # 2 * resonance - 1 is exact as a float up to 2**52; far beyond, the int
+    # used to escape as an OverflowError on its way to a float
+    assert bell_resonance_gT(0, 2**52) == (2**53 - 1) * math.pi / 2
+    message = "resonance: must lie in 1..4503599627370496, got "
+    for call in (bell_resonance_gT, lambda n, resonance: bell_state(G, n, resonance)):
+        for resonance, shown in ((2**52 + 1, "4503599627370497"), (2**1100, "a 1101-bit integer")):
+            with pytest.raises(ValueError) as err:
+                call(1, resonance)
+            assert str(err.value) == message + shown
 
 
 def test_huge_seed_still_runs():

@@ -387,6 +387,15 @@ def test_non_finite_time_is_refused(t):
         jc_propagator(0, t, 1.0, w)
 
 
+def test_a_window_that_is_not_one_is_refused_by_type():
+    # it used to escape as an AttributeError on w.n_max
+    p = SystemParams(g=1.0, T=1.0)
+    for call in (lambda w: evolve(p, 1.0, w), lambda w: jc_propagator(0, 1.0, 1.0, w)):
+        for junk in ("abc", 4, None):
+            with pytest.raises(TypeError, match=f"^w: must be a TruncationWindow, got {junk!r}$"):
+                call(junk)
+
+
 def test_evolve_window_validation():
     p = SystemParams(g=1.0, T=1.0, n=3, m=1)
     with pytest.raises(ValueError):

@@ -574,6 +574,24 @@ def test_cli_out_write_failures_name_the_field(tmp_path, capsys):
     assert not csv.parent.exists()
 
 
+@pytest.mark.parametrize("command", ["figure", "sweep"])
+def test_cli_a_failed_sidecar_leaves_no_csv(tmp_path, capsys, command):
+    # the CSV is written first; when its sidecar cannot be, the CSV goes too
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"scenario": "ico_j0", "quantities": [{"kind": "control_prob"}]}))
+    args = {"figure": ["figure", "fig2a"], "sweep": ["sweep", "--config", str(config)]}[command]
+    out = tmp_path / "x.csv"
+    sidecar = tmp_path / "x.csv.meta.json"
+    sidecar.mkdir()
+    assert main([*args, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"ico-cqed: out: cannot write {sidecar} ([Errno ")
+    assert captured.err.count("\n") == 1
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json", "x.csv.meta.json"]
+    assert not any(sidecar.iterdir())
+
+
 def test_cli_sweep_refuses_a_config_that_is_not_an_object(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[]")

@@ -38,7 +38,6 @@ from ico_cqed.verify import (
     _amplitude_deviation,
     _closed_forms,
     _compare,
-    _decode,
     _draw_table,
     random_params,
 )
@@ -48,7 +47,7 @@ from helpers import (
     full_window_branches,
     leaky_rotate,
     max_amp_diff,
-    reference_draw,
+    readme_verify_draw,
     reference_hadamard_control,
     reference_measure_control,
     reference_schrodinger_phase,
@@ -57,8 +56,8 @@ from helpers import (
 )
 
 #: repr(run_verification(seed, draws, tolerance=0)) under "seed,draws" and
-#: the output of ico-cqed verify --draws 200 under each seed, as the
-#: grouped evaluation that preceded the one batch per chunk printed them.
+#: the output of ico-cqed verify --draws 200 under each seed, on the draws
+#: of one Generator.random call per run (_draw_table).
 PINNED = json.loads((Path(__file__).parent / "data" / "verify_reports.json").read_text())
 
 
@@ -373,7 +372,7 @@ def test_draws_beyond_max_are_refused_before_drawing(monkeypatch, capsys):
 
 
 def test_memory_per_draw_stays_as_stated(monkeypatch):
-    # MAX_DRAWS' comment: a tracemalloc peak of about 0.21 KB per draw plus
+    # MAX_DRAWS' comment: a tracemalloc peak of about 0.22 KB per draw plus
     # under 1 MB for one chunk, the draw table being the only copy of the
     # draws.  Checked at a lower cap, so that the test allocates little: the
     # run at the cap stays under 250 B per draw, and so does what each draw
@@ -416,16 +415,16 @@ def test_failed_report_replays_worst_draw():
     p = eval(lines[-1].removeprefix("worst draw params: "), {"SystemParams": SystemParams})
     t = float(lines[-2].rpartition("t = ")[2].rstrip(")"))
     assert p == report.worst_params and t == report.worst_time
+    # and from the seed and its index alone, through the README's recipe
+    verify_draw = readme_verify_draw()
+    assert verify_draw(3, report.worst_draw) == (p, t)
     # the named draw is the first with the largest deviation of the run
-    rng = np.random.default_rng(3)
     per_draw = []
-    for _ in range(40):
-        q = random_params(rng)
-        t_q = q.T1 + q.T + float(rng.uniform(0.0, 2.0))
-        analytic, _, deviation = compare([(q, t_q)])
+    for i in range(40):
+        analytic, _, deviation = compare([verify_draw(3, i)])
         per_draw.append(deviation[analytic >= MIN_OUTCOME_PROBABILITY].max())
     assert max(per_draw) == report.max_amplitude_deviation
-    assert per_draw.index(max(per_draw)) == report.worst_draw == 35
+    assert per_draw.index(max(per_draw)) == report.worst_draw == 21
     _, _, deviation = compare([(p, t)])
     assert deviation[report.worst_outcome, 0] == report.max_amplitude_deviation
     # and through the public PureState chain
@@ -484,9 +483,10 @@ def test_reports_equal_the_pinned_ones(capsys):
 
 
 def test_draws_follow_the_scalar_reference_stream(monkeypatch):
-    # random_params and the time draw of run_verification give the draws of
-    # eleven scalar calls plus one, bit for bit, and the chunks' tables
-    # hold them in order
+    # the README's recipe, one draw at a time in Python floats, gives the
+    # draws of the run bit for bit, and the chunks' tables hold them in
+    # order; draw i is the same in a run of any length
+    verify_draw = readme_verify_draw()
     compared = []
 
     def recording(table):
@@ -497,68 +497,24 @@ def test_draws_follow_the_scalar_reference_stream(monkeypatch):
     for seed in range(30):
         compared.clear()
         run_verification(seed, 200)
-        rng = np.random.default_rng(seed)
-        expected = draw_table([reference_draw(rng) for _ in range(200)])
+        expected = draw_table(verify_draw(seed, i) for i in range(200))
+        assert [list(table) for table in compared] == [list(oracle._COLUMNS)] * 2
         for name, column in expected.items():
             drawn = np.concatenate([table[name] for table in compared])
             assert drawn.dtype == column.dtype and drawn.tobytes() == column.tobytes(), (seed, name)
-
-
-def test_decoded_stream_equals_the_drawn_one(monkeypatch):
-    # the numpy decoding of verify's raw stream gives the table of the scalar
-    # draws, bit for bit, in one block and across the seams of blocks of 7
-    rng = np.random.default_rng(7)
-    expected = draw_table([reference_draw(rng) for _ in range(200)])
-    decoded, rejected = _decode(np.random.default_rng(7).bit_generator.random_raw(11 * 200))
-    assert not rejected
-    monkeypatch.setattr(verify, "_BLOCK", 7)
-    blocked = _draw_table(7, 200)
-    assert all(column.flags.c_contiguous for column in blocked.values())
-    for table in (decoded, blocked):
-        assert list(table) == list(expected)
-        for name, column in expected.items():
-            assert table[name].dtype == column.dtype, name
-            assert np.ascontiguousarray(table[name]).tobytes() == column.tobytes(), name
-
-
-def test_decoder_flags_a_rejected_photon_number():
-    # Generator.integers(0, 5) rejects a 32-bit half whose product by 5 has
-    # a low word of 0, which for the odd bound 5 is the half 0, and draws
-    # again; the decoder cannot, and says so for either half of any draw
-    raw = np.random.default_rng(3).bit_generator.random_raw(11 * 3)
-    assert not _decode(raw)[1]
-    for half in (0xFFFFFFFF, 0xFFFFFFFF << 32):
-        block = raw.copy()
-        block[11 + 8] &= ~np.uint64(half)
-        assert _decode(block)[1]
-
-
-def test_a_rejection_redraws_the_whole_run_with_random_params(monkeypatch):
-    # a rejection in the third block of 16 draws sends the whole run of 70
-    # through random_params, one call per draw, to the decoded run's report
-    decoded = repr(run_verification(4, 70, tolerance=0))
-    blocks, calls = [], []
-    scalar = verify.random_params
-
-    def rejecting(raw):
-        blocks.append(len(raw))
-        return _decode(raw)[0], len(blocks) == 3
-
-    def counting(rng):
-        calls.append(rng)
-        return scalar(rng)
-
-    monkeypatch.setattr(verify, "_BLOCK", 16)
-    monkeypatch.setattr(verify, "_decode", rejecting)
-    monkeypatch.setattr(verify, "random_params", counting)
-    assert repr(run_verification(4, 70, tolerance=0)) == decoded
-    assert blocks == [11 * 16] * 3 and len(calls) == 70
+    for seed in (0, 1, 2**70):
+        short, long = _draw_table(seed, 64), _draw_table(seed, 65)
+        assert list(short) == list(long) == list(oracle._COLUMNS)
+        for name, column in short.items():
+            assert column.flags.c_contiguous and long[name].flags.c_contiguous, name
+            assert column.dtype == long[name].dtype, name
+            assert column.tobytes() == long[name][:64].tobytes(), (seed, name)
 
 
 def test_decoding_memory_per_draw_stays_as_stated():
-    # MAX_DRAWS' comment, for the decoder alone: the decoded table, 96 B a
-    # draw, plus one block's temporaries stay under 250 B per draw at 16,384
-    # draws, where decoding the whole run at once would peak at about 350
+    # MAX_DRAWS' comment, for the draw table alone: the (draws, 12) uniforms
+    # and their transposed copy, 192 B a draw, are the peak, under 250 B per
+    # draw at 16,384 draws
     draws = 16_384
     _draw_table(1, 64)
     tracemalloc.start()
