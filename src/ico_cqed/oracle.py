@@ -13,7 +13,8 @@ SystemParams field and one, "t", of the times, as verify's closed-form side
 also reads them.  Each draw evolves on its own five levels per mode, and
 the rest of the chain runs on the kets it populates, named by (atom, n, m):
 verify's chunks mix draws of any (n, m); evolve, hadamard_control,
-measure_control and schrodinger_phase run it with one column.
+measure_control and schrodinger_phase run it with one column, each building
+its state once from the arrays, which it keeps for the next view to read back.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .states import (
     check_state,
     check_whole,
     prune_amplitudes,
+    pruned_state,
 )
 
 _E = AtomLevel.EXCITED
@@ -303,7 +305,7 @@ def phase(amps: np.ndarray, omega, t, excitations: np.ndarray) -> np.ndarray:
     return prune_amplitudes(phased)
 
 
-#: Kets each ket cache below holds at most: the views accept any state, so an
+#: Entries each ket cache below holds at most: the views accept any state, so an
 #: unbounded cache would grow with every new ket; n, m <= 21 take 968 AtomFieldKets.
 _KET_CACHE = 4096
 
@@ -315,16 +317,18 @@ def _atom_field_ket(atom: int, n: int, m: int) -> AtomFieldKet:
 
 
 @functools.lru_cache(maxsize=_KET_CACHE)
-def _full_ket(control: int, rest: AtomFieldKet) -> FullKet:
-    """|control>|rest>, built once while cached."""
-    return FullKet(control, rest)
+def _full_kets(rest: AtomFieldKet) -> tuple[FullKet, FullKet]:
+    """|0>|rest> and |1>|rest>, built once while cached."""
+    return FullKet(0, rest), FullKet(1, rest)
 
 
 def _control_rows(s: PureState, caller: str) -> tuple[list[AtomFieldKet], np.ndarray]:
-    """The atom-field kets of a full-flavor state and its (2, K) control rows,
-    in the order the state stores its kets: every later step is elementwise
-    or, in condition, an exact sum, so the order changes no bit."""
+    """The atom-field kets of a full-flavor state and its (2, K) control rows, as
+    _full_state kept them or in the order the state stores its kets: every later
+    step is elementwise or, in condition, an exact sum, so the order changes no bit."""
     check_state(s, (FullKet, None), f"{caller} requires a full-flavor state")
+    if s._arrays is not None:
+        return s._arrays
     column: dict[AtomFieldKet, int] = {}
     rows = np.zeros((2, len(s)), dtype=complex)
     for ket, amp in s._amps.items():
@@ -333,9 +337,11 @@ def _control_rows(s: PureState, caller: str) -> tuple[list[AtomFieldKet], np.nda
 
 
 def _full_state(rests: list[AtomFieldKet], rows: np.ndarray) -> PureState:
-    """The full-flavor state with amplitude rows[c, i] on |c>|rests[i]>."""
-    return PureState({_full_ket(c, rest): amp for c, row in enumerate(rows.tolist())
-                      for rest, amp in zip(rests, row) if amp})
+    """The full-flavor state with amplitude rows[c, i] on |c>|rests[i]>, rows
+    pruned, keeping (rests, rows)."""
+    pairs = list(map(_full_kets, rests))
+    kets = [pair[c] for c in (0, 1) for pair in pairs]
+    return pruned_state(kets, rows.ravel().tolist(), (rests, rows))
 
 
 def hadamard_control(s: PureState) -> PureState:
@@ -352,7 +358,7 @@ def measure_control(s: PureState, j: int) -> tuple[PureState, float]:
     row, (prob,) = condition(rows[:, :, None], j)
     if prob < MIN_OUTCOME_PROBABILITY:
         raise ImpossiblePostselectionError(f"control outcome {j}", prob)
-    return PureState(dict(zip(rests, row[:, 0].tolist()))), prob
+    return pruned_state(rests, row[:, 0].tolist(), (rests, row)), prob
 
 
 def schrodinger_phase(s: PureState, omega: float, t: float) -> PureState:
@@ -360,8 +366,10 @@ def schrodinger_phase(s: PureState, omega: float, t: float) -> PureState:
     norm-preserving."""
     omega, t = check_real(omega, "omega"), check_real(t, "t")
     check_state(s, (AtomFieldKet, None), "schrodinger_phase requires an atom-field state")
-    # in stored order, as phase is elementwise
-    kets = list(s._amps)
-    amps = np.array(list(s._amps.values()), dtype=complex)[:, None]
-    phased = phase(amps, (omega,), (t,), np.array([k.excitations for k in kets])[:, None])
-    return PureState(dict(zip(kets, phased[:, 0].tolist())))
+    # the arrays measure_control kept, or else the stored order (phase is elementwise);
+    # a kept zero counts 0 excitations, so phase checks the nonzero kets alone
+    kets, amps = s._arrays or (list(s._amps),
+                               np.array(list(s._amps.values()), dtype=complex)[:, None])
+    excitations = [1 - k.atom + k.n + k.m if a else 0 for k, a in zip(kets, amps[:, 0].tolist())]
+    phased = phase(amps, (omega,), (t,), np.array(excitations)[:, None])
+    return pruned_state(kets, phased[:, 0].tolist())

@@ -212,9 +212,10 @@ _SORT_KEY = {
 
 
 class PureState:
-    """Immutable sparse map from kets of one flavor to complex amplitudes."""
+    """Immutable sparse map from kets of one flavor to complex amplitudes; _arrays
+    is None or the arrays an oracle view built it from, which the next one reads."""
 
-    __slots__ = ("_amps", "_flavor")
+    __slots__ = ("_amps", "_flavor", "_arrays")
 
     def __init__(self, amplitudes: Mapping[Ket, complex] | None = None):
         amps: dict[Ket, complex] = {}
@@ -243,6 +244,7 @@ class PureState:
             amps[ket] = amp
         self._amps = amps
         self._flavor = flavor if amps else None
+        self._arrays = None
 
     @property
     def flavor(self) -> type | None:
@@ -287,6 +289,21 @@ class PureState:
         if nrm == 0.0:
             raise ValueError("cannot normalize the zero state")
         return PureState({k: a / nrm for k, a in self._amps.items()})
+
+
+def pruned_state(kets: list, amps: list, arrays: tuple | None = None) -> PureState:
+    """PureState(dict(zip(kets, amps))) for distinct kets of one flavor and amplitudes
+    pruned by prune_amplitudes, in one check: if the magnitudes' sum is finite, the nonzero
+    ones are stored as given and a nonempty state keeps arrays; else PureState decides."""
+    try:
+        if sum(map(abs, amps)) < math.inf:  # NaN fails it too
+            state = object.__new__(PureState)
+            state._amps = {ket: amp for ket, amp in zip(kets, amps) if amp}
+            state._flavor, state._arrays = (type(kets[0]), arrays) if state._amps else (None, None)
+            return state
+    except OverflowError:  # a magnitude overflows a float
+        pass
+    return PureState(dict(zip(kets, amps)))
 
 
 def check_preparation(p) -> dict[str, float]:

@@ -23,12 +23,12 @@ from .states import MIN_OUTCOME_PROBABILITY, SystemParams, check_real, check_who
 DEFAULT_TOLERANCE = 1e-9
 
 #: Most draws one run may ask for: the run's draw table and the (2, draws) comparison
-#: arrays stay in memory, a tracemalloc peak of about 0.22 KB per draw, plus under 1 MB
-#: for one chunk's arrays; 100,000 draws peak at 21.9 MB above the imported package.
+#: arrays stay in memory, a tracemalloc peak of about 0.19 KB per draw, plus under 1 MB
+#: for one chunk's arrays; 100,000 draws peak at 19.5 MB above the imported package.
 MAX_DRAWS = 100_000
 #: Most draws compared in one batch; it bounds the branches evolved on 50 kets a draw
 #: before the chain moves to at most ten.  tracemalloc peaks: 0.68 MB for one chunk of
-#: 128 draws, 0.56 MB for 200 draws (two chunks of 100), 0.85 MB for 1,024.
+#: 128 draws, 0.55 MB for 200 draws (two chunks of 100), 0.83 MB for 1,024.
 _CHUNK = 128
 
 
@@ -105,12 +105,12 @@ def _draw_table(seed: int, draws: int) -> dict[str, np.ndarray]:
     u = np.random.default_rng(seed).random((draws, 12)).T.copy()
     u[:8] *= _SPAN[:, None]
     u[:8] += _LOW[:, None]
-    g, gT, T0, omega, theta, varphi, xi, chi = u[:8]
+    g, T, T0, omega, theta, varphi, xi, chi = u[:8]
     n, m = (5.0 * u[8:10]).astype(int)
-    T = gT / g
-    T1 = T0 + T + 2.0 * u[10]
+    T /= g  # T, T1 and t are written over the rows of gT, u[10] and u[11]
+    T1 = np.add(T0 + T, 2.0 * u[10], out=u[10])
     return dict(g=g, T=T, omega=omega, theta=theta, varphi=varphi, xi=xi, chi=chi, n=n, m=m,
-                T0=T0, T1=T1, t=T1 + T + 2.0 * u[11])
+                T0=T0, T1=T1, t=np.add(T1 + T, 2.0 * u[11], out=u[11]))
 
 
 def _closed_forms(table: dict[str, np.ndarray]) -> tuple:

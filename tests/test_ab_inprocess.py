@@ -2,6 +2,7 @@
 numbers, the side order of its rounds, a renamed package copy and the
 memory peak it prints; no benchmark runs."""
 
+import dataclasses
 import importlib.util
 import sys
 import tracemalloc
@@ -197,3 +198,77 @@ def test_the_workloads_module_loads_from_the_tree_and_leaves_sys_path(tmp_path):
     assert workloads.sweep_config(2, 4) == {"seed": 6, "index": 4}
     assert sys.path == before
     sys.modules.pop("pkg_under_test", None)
+
+
+def test_outcome_bits_name_kets_amplitudes_and_probabilities_without_classes():
+    ket = SimpleNamespace(atom=True, n=2, m=3)  # an atom level is read as an int
+    state = SimpleNamespace(items=lambda: [(ket, complex(0.5, -0.0))])
+    bits = ab_inprocess.outcome_bits([None, (state, 0.25)])
+    amplitude = (1, 2, 3, "0x1.0000000000000p-1", "-0x0.0p+0")
+    assert bits == repr([None, ([amplitude], "0x1.0000000000000p-2")])
+    # one bit of one amplitude, or of a probability, tells two outcomes apart
+    other = SimpleNamespace(items=lambda: [(ket, complex(0.5, 0.0))])
+    assert ab_inprocess.outcome_bits([None, (other, 0.25)]) != bits
+    assert ab_inprocess.outcome_bits([None, (state, 0.25 + 2**-54)]) != bits
+
+
+def test_oracle_wide_op_runs_each_sides_own_params_through_the_views(monkeypatch, capsys):
+    # stand-in packages and workloads: round r runs evolve -> hadamard_control
+    # -> measure_control -> schrodinger_phase on wide_params(SEED, r, larger)
+    # for each larger occupation, each side on its own SystemParams class;
+    # outcome 1 of larger 4 is refused, and the change side's amplitudes
+    # differ in round 1 only
+    @dataclasses.dataclass(frozen=True)
+    class Params:
+        omega: float
+        n: int
+
+    def package(side):
+        class SystemParams(Params):
+            pass
+
+        class Refused(Exception):
+            pass
+
+        calls = []
+
+        def evolve(p, t, w):
+            assert type(p) is SystemParams and w == ("window", p.n)
+            calls.append((p.n, t))
+            return p, t
+
+        def measure_control(mixed, j):
+            p, t = mixed
+            if j == 1 and p.n == 4:
+                raise Refused
+            return (p, t, j), 0.5
+
+        def schrodinger_phase(measured, omega, t):
+            p, _, j = measured
+            amp = complex(omega * t, j) + (1e-9 if side == "change" and t == 2.0 else 0.0)
+            return SimpleNamespace(items=lambda: [(SimpleNamespace(atom=j, n=p.n, m=0), amp)])
+
+        oracle = SimpleNamespace(
+            evolve=evolve, hadamard_control=lambda s: s, measure_control=measure_control,
+            schrodinger_phase=schrodinger_phase,
+            TruncationWindow=SimpleNamespace(for_params=lambda p: ("window", p.n)))
+        return SimpleNamespace(oracle=oracle, SystemParams=SystemParams,
+                               ImpossiblePostselectionError=Refused, calls=calls)
+
+    sides = {"ico_cqed_parent": package("parent"), "ico_cqed_change": package("change")}
+    monkeypatch.setattr(ab_inprocess, "load_copy", lambda tree, name, directory: sides[name])
+    workloads = SimpleNamespace(
+        WIDE_OCCUPATIONS=(4, 10),
+        wide_params=lambda seed, r, larger: (Params(omega=float(seed), n=larger), r + 1.0))
+    monkeypatch.setattr(ab_inprocess, "load_workloads", lambda tree: workloads)
+    monkeypatch.setattr(ab_inprocess, "WARMUP", 0)
+    argv = ["parent", "change", "--op", "oracle_wide", "--rounds", "3", "--seed", "5"]
+    assert ab_inprocess.main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    call = "the oracle_wide op on wide_params(5, {}, larger)"
+    assert out[0] == call.format("r") + ", 3 rounds, side order seed 5"
+    assert out[3] == "rounds whose outcomes differ: 1"
+    assert out[4].startswith(f"tracemalloc peak of {call.format(0)}: parent ")
+    for side in sides.values():
+        assert sorted(side.calls[:6]) == [(n, r + 1.0) for n in (4, 10) for r in range(3)]
+        assert side.calls[6:] == [(4, 1.0), (10, 1.0)]

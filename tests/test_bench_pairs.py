@@ -2,6 +2,8 @@
 tree copy leaves out, on fixed numbers and a small tree; no benchmark runs."""
 
 import importlib.util
+import json
+import os
 import shutil
 from pathlib import Path
 
@@ -48,3 +50,41 @@ def test_tree_copy_leaves_out_git_bytecode_and_bench_results(tmp_path):
     shutil.copytree(tree, copy, ignore=bench_pairs._IGNORE)
     copied = sorted(str(p.relative_to(copy)) for p in copy.rglob("*") if p.is_file())
     assert copied == ["bench/run.py", "src/pkg/mod.py"]
+
+
+def test_json_record_keeps_each_workloads_summaries_and_runs(tmp_path, monkeypatch, capsys):
+    # stand-in runs in which the change reads twice the parent's throughput:
+    # two calls with --json PATH leave both workloads in one record, each
+    # with its own pair count and run length
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    end_to_end = [{"name": "throughput", "better": "higher", "bound": 0.25},
+                  {"name": "setup_s", "better": "lower", "bound": 0.25}]
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        json.dumps({"run_seconds": 30, "workloads": [], "end_to_end": end_to_end}))
+
+    def fake_run(tree, workload, seed, seconds):
+        throughput = seed * (2.0 if tree.name == "change" else 1.0)
+        return {"metrics": {"throughput": throughput, "setup_s": 0.1}, "failed": 0,
+                "attempted": 10, "setup_samples": [0.1]}
+
+    monkeypatch.setattr(bench_pairs, "_run", fake_run)
+    record = tmp_path / "record.json"
+    trees = [str(tmp_path / "parent"), str(tmp_path / "change")]
+    assert bench_pairs.main([*trees, "--workload", "a", "--pairs", "3", "--seconds", "2",
+                             "--json", str(record)]) == 0
+    assert bench_pairs.main([*trees, "--workload", "b", "--pairs", "2",
+                             "--json", str(record)]) == 0
+    data = json.loads(record.read_text())
+    assert set(data["workloads"]) == {"a", "b"}
+    assert data["host"]["cpus"] == os.cpu_count()
+    a = data["workloads"]["a"]
+    assert (a["pairs"], a["seconds"], data["workloads"]["b"]["seconds"]) == (3, 2.0, 30)
+    assert a["metrics"]["throughput"] == dict(
+        bench_pairs.summarize([1.0, 2.0, 3.0], [2.0, 4.0, 6.0], "higher"), bound=0.25)
+    assert a["metrics"]["throughput"]["won"] == 3
+    assert a["failed"] == {"parent": 0, "change": 0}
+    assert a["attempted"] == {"parent": 30, "change": 30}
+    assert [r["metrics"]["throughput"] for r in a["runs"]["change"]] == [2.0, 4.0, 6.0]
+    # the printed report is the record's
+    assert "throughput   parent 2 [q1 1, q3 3]  change 4  won 3/3" in capsys.readouterr().out

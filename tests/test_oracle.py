@@ -819,17 +819,93 @@ def test_views_ignore_the_order_a_state_is_stored_in():
                 assert_one_result(phased)
 
 
+def later_views(state: PureState, p: SystemParams, t: float) -> list:
+    """The results of the views that can follow a state: for a full-flavor one
+    hadamard_control and measure_control of each outcome, then schrodinger_phase
+    of each measured state; for an atom-field one schrodinger_phase."""
+    if state.flavor is AtomFieldKet:
+        return [schrodinger_phase(state, p.omega, t)]
+    results = [hadamard_control(state)]
+    for j in (0, 1):
+        results.append(outcome(j)(state))
+        if isinstance(results[-1], tuple):
+            results.append(schrodinger_phase(results[-1][0], p.omega, t))
+    return results
+
+
+def kept_bits(state: PureState) -> tuple:
+    """The kets and the bytes of the arrays a view kept on a state."""
+    kets, rows = state._arrays
+    return list(kets), rows.shape, rows.tobytes()
+
+
+@pytest.mark.parametrize("larger", [4, 10, 20])
+def test_each_view_reads_back_the_arrays_it_kept(larger):
+    # each view's output, read back from the arrays it keeps, and the same
+    # state rebuilt from its items, read from the dict, give bit for bit the
+    # same results through every later view, refusals included; no view
+    # writes to the arrays it reads
+    rng = np.random.default_rng(larger)
+    for _ in range(4):
+        other = int(rng.integers(0, larger + 1))
+        n, m = (larger, other) if rng.random() < 0.5 else (other, larger)
+        p = replace(random_params(rng), n=n, m=m)
+        t = p.T1 + p.T + float(rng.uniform(0.0, 2.0))
+        w = TruncationWindow.for_params(p)
+        evolved = [evolve(p, t, w), evolve(replace(p, theta=0.0), t, w)]
+        mixed = [hadamard_control(s) for s in evolved]
+        full = [*evolved, *mixed, hadamard_control(mixed[0])]
+        measured = [r[0] for r in (outcome(j)(s) for s in full for j in (0, 1))
+                    if isinstance(r, tuple)]
+        for state in full + measured:
+            before = kept_bits(state)
+            rebuilt = PureState(dict(state.items()))
+            assert rebuilt._arrays is None
+            for got, want in zip(later_views(state, p, t), later_views(rebuilt, p, t),
+                                 strict=True):
+                assert_one_result([want, got])
+            assert kept_bits(state) == before
+
+
+def test_a_kept_zero_moves_no_bound_of_the_phase_check():
+    # outcome 1 keeps a zero on |e,1,1> (3 excitations) beside |g,0,0>: at
+    # omega * t = 1e308 the state's own kets pass phase's check, as they do
+    # when the state is rebuilt without the zero; at 3e308 both refuse alike
+    e11, g00 = AtomFieldKet(E, 1, 1), AtomFieldKet(G, 0, 0)
+    state = PureState({FullKet(0, e11): 0.6, FullKet(1, e11): 0.6,
+                       FullKet(0, g00): 0.8, FullKet(1, g00): -0.8})
+    measured, _ = measure_control(hadamard_control(state), 1)
+    assert measured._arrays[0] == [e11, g00] and measured.kets() == [g00]
+    rebuilt = PureState(dict(measured.items()))
+    for omega in (1e308, 3e308):
+        def phased(s):
+            try:
+                return schrodinger_phase(s, omega, 1.0)
+            except ValueError as err:
+                return err
+        assert_one_result([phased(rebuilt), phased(measured)])
+
+
+def test_an_empty_full_state_keeps_no_arrays():
+    # hadamard_control of the empty state is empty, of no flavor, so it also
+    # passes schrodinger_phase's flavor check: it must be read as a dict
+    empty = hadamard_control(PureState())
+    assert empty == PureState() and empty.flavor is None and empty._arrays is None
+    assert schrodinger_phase(empty, 1.0, 1.0) == PureState()
+
+
 def test_ket_caches_stay_within_their_bound():
-    # a state of more distinct kets than either cache holds, both controls populated
+    # a state of more distinct atom-field kets than either cache holds, both
+    # controls populated: _full_kets holds the pair of FullKets of one of them
     rng = np.random.default_rng(7)
-    kets = [FullKet(c, AtomFieldKet(a, n, m)) for c in (0, 1) for a in (E, G)
-            for n in range(40) for m in range(40)]
-    for cached in (oracle._full_ket, oracle._atom_field_ket):
-        assert len(kets) > cached.cache_info().maxsize
+    rests = [AtomFieldKet(a, n, m) for a in (E, G) for n in range(50) for m in range(50)]
+    kets = [FullKet(c, rest) for c in (0, 1) for rest in rests]
+    for cached in (oracle._full_kets, oracle._atom_field_ket):
+        assert len(rests) > cached.cache_info().maxsize
     state = PureState(dict(zip(kets, (rng.normal(size=len(kets)) + 0.5j).tolist())))
     for part in (state, PureState(dict(state.items()[: len(kets) // 3])), state):
         assert hadamard_control(part) == reference_hadamard_control(part)
-        info = oracle._full_ket.cache_info()
+        info = oracle._full_kets.cache_info()
         assert 0 < info.currsize <= info.maxsize
     for a, n, m in np.ndindex(2, 50, 50):
         assert oracle._atom_field_ket(a, n, m) == AtomFieldKet((E, G)[a], n, m)

@@ -17,6 +17,7 @@ from ico_cqed import (
     general_postselect,
     state_after_both,
 )
+from ico_cqed.states import pruned_state
 from helpers import E, G, inner_product, max_amp_diff, params, scale_and_add
 
 
@@ -158,6 +159,50 @@ def test_pure_state_keeps_a_huge_finite_amplitude_and_prunes_a_tiny_one():
     assert huge.flavor is AtomFieldKet
     tiny = PureState({AtomFieldKet(E, 0, 0): 1e-16, AtomFieldKet(G, 1, 2): -1e-16j})
     assert len(tiny) == 0 and tiny.flavor is None and tiny == PureState()
+
+
+def built(build):
+    """build() as a value: the state it returns, or the refusal it raises."""
+    try:
+        return build()
+    except (TypeError, ValueError) as err:
+        return err
+
+
+def stored(state: PureState) -> list:
+    """The kets of a state in the order it stores them, each with its amplitude's bits."""
+    return [(ket, amp.real.hex(), amp.imag.hex()) for ket, amp in state._amps.items()]
+
+
+@pytest.mark.parametrize("amps", [
+    [1.0 + 0j, complex("nan")],
+    [0.5j, complex(0.0, math.inf)],
+    [0.6 + 0j, complex(-math.inf, 1.0), complex("nan")],
+    # finite parts, but a magnitude overflows a float
+    [0.6 + 0j, 1.3e308 + 1.3e308j],
+    # each magnitude finite, their sum not: PureState builds the state
+    [1e308 + 0j, 1e308 + 0j],
+    # zeros and the smallest magnitude prune_amplitudes keeps
+    [0j, 0.6 + 0.8j, complex(-0.0, 0.0), 1e-15 + 0j, complex(0.0, -1e-15)],
+    [0j, complex(-0.0, -0.0)],
+    [],
+], ids=["nan", "inf", "inf-then-nan", "magnitude-overflow", "sum-overflow", "zeros", "all-zero",
+        "none"])
+@pytest.mark.parametrize("flavor", [AtomFieldKet, FullKet])
+def test_pruned_state_gives_what_pure_state_gives(amps, flavor):
+    rests = [AtomFieldKet(E, n, 1) for n in range(len(amps))]
+    kets = rests if flavor is AtomFieldKet else [FullKet(n % 2, k) for n, k in enumerate(rests)]
+    arrays = (kets, amps)
+    fast = built(lambda: pruned_state(kets, amps, arrays))
+    slow = built(lambda: PureState(dict(zip(kets, amps))))
+    assert type(fast) is type(slow)
+    if isinstance(slow, Exception):
+        assert str(fast) == str(slow)
+        return
+    assert stored(fast) == stored(slow) and fast == slow
+    assert fast.flavor is slow.flavor and slow._arrays is None
+    # only a state built in the one check keeps the arrays, and only if it has a flavor
+    assert fast._arrays is (arrays if fast and math.isfinite(sum(map(abs, amps))) else None)
 
 
 KET_FIELDS = {AtomFieldKet: ("atom", "n", "m"), FullKet: ("control", "rest")}

@@ -372,7 +372,7 @@ def test_draws_beyond_max_are_refused_before_drawing(monkeypatch, capsys):
 
 
 def test_memory_per_draw_stays_as_stated(monkeypatch):
-    # MAX_DRAWS' comment: a tracemalloc peak of about 0.22 KB per draw plus
+    # MAX_DRAWS' comment: a tracemalloc peak of about 0.19 KB per draw plus
     # under 1 MB for one chunk, the draw table being the only copy of the
     # draws.  Checked at a lower cap, so that the test allocates little: the
     # run at the cap stays under 250 B per draw, and so does what each draw

@@ -2,6 +2,7 @@
 
     python3 tools/bench_pairs.py PARENT_TREE CHANGE_TREE --pairs 10 --seconds 30
     python3 tools/bench_pairs.py PARENT_TREE CHANGE_TREE --workload verify --workload figures
+    python3 tools/bench_pairs.py PARENT_TREE CHANGE_TREE --workload oracle_wide --json BENCH.json
 
 PARENT_TREE and CHANGE_TREE are source checkouts (for the parent, say, one
 unpacked with ``git archive``).  For each workload both trees are copied
@@ -14,7 +15,10 @@ is printed as it ends; then, per workload and end-to-end metric, the
 medians of both sides, the parent's quartiles, the pairs the change won,
 how much worse the change's median is against the bound in the change
 tree's BENCHMARK.json, the failed ops and every ``setup_s`` reading.
-Temporary directories follow TMPDIR.
+With ``--json PATH`` the same summaries, with each run's metrics, go to
+PATH as each workload ends, under that workload's name: an existing file
+keeps its other workloads, so runs of different lengths or pair counts
+can share one record.  Temporary directories follow TMPDIR.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import shutil
 import statistics
 import subprocess
@@ -75,21 +80,45 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def _report(workload: str, runs: dict[str, list[dict]], end_to_end: list[dict]) -> None:
-    print(f"== {workload}: {len(runs['parent'])} pairs")
-    for metric in end_to_end:
-        name = metric["name"]
-        s = summarize([r["metrics"][name] for r in runs["parent"]],
-                      [r["metrics"][name] for r in runs["change"]], metric["better"])
+def workload_summary(runs: dict[str, list[dict]], end_to_end: list[dict],
+                     seconds: float) -> dict:
+    """One workload's record: per end-to-end metric its summary and bound,
+    and per side the failed and attempted ops and each run, in pair order."""
+    return {
+        "pairs": len(runs["parent"]),
+        "seconds": seconds,
+        "metrics": {m["name"]: dict(summarize([r["metrics"][m["name"]] for r in runs["parent"]],
+                                              [r["metrics"][m["name"]] for r in runs["change"]],
+                                              m["better"]), bound=m["bound"])
+                    for m in end_to_end},
+        "failed": {side: sum(r["failed"] for r in side_runs) for side, side_runs in runs.items()},
+        "attempted": {side: sum(r["attempted"] for r in side_runs)
+                      for side, side_runs in runs.items()},
+        "runs": runs,
+    }
+
+
+def _report(workload: str, summary: dict) -> None:
+    print(f"== {workload}: {summary['pairs']} pairs")
+    for name, s in summary["metrics"].items():
         print(f"{name:12s} parent {s['parent_median']:.6g} [q1 {s['parent_q1']:.6g}, "
               f"q3 {s['parent_q3']:.6g}]  change {s['change_median']:.6g}  "
               f"won {s['won']}/{s['pairs']}  "
-              f"worse by {100 * s['worsening']:+.1f} % (bound {100 * metric['bound']:.0f} %)")
-    for side, side_runs in runs.items():
-        failed = sum(r["failed"] for r in side_runs)
-        attempted = sum(r["attempted"] for r in side_runs)
+              f"worse by {100 * s['worsening']:+.1f} % (bound {100 * s['bound']:.0f} %)")
+    for side, side_runs in summary["runs"].items():
         setups = ", ".join(f"{r['metrics']['setup_s']:.3f}" for r in side_runs)
-        print(f"{side:6s} failed {failed} of {attempted} ops; setup_s by seed: {setups}")
+        print(f"{side:6s} failed {summary['failed'][side]} of {summary['attempted'][side]} ops; "
+              f"setup_s by seed: {setups}")
+
+
+def write_record(path: Path, workload: str, summary: dict) -> None:
+    """summary as path's entry for workload, with the host it ran on; the
+    file's other workloads are kept."""
+    record = json.loads(path.read_text()) if path.exists() else {"workloads": {}}
+    record["host"] = {"machine": platform.machine(), "cpus": os.cpu_count(),
+                      "python": platform.python_version()}
+    record["workloads"][workload] = summary
+    path.write_text(json.dumps(record, indent=1) + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -101,6 +130,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10, help="pairs per workload (default 10)")
     parser.add_argument("--seconds", type=float,
                         help="run length (default run_seconds of BENCHMARK.json)")
+    parser.add_argument("--json", type=Path, metavar="PATH",
+                        help="also write each workload's summaries to PATH")
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
@@ -119,7 +150,10 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{workload} seed {seed} {side}: " + json.dumps(
                         dict(run["metrics"], failed=run["failed"],
                              setup_samples=run["setup_samples"])), flush=True)
-        _report(workload, runs, spec["end_to_end"])
+        summary = workload_summary(runs, spec["end_to_end"], seconds)
+        _report(workload, summary)
+        if args.json:
+            write_record(args.json, workload, summary)
     return 0
 
 
