@@ -276,9 +276,9 @@ def measurement_phase(n, m, amps: np.ndarray, omega_t) -> np.ndarray:
 def bell_resonance_gT(n: int, resonance: int) -> float:
     """Interaction time, as g*T, at which the equal-fill case n = m collapses
     each atom-conditioned branch to a two-ket entangled field state.  n must
-    be an int in 0..2**53 - 1 and resonance an int in 1..2**52; otherwise a
-    ValueError names the field."""
-    check_whole(n, "n", 0, PHOTON_LIMIT)
+    be an int in 0..2**53 - 2, as bell_state's kets reach n + 1, and
+    resonance an int in 1..2**52; otherwise a ValueError names the field."""
+    check_whole(n, "n", 0, PHOTON_LIMIT - 1)
     check_whole(resonance, "resonance", 1, 2**52 + 1)  # 2 * resonance - 1 stays exact
     return (2 * resonance - 1) * math.pi / (2.0 * math.sqrt(n + 1))
 
@@ -308,4 +308,7 @@ def bell_state(atom_branch: AtomLevel, n: int, resonance: int) -> PureState:
     else:
         amp = 1j * parity * math.cos(arg)
         kets = (FieldsKet(n, n + 1), FieldsKet(n + 1, n))
-    return PureState({kets[0]: amp, kets[1]: amp}).normalized()
+    # normalized before PureState prunes: |amp| falls below PRUNE_EPSILON at
+    # large n; the norm is PureState.norm's, fsum of two equal terms
+    amp /= math.sqrt(2.0 * (amp.real * amp.real + amp.imag * amp.imag))
+    return PureState({kets[0]: amp, kets[1]: amp})

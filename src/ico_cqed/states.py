@@ -315,9 +315,19 @@ def check_preparation(p) -> dict[str, float]:
         "xi": check_real(p.xi, "xi", 0.0, math.pi / 2, "[]"),
         "chi": check_real(p.chi, "chi", 0.0, 2 * math.pi),
     }
-    check_whole(p.n, "n", 0, PHOTON_LIMIT)
-    check_whole(p.m, "m", 0, PHOTON_LIMIT)
+    # the dynamics reach kets at n + 1 and m + 1, which must lie below PHOTON_LIMIT
+    check_whole(p.n, "n", 0, PHOTON_LIMIT - 1)
+    check_whole(p.m, "m", 0, PHOTON_LIMIT - 1)
     return angles
+
+
+def largest_angle(g: float, t: float, n: int, m: int) -> float:
+    """The largest rotation angle either evaluator forms at coupling g, time t
+    in each cavity and photon numbers n and m, as evolve rounds it: its local
+    window's top doublet, g*sqrt(max(n, m, 2) + 2)*t.  It bounds every
+    closed-form angle g*sqrt(k + 1)*t; SystemParams and SweepConfig refuse
+    an input on which it overflows."""
+    return g * math.sqrt(max(n, m, 2) + 2) * t
 
 
 @dataclass(frozen=True)
@@ -347,10 +357,11 @@ class SystemParams:
     def __post_init__(self) -> None:
         g = check_real(self.g, "g", 0.0, ends="()")
         T = check_real(self.T, "T", 0.0)
-        if not math.isfinite(g * T):
-            raise ValueError(f"g*T: must be finite, got g={g}, T={T}")
         omega = check_real(self.omega, "omega", 0.0, ends="()")
         angles = check_preparation(self)
+        if not math.isfinite(largest_angle(g, T, self.n, self.m)):
+            raise ValueError(f"g*T: must be finite, as must g*sqrt(max(n, m, 2) + 2)*T, "
+                             f"got g={g}, T={T}, n={self.n}, m={self.m}")
         T0 = check_real(self.T0, "T0", 0.0)
         T1 = T0 + T if self.T1 is None else check_real(self.T1, "T1")
         if T1 < T0 + T:

@@ -26,6 +26,7 @@ from .states import (
     AtomLevel,
     check_preparation,
     check_real,
+    largest_angle,
 )
 
 _E = AtomLevel.EXCITED
@@ -184,6 +185,10 @@ class SweepConfig:
                 f"gT_step: {self.gT_step} over [{self.gT_start}, {self.gT_stop}] "
                 f"gives more than MAX_GRID_POINTS = {MAX_GRID_POINTS} grid points"
             )
+        last = self.gT_start + int(_whole_steps(self)) * self.gT_step  # as _grid rounds it
+        if not math.isfinite(largest_angle(1.0, last, self.n, self.m)):
+            raise ConfigError(f"gT_stop: must keep sqrt(max(n, m, 2) + 2)*gT finite, "
+                              f"got gT={last} at n={self.n}, m={self.m}")
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}

@@ -47,6 +47,18 @@ def balanced(gt, **overrides):
     return params(gt, theta=math.pi / 4, **overrides)
 
 
+def largest_finite_time(n, m):
+    """The largest T at which sqrt(max(n, m, 2) + 2) * T, the largest angle
+    at g = 1, the top doublet of evolve's local window, is finite."""
+    factor = math.sqrt(max(n, m, 2) + 2)
+    t = math.nextafter(math.inf, 0.0) / factor
+    while math.isfinite(factor * math.nextafter(t, math.inf)):
+        t = math.nextafter(t, math.inf)
+    while not math.isfinite(factor * t):
+        t = math.nextafter(t, 0.0)
+    return t
+
+
 def window_groups(draws):
     """(params, t) draws grouped by their tight window, TruncationWindow.for_params;
     one batch may mix several (n, m)."""

@@ -36,6 +36,7 @@ from helpers import (
     doublet_rate,
     initial_atom_field_state,
     inner_product,
+    largest_finite_time,
     max_amp_diff,
     overlap_orders,
     params,
@@ -553,6 +554,42 @@ def test_bell_state_excited_one_photon():
     assert abs(abs(a) - 1 / math.sqrt(2)) < 1e-15
 
 
+@pytest.mark.parametrize("n", [932_935_624_572_928, 932_935_624_572_929, 2**53 - 2])
+def test_bell_state_at_large_n_is_normalized_before_it_is_pruned(n):
+    # from n = 932,935,624,572,929 on, the ground branch's unnormalized
+    # amplitude cos(arg) is below PRUNE_EPSILON; it used to be pruned to the
+    # zero state, which normalized() refused
+    st = bell_state(G, n, 1)
+    kets = [FieldsKet(n, n + 1), FieldsKet(n + 1, n)]
+    assert st.kets() == kets and st.amplitude(kets[0]) == st.amplitude(kets[1])
+    assert abs(abs(st.amplitude(kets[0])) - 1 / math.sqrt(2)) < 1e-15
+
+
+def test_the_largest_initial_photon_number_runs_through_each_entry_point():
+    # 2**53 - 2: the kets the dynamics reach at n + 1 and m + 1 are the last
+    # a ket accepts; SystemParams and bell_resonance_gT refuse one more
+    top = 2**53 - 2
+    p = balanced(0.5, xi=0.3, n=top, m=top)
+    for j in (0, 1):
+        state, _ = general_postselect(j, p)
+        assert state.is_normalized() and max(k.n for k in state.kets()) == top + 1
+    assert state_after_both(CavityOrder.C1_THEN_C0, p, 0.5).is_normalized()
+    assert bell_state(E, top, 2).is_normalized()
+    assert bell_resonance_gT(top, 1) == math.pi / (2.0 * math.sqrt(top + 1))
+
+
+@pytest.mark.parametrize("n,m", [(0, 0), (3, 1)])
+def test_both_evaluators_run_at_the_largest_accepted_angle(n, m):
+    # SystemParams bounds evolve's largest angle, g*sqrt(max(n, m, 2) + 2)*T,
+    # which bounds every closed-form angle: at its edge, both run, no warning
+    edge = largest_finite_time(n, m)
+    p = balanced(edge, xi=0.3, n=n, m=m)
+    assert evolve(p, edge, TruncationWindow.for_params(p)).is_normalized()
+    assert state_after_both(CavityOrder.C0_THEN_C1, p, edge).is_normalized()
+    assert all(math.isfinite(abs(c)) for c in coeffs_c(p, edge) + coeffs_s(p, edge))
+    assert all(general_postselect(j, p)[0].is_normalized() for j in (0, 1))
+
+
 def test_bell_state_validation():
     with pytest.raises(ValueError):
         bell_state(G, -1, 1)
@@ -564,14 +601,17 @@ def test_bell_state_validation():
 
 @pytest.mark.parametrize(
     "n,resonance,message",
-    [pytest.param(-1, 1, "n: must lie in 0..9007199254740991, got -1", id="-1-1-n"),
+    [pytest.param(-1, 1, "n: must lie in 0..9007199254740990, got -1", id="-1-1-n"),
      pytest.param(1.0, 1, "n: must be an integer, got 1.0", id="1.0-1-n"),
      pytest.param(True, 1, "n: must be an integer, got True", id="True-1-n"),
      pytest.param(0, 0, "resonance: must lie in 1..4503599627370496, got 0", id="0-0-resonance"),
      pytest.param(0, -2, "resonance: must lie in 1..4503599627370496, got -2", id="0--2-resonance"),
      pytest.param(2, 1.5, "resonance: must be an integer, got 1.5", id="2-1.5-resonance"),
-     pytest.param(2**53, 1, "n: must lie in 0..9007199254740991, got 9007199254740992",
-                  id="9007199254740992-1-n")],
+     pytest.param(2**53, 1, "n: must lie in 0..9007199254740990, got 9007199254740992",
+                  id="9007199254740992-1-n"),
+     # bell_state's kets reach n + 1, which must stay below 2**53
+     pytest.param(2**53 - 1, 1, "n: must lie in 0..9007199254740990, got 9007199254740991",
+                  id="9007199254740991-1-n")],
 )
 def test_bell_resonance_gT_validation(n, resonance, message):
     # the same checks as bell_state: n = -1 used to divide by zero and

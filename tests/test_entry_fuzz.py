@@ -190,7 +190,7 @@ def test_entry_point_accepts_or_names_the_field(target, data):
         (lambda: condition_on_atom(STATE, "e"), "atom level: must be an AtomLevel, got 'e'"),
         # beyond the largest float
         (lambda: SystemParams(g=1.0, T=10**400), "T: must be finite, got a 1329-bit integer"),
-        (lambda: bell_resonance_gT(2**53, 1), f"n: must lie in 0..{2**53 - 1}, got {2**53}"),
+        (lambda: bell_resonance_gT(2**53, 1), f"n: must lie in 0..{2**53 - 2}, got {2**53}"),
         # a coupling that is not a finite real > 0 used to give a NaN matrix,
         # or numpy's UFuncTypeError for a string
         (lambda: jc_propagator(0, 1.0, math.nan, TruncationWindow(2)), "g: must be finite, got nan"),

@@ -18,7 +18,15 @@ from ico_cqed import (
     state_after_both,
 )
 from ico_cqed.states import pruned_state
-from helpers import E, G, inner_product, max_amp_diff, params, scale_and_add
+from helpers import (
+    E,
+    G,
+    inner_product,
+    largest_finite_time,
+    max_amp_diff,
+    params,
+    scale_and_add,
+)
 
 
 def test_atom_level_ordering_and_labels():
@@ -331,13 +339,30 @@ def test_system_params_validation():
     with pytest.raises(ValueError, match=r"^g\*T: must be finite"):
         SystemParams(g=1e300, T=1e10)  # both finite, the product is not
     for field in ("n", "m"):
-        for huge in (2**53, 10**400):
-            with pytest.raises(ValueError, match=rf"^{field}: must lie in 0\.\.{2**53 - 1}, got "):
+        # the dynamics reach a ket at n + 1 (m + 1), which must stay below 2**53
+        for huge in (2**53 - 1, 2**53, 10**400):
+            with pytest.raises(ValueError, match=rf"^{field}: must lie in 0\.\.{2**53 - 2}, got "):
                 SystemParams(g=1.0, T=1.0, **{field: huge})
-        assert getattr(SystemParams(g=1.0, T=1.0, **{field: 2**53 - 1}), field) == 2**53 - 1
+        assert getattr(SystemParams(g=1.0, T=1.0, **{field: 2**53 - 2}), field) == 2**53 - 2
     p = SystemParams(g=2.0, T=3.0, T0=1.0)
     assert p.T1 == 4.0  # defaults to back-to-back transits
     assert p.gT == 6.0
+
+
+@pytest.mark.parametrize("n,m", [(0, 0), (3, 1), (0, 2**53 - 2)])
+def test_system_params_refuses_an_angle_that_overflows(n, m):
+    # g*sqrt(max(n, m, 2) + 2)*T, evolve's largest angle and above every
+    # closed-form one, must be finite: g = 1e308, T = 1.5, n = 3, m = 1 used
+    # to be accepted and then fail inside evolve, coeffs_c or general_postselect
+    edge = largest_finite_time(n, m)
+    assert SystemParams(g=1.0, T=edge, n=n, m=m).T == edge
+    above = math.nextafter(edge, math.inf)
+    with pytest.raises(ValueError) as err:
+        SystemParams(g=1.0, T=above, n=n, m=m)
+    assert str(err.value) == ("g*T: must be finite, as must g*sqrt(max(n, m, 2) + 2)*T, "
+                              f"got g=1.0, T={above}, n={n}, m={m}")
+    with pytest.raises(ValueError, match=r"^g\*T: must be finite, as must "):
+        SystemParams(g=1e308, T=1.5, n=3, m=1)
 
 
 def test_system_params_stores_reals_as_floats():

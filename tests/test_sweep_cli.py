@@ -25,7 +25,7 @@ from ico_cqed import (
 from ico_cqed import sweep
 from ico_cqed.cli import build_parser, main
 from ico_cqed.sweep import FIGURE_PRESETS, MAX_GRID_POINTS, meta_json
-from helpers import E, G, SEEDED_SWEEPS, seeded_sweep_config
+from helpers import E, G, SEEDED_SWEEPS, largest_finite_time, seeded_sweep_config
 
 
 def pk(label, n, m):
@@ -248,6 +248,47 @@ def test_cli_sweep_rejects_bad_ket_prob_occupation(tmp_path, capsys, value):
     assert "Traceback" not in captured.err
 
 
+def test_a_sweep_runs_at_the_largest_initial_photon_number(tmp_path, capsys):
+    # 2**53 - 2: its kets at n + 1 are the last a ket accepts; one more used
+    # to be accepted and refused inside run_sweep for a ket at 2**53
+    top = 2**53 - 2
+    cfg = {"scenario": "ico_j0", "n": top, "m": top, "gT_stop": 0.1, "gT_step": 0.05,
+           "quantities": [{"kind": "sigma_z"}, {"kind": "ket_prob", "atom": "g", "n": top + 1,
+                                                "m": top}]}
+    assert len(run_sweep(config_from_dict(cfg)).cells[0]) == 3
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 0
+    for field in ("n", "m"):
+        path.write_text(json.dumps({**cfg, field: top + 1}))
+        assert main(["sweep", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"ico-cqed: {field}: must lie in 0..{top}, got {top + 1}\n"
+
+
+@pytest.mark.parametrize("n,m", [(0, 0), (3, 1)])
+def test_a_sweep_refuses_a_grid_whose_angle_overflows(n, m, tmp_path, capsys):
+    # sqrt(max(n, m, 2) + 2) times the grid's last gT, the largest angle of
+    # the oracle at g = 1, must be finite; gT = 1.5e308 at n = 3 used to warn,
+    # write an empty cell and exit 0
+    edge = largest_finite_time(n, m)
+    quantities = (AtomicInversion(),)
+    assert run_sweep(single_point_config(edge, "ico_j0", quantities, n=n, m=m)).cells[0] == (edge,)
+    above = math.nextafter(edge, math.inf)
+    message = f"gT_stop: must keep sqrt(max(n, m, 2) + 2)*gT finite, got gT={above} at n={n}, m={m}"
+    with pytest.raises(ConfigError) as err:
+        single_point_config(above, "ico_j0", quantities, n=n, m=m)
+    assert str(err.value) == message
+    # the grid's last point, not gT_stop, is checked: here it lies one step below
+    cfg = SweepConfig("ico_j0", quantities, n=n, m=m, gT_start=edge, gT_stop=above, gT_step=edge)
+    assert grid_points(cfg) == [edge]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenario": "ico_j0", "quantities": [{"kind": "sigma_z"}], "n": 3,
+                                "m": 1, "gT_start": 1.5e308, "gT_stop": 1.5e308}))
+    assert main(["sweep", "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", "ico-cqed: gT_stop: must keep sqrt(max(n, m, 2) + 2)*gT "
+                                       "finite, got gT=1.5e+308 at n=3, m=1\n")
+
+
 @pytest.mark.parametrize("field", ["n", "m"])
 def test_cli_sweep_rejects_huge_photon_number(tmp_path, capsys, field):
     path = tmp_path / "cfg.json"
@@ -256,7 +297,7 @@ def test_cli_sweep_rejects_huge_photon_number(tmp_path, capsys, field):
     assert main(["sweep", "--config", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"ico-cqed: {field}: must lie in 0..{2**53 - 1}, got a 1329-bit integer\n"
+    assert captured.err == f"ico-cqed: {field}: must lie in 0..{2**53 - 2}, got a 1329-bit integer\n"
 
 
 @pytest.mark.parametrize(
