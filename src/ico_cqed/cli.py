@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -85,14 +86,22 @@ def _emit(table: Table, meta: dict, out: Path | None) -> None:
     if out is None:
         sys.stdout.write(csv_text)
         return
-    sidecar = Path(str(out) + ".meta.json")
-    for path, text in ((out, csv_text), (sidecar, meta_json(meta))):
-        try:
-            path.write_text(text)
-        except OSError as exc:
-            if path is sidecar:
-                out.unlink()  # no CSV is left without its sidecar
-            raise ConfigError(f"out: cannot write {path} ({exc})")
+    # each file goes first to a sibling named by the process id (no one else's file),
+    # and into place once both are written: a failed write keeps an earlier run's pair
+    files = {out: csv_text, Path(f"{out}.meta.json"): meta_json(meta)}
+    temps = {path: Path(f"{path}.{os.getpid()}.tmp") for path in files}
+    placed = []
+    try:
+        for path, text in files.items():
+            temps[path].write_text(text)
+        for path, temp in temps.items():
+            os.replace(temp, path)
+            placed.append(path)
+    except OSError as exc:
+        # a CSV already moved goes too: no CSV is left without its sidecar
+        for leftover in [*temps.values(), *placed]:
+            leftover.unlink(missing_ok=True)
+        raise ConfigError(f"out: cannot write {path} ({exc})")
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -84,15 +84,6 @@ class TruncationWindow:
     def atom_field_dim(self) -> int:
         return 2 * self.levels * self.levels
 
-    def index(self, atom: AtomLevel, n: int, m: int) -> int:
-        """Position of |atom, n, m> on the window's basis; a non-AtomLevel atom or
-        an occupation outside 0..n_max is refused: it would alias another ket."""
-        if not isinstance(atom, AtomLevel):
-            raise ValueError(f"atom: must be an AtomLevel, got {atom!r}")
-        check_whole(n, "n", 0, self.levels)
-        check_whole(m, "m", 0, self.levels)
-        return (atom * self.levels + n) * self.levels + m
-
 
 def _check_window(w) -> None:
     """Refuse all but a TruncationWindow with TypeError, before any field is read."""

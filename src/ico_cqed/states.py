@@ -75,11 +75,6 @@ class AtomLevel(IntEnum):
     def label(self) -> str:
         return "e" if self is AtomLevel.EXCITED else "g"
 
-    @property
-    def excitation(self) -> int:
-        """1 for the excited level, 0 for the ground level."""
-        return 1 if self is AtomLevel.EXCITED else 0
-
     @classmethod
     def from_label(cls, label: str) -> "AtomLevel":
         if label == "e":
@@ -177,11 +172,6 @@ class AtomFieldKet:
     def __hash__(self) -> int:
         return self._hash
 
-    @property
-    def excitations(self) -> int:
-        """Atom excitation plus total photon number; conserved by the dynamics."""
-        return self.atom.excitation + self.n + self.m
-
 
 @dataclass(frozen=True, order=True)
 class FullKet:
@@ -245,6 +235,12 @@ class PureState:
         self._amps = amps
         self._flavor = flavor if amps else None
         self._arrays = None
+        try:  # fsum raises OverflowError when a partial sum of finite squares overflows
+            finite = self.norm() < math.inf
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError("amplitudes: their squared norm overflows a float")
 
     @property
     def flavor(self) -> type | None:
@@ -275,28 +271,16 @@ class PureState:
         name = self._flavor.__name__ if self._flavor else "empty"
         return f"PureState({len(self._amps)} kets, {name})"
 
-    def squared_norm(self) -> float:
-        return math.fsum(a.real * a.real + a.imag * a.imag for a in self._amps.values())
-
     def norm(self) -> float:
-        return math.sqrt(self.squared_norm())
-
-    def is_normalized(self, atol: float = 1e-12) -> bool:
-        return abs(self.squared_norm() - 1.0) <= atol
-
-    def normalized(self) -> "PureState":
-        nrm = self.norm()
-        if nrm == 0.0:
-            raise ValueError("cannot normalize the zero state")
-        return PureState({k: a / nrm for k, a in self._amps.items()})
+        return math.sqrt(math.fsum(a.real * a.real + a.imag * a.imag for a in self._amps.values()))
 
 
 def pruned_state(kets: list, amps: list, arrays: tuple | None = None) -> PureState:
-    """PureState(dict(zip(kets, amps))) for distinct kets of one flavor and amplitudes
-    pruned by prune_amplitudes, in one check: if the magnitudes' sum is finite, the nonzero
-    ones are stored as given and a nonempty state keeps arrays; else PureState decides."""
+    """PureState(dict(zip(kets, amps))) for distinct kets of one flavor and pruned amplitudes, in
+    one check: if the magnitudes' sum, whose square bounds the squared norm, is below 2**511, the
+    nonzero ones are stored as given and a nonempty state keeps arrays; else PureState decides."""
     try:
-        if sum(map(abs, amps)) < math.inf:  # NaN fails it too
+        if sum(map(abs, amps)) < 2.0**511:  # NaN fails it too
             state = object.__new__(PureState)
             state._amps = {ket: amp for ket, amp in zip(kets, amps) if amp}
             state._flavor, state._arrays = (type(kets[0]), arrays) if state._amps else (None, None)

@@ -1,8 +1,10 @@
-"""Shared helpers for the test suite, among them the scalar references the
-closed-form kernel (engine.grid_amplitudes) is checked against, the
-balanced-control formulas built on the slot amplitudes (the order overlap,
-P(j) and the conditional inversion) and the ket-by-ket dict reference for
-the oracle's recombine -> condition -> phase chain, the full-window
+"""Shared helpers for the test suite, among them the ket and state
+arithmetic only the tests use (excitation number, window index, squared
+norm), the scalar references the closed-form kernel
+(engine.grid_amplitudes) is checked against, the balanced-control
+formulas built on the slot amplitudes (the order overlap, P(j) and the
+conditional inversion) and the ket-by-ket dict reference for the
+oracle's recombine -> condition -> phase chain, the full-window
 evolution the oracle's local windows are checked against, the README's
 recipe of verify's draws, and the seeded sweep configs whose CLI output
 tests/data/sweep_sha256.json pins."""
@@ -80,6 +82,25 @@ def grid_table(t, **columns):
             for name, value in values.items()}
 
 
+def excitations(ket: AtomFieldKet) -> int:
+    """Atom excitation plus total photon number; conserved by the dynamics."""
+    return 1 - ket.atom + ket.n + ket.m
+
+
+def window_index(w: TruncationWindow, atom, n, m):
+    """Position of |atom, n, m> on the basis of the window w; arrays give arrays."""
+    return (atom * w.levels + n) * w.levels + m
+
+
+def squared_norm(state: PureState) -> float:
+    """math.fsum of the squared magnitudes: PureState.norm before its sqrt."""
+    return math.fsum(a.real * a.real + a.imag * a.imag for _, a in state.items())
+
+
+def is_normalized(state: PureState, atol: float = 1e-12) -> bool:
+    return abs(squared_norm(state) - 1.0) <= atol
+
+
 def doublet_rate(k: int, g: float) -> float:
     """The rotation rate g*sqrt(k+1) of the doublet {|e,k>, |g,k+1>}; k = -1 gives exactly 0."""
     return g * math.sqrt(k + 1)
@@ -94,9 +115,9 @@ def jc_generator(cavity: int, g: float, w: TruncationWindow):
         coupling = doublet_rate(k, g)
         for spectator in range(w.levels):
             if cavity == 0:
-                row, col = w.index(G, k + 1, spectator), w.index(E, k, spectator)
+                row, col = window_index(w, G, k + 1, spectator), window_index(w, E, k, spectator)
             else:
-                row, col = w.index(G, spectator, k + 1), w.index(E, spectator, k)
+                row, col = window_index(w, G, spectator, k + 1), window_index(w, E, spectator, k)
             h[row, col] = coupling
             h[col, row] = coupling
     return h
@@ -126,8 +147,8 @@ def excitation_distribution(state: PureState) -> dict:
     dist: dict = {}
     for ket, amp in state.items():
         w = amp.real * amp.real + amp.imag * amp.imag
-        excitations = getattr(ket, "rest", ket).excitations
-        dist[excitations] = dist.get(excitations, 0.0) + w
+        count = excitations(getattr(ket, "rest", ket))
+        dist[count] = dist.get(count, 0.0) + w
     return dist
 
 
@@ -215,7 +236,7 @@ def scalar_postselect(j: int, p: SystemParams, omega_t: float = 0.0):
     scale = 1.0 / math.sqrt(prob)
     amps = {}
     for (atom, n, m), amp in residual.items():
-        phase = cmath.exp(-1j * omega_t * (atom.excitation + n + m - 0.5))
+        phase = cmath.exp(-1j * omega_t * (1 - atom + n + m - 0.5))
         amps[AtomFieldKet(atom, n, m)] = amp * scale * phase
     return PureState(amps), prob
 
@@ -303,7 +324,7 @@ def reference_schrodinger_phase(s: PureState, omega: float, t: float) -> PureSta
     """Dict reference for oracle.schrodinger_phase: cmath.exp ket by ket."""
     return PureState(
         {
-            ket: amp * cmath.exp(-1j * omega * t * (ket.excitations - 0.5))
+            ket: amp * cmath.exp(-1j * omega * t * (excitations(ket) - 0.5))
             for ket, amp in s.items()
         }
     )
@@ -349,7 +370,7 @@ def window_branches(table, w):
     inside = (n <= w.n_max) & (m <= w.n_max)
     assert not branches[:, ~inside].any(), "an amplitude beyond the window"
     columns = np.broadcast_to(np.arange(n.shape[1]), n.shape)
-    rows = (atom * w.levels + n) * w.levels + m
+    rows = window_index(w, atom, n, m)
     full = np.zeros((2, w.atom_field_dim, n.shape[1]), dtype=complex)
     full[:, rows[inside], columns[inside]] = branches[:, inside]
     return full

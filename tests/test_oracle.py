@@ -1,5 +1,4 @@
 import math
-import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -41,6 +40,7 @@ from helpers import (
     reference_hadamard_control,
     window_branches,
     window_groups,
+    window_index,
 )
 
 
@@ -60,34 +60,11 @@ def full_state_vector(w, state):
     vec = np.zeros(2 * w.atom_field_dim, dtype=complex)
     for ket, amp in state.items():
         rest = ket.rest
-        vec[ket.control * w.atom_field_dim + w.index(rest.atom, rest.n, rest.m)] = amp
+        vec[ket.control * w.atom_field_dim + window_index(w, rest.atom, rest.n, rest.m)] = amp
     return vec
 
 
 # ---------------------------------------------------------------- window and dense generator
-
-
-@pytest.mark.parametrize(
-    "atom, n, m, message",
-    [(G, 0, 4, "m: must lie in 0..3, got 4"), (G, 4, 0, "n: must lie in 0..3, got 4"),
-     (G, -1, 0, "n: must lie in 0..3, got -1"), (G, 0, -1, "m: must lie in 0..3, got -1"),
-     (-1, 0, 0, "atom: must be an AtomLevel, got -1"),
-     (2, 0, 0, "atom: must be an AtomLevel, got 2"),
-     (True, 1, 0, "atom: must be an AtomLevel, got True"),
-     ("e", 0, 0, "atom: must be an AtomLevel, got 'e'")],
-    ids=["0-4-m must lie in 0..3, got 4", "4-0-n must lie in 0..3, got 4",
-         "-1-0-n must lie in 0..3, got -1", "0--1-m must lie in 0..3, got -1",
-         "atom -1", "atom 2", "atom True", "atom 'e'"],
-)
-def test_window_index_refuses_occupation_outside_window(atom, n, m, message):
-    # (g, 0, 4) would otherwise alias the flat index of (g, 1, 0), atom -1
-    # index -16, (g, 0, 0) as a numpy index, and atom 2 index 32, past the
-    # basis; True would pass for the ground level and "e" fail in int()
-    w = TruncationWindow(3)
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        w.index(atom, n, m)
-    assert w.index(G, 3, 3) == w.atom_field_dim - 1
-    assert np.unravel_index(w.index(G, 1, 0), (2, w.levels, w.levels)) == (G, 1, 0)
 
 
 def test_window_is_capped_before_anything_is_allocated(monkeypatch):
@@ -114,15 +91,15 @@ def test_generator_single_excitation_element():
     w = TruncationWindow(3)
     g = 1.7
     h = jc_generator(0, g, w)
-    assert h[w.index(G, 1, 0), w.index(E, 0, 0)] == g
+    assert h[window_index(w, G, 1, 0), window_index(w, E, 0, 0)] == g
     h1 = jc_generator(1, g, w)
-    assert h1[w.index(G, 0, 1), w.index(E, 0, 0)] == g
+    assert h1[window_index(w, G, 0, 1), window_index(w, E, 0, 0)] == g
 
 
 def test_generator_annihilates_ground_vacuum():
     w = TruncationWindow(3)
     h = jc_generator(0, 1.0, w)
-    idx = w.index(G, 0, 0)
+    idx = window_index(w, G, 0, 0)
     assert not h[idx, :].any()
     assert not h[:, idx].any()
 
@@ -131,7 +108,7 @@ def test_generator_doublet_eigenvalues():
     w = TruncationWindow(2)
     g = 0.9
     h = jc_generator(0, g, w)
-    pair = [w.index(E, 0, 0), w.index(G, 1, 0)]
+    pair = [window_index(w, E, 0, 0), window_index(w, G, 1, 0)]
     block = h[np.ix_(pair, pair)]
     assert np.allclose(np.linalg.eigvalsh(block), [-g, g], atol=1e-14)
 
@@ -159,9 +136,9 @@ def test_propagator_vacuum_rabi_quarter_period():
     w = TruncationWindow(2)
     u = jc_propagator(0, math.pi / 2, 1.0, w)
     vec = np.zeros(w.atom_field_dim, dtype=complex)
-    vec[w.index(E, 0, 0)] = 1.0
+    vec[window_index(w, E, 0, 0)] = 1.0
     out = u @ vec
-    assert abs(out[w.index(G, 1, 0)] - (-1j)) < 1e-14
+    assert abs(out[window_index(w, G, 1, 0)] - (-1j)) < 1e-14
     assert abs(np.linalg.norm(out) - 1.0) < 1e-14
 
 
@@ -170,7 +147,7 @@ def test_propagator_ground_vacuum_invariant(rng):
     for t in rng.uniform(0, 10, 5):
         u = jc_propagator(1, float(t), 1.0, w)
         vec = np.zeros(w.atom_field_dim, dtype=complex)
-        vec[w.index(G, 0, 0)] = 1.0
+        vec[window_index(w, G, 0, 0)] = 1.0
         assert np.allclose(u @ vec, vec, atol=1e-14)
 
 
@@ -281,8 +258,8 @@ def dense_schedule(p, t, w):
 
 def dense_reference_vector(p, t, w):
     psi0 = np.zeros(w.atom_field_dim, dtype=complex)
-    psi0[w.index(E, p.n, p.m)] = math.cos(p.xi)
-    psi0[w.index(G, p.n, p.m)] = np.exp(1j * p.chi) * math.sin(p.xi)
+    psi0[window_index(w, E, p.n, p.m)] = math.cos(p.xi)
+    psi0[window_index(w, G, p.n, p.m)] = np.exp(1j * p.chi) * math.sin(p.xi)
     u0, u1 = dense_schedule(p, t, w)
     return np.concatenate(
         [math.cos(p.theta) * (u0 @ psi0), np.exp(1j * p.varphi) * math.sin(p.theta) * (u1 @ psi0)]
@@ -472,8 +449,8 @@ def test_evolve_refuses_guard_row_leak(monkeypatch):
 
     def leaky(x, cavity, t, g, base, w):
         out = x.copy()
-        out[w.index(E, w.n_max, 0)] += x[w.index(E, 1, 0)]
-        out[w.index(E, 1, 0)] = 0.0
+        out[window_index(w, E, w.n_max, 0)] += x[window_index(w, E, 1, 0)]
+        out[window_index(w, E, 1, 0)] = 0.0
         return out
 
     monkeypatch.setattr(oracle, "_rotate", leaky)

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import math
@@ -631,6 +632,32 @@ def test_cli_a_failed_sidecar_leaves_no_csv(tmp_path, capsys, command):
     assert captured.err.count("\n") == 1
     assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json", "x.csv.meta.json"]
     assert not any(sidecar.iterdir())
+
+
+def test_cli_a_csv_write_that_fails_part_way_leaves_the_earlier_pair(tmp_path, capsys,
+                                                                    monkeypatch):
+    # the disk fills half way through fig3a's CSV: fig2a's CSV and sidecar stay
+    # as they were, beside no part of fig3a's files
+    out = tmp_path / "x.csv"
+    assert main(["figure", "fig2a", "--out", str(out)]) == 0
+    earlier = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert sorted(earlier) == ["x.csv", "x.csv.meta.json"]
+    capsys.readouterr()
+    write_text = Path.write_text
+
+    def disk_full_in_the_csv(path, text, *args, **kwargs):
+        if text.startswith("{"):  # the sidecar's JSON
+            return write_text(path, text, *args, **kwargs)
+        write_text(path, text[: len(text) // 2], *args, **kwargs)
+        raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+    monkeypatch.setattr(Path, "write_text", disk_full_in_the_csv)
+    assert main(["figure", "fig3a", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"ico-cqed: out: cannot write {out} ([Errno 28] ")
+    assert captured.err.count("\n") == 1
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == earlier
 
 
 def test_cli_sweep_refuses_a_config_that_is_not_an_object(tmp_path, capsys):
