@@ -53,12 +53,6 @@ def build_parser() -> _Parser:
 
     sweep_p = sub.add_parser("sweep", help="run a sweep described by a JSON config file")
     sweep_p.add_argument("--config", required=True, type=Path, help="JSON config path")
-    sweep_p.add_argument(
-        "--out",
-        type=Path,
-        help="CSV output path (stdout if omitted); a <out>.meta.json sidecar "
-        "with the resolved config is written next to it",
-    )
     sweep_p.set_defaults(run=_cmd_sweep)
 
     figure_p = sub.add_parser("figure", help="emit the data behind one packaged preset")
@@ -67,8 +61,11 @@ def build_parser() -> _Parser:
         metavar="ID",
         help=f"preset id, one of: {', '.join(sorted(FIGURE_PRESETS))}",
     )
-    figure_p.add_argument("--out", type=Path, help="CSV output path (stdout if omitted)")
     figure_p.set_defaults(run=_cmd_figure)
+    for command in (sweep_p, figure_p):
+        command.add_argument("--out", type=Path, help="CSV output path (stdout if omitted); "
+                             "a <out>.meta.json sidecar with the resolved config is written "
+                             "next to it")
 
     verify_p = sub.add_parser(
         "verify", help="compare the closed forms against the matrix propagator"
@@ -86,20 +83,28 @@ def _emit(table: Table, meta: dict, out: Path | None) -> None:
     if out is None:
         sys.stdout.write(csv_text)
         return
-    # each file goes first to a sibling named by the process id (no one else's file),
-    # and into place once both are written: a failed write keeps an earlier run's pair
+    # A path that exists but is no regular file (a FIFO, a device) is written
+    # straight into, never replaced or removed.  Any other file goes first to a
+    # sibling of its real path named by the process id (no one else's file), and
+    # into place once all are written: a failed write keeps an earlier run's
+    # pair, and a symlink stays a link, to the new file.
     files = {out: csv_text, Path(f"{out}.meta.json"): meta_json(meta)}
-    temps = {path: Path(f"{path}.{os.getpid()}.tmp") for path in files}
-    placed = []
+    moves, placed = [], []
     try:
         for path, text in files.items():
-            temps[path].write_text(text)
-        for path, temp in temps.items():
-            os.replace(temp, path)
-            placed.append(path)
+            if not path.is_file() and path.exists():
+                path.write_text(text)
+                continue
+            real = Path(os.path.realpath(path)) if path.is_symlink() else path
+            temp = Path(f"{real}.{os.getpid()}.tmp")
+            moves.append((path, temp, real))
+            temp.write_text(text)
+        for path, temp, real in moves:
+            os.replace(temp, real)
+            placed.append(real)
     except OSError as exc:
         # a CSV already moved goes too: no CSV is left without its sidecar
-        for leftover in [*temps.values(), *placed]:
+        for leftover in [*(temp for _, temp, _ in moves), *placed]:
             leftover.unlink(missing_ok=True)
         raise ConfigError(f"out: cannot write {path} ({exc})")
 

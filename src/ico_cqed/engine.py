@@ -143,7 +143,7 @@ def state_after_both(order: CavityOrder, p: SystemParams, tau: float) -> PureSta
     point of grid_amplitudes."""
     check_params(p)
     if not isinstance(order, CavityOrder):
-        raise TypeError(f"order must be a CavityOrder, got {order!r}")
+        raise TypeError(f"order: must be a CavityOrder, got {order!r}")
     check_real(tau, "tau", 0.0, p.T, "[]")
     amps, _ = _one_point(order.value, p, tau)
     return _point_state(p, amps)

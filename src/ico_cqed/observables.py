@@ -121,12 +121,17 @@ def reduced_cavity0(fields: PureState) -> np.ndarray:
 def linear_entropy(rho: np.ndarray) -> float:
     """1 - Tr(rho^2), clamped at 0: zero for pure states, 1 - 1/d for the
     maximally mixed state on d levels.  rho must be a finite, non-empty,
-    square matrix; it is not checked to be a density matrix."""
+    square matrix whose Tr(rho^2), the sum of its squared magnitudes, is
+    finite in float64; it is not checked to be a density matrix."""
     a = np.asarray(rho)
     square = a.ndim == 2 and 0 < len(a) == a.shape[1]
     if not (square and a.dtype.kind in "iufc" and np.isfinite(a).all()):
         raise ValueError(f"rho: must be a finite square matrix, got {a.dtype} of shape {a.shape}")
-    return float(_linear_entropy(a[:, :, None])[0])
+    try:  # in float64 or complex128, where an integer square would wrap
+        with np.errstate(over="raise"):
+            return float(_linear_entropy(a.astype(np.result_type(a, float))[:, :, None])[0])
+    except FloatingPointError:
+        raise ValueError("rho: its Tr(rho^2) overflows a float") from None
 
 
 def sigma_z_expectation(s: PureState) -> float:

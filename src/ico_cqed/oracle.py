@@ -8,8 +8,8 @@ propagator must agree to rounding error or one of them is wrong.
 The evolution and the measured control run as one array chain,
 _evolve_branches -> recombine -> condition -> phase, batched over draws:
 the last axis holds one column per draw, and a column does not depend on
-the others.  The draws enter as a draw table (draw_table), one array per
-SystemParams field and one, "t", of the times, as verify's closed-form side
+the others.  The draws enter as a draw table, one array per SystemParams
+field and one, "t", of the times (_COLUMNS), as verify's closed-form side
 also reads them.  Each draw evolves on its own five levels per mode, and
 the rest of the chain runs on the kets it populates, named by (atom, n, m):
 verify's chunks mix draws of any (n, m); evolve, hadamard_control,
@@ -22,9 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from collections.abc import Iterable
 from dataclasses import dataclass, fields
-from itertools import chain
 
 import numpy as np
 
@@ -144,16 +142,6 @@ _COLUMNS = (*(f.name for f in fields(SystemParams)), "t")
 _params_values = operator.attrgetter(*_COLUMNS[:-1])
 
 
-def draw_table(draws: Iterable[tuple[SystemParams, float]]) -> dict[str, np.ndarray]:
-    """N (params, time) draws from any iterable as a draw table: one C-contiguous
-    array of N values per SystemParams field, ints for n and m and floats
-    otherwise, and "t", the times, taken as they are: evolve checks its own."""
-    values = np.fromiter(chain.from_iterable((*_params_values(p), t) for p, t in draws), float)
-    table = dict(zip(_COLUMNS, values.reshape(-1, len(_COLUMNS)).T.copy()))
-    table["n"], table["m"] = table["n"].astype(int), table["m"].astype(int)
-    return table
-
-
 #: Each draw's local window in _evolve_branches: level i of a mode holds occupation
 #: max(k - 2, 0) + i for the mode's photon number k; each edge but occupation 0 is a guard row.
 _LOCAL = TruncationWindow(4)
@@ -234,7 +222,8 @@ def evolve(p: SystemParams, t: float, w: TruncationWindow) -> PureState:
     _check_window(w)
     if w.n_max < top:
         raise ValueError(f"n_max: must be >= max(n, m) + 2 = {top}, got {w.n_max}")
-    kets, branches = _evolve_branches(draw_table([(p, t)]))
+    kets, branches = _evolve_branches(
+        {name: np.array([v]) for name, v in zip(_COLUMNS, (*_params_values(p), t))})
     # one column: its K entries are the kets it populates
     rests = [_atom_field_ket(*ket) for ket in kets[:, :, 0].T.tolist()]
     return _full_state(rests, branches[:, :, 0])
@@ -270,24 +259,10 @@ def phase(amps: np.ndarray, omega, t, excitations: np.ndarray) -> np.ndarray:
     """(..., K, N) amplitudes times exp(-i*omega*t*(excitations - 1/2)), pruned:
     column c at frequency omega[c] and time t[c] on every leading index,
     excitations holding each entry's atom excitation plus photon number, an
-    integer >= 0, as a (K, N) array or, one per row, a (K, 1) array.  A
-    non-finite omega, t, omega * t or omega * t * (excitations - 1/2) raises
-    ValueError, each column checked against its own excitations."""
-    # each column's largest |excitations - 1/2|: omega * t * top rounds as the
-    # largest entry of the column's argument, so it overflows exactly when one does
-    top = np.maximum.reduce(excitations, axis=0, initial=1) - 0.5
-    with np.errstate(over="ignore", invalid="ignore"):
-        omega_t = np.multiply(omega, t, dtype=float)
-        argument = omega_t * top
-    # a non-finite factor leaves each later product non-finite, so the last
-    # is finite exactly when all four are
-    if not np.isfinite(argument).all():
-        checked = np.broadcast_arrays(np.asarray(omega, dtype=float), np.asarray(t, dtype=float),
-                                      omega_t, argument)
-        column, field = np.argwhere(~np.isfinite(checked).T)[0]  # the first column, then field
-        name = ("omega", "t", "omega * t", "omega * t * (excitations - 1/2)")[field]
-        raise ValueError(f"{name}: must be finite, got {float(checked[field][column])}")
-    factor = np.exp(-1j * omega_t * (excitations - 0.5))
+    integer >= 0, as a (K, N) array or, one per row, a (K, 1) array.  Nothing
+    is checked: the callers bound omega * t * (excitations - 1/2), verify by
+    its draws and schrodinger_phase by its own check."""
+    factor = np.exp(-1j * np.multiply(omega, t, dtype=float) * (excitations - 0.5))
     # The product written out rounds as Python's complex product does;
     # numpy's complex multiply may fuse the multiply-adds.
     phased = np.empty_like(amps)
@@ -353,14 +328,22 @@ def measure_control(s: PureState, j: int) -> tuple[PureState, float]:
 
 
 def schrodinger_phase(s: PureState, omega: float, t: float) -> PureState:
-    """phase, for finite reals omega and t, on an atom-field state;
-    norm-preserving."""
+    """phase on an atom-field state; norm-preserving.  omega and t must be
+    finite reals, as must omega * t and omega * t * (N - 1/2), N the most
+    excitations of a nonzero ket, and at least 1; else a ValueError names the field."""
     omega, t = check_real(omega, "omega"), check_real(t, "t")
     check_state(s, (AtomFieldKet, None), "schrodinger_phase requires an atom-field state")
     # the arrays measure_control kept, or else the stored order (phase is elementwise);
-    # a kept zero counts 0 excitations, so phase checks the nonzero kets alone
+    # a kept zero counts 0 excitations, so only the nonzero kets bound the argument
     kets, amps = s._arrays or (list(s._amps),
                                np.array(list(s._amps.values()), dtype=complex)[:, None])
     excitations = [1 - k.atom + k.n + k.m if a else 0 for k, a in zip(kets, amps[:, 0].tolist())]
+    # phase's largest argument, rounded as phase rounds it: finite exactly when every one is
+    omega_t = omega * t
+    if not math.isfinite(omega_t):
+        raise ValueError(f"omega * t: must be finite, got {omega_t}")
+    argument = omega_t * (max([1, *excitations]) - 0.5)
+    if not math.isfinite(argument):
+        raise ValueError(f"omega * t * (excitations - 1/2): must be finite, got {argument}")
     phased = phase(amps, (omega,), (t,), np.array(excitations)[:, None])
     return pruned_state(kets, phased[:, 0].tolist())

@@ -219,14 +219,17 @@ class PureState:
                         f"mixed ket flavors {flavor.__name__} and {type(ket).__name__}"
                     )
                 flavor = type(ket)
-            amp = complex(raw)
-            # abs is inf or NaN exactly when a part is (it raises OverflowError
-            # rather than round a finite amplitude up to inf), and NaN is never pruned
+            if isinstance(raw, (str, bytes, bool, np.bool_)):  # complex() would take them
+                raise TypeError(f"amplitude {raw!r} on {ket!r}: must be a number")
+            # complex raises OverflowError for an int beyond float range, and abs rather
+            # than round a finite amplitude up to inf; abs is inf or NaN exactly when a
+            # part is, and NaN is never pruned
             try:
+                amp = complex(raw)
                 size = abs(amp)
             except OverflowError:
-                raise ValueError(
-                    f"amplitude {amp!r} on {ket!r}: its magnitude overflows a float") from None
+                raise ValueError(f"amplitude {_shown(raw)} on {ket!r}: its magnitude overflows "
+                                 "a float") from None
             if size < PRUNE_EPSILON:
                 continue
             if not size < math.inf:

@@ -4,14 +4,15 @@ norm), the scalar references the closed-form kernel
 (engine.grid_amplitudes) is checked against, the balanced-control
 formulas built on the slot amplitudes (the order overlap, P(j) and the
 conditional inversion) and the ket-by-ket dict reference for the
-oracle's recombine -> condition -> phase chain, the full-window
-evolution the oracle's local windows are checked against, the README's
-recipe of verify's draws, and the seeded sweep configs whose CLI output
-tests/data/sweep_sha256.json pins."""
+oracle's recombine -> condition -> phase chain, the N-draw table builder
+(draw_table), the full-window evolution the oracle's local windows are
+checked against, the README's recipe of verify's draws, and the seeded
+sweep configs whose CLI output tests/data/sweep_sha256.json pins."""
 
 import cmath
 import math
 import re
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from ico_cqed import (
     coeffs_s,
 )
 from ico_cqed import oracle
+from ico_cqed.oracle import _COLUMNS, _params_values
 from ico_cqed.sweep import SCENARIOS
 from ico_cqed.states import check_outcome, prune_amplitudes
 
@@ -68,6 +70,16 @@ def window_groups(draws):
     for p, t in draws:
         groups.setdefault(TruncationWindow.for_params(p), []).append((p, t))
     return groups.items()
+
+
+def draw_table(draws):
+    """N (params, time) draws from any iterable as a draw table: one C-contiguous
+    array of N values per SystemParams field, ints for n and m and floats
+    otherwise, and "t", the times, taken as they are: evolve checks its own."""
+    values = np.fromiter(chain.from_iterable((*_params_values(p), t) for p, t in draws), float)
+    table = dict(zip(_COLUMNS, values.reshape(-1, len(_COLUMNS)).T.copy()))
+    table["n"], table["m"] = table["n"].astype(int), table["m"].astype(int)
+    return table
 
 
 def grid_table(t, **columns):

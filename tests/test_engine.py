@@ -264,7 +264,7 @@ def test_state_after_both_swap_symmetry(rng):
 def test_state_after_both_refuses_an_order_that_is_not_a_cavity_order(order):
     # the scenario name an order carries as its value is not an order
     p = params(math.pi / 2)
-    message = f"^order must be a CavityOrder, got {re.escape(repr(order))}$"
+    message = f"^order: must be a CavityOrder, got {re.escape(repr(order))}$"
     with pytest.raises(TypeError, match=message):
         state_after_both(order, p, p.T)
 

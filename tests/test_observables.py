@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -385,6 +386,27 @@ def test_linear_entropy_values():
     third = np.diag([1 / 3] * 3)
     assert abs(linear_entropy(third) - 2 / 3) < 1e-15
     assert linear_entropy([[1]]) == 0.0
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [[[1e200]], np.diag([1e154, 1e154]), [[1e308 + 1e308j]]],
+    ids=["square", "sum", "magnitude"],
+)
+def test_linear_entropy_refuses_a_purity_that_overflows(rho):
+    # a square, the sum of two finite squares, or a complex magnitude
+    # overflows a float: refused, with no warning, where 0.0 came back
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^rho: its Tr\(rho\^2\) overflows a float$"):
+            linear_entropy(rho)
+
+
+def test_linear_entropy_squares_integers_in_floats():
+    # 2**32 squared wraps to 0 in int64, and two squares of 2**31 sum to
+    # -2**63: each purity is about 1.8e19, so the entropy clamps to 0
+    assert linear_entropy([[2**32]]) == 0.0
+    assert linear_entropy(np.diag([2**31, 2**31])) == 0.0
 
 
 def test_entropy_report_bounds():

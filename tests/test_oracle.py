@@ -24,12 +24,13 @@ from ico_cqed import (
     schrodinger_phase,
     state_after_both,
 )
-from ico_cqed import oracle
-from ico_cqed.oracle import MAX_N_MAX, _evolve_branches, draw_table
+from ico_cqed import oracle, verify
+from ico_cqed.oracle import MAX_N_MAX, _evolve_branches
 from ico_cqed.verify import random_params
 from helpers import (
     E,
     G,
+    draw_table,
     excitation_distribution,
     full_window_branches,
     grid_table,
@@ -328,17 +329,6 @@ def test_draw_table_holds_every_field_and_the_time(rng):
     assert table["n"].dtype == table["m"].dtype == int
     assert all(column.dtype == float for name, column in table.items() if name not in ("n", "m"))
     assert all(column.flags.c_contiguous and len(column) == 5 for column in table.values())
-
-
-def test_draw_table_of_a_generator_equals_that_of_a_list(rng):
-    # the table reads its draws as they come, with no list of its own
-    draws = [(p, p.T1 + 0.25) for p in (random_params(rng) for _ in range(70))]
-    listed, streamed = draw_table(draws), draw_table(draw for draw in draws)
-    assert streamed.keys() == listed.keys()
-    for name, column in listed.items():
-        assert streamed[name].dtype == column.dtype, name
-        assert streamed[name].tobytes() == column.tobytes(), name
-    assert all(len(column) == 0 for column in draw_table(iter(())).values())
 
 
 def test_grid_table_equals_the_draw_table_of_its_params():
@@ -647,75 +637,48 @@ def test_schrodinger_phase_rejects_non_finite_phase(omega, t, field):
         schrodinger_phase(st, omega, t)
 
 
-def test_phase_refuses_an_overflowing_angle():
+def test_schrodinger_phase_refuses_an_overflowing_angle():
     # omega and t are finite, their product is not
     for state in (PureState({AtomFieldKet(E, 0, 0): 1.0}), PureState()):
         with pytest.raises(ValueError, match=r"^omega \* t: must be finite, got inf"):
             schrodinger_phase(state, 1e308, 10.0)
     with pytest.raises(ValueError, match=r"^omega \* t: must be finite, got -inf"):
-        oracle.phase(np.ones((1, 1), dtype=complex), (-1e308,), (10.0,), np.array([1]))
+        schrodinger_phase(PureState({AtomFieldKet(G, 2, 0): 1.0}), -1e308, 10.0)
 
 
-def test_phase_refuses_an_overflowing_phase_argument():
-    # omega * t is finite, omega * t * (excitations - 1/2) is not
+def test_schrodinger_phase_refuses_an_overflowing_phase_argument():
+    # omega * t is finite, omega * t * (excitations - 1/2) is not: three
+    # excitations, 2.5 * 1e308, overflow, -0.5 * 1e308 at none does not
     argument = r"^omega \* t \* \(excitations - 1/2\): must be finite, got "
     with pytest.raises(ValueError, match=argument + "inf"):
-        oracle.phase(np.ones((1, 1), dtype=complex), (1e308,), (1.0,), np.array([3]))
-    # one overflowing column refuses the batch; the others alone are fine
-    amps = np.ones((2, 3), dtype=complex)
-    omega, t = (1.0, -1e308, 2.0), (1.0, 1.0, 1.0)
-    with pytest.raises(ValueError, match=argument + "-inf"):
-        oracle.phase(amps, omega, t, np.array([[0], [3]]))
-    assert np.isfinite(oracle.phase(amps[:, ::2], omega[::2], t[::2], np.array([[0], [3]]))).all()
-    # three excitations: 2.5 * 1e308 overflows, -0.5 * 1e308 at none does not
-    with pytest.raises(ValueError, match=argument + "inf"):
         schrodinger_phase(PureState({AtomFieldKet(E, 1, 1): 1.0}), 1e308, 1.0)
+    with pytest.raises(ValueError, match=argument + "-inf"):
+        schrodinger_phase(PureState({AtomFieldKet(G, 0, 0): 0.6, AtomFieldKet(G, 2, 1): 0.8}),
+                          -1e308, 1.0)
     ground = PureState({AtomFieldKet(G, 0, 0): 1.0})
     phased = schrodinger_phase(ground, 1e308, 1.0).amplitude(AtomFieldKet(G, 0, 0))
     assert abs(phased) == pytest.approx(1.0, abs=1e-15)
 
 
-def test_phase_names_the_first_failing_column_and_its_first_field():
-    # a NaN omega in column 3 of 5 and an overflowing omega * t in another:
-    # the error names the field that fails first in the first failing column
-    amps = np.ones((2, 5), dtype=complex)
-    excitations = np.array([[0], [3]])
-    omega, t = [1.0, 2.0, 0.5, math.nan, 1.5], [1.0] * 5
-    for column, message in ((1, r"omega \* t: must be finite, got inf"),
-                            (4, "omega: must be finite, got nan")):
-        t_over = list(t)
-        t_over[column] = 1e308
-        omega_over = list(omega)
-        omega_over[column] = 10.0
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            oracle.phase(amps, omega_over, t_over, excitations)
-    # the same per column: omega before t before their products
-    with pytest.raises(ValueError, match="^t: must be finite, got nan$"):
-        oracle.phase(amps[:, :1], [1e308], [math.nan], excitations)
-
-
-def test_phase_checks_each_column_against_its_own_excitations():
-    # column 1's 60 excitations used to refuse column 0, whose own argument,
-    # 1e307 * (1 - 1/2), is finite
+def test_phase_of_columns_equals_a_call_per_column():
+    # each column is phased with its own omega, t and excitations: 60
+    # excitations in column 1 move no bit of column 0, and excitations one
+    # per row are every column's
     amps = np.ones((2, 2), dtype=complex)
     omega, t, excitations = [1e307, 1.0], [1.0, 1.0], np.array([[1, 1], [1, 60]])
     both = oracle.phase(amps, omega, t, excitations)
     for c in (0, 1):
         alone = oracle.phase(amps[:, c:c + 1], omega[c:c + 1], t[c:c + 1], excitations[:, c:c + 1])
         assert np.ascontiguousarray(both[:, c:c + 1]).tobytes() == alone.tobytes()
-    # a column that overflows is refused with its own argument: -1e307 * 59.5
-    argument = r"^omega \* t \* \(excitations - 1/2\): must be finite, got "
-    with pytest.raises(ValueError, match=argument + "-inf$"):
-        oracle.phase(amps, [1e307, -1e307], t, excitations)
-    # excitations one per row are every column's
-    with pytest.raises(ValueError, match=argument + "inf$"):
-        oracle.phase(amps, omega, t, excitations[:, 1:])
+    amps, omega, t = np.ones((2, 3), dtype=complex), (1.0, -1e307, 2.0), (1.0, 1.0, 1.0)
+    per_row = oracle.phase(amps, omega, t, np.array([[0], [3]]))
+    per_entry = oracle.phase(amps, omega, t, np.array([[0, 0, 0], [3, 3, 3]]))
+    assert np.isfinite(per_row).all() and per_row.tobytes() == per_entry.tobytes()
 
 
 def test_phase_over_leading_axes_equals_a_call_per_leading_index():
     # (2, K, N) amplitudes phase as two (K, N) calls, bit for bit, with
-    # excitations per entry or per row, and a non-finite factor is refused
-    # with the error each call gives
+    # excitations per entry or per row
     rng = np.random.default_rng(24)
     amps = rng.normal(size=(2, 6, 5)) + 1j * rng.normal(size=(2, 6, 5))
     amps[0, 2, 1] = amps[1, 0, 4] = 1e-17  # pruned
@@ -725,13 +688,28 @@ def test_phase_over_leading_axes_equals_a_call_per_leading_index():
         both = oracle.phase(amps, omega, t, per)
         assert both.shape == amps.shape and not both[0, 2, 1] and not both[1, 0, 4]
         assert both.tobytes() == np.array([oracle.phase(a, omega, t, per) for a in amps]).tobytes()
-    for column, value, message in ((3, (math.nan, 1.0), "omega: must be finite, got nan"),
-                                   (1, (10.0, 1e308), r"omega \* t: must be finite, got inf")):
-        omega_bad, t_bad = omega.copy(), t.copy()
-        omega_bad[column], t_bad[column] = value
-        for a in (amps, *amps):
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                oracle.phase(a, omega_bad, t_bad, excitations)
+
+
+def test_verify_bounds_the_phase_argument():
+    # phase checks nothing, as verify's draws bound its argument: omega below
+    # 3, t = T0 + 2T + two gaps below 2 each with T = gT / g, and each mode of
+    # a ket on its draw's local window at most k + 2 for k <= 4 photons
+    high = verify._LOW + verify._SPAN
+    omega, gT, T0, g = high[3], high[1], high[2], verify._LOW[0]
+    t = T0 + 2 * (gT / g) + 2.0 + 2.0
+    k = 4  # verify draws n and m as int(5 * u) with u < 1
+    top = k - min(k, 2) + oracle._LOCAL.n_max  # a mode's largest local occupation
+    assert top == k + 2
+    bound = omega * t * (1 + 2 * top - 0.5)
+    assert bound < 2000
+    # and the draws of a run stay within it, kets and padding included
+    table = verify._draw_table(3, 200)
+    assert table["n"].max() <= k and table["m"].max() <= k
+    assert (table["omega"] < omega).all() and (table["t"] < t).all()
+    kets, _ = _evolve_branches(table)
+    excitations = 1 - kets[0] + kets[1] + kets[2]
+    assert excitations.max() <= 1 + 2 * top
+    assert (table["omega"] * table["t"] * (excitations - 0.5)).max() < bound
 
 
 # ---------------------------------------------------------------- stored order and ket caches

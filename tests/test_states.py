@@ -3,6 +3,7 @@ import dataclasses
 import math
 import pickle
 
+import numpy as np
 import pytest
 
 from ico_cqed import (
@@ -160,6 +161,17 @@ def refusal(amplitudes) -> BaseException:
     ({AtomFieldKet(E, 0, 0): 1e154, AtomFieldKet(G, 1, 2): 1e154}, ValueError, NORM_OVERFLOWS),
     ({AtomFieldKet(E, 0, 0): 1e200, AtomFieldKet(G, 1, 2): complex("nan")}, ValueError,
      f"non-finite amplitude (nan+0j) on {G12}"),
+    # complex() parses a string and reads a bool as an int: neither is an amplitude
+    ({AtomFieldKet(E, 0, 0): "0.6+0.8j"}, TypeError,
+     f"amplitude '0.6+0.8j' on {E00}: must be a number"),
+    ({AtomFieldKet(E, 0, 0): 1.0, AtomFieldKet(G, 1, 2): True}, TypeError,
+     f"amplitude True on {G12}: must be a number"),
+    ({AtomFieldKet(E, 0, 0): np.False_}, TypeError,
+     f"amplitude np.False_ on {E00}: must be a number"),
+    ({AtomFieldKet(E, 0, 0): b"1"}, TypeError, f"amplitude b'1' on {E00}: must be a number"),
+    # an int beyond float range, refused as a complex magnitude that overflows
+    ({AtomFieldKet(E, 0, 0): 0.5, AtomFieldKet(G, 1, 2): -(10**400)}, ValueError,
+     f"amplitude a 1329-bit integer on {G12}: its magnitude overflows a float"),
 ])
 def test_pure_state_refusals_keep_their_type_text_and_precedence(amplitudes, error, text):
     err = refusal(amplitudes)

@@ -2,6 +2,9 @@ import errno
 import hashlib
 import json
 import math
+import os
+import stat
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -658,6 +661,56 @@ def test_cli_a_csv_write_that_fails_part_way_leaves_the_earlier_pair(tmp_path, c
     assert captured.err.startswith(f"ico-cqed: out: cannot write {out} ([Errno 28] ")
     assert captured.err.count("\n") == 1
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == earlier
+
+
+@pytest.mark.parametrize("command", ["sweep", "figure"])
+def test_cli_out_help_names_the_sidecar(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert "a <out>.meta.json sidecar" in " ".join(capsys.readouterr().out.split())
+
+
+def test_cli_out_through_a_symlink_replaces_its_target(tmp_path):
+    # the link stays a link, to the new CSV; the sidecar is named by the link
+    (tmp_path / "real").mkdir()
+    target, link = tmp_path / "real" / "target.csv", tmp_path / "link.csv"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    assert main(["figure", "fig2a", "--out", str(link)]) == 0
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_text() == figure_table("fig2a").to_csv()
+    assert json.loads((tmp_path / "link.csv.meta.json").read_text()) == figure_meta("fig2a")
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "link.csv", "link.csv.meta.json", "real"]
+    assert [path.name for path in target.parent.iterdir()] == ["target.csv"]
+
+
+def test_cli_out_into_a_fifo_writes_through_it(tmp_path):
+    # a reader waiting on a FIFO gets the whole CSV, and the FIFO stays one
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    spare = tmp_path / "spare"  # a second name, to release a reader no writer opens
+    os.link(fifo, spare)
+    received = []
+
+    def read():
+        with open(fifo, "rb") as stream:
+            received.append(stream.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    try:
+        assert main(["figure", "fig2a", "--out", str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+    finally:
+        if reader.is_alive():
+            os.close(os.open(spare, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=10)
+    assert received == [figure_table("fig2a").to_csv().encode()]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert json.loads((tmp_path / "pipe.csv.meta.json").read_text()) == figure_meta("fig2a")
 
 
 def test_cli_sweep_refuses_a_config_that_is_not_an_object(tmp_path, capsys):

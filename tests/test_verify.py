@@ -32,7 +32,7 @@ from ico_cqed import (
 from ico_cqed import oracle, verify
 from ico_cqed.cli import main
 from ico_cqed.engine import OFFSETS, reachable_kets
-from ico_cqed.oracle import _evolve_branches, condition, draw_table, phase, recombine
+from ico_cqed.oracle import _evolve_branches, condition, phase, recombine
 from ico_cqed.verify import (
     MAX_DRAWS,
     _amplitude_deviation,
@@ -44,6 +44,7 @@ from ico_cqed.verify import (
 from helpers import (
     E,
     G,
+    draw_table,
     full_window_branches,
     leaky_rotate,
     max_amp_diff,
