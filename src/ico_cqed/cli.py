@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -27,6 +28,9 @@ from .sweep import (
     sweep_meta,
 )
 from .verify import MAX_DRAWS, run_verification
+
+#: A process's open file: /proc/<pid>/fd/N (or of a task of it) or /dev/fd/N.
+_OPEN_FILE = re.compile(r"/(proc/[^/]+(/task/[^/]+)?|dev)/fd/[^/]+")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,7 +69,7 @@ def build_parser() -> _Parser:
     for command in (sweep_p, figure_p):
         command.add_argument("--out", type=Path, help="CSV output path (stdout if omitted); "
                              "a <out>.meta.json sidecar with the resolved config is written "
-                             "next to it")
+                             "next to it, but none for an open stream (/dev/stdout, say)")
 
     verify_p = sub.add_parser(
         "verify", help="compare the closed forms against the matrix propagator"
@@ -78,22 +82,36 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _open_file(path: Path) -> bool:
+    """Whether path, or a link it runs through, names an open file of a process."""
+    name = os.path.abspath(path)
+    for _ in range(40):  # the kernel follows at most 40 links in a path
+        name = os.path.join(os.path.realpath(os.path.dirname(name)), os.path.basename(name))
+        if (opened := _OPEN_FILE.fullmatch(name)) or not os.path.islink(name):
+            return opened is not None
+        name = os.path.join(os.path.dirname(name), os.readlink(name))
+    return False
+
+
 def _emit(table: Table, meta: dict, out: Path | None) -> None:
     csv_text = table.to_csv()
     if out is None:
         sys.stdout.write(csv_text)
         return
-    # A path that exists but is no regular file (a FIFO, a device) is written
-    # straight into, never replaced or removed.  Any other file goes first to a
-    # sibling of its real path named by the process id (no one else's file), and
-    # into place once all are written: a failed write keeps an earlier run's
-    # pair, and a symlink stays a link, to the new file.
-    files = {out: csv_text, Path(f"{out}.meta.json"): meta_json(meta)}
+    # An open stream (--out /dev/stdout, say) is appended to, as by >>, with no
+    # sidecar, and a path that exists but is no regular file (a FIFO, a device)
+    # is written straight into: neither is truncated, replaced or removed.  Any
+    # other file goes first to a sibling of its real path named by the process
+    # id (no one else's file), and into place once all are written: a failed
+    # write keeps an earlier run's pair, and a symlink stays a link, to the new file.
+    stream = _open_file(out)
+    files = {out: csv_text, **({} if stream else {Path(f"{out}.meta.json"): meta_json(meta)})}
     moves, placed = [], []
     try:
         for path, text in files.items():
-            if not path.is_file() and path.exists():
-                path.write_text(text)
+            if stream or not path.is_file() and path.exists():
+                with open(path, "a") as file:
+                    file.write(text)
                 continue
             real = Path(os.path.realpath(path)) if path.is_symlink() else path
             temp = Path(f"{real}.{os.getpid()}.tmp")

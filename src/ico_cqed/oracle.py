@@ -89,17 +89,13 @@ def _check_window(w) -> None:
         raise TypeError(f"w: must be a TruncationWindow, got {w!r}")
 
 
-def _rotate(x: np.ndarray, cavity: int, t, g, base, w: TruncationWindow) -> np.ndarray:
+def _rotate(x: np.ndarray, cavity: int, diag, off, w: TruncationWindow) -> np.ndarray:
     """exp(-i t H_int) of one cavity applied in place to each column of
     ``x``, a C-contiguous (atom_field_dim, N) array, as the doublet
-    rotations described in jc_propagator; returns x.  t, g and base are
-    arrays of N values, column c rotating for time t[c] at coupling g[c] with
-    level i of the active mode at occupation base[c] + i, or one shared value."""
+    rotations described in jc_propagator; returns x.  diag and off are the
+    complex cos and -i sin of (n_max, 1, N) angles, or of (n_max, 1, 1) ones
+    shared by every column: doublet i of column c rotates by angle [i, 0, c]."""
     k = w.n_max
-    # angles (n_max, 1, len(t)), each (g * sqrt(base+i+1)) * t for doublet i
-    angles = (np.sqrt(np.arange(1.0, k + 1)[:, None, None] + base) * g) * t
-    diag = np.cos(angles).astype(complex)
-    off = -1j * np.sin(angles)
     # x as (atom, active mode, spectator mode, N): the doublet i pairs |e>
     # at level i of the active mode with |g> at level i+1.
     x4 = x.reshape(2, w.levels, w.levels, -1)
@@ -113,11 +109,11 @@ def _rotate(x: np.ndarray, cavity: int, t, g, base, w: TruncationWindow) -> np.n
     # (e, g) -> (diag * e + off * g, off * e + diag * g), each product with
     # its operands in this order and each sum of two rounded as written;
     # the bottom |g> and the top |e> level stay put
-    rotated = diag * excited
-    rotated += off * ground
+    from_ground, from_excited = off * ground, off * excited
+    np.multiply(diag, excited, out=excited)
+    excited += from_ground
     np.multiply(diag, ground, out=ground)
-    ground += off * excited
-    excited[...] = rotated
+    ground += from_excited
     return x
 
 
@@ -134,7 +130,9 @@ def jc_propagator(cavity: int, t: float, g: float, w: TruncationWindow) -> np.nd
     _check_window(w)
     if not math.isfinite(math.sqrt(w.n_max) * g * t):  # the largest angle
         raise ValueError(f"g*t: must be finite, as must g*sqrt(n_max)*t, got g={g}, t={t}")
-    return _rotate(np.eye(w.atom_field_dim, dtype=complex), cavity, t, g, 0, w)
+    angles = (np.sqrt(np.arange(1.0, w.levels))[:, None, None] * g) * t  # (g*sqrt(i+1))*t
+    return _rotate(np.eye(w.atom_field_dim, dtype=complex), cavity,
+                   np.cos(angles).astype(complex), -1j * np.sin(angles), w)
 
 
 #: The columns of a draw table: the SystemParams fields, then the time t.
@@ -146,9 +144,12 @@ _params_values = operator.attrgetter(*_COLUMNS[:-1])
 #: max(k - 2, 0) + i for the mode's photon number k; each edge but occupation 0 is a guard row.
 _LOCAL = TruncationWindow(4)
 _levels = np.indices((_LOCAL.levels, _LOCAL.levels, 3, 3))
-#: [a, b, i, j]: how far the ket at local levels (a, b) lies from a draw whose n and
-#: m sit at levels (i, j), the larger of its modes' distances; 2 and up is a guard row.
-_DISTANCE = abs(_levels[:2] - _levels[2:]).max(axis=0)
+#: [a, b, i, j]: whether the ket at local levels (a, b) is a guard row of a draw whose
+#: n and m sit at levels (i, j), one of its modes 2 or more levels from the draw's.
+_GUARD = abs(_levels[:2] - _levels[2:]).max(axis=0) >= 2
+_KETS = np.indices((2, _LOCAL.levels, _LOCAL.levels)).reshape(3, -1)  # (atom, i, j) of each row
+_HALVES = np.arange(2)[:, None]  # the halves of _evolve_branches' doubled batch
+_DOUBLETS = np.arange(1.0, _LOCAL.levels)[:, None, None]  # i + 1 for each doublet i
 
 
 def _evolve_branches(table: dict[str, np.ndarray]) -> tuple:
@@ -158,55 +159,64 @@ def _evolve_branches(table: dict[str, np.ndarray]) -> tuple:
     included and amplitudes below PRUNE_EPSILON zeroed.  K is the most any
     column populates; a column holds the kets it populates in either branch,
     in AtomFieldKet order, then, if it has fewer, distinct kets it leaves at
-    exactly 0.  The draws may differ in (n, m).  Each draw evolves on its
-    own local window (_LOCAL) and gets evolve's errors on its own guard rows,
-    refusing any population of a mode at k + 2 and up or k - 2 and down for
-    its photon number k; a column does not depend on the others."""
-    photons = np.array([table["n"], table["m"]])
-    # cos(a) and exp(i phi) sin(a), rounded as cmath.exp(1j * phi) * math.sin(a),
-    # for the atom's preparation (xi, chi) and the control's (theta, varphi)
-    angle, phi = np.array([(table["xi"], table["theta"]), (table["chi"], table["varphi"])])
-    cos, polar = np.cos(angle), (np.cos(phi) + 1j * np.sin(phi)) * np.sin(angle)
-    size, levels = photons.shape[1], _LOCAL.levels
+    exactly 0.  The draws may differ in (n, m), ints or whole floats.  Each
+    draw evolves on its own local window (_LOCAL) and gets evolve's errors on
+    its own guard rows, refusing any population of a mode at k + 2 and up or
+    k - 2 and down for its photon number k; a column does not depend on the
+    others."""
+    photons = np.array([table["n"], table["m"]], dtype=int)
+    size, levels, k = photons.shape[1], _LOCAL.levels, _LOCAL.n_max
     # each mode's photon number k sits at local level min(k, 2), above base k - level
     level = np.minimum(photons, 2)
     base = photons - level
-    # The control-1 branch, cavity 1 first, is the control-0 branch of the
-    # preparation with the two modes exchanged.  So both branches run as 2N
-    # columns through cavity 0 and then cavity 1, and the modes of the last
-    # N are exchanged back: two rotations per batch, not four.
-    vec = np.zeros((_LOCAL.atom_field_dim, 2 * size), dtype=complex)
-    # |e, n, m> and |g, n, m> of each column on the (atom, mode 0, mode 1,
-    # column) view, the last N with the modes, and so the bases, exchanged
-    view, columns = vec.reshape(2, levels, levels, 2 * size), np.arange(size)
-    view[:, level[0], level[1], columns] = view[:, level[1], level[0], columns + size] = (
-        cos[0], polar[0])
     # T1 >= T0 + T, so the second transit starts after the first has ended;
     # before, between and after the transits a rotation by 0 is the identity.
-    # Both halves share each draw's times and coupling.
-    schedule = [table[name] for name in ("t", "T0", "T1", "T", "g")]
-    t, entry0, entry1, transit, g, base0, base1 = np.concatenate(
-        ((*schedule, *base), (*schedule, *base[::-1])), axis=1)
-    vec = _rotate(vec, 0, np.minimum(np.maximum(t - entry0, 0.0), transit), g, base0, _LOCAL)
-    vec = _rotate(vec, 1, np.minimum(np.maximum(t - entry1, 0.0), transit), g, base1, _LOCAL)
+    entries = np.array([table["T0"], table["T1"]])
+    durations = np.minimum(np.maximum(table["t"] - entries, 0.0), table["T"])
+    # The control-1 branch, cavity 1 first, is the control-0 branch of the
+    # preparation with the modes exchanged: both run, as the halves of 2N
+    # columns, through cavity 0 then cavity 1 (two rotations, not four), and
+    # the second half's modes are exchanged back.  One trig pass takes xi,
+    # theta, chi and varphi, then the angles [cavity, i, half, column], each
+    # (g * sqrt(base + i + 1)) * duration, the bases exchanged in half 1.
+    rates = np.sqrt(_DOUBLETS + base) * table["g"]
+    angles = np.concatenate(([table[name] for name in ("xi", "theta", "chi", "varphi")],
+                             (rates * durations[0]).reshape(-1, size),
+                             (rates[:, ::-1] * durations[1]).reshape(-1, size)))
+    cosines, sines = np.cos(angles), np.sin(angles)
+    # cos(a) and exp(i phi) sin(a), rounded as cmath.exp(1j * phi) * math.sin(a),
+    # for the atom's preparation (xi, chi) and the control's (theta, varphi)
+    cos, polar = cosines[:2], np.empty((2, size), dtype=complex)
+    np.multiply(cosines[2:4], sines[:2], out=polar.real)
+    np.multiply(sines[2:4], sines[:2], out=polar.imag)
+    diag = cosines[4:].astype(complex).reshape(2, k, 1, 2 * size)
+    off = (-1j * sines[4:]).reshape(2, k, 1, 2 * size)
+    # |e, n, m> and |g, n, m> of each column on the (atom, mode 0, mode 1,
+    # half, column) view, the second half with the modes exchanged
+    vec = np.zeros((_LOCAL.atom_field_dim, 2 * size), dtype=complex)
+    columns = np.arange(size)
+    vec.reshape(2, levels, levels, 2, size)[:, level, level[::-1], _HALVES, columns] = (
+        np.array((cos[0], polar[0]))[:, None])
+    vec = _rotate(vec, 0, diag[0], off[0], _LOCAL)
+    vec = _rotate(vec, 1, diag[1], off[1], _LOCAL)
     exchanged = vec[:, size:].reshape(2, levels, levels, size).swapaxes(1, 2)
     branches = np.empty((2, _LOCAL.atom_field_dim, size), dtype=complex)
     np.multiply(cos[1], vec[:, :size], out=branches[0])
     np.multiply(polar[1], exchanged, out=branches[1].reshape(exchanged.shape))
     del vec, exchanged  # the doubled batch is not needed for the guard check
     prune_amplitudes(branches)
-    guard = _DISTANCE[:, :, level[0], level[1]] >= 2
-    populated = branches.any(axis=0).reshape(2, levels, levels, size)
-    if (populated & guard).any():
-        population = (branches.real ** 2 + branches.imag ** 2).sum(axis=0).reshape(populated.shape)
-        leak = (population * guard).sum(axis=(0, 1, 2))
+    populated = branches.any(axis=0)
+    guard = _GUARD[:, :, level[0], level[1]]
+    if populated.reshape(2, levels, levels, size).any(where=guard):
+        population = (branches.real ** 2 + branches.imag ** 2).sum(axis=0)
+        leak = (population.reshape(2, levels, levels, size) * guard).sum(axis=(0, 1, 2))
         raise TruncationOverflowError(f"guard-row population {leak[leak > 0][0]:.3e}")
     # A stable sort puts each column's populated kets first, in AtomFieldKet
     # order, and then the rest.
-    order = np.argsort(~populated.reshape(-1, size), axis=0, kind="stable")
-    order = order[: populated.sum(axis=(0, 1, 2)).max()]
-    atom, i, j = np.unravel_index(order, populated.shape[:3])
-    return np.array((atom, base[0] + i, base[1] + j)), branches[:, order, columns]
+    order = np.argsort(~populated, axis=0, kind="stable")[: populated.sum(axis=0).max()]
+    kets = _KETS[:, order]
+    kets[1:] += base[:, None]
+    return kets, branches[:, order, columns]
 
 
 def evolve(p: SystemParams, t: float, w: TruncationWindow) -> PureState:
@@ -222,9 +232,9 @@ def evolve(p: SystemParams, t: float, w: TruncationWindow) -> PureState:
     _check_window(w)
     if w.n_max < top:
         raise ValueError(f"n_max: must be >= max(n, m) + 2 = {top}, got {w.n_max}")
+    # a one-column table, n and m as whole floats; its K entries are the kets it populates
     kets, branches = _evolve_branches(
-        {name: np.array([v]) for name, v in zip(_COLUMNS, (*_params_values(p), t))})
-    # one column: its K entries are the kets it populates
+        dict(zip(_COLUMNS, np.array([*_params_values(p), t])[:, None])))
     rests = [_atom_field_ket(*ket) for ket in kets[:, :, 0].T.tolist()]
     return _full_state(rests, branches[:, :, 0])
 
@@ -233,11 +243,8 @@ def recombine(branches: np.ndarray) -> np.ndarray:
     """Balanced recombination |c> -> (|0> + (-1)^c |1>)/sqrt(2) of (2, K, ...)
     control rows, pruned; row c of the input holds the control-c component,
     row j of the output the outcome-j one.  It is its own inverse."""
-    outcomes = branches * (1.0 / math.sqrt(2.0))
-    second = outcomes[1].copy()
-    np.subtract(outcomes[0], second, out=outcomes[1])
-    outcomes[0] += second
-    return prune_amplitudes(outcomes)
+    first, second = branches * (1.0 / math.sqrt(2.0))
+    return prune_amplitudes(np.array((first + second, first - second)))
 
 
 def condition(rows: np.ndarray, j: int) -> tuple[np.ndarray, list[float]]:
@@ -246,8 +253,7 @@ def condition(rows: np.ndarray, j: int) -> tuple[np.ndarray, list[float]]:
     column whose probability is below MIN_OUTCOME_PROBABILITY is refused and
     comes back as zeros."""
     row = rows[j]
-    flat = row.ravel()
-    population = (flat.real * flat.real + flat.imag * flat.imag).reshape(row.shape).T
+    population = (row.real ** 2 + row.imag ** 2).T
     # fsum rounds the exact sum once, so the order of a column's kets and
     # its zeros cannot change the probability
     probs = [math.fsum(column) for column in population.tolist()]
@@ -255,14 +261,15 @@ def condition(rows: np.ndarray, j: int) -> tuple[np.ndarray, list[float]]:
     return prune_amplitudes(row * scale), probs
 
 
-def phase(amps: np.ndarray, omega, t, excitations: np.ndarray) -> np.ndarray:
-    """(..., K, N) amplitudes times exp(-i*omega*t*(excitations - 1/2)), pruned:
-    column c at frequency omega[c] and time t[c] on every leading index,
-    excitations holding each entry's atom excitation plus photon number, an
-    integer >= 0, as a (K, N) array or, one per row, a (K, 1) array.  Nothing
-    is checked: the callers bound omega * t * (excitations - 1/2), verify by
-    its draws and schrodinger_phase by its own check."""
-    factor = np.exp(-1j * np.multiply(omega, t, dtype=float) * (excitations - 0.5))
+def phase(amps: np.ndarray, omega_t, excitations: np.ndarray) -> np.ndarray:
+    """(..., K, N) amplitudes times exp(-i*omega_t*(excitations - 1/2)), pruned:
+    column c at omega_t[c], the product omega * t of its frequency and time,
+    or all at one float omega_t, on every leading index, excitations holding
+    each entry's atom excitation plus photon number, an integer >= 0, as a
+    (K, N) array or, one per row, a (K, 1) array.  Nothing is checked: the
+    callers bound omega_t * (excitations - 1/2), verify by its draws and
+    schrodinger_phase by its own check."""
+    factor = np.exp(-1j * omega_t * (excitations - 0.5))
     # The product written out rounds as Python's complex product does;
     # numpy's complex multiply may fuse the multiply-adds.
     phased = np.empty_like(amps)
@@ -345,5 +352,5 @@ def schrodinger_phase(s: PureState, omega: float, t: float) -> PureState:
     argument = omega_t * (max([1, *excitations]) - 0.5)
     if not math.isfinite(argument):
         raise ValueError(f"omega * t * (excitations - 1/2): must be finite, got {argument}")
-    phased = phase(amps, (omega,), (t,), np.array(excitations)[:, None])
+    phased = phase(amps, omega_t, np.array(excitations)[:, None])
     return pruned_state(kets, phased[:, 0].tolist())

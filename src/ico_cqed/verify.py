@@ -161,7 +161,7 @@ def _compare(table: dict[str, np.ndarray]) -> tuple:
     analytic, prob_analytic = _closed_forms(table)
     states, probs = zip(*(oracle.condition(outcomes, j) for j in (0, 1)))
     prob_numeric = np.array(probs)
-    numeric = oracle.phase(np.array(states), table["omega"], table["t"],
+    numeric = oracle.phase(np.array(states), table["omega"] * table["t"],
                            1 - kets[0] + kets[1] + kets[2])
     refused = (prob_analytic >= MIN_OUTCOME_PROBABILITY) & (prob_numeric < MIN_OUTCOME_PROBABILITY)
     if refused.any():

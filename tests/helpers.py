@@ -6,8 +6,10 @@ formulas built on the slot amplitudes (the order overlap, P(j) and the
 conditional inversion) and the ket-by-ket dict reference for the
 oracle's recombine -> condition -> phase chain, the N-draw table builder
 (draw_table), the full-window evolution the oracle's local windows are
-checked against, the README's recipe of verify's draws, and the seeded
-sweep configs whose CLI output tests/data/sweep_sha256.json pins."""
+checked against, the README's recipe of verify's draws, the wide draws
+of the bench's oracle_wide workload, the oracle cells that preset and
+boundary sweeps are checked against, and the seeded sweep configs whose
+CLI output tests/data/sweep_sha256.json pins."""
 
 import cmath
 import math
@@ -21,10 +23,13 @@ from ico_cqed import (
     MIN_OUTCOME_PROBABILITY,
     PRUNE_EPSILON,
     AtomFieldKet,
+    AtomicInversion,
     AtomLevel,
     CavityOrder,
+    ControlProbabilityColumn,
     FullKet,
     ImpossiblePostselectionError,
+    KetProbability,
     PureState,
     SystemParams,
     TruncationWindow,
@@ -32,7 +37,7 @@ from ico_cqed import (
     coeffs_s,
 )
 from ico_cqed import oracle
-from ico_cqed.oracle import _COLUMNS, _params_values
+from ico_cqed.oracle import _COLUMNS, _params_values, condition, recombine
 from ico_cqed.sweep import SCENARIOS
 from ico_cqed.states import check_outcome, prune_amplitudes
 
@@ -364,8 +369,10 @@ def full_window_branches(table, w):
     view[:, n, m, columns] = view[:, m, n, columns + size] = cos[0], polar[0]
     schedule = [table[name] for name in ("t", "T0", "T1", "T", "g")]
     t, entry0, entry1, transit, g = np.concatenate((schedule, schedule), axis=1)
-    vec = _ROTATE(vec, 0, np.minimum(np.maximum(t - entry0, 0.0), transit), g, 0, w)
-    vec = _ROTATE(vec, 1, np.minimum(np.maximum(t - entry1, 0.0), transit), g, 0, w)
+    rates = np.sqrt(np.arange(1.0, w.levels))[:, None, None] * g
+    for cavity, entry in enumerate((entry0, entry1)):
+        angles = rates * np.minimum(np.maximum(t - entry, 0.0), transit)
+        vec = _ROTATE(vec, cavity, np.cos(angles).astype(complex), -1j * np.sin(angles), w)
     exchanged = vec[:, size:].reshape(2, w.levels, w.levels, size).swapaxes(1, 2)
     branches = np.empty((2, w.atom_field_dim, size), dtype=complex)
     np.multiply(cos[1], vec[:, :size], out=branches[0])
@@ -397,8 +404,8 @@ def leaky_rotate(table, leaks):
     size = len(table["n"])
     base = np.maximum(np.array([table["n"], table["m"]]) - 2, 0)
 
-    def leaky(x, cavity, t, g, b, w):
-        out = _ROTATE(x, cavity, t, g, b, w)
+    def leaky(x, cavity, diag, off, w):
+        out = _ROTATE(x, cavity, diag, off, w)
         if cavity == 1:
             view = out.reshape(2, w.levels, w.levels, -1)
             for column, control, (atom, n, m), amplitude in leaks:
@@ -414,6 +421,46 @@ def leaky_rotate(table, leaks):
     return leaky
 
 
+# ---------------------------------------------------------------- sweep cells from the oracle
+
+
+def oracle_outcomes(cfg, grid):
+    """The window, the conditional amplitudes as (atom, n, m, point) on it,
+    zero where the scenario's control outcome is refused, and the outcome
+    probability per point."""
+    j = 0 if cfg.scenario in ("series_C0C1", "ico_j0") else 1
+    series = cfg.scenario.startswith("series")
+    # a definite order is the control-j branch alone
+    theta, varphi = (j * math.pi / 2, 0.0) if series else (cfg.theta, cfg.varphi)
+    grid = np.array(grid)
+    table = grid_table(2 * grid, g=1.0, T=grid, theta=theta, varphi=varphi, xi=cfg.xi,
+                       chi=cfg.chi, n=cfg.n, m=cfg.m)
+    w = TruncationWindow(max(cfg.n, cfg.m) + 2)
+    branches = window_branches(table, w)
+    amps, probs = condition(branches if series else recombine(branches), j)
+    return w, amps.reshape(2, w.levels, w.levels, len(grid)), np.array(probs)
+
+
+def oracle_column(q, w, amps, probs):
+    """One column of cells; NaN marks an empty cell."""
+    if isinstance(q, ControlProbabilityColumn):
+        return probs
+    population = amps.real**2 + amps.imag**2
+    empty = probs < MIN_OUTCOME_PROBABILITY
+    if isinstance(q, KetProbability):
+        inside = q.n <= w.n_max and q.m <= w.n_max
+        cells = population[q.atom, q.n, q.m] if inside else np.zeros(len(probs))
+    elif isinstance(q, AtomicInversion):
+        cells = population[0].sum(axis=(0, 1)) - population[1].sum(axis=(0, 1))
+    else:
+        weight = population[q.atom_branch].sum(axis=(0, 1))
+        empty |= weight < MIN_OUTCOME_PROBABILITY
+        psi = amps[q.atom_branch] / np.sqrt(np.where(empty, 1.0, weight))
+        rho = np.einsum("nmp,kmp->nkp", psi, psi.conj())
+        cells = 1.0 - (np.abs(rho) ** 2).sum(axis=(0, 1))
+    return np.where(empty, np.nan, cells)
+
+
 # ---------------------------------------------------------------- verify's draw stream
 
 
@@ -426,6 +473,45 @@ def readme_verify_draw():
     namespace = {}
     exec(compile(recipe, "README.md", "exec"), namespace)
     return namespace["verify_draw"]
+
+
+# ---------------------------------------------------------------- the oracle_wide draws
+
+#: The larger photon numbers the wide draws cycle through (windows 98, 338, 1,058).
+WIDE_OCCUPATIONS = (4, 10, 20)
+
+
+def wide_params(seed: int, k: int, larger: int):
+    """bench/workloads.wide_params: a draw like verify.random_params (gT < 10)
+    whose larger photon number is ``larger``; the parameters and the
+    measurement time."""
+    rng = np.random.default_rng([seed, k, larger])
+    g = float(rng.uniform(0.5, 2.0))
+    transit = float(rng.uniform(0.0, 10.0)) / g
+    entry = float(rng.uniform(0.0, 2.0))
+    other = int(rng.integers(0, larger + 1))
+    n, m = (larger, other) if rng.random() < 0.5 else (other, larger)
+    p = SystemParams(
+        g=g,
+        T=transit,
+        omega=float(rng.uniform(0.2, 3.0)),
+        theta=float(rng.uniform(0.0, math.pi / 2)),
+        varphi=float(rng.uniform(0.0, 2 * math.pi)),
+        xi=float(rng.uniform(0.0, math.pi / 2)),
+        chi=float(rng.uniform(0.0, 2 * math.pi)),
+        n=n,
+        m=m,
+        T0=entry,
+        T1=entry + transit + float(rng.uniform(0.0, 2.0)),
+    )
+    return p, p.T1 + p.T + float(rng.uniform(0.0, 2.0))
+
+
+def wide_draws(count: int, seed: int = 1) -> list:
+    """The first count draws of the oracle_wide workload at seed: pass k holds
+    one draw per larger occupation, in WIDE_OCCUPATIONS order."""
+    k, larger = divmod(np.arange(count), len(WIDE_OCCUPATIONS))
+    return [wide_params(seed, int(i), WIDE_OCCUPATIONS[j]) for i, j in zip(k, larger)]
 
 
 # ---------------------------------------------------------------- partial trace

@@ -1,10 +1,12 @@
 """tools/bench_pairs.py: the summary arithmetic of paired runs and what a
 tree copy leaves out, on fixed numbers and a small tree; no benchmark runs."""
 
+import hashlib
 import importlib.util
 import json
 import os
 import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -66,7 +68,7 @@ def test_json_record_keeps_each_workloads_summaries_and_runs(tmp_path, monkeypat
     def fake_run(tree, workload, seed, seconds):
         throughput = seed * (2.0 if tree.name == "change" else 1.0)
         return {"metrics": {"throughput": throughput, "setup_s": 0.1}, "failed": 0,
-                "attempted": 10, "setup_samples": [0.1]}
+                "attempted": 10, "setup_samples": [0.1], "host_kernel_s": 1e-3 * seed}
 
     monkeypatch.setattr(bench_pairs, "_run", fake_run)
     record = tmp_path / "record.json"
@@ -86,5 +88,64 @@ def test_json_record_keeps_each_workloads_summaries_and_runs(tmp_path, monkeypat
     assert a["failed"] == {"parent": 0, "change": 0}
     assert a["attempted"] == {"parent": 30, "change": 30}
     assert [r["metrics"]["throughput"] for r in a["runs"]["change"]] == [2.0, 4.0, 6.0]
+    assert [r["host_kernel_s"] for r in a["runs"]["parent"]] == [1e-3, 2e-3, 3e-3]
+    # each side's tree, neither a checkout, and its src/ (absent: no file)
+    assert a["bytecode"] is False
+    empty = hashlib.sha256().hexdigest()
+    assert a["sides"] == {side: {"tree": str(tmp_path / side), "git_sha": None,
+                                 "src_sha256": empty} for side in ("parent", "change")}
     # the printed report is the record's
     assert "throughput   parent 2 [q1 1, q3 3]  change 4  won 3/3" in capsys.readouterr().out
+
+
+def write_tree(root: Path, files: dict) -> Path:
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    return root
+
+
+def test_src_digest_covers_each_file_s_path_and_bytes(tmp_path):
+    # the recipe on a fixed tree: path, NUL, size, NUL, bytes per file, in
+    # path order; bytecode and files outside src/ do not count
+    tree = write_tree(tmp_path / "t", {"src/b.py": "y\n", "src/a/m.py": "x",
+                                       "src/a/__pycache__/m.pyc": "junk", "README": "r"})
+    want = hashlib.sha256(b"a/m.py\x001\x00x" + b"b.py\x002\x00y\n").hexdigest()
+    assert bench_pairs.src_sha256(tree) == want
+    (tree / "src" / "b.py").write_text("y")
+    assert bench_pairs.src_sha256(tree) != want
+    # a moved byte is a change: sizes bound each file
+    moved = write_tree(tmp_path / "u", {"src/a/m.py": "x\x00", "src/b.py": "\n"})
+    assert bench_pairs.src_sha256(moved) != want
+
+
+def test_git_sha_names_a_checkout_s_commit_and_nothing_else(tmp_path):
+    tree = write_tree(tmp_path / "repo", {"src/a.py": "x"})
+    assert bench_pairs.git_sha(tree) is None  # not a checkout
+    git = ["git", "-C", str(tree), "-c", "user.name=t", "-c", "user.email=t@t"]
+    for args in (["init", "-q"], ["add", "."], ["commit", "-q", "-m", "t"]):
+        subprocess.run(git + args, check=True, capture_output=True)
+    head = subprocess.run(git + ["rev-parse", "HEAD"], check=True, capture_output=True,
+                          text=True).stdout.strip()
+    assert bench_pairs.git_sha(tree) == head
+    assert bench_pairs.git_sha(tree / "src") is None  # inside a checkout, not its top
+    (tree / "src" / "a.py").write_text("y")
+    assert bench_pairs.git_sha(tree) is None  # a change from the commit
+
+
+def test_a_run_reads_its_host_speed_from_its_record(tmp_path, monkeypatch):
+    # bench/run.py stood in for: its last stdout line and its run record
+    tree = tmp_path / "tree"
+    (tree / ".bench_out").mkdir(parents=True)
+    record = {"setup_samples": [0.2, 0.1], "kernel_s": [1.0e-3, 3.0e-3, 1.2e-3]}
+    (tree / ".bench_out" / "result-w-seed4-trace0.json").write_text(json.dumps(record))
+    result = {"metrics": {"throughput": {"value": 5.0}}, "failed": 0, "attempted": 7}
+
+    def fake_subprocess_run(cmd, cwd, env, capture_output, text):
+        assert cwd == tree and env["PYTHONDONTWRITEBYTECODE"] == "1"
+        return subprocess.CompletedProcess(cmd, 0, "log\n" + json.dumps(result), "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_subprocess_run)
+    assert bench_pairs._run(tree, "w", 4, 1.0) == {
+        "metrics": {"throughput": 5.0}, "failed": 0, "attempted": 7,
+        "setup_samples": [0.2, 0.1], "host_kernel_s": 1.2e-3}

@@ -437,7 +437,7 @@ def test_evolve_refuses_guard_row_leak(monkeypatch):
     p = SystemParams(g=1.0, T=1.0, n=1, m=0)
     w = TruncationWindow.for_params(p)
 
-    def leaky(x, cavity, t, g, base, w):
+    def leaky(x, cavity, diag, off, w):
         out = x.copy()
         out[window_index(w, E, w.n_max, 0)] += x[window_index(w, E, 1, 0)]
         out[window_index(w, E, 1, 0)] = 0.0
@@ -661,33 +661,36 @@ def test_schrodinger_phase_refuses_an_overflowing_phase_argument():
 
 
 def test_phase_of_columns_equals_a_call_per_column():
-    # each column is phased with its own omega, t and excitations: 60
+    # each column is phased with its own omega * t and excitations: 60
     # excitations in column 1 move no bit of column 0, and excitations one
     # per row are every column's
     amps = np.ones((2, 2), dtype=complex)
-    omega, t, excitations = [1e307, 1.0], [1.0, 1.0], np.array([[1, 1], [1, 60]])
-    both = oracle.phase(amps, omega, t, excitations)
+    omega_t, excitations = np.array([1e307, 1.0]), np.array([[1, 1], [1, 60]])
+    both = oracle.phase(amps, omega_t, excitations)
     for c in (0, 1):
-        alone = oracle.phase(amps[:, c:c + 1], omega[c:c + 1], t[c:c + 1], excitations[:, c:c + 1])
+        alone = oracle.phase(amps[:, c:c + 1], omega_t[c:c + 1], excitations[:, c:c + 1])
         assert np.ascontiguousarray(both[:, c:c + 1]).tobytes() == alone.tobytes()
-    amps, omega, t = np.ones((2, 3), dtype=complex), (1.0, -1e307, 2.0), (1.0, 1.0, 1.0)
-    per_row = oracle.phase(amps, omega, t, np.array([[0], [3]]))
-    per_entry = oracle.phase(amps, omega, t, np.array([[0, 0, 0], [3, 3, 3]]))
+    amps, omega_t = np.ones((2, 3), dtype=complex), np.array([1.0, -1e307, 2.0])
+    per_row = oracle.phase(amps, omega_t, np.array([[0], [3]]))
+    per_entry = oracle.phase(amps, omega_t, np.array([[0, 0, 0], [3, 3, 3]]))
     assert np.isfinite(per_row).all() and per_row.tobytes() == per_entry.tobytes()
 
 
 def test_phase_over_leading_axes_equals_a_call_per_leading_index():
     # (2, K, N) amplitudes phase as two (K, N) calls, bit for bit, with
-    # excitations per entry or per row
+    # excitations per entry or per row, and one float omega_t as the same
+    # value in every column
     rng = np.random.default_rng(24)
     amps = rng.normal(size=(2, 6, 5)) + 1j * rng.normal(size=(2, 6, 5))
     amps[0, 2, 1] = amps[1, 0, 4] = 1e-17  # pruned
     excitations = rng.integers(0, 9, size=(6, 5))
-    omega, t = rng.uniform(0.2, 3.2, 5), rng.uniform(0.0, 30.0, 5)
+    omega_t = rng.uniform(0.2, 3.2, 5) * rng.uniform(0.0, 30.0, 5)
     for per in (excitations, excitations[:, :1]):
-        both = oracle.phase(amps, omega, t, per)
+        both = oracle.phase(amps, omega_t, per)
         assert both.shape == amps.shape and not both[0, 2, 1] and not both[1, 0, 4]
-        assert both.tobytes() == np.array([oracle.phase(a, omega, t, per) for a in amps]).tobytes()
+        assert both.tobytes() == np.array([oracle.phase(a, omega_t, per) for a in amps]).tobytes()
+        shared = oracle.phase(amps, float(omega_t[2]), per)
+        assert shared.tobytes() == oracle.phase(amps, np.full(5, omega_t[2]), per).tobytes()
 
 
 def test_verify_bounds_the_phase_argument():

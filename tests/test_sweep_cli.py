@@ -27,6 +27,7 @@ from ico_cqed import (
     sweep_meta,
 )
 from ico_cqed import sweep
+from ico_cqed import cli
 from ico_cqed.cli import build_parser, main
 from ico_cqed.sweep import FIGURE_PRESETS, MAX_GRID_POINTS, meta_json
 from helpers import E, G, SEEDED_SWEEPS, largest_finite_time, seeded_sweep_config
@@ -711,6 +712,48 @@ def test_cli_out_into_a_fifo_writes_through_it(tmp_path):
     assert received == [figure_table("fig2a").to_csv().encode()]
     assert stat.S_ISFIFO(fifo.stat().st_mode)
     assert json.loads((tmp_path / "pipe.csv.meta.json").read_text()) == figure_meta("fig2a")
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/<pid>/fd")
+@pytest.mark.parametrize("command", ["figure", "sweep"])
+def test_cli_out_into_an_open_file_appends_to_it(tmp_path, command):
+    # --out through a link to /proc/self/fd/N of a file opened for appending,
+    # as `--out /dev/stdout >> log.txt` is: the CSV lands after the file's
+    # line, the file is neither truncated nor replaced, and nothing else is
+    # written, no sidecar and no temporary file
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"scenario": "ico_j0", "quantities": [{"kind": "control_prob"}],
+                                  "gT_stop": 1.0, "gT_step": 0.1}))
+    args = {"figure": ["figure", "fig2a"], "sweep": ["sweep", "--config", str(config)]}[command]
+    expected = (figure_table("fig2a") if command == "figure"
+                else run_sweep(config_from_dict(json.loads(config.read_text()))))
+    log, link = tmp_path / "log.txt", tmp_path / "out.csv"
+    log.write_text("earlier line\n")
+    inode = log.stat().st_ino
+    with open(log, "a") as stream:
+        link.symlink_to(f"/proc/self/fd/{stream.fileno()}")
+        assert main([*args, "--out", str(link)]) == 0
+    assert log.read_text() == "earlier line\n" + expected.to_csv()
+    assert log.stat().st_ino == inode and link.is_symlink()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json", "log.txt", "out.csv"]
+
+
+@pytest.mark.parametrize("path,opened", [
+    ("/dev/stdout", True), ("/dev/fd/1", True), ("/proc/self/fd/2", True),
+    ("/proc/1/fd/0", True), ("/proc/self/task/1/fd/3", True), ("/dev/null", False),
+    ("/proc/self/fdinfo/1", False), ("out.csv", False)])
+def test_cli_names_the_paths_that_are_open_files(path, opened):
+    # nothing is opened: the links are only read
+    if path.startswith(("/dev/std", "/dev/fd")) and not Path("/dev/fd").exists():
+        pytest.skip("no /dev/fd")
+    assert cli._open_file(Path(path)) is opened
+
+
+def test_cli_a_directory_link_into_an_fd_table_names_open_files(tmp_path):
+    # a path through a directory link to /proc/self/fd names an open file too
+    (tmp_path / "fds").symlink_to("/proc/self/fd")
+    assert cli._open_file(tmp_path / "fds" / "1")
+    assert not cli._open_file(tmp_path / "absent" / "1")
 
 
 def test_cli_sweep_refuses_a_config_that_is_not_an_object(tmp_path, capsys):

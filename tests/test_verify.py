@@ -124,7 +124,7 @@ def matrix_chain(group, w):
     out = []
     for j in (0, 1):
         state, prob = condition(rows, j)
-        out.append((phase(state, table["omega"], table["t"], 1 - atom + n + m), prob))
+        out.append((phase(state, table["omega"] * table["t"], 1 - atom + n + m), prob))
     return out
 
 

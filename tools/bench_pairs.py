@@ -18,12 +18,20 @@ tree's BENCHMARK.json, the failed ops and every ``setup_s`` reading.
 With ``--json PATH`` the same summaries, with each run's metrics, go to
 PATH as each workload ends, under that workload's name: an existing file
 keeps its other workloads, so runs of different lengths or pair counts
-can share one record.  Temporary directories follow TMPDIR.
+can share one record.  A workload's entry also names each side's tree,
+its git commit (``git_sha``, null for a tree that is not a checkout or
+differs from its commit) and
+the SHA-256 of its ``src/`` (``src_sha256``, see ``src_sha256``), gives
+each run's host-speed reading (``host_kernel_s``, the median of the run
+record's ``kernel_s`` samples, see bench/hostspeed.py) and records
+``"bytecode": false``: no side starts with compiled bytecode.  Temporary
+directories follow TMPDIR.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -60,9 +68,37 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
     }
 
 
+def git_sha(tree: Path) -> str | None:
+    """The commit checked out at tree, or None if tree is not the top of a
+    git checkout or git status shows a change from that commit."""
+    def git(*args: str) -> str | None:
+        try:
+            proc = subprocess.run(["git", "-C", str(tree), *args], capture_output=True, text=True)
+        except OSError:  # no git
+            return None
+        return proc.stdout if proc.returncode == 0 else None
+
+    head = git("rev-parse", "--show-toplevel", "HEAD")
+    if head is None or Path(head.split()[0]).resolve() != tree.resolve():
+        return None
+    return head.split()[1] if git("status", "--porcelain") == "" else None
+
+
+def src_sha256(tree: Path) -> str:
+    """SHA-256 of tree's src/: for each file outside __pycache__, in the
+    order of their paths relative to src/, the path's UTF-8 bytes, a NUL,
+    the file's size in decimal, a NUL and the file's bytes."""
+    digest = hashlib.sha256()
+    src = tree / "src"
+    for path in sorted(p for p in src.rglob("*") if p.is_file() and "__pycache__" not in p.parts):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(src).as_posix()}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
+
+
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One bench/run.py invocation in tree: its metric values, ops failed
-    and attempted, and its setup_s samples."""
+    and attempted, its setup_s samples and its host-speed reading."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", f"{seconds:g}", "--trace", "0"]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
@@ -77,16 +113,20 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         "failed": result["failed"],
         "attempted": result["attempted"],
         "setup_samples": record["setup_samples"],
+        "host_kernel_s": statistics.median(record["kernel_s"]),
     }
 
 
 def workload_summary(runs: dict[str, list[dict]], end_to_end: list[dict],
-                     seconds: float) -> dict:
-    """One workload's record: per end-to-end metric its summary and bound,
-    and per side the failed and attempted ops and each run, in pair order."""
+                     seconds: float, sides: dict[str, dict]) -> dict:
+    """One workload's record: the sides' trees (sides), per end-to-end
+    metric its summary and bound, and per side the failed and attempted ops
+    and each run, in pair order."""
     return {
         "pairs": len(runs["parent"]),
         "seconds": seconds,
+        "sides": sides,
+        "bytecode": False,
         "metrics": {m["name"]: dict(summarize([r["metrics"][m["name"]] for r in runs["parent"]],
                                               [r["metrics"][m["name"]] for r in runs["change"]],
                                               m["better"]), bound=m["bound"])
@@ -136,6 +176,8 @@ def main(argv: list[str] | None = None) -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     seconds = args.seconds or spec["run_seconds"]
+    sides = {side: {"tree": str(getattr(args, side)), "git_sha": git_sha(getattr(args, side)),
+                    "src_sha256": src_sha256(getattr(args, side))} for side in ("parent", "change")}
     for workload in workloads:
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
         with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
@@ -149,8 +191,9 @@ def main(argv: list[str] | None = None) -> int:
                     runs[side].append(run)
                     print(f"{workload} seed {seed} {side}: " + json.dumps(
                         dict(run["metrics"], failed=run["failed"],
-                             setup_samples=run["setup_samples"])), flush=True)
-        summary = workload_summary(runs, spec["end_to_end"], seconds)
+                             setup_samples=run["setup_samples"],
+                             host_kernel_s=run["host_kernel_s"])), flush=True)
+        summary = workload_summary(runs, spec["end_to_end"], seconds, sides)
         _report(workload, summary)
         if args.json:
             write_record(args.json, workload, summary)
