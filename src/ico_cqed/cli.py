@@ -29,9 +29,6 @@ from .sweep import (
 )
 from .verify import MAX_DRAWS, run_verification
 
-#: A process's open file: /proc/<pid>/fd/N (or of a task of it) or /dev/fd/N.
-_OPEN_FILE = re.compile(r"/(proc/[^/]+(/task/[^/]+)?|dev)/fd/[^/]+")
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad arguments; this CLI reserves 2 for
@@ -83,11 +80,12 @@ def build_parser() -> _Parser:
 
 
 def _open_file(path: Path) -> bool:
-    """Whether path, or a link it runs through, names an open file of a process."""
+    """Whether path, or a link it runs through, is /proc/<pid>/fd/N or /dev/fd/N."""
     name = os.path.abspath(path)
     for _ in range(40):  # the kernel follows at most 40 links in a path
         name = os.path.join(os.path.realpath(os.path.dirname(name)), os.path.basename(name))
-        if (opened := _OPEN_FILE.fullmatch(name)) or not os.path.islink(name):
+        opened = re.fullmatch(r"/(proc/[^/]+(/task/[^/]+)?|dev)/fd/[^/]+", name)
+        if opened or not os.path.islink(name):
             return opened is not None
         name = os.path.join(os.path.dirname(name), os.readlink(name))
     return False
@@ -98,12 +96,11 @@ def _emit(table: Table, meta: dict, out: Path | None) -> None:
     if out is None:
         sys.stdout.write(csv_text)
         return
-    # An open stream (--out /dev/stdout, say) is appended to, as by >>, with no
-    # sidecar, and a path that exists but is no regular file (a FIFO, a device)
-    # is written straight into: neither is truncated, replaced or removed.  Any
-    # other file goes first to a sibling of its real path named by the process
-    # id (no one else's file), and into place once all are written: a failed
-    # write keeps an earlier run's pair, and a symlink stays a link, to the new file.
+    # An open stream (--out /dev/stdout, say) is appended to, as by >>, with no sidecar,
+    # and a path that exists but is no regular file (a FIFO, a device) is written into:
+    # neither is truncated, replaced or removed.  Any other file goes first to a sibling
+    # of its real path named by the process id (no one else's file), and into place once
+    # all are written: a failed write keeps an earlier run's pair, and a link stays a link.
     stream = _open_file(out)
     files = {out: csv_text, **({} if stream else {Path(f"{out}.meta.json"): meta_json(meta)})}
     moves, placed = [], []

@@ -95,7 +95,6 @@ def _rotate(x: np.ndarray, cavity: int, diag, off, w: TruncationWindow) -> np.nd
     rotations described in jc_propagator; returns x.  diag and off are the
     complex cos and -i sin of (n_max, 1, N) angles, or of (n_max, 1, 1) ones
     shared by every column: doublet i of column c rotates by angle [i, 0, c]."""
-    k = w.n_max
     # x as (atom, active mode, spectator mode, N): the doublet i pairs |e>
     # at level i of the active mode with |g> at level i+1.
     x4 = x.reshape(2, w.levels, w.levels, -1)
@@ -105,7 +104,7 @@ def _rotate(x: np.ndarray, cavity: int, diag, off, w: TruncationWindow) -> np.nd
         diag, off = diag.repeat(w.levels, axis=1), off.repeat(w.levels, axis=1)
     else:
         x4 = x4.swapaxes(1, 2)
-    excited, ground = x4[0, :k], x4[1, 1:]
+    excited, ground = x4[0, :w.n_max], x4[1, 1:]
     # (e, g) -> (diag * e + off * g, off * e + diag * g), each product with
     # its operands in this order and each sum of two rounded as written;
     # the bottom |g> and the top |e> level stay put
@@ -143,11 +142,11 @@ _params_values = operator.attrgetter(*_COLUMNS[:-1])
 #: Each draw's local window in _evolve_branches: level i of a mode holds occupation
 #: max(k - 2, 0) + i for the mode's photon number k; each edge but occupation 0 is a guard row.
 _LOCAL = TruncationWindow(4)
-_levels = np.indices((_LOCAL.levels, _LOCAL.levels, 3, 3))
-#: [a, b, i, j]: whether the ket at local levels (a, b) is a guard row of a draw whose
-#: n and m sit at levels (i, j), one of its modes 2 or more levels from the draw's.
-_GUARD = abs(_levels[:2] - _levels[2:]).max(axis=0) >= 2
-_KETS = np.indices((2, _LOCAL.levels, _LOCAL.levels)).reshape(3, -1)  # (atom, i, j) of each row
+_levels = np.indices((2, _LOCAL.levels, _LOCAL.levels, 3, 3)).reshape(5, -1, 3, 3)
+#: [row, i, j]: whether the row (atom, a, b) is a guard row of a draw whose n and m
+#: sit at local levels (i, j), one of its modes 2 or more levels from the draw's.
+_GUARD = abs(_levels[1:3] - _levels[3:]).max(axis=0) >= 2
+_KETS = _levels[:3, :, 0, 0]  # (atom, a, b) of each row
 _HALVES = np.arange(2)[:, None]  # the halves of _evolve_branches' doubled batch
 _DOUBLETS = np.arange(1.0, _LOCAL.levels)[:, None, None]  # i + 1 for each doublet i
 
@@ -162,8 +161,7 @@ def _evolve_branches(table: dict[str, np.ndarray]) -> tuple:
     exactly 0.  The draws may differ in (n, m), ints or whole floats.  Each
     draw evolves on its own local window (_LOCAL) and gets evolve's errors on
     its own guard rows, refusing any population of a mode at k + 2 and up or
-    k - 2 and down for its photon number k; a column does not depend on the
-    others."""
+    k - 2 and down for its photon number k; no column depends on another."""
     photons = np.array([table["n"], table["m"]], dtype=int)
     size, levels, k = photons.shape[1], _LOCAL.levels, _LOCAL.n_max
     # each mode's photon number k sits at local level min(k, 2), above base k - level
@@ -186,9 +184,7 @@ def _evolve_branches(table: dict[str, np.ndarray]) -> tuple:
     cosines, sines = np.cos(angles), np.sin(angles)
     # cos(a) and exp(i phi) sin(a), rounded as cmath.exp(1j * phi) * math.sin(a),
     # for the atom's preparation (xi, chi) and the control's (theta, varphi)
-    cos, polar = cosines[:2], np.empty((2, size), dtype=complex)
-    np.multiply(cosines[2:4], sines[:2], out=polar.real)
-    np.multiply(sines[2:4], sines[:2], out=polar.imag)
+    cos, polar = cosines[:2], (cosines[2:4] + 1j * sines[2:4]) * sines[:2]
     diag = cosines[4:].astype(complex).reshape(2, k, 1, 2 * size)
     off = (-1j * sines[4:]).reshape(2, k, 1, 2 * size)
     # |e, n, m> and |g, n, m> of each column on the (atom, mode 0, mode 1,
@@ -205,11 +201,9 @@ def _evolve_branches(table: dict[str, np.ndarray]) -> tuple:
     np.multiply(polar[1], exchanged, out=branches[1].reshape(exchanged.shape))
     del vec, exchanged  # the doubled batch is not needed for the guard check
     prune_amplitudes(branches)
-    populated = branches.any(axis=0)
-    guard = _GUARD[:, :, level[0], level[1]]
-    if populated.reshape(2, levels, levels, size).any(where=guard):
-        population = (branches.real ** 2 + branches.imag ** 2).sum(axis=0)
-        leak = (population.reshape(2, levels, levels, size) * guard).sum(axis=(0, 1, 2))
+    populated, guard = branches.any(axis=0), _GUARD[:, level[0], level[1]]
+    if populated.any(where=guard):
+        leak = ((branches.real ** 2 + branches.imag ** 2).sum(axis=0) * guard).sum(axis=0)
         raise TruncationOverflowError(f"guard-row population {leak[leak > 0][0]:.3e}")
     # A stable sort puts each column's populated kets first, in AtomFieldKet
     # order, and then the rest.
@@ -263,12 +257,11 @@ def condition(rows: np.ndarray, j: int) -> tuple[np.ndarray, list[float]]:
 
 def phase(amps: np.ndarray, omega_t, excitations: np.ndarray) -> np.ndarray:
     """(..., K, N) amplitudes times exp(-i*omega_t*(excitations - 1/2)), pruned:
-    column c at omega_t[c], the product omega * t of its frequency and time,
-    or all at one float omega_t, on every leading index, excitations holding
-    each entry's atom excitation plus photon number, an integer >= 0, as a
-    (K, N) array or, one per row, a (K, 1) array.  Nothing is checked: the
-    callers bound omega_t * (excitations - 1/2), verify by its draws and
-    schrodinger_phase by its own check."""
+    column c at omega_t[c], its frequency times its time, or all at one float
+    omega_t, on every leading index, excitations holding each entry's atom
+    excitation plus photon number, an integer >= 0, as a (K, N) array or, one
+    per row, a (K, 1) array.  Nothing is checked: the callers bound omega_t *
+    (excitations - 1/2), verify by its draws and schrodinger_phase by its own."""
     factor = np.exp(-1j * omega_t * (excitations - 0.5))
     # The product written out rounds as Python's complex product does;
     # numpy's complex multiply may fuse the multiply-adds.

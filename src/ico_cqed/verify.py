@@ -27,8 +27,8 @@ DEFAULT_TOLERANCE = 1e-9
 #: for one chunk's arrays; 100,000 draws peak at 19.5 MB above the imported package.
 MAX_DRAWS = 100_000
 #: Most draws compared in one batch; it bounds the branches evolved on 50 kets a draw
-#: before the chain moves to at most ten.  tracemalloc peaks: 0.68 MB for one chunk of
-#: 128 draws, 0.55 MB for 200 draws (two chunks of 100), 0.83 MB for 1,024.
+#: before the chain moves to at most ten.  tracemalloc peaks: 0.80 MB for one chunk of
+#: 128 draws, 0.65 MB for 200 draws (two chunks of 100), 0.95 MB for 1,024.
 _CHUNK = 128
 
 

@@ -89,11 +89,11 @@ def test_json_record_keeps_each_workloads_summaries_and_runs(tmp_path, monkeypat
     assert a["attempted"] == {"parent": 30, "change": 30}
     assert [r["metrics"]["throughput"] for r in a["runs"]["change"]] == [2.0, 4.0, 6.0]
     assert [r["host_kernel_s"] for r in a["runs"]["parent"]] == [1e-3, 2e-3, 3e-3]
-    # each side's tree, neither a checkout, and its src/ (absent: no file)
+    # each side, neither a checkout, and its src/ (absent: no file)
     assert a["bytecode"] is False
     empty = hashlib.sha256().hexdigest()
-    assert a["sides"] == {side: {"tree": str(tmp_path / side), "git_sha": None,
-                                 "src_sha256": empty} for side in ("parent", "change")}
+    assert a["sides"] == {side: {"git_sha": None, "src_sha256": empty}
+                          for side in ("parent", "change")}
     # the printed report is the record's
     assert "throughput   parent 2 [q1 1, q3 3]  change 4  won 3/3" in capsys.readouterr().out
 

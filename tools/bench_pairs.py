@@ -18,10 +18,9 @@ tree's BENCHMARK.json, the failed ops and every ``setup_s`` reading.
 With ``--json PATH`` the same summaries, with each run's metrics, go to
 PATH as each workload ends, under that workload's name: an existing file
 keeps its other workloads, so runs of different lengths or pair counts
-can share one record.  A workload's entry also names each side's tree,
-its git commit (``git_sha``, null for a tree that is not a checkout or
-differs from its commit) and
-the SHA-256 of its ``src/`` (``src_sha256``, see ``src_sha256``), gives
+can share one record.  A workload's entry also names each side's git
+commit (``git_sha``, null for a tree that is not a checkout or differs
+from its commit) and the SHA-256 of its ``src/`` (``src_sha256``), gives
 each run's host-speed reading (``host_kernel_s``, the median of the run
 record's ``kernel_s`` samples, see bench/hostspeed.py) and records
 ``"bytecode": false``: no side starts with compiled bytecode.  Temporary
@@ -119,7 +118,7 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def workload_summary(runs: dict[str, list[dict]], end_to_end: list[dict],
                      seconds: float, sides: dict[str, dict]) -> dict:
-    """One workload's record: the sides' trees (sides), per end-to-end
+    """One workload's record: the sides' commits and sources (sides), per end-to-end
     metric its summary and bound, and per side the failed and attempted ops
     and each run, in pair order."""
     return {
@@ -176,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     seconds = args.seconds or spec["run_seconds"]
-    sides = {side: {"tree": str(getattr(args, side)), "git_sha": git_sha(getattr(args, side)),
+    sides = {side: {"git_sha": git_sha(getattr(args, side)),
                     "src_sha256": src_sha256(getattr(args, side))} for side in ("parent", "change")}
     for workload in workloads:
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
