@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import os
-import re
 import sys
 from pathlib import Path
 
@@ -79,16 +78,12 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _open_file(path: Path) -> bool:
-    """Whether path, or a link it runs through, is /proc/<pid>/fd/N or /dev/fd/N."""
-    name = os.path.abspath(path)
-    for _ in range(40):  # the kernel follows at most 40 links in a path
-        name = os.path.join(os.path.realpath(os.path.dirname(name)), os.path.basename(name))
-        opened = re.fullmatch(r"/(proc/[^/]+(/task/[^/]+)?|dev)/fd/[^/]+", name)
-        if opened or not os.path.islink(name):
-            return opened is not None
-        name = os.path.join(os.path.dirname(name), os.readlink(name))
-    return False
+def _open_file(path: Path, links: int = 40) -> bool:
+    """Whether path, or a link it runs through (40 at most), is /proc/<pid>/fd/N or /dev/fd/N."""
+    link = Path(os.path.realpath(path.parent), path.name)
+    if link.parent.name == "fd" and str(link).startswith(("/proc/", "/dev/")):
+        return True
+    return links > 0 and link.is_symlink() and _open_file(link.parent / link.readlink(), links - 1)
 
 
 def _emit(table: Table, meta: dict, out: Path | None) -> None:
