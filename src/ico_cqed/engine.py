@@ -8,7 +8,6 @@ propagator lives in ``oracle`` and shares none of these expressions.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import replace
 from enum import Enum
@@ -120,7 +119,6 @@ def _one_point(scenario: str, p: SystemParams, tau: float) -> tuple:
                            xi=p.xi, chi=p.chi, theta=p.theta, varphi=p.varphi)
 
 
-@functools.lru_cache(maxsize=32)
 def reachable_kets(n: int, m: int) -> tuple[tuple[int, ...], tuple[AtomFieldKet, ...]]:
     """The rows of grid_amplitudes that both orders reach from one (n, m),
     as indices into OFFSETS, and their kets, at most ten, sorted."""

@@ -98,11 +98,7 @@ def _rotate(x: np.ndarray, cavity: int, diag, off, w: TruncationWindow) -> np.nd
     # x as (atom, active mode, spectator mode, N): the doublet i pairs |e>
     # at level i of the active mode with |g> at level i+1.
     x4 = x.reshape(2, w.levels, w.levels, -1)
-    if cavity == 0:
-        # A doublet's rows are contiguous over the spectator mode; factors
-        # repeated over it make each product below one flat loop.
-        diag, off = diag.repeat(w.levels, axis=1), off.repeat(w.levels, axis=1)
-    else:
+    if cavity == 1:
         x4 = x4.swapaxes(1, 2)
     excited, ground = x4[0, :w.n_max], x4[1, 1:]
     # (e, g) -> (diag * e + off * g, off * e + diag * g), each product with

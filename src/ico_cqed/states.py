@@ -22,7 +22,6 @@ import sys
 from dataclasses import dataclass
 from enum import IntEnum
 from numbers import Real
-from operator import attrgetter
 from typing import Mapping, Union
 
 import numpy as np
@@ -98,7 +97,7 @@ def _shown(value) -> str:
 def check_whole(value, name: str, least: int, below: int | None = None) -> None:
     """Refuse a value that is not an int (a bool is not one), or that lies
     outside least <= value < below; no upper bound for below None."""
-    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
+    if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name}: must be an integer, got {value!r}")
     if value < least or below is not None and value >= below:
         bound = f"be >= {least}" if below is None else f"lie in {least}..{below - 1}"
@@ -193,13 +192,6 @@ class FullKet:
 
 Ket = Union[FullKet, AtomFieldKet, FieldsKet]
 
-# Each flavor's dataclass order as a sort key, cheaper than its __lt__.
-_SORT_KEY = {
-    FullKet: attrgetter("control", "rest.atom", "rest.n", "rest.m"),
-    AtomFieldKet: attrgetter("atom", "n", "m"),
-    FieldsKet: attrgetter("n", "m"),
-}
-
 
 class PureState:
     """Immutable sparse map from kets of one flavor to complex amplitudes; _arrays
@@ -254,13 +246,11 @@ class PureState:
         return self._amps.get(ket, 0j)
 
     def kets(self) -> list:
-        return sorted(self._amps, key=_SORT_KEY.get(self._flavor))
+        return sorted(self._amps)
 
     def items(self) -> list:
         """(ket, amplitude) pairs in the deterministic ket order."""
-        # sorting the pairs spares hashing every ket again to look it up
-        key = _SORT_KEY.get(self._flavor)
-        return sorted(self._amps.items(), key=lambda pair: key(pair[0]))
+        return sorted(self._amps.items())  # the kets differ, so no amplitude is compared
 
     def __len__(self) -> int:
         return len(self._amps)
@@ -350,17 +340,13 @@ class SystemParams:
             raise ValueError(f"g*T: must be finite, as must g*sqrt(max(n, m, 2) + 2)*T, "
                              f"got g={g}, T={T}, n={self.n}, m={self.m}")
         T0 = check_real(self.T0, "T0", 0.0)
-        T1 = T0 + T if self.T1 is None else check_real(self.T1, "T1")
+        # the default T0 + T is checked too: it overflows at T0 near the largest float
+        T1 = check_real(T0 + T if self.T1 is None else self.T1, "T1")
         if T1 < T0 + T:
             raise ValueError(f"T1: must be >= T0 + T, got T0={T0}, T={T}, T1={T1}")
-        # stored as floats, since an int of 2**64 or more would reach numpy as
-        # an object; object.__setattr__ is slow, so only when a field is not a
-        # float yet (vars(self) would slow every later attribute read)
-        given = {type(self.g), type(self.T), type(self.omega), type(self.theta),
-                 type(self.varphi), type(self.xi), type(self.chi), type(self.T0), type(self.T1)}
-        if given != {float}:
-            for name, value in dict(angles, g=g, T=T, omega=omega, T0=T0, T1=T1).items():
-                object.__setattr__(self, name, value)
+        # stored as floats, since an int of 2**64 or more would reach numpy as an object
+        for name, value in dict(angles, g=g, T=T, omega=omega, T0=T0, T1=T1).items():
+            object.__setattr__(self, name, value)
 
     @property
     def gT(self) -> float:

@@ -91,8 +91,7 @@ def random_params(rng: np.random.Generator) -> SystemParams:
     Generator.uniform rounds it.  run_verification draws from the same
     ranges but from its own stream (_draw_table): these are not its draws."""
     g, gT, entry, omega, theta, varphi, xi, chi = (_LOW + _SPAN * rng.random(8)).tolist()
-    # two scalar draws cost less than one of size 2, which draws the same
-    n, m = int(rng.integers(0, 5)), int(rng.integers(0, 5))
+    n, m = rng.integers(0, 5, 2).tolist()
     transit = gT / g
     return SystemParams(g=g, T=transit, omega=omega, theta=theta, varphi=varphi, xi=xi, chi=chi,
                         n=n, m=m, T0=entry, T1=entry + transit + 2.0 * rng.random())

@@ -71,6 +71,12 @@ def test_json_record_keeps_each_workloads_summaries_and_runs(tmp_path, monkeypat
                 "attempted": 10, "setup_samples": [0.1], "host_kernel_s": 1e-3 * seed}
 
     monkeypatch.setattr(bench_pairs, "_run", fake_run)
+    tier1_seconds = iter(range(1, 13))  # two calls: six Tier-1 runs each
+
+    def fake_tier1(tree):
+        return float(next(tier1_seconds)), f"{tree.name} passed"
+
+    monkeypatch.setattr(bench_pairs, "_tier1", fake_tier1)
     record = tmp_path / "record.json"
     trees = [str(tmp_path / "parent"), str(tmp_path / "change")]
     assert bench_pairs.main([*trees, "--workload", "a", "--pairs", "3", "--seconds", "2",
@@ -94,8 +100,14 @@ def test_json_record_keeps_each_workloads_summaries_and_runs(tmp_path, monkeypat
     empty = hashlib.sha256().hexdigest()
     assert a["sides"] == {side: {"git_sha": None, "src_sha256": empty}
                           for side in ("parent", "change")}
+    # the second call's Tier-1 runs, 7..12, the parent first and then alternating
+    assert data["tier1"] == {
+        side: {"runs_s": runs, "median_s": runs[1], "summaries": [f"{side} passed"] * 3}
+        for side, runs in (("parent", [7.0, 10.0, 11.0]), ("change", [8.0, 9.0, 12.0]))}
     # the printed report is the record's
-    assert "throughput   parent 2 [q1 1, q3 3]  change 4  won 3/3" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "throughput   parent 2 [q1 1, q3 3]  change 4  won 3/3" in out
+    assert "change Tier-1 median 9.00 s of 8.00, 9.00, 12.00" in out
 
 
 def write_tree(root: Path, files: dict) -> Path:
@@ -149,3 +161,20 @@ def test_a_run_reads_its_host_speed_from_its_record(tmp_path, monkeypatch):
     assert bench_pairs._run(tree, "w", 4, 1.0) == {
         "metrics": {"throughput": 5.0}, "failed": 0, "attempted": 7,
         "setup_samples": [0.2, 0.1], "host_kernel_s": 1.2e-3}
+
+
+def test_a_tier1_run_is_the_suite_in_the_tree_without_bytecode(tmp_path, monkeypatch):
+    # the interpreter stood in for: the suite's arguments, src/ first on the
+    # path, and the last line it printed
+    monkeypatch.setenv("PYTHONPATH", "elsewhere")
+
+    def fake_subprocess_run(cmd, cwd, env, capture_output, text):
+        assert cmd[1:] == ["-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "--continue-on-collection-errors"]
+        assert cwd == tmp_path and env["PYTHONDONTWRITEBYTECODE"] == "1"
+        assert env["PYTHONPATH"] == os.pathsep.join(["src", "elsewhere"])
+        return subprocess.CompletedProcess(cmd, 0, "....\n766 passed in 9.1s\n", "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_subprocess_run)
+    seconds, line = bench_pairs._tier1(tmp_path)
+    assert seconds >= 0.0 and line == "766 passed in 9.1s"

@@ -1,7 +1,9 @@
 """Guards for the demo scripts and the README's quick start.  Every name a
 demo imports from the package must exist, so removing a public name cannot
-silently break a demo.  The fast demos also run end to end in a subprocess
-and must print exactly what tests/data/demo_stdout.json pins; demo 05 drives
+silently break a demo.  The fast demos also run end to end and must print
+exactly what tests/data/demo_stdout.json pins: one as a script in a
+subprocess, the entry-point path, and the others in process as __main__,
+which spares an interpreter start and a numpy import each; demo 05 drives
 the matrix oracle's evolve against the closed forms.  The README's quick
 start runs as written and prints what its comments state."""
 
@@ -10,6 +12,7 @@ import importlib
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +28,8 @@ FAST_DEMOS = (
     "04_inversion_plateaus.py",
     "05_closed_form_vs_matrix_oracle.py",
 )
+#: The fast demo run as a script in a fresh interpreter.
+SCRIPT_DEMO = "02_bell_pair_from_superposed_order.py"
 PINNED_STDOUT = json.loads((ROOT / "tests" / "data" / "demo_stdout.json").read_text())
 
 
@@ -46,7 +51,11 @@ def test_demo_imports_exist(demo):
 
 
 @pytest.mark.parametrize("name", FAST_DEMOS)
-def test_fast_demo_runs(name):
+def test_fast_demo_runs(name, capsys):
+    if name != SCRIPT_DEMO:
+        runpy.run_path(str(ROOT / "demos" / name), run_name="__main__")
+        assert capsys.readouterr().out == PINNED_STDOUT[name]
+        return
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(

@@ -9,18 +9,22 @@ recombine -> condition, the chain that verify and the PureState views also
 run.  The observables are computed with numpy (helpers.oracle_column), not
 through ico_cqed.observables, so the kernel and the observable column
 functions that write the CSVs are both checked against code they share
-nothing with.  The boundary sweeps are also run through the CLI and their
-CSV read back.
+nothing with.  The boundary sweeps, and generated sweep configs that start
+from the 40 seeded ones, are also run through the CLI and their CSV read
+back.
 """
 
 import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ico_cqed import FIGURE_PRESETS, MIN_OUTCOME_PROBABILITY, config_from_dict, run_sweep
 from ico_cqed.cli import main
-from helpers import oracle_column, oracle_outcomes
+from ico_cqed.sweep import SCENARIOS
+from helpers import SEEDED_SWEEPS, oracle_column, oracle_outcomes, seeded_sweep_config
 
 TOL = 1e-9
 
@@ -45,10 +49,9 @@ def assert_cells_match_oracle(cfg, rows):
         column = oracle_column(q, w, amps, probs)
         for i, (row, o) in enumerate(zip(rows, column.tolist(), strict=True)):
             v = row[1 + k]
-            where = f"{cfg.scenario} row {i} {q.column_id}: {v!r} vs oracle {o!r}"
-            assert (v is None) == math.isnan(o), where
-            if v is not None:
-                assert abs(v - o) <= TOL, where
+            # the message is formatted only for a failing cell
+            if (v is None) != math.isnan(o) or v is not None and not abs(v - o) <= TOL:
+                pytest.fail(f"{cfg.scenario} row {i} {q.column_id}: {v!r} vs oracle {o!r}")
 
 
 def assert_sweep_matches_oracle(data, tmp_path):
@@ -113,3 +116,51 @@ def test_a_ground_state_atom_at_xi_pi_over_2(tmp_path, scenario):
             "gT_stop": 5.0}
     table = assert_sweep_matches_oracle(data, tmp_path)
     assert len(table.rows) == 101
+
+
+LEVEL = st.sampled_from("eg")
+#: Each angle over its full range: theta and xi in [0, pi/2], varphi and chi in [0, 2 pi).
+ANGLES = {"theta": st.floats(0.0, math.pi / 2), "xi": st.floats(0.0, math.pi / 2),
+          "varphi": st.floats(0.0, 2 * math.pi, exclude_max=True),
+          "chi": st.floats(0.0, 2 * math.pi, exclude_max=True)}
+
+
+@st.composite
+def sweep_data(draw) -> dict:
+    """A valid sweep config as JSON data: any scenario, n, m <= 8, one to
+    seven columns of every kind (a ket_prob within two photons of (n, m),
+    some unreachable), every angle over its full range, and a grid of at
+    most 200 points with gT <= 30."""
+    scenario = draw(st.sampled_from(SCENARIOS))
+    n, m = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    kinds = [st.builds(lambda a, dn, dm: {"kind": "ket_prob", "atom": a, "n": max(n + dn, 0),
+                                          "m": max(m + dm, 0)},
+                       LEVEL, st.integers(-2, 2), st.integers(-2, 2)),
+             st.just({"kind": "sigma_z"}),
+             st.builds(lambda a: {"kind": "entropy", "atom_branch": a}, LEVEL)]
+    if scenario.startswith("ico"):
+        kinds.append(st.just({"kind": "control_prob"}))
+    start = draw(st.floats(0.0, 30.0))
+    points = draw(st.integers(1, 200))
+    step = draw(st.floats(1e-3, max(30.0 - start, 1e-3)))
+    return {"scenario": scenario, "quantities": draw(st.lists(st.one_of(kinds), min_size=1,
+                                                              max_size=7)),
+            "n": n, "m": m, **{name: draw(angle) for name, angle in ANGLES.items()},
+            "omega_t": draw(st.floats(-10.0, 10.0)), "gT_start": start, "gT_step": step,
+            "gT_stop": min(start + (points - 1) * step, 30.0)}
+
+
+def _seeded_examples(test):
+    for index in range(SEEDED_SWEEPS):
+        test = example(data=seeded_sweep_config(index))(test)
+    return test
+
+
+@settings(max_examples=20)
+@_seeded_examples
+@given(data=sweep_data())
+def test_generated_sweep_matches_oracle(tmp_path_factory, data):
+    # every cell of run_sweep and of the CLI CSV against the oracle, the 40
+    # seeded sweeps first
+    table = assert_sweep_matches_oracle(data, tmp_path_factory.getbasetemp())
+    assert len(table.rows) <= 200

@@ -2,7 +2,8 @@
 cannot leak in (a helper import) or drop out unnoticed.  A ledger says who
 holds each public name and each public member of a public class: the files
 outside the tests whose code reads it, or why it stays without one.  The
-README's refused-inputs table names only what exists."""
+README's refused-inputs and fast-path tables name only what exists, and
+every functools cache in src/ has a fast-path row."""
 
 import ast
 import dataclasses
@@ -357,3 +358,38 @@ def test_each_refused_input_entry_point_exists(name):
     for attr in rest:
         assert hasattr(value, attr), f"{name}: no {attr}"
         value = getattr(value, attr)
+
+
+# ---------------------------------------------------------------- README's fast paths
+
+
+def fast_path_places() -> list[str]:
+    """The names in the "Where" column of README's fast-path table, each a
+    module of ico_cqed and then attributes."""
+    header = "| Fast path | Where | Paid for by | Removed, VARIANT / PARENT |\n"
+    rows = (ROOT / "README.md").read_text().split(header, 1)[1].splitlines()[1:]
+    return [name for row in rows[: [r.startswith("|") for r in rows].index(False)]
+            for name in re.findall(r"`([^`]+)`", row.split("|")[2])]
+
+
+def test_the_fast_path_table_is_found():
+    assert "cli.build_parser" in fast_path_places()
+
+
+@pytest.mark.parametrize("name", fast_path_places())
+def test_each_fast_path_place_resolves(name):
+    module, *attrs = name.split(".")
+    value = importlib.import_module(f"ico_cqed.{module}")
+    for attr in attrs:
+        assert hasattr(value, attr), f"{name}: no {attr}"
+        value = getattr(value, attr)
+
+
+def test_every_cache_in_src_has_a_fast_path_row():
+    cached = {f"{info.name}.{name}"
+              for info in pkgutil.iter_modules(ico_cqed.__path__)
+              for name, value in vars(importlib.import_module(f"ico_cqed.{info.name}")).items()
+              if hasattr(value, "cache_info")
+              and value.__module__ == f"ico_cqed.{info.name}"}
+    assert cached == {"oracle._atom_field_ket", "oracle._full_kets", "cli.build_parser"}
+    assert cached <= set(fast_path_places())

@@ -419,6 +419,13 @@ def test_system_params_rejects_non_finite_fields(field, value):
         SystemParams(**{"g": 1.0, "T": 1.0, field: value})
 
 
+def test_system_params_refuses_a_default_t1_that_overflows():
+    # T1 defaults to T0 + T, which was stored as inf, and evolve still ran on it
+    with pytest.raises(ValueError, match=r"^T1: must be finite, got inf$"):
+        SystemParams(g=1.0, T=1e307, T0=1.75e308)
+    assert SystemParams(g=1.0, T=1e307, T0=1.6e308).T1 == 1.6e308 + 1e307 < math.inf
+
+
 def test_states_are_value_objects():
     psi = PureState({AtomFieldKet(E, 0, 0): 1.0})
     same = PureState({AtomFieldKet(E, 0, 0): 1.0})

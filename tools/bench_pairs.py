@@ -23,8 +23,11 @@ commit (``git_sha``, null for a tree that is not a checkout or differs
 from its commit) and the SHA-256 of its ``src/`` (``src_sha256``), gives
 each run's host-speed reading (``host_kernel_s``, the median of the run
 record's ``kernel_s`` samples, see bench/hostspeed.py) and records
-``"bytecode": false``: no side starts with compiled bytecode.  Temporary
-directories follow TMPDIR.
+``"bytecode": false``: no side starts with compiled bytecode.  Once the
+workloads are done, ``--json`` also times the Tier-1 suite (TIER1) three
+times in a fresh copy of each tree, the sides alternating, and records
+under ``tier1`` each side's wall seconds per run, their median and each
+run's last pytest line.  Temporary directories follow TMPDIR.
 """
 
 from __future__ import annotations
@@ -39,10 +42,15 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 #: What a copy leaves out: git metadata, compiled bytecode, bench results.
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".bench_out")
+#: The Tier-1 suite's arguments to the interpreter, as ROADMAP.md states the
+#: suite, writing no pytest cache into the copy; and the runs per side.
+TIER1 = ("-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors")
+TIER1_RUNS = 3
 
 
 def summarize(parent: list[float], change: list[float], better: str) -> dict:
@@ -116,6 +124,33 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
+def _tier1(tree: Path) -> tuple[float, str]:
+    """One Tier-1 run in tree, with src/ first on PYTHONPATH and no bytecode
+    written: its wall seconds and the last line pytest printed."""
+    path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=path)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True,
+                          text=True)
+    seconds = time.perf_counter() - start
+    return seconds, (proc.stdout.strip().splitlines() or [f"exit {proc.returncode}"])[-1]
+
+
+def tier1_record(trees: dict[str, Path]) -> dict:
+    """Per side of trees, TIER1_RUNS Tier-1 runs in one fresh copy of its
+    tree, the sides alternating: each run's wall seconds (runs_s) and last
+    pytest line (summaries), and the median of the seconds (median_s)."""
+    runs: dict[str, list] = {side: [] for side in trees}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        for side, tree in trees.items():
+            shutil.copytree(tree, Path(tmp) / side, ignore=_IGNORE)
+        for i in range(TIER1_RUNS):
+            for side in list(trees)[:: 1 if i % 2 == 0 else -1]:
+                runs[side].append(_tier1(Path(tmp) / side))
+    return {side: {"runs_s": [s for s, _ in r], "median_s": statistics.median(s for s, _ in r),
+                   "summaries": [line for _, line in r]} for side, r in runs.items()}
+
+
 def workload_summary(runs: dict[str, list[dict]], end_to_end: list[dict],
                      seconds: float, sides: dict[str, dict]) -> dict:
     """One workload's record: the sides' commits and sources (sides), per end-to-end
@@ -150,13 +185,16 @@ def _report(workload: str, summary: dict) -> None:
               f"setup_s by seed: {setups}")
 
 
-def write_record(path: Path, workload: str, summary: dict) -> None:
-    """summary as path's entry for workload, with the host it ran on; the
-    file's other workloads are kept."""
+def write_record(path: Path, workload: str | None, summary: dict) -> None:
+    """summary as path's entry for workload, or as its "tier1" entry for
+    None, with the host it ran on; the file's other entries are kept."""
     record = json.loads(path.read_text()) if path.exists() else {"workloads": {}}
     record["host"] = {"machine": platform.machine(), "cpus": os.cpu_count(),
                       "python": platform.python_version()}
-    record["workloads"][workload] = summary
+    if workload is None:
+        record["tier1"] = summary
+    else:
+        record["workloads"][workload] = summary
     path.write_text(json.dumps(record, indent=1) + "\n")
 
 
@@ -196,6 +234,12 @@ def main(argv: list[str] | None = None) -> int:
         _report(workload, summary)
         if args.json:
             write_record(args.json, workload, summary)
+    if args.json:
+        tier1 = tier1_record({side: getattr(args, side) for side in ("parent", "change")})
+        for side, entry in tier1.items():
+            print(f"{side:6s} Tier-1 median {entry['median_s']:.2f} s of "
+                  + ", ".join(f"{s:.2f}" for s in entry["runs_s"]))
+        write_record(args.json, None, tier1)
     return 0
 
 
